@@ -7,15 +7,32 @@ frozen plan exactly.  A failure here means either the reference search
 drifted (intended plan changes require a reviewed corpus regeneration,
 see ``corpus_tools.py``) or the fast path's caching/pruning changed a
 choice, which its safety argument says can never happen.
+
+The ``served/…`` entries (left-deep/seqcost sub-queries of the serving
+schemas) are replayed by four arms — a cold optimizer per query, one
+warm optimizer, a warm optimizer fed the queries in a shuffled order,
+and ``fast_path=False`` — because what one optimizer remembers from
+earlier queries must never change what it answers for a later one.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from .corpus_tools import CORPUS_PATH, SPACES, WORKLOADS, choose
+from repro.optimizer import TwoPhaseOptimizer
+
+from .corpus_tools import (
+    CORPUS_PATH,
+    SERVED_SCHEMAS,
+    SPACES,
+    WORKLOADS,
+    choose,
+    choose_served,
+    served_queries,
+)
 
 
 def _corpus():
@@ -54,7 +71,50 @@ class TestGoldenPlans:
         assert cost.hex() == golden["parcost"]
 
 
+@pytest.mark.parametrize(
+    "label, factory", SERVED_SCHEMAS, ids=[label for label, __ in SERVED_SCHEMAS]
+)
+class TestServedPlans:
+    """The serving path's sub-queries, float.hex-exact on every arm."""
+
+    @staticmethod
+    def _replay(queries, optimizer_for):
+        for key, query in queries:
+            shape, cost = choose_served(optimizer_for(), query)
+            assert shape == CORPUS[key]["shape"], key
+            assert cost == CORPUS[key]["seqcost"], key
+
+    def test_cold_optimizer_per_query(self, label, factory):
+        schema = factory()
+        self._replay(
+            served_queries(label, schema),
+            lambda: TwoPhaseOptimizer(schema.catalog),
+        )
+
+    def test_one_warm_optimizer(self, label, factory):
+        schema = factory()
+        warm = TwoPhaseOptimizer(schema.catalog)
+        # Twice: the second round is answered by whatever the first left.
+        for __ in range(2):
+            self._replay(served_queries(label, schema), lambda: warm)
+
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    def test_warm_optimizer_shuffled(self, label, factory, shuffle_seed):
+        schema = factory()
+        queries = list(served_queries(label, schema))
+        random.Random(shuffle_seed).shuffle(queries)
+        warm = TwoPhaseOptimizer(schema.catalog)
+        self._replay(queries, lambda: warm)
+
+    def test_reference_path(self, label, factory):
+        schema = factory()
+        reference = TwoPhaseOptimizer(schema.catalog, fast_path=False)
+        self._replay(served_queries(label, schema), lambda: reference)
+
+
 def test_corpus_covers_every_configuration():
-    assert set(CORPUS) == {
-        f"{label}/{space}" for label, __ in WORKLOADS for space in SPACES
-    }
+    expected = {f"{label}/{space}" for label, __ in WORKLOADS for space in SPACES}
+    for label, factory in SERVED_SCHEMAS:
+        expected |= {key for key, __ in served_queries(label, factory())}
+    assert set(CORPUS) == expected
+    assert sum(key.startswith("served/") for key in CORPUS) == 3 * (56 + 14)

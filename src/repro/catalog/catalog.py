@@ -53,10 +53,22 @@ class TableEntry:
 
 
 class Catalog:
-    """A simple in-memory system catalog."""
+    """A simple in-memory system catalog.
+
+    Attributes:
+        stats_epoch: monotonically increasing counter bumped by every
+            mutator that can change what the optimizer would choose
+            (:meth:`create_table`, :meth:`drop_table`, :meth:`set_stats`,
+            :meth:`add_index`).  Anything memoizing plans or estimates
+            against this catalog records the epoch it was filled under
+            and discards itself when the epoch has moved on.  Writing to
+            a :class:`TableEntry` directly bypasses it — go through the
+            catalog.
+    """
 
     def __init__(self) -> None:
         self._tables: dict[str, TableEntry] = {}
+        self.stats_epoch = 0
 
     def create_table(self, name: str, schema: Schema, heap: Any) -> TableEntry:
         """Register a relation.
@@ -68,6 +80,7 @@ class Catalog:
             raise DuplicateRelationError(name)
         entry = TableEntry(name=name, schema=schema, heap=heap)
         self._tables[name] = entry
+        self.stats_epoch += 1
         return entry
 
     def drop_table(self, name: str) -> None:
@@ -79,6 +92,7 @@ class Catalog:
         if name not in self._tables:
             raise UnknownRelationError(name)
         del self._tables[name]
+        self.stats_epoch += 1
 
     def table(self, name: str) -> TableEntry:
         """Look up a relation by name.
@@ -102,6 +116,7 @@ class Catalog:
     def set_stats(self, name: str, stats: RelationStats) -> None:
         """Attach statistics to a relation (ANALYZE)."""
         self.table(name).stats = stats
+        self.stats_epoch += 1
 
     def add_index(
         self,
@@ -121,6 +136,7 @@ class Catalog:
             name=index_name, column=column, clustered=clustered, index=index
         )
         table.indexes[index_name] = entry
+        self.stats_epoch += 1
         return entry
 
     def __len__(self) -> int:

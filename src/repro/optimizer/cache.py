@@ -2,10 +2,9 @@
 
 ``parcost(p, n)`` simulates the scheduling algorithm over a plan's
 fragments, which makes it by far the most expensive cost function in
-the system: the DP over connected subsets evaluates thousands of
-candidate joins, and every evaluation used to mean a fresh bottom-up
-estimate plus a full :class:`~repro.sim.fluid.FluidSimulator` run.  Two
-observations make most of that work redundant:
+the system, and on the serving path the same few join graphs are
+planned over and over.  Three observations make most of that work
+redundant:
 
 * the DP reuses subplan *objects*, so per-node estimates can be
   memoized by ``node_id`` and only a candidate's new top nodes ever
@@ -13,25 +12,39 @@ observations make most of that work redundant:
 * the simulation depends only on the fragments' canonical scheduling
   signature (:meth:`~repro.plans.fragments.FragmentGraph.signature`),
   the machine and the policy — structurally equivalent subplans share
-  one simulation.
+  one simulation;
+* a DP cell — the best plan for one relation subset — depends only on
+  the subset, the join predicates inside it, the selections on its
+  relations and the search configuration, never on the query around
+  it.  Cells are therefore shared *across queries*: a sub-query of an
+  earlier query is a lookup, and a repeated query is one lookup of its
+  full cell (see
+  :func:`~repro.optimizer.enumeration.enumerate_space` for the key).
 
-:class:`OptimizerCaches` bundles both memos plus the hit/miss/skip
-counters (:class:`CacheStats`) that ``optbench --json`` records, so a
-benchmark entry states *why* it got faster.  Caching is exact — every
-cached value is the float the uncached path would have computed — so a
+:class:`OptimizerCaches` bundles the three memos plus the hit/miss/skip
+counters (:class:`CacheStats`) that the benchmarks record, so an entry
+states *why* it got faster.  Caching is exact — every cached value is
+the float, or the plan, the uncached path would have computed — so a
 fast-path optimizer chooses byte-identical plans; the golden-plan
 corpus test replays both paths to prove it.
 
-One caches object belongs to one ``(catalog, cost_model, machine
-family)``; reusing it after the catalog's statistics change (ANALYZE)
-would serve stale estimates.  Call :meth:`OptimizerCaches.clear` then.
+Staleness is ruled out by construction: every entry point that pairs a
+caches object with a catalog calls :meth:`OptimizerCaches.sync`, which
+drops all three memos when the catalog (or its
+:attr:`~repro.catalog.catalog.Catalog.stats_epoch`) is not the one they
+were filled under.  Nobody has to remember to clear anything after an
+ANALYZE.  What a caches object still assumes is one cost model and one
+machine family for its ``node_estimates``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from ..plans.costing import NodeEstimate
+from ..catalog.catalog import Catalog
+from ..config import MachineConfig
+from ..plans.costing import CostModel, NodeEstimate, PlanEstimate, estimate_plan
+from ..plans.nodes import PlanNode
 
 
 @dataclass
@@ -45,10 +58,13 @@ class CacheStats:
         costed: candidates that reached the cost function.
         parcost_hits: parcost calls answered from the signature cache.
         parcost_misses: parcost calls that ran a fresh simulation.
-        estimate_hits: estimate requests whose whole plan tree was
-            already in the node memo.
-        estimate_misses: estimate requests that computed at least the
-            plan's root node.
+        estimate_hits: plan nodes whose estimate came out of the node
+            memo (a candidate's reused subplans).
+        estimate_misses: plan nodes that had to be estimated (a
+            candidate's own top nodes).
+        subplan_hits: DP cells answered from the cross-query sub-plan
+            memo; a repeated query is exactly one hit.
+        subplan_misses: DP cells looked up and not found, then searched.
     """
 
     candidates: int = 0
@@ -58,6 +74,8 @@ class CacheStats:
     parcost_misses: int = 0
     estimate_hits: int = 0
     estimate_misses: int = 0
+    subplan_hits: int = 0
+    subplan_misses: int = 0
 
     @property
     def simulated(self) -> int:
@@ -69,27 +87,19 @@ class CacheStats:
         total = self.parcost_hits + self.parcost_misses
         return self.parcost_hits / total if total else 0.0
 
+    @property
+    def subplan_hit_rate(self) -> float:
+        total = self.subplan_hits + self.subplan_misses
+        return self.subplan_hits / total if total else 0.0
+
     def as_dict(self) -> dict:
         """JSON-ready counter dump (what ``optbench --json`` records)."""
-        return {
-            "candidates": self.candidates,
-            "pruned": self.pruned,
-            "costed": self.costed,
-            "parcost_hits": self.parcost_hits,
-            "parcost_misses": self.parcost_misses,
-            "estimate_hits": self.estimate_hits,
-            "estimate_misses": self.estimate_misses,
-        }
+        return asdict(self)
 
     def reset(self) -> None:
         """Zero every counter (used between benchmark repeats)."""
-        self.candidates = 0
-        self.pruned = 0
-        self.costed = 0
-        self.parcost_hits = 0
-        self.parcost_misses = 0
-        self.estimate_hits = 0
-        self.estimate_misses = 0
+        for name in asdict(self):
+            setattr(self, name, 0)
 
     def publish(self, registry, *, prefix: str = "optimizer") -> None:
         """Fold the counters into a unified metrics registry.
@@ -106,24 +116,78 @@ class CacheStats:
 
 @dataclass
 class OptimizerCaches:
-    """The fast path's memos: node estimates plus parcost-by-signature.
+    """The fast path's memos: node estimates, parcost, DP cells.
 
     Attributes:
         node_estimates: ``node_id`` -> :class:`NodeEstimate`.  Node ids
-            are process-unique, so entries from different plans never
-            collide; the memo pays off because the DP reuses subplan
-            objects across candidates.
+            are process-unique (and restart inside an
+            :func:`~repro.core.ids.id_scope`, so a caches object must
+            not outlive the scope its plans were built in); the memo
+            pays off because the DP reuses subplan objects across
+            candidates.  A search that is handed the caches drops the
+            entries of its losing candidates, so what stays is the
+            nodes of plans in ``subplans`` plus whatever callers
+            estimated on top (a final projection).
         parcost_elapsed: ``(signature, machine, policy key)`` ->
             ``parcost`` (simulated elapsed seconds).
+        subplans: DP cell key -> ``(cost, plan)``, the cross-query
+            sub-plan memo.  Bounded by the number of distinct connected
+            sub-join-graphs (times selections and search
+            configurations) ever planned.  Plans are shared between the
+            queries they answer; nothing downstream mutates a plan.
         stats: the counters above, shared with the enumeration loop.
     """
 
     node_estimates: dict[int, NodeEstimate] = field(default_factory=dict)
     parcost_elapsed: dict[tuple, float] = field(default_factory=dict)
+    subplans: dict[tuple, tuple[float, PlanNode]] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
+    #: The (catalog, stats_epoch) the memos were filled under.
+    _filled_under: tuple[Catalog, int] | None = field(
+        default=None, init=False, repr=False
+    )
 
-    def clear(self) -> None:
-        """Drop every memo (required after the catalog's stats change)."""
+    def sync(self, catalog: Catalog) -> None:
+        """Drop the memos unless they were filled under ``catalog`` as it is now.
+
+        Counters survive: they describe the optimizer's work, not the
+        memos' contents.
+        """
+        filled = self._filled_under
+        if (
+            filled is None
+            or filled[0] is not catalog
+            or filled[1] != catalog.stats_epoch
+        ):
+            self._drop_memos()
+            self._filled_under = (catalog, catalog.stats_epoch)
+
+    def estimate(
+        self,
+        plan: PlanNode,
+        catalog: Catalog,
+        *,
+        cost_model: CostModel | None,
+        machine: MachineConfig,
+    ) -> PlanEstimate:
+        """``estimate_plan`` through the node memo, counting its use."""
+        self.sync(catalog)
+        memo = self.node_estimates
+        known = len(memo)
+        estimate = estimate_plan(
+            plan, catalog, cost_model=cost_model, machine=machine, cache=memo
+        )
+        computed = len(memo) - known
+        self.stats.estimate_misses += computed
+        self.stats.estimate_hits += len(estimate.by_node) - computed
+        return estimate
+
+    def _drop_memos(self) -> None:
         self.node_estimates.clear()
         self.parcost_elapsed.clear()
+        self.subplans.clear()
+
+    def clear(self) -> None:
+        """Drop every memo and zero the counters."""
+        self._drop_memos()
         self.stats.reset()

@@ -20,19 +20,35 @@ see :mod:`repro.optimizer.cache`) promise byte-identical plans: a
 candidate is only skipped when its provable cost lower bound *strictly*
 exceeds the incumbent's true cost and the incumbent also covers its
 interesting order, so no skipped candidate could have won either the
-cost comparison or the tie-break.
+cost comparison or the tie-break.  Exact cost ties are common, not
+rare — merge join is symmetric in its inputs and equal-cardinality
+relations are interchangeable, so on the serving workload one offer in
+nine ties its incumbent to the last bit — which is why the key exists
+at all and why nothing here may reorder a cost sum: an exact tie the
+key settles would become ulp noise settling it.
+
+The DP table is also the unit of sharing *across* queries.
+``best[subset]`` is context-free: it is a function of the subset, the
+join predicates inside it (in ``query.joins`` order, which picks the
+primary predicate), the selections on its relations, the search
+configuration and the cost function — not of the query the subset was
+met in.  Handed an :class:`~repro.optimizer.cache.OptimizerCaches`,
+:func:`enumerate_space` keeps its cells there under exactly that key,
+so a later query's sub-join-graphs are lookups and a repeated query is
+one lookup of its full cell.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Iterator
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator
 
 from ..catalog.catalog import Catalog
 from ..errors import OptimizerError
-from ..executor.expressions import column_bounds
+from ..executor.expressions import And, col, column_bounds, eq
 from ..plans import nodes as pn
-from .cache import CacheStats
+from ..plans.costing import NodeEstimate
+from .cache import CacheStats, OptimizerCaches
 from .query import JoinPredicate, Query
 
 #: Join method names accepted by the enumerator.
@@ -86,14 +102,11 @@ def join_candidates(
         if "nestloop" in methods:
             yield pn.NestLoopJoinNode(outer, inner, None)
         return
-    primary = predicates[0]
+    primary, *extra = predicates
     outer_col, inner_col = primary.oriented(outer_rels)
-    # Extra predicates become residual filters on top of the join.
 
     def residual(join: pn.PlanNode) -> pn.PlanNode:
-        from ..executor.expressions import And, col, eq
-
-        extra = predicates[1:]
+        """Extra predicates become a residual filter on top of the join."""
         if not extra:
             return join
         conjs = []
@@ -114,8 +127,6 @@ def join_candidates(
             )
         )
     if "nestloop" in methods:
-        from ..executor.expressions import col, eq
-
         yield residual(
             pn.NestLoopJoinNode(outer, inner, eq(col(outer_col), col(inner_col)))
         )
@@ -186,11 +197,62 @@ def _proper_subsets(subset: frozenset[str]) -> Iterator[tuple[frozenset[str], fr
                 yield left, right
 
 
+def _splits(
+    subset: frozenset[str], space: str
+) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
+    """The ``(outer, inner)`` splits of ``subset`` that ``space`` allows.
+
+    Bushy: both orientations of every 2-partition.  Left-deep
+    (right-deep): the inner (outer) is a single relation, so there are
+    only ``len(subset)`` splits and they are generated directly.
+    """
+    if space == "bushy":
+        for left, right in _proper_subsets(subset):
+            yield left, right
+            yield right, left
+        return
+    for name in sorted(subset):
+        single = frozenset((name,))
+        rest = subset - single
+        yield (rest, single) if space == "left-deep" else (single, rest)
+
+
+def _drop_losers(
+    estimates: dict[int, NodeEstimate], mark: int, winner: pn.PlanNode
+) -> None:
+    """Forget the node estimates one DP cell's losing candidates added.
+
+    Everything past position ``mark`` of ``estimates`` was added while
+    the cell was searched: the own nodes (join, sorts, residual filter)
+    of each candidate costed.  Only the winner's stay reachable, so the
+    rest is dropped — that, not the plans, was most of a long-lived
+    optimizer's memory.  A node's children are estimated before it, so
+    the winner's own nodes are found by walking down from its root
+    while still inside the added tail.
+    """
+    added = len(estimates) - mark
+    if added <= 0:
+        return
+    losers = set(islice(reversed(estimates), added))
+    stack = [winner]
+    while stack:
+        node = stack.pop()
+        if node.node_id in losers:
+            losers.discard(node.node_id)
+            stack.extend(node.children)
+    for node_id in losers:
+        del estimates[node_id]
+
+
 class _Incumbent:
     """Streaming best-candidate tracker for one DP subset.
 
-    Keeps the candidate minimizing ``(cost, plan_shape_key)``.  When the
-    cost function exposes ``lower_bound`` (the fast path's
+    Keeps the candidate minimizing ``(cost, plan_shape_key)``.  The key
+    is a recursive string join, so it is built lazily: for a candidate
+    only when its cost *equals* the incumbent's, and for the incumbent
+    once, then kept.
+
+    When the cost function exposes ``lower_bound`` (the fast path's
     :class:`~repro.optimizer.parcost.ParcostObjective`), candidates
     whose provable bound exceeds the current incumbent's true cost by
     :data:`PRUNE_MARGIN` — and whose interesting order the incumbent
@@ -227,12 +289,20 @@ class _Incumbent:
         cost = self.cost_fn(candidate)
         if stats is not None:
             stats.costed += 1
-        key = plan_shape_key(candidate)
-        if self.cost is None or (cost, key) < (self.cost, self.key):
-            self.cost = cost
-            self.key = key
-            self.plan = candidate
-            self.order = delivered_order(candidate)
+        key = None
+        if self.cost is not None and cost >= self.cost:
+            if cost > self.cost:
+                return
+            if self.key is None:
+                assert self.plan is not None
+                self.key = plan_shape_key(self.plan)
+            key = plan_shape_key(candidate)
+            if key >= self.key:
+                return
+        self.cost = cost
+        self.key = key
+        self.plan = candidate
+        self.order = delivered_order(candidate)
 
 
 def enumerate_space(
@@ -244,6 +314,7 @@ def enumerate_space(
     methods: tuple[str, ...] = JOIN_METHODS,
     avoid_cross_products: bool = True,
     stats: CacheStats | None = None,
+    caches: OptimizerCaches | None = None,
 ) -> pn.PlanNode:
     """Dynamic-programming search for the cheapest plan.
 
@@ -260,58 +331,126 @@ def enumerate_space(
         avoid_cross_products: skip unconnected splits when the join
             graph is connected.
         stats: optional counters (candidates/pruned/costed) for
-            observability; shared with the caches' stats when the fast
-            path is on.
+            observability; defaults to ``caches.stats``.
+        caches: the memos ``cost`` estimates into.  The search drops
+            the node estimates of each cell's losing candidates, and —
+            when ``cost`` names itself through a ``memo_key`` attribute
+            — keeps its DP cells in ``caches.subplans`` so later
+            searches reuse them.
+
+    A cell's memo key is everything ``best[subset]`` depends on and
+    nothing else: ``cost.memo_key`` (which cost function, for which
+    machine), ``space``, ``methods``, whether cross products are
+    allowed, the subset, the join predicates inside it in
+    ``query.joins`` order (the first one between two sides is the
+    join's primary predicate) and the selections on its relations, as
+    structural values plus their rendering (``1`` and ``1.0`` are equal
+    but label a plan differently).  Validation always runs; the full
+    cell is looked up before anything is enumerated.
 
     Returns the best complete plan (projection applied when requested).
     Ties on cost are broken by :func:`plan_shape_key`, so the result is
-    independent of enumeration order and of whether pruning ran.
+    independent of enumeration order, of whether pruning ran and of
+    what the memo already held.
     """
     if space not in ("left-deep", "right-deep", "bushy"):
         raise OptimizerError(f"unknown plan space: {space!r}")
     query.validate(catalog)
     graph = query.join_index()
-    best: dict[frozenset[str], tuple[float, pn.PlanNode]] = {}
-    for name in query.relations:
-        rel_set = frozenset([name])
-        incumbent = _Incumbent(cost, stats)
-        for path in access_paths(query, name, catalog):
-            incumbent.offer(path)
-        assert incumbent.plan is not None and incumbent.cost is not None
-        best[rel_set] = (incumbent.cost, incumbent.plan)
     full = frozenset(query.relations)
     allow_cross = not (avoid_cross_products and graph.is_connected(full))
+    estimates = memo = None
+    config: tuple = ()
+    selected: dict[str, tuple] = {}
+    if caches is not None:
+        caches.sync(catalog)
+        estimates = caches.node_estimates
+        if stats is None:
+            stats = caches.stats
+        memo_key = getattr(cost, "memo_key", None)
+        if memo_key is not None:
+            memo = caches.subplans
+            config = (memo_key, space, methods, allow_cross)
+            selected = {
+                rel: (rel, predicate, repr(predicate))
+                for rel, predicate in query.selections.items()
+            }
+            try:
+                hash(tuple(selected.values()))
+            except TypeError:  # an unhashable literal: plan it unshared
+                memo = None
+
+    def cell_key(subset: frozenset[str]) -> tuple:
+        return (
+            config,
+            subset,
+            tuple(
+                j
+                for j in query.joins
+                if j.left_rel in subset and j.right_rel in subset
+            ),
+            tuple(selected[rel] for rel in sorted(subset) if rel in selected),
+        )
+
+    def finish(plan: pn.PlanNode) -> pn.PlanNode:
+        if query.projection:
+            return pn.ProjectNode(plan, tuple(query.projection))
+        return plan
+
+    if memo is not None:
+        # A repeated query: one lookup, nothing enumerated.
+        hit = memo.get(cell_key(full))
+        if hit is not None:
+            stats.subplan_hits += 1
+            return finish(hit[1])
+
+    best: dict[frozenset[str], tuple[float, pn.PlanNode]] = {}
+
+    def settle(subset: frozenset[str], candidates: Iterable[pn.PlanNode]) -> None:
+        """Fill ``best[subset]`` from the memo or by costing ``candidates``."""
+        if memo is not None:
+            key = cell_key(subset)
+            hit = memo.get(key)
+            if hit is not None:
+                stats.subplan_hits += 1
+                best[subset] = hit
+                return
+            stats.subplan_misses += 1
+        mark = len(estimates) if estimates is not None else 0
+        incumbent = _Incumbent(cost, stats)
+        for candidate in candidates:
+            incumbent.offer(candidate)
+        if incumbent.plan is None:
+            return
+        assert incumbent.cost is not None
+        if estimates is not None:
+            _drop_losers(estimates, mark, incumbent.plan)
+        best[subset] = (incumbent.cost, incumbent.plan)
+        if memo is not None:
+            memo[key] = best[subset]
+
+    def joins_into(subset: frozenset[str]) -> Iterator[pn.PlanNode]:
+        for outer_set, inner_set in _splits(subset, space):
+            outer = best.get(outer_set)
+            inner = best.get(inner_set)
+            if outer is None or inner is None:
+                continue
+            predicates = graph.joins_between(outer_set, inner_set)
+            if not predicates and not allow_cross:
+                continue
+            yield from join_candidates(
+                outer[1], inner[1], predicates, outer_set, methods=methods
+            )
+
+    for name in query.relations:
+        settle(frozenset((name,)), access_paths(query, name, catalog))
     for size in range(2, len(query.relations) + 1):
         for subset in map(frozenset, combinations(sorted(full), size)):
-            if not allow_cross and not graph.is_connected(subset):
-                continue
-            incumbent = _Incumbent(cost, stats)
-            for left, right in _proper_subsets(subset):
-                pairs = [(left, right), (right, left)]
-                for outer_set, inner_set in pairs:
-                    if space == "left-deep" and len(inner_set) != 1:
-                        continue
-                    if space == "right-deep" and len(outer_set) != 1:
-                        continue
-                    if outer_set not in best or inner_set not in best:
-                        continue
-                    predicates = graph.joins_between(outer_set, inner_set)
-                    if not predicates and not allow_cross:
-                        continue
-                    outer_plan = best[outer_set][1]
-                    inner_plan = best[inner_set][1]
-                    for join in join_candidates(
-                        outer_plan, inner_plan, predicates, outer_set, methods=methods
-                    ):
-                        incumbent.offer(join)
-            if incumbent.plan is not None and incumbent.cost is not None:
-                best[subset] = (incumbent.cost, incumbent.plan)
+            if allow_cross or graph.is_connected(subset):
+                settle(subset, joins_into(subset))
     if full not in best:
         raise OptimizerError("no plan found (disconnected join graph?)")
-    plan = best[full][1]
-    if query.projection:
-        plan = pn.ProjectNode(plan, tuple(query.projection))
-    return plan
+    return finish(best[full][1])
 
 
 def enumerate_all_bushy(

@@ -167,6 +167,8 @@ def parallel_cost(
     records match ``tasks`` by id even when the scalar cache is warm.
     """
     machine = machine or paper_machine()
+    if caches is not None:
+        caches.sync(catalog)
     if estimate is None:
         estimate = estimate_plan(
             plan,
@@ -217,6 +219,7 @@ def parcost(
             cost_model=cost_model,
             policy=policy,
         ).elapsed
+    caches.sync(catalog)
     if estimate is None:
         estimate = estimate_plan(
             plan,
@@ -272,51 +275,53 @@ class ParcostObjective:
         # bound is handed straight to parcost instead of re-walked.
         self._memo_id = -1
         self._memo_estimate: PlanEstimate | None = None
+        #: What the enumeration shares DP cells under; None = never
+        #: (no caches, or a policy that cannot be keyed).
+        self.memo_key: tuple | None = None
         if caches is None:
             # Shadow the method: the unoptimized reference path offers no
             # pruning hook, so the enumeration costs every candidate.
             self.lower_bound = None  # type: ignore[assignment]
+        else:
+            policy_key = _policy_cache_key(policy)
+            if policy_key is not None:
+                self.memo_key = ("parcost", self.machine, cost_model, policy_key)
 
     @property
     def stats(self):
         return self.caches.stats if self.caches is not None else None
 
     def __call__(self, plan: PlanNode) -> float:
-        estimate = self._estimate(plan) if self.caches is not None else None
+        estimate = None
+        caches = self.caches
+        if caches is not None:
+            if self._memo_id == plan.node_id:
+                # Handed over by lower_bound.  Single use, so the slot
+                # can never outlive the statistics it was built under.
+                estimate = self._memo_estimate
+                assert estimate is not None
+                self._memo_id, self._memo_estimate = -1, None
+                caches.stats.estimate_hits += len(estimate.by_node)
+            else:
+                estimate = self._estimate(plan)
         return parcost(
             plan,
             self.catalog,
             machine=self.machine,
             cost_model=self.cost_model,
             policy=self.policy,
-            caches=self.caches,
+            caches=caches,
             estimate=estimate,
         )
 
     def _estimate(self, plan: PlanNode) -> PlanEstimate:
-        caches = self.caches
-        if caches is not None and self._memo_id == plan.node_id:
-            assert self._memo_estimate is not None
-            caches.stats.estimate_hits += 1
-            return self._memo_estimate
-        cache = caches.node_estimates if caches is not None else None
-        if caches is not None:
-            if plan.node_id in caches.node_estimates:
-                caches.stats.estimate_hits += 1
-            else:
-                caches.stats.estimate_misses += 1
-        estimate = estimate_plan(
-            plan,
-            self.catalog,
-            cost_model=self.cost_model,
-            machine=self.machine,
-            cache=cache,
+        assert self.caches is not None
+        return self.caches.estimate(
+            plan, self.catalog, cost_model=self.cost_model, machine=self.machine
         )
-        if caches is not None:
-            self._memo_id = plan.node_id
-            self._memo_estimate = estimate
-        return estimate
 
     def lower_bound(self, plan: PlanNode) -> float:
         """Cheap provable bound (see :func:`parcost_lower_bound`)."""
-        return parcost_lower_bound(self._estimate(plan), self.machine)
+        estimate = self._estimate(plan)
+        self._memo_id, self._memo_estimate = plan.node_id, estimate
+        return parcost_lower_bound(estimate, self.machine)

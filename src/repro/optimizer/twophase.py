@@ -18,11 +18,19 @@ Three optimizer modes map onto the paper:
 * ``BUSHY_PAR`` — Section 4: bushy space costed by ``parcost(p, n)``.
 
 By default the optimizer runs its **fast path**: per-node estimate
-memoization, signature-keyed parcost caching and branch-and-bound
-candidate skipping (see :mod:`repro.optimizer.cache`).  The fast path
-is plan-identical — ``fast_path=False`` searches exhaustively with no
+memoization, signature-keyed parcost caching, branch-and-bound
+candidate skipping and a cross-query sub-plan memo (see
+:mod:`repro.optimizer.cache`).  The last one is what the multi-user
+mode lives on: Section 4 plans every query in the cheap
+``LEFT_DEEP_SEQ`` space and leaves parallelism to the scheduler, so on
+a serving path phase 1 is pure overhead, and the queries of a workload
+are drawn from a handful of join graphs.  One optimizer shared by all
+of them answers a repeated query with one lookup and a new query's
+already-seen sub-join-graphs with one lookup each.  The fast path is
+plan-identical — ``fast_path=False`` searches exhaustively with no
 memos and chooses the same plan with the same cost, which the
-golden-plan corpus test asserts exactly.
+golden-plan corpus test asserts exactly — and never stale: the memos
+follow the catalog's ``stats_epoch``.
 """
 
 from __future__ import annotations
@@ -69,6 +77,44 @@ class OptimizedQuery:
         return self.parallel.elapsed
 
 
+class SeqcostObjective:
+    """``seqcost`` as an enumeration objective, optionally memoized.
+
+    The sibling of :class:`~repro.optimizer.parcost.ParcostObjective`:
+    with ``caches`` it estimates through the shared node memo, so a
+    candidate costs only its own top nodes, and names itself through
+    ``memo_key`` so the enumeration may share its DP cells across
+    queries.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        *,
+        machine: MachineConfig,
+        cost_model: CostModel | None = None,
+        caches: OptimizerCaches | None = None,
+    ) -> None:
+        self.catalog = catalog
+        self.machine = machine
+        self.cost_model = cost_model
+        self.caches = caches
+        self.memo_key = (
+            ("seqcost", machine, cost_model) if caches is not None else None
+        )
+
+    def __call__(self, plan: PlanNode) -> float:
+        if self.caches is None:
+            estimate = estimate_plan(
+                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
+            )
+        else:
+            estimate = self.caches.estimate(
+                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
+            )
+        return estimate.seqcost()
+
+
 class TwoPhaseOptimizer:
     """Phase-1 plan choice plus phase-2 parallelization.
 
@@ -80,12 +126,14 @@ class TwoPhaseOptimizer:
         methods: join methods the enumerator may use.
         fast_path: enable the memoized/pruned optimizer (default).  The
             caches live on the optimizer instance and are shared across
-            queries — correct as long as the catalog's statistics do
-            not change underneath it; call ``caches.clear()`` after an
-            ANALYZE-style refresh.
+            queries; they drop themselves when the catalog's
+            ``stats_epoch`` moves (ANALYZE, a new index, a new or
+            dropped table).  ``False`` keeps no memo at all and is the
+            exhaustive reference arm.
         tracer: a :class:`~repro.obs.Tracer`; each ``optimize`` call
             emits one deterministic instant on the ``optimizer`` track
-            carrying this query's candidate/pruned/costed deltas.
+            carrying this query's candidate/pruned/costed and sub-plan
+            hit/miss deltas.
             ``None`` (or the falsy NullTracer) records nothing.
         metrics: a :class:`~repro.obs.MetricsRegistry`; each
             ``optimize`` call folds this query's cache-counter deltas
@@ -134,12 +182,14 @@ class TwoPhaseOptimizer:
                 cost_model=self.cost_model,
                 caches=self.caches,
             )
-        elif mode == OptimizerMode.BUSHY_SEQ:
-            space = "bushy"
-            cost = self._seqcost
-        elif mode == OptimizerMode.LEFT_DEEP_SEQ:
-            space = "left-deep"
-            cost = self._seqcost
+        elif mode in (OptimizerMode.BUSHY_SEQ, OptimizerMode.LEFT_DEEP_SEQ):
+            space = "bushy" if mode == OptimizerMode.BUSHY_SEQ else "left-deep"
+            cost = SeqcostObjective(
+                self.catalog,
+                machine=self.machine,
+                cost_model=self.cost_model,
+                caches=self.caches,
+            )
         else:  # pragma: no cover - exhaustiveness guard
             raise OptimizerError(f"unknown mode: {mode!r}")
         return enumerate_space(
@@ -148,23 +198,8 @@ class TwoPhaseOptimizer:
             cost,
             space=space,
             methods=self.methods,
-            stats=self.cache_stats,
+            caches=self.caches,
         )
-
-    def _seqcost(self, plan: PlanNode) -> float:
-        caches = self.caches
-        if caches is not None:
-            if plan.node_id in caches.node_estimates:
-                caches.stats.estimate_hits += 1
-            else:
-                caches.stats.estimate_misses += 1
-        return estimate_plan(
-            plan,
-            self.catalog,
-            cost_model=self.cost_model,
-            machine=self.machine,
-            cache=caches.node_estimates if caches is not None else None,
-        ).seqcost()
 
     # -- phase 2 -------------------------------------------------------------------
 
@@ -244,6 +279,8 @@ class TwoPhaseOptimizer:
                         "candidates": delta["candidates"],
                         "pruned": delta["pruned"],
                         "costed": delta["costed"],
+                        "subplan_hits": delta["subplan_hits"],
+                        "subplan_misses": delta["subplan_misses"],
                     },
                 )
         return OptimizedQuery(

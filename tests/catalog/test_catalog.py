@@ -80,3 +80,31 @@ class TestIndexes:
         catalog.create_table("r1", SCHEMA, heap=None)
         entry = catalog.add_index("r1", "r1_a", "a", index=None, clustered=True)
         assert entry.clustered
+
+
+class TestStatsEpoch:
+    def test_every_mutator_bumps_the_epoch(self, catalog):
+        stats = RelationStats(row_count=10, page_count=1, avg_row_size=8.0)
+        mutators = [
+            lambda: catalog.create_table("r1", SCHEMA, heap=None),
+            lambda: catalog.set_stats("r1", stats),
+            lambda: catalog.add_index("r1", "r1_a", "a", index=None),
+            lambda: catalog.drop_table("r1"),
+        ]
+        for mutate in mutators:
+            before = catalog.stats_epoch
+            mutate()
+            assert catalog.stats_epoch > before
+
+    def test_failed_mutations_and_reads_leave_it_alone(self, catalog):
+        catalog.create_table("r1", SCHEMA, heap=None)
+        epoch = catalog.stats_epoch
+        with pytest.raises(DuplicateRelationError):
+            catalog.create_table("r1", SCHEMA, heap=None)
+        with pytest.raises(UnknownRelationError):
+            catalog.drop_table("nope")
+        with pytest.raises(UnknownColumnError):
+            catalog.add_index("r1", "bad", "zz", index=None)
+        catalog.table("r1")
+        list(catalog.tables())
+        assert catalog.stats_epoch == epoch

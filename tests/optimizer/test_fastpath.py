@@ -4,8 +4,10 @@ The tentpole guarantee under test: with memoization and
 branch-and-bound pruning on, the optimizer chooses *byte-identical*
 plans (same tree, same parcost float) as the exhaustive reference —
 because every cached value is exact and every pruned candidate is
-provably beaten.  The golden-plan corpus replays complete searches;
-these tests pin down the individual mechanisms.
+provably beaten.  The golden-plan corpus replays complete searches
+(cold, warm, shuffled-warm and reference arms); these tests pin down
+the individual mechanisms, including what the cross-query sub-plan memo
+may and may not share.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.optimizer import (
     OptimizerCaches,
     OptimizerMode,
     ParcostObjective,
+    Query,
     TwoPhaseOptimizer,
     enumerate_all_bushy,
     enumerate_space,
@@ -290,9 +293,11 @@ class TestTwoPhaseFastPath:
         assert optimizer.caches is not None
         assert optimizer.caches.parcost_elapsed
         assert optimizer.caches.node_estimates
+        assert optimizer.caches.subplans
         optimizer.caches.clear()
         assert not optimizer.caches.parcost_elapsed
         assert not optimizer.caches.node_estimates
+        assert not optimizer.caches.subplans
         assert optimizer.caches.stats.candidates == 0
 
     def test_second_query_benefits_from_warm_caches(self, star):
@@ -302,3 +307,269 @@ class TestTwoPhaseFastPath:
         optimizer.optimize(star.query, mode=OptimizerMode.BUSHY_PAR)
         sims_warm = optimizer.caches.stats.parcost_misses - sims_cold
         assert sims_warm == 0  # every signature already simulated
+
+
+LEFT_DEEP = OptimizerMode.LEFT_DEEP_SEQ
+
+
+def _reachable_ids(caches):
+    return {
+        node.node_id
+        for __, plan in caches.subplans.values()
+        for node in plan.walk()
+    }
+
+
+class TestSubplanMemo:
+    """The cross-query DP memo: what is shared, and what never is."""
+
+    def test_repeated_query_is_one_lookup(self, star):
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        first = optimizer.choose_plan(star.query, LEFT_DEEP)
+        stats = optimizer.cache_stats
+        cold = stats.as_dict()
+        assert cold["subplan_hits"] == 0
+        assert cold["subplan_misses"] > 0
+        assert optimizer.choose_plan(star.query, LEFT_DEEP) is first
+        assert stats.subplan_hits == 1
+        assert stats.subplan_misses == cold["subplan_misses"]
+        assert stats.candidates == cold["candidates"]
+        assert 0.0 < stats.subplan_hit_rate < 1.0
+
+    def test_sub_query_cells_are_shared_with_later_queries(self, chain):
+        full = chain.query
+        prefix = Query(relations=full.relations[:2], joins=full.joins[:1])
+        optimizer = TwoPhaseOptimizer(chain.catalog)
+        small = optimizer.choose_plan(prefix, LEFT_DEEP)
+        candidates = optimizer.cache_stats.candidates
+        big = optimizer.choose_plan(full, LEFT_DEEP)
+        # s1, s2 and {s1, s2} were lookups; only s3 and the two larger
+        # subsets were searched.
+        assert optimizer.cache_stats.subplan_hits == 3
+        cold = TwoPhaseOptimizer(chain.catalog)
+        cold.choose_plan(full, LEFT_DEEP)
+        assert optimizer.cache_stats.candidates - candidates < cold.cache_stats.candidates
+        assert plan_shape_key(big) == plan_shape_key(
+            TwoPhaseOptimizer(chain.catalog, fast_path=False).choose_plan(full, LEFT_DEEP)
+        )
+        # ... and the shared cell is the same object in both answers.
+        assert any(node is small for node in big.walk())
+
+    def test_selection_and_bare_query_never_share_a_cell(self, chain):
+        from repro.executor import between
+
+        bare = chain.query
+        selected = Query(
+            relations=bare.relations,
+            joins=bare.joins,
+            selections={"s1": between("s1_r", 0, 3)},
+        )
+        reference = TwoPhaseOptimizer(chain.catalog, fast_path=False)
+        for order in ((bare, selected), (selected, bare)):
+            optimizer = TwoPhaseOptimizer(chain.catalog)
+            for query in order:
+                plan = optimizer.choose_plan(query, LEFT_DEEP)
+                assert plan_shape_key(plan) == plan_shape_key(
+                    reference.choose_plan(query, LEFT_DEEP)
+                )
+            # The second query shared only what s1's selection cannot
+            # touch: the s2 and s3 scans and the {s2, s3} join.
+            assert optimizer.cache_stats.subplan_hits == 3
+
+    def test_equal_but_differently_rendered_literals_do_not_share(self, chain):
+        from repro.executor import col, eq, lit
+
+        def query(value):
+            return Query(
+                relations=["s1"], selections={"s1": eq(col("s1_r"), lit(value))}
+            )
+
+        optimizer = TwoPhaseOptimizer(chain.catalog)
+        as_int = optimizer.choose_plan(query(1), LEFT_DEEP)
+        as_float = optimizer.choose_plan(query(1.0), LEFT_DEEP)
+        assert optimizer.cache_stats.subplan_hits == 0
+        assert plan_shape_key(as_int) != plan_shape_key(as_float)
+
+    def test_join_order_in_the_query_is_part_of_the_full_cell(self, star):
+        flipped = Query(
+            relations=star.query.relations, joins=list(reversed(star.query.joins))
+        )
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        optimizer.choose_plan(star.query, LEFT_DEEP)
+        optimizer.choose_plan(flipped, LEFT_DEEP)
+        full = frozenset(star.query.relations)
+        full_cells = [key for key in optimizer.caches.subplans if key[1] == full]
+        assert len(full_cells) == 2
+        assert {key[2] for key in full_cells} == {
+            tuple(star.query.joins),
+            tuple(flipped.joins),
+        }
+
+    def test_reordered_joins_pick_their_own_primary_predicate(self, catalog):
+        from repro.optimizer import JoinPredicate
+
+        on_a = JoinPredicate("r1", "a", "r2", "b2")
+        on_b = JoinPredicate("r1", "b1", "r2", "c2")
+        optimizer = TwoPhaseOptimizer(catalog)
+        reference = TwoPhaseOptimizer(catalog, fast_path=False)
+        keys = []
+        for joins in ([on_a, on_b], [on_b, on_a]):
+            query = Query(relations=["r1", "r2"], joins=joins)
+            plan = optimizer.choose_plan(query, LEFT_DEEP)
+            keys.append(plan_shape_key(plan))
+            assert keys[-1] == plan_shape_key(reference.choose_plan(query, LEFT_DEEP))
+        assert keys[0] != keys[1]  # the first predicate is the join's own
+
+    def test_modes_and_spaces_never_share_cells(self, star):
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        reference = TwoPhaseOptimizer(star.catalog, fast_path=False)
+        for mode in (*OptimizerMode, *OptimizerMode):
+            assert plan_shape_key(
+                optimizer.choose_plan(star.query, mode)
+            ) == plan_shape_key(reference.choose_plan(star.query, mode))
+        assert optimizer.cache_stats.subplan_hits == len(OptimizerMode)
+
+    def test_unkeyable_policy_and_plain_cost_functions_are_never_shared(self, chain):
+        class TweakedPolicy(InterWithAdjPolicy):
+            pass
+
+        caches = OptimizerCaches()
+        objective = ParcostObjective(
+            chain.catalog, policy=TweakedPolicy(), caches=caches
+        )
+        assert objective.memo_key is None
+        assert ParcostObjective(chain.catalog).memo_key is None
+        plain = lambda plan: estimate_plan(plan, chain.catalog).seqcost()  # noqa: E731
+        for cost in (objective, plain):
+            enumerate_space(chain.query, chain.catalog, cost, caches=caches)
+        assert not caches.subplans
+        assert caches.stats.subplan_hits == caches.stats.subplan_misses == 0
+
+    def test_unhashable_literal_is_planned_unshared(self, chain):
+        from repro.executor import col, eq, lit
+
+        query = Query(
+            relations=["s1"], selections={"s1": eq(col("s1_r"), lit([1, 2]))}
+        )
+        optimizer = TwoPhaseOptimizer(chain.catalog)
+        plan = optimizer.choose_plan(query, LEFT_DEEP)
+        assert isinstance(plan, SeqScanNode)
+        assert not optimizer.caches.subplans
+
+    def test_caches_follow_the_catalog_they_were_filled_under(self, chain, star):
+        caches = OptimizerCaches()
+        caches.sync(chain.catalog)
+        caches.parcost_elapsed[("sig",)] = 1.0
+        caches.sync(chain.catalog)
+        assert caches.parcost_elapsed  # same catalog, same epoch: kept
+        caches.sync(star.catalog)
+        assert not caches.parcost_elapsed
+
+
+class TestSharedPlansStayIntact:
+    """Memo-served plans are shared objects: downstream must not touch them."""
+
+    @staticmethod
+    def _snapshot(plan):
+        return [
+            (node.node_id, type(node), node.label(), tuple(id(c) for c in node.children))
+            for node in plan.walk()
+        ]
+
+    def test_fragmenting_and_estimating_leave_a_shared_plan_alone(self, star):
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        plan = optimizer.choose_plan(star.query, LEFT_DEEP)
+        before = self._snapshot(plan)
+        estimates_before = dict(optimizer.caches.node_estimates)
+        signatures = []
+        for __ in range(2):
+            served = optimizer.choose_plan(star.query, LEFT_DEEP)
+            assert served is plan
+            estimate = estimate_plan(
+                served, star.catalog, cache=optimizer.caches.node_estimates
+            )
+            signatures.append(fragment_plan(served, estimate).signature())
+            optimizer.parallelize(served)
+            assert self._snapshot(plan) == before
+        assert signatures[0] == signatures[1]
+        # Every node was already in the memo, and none was re-estimated.
+        assert optimizer.caches.node_estimates.keys() == estimates_before.keys()
+        for node_id, node_estimate in estimates_before.items():
+            assert optimizer.caches.node_estimates[node_id] is node_estimate
+
+    def test_projection_goes_on_top_of_the_shared_plan(self, chain):
+        projected = Query(
+            relations=chain.query.relations,
+            joins=chain.query.joins,
+            projection=("s1_r",),
+        )
+        optimizer = TwoPhaseOptimizer(chain.catalog)
+        bare = optimizer.choose_plan(chain.query, LEFT_DEEP)
+        top = optimizer.choose_plan(projected, LEFT_DEEP)
+        assert optimizer.cache_stats.subplan_hits == 1
+        assert top.children == (bare,)
+        assert optimizer.choose_plan(chain.query, LEFT_DEEP) is bare
+
+
+class TestNodeEstimateMemoIsBounded:
+    @pytest.mark.parametrize("mode", list(OptimizerMode))
+    def test_only_nodes_of_best_plans_are_kept(self, star, mode):
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        optimizer.choose_plan(star.query, mode)
+        caches = optimizer.caches
+        assert caches.subplans
+        assert set(caches.node_estimates) == _reachable_ids(caches)
+        assert caches.stats.candidates > len(caches.subplans)  # losers existed
+
+    def test_estimates_of_kept_nodes_are_the_uncached_ones(self, star):
+        optimizer = TwoPhaseOptimizer(star.catalog)
+        plan = optimizer.choose_plan(star.query, OptimizerMode.BUSHY_PAR)
+        fresh = estimate_plan(plan, star.catalog)
+        for node in plan.walk():
+            assert optimizer.caches.node_estimates[node.node_id] == fresh.node(node)
+
+    def test_seqcost_counts_nodes_reused_and_computed(self, chain):
+        optimizer = TwoPhaseOptimizer(chain.catalog)
+        optimizer.choose_plan(chain.query, LEFT_DEEP)
+        stats = optimizer.cache_stats
+        # Scans are computed once; every join candidate reuses its two
+        # subplans' nodes and computes only its own.
+        assert stats.estimate_hits > 0
+        assert stats.estimate_misses >= stats.costed
+
+
+class TestTieBreaking:
+    def test_lazy_key_picks_the_least_key_among_equal_costs(self):
+        from itertools import permutations
+
+        from repro.optimizer.enumeration import _Incumbent
+
+        scans = [SeqScanNode(name) for name in ("s3", "s1", "s2")]
+        for order in permutations(scans):
+            incumbent = _Incumbent(lambda plan: 1.0, None)
+            for scan in order:
+                incumbent.offer(scan)
+            assert incumbent.plan.table == "s1"
+
+    def test_cheaper_always_beats_a_smaller_key(self):
+        from repro.optimizer.enumeration import _Incumbent
+
+        costs = {"s1": 2.0, "s2": 1.0, "s3": 2.0}
+        incumbent = _Incumbent(lambda plan: costs[plan.table], None)
+        for name in ("s3", "s1", "s2", "s1"):
+            incumbent.offer(SeqScanNode(name))
+        assert incumbent.plan.table == "s2"
+
+    @pytest.mark.parametrize("space", ["left-deep", "right-deep"])
+    def test_deep_splits_are_the_legal_subset_of_all_splits(self, space):
+        from repro.optimizer.enumeration import _proper_subsets, _splits
+
+        subset = frozenset("abcde")
+        legal = set()
+        for left, right in _proper_subsets(subset):
+            for outer, inner in ((left, right), (right, left)):
+                if len(inner if space == "left-deep" else outer) == 1:
+                    legal.add((outer, inner))
+        generated = list(_splits(subset, space))
+        assert len(generated) == len(subset) == len(legal)
+        assert set(generated) == legal

@@ -113,3 +113,50 @@ class TestDeadlineBudget:
         plain = TwoPhaseOptimizer(catalog).optimize(chain_query)
         assert budgeted.mode == OptimizerMode.BUSHY_PAR
         assert plan_shape_key(budgeted.plan) == plan_shape_key(plain.plan)
+
+
+class TestStatsEpoch:
+    """The memos follow the catalog; nobody calls ``caches.clear()``."""
+
+    @pytest.mark.parametrize("mode", list(OptimizerMode))
+    def test_new_statistics_replan_without_clear(self, catalog, chain_query, mode):
+        from dataclasses import replace
+
+        from repro.optimizer import plan_shape_key
+
+        opt = TwoPhaseOptimizer(catalog)
+        first = opt.optimize(chain_query, mode=mode)
+        again = opt.optimize(chain_query, mode=mode)
+        assert again.plan is first.plan  # one lookup of the full cell
+        assert again.stats["subplan_hits"] == first.stats["subplan_hits"] + 1
+        assert again.stats["candidates"] == first.stats["candidates"]
+
+        # ANALYZE finds r1 shrunk to a handful of rows.
+        old = catalog.table("r1").stats
+        catalog.set_stats("r1", replace(old, row_count=8, page_count=1))
+        replanned = opt.optimize(chain_query, mode=mode)
+        assert replanned.stats["subplan_misses"] > again.stats["subplan_misses"]
+        assert replanned.stats["candidates"] > again.stats["candidates"]
+        fresh = TwoPhaseOptimizer(catalog).optimize(chain_query, mode=mode)
+        assert plan_shape_key(replanned.plan) == plan_shape_key(fresh.plan)
+        assert replanned.parallel.seqcost.hex() == fresh.parallel.seqcost.hex()
+        assert replanned.predicted_elapsed.hex() == fresh.predicted_elapsed.hex()
+        assert replanned.parallel.seqcost < first.parallel.seqcost
+
+    def test_a_new_index_is_seen_by_the_next_query(self, catalog):
+        from repro.executor import between
+        from repro.optimizer import Query
+        from repro.plans import IndexScanNode
+        from repro.storage import BTreeIndex
+
+        opt = TwoPhaseOptimizer(catalog)
+        query = Query(relations=["r2"], selections={"r2": between("b2", 0, 1)})
+        before = opt.choose_plan(query, OptimizerMode.LEFT_DEEP_SEQ)
+        assert not isinstance(before, IndexScanNode)
+        index = BTreeIndex()
+        position = catalog.table("r2").schema.index_of("b2")
+        for rid, row in catalog.table("r2").heap.scan():
+            index.insert(row[position], rid)
+        catalog.add_index("r2", "r2_b2_idx", "b2", index, clustered=True)
+        after = opt.choose_plan(query, OptimizerMode.LEFT_DEEP_SEQ)
+        assert isinstance(after, IndexScanNode)

@@ -11,6 +11,7 @@ from repro.plans import (
     FilterNode,
     HashJoinNode,
     IndexScanNode,
+    MergeJoinNode,
     ProjectNode,
     RANDOM,
     SEQUENTIAL,
@@ -119,6 +120,23 @@ class TestPlanCosts:
         assert est.seqcost() == pytest.approx(
             est.total_cpu_time() + est.total_io_time()
         )
+
+    def test_seqcost_is_the_two_sums_bit_for_bit(self, catalog):
+        # The optimizer compares seqcost floats exactly, so its single
+        # pass must add in the order the two totals do.
+        plan = MergeJoinNode(
+            SortNode(IndexScanNode("r1", "r1_a_idx", low=0, high=100), ("b1",)),
+            SortNode(
+                HashJoinNode(SeqScanNode("r2"), SeqScanNode("r3"), "c2", "c3"),
+                ("b2",),
+            ),
+            "b1",
+            "b2",
+        )
+        est = estimate_plan(plan, catalog)
+        assert est.seqcost().hex() == (
+            est.total_cpu_time() + est.total_io_time()
+        ).hex()
 
     def test_io_time_uses_pattern_bandwidth(self, catalog):
         seq_est = estimate_plan(SeqScanNode("r1"), catalog)

@@ -11,9 +11,6 @@ Commands:
 * ``serve``     — serving mode: open arrival stream + admission control.
 * ``chaos``     — run the simulator under an injected fault schedule.
 * ``recover``   — compare checkpointed resume against restart-from-scratch.
-* ``perf``      — time the micro engine's pages/sec throughput.
-* ``optbench``  — time the optimizer's plans/sec throughput.
-* ``servebench``— time the serving gate's submissions/sec throughput.
 * ``trace``     — record a unified trace and export it (Chrome/JSON).
 * ``check``     — runtime invariants, differential checks and fuzzing.
 
@@ -269,123 +266,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench.perf import append_trajectory, run_perf, smoke_lines
-
-    if args.smoke:
-        # Byte-stable: simulated quantities only, never wall-clock.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
-    report = run_perf(
-        tuple(args.tasks),
-        seed=args.seed,
-        max_pages=args.max_pages,
-        repeats=args.repeats,
-    )
-    print(report.to_table())
-    if args.json is not None:
-        path = Path(args.json)
-        count = append_trajectory(path, report.to_entry(args.label))
-        print(f"appended entry {count} to {path}")
-    return 0
-
-
-def _cmd_optbench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench.optbench import append_trajectory, run_optbench, smoke_lines
-
-    if args.smoke:
-        # Byte-stable: deterministic counters and costs, never
-        # wall-clock; fails if the fast path diverged from the
-        # reference search.
-        lines = smoke_lines(seed=args.seed, topology=args.topology)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
-    report = run_optbench(
-        tuple(args.relations),
-        spaces=tuple(args.spaces),
-        topology=args.topology,
-        seed=args.seed,
-        repeats=args.repeats,
-        include_before=not args.no_before,
-    )
-    print(report.to_table())
-    if not all(case.identical for case in report.cases):
-        print(
-            "optbench failed: fast path chose a different plan",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json is not None:
-        path = Path(args.json)
-        count = 0
-        for entry in report.to_entries(args.label):
-            count = append_trajectory(path, entry)
-        print(f"appended entries through {count} to {path}")
-    return 0
-
-
-def _cmd_servebench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench.servebench import (
-        DEFAULT_CASES,
-        append_trajectory,
-        run_servebench,
-        smoke_lines,
-    )
-
-    if args.smoke:
-        # Byte-stable: outcome and gate-consult counts plus simulated
-        # time, never wall-clock; fails if the fast path diverged from
-        # the reference gate.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
-    cases = DEFAULT_CASES
-    if args.cases is not None:
-        if len(args.cases) % 3:
-            print(
-                "servebench failed: --cases wants n rate qcap triples",
-                file=sys.stderr,
-            )
-            return 1
-        cases = tuple(
-            (int(args.cases[i]), float(args.cases[i + 1]), int(args.cases[i + 2]))
-            for i in range(0, len(args.cases), 3)
-        )
-    report = run_servebench(
-        cases,
-        seed=args.seed,
-        repeats=args.repeats,
-        include_before=not args.no_before,
-    )
-    print(report.to_table())
-    if not all(case.identical for case in report.cases):
-        print(
-            "servebench failed: fast path diverged from the reference gate",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json is not None:
-        path = Path(args.json)
-        count = 0
-        for entry in report.to_entries(args.label):
-            count = append_trajectory(path, entry)
-        print(f"appended entries through {count} to {path}")
     return 0
 
 
@@ -675,137 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="quick deterministic run on a shrunken workload",
     )
     recover.set_defaults(func=_cmd_recover)
-
-    perf = commands.add_parser(
-        "perf", help="time the micro engine's pages/sec throughput"
-    )
-    perf.add_argument(
-        "--tasks",
-        type=int,
-        nargs="+",
-        default=[10, 20, 40],
-        help="workload sizes (task counts) to time",
-    )
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument(
-        "--max-pages", type=int, default=2000, help="pages cap per task"
-    )
-    perf.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="wall-clock repetitions per case (best is kept)",
-    )
-    perf.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="append this run to a BENCH_PERF.json trajectory file",
-    )
-    perf.add_argument(
-        "--label",
-        default="local",
-        help="label of the --json trajectory entry",
-    )
-    perf.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick deterministic run, byte-stable output",
-    )
-    perf.set_defaults(func=_cmd_perf)
-
-    optbench = commands.add_parser(
-        "optbench", help="time the optimizer's plans/sec throughput"
-    )
-    optbench.add_argument(
-        "--relations",
-        type=int,
-        nargs="+",
-        default=[4, 6, 8],
-        help="query sizes (total relations) to time",
-    )
-    optbench.add_argument(
-        "--spaces",
-        nargs="+",
-        choices=("left-deep", "right-deep", "bushy"),
-        default=["left-deep", "right-deep", "bushy"],
-        help="plan spaces to time for each size",
-    )
-    optbench.add_argument(
-        "--topology", choices=("star", "chain"), default="star"
-    )
-    optbench.add_argument("--seed", type=int, default=0)
-    optbench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="wall-clock repetitions per case (best is kept)",
-    )
-    optbench.add_argument(
-        "--no-before",
-        action="store_true",
-        help="skip the fast-path-off reference timings",
-    )
-    optbench.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="append this run to a BENCH_OPT.json trajectory file",
-    )
-    optbench.add_argument(
-        "--label",
-        default="local",
-        help="label of the --json trajectory entries",
-    )
-    optbench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick deterministic run, byte-stable output",
-    )
-    optbench.set_defaults(func=_cmd_optbench)
-
-    servebench = commands.add_parser(
-        "servebench",
-        help="time the serving gate's submissions/sec throughput",
-    )
-    servebench.add_argument(
-        "--cases",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="N RATE QCAP",
-        help="stress rungs as (stream length, offered rate, queue cap) "
-        "triples (default: the ext2 stress ladder)",
-    )
-    servebench.add_argument("--seed", type=int, default=0)
-    servebench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="wall-clock repetitions per arm (best is kept)",
-    )
-    servebench.add_argument(
-        "--no-before",
-        action="store_true",
-        help="skip the reference-gate timings",
-    )
-    servebench.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="append this run to a BENCH_SERVE.json trajectory file",
-    )
-    servebench.add_argument(
-        "--label",
-        default="local",
-        help="label of the --json trajectory entries",
-    )
-    servebench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick deterministic run, byte-stable output",
-    )
-    servebench.set_defaults(func=_cmd_servebench)
 
     trace = commands.add_parser(
         "trace", help="record a unified trace and export it"

@@ -17,9 +17,6 @@ from .harness import (
     make_policies,
     run_figure7,
 )
-from .optbench import OptBenchCase, OptBenchReport, run_optbench
-from .perf import PerfCase, PerfReport, run_case, run_perf
-from .servebench import ServeBenchCase, ServeBenchReport, run_servebench
 from .report import format_bar_chart, format_table, percent
 
 __all__ = [
@@ -29,13 +26,7 @@ __all__ = [
     "Figure7Cell",
     "Figure7Result",
     "POLICY_NAMES",
-    "OptBenchCase",
-    "OptBenchReport",
-    "PerfCase",
-    "PerfReport",
     "ScanMeasurement",
-    "ServeBenchCase",
-    "ServeBenchReport",
     "calibrate",
     "figure3",
     "figure4",
@@ -48,10 +39,6 @@ __all__ = [
     "measure_scan",
     "percent",
     "render_gantt",
-    "run_case",
     "run_figure7",
-    "run_optbench",
-    "run_perf",
-    "run_servebench",
     "schedule_to_json",
 ]

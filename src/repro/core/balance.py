@@ -31,7 +31,6 @@ root in ``(0, N)`` by a coarse downward scan followed by bisection (see
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..config import MachineConfig
@@ -57,39 +56,6 @@ _TOLERANCE = 1e-9
 #: equal-but-distinct tasks.
 _POINT_CACHE: dict[tuple, tuple | None] = {}
 _POINT_CACHE_MISS = object()
-
-#: When set, :func:`balance_point` keys its memo on the task objects
-#: themselves — the seed-era behaviour, where every synthetic
-#: remaining-work task missed.  Flip it via
-#: :func:`reference_point_keying` only; identity keys (Task-led tuples)
-#: and rate keys (float-led tuples) cannot collide in the shared dict.
-_REFERENCE_KEYING = False
-
-
-def clear_point_cache() -> None:
-    """Empty the balance-point memo (benchmarks time cold starts)."""
-    _POINT_CACHE.clear()
-
-
-@contextmanager
-def reference_point_keying():
-    """Restore the seed-era identity cache keys (the benchmark *before* arm).
-
-    The seed keyed the balance-point memo on the tasks themselves
-    (``task_id`` enters the hash), so the remaining-work partner tasks
-    the schedulers rebuild every round never hit.  The servebench's
-    reference arm runs under this context so its timings reflect the
-    genuine pre-optimization cache behaviour; the memo is cleared on
-    entry and exit so neither arm warms the other.
-    """
-    global _REFERENCE_KEYING
-    _POINT_CACHE.clear()
-    _REFERENCE_KEYING = True
-    try:
-        yield
-    finally:
-        _REFERENCE_KEYING = False
-        _POINT_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -213,17 +179,14 @@ def balance_point(
     ``use_effective_bandwidth=False`` the nominal ``B`` is used — the
     paper's uncorrected Section 2.3 calculation (the abl5 ablation).
     """
-    if _REFERENCE_KEYING:
-        key = (task_a, task_b, machine, use_effective_bandwidth)
-    else:
-        key = (
-            task_a.io_rate,
-            task_a.io_pattern,
-            task_b.io_rate,
-            task_b.io_pattern,
-            machine,
-            use_effective_bandwidth,
-        )
+    key = (
+        task_a.io_rate,
+        task_a.io_pattern,
+        task_b.io_rate,
+        task_b.io_pattern,
+        machine,
+        use_effective_bandwidth,
+    )
     cached = _POINT_CACHE.get(key, _POINT_CACHE_MISS)
     if cached is not _POINT_CACHE_MISS:
         if cached is None:

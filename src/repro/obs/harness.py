@@ -98,8 +98,8 @@ def run_trace(
             fault preset so the trace shows degradation, stall and
             crash instants.
     """
-    from ..bench.optbench import bench_workload
     from ..config import paper_machine
+    from ..core.ids import id_scope
     from ..core.schedulers import InterWithAdjPolicy
     from ..faults.breaker import CircuitBreaker
     from ..faults.retry import RetryPolicy
@@ -110,6 +110,7 @@ def run_trace(
     from ..sim.micro import MicroSimulator
     from ..workloads import WorkloadConfig, WorkloadKind
     from ..workloads.mixes import generate_specs
+    from ..workloads.queries import star_join
 
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -117,7 +118,12 @@ def run_trace(
     # Phase 1: optimize a seeded star join; the tracer gets one
     # deterministic instant, the registry the counter deltas and the
     # (wall-clock) phase-1 latency histogram.
-    schema = bench_workload(n_relations, topology="star", seed=seed)
+    # Scoped node ids, so in-process reruns build byte-identical
+    # schemas; row counts keep the search small but non-trivial.
+    with id_scope():
+        schema = star_join(
+            n_relations - 1, fact_rows=400, dimension_rows=80, seed=seed
+        )
     optimizer = TwoPhaseOptimizer(
         schema.catalog, tracer=tracer, metrics=metrics
     )

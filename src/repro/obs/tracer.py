@@ -11,8 +11,8 @@ The default everywhere is the :class:`NullTracer`, which is *falsy* and
 drops every call.  Instrumentation sites across the engines guard with
 a single truthiness/None check (``if tracer is not None:``), so a
 disabled tracer costs one branch at event-emission sites that are
-already off the inner per-page loop — the frozen trace/plan corpora and
-the perf floors are unaffected.
+already off the inner per-page loop — the frozen trace/plan corpora
+are unaffected (``benchmarks/e2e`` prices the tracer on and off).
 
 Tracks name the timeline a record belongs to (``task:io0``,
 ``tenant:olap``, ``disk:2``, ``optimizer`` …); the Chrome exporter maps

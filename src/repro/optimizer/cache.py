@@ -93,7 +93,7 @@ class CacheStats:
         return self.subplan_hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready counter dump (what ``optbench --json`` records)."""
+        """JSON-ready counter dump (``benchmarks/e2e`` reads these)."""
         return asdict(self)
 
     def reset(self) -> None:

@@ -13,7 +13,6 @@ executed — the open-system analogue of the closed batch in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..core.ids import submission_ids as _submission_ids
@@ -99,9 +98,9 @@ class AdmissionQueue:
     id: dict order *is* global arrival (FIFO) order, because ids are
     never re-offered and removal preserves the order of the survivors.
     That makes :meth:`offer`/:meth:`take`/:meth:`__contains__` O(1) and
-    :meth:`waiting` a memoized snapshot instead of the seed-era
-    flatten-and-sort (:class:`ReferenceAdmissionQueue`) — the admission
-    gate calls ``waiting()`` on every engine consult.
+    :meth:`waiting` a memoized snapshot rather than a flatten-and-sort
+    of the tenant queues — the admission gate calls ``waiting()`` on
+    every engine consult.
 
     Args:
         capacity_per_tenant: maximum submissions waiting per tenant;
@@ -168,68 +167,3 @@ class AdmissionQueue:
         self._depths[entry.submission.tenant] -= 1
         self._waiting_cache = None
         return entry.submission
-
-
-class ReferenceAdmissionQueue:
-    """The seed-era list-backed queue, kept verbatim as the slow arm.
-
-    ``AdmissionGate(fast_path=False)`` and the servebench *before* arm
-    run on this implementation so speedups are measured against the
-    genuine pre-optimization algorithm; the frozen serve corpus pins
-    both implementations to the same digests.
-    """
-
-    def __init__(self, capacity_per_tenant: int) -> None:
-        if capacity_per_tenant < 1:
-            raise AdmissionError(-1, "capacity_per_tenant must be >= 1")
-        self.capacity_per_tenant = capacity_per_tenant
-        self._queues: dict[str, list[QueuedSubmission]] = {}
-        self._order = itertools.count()
-        self._seq: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def __contains__(self, submission_id: int) -> bool:
-        """Is a submission with this id currently waiting?"""
-        return submission_id in self._seq
-
-    def depth(self, tenant: str) -> int:
-        """Submissions currently waiting for one tenant."""
-        return len(self._queues.get(tenant, []))
-
-    def offer(self, submission: ServiceSubmission, now: float) -> None:
-        """Enqueue ``submission``; shed it when the tenant queue is full.
-
-        Raises:
-            ServiceOverloadError: the tenant's queue is at capacity.
-        """
-        queue = self._queues.setdefault(submission.tenant, [])
-        if len(queue) >= self.capacity_per_tenant:
-            raise ServiceOverloadError(
-                submission.submission_id, submission.tenant
-            )
-        self._seq[submission.submission_id] = next(self._order)
-        queue.append(QueuedSubmission(submission=submission, enqueued_at=now))
-
-    def waiting(self) -> list[QueuedSubmission]:
-        """All waiting submissions in global arrival (FIFO) order."""
-        entries = [
-            entry for queue in self._queues.values() for entry in queue
-        ]
-        entries.sort(key=lambda e: self._seq[e.submission.submission_id])
-        return entries
-
-    def take(self, submission_id: int) -> ServiceSubmission:
-        """Remove and return one waiting submission by id.
-
-        Raises:
-            AdmissionError: the id is not waiting in any queue.
-        """
-        for queue in self._queues.values():
-            for i, entry in enumerate(queue):
-                if entry.submission.submission_id == submission_id:
-                    del queue[i]
-                    self._seq.pop(submission_id, None)
-                    return entry.submission
-        raise AdmissionError(submission_id, "not waiting in any queue")

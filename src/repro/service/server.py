@@ -48,11 +48,7 @@ if TYPE_CHECKING:
     from ..faults.schedule import DiskDegradation
 from .admission import AdmissionPolicy, BalanceAwareAdmission
 from .metrics import ServiceMetrics, TenantMetrics, utilization_timeline
-from .queue import (
-    AdmissionQueue,
-    ReferenceAdmissionQueue,
-    ServiceSubmission,
-)
+from .queue import AdmissionQueue, ServiceSubmission
 
 _EPS = 1e-9
 
@@ -124,10 +120,10 @@ class ServiceResult:
     """Full outcome of one service run.
 
     ``decide_rounds`` counts the gate consults the engine made during
-    the run — the denominator of the servebench gate-decisions/sec
-    metric.  Each consult covers *every* arrival due at that virtual
-    instant (the engine drains same-timestamp arrivals in one event),
-    so a Poisson burst costs one round, not one per submission.
+    the run (``service.decide_rounds`` in ``benchmarks/e2e``).  Each
+    consult covers *every* arrival due at that virtual instant (the
+    engine drains same-timestamp arrivals in one event), so a Poisson
+    burst costs one round, not one per submission.
     """
 
     admission_name: str
@@ -148,6 +144,37 @@ class ServiceResult:
                 return outcome
         raise AdmissionError(-1, f"no submission named {name!r}")
 
+    def digest(self) -> list:
+        """A float.hex-exact digest of everything the run decided.
+
+        Two runs digest equal iff they made the same decisions at the
+        same virtual instants: per-submission status and every
+        timestamp (admitted/finished/rejected/cancelled), the elapsed
+        time and both utilizations, all rendered with ``float.hex`` so
+        equality is bit-for-bit, never rounded.  The frozen serve
+        corpus (``tests/service/data/serve_corpus.json``) rests on it.
+        """
+        rows: list = [self.admission_name, float(self.elapsed).hex()]
+
+        def hx(value: float | None) -> str | None:
+            return None if value is None else float(value).hex()
+
+        for outcome in self.outcomes:
+            rows.append(
+                [
+                    outcome.submission.name,
+                    outcome.submission.tenant,
+                    outcome.status,
+                    hx(outcome.admitted_at),
+                    hx(outcome.finished_at),
+                    hx(outcome.rejected_at),
+                    hx(outcome.cancelled_at),
+                ]
+            )
+        rows.append(float(self.metrics.cpu_utilization).hex())
+        rows.append(float(self.metrics.io_utilization).hex())
+        return rows
+
 
 class _GatedView:
     """Engine state restricted to admitted fragments.
@@ -157,16 +184,25 @@ class _GatedView:
     still waiting at the admission gate.  ``banned`` hides running
     tasks the gate is cancelling this round, so the inner policy cannot
     adjust a task that will be gone before its action applies.
+
+    The pending filter is memoized on the gate.  The engine's
+    ``state.pending`` is itself memoized and rebuilt as a *fresh list
+    object* whenever membership changes, so ``(source list identity,
+    allowed-set version)`` keys the filtered view exactly: a hit means
+    neither the engine's ready set nor the admitted set moved since the
+    last consult, and the previous filtered list (same tasks, same
+    order) is still the answer.  The gate holds a reference to the
+    source list, so its identity cannot be recycled while the key lives.
     """
 
     def __init__(
         self,
         state: EngineState,
-        allowed: set[int],
+        gate: "AdmissionGate",
         banned: set[int] | None = None,
     ) -> None:
         self._state = state
-        self._allowed = allowed
+        self._gate = gate
         self._banned = banned
         self.machine = state.machine
         self.completed_ids = state.completed_ids
@@ -189,29 +225,6 @@ class _GatedView:
 
     @property
     def pending(self) -> list[Task]:
-        return [
-            t for t in self._state.pending if t.task_id in self._allowed
-        ]
-
-
-class _FastGatedView(_GatedView):
-    """A :class:`_GatedView` whose pending filter is memoized on the gate.
-
-    The engine's ``state.pending`` is itself memoized and rebuilt as a
-    *fresh list object* whenever membership changes, so ``(source list
-    identity, allowed-set version)`` keys the filtered view exactly: a
-    hit means neither the engine's ready set nor the admitted set moved
-    since the last consult, and the previous filtered list (same tasks,
-    same order) is still the answer.  The gate holds a reference to the
-    source list, so its identity cannot be recycled while the key lives.
-    """
-
-    def __init__(self, state: EngineState, gate: "AdmissionGate", banned) -> None:
-        super().__init__(state, gate._allowed, banned)
-        self._gate = gate
-
-    @property
-    def pending(self) -> list[Task]:
         gate = self._gate
         source = self._state.pending
         if (
@@ -219,7 +232,7 @@ class _FastGatedView(_GatedView):
             and gate._gated_pending_version == gate._allowed_version
         ):
             return gate._gated_pending
-        allowed = self._allowed
+        allowed = gate._allowed
         filtered = [t for t in source if t.task_id in allowed]
         gate._gated_pending_src = source
         gate._gated_pending_version = gate._allowed_version
@@ -265,11 +278,6 @@ class AdmissionGate(SchedulingPolicy):
             decisions (queue-wait spans, backoff/shed instants) at
             virtual time; ``None`` (or the falsy NullTracer) records
             nothing.
-        fast_path: run the incremental gate (dict-backed queue, heap
-            deadline wakeups, memoized views) — byte-identical outcomes
-            to the seed-era algorithms, which ``False`` preserves
-            verbatim as the servebench *before* arm (the frozen serve
-            corpus pins both arms to the same digests).
     """
 
     name = "ADMISSION-GATE"
@@ -287,7 +295,6 @@ class AdmissionGate(SchedulingPolicy):
         deadline_policy: str = "off",
         deadline_grace: float = 0.0,
         tracer=None,
-        fast_path: bool = True,
     ) -> None:
         if max_inflight_fragments < 1:
             raise AdmissionError(-1, "max_inflight_fragments must be >= 1")
@@ -308,7 +315,6 @@ class AdmissionGate(SchedulingPolicy):
         self.deadline_policy = deadline_policy
         self.deadline_grace = deadline_grace
         self.tracer = tracer or None
-        self.fast_path = fast_path
         self._stream = sorted(
             submissions, key=lambda s: (s.arrival_time, s.submission_id)
         )
@@ -320,8 +326,7 @@ class AdmissionGate(SchedulingPolicy):
     def reset(self) -> None:
         """Clear all gate state before a fresh run."""
         self.inner.reset()
-        queue_cls = AdmissionQueue if self.fast_path else ReferenceAdmissionQueue
-        self._queue = queue_cls(self.queue_capacity)
+        self._queue = AdmissionQueue(self.queue_capacity)
         self._cursor = 0
         self._allowed: set[int] = set()
         self._inflight: dict[int, Task] = {}
@@ -340,7 +345,6 @@ class AdmissionGate(SchedulingPolicy):
         self.retry_counts: dict[int, int] = {}
         #: Gate consults this run (one per engine event, not per arrival).
         self.decide_rounds = 0
-        # -- fast-path bookkeeping (inert on the reference arm) -----------
         #: Submission ids currently backing off (mirrors ``_retries``).
         self._retry_sids: set[int] = set()
         #: One-shot deadline instants ``(time, sid)``; entries whose sid
@@ -348,7 +352,6 @@ class AdmissionGate(SchedulingPolicy):
         self._deadline_heap: list[tuple[float, int]] = []
         #: Admitted-but-unfinished fragments grouped by submission id.
         self._inflight_by_sid: dict[int, list[Task]] = {}
-        self._submission_by_sid: dict[int, ServiceSubmission] = {}
         #: Memo of ``list(self._inflight.values())`` for admission consults.
         self._inflight_list: list[Task] | None = None
         #: Bumped on every ``_allowed`` mutation; keys the gated-view memo.
@@ -380,11 +383,7 @@ class AdmissionGate(SchedulingPolicy):
     ) -> list[Action]:
         """One offer of a submission to its tenant queue, breaker-gated."""
         now = state.now
-        if (
-            self.fast_path
-            and self.deadline_policy != "off"
-            and submission.deadline is not None
-        ):
+        if self.deadline_policy != "off" and submission.deadline is not None:
             # One-shot enforcement instant; a re-offer pushes a harmless
             # duplicate (same time, popped together).
             heapq.heappush(
@@ -466,6 +465,14 @@ class AdmissionGate(SchedulingPolicy):
                 args={"deadline": submission.deadline, "fragments": n},
             )
 
+    def _deadline_live(self, sid: int) -> bool:
+        """Is this submission still anywhere the deadline budget can act?"""
+        return (
+            sid in self._queue
+            or sid in self._retry_sids
+            or sid in self._inflight_by_sid
+        )
+
     def _enforce_deadlines(self, state: EngineState) -> list[Action]:
         """Cancel work whose deadline budget has expired.
 
@@ -478,119 +485,24 @@ class AdmissionGate(SchedulingPolicy):
         :class:`~repro.core.schedulers.Cancel` action, so the engine
         releases its resources and records a ``CancelRecord`` — no
         wedged rounds, no silent disappearance.
-        """
-        if self.deadline_policy == "off":
-            return []
-        now = state.now
-        actions: list[Action] = []
 
-        def drop(submission: ServiceSubmission, label: str) -> None:
-            sid = submission.submission_id
-            self.deadline_cancelled_at.setdefault(sid, now)
-            self._cancel_instant(
-                submission, label, now, submission.n_fragments
-            )
-            for task in submission.tasks:
-                if task.task_id in self.cancelled_tasks:
-                    continue
-                self.cancelled_tasks.add(task.task_id)
-                actions.append(Cancel(task, "deadline"))
-
-        # Queued submissions whose budget ran out before admission.
-        for entry in list(self._queue.waiting()):
-            submission = entry.submission
-            deadline = submission.deadline
-            if deadline is not None and now > deadline + _EPS:
-                self._queue.take(submission.submission_id)
-                drop(submission, "deadline:drop")
-        # Backing-off submissions whose budget ran out mid-retry.
-        if self._retries:
-            overdue = [
-                e
-                for e in self._retries
-                if e[3].deadline is not None and now > e[3].deadline + _EPS
-            ]
-            if overdue:
-                self._retries = [
-                    e for e in self._retries if e not in overdue
-                ]
-                heapq.heapify(self._retries)
-                for __, __sid, __attempt, submission in overdue:
-                    drop(submission, "deadline:drop")
-        # Admitted submissions past their budget: kill or degrade.
-        by_sid: dict[int, list[Task]] = {}
-        for task_id, task in self._inflight.items():
-            by_sid.setdefault(
-                self._by_submission[task_id].submission_id, []
-            ).append(task)
-        running_ids = {r.task.task_id for r in state.running}
-        for sid in sorted(by_sid):
-            submission = self._by_submission[by_sid[sid][0].task_id]
-            deadline = submission.deadline
-            if deadline is None or now <= deadline + _EPS:
-                continue
-            unfinished = sorted(
-                by_sid[sid], key=lambda t: (t.seq_time, t.task_id)
-            )
-            running = [t for t in unfinished if t.task_id in running_ids]
-            waiting = [t for t in unfinished if t.task_id not in running_ids]
-            grace_over = now > deadline + self.deadline_grace + _EPS
-            if self.deadline_policy == "kill" or not running or grace_over:
-                to_cancel = waiting + running
-                self.deadline_cancelled_at.setdefault(sid, now)
-                label = "deadline:kill"
-            else:
-                to_cancel = waiting
-                if to_cancel:
-                    self.degraded_at.setdefault(sid, now)
-                label = "deadline:shed"
-            if not to_cancel:
-                continue
-            self._cancel_instant(submission, label, now, len(to_cancel))
-            for task in to_cancel:
-                self.cancelled_tasks.add(task.task_id)
-                self._allowed.discard(task.task_id)
-                del self._inflight[task.task_id]
-                actions.append(Cancel(task, "deadline"))
-        return actions
-
-    # -- fast-path variants ------------------------------------------------------
-    #
-    # Behaviour-identical to the reference methods above/below: same
-    # actions at the same virtual instants, different bookkeeping.  The
-    # reference arm rescans every queue, retry entry and in-flight
-    # submission on every engine event; the fast arm keeps a one-shot
-    # min-heap of deadline instants and event-driven membership indexes,
-    # so an event with nothing due costs O(1).
-
-    def _deadline_live(self, sid: int) -> bool:
-        """Is this submission still anywhere the deadline budget can act?"""
-        return (
-            sid in self._queue
-            or sid in self._retry_sids
-            or sid in self._inflight_by_sid
-        )
-
-    def _enforce_deadlines_fast(self, state: EngineState) -> list[Action]:
-        """Instant-driven deadline enforcement (see :meth:`_enforce_deadlines`).
-
-        The heap holds every instant at which enforcement can act: each
-        SLO-tagged submission's deadline (pushed at every offer) and,
-        under ``"shed"``, its grace bound (pushed at admission).  When
-        no live instant is due the whole pass is provably a no-op and
-        exits in O(1); when one is due, only the submissions with due
-        instants are processed — in the reference arm's exact action
-        order (queue drops in FIFO order, retry purges in heap-array
-        order, in-flight sweeps in sid order).  This is equivalent to
-        the reference full sweep because every threshold the sweep can
-        cross (queue/retry drop at the deadline, in-flight kill or shed
-        at the deadline, grace kill at deadline + grace) has a covering
-        live instant, and between a submission's deadline and its grace
-        bound the reference sweep is a no-op for it: its waiting set
-        cannot repopulate after the shed and running fragments never
-        revert to waiting.  One-shot consumption is therefore safe — a
-        processed submission either leaves the gate or its only future
-        action is covered by its grace instant.
+        Enforcement is instant-driven, not a sweep.  The heap holds
+        every instant at which it can act: each SLO-tagged submission's
+        deadline (pushed at every offer) and, under ``"shed"``, its
+        grace bound (pushed at admission).  When no live instant is due
+        the pass is provably a no-op and exits in O(1); when one is
+        due, only the submissions with due instants are processed, in a
+        fixed action order the serve corpus pins: queue drops in FIFO
+        order, retry purges in heap-array order, in-flight submissions
+        in sid order.  Consuming an instant once is safe because every
+        threshold a submission can cross (queue/retry drop at the
+        deadline, in-flight kill or shed at the deadline, grace kill at
+        deadline + grace) has its own live instant, and between its
+        deadline and its grace bound nothing changes for it: its
+        waiting set cannot repopulate after the shed and running
+        fragments never revert to waiting.  So a processed submission
+        either leaves the gate or its only future action is covered by
+        its grace instant.
         """
         if self.deadline_policy == "off":
             return []
@@ -640,9 +552,8 @@ class AdmissionGate(SchedulingPolicy):
             for entry in overdue_waiting:
                 self._queue.take(entry.submission.submission_id)
                 drop(entry.submission, "deadline:drop")
-        # Backing-off submissions whose budget ran out mid-retry.  Each
-        # sid has at most one pending retry entry, so the sid-keyed
-        # rebuild matches the reference arm's object-equality rebuild.
+        # Backing-off submissions whose budget ran out mid-retry (each
+        # sid has at most one pending retry entry).
         if self._retries:
             overdue = [e for e in self._retries if e[1] in due_sids]
             if overdue:
@@ -662,14 +573,14 @@ class AdmissionGate(SchedulingPolicy):
             return actions
         running_ids = {r.task.task_id for r in state.running}
         for sid in inflight_due:
-            submission = self._submission_by_sid[sid]
-            deadline = submission.deadline
-            if deadline is None or now <= deadline + _EPS:
-                continue
             unfinished = sorted(
                 self._inflight_by_sid[sid],
                 key=lambda t: (t.seq_time, t.task_id),
             )
+            submission = self._by_submission[unfinished[0].task_id]
+            deadline = submission.deadline
+            if deadline is None or now <= deadline + _EPS:
+                continue
             running = [t for t in unfinished if t.task_id in running_ids]
             waiting = [t for t in unfinished if t.task_id not in running_ids]
             grace_over = now > deadline + self.deadline_grace + _EPS
@@ -702,11 +613,10 @@ class AdmissionGate(SchedulingPolicy):
                 self._inflight_by_sid[sid] = survivors
             else:
                 del self._inflight_by_sid[sid]
-                del self._submission_by_sid[sid]
         return actions
 
-    def _next_wakeup_fast(self, now: float) -> float | None:
-        """Heap-backed :meth:`next_wakeup`: min live instant, not a scan."""
+    def next_wakeup(self, now: float) -> float | None:
+        """Earliest live retry or deadline instant, so the engine wakes us."""
         times: list[float] = []
         if self._retries:
             times.append(self._retries[0][0])
@@ -721,6 +631,9 @@ class AdmissionGate(SchedulingPolicy):
                 if not self._deadline_live(sid):
                     heapq.heappop(heap)
                     continue
+                # Nudged past the instant so the `now > deadline`
+                # comparison in the enforcement pass is already true
+                # when we wake.
                 if t + 2 * _EPS > now + _EPS:
                     times.append(t + 2 * _EPS)
                     break
@@ -730,8 +643,12 @@ class AdmissionGate(SchedulingPolicy):
         future = [t for t in times if t > now + _EPS]
         return min(future) if future else None
 
-    def _refresh_inflight_fast(self, state: EngineState) -> None:
-        """Watermarked :meth:`_refresh_inflight`: scan only on completions."""
+    def _refresh_inflight(self, state: EngineState) -> None:
+        """Drop completed fragments from the in-flight set.
+
+        Watermarked on ``len(state.completed_ids)``: the scan runs only
+        when something completed since the last consult.
+        """
         completed = state.completed_ids
         if len(completed) == self._completed_seen:
             return
@@ -747,11 +664,10 @@ class AdmissionGate(SchedulingPolicy):
                 tasks[:] = [t for t in tasks if t.task_id != tid]
                 if not tasks:
                     del self._inflight_by_sid[sid]
-                    del self._submission_by_sid[sid]
         self._inflight_list = None
 
-    def _admit_fast(self, state: EngineState) -> None:
-        """Incremental :meth:`_admit`: early budget exit, memoized inflight."""
+    def _admit(self, state: EngineState) -> None:
+        """Release waiting submissions while the fragment budget allows."""
         queue = self._queue
         inflight = self._inflight
         while True:
@@ -767,19 +683,12 @@ class AdmissionGate(SchedulingPolicy):
             if inflight:
                 if budget < 1:
                     return  # every bundle has >= 1 fragment: no candidates
-                if hw is None:
-                    candidates = [
-                        entry
-                        for entry in queue.waiting()
-                        if entry.submission.n_fragments <= budget
-                    ]
-                else:
-                    candidates = []
-                    for entry in queue.waiting():
-                        if entry.submission.n_fragments <= budget:
-                            candidates.append(entry)
-                            if len(candidates) >= hw:
-                                break
+                candidates = []
+                for entry in queue.waiting():
+                    if entry.submission.n_fragments <= budget:
+                        candidates.append(entry)
+                        if hw is not None and len(candidates) >= hw:
+                            break
             else:
                 # Never wedge: an empty machine always takes one query.
                 waiting = queue.waiting()
@@ -812,7 +721,6 @@ class AdmissionGate(SchedulingPolicy):
             self._allowed_version += 1
             self._inflight_list = None
             self._inflight_by_sid[sid] = list(submission.tasks)
-            self._submission_by_sid[sid] = submission
             if (
                 self.deadline_policy == "shed"
                 and submission.deadline is not None
@@ -821,86 +729,6 @@ class AdmissionGate(SchedulingPolicy):
                     self._deadline_heap,
                     (submission.deadline + self.deadline_grace, sid),
                 )
-
-    def next_wakeup(self, now: float) -> float | None:
-        """Earliest retry or deadline instant, so the engine wakes us."""
-        if self.fast_path:
-            return self._next_wakeup_fast(now)
-        times: list[float] = []
-        if self._retries:
-            times.append(self._retries[0][0])
-        if self.deadline_policy != "off":
-            deadlines: list[float] = []
-            for entry in self._queue.waiting():
-                if entry.submission.deadline is not None:
-                    deadlines.append(entry.submission.deadline)
-            for __, __sid, __attempt, submission in self._retries:
-                if submission.deadline is not None:
-                    deadlines.append(submission.deadline)
-            seen: set[int] = set()
-            for task_id in self._inflight:
-                submission = self._by_submission[task_id]
-                sid = submission.submission_id
-                if sid in seen or submission.deadline is None:
-                    continue
-                seen.add(sid)
-                deadlines.append(submission.deadline)
-                if self.deadline_policy == "shed":
-                    deadlines.append(
-                        submission.deadline + self.deadline_grace
-                    )
-            # Nudge past the instant so the `now > deadline` comparison
-            # in the enforcement pass is already true when we wake.
-            times.extend(d + 2 * _EPS for d in deadlines)
-        future = [t for t in times if t > now + _EPS]
-        return min(future) if future else None
-
-    def _refresh_inflight(self, state: EngineState) -> None:
-        """Drop completed fragments from the in-flight set."""
-        done = [
-            task_id
-            for task_id in self._inflight
-            if task_id in state.completed_ids
-        ]
-        for task_id in done:
-            del self._inflight[task_id]
-
-    def _admit(self, state: EngineState) -> None:
-        """Release waiting submissions while the fragment budget allows."""
-        while True:
-            budget = self.max_inflight_fragments - len(self._inflight)
-            waiting = self._queue.waiting()
-            if not self._inflight:
-                # Never wedge: an empty machine always takes one query.
-                candidates = waiting
-            else:
-                candidates = [
-                    entry
-                    for entry in waiting
-                    if entry.submission.n_fragments <= budget
-                ]
-            if not candidates:
-                return
-            choice = self.admission.select(
-                candidates, list(self._inflight.values()), state.machine
-            )
-            if choice is None:
-                return
-            submission = self._queue.take(choice.submission_id)
-            self.admitted_at[submission.submission_id] = state.now
-            if self.tracer is not None:
-                self.tracer.span(
-                    f"queue-wait {submission.name}",
-                    t=submission.arrival_time,
-                    dur=state.now - submission.arrival_time,
-                    track=f"tenant:{submission.tenant}",
-                    cat="admission",
-                    args={"fragments": submission.n_fragments},
-                )
-            for task in submission.tasks:
-                self._allowed.add(task.task_id)
-                self._inflight[task.task_id] = task
-                self._by_submission[task.task_id] = submission
 
     def decide(self, state: EngineState) -> list[Action]:
         """One gate round: offer, admit, then let the scheduler place.
@@ -917,31 +745,18 @@ class AdmissionGate(SchedulingPolicy):
                 self.breaker.observe_bandwidth(
                     state.now, eff.io_bandwidth / state.machine.io_bandwidth
                 )
-        fast = self.fast_path
         actions = self._drain_retries(state)
         actions.extend(self._offer_arrivals(state))
-        if fast:
-            self._refresh_inflight_fast(state)
-        else:
-            self._refresh_inflight(state)
+        self._refresh_inflight(state)
         cancelled_now = len(actions)
-        actions.extend(
-            self._enforce_deadlines_fast(state)
-            if fast
-            else self._enforce_deadlines(state)
-        )
+        actions.extend(self._enforce_deadlines(state))
         banned = {
             a.task.task_id
             for a in actions[cancelled_now:]
             if isinstance(a, Cancel)
         }
-        if fast:
-            self._admit_fast(state)
-            view: _GatedView = _FastGatedView(state, self, banned)
-        else:
-            self._admit(state)
-            view = _GatedView(state, self._allowed, banned)
-        actions.extend(self.inner.decide(view))
+        self._admit(state)
+        actions.extend(self.inner.decide(_GatedView(state, self, banned)))
         return actions
 
 
@@ -975,9 +790,6 @@ class QueryService:
         metrics: a :class:`~repro.obs.MetricsRegistry` the digest step
             populates with ``service.*`` counters, histograms and the
             breaker-state series; ``None`` skips it.
-        fast_path: run the incremental admission gate (default); pass
-            ``False`` for the preserved seed-era gate — same results,
-            used as the servebench reference arm.
     """
 
     def __init__(
@@ -996,7 +808,6 @@ class QueryService:
         degradations: "Sequence[DiskDegradation] | None" = None,
         tracer=None,
         metrics=None,
-        fast_path: bool = True,
     ) -> None:
         self.machine = machine or paper_machine()
         self.admission = admission or BalanceAwareAdmission()
@@ -1011,7 +822,6 @@ class QueryService:
         self.degradations = tuple(degradations or ())
         self.tracer = tracer or None
         self.metrics = metrics
-        self.fast_path = fast_path
         self._submitted: list[ServiceSubmission] = []
 
     def submit(
@@ -1069,7 +879,6 @@ class QueryService:
             deadline_policy=self.deadline_policy,
             deadline_grace=self.deadline_grace,
             tracer=self.tracer,
-            fast_path=self.fast_path,
         )
         pooled = [task for s in submissions for task in s.tasks]
         simulator = FluidSimulator(

@@ -224,8 +224,7 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
     one line per outcome plus a summary, and a trailing ``smoke failed``
     line when nothing completed.  The CLI turns that prefix into a
     non-zero exit code, the same contract every other smoke command
-    (``perf``, ``optbench``, ``trace``, ``recover``, ``servebench``)
-    honours.
+    (``trace``, ``recover``, ``check``) honours.
     """
     machine = paper_machine()
     service = QueryService(

@@ -2,7 +2,7 @@
 
 ``tests/service/data/serve_corpus.json`` pins the full decision record
 of small serving runs as ``float.hex``-exact digests (see
-:func:`repro.bench.servebench.service_digest`), in two blocks:
+:meth:`repro.service.server.ServiceResult.digest`), in two blocks:
 
 * ``cases`` — the original twelve: seeds 0–2 × FIFO/balance admission
   × shed/kill deadline enforcement over one Poisson stream and one
@@ -13,10 +13,10 @@ of small serving runs as ``float.hex``-exact digests (see
   3–4.  Stored as the sha256 of the digest plus per-status counts, one
   line per cell, so the file stays reviewable.
 
-The replay test checks that *both* gate implementations (the seed-era
-reference arm and the fast path) still produce these bytes, so any
-behavioural drift in either arm fails loudly and points at the exact
-case.
+Both blocks were generated from the seed-era reference gate before it
+was deleted, so they pin the surviving gate to that history: the
+replay test checks it still produces these bytes, and any behavioural
+drift fails loudly and points at the exact case.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -31,12 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
 
-from repro.bench.servebench import service_digest
-from repro.core.balance import reference_point_keying
 from repro.core.ids import id_scope
 from repro.core.schedulers import InterWithAdjPolicy
 from repro.faults.breaker import CircuitBreaker
@@ -84,7 +81,6 @@ def corpus_case(
     gate: tuple[int, int] = (4, 4),
     retry: bool = True,
     breaker: bool = False,
-    fast_path: bool = True,
 ) -> list:
     """Digest of one corpus cell, a pure function of its arguments.
 
@@ -92,11 +88,9 @@ def corpus_case(
     (by default queue bound 4, fragment budget 4, retry backoff), so
     every gate mechanism — shed, retry, admission choice, deadline
     drop/kill/degrade, breaker trips — fires somewhere in the grid.
-    The reference arm additionally runs under the seed-era balance
-    memo keys, as the servebench *before* arm does.
     """
     queue_capacity, max_inflight_fragments = gate
-    with id_scope(), nullcontext() if fast_path else reference_point_keying():
+    with id_scope():
         service = QueryService(
             admission=admission_by_name(admission),
             scheduler=InterWithAdjPolicy(),
@@ -110,9 +104,8 @@ def corpus_case(
             else None,
             deadline_policy=deadline_policy,
             deadline_grace=3.0 if deadline_policy == "shed" else 0.0,
-            fast_path=fast_path,
         )
-        return service_digest(service.run(_stream(stream, seed)))
+        return service.run(_stream(stream, seed)).digest()
 
 
 def corpus_cells() -> list[tuple[int, str, str]]:
@@ -163,12 +156,7 @@ def summarize(digest: list) -> dict:
 
 
 def generate_corpus() -> dict:
-    """The corpus document, generated from the *reference* gate.
-
-    Freezing the reference arm's digests makes the corpus an anchor for
-    both implementations: the reference arm must still match its own
-    frozen history, and the fast path must match the reference.
-    """
+    """The corpus document, regenerated from the gate as it is now."""
     cases = []
     for seed, admission, deadline_policy in corpus_cells():
         cases.append(
@@ -176,9 +164,7 @@ def generate_corpus() -> dict:
                 "seed": seed,
                 "admission": admission,
                 "deadline_policy": deadline_policy,
-                "digest": corpus_case(
-                    seed, admission, deadline_policy, fast_path=False
-                ),
+                "digest": corpus_case(seed, admission, deadline_policy),
             }
         )
     return {
@@ -189,10 +175,7 @@ def generate_corpus() -> dict:
         ),
         "cases": cases,
         "cells": [
-            {
-                "cell": label,
-                **summarize(corpus_case(**kwargs, fast_path=False)),
-            }
+            {"cell": label, **summarize(corpus_case(**kwargs))}
             for label, kwargs in extra_cells().items()
         ],
     }

@@ -1,11 +1,10 @@
-"""Replay the frozen serve-digest corpus on both gate implementations.
+"""Replay the frozen serve-digest corpus on the admission gate.
 
 The corpus (see ``corpus_tools.py``) pins twelve serving runs as
 ``float.hex``-exact digests and 288 more gate configurations as the
-sha256 of theirs.  Both arms must reproduce them: the reference arm
-anchors against its own frozen history, and the fast path proves
-byte-identical behaviour to the reference — together the
-behaviour-identity guarantee the servebench speedups stand on.
+sha256 of theirs, all generated from the seed-era reference gate
+before it was deleted.  The incremental gate — the only one left —
+must keep reproducing them byte for byte.
 """
 
 import json
@@ -21,6 +20,14 @@ from .corpus_tools import (
     summarize,
 )
 
+#: Every replayed cell, ``test id -> corpus_case keyword arguments``.
+REPLAY = {
+    f"{seed}-{admission}-{policy}": dict(
+        seed=seed, admission=admission, deadline_policy=policy
+    )
+    for seed, admission, policy in corpus_cells()
+} | extra_cells()
+
 
 @pytest.fixture(scope="module")
 def document():
@@ -31,7 +38,7 @@ def document():
 @pytest.fixture(scope="module")
 def corpus(document):
     return {
-        (case["seed"], case["admission"], case["deadline_policy"]): case[
+        f"{case['seed']}-{case['admission']}-{case['deadline_policy']}": case[
             "digest"
         ]
         for case in document["cases"]
@@ -47,31 +54,17 @@ def cells(document):
 
 
 def test_corpus_covers_the_full_grid(corpus, cells):
-    assert set(corpus) == set(corpus_cells())
     assert set(cells) == set(extra_cells())
+    assert set(corpus) == set(REPLAY) - set(cells)
 
 
-@pytest.mark.parametrize("seed,admission,deadline_policy", corpus_cells())
-def test_reference_gate_matches_frozen_digest(
-    corpus, seed, admission, deadline_policy
-):
-    digest = corpus_case(seed, admission, deadline_policy, fast_path=False)
-    assert digest == corpus[(seed, admission, deadline_policy)]
-
-
-@pytest.mark.parametrize("seed,admission,deadline_policy", corpus_cells())
-def test_fast_path_matches_frozen_digest(
-    corpus, seed, admission, deadline_policy
-):
-    digest = corpus_case(seed, admission, deadline_policy, fast_path=True)
-    assert digest == corpus[(seed, admission, deadline_policy)]
-
-
-@pytest.mark.parametrize("fast_path", (False, True), ids=("reference", "fast"))
-@pytest.mark.parametrize("label", extra_cells())
-def test_gate_matches_frozen_cell(cells, label, fast_path):
-    digest = corpus_case(**extra_cells()[label], fast_path=fast_path)
-    assert summarize(digest) == cells[label]
+@pytest.mark.parametrize("label", REPLAY)
+def test_fast_path_matches_frozen_digest(corpus, cells, label):
+    digest = corpus_case(**REPLAY[label])
+    if label in cells:
+        assert summarize(digest) == cells[label]
+    else:
+        assert digest == corpus[label]
 
 
 def test_corpus_exercises_every_outcome_kind(corpus, cells):

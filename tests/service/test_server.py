@@ -1,11 +1,15 @@
 """End-to-end tests for the online serving loop."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import paper_machine
-from repro.core import make_task
+from repro.core import InterWithAdjPolicy, SchedulingPolicy, make_task
 from repro.errors import AdmissionError
 from repro.service import (
+    AdmissionGate,
+    AdmissionPolicy,
     BalanceAwareAdmission,
     FifoAdmission,
     QueryService,
@@ -154,3 +158,119 @@ class TestQueryService:
         for admission in (FifoAdmission(), BalanceAwareAdmission()):
             result = QueryService(machine, admission=admission).run(stream)
             assert result.metrics.overall.offered == len(stream)
+
+
+class _LastQualifying(AdmissionPolicy):
+    """A third-party policy: no ``head_window`` promise, picks the tail."""
+
+    name = "LAST"
+
+    def __init__(self):
+        self.offered = []
+
+    def select(self, waiting, inflight, machine):
+        self.offered.append([entry.submission.name for entry in waiting])
+        return waiting[-1].submission
+
+
+class _PendingSpy(SchedulingPolicy):
+    """An inner policy that places nothing and records what it was shown."""
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, state):
+        self.seen.append(state.pending)
+        return []
+
+
+class TestAdmissionGate:
+    def test_policy_without_head_window_sees_every_qualifying_entry(
+        self, machine
+    ):
+        # Eight waiting submissions — more than any built-in window —
+        # with one 3-fragment bundle in the middle of the FIFO order.
+        stream = [
+            submission(f"q{i}", n_fragments=3 if i == 2 else 1)
+            for i in range(8)
+        ]
+        policy = _LastQualifying()
+        service = QueryService(
+            machine,
+            admission=policy,
+            queue_capacity=8,
+            max_inflight_fragments=2,
+        )
+        result = service.run(stream)
+        everyone = [f"q{i}" for i in range(8)]
+        # Idle machine: the whole queue, oversized bundle included.
+        assert policy.offered[0] == everyone
+        # One fragment in flight, budget 1: every 1-fragment entry still
+        # waiting, in FIFO order, all the way to the tail.
+        assert policy.offered[1] == [
+            n for n in everyone if n not in ("q2", "q7")
+        ]
+        assert result.outcome("q7").admitted_at == 0.0
+        assert result.outcome("q6").admitted_at == 0.0
+        assert all(o.status == "completed" for o in result.outcomes)
+
+    def test_gated_pending_is_memoized_until_something_moves(self, machine):
+        a = submission("a", arrival=0.0, deadline=5.0)
+        b = submission("b", arrival=10.0)
+        c = submission("c", arrival=10.0)
+        (ta,), (tb,), (tc,) = a.tasks, b.tasks, c.tasks
+        spy = _PendingSpy()
+        gate = AdmissionGate(
+            [a, b, c],
+            inner=spy,
+            admission=FifoAdmission(),
+            max_inflight_fragments=1,
+            deadline_policy="kill",
+        )
+        # The engine contract the memo rests on: ``pending`` is the same
+        # list object until its membership changes, then a fresh one.
+        state = SimpleNamespace(
+            machine=machine,
+            completed_ids=set(),
+            now=0.0,
+            running=[],
+            pending=[ta],
+        )
+
+        def consult(now):
+            state.now = now
+            actions = gate.decide(state)
+            return spy.seen[-1], actions
+
+        admitted_a, __ = consult(0.0)
+        assert admitted_a == [ta]
+        # Neither the ready set nor the admitted set moved: same object.
+        assert consult(1.0)[0] is admitted_a
+        # A deadline cancel shrinks the admitted set.
+        after_cancel, actions = consult(6.0)
+        assert [action.task for action in actions] == [ta]
+        assert after_cancel == [] and after_cancel is not admitted_a
+        # An admit grows it (b takes the only slot, c keeps waiting).
+        state.pending = [tb, tc]
+        admitted_b, __ = consult(10.0)
+        assert admitted_b == [tb] and admitted_b is not after_cancel
+        assert consult(11.0)[0] is admitted_b
+        # A completion frees the slot: the engine's ready set and the
+        # admitted set both move.
+        state.completed_ids.add(tb.task_id)
+        state.pending = [tc]
+        after_completion, __ = consult(12.0)
+        assert after_completion == [tc]
+        assert after_completion is not admitted_b
+        assert consult(13.0)[0] is after_completion
+
+    def test_the_fast_path_knob_is_gone(self, machine):
+        with pytest.raises(TypeError):
+            QueryService(machine, fast_path=False)
+        with pytest.raises(TypeError):
+            AdmissionGate(
+                [submission("q0")],
+                inner=InterWithAdjPolicy(),
+                admission=FifoAdmission(),
+                fast_path=True,
+            )

@@ -149,91 +149,6 @@ class TestChaosCommand:
         assert main(["chaos", "--smoke", "--random", "4", "--horizon", "3"]) == 0
         assert "verdict: OK" in capsys.readouterr().out
 
-    def test_perf_smoke(self, capsys):
-        assert main(["perf", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "smoke: 4 tasks" in out
-        assert "ios served" in out
-
-    def test_perf_smoke_is_byte_stable(self, capsys):
-        assert main(["perf", "--smoke"]) == 0
-        first = capsys.readouterr().out
-        assert main(["perf", "--smoke"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_perf_timed_run_and_trajectory(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_PERF.json"
-        assert main(
-            [
-                "perf",
-                "--tasks", "4",
-                "--max-pages", "150",
-                "--repeats", "1",
-                "--json", str(path),
-                "--label", "cli-test",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "pages/sec" in out
-        assert f"appended entry 1 to {path}" in out
-        trajectory = json.loads(path.read_text())
-        assert trajectory[0]["label"] == "cli-test"
-
-    def test_perf_rejects_bad_task_count(self, capsys):
-        assert main(["perf", "--tasks", "not-a-number"]) == EXIT_USAGE
-
-
-class TestServeBenchCommand:
-    def test_servebench_smoke_exits_zero(self, capsys):
-        assert main(["servebench", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "smoke: ext2 mix" in out
-        assert "gate consults" in out
-        assert "smoke failed" not in out
-
-    def test_servebench_smoke_is_byte_stable(self, capsys):
-        assert main(["servebench", "--smoke"]) == 0
-        first = capsys.readouterr().out
-        assert main(["servebench", "--smoke"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_servebench_smoke_failure_exits_one(self, capsys, monkeypatch):
-        import repro.bench.servebench
-
-        monkeypatch.setattr(
-            repro.bench.servebench,
-            "smoke_lines",
-            lambda *, seed=0: [
-                "smoke failed: fast path diverged from the reference gate"
-            ],
-        )
-        assert main(["servebench", "--smoke"]) == 1
-        assert "smoke failed" in capsys.readouterr().out
-
-    def test_servebench_timed_run_and_trajectory(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_SERVE.json"
-        assert main(
-            [
-                "servebench",
-                "--cases", "120", "1", "16",
-                "--repeats", "1",
-                "--json", str(path),
-                "--label", "cli-test",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "subs/sec" in out
-        assert f"appended entries through 2 to {path}" in out
-        trajectory = json.loads(path.read_text())
-        assert [e["label"] for e in trajectory] == [
-            "cli-test/fast-path-off",
-            "cli-test/fast-path-on",
-        ]
-
-    def test_servebench_rejects_ragged_cases(self, capsys):
-        assert main(["servebench", "--cases", "120", "1"]) == 1
-        assert "n rate qcap triples" in capsys.readouterr().err
-
 
 class TestTraceCommand:
     def test_trace_prints_summary_and_metrics(self, capsys):

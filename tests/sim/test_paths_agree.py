@@ -1,0 +1,168 @@
+"""The micro engine's inlined fast path must equal its general path.
+
+A healthy run serves pages through the code inlined in
+``_MicroEngine.run``; a run with an *empty* fault schedule has an
+injector, which forces every page through the general methods
+(``_dispatch_disk`` / ``Disk.service_time`` / ``_slave_next``) while
+injecting nothing.  The two must agree to the last bit — this is the
+in-repo oracle for "inlined ≡ general", next to the frozen
+``data/trace_corpus.json``.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import paper_machine
+from repro.core import (
+    InterWithAdjPolicy,
+    InterWithoutAdjPolicy,
+    IntraOnlyPolicy,
+)
+from repro.core.task import IOPattern
+from repro.faults import FaultSchedule
+from repro.sim import MicroSimulator, spec_for_io_rate
+from repro.workloads import WorkloadConfig, WorkloadKind
+from repro.workloads.mixes import generate_specs
+
+MACHINE = paper_machine()
+
+POLICIES = {
+    "intra-only": lambda: IntraOnlyPolicy(integral=True),
+    "inter-without-adj": lambda: InterWithoutAdjPolicy(),
+    "inter-with-adj": lambda: InterWithAdjPolicy(integral=True),
+}
+
+
+class _EngineProbe:
+    """Sits in the invariant-checker slot to see the finished engine.
+
+    ``ScheduleResult`` carries no per-disk state; the checker hooks are
+    the one public seam that hands out the engine itself.
+    """
+
+    engine = None
+
+    def micro_site(self, engine, run, site):
+        pass
+
+    def micro_end(self, engine, result):
+        self.engine = engine
+
+
+def run_digest(specs, policy, *, seed, faults, consult_interval=None):
+    """Everything observable about one run, floats as ``float.hex``."""
+    probe = _EngineProbe()
+    result = MicroSimulator(
+        MACHINE,
+        seed=seed,
+        consult_interval=consult_interval,
+        faults=faults,
+        invariants=probe,
+    ).run(list(specs), policy)
+    return {
+        "elapsed": result.elapsed.hex(),
+        "adjustments": result.adjustments,
+        "cpu_busy": result.cpu_busy.hex(),
+        "io_served": result.io_served.hex(),
+        "records": [
+            (
+                r.task.name,
+                r.started_at.hex(),
+                r.finished_at.hex(),
+                [(t.hex(), x.hex()) for t, x in r.parallelism_history],
+            )
+            for r in result.records
+        ],
+        "disks": [
+            (
+                d.counters.sequential,
+                d.counters.almost_sequential,
+                d.counters.random,
+                d.busy_time.hex(),
+            )
+            for d in probe.engine.disks
+        ],
+    }
+
+
+def assert_paths_agree(specs, make_policy, *, seed, consult_interval=None):
+    fast = run_digest(
+        specs,
+        make_policy(),
+        seed=seed,
+        faults=None,
+        consult_interval=consult_interval,
+    )
+    general = run_digest(
+        specs,
+        make_policy(),
+        seed=seed,
+        faults=FaultSchedule(),
+        consult_interval=consult_interval,
+    )
+    assert fast == general
+    assert float.fromhex(fast["io_served"]) == sum(s.n_pages for s in specs)
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(WorkloadKind), ids=lambda k: k.value)
+def test_fast_path_equals_general_path(kind, seed, policy_name):
+    specs = generate_specs(
+        kind,
+        seed=seed,
+        machine=MACHINE,
+        config=WorkloadConfig(max_pages=600),
+    )
+    assert_paths_agree(specs, POLICIES[policy_name], seed=seed)
+
+
+def _scan_strategy():
+    sequential = st.tuples(
+        st.floats(min_value=2.0, max_value=58.0),
+        st.just(IOPattern.SEQUENTIAL),
+    )
+    scattered = st.tuples(
+        st.floats(min_value=2.0, max_value=33.0),
+        st.just(IOPattern.RANDOM),
+    )
+    return st.tuples(
+        st.one_of(sequential, scattered),
+        st.sampled_from(["page", "range"]),
+    )
+
+
+@pytest.mark.fuzz
+@settings(max_examples=200, deadline=None)
+@given(
+    scans=st.lists(_scan_strategy(), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    policy_name=st.sampled_from(sorted(POLICIES)),
+    consult_interval=st.sampled_from([None, 0.5]),
+)
+def test_fast_path_equals_general_path_fuzz(
+    scans, seed, policy_name, consult_interval
+):
+    # Sizes come from the seed, not from hypothesis: its integers lean
+    # small, and short scans finish before any adjustment round.
+    sizes = random.Random(seed)
+    specs = [
+        spec_for_io_rate(
+            f"t{i}",
+            MACHINE,
+            io_rate=rate,
+            n_pages=sizes.randint(100, 2_000),
+            pattern=pattern,
+            partitioning=partitioning,
+        )
+        for i, ((rate, pattern), partitioning) in enumerate(scans)
+    ]
+    assert_paths_agree(
+        specs,
+        POLICIES[policy_name],
+        seed=seed,
+        consult_interval=consult_interval,
+    )

@@ -8,9 +8,13 @@ XPRS parallelizes operators two ways (Section 2.4):
   "data distribution information in the system catalog or in the root
   node of an index"; used for index scans.
 
-This module holds the pure arithmetic shared by the simulators and the
-real multiprocessing executor: stride assignments, the maxpage split,
-balanced range cuts and the repartitioning of leftover intervals.
+This module holds the pure arithmetic shared by the micro simulator and
+the real multiprocessing executor: stride assignments, the maxpage
+split, balanced range cuts and the repartitioning of leftover
+intervals.  The simulator's slaves hold :class:`PageAssignment` strides
+(dealt by :func:`page_assignments`) and both its initial range split
+and its Figure-6 deal are :func:`repartition_intervals`; only its
+per-page claim inlines :meth:`PageAssignment.first_at_or_after`.
 """
 
 from __future__ import annotations

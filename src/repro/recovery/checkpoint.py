@@ -99,6 +99,8 @@ class Checkpoint:
     seed: int
     rng_state: tuple
     block_cursor: int
+    #: Redundant with ``disks`` (the per-regime counters, summed) on
+    #: purpose: the engine refuses to resume when the two disagree.
     io_count: int
     cpu_busy_time: float
     adjustments: int

@@ -51,6 +51,11 @@ from ..faults.schedule import (
     QueryDeadline,
     SlaveCrash,
 )
+from ..parallel.partition import (
+    PageAssignment,
+    page_assignments,
+    repartition_intervals,
+)
 from ..recovery.checkpoint import (
     Checkpoint,
     DiskSnapshot,
@@ -211,25 +216,6 @@ def spec_for_io_rate(
 
 
 @dataclass(eq=False, slots=True)
-class _Segment:
-    """A stride of pages assigned to one slave: ``lo..hi`` step info."""
-
-    lo: int
-    hi: int  # inclusive
-    stride: int
-    residue: int
-
-    def first_at_or_after(self, p: int) -> int | None:
-        """Smallest page >= p in this segment, or None."""
-        start = max(p, self.lo)
-        remainder = (start - self.residue) % self.stride
-        candidate = start if remainder == 0 else start + (self.stride - remainder)
-        if candidate > self.hi:
-            return None
-        return candidate
-
-
-@dataclass(eq=False, slots=True)
 class _Slave:
     """One slave backend working on one task.
 
@@ -241,7 +227,7 @@ class _Slave:
     """
 
     slave_id: int
-    segments: list[_Segment] = field(default_factory=list)
+    segments: list[PageAssignment] = field(default_factory=list)
     cursor: int = 0  # next page candidate (page partitioning)
     intervals: list[tuple[int, int]] = field(default_factory=list)  # range mode
     busy: bool = False  # has an in-flight page (io or cpu)
@@ -254,19 +240,11 @@ class _Slave:
         """Claim the next page under page partitioning."""
         segments = self.segments
         while segments:
-            seg = segments[0]
-            # Inlined _Segment.first_at_or_after: runs once per page.
-            start = self.cursor
-            if start < seg.lo:
-                start = seg.lo
-            stride = seg.stride
-            remainder = (start - seg.residue) % stride
-            page = start if remainder == 0 else start + (stride - remainder)
-            if page > seg.hi:
-                segments.pop(0)
-                continue
-            self.cursor = page + 1
-            return page
+            page = segments[0].first_at_or_after(self.cursor)
+            if page is not None:
+                self.cursor = page + 1
+                return page
+            segments.pop(0)
         return None
 
     def next_key(self) -> int | None:
@@ -319,14 +297,6 @@ class _TaskRun:
     def remaining_seq_time(self) -> float:
         frac = 1.0 - self.pages_done / self.spec.n_pages
         return frac * self.task.seq_time
-
-    def page_block(self, page: int, machine: MachineConfig) -> tuple[int, int]:
-        """(disk, block) of a page: round-robin striping, sequential
-        block order for sequential scans, scattered for random ones."""
-        p = self.order[page]
-        disk_id = p % machine.disks
-        block = self.block_base + p // machine.disks
-        return disk_id, block
 
 
 class MicroSimulator:
@@ -488,7 +458,6 @@ class _MicroEngine:
         #: Occupancy accrued by *cancelled* runs (completed runs are
         #: integrated from their records at result build).
         self.occupancy_cancelled = 0.0
-        self.io_count = 0
         # tasks
         self._pending: list[Task] = []
         self._arrivals: list[tuple[float, int, Task, ScanSpec]] = []
@@ -546,6 +515,11 @@ class _MicroEngine:
     def pending(self) -> list[Task]:
         return [t for t in self._pending if t.depends_on <= self.completed_ids]
 
+    @property
+    def io_count(self) -> int:
+        """Requests served so far: the disks' own counters, summed."""
+        return sum(disk.counters.total for disk in self.disks)
+
     # -- event plumbing ------------------------------------------------------------
 
     def _schedule(self, delay: float, callback) -> None:
@@ -578,12 +552,15 @@ class _MicroEngine:
         self._consult_policy()
         # The event loop is the engine's hot path: per-page events are
         # type-tagged tuples handled inline (no closure allocation, no
-        # indirect call), everything rare falls through to a callback.
-        # The steady-state page cycle (io done -> grab a processor ->
-        # cpu done -> claim next page -> queue next io) runs entirely
-        # inside this loop body; the inlined blocks mirror
-        # _dispatch_cpu and _slave_next exactly, and fall back to those
-        # methods for the contended or faulted cases.
+        # indirect call), everything rare is a callback.  A page cycle
+        # is io done -> processor grant -> cpu done -> next-page claim
+        # -> io.  The two event branches only *choose*: ``serve`` is a
+        # request to start on its idle healthy disk, ``ready`` a page
+        # to hand a processor.  The shared tail holds the one inlined
+        # disk serve and the one processor grant.  Every other case —
+        # deeper queues, faulted disks, cold callers — goes through
+        # _dispatch_disk and _slave_next, the general forms of the same
+        # steps.  Only this loop assigns the clock.
         events = self._events
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -596,330 +573,151 @@ class _MicroEngine:
         running = self.running
         pending = self._pending
         arrivals = self._arrivals
-        # The hot scalars (clock, event seq, free processors, the two
-        # accounting sums) live in locals; every escape to a method call
-        # writes them back first and re-reads the ones methods mutate
-        # afterwards (only ``run`` ever assigns ``self.clock``).
         clock = self.clock
-        seqno = self._seq
-        free = self.free_processors
-        cpu_busy = self.cpu_busy_time
-        io_count = self.io_count
         for _ in range(_MAX_EVENTS):
             # Stop at the last completion, not at the last armed fault:
             # remaining injector events must not stretch the clock.
             # (Inlined self._finished().)
             if not events or not (running or pending or arrivals):
-                self.clock = clock
-                self._seq = seqno
-                self.free_processors = free
-                self.cpu_busy_time = cpu_busy
-                self.io_count = io_count
                 break
             time, __, tag, payload = heappop(events)
-            if time < clock - _EPS:
-                raise SimulationError("time went backwards")
             if time > clock:
-                clock = time
+                clock = self.clock = time
+            elif time < clock - _EPS:
+                raise SimulationError("time went backwards")
+            serve = ready = None
             if tag == _EV_IO_DONE:
                 disk_id = payload[2]
                 disk_busy[disk_id] = False
                 queue = disk_queues[disk_id]
                 if queue:
                     if injector is None and len(queue) == 1:
-                        # Inlined healthy singleton serve: the elevator
-                        # is trivial with one request, and the block
-                        # below reproduces Disk.service_time's
-                        # classification and accounting verbatim
-                        # (multiplier 1.0).  Deeper queues and faulted
-                        # disks fall back to _dispatch_disk.
-                        entry = queue.popleft()
-                        block = entry[3]
-                        disk = disks[disk_id]
-                        streams = disk._streams
-                        regime = "random"
-                        index = None
-                        last = len(streams) - 1
-                        window = disk.almost_seq_window
-                        for i, pos in enumerate(streams):
-                            delta = block - pos
-                            if delta == 1:
-                                if i == last:
-                                    regime = "sequential"
-                                    index = i
-                                    break
-                                regime = "almost_sequential"
-                                index = i
-                            elif 0 <= delta <= window and regime == "random":
-                                regime = "almost_sequential"
-                                index = i
-                        counters = disk.counters
-                        if regime == "sequential":
-                            counters.sequential += 1
-                        elif regime == "almost_sequential":
-                            counters.almost_sequential += 1
-                        else:
-                            counters.random += 1
-                        service = disk._service_times[regime]
-                        if index is not None:
-                            streams.pop(index)
-                        streams.append(block)
-                        if len(streams) > disk.stream_memory:
-                            streams.pop(0)
-                        if disk._match_cache:
-                            disk._match_cache.clear()
-                        disk.busy_time += service
-                        disk_busy[disk_id] = True
-                        io_count += 1
-                        heappush(
-                            events,
-                            (clock + service, seqno, _EV_IO_DONE, entry),
-                        )
-                        seqno += 1
+                        serve = queue.popleft()
                     else:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
                         self._dispatch_disk(disk_id)
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
-                if payload[1].crashed:
-                    continue
-                # Inlined _dispatch_cpu: grant a free processor to this
-                # page directly; queue behind the FIFO otherwise.
-                if free > 0 and not cpu_queue:
-                    free -= 1
-                    duration = payload[0].cpu_per_page
-                    cpu_busy += duration
-                    heappush(
-                        events,
-                        (clock + duration, seqno, _EV_CPU_DONE, payload),
-                    )
-                    seqno += 1
-                else:
-                    cpu_queue.append(payload)
-                    if free > 0:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
-                        self._dispatch_cpu()
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
+                if not payload[1].crashed:
+                    # FIFO: pages queue only while no processor is
+                    # free, and a freed processor drains the queue
+                    # first, so a free one means nothing is waiting.
+                    if self.free_processors > 0:
+                        ready = payload
+                    else:
+                        cpu_queue.append(payload)
             elif tag == _EV_CPU_DONE:
-                run = payload[0]
+                self.free_processors += 1
                 slave = payload[1]
-                free += 1
-                if slave.crashed:
-                    # The page dies with the slave; its replacement
-                    # re-reads it, so do not count it done here.
-                    self.clock = clock
-                    self._seq = seqno
-                    self.free_processors = free
-                    self.cpu_busy_time = cpu_busy
-                    self.io_count = io_count
-                    self._dispatch_cpu()
-                    seqno = self._seq
-                    free = self.free_processors
-                    cpu_busy = self.cpu_busy_time
-                    io_count = self.io_count
-                    continue
-                run.pages_done += 1
-                slave.busy = False
-                slave.inflight_page = None
-                # Inlined _slave_next: claim the slave's next page and
-                # queue its io (the method remains for cold callers).
-                if not (slave.retired or slave.paused):
-                    if run.page_mode:
-                        # Inlined _Slave.next_page (runs once per page).
-                        segments = slave.segments
-                        page = None
-                        while segments:
-                            seg = segments[0]
-                            start = slave.cursor
-                            if start < seg.lo:
-                                start = seg.lo
-                            stride = seg.stride
-                            remainder = (start - seg.residue) % stride
-                            page = (
-                                start
-                                if remainder == 0
-                                else start + (stride - remainder)
-                            )
-                            if page > seg.hi:
+                # A crashed slave's page dies with it; its replacement
+                # re-reads it, so do not count it done here.
+                if not slave.crashed:
+                    run = payload[0]
+                    run.pages_done += 1
+                    slave.busy = False
+                    slave.inflight_page = None
+                    if not (slave.retired or slave.paused):
+                        if run.page_mode:
+                            # Inlined _Slave.next_page.
+                            segments = slave.segments
+                            page = None
+                            while segments:
+                                seg = segments[0]
+                                start = slave.cursor
+                                if start < seg.lo:
+                                    start = seg.lo
+                                stride = seg.stride
+                                remainder = (start - seg.residue) % stride
+                                if remainder:
+                                    start += stride - remainder
+                                if start <= seg.hi:
+                                    page = start
+                                    slave.cursor = page + 1
+                                    break
                                 segments.pop(0)
-                                page = None
-                                continue
-                            slave.cursor = page + 1
-                            break
-                    else:
-                        page = slave.next_key()
-                    if page is None:
-                        slave.retired = True
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
-                        self._maybe_complete(run)
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
-                    else:
-                        slave.busy = True
-                        slave.inflight_page = page
-                        p = run.order[page]
-                        disk_id = p % n_disks
-                        entry = (
-                            run,
-                            slave,
-                            disk_id,
-                            run.block_base + p // n_disks,
-                        )
-                        if (
-                            disk_busy[disk_id]
-                            or disk_queues[disk_id]
-                            or injector is not None
-                        ):
-                            disk_queues[disk_id].append(entry)
-                            if not disk_busy[disk_id]:
-                                self.clock = clock
-                                self._seq = seqno
-                                self.free_processors = free
-                                self.cpu_busy_time = cpu_busy
-                                self.io_count = io_count
-                                self._dispatch_disk(disk_id)
-                                seqno = self._seq
-                                free = self.free_processors
-                                cpu_busy = self.cpu_busy_time
-                                io_count = self.io_count
                         else:
-                            # Idle disk, empty queue, healthy: serve the
-                            # new request immediately without the deque
-                            # round-trip.  Same serve block as the io
-                            # branch above — identical to appending the
-                            # entry and dispatching the singleton.
-                            block = entry[3]
-                            disk = disks[disk_id]
-                            streams = disk._streams
-                            regime = "random"
-                            index = None
-                            last = len(streams) - 1
-                            window = disk.almost_seq_window
-                            for i, pos in enumerate(streams):
-                                delta = block - pos
-                                if delta == 1:
-                                    if i == last:
-                                        regime = "sequential"
-                                        index = i
-                                        break
-                                    regime = "almost_sequential"
-                                    index = i
-                                elif (
-                                    0 <= delta <= window
-                                    and regime == "random"
-                                ):
-                                    regime = "almost_sequential"
-                                    index = i
-                            counters = disk.counters
-                            if regime == "sequential":
-                                counters.sequential += 1
-                            elif regime == "almost_sequential":
-                                counters.almost_sequential += 1
-                            else:
-                                counters.random += 1
-                            service = disk._service_times[regime]
-                            if index is not None:
-                                streams.pop(index)
-                            streams.append(block)
-                            if len(streams) > disk.stream_memory:
-                                streams.pop(0)
-                            if disk._match_cache:
-                                disk._match_cache.clear()
-                            disk.busy_time += service
-                            disk_busy[disk_id] = True
-                            io_count += 1
-                            heappush(
-                                events,
-                                (
-                                    clock + service,
-                                    seqno,
-                                    _EV_IO_DONE,
-                                    entry,
-                                ),
+                            page = slave.next_key()
+                        if page is None:
+                            slave.retired = True
+                        else:
+                            slave.busy = True
+                            slave.inflight_page = page
+                            p = run.order[page]
+                            disk_id = p % n_disks
+                            entry = (
+                                run,
+                                slave,
+                                disk_id,
+                                run.block_base + p // n_disks,
                             )
-                            seqno += 1
-                # Inlined _dispatch_cpu: the freed processor serves the
-                # FIFO head, then any remaining backlog via the method.
-                if cpu_queue:
-                    entry = cpu_queue.popleft()
-                    if entry[1].crashed:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
-                        self._dispatch_cpu()
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
-                    else:
-                        free -= 1
-                        duration = entry[0].cpu_per_page
-                        cpu_busy += duration
-                        heappush(
-                            events,
-                            (clock + duration, seqno, _EV_CPU_DONE, entry),
-                        )
-                        seqno += 1
-                        if cpu_queue and free > 0:
-                            self.clock = clock
-                            self._seq = seqno
-                            self.free_processors = free
-                            self.cpu_busy_time = cpu_busy
-                            self.io_count = io_count
-                            self._dispatch_cpu()
-                            seqno = self._seq
-                            free = self.free_processors
-                            cpu_busy = self.cpu_busy_time
-                            io_count = self.io_count
-                if run.pages_done >= run.n_pages:
-                    self.clock = clock
-                    self._seq = seqno
-                    self.free_processors = free
-                    self.cpu_busy_time = cpu_busy
-                    self.io_count = io_count
-                    self._maybe_complete(run)
-                    seqno = self._seq
-                    free = self.free_processors
-                    cpu_busy = self.cpu_busy_time
-                    io_count = self.io_count
+                            if (
+                                disk_busy[disk_id]
+                                or disk_queues[disk_id]
+                                or injector is not None
+                            ):
+                                disk_queues[disk_id].append(entry)
+                                if not disk_busy[disk_id]:
+                                    self._dispatch_disk(disk_id)
+                            else:
+                                serve = entry
+                    if run.pages_done >= run.n_pages:
+                        self._maybe_complete(run)
+                # The freed processor goes to the queue head; requests
+                # of since-crashed slaves are dropped unserved.
+                while cpu_queue:
+                    ready = cpu_queue.popleft()
+                    if not ready[1].crashed:
+                        break
+                    ready = None
             else:
-                self.clock = clock
-                self._seq = seqno
-                self.free_processors = free
-                self.cpu_busy_time = cpu_busy
-                self.io_count = io_count
                 payload()
-                seqno = self._seq
-                free = self.free_processors
-                cpu_busy = self.cpu_busy_time
-                io_count = self.io_count
+                continue
+            if serve is not None:
+                # Inlined Disk.service_time at multiplier 1.0: the same
+                # classification and accounting, no call per page.
+                disk_id = serve[2]
+                block = serve[3]
+                disk = disks[disk_id]
+                streams = disk._streams
+                regime = "random"
+                index = None
+                last = len(streams) - 1
+                window = disk.almost_seq_window
+                for i, pos in enumerate(streams):
+                    delta = block - pos
+                    if delta == 1:
+                        if i == last:
+                            regime = "sequential"
+                            index = i
+                            break
+                        regime = "almost_sequential"
+                        index = i
+                    elif 0 <= delta <= window and regime == "random":
+                        regime = "almost_sequential"
+                        index = i
+                counters = disk.counters
+                if regime == "sequential":
+                    counters.sequential += 1
+                elif regime == "almost_sequential":
+                    counters.almost_sequential += 1
+                else:
+                    counters.random += 1
+                service = disk._service_times[regime]
+                if index is not None:
+                    streams.pop(index)
+                streams.append(block)
+                if len(streams) > disk.stream_memory:
+                    streams.pop(0)
+                disk.busy_time += service
+                disk_busy[disk_id] = True
+                seq = self._seq
+                self._seq = seq + 1
+                heappush(events, (clock + service, seq, _EV_IO_DONE, serve))
+            if ready is not None:
+                self.free_processors -= 1
+                duration = ready[0].cpu_per_page
+                self.cpu_busy_time += duration
+                seq = self._seq
+                self._seq = seq + 1
+                heappush(events, (clock + duration, seq, _EV_CPU_DONE, ready))
         else:
-            self.clock = clock
-            self._seq = seqno
-            self.free_processors = free
-            self.cpu_busy_time = cpu_busy
-            self.io_count = io_count
             progress = ", ".join(
                 f"{r.task.name} {r.pages_done}/{r.spec.n_pages}p x={r.parallelism}"
                 + (" adjusting" if r.adjusting else "")
@@ -1046,17 +844,15 @@ class _MicroEngine:
                 lambda: self._deadline_fire(fault),
             )
         elif isinstance(fault, MessageFault):
-            pass  # consumed lazily by _send_protocol_leg
+            pass  # consumed lazily by _send
         else:  # pragma: no cover - schedule validation catches this
             raise SimulationError(f"unknown fault {fault!r}")
 
     def _master_crash(self, fault: MasterCrash) -> None:
         """The whole engine dies: record it and unwind out of run().
 
-        The hot locals are synced before every callback, so the engine
-        object is consistent when this raises; the caller (typically
-        :func:`repro.recovery.run_with_recovery`) restarts from the
-        newest checkpoint.
+        The caller (typically :func:`repro.recovery.run_with_recovery`)
+        restarts from the newest checkpoint.
         """
         injector = self.injector
         assert injector is not None
@@ -1185,7 +981,7 @@ class _MicroEngine:
             if inflight is not None:
                 injector.log.pages_reread += 1
                 replacement.segments.append(
-                    _Segment(lo=inflight, hi=inflight, stride=1, residue=0)
+                    PageAssignment(lo=inflight, hi=inflight, stride=1, residue=0)
                 )
             replacement.segments.extend(slave.segments)
             # After re-reading the in-flight page the replacement's
@@ -1453,7 +1249,6 @@ class _MicroEngine:
         self.clock = cp.taken_at
         self._rng.setstate(cp.rng_state)
         self._block_cursor = cp.block_cursor
-        self.io_count = cp.io_count
         self.cpu_busy_time = cp.cpu_busy_time
         self.adjustments = cp.adjustments
         self.peak_memory = cp.peak_memory
@@ -1461,11 +1256,15 @@ class _MicroEngine:
         self._effective_cache = None
         for disk, snap in zip(self.disks, cp.disks):
             disk._streams = list(snap.streams)
-            disk._match_cache.clear()
             disk.busy_time = snap.busy_time
             disk.counters.sequential = snap.sequential
             disk.counters.almost_sequential = snap.almost_sequential
             disk.counters.random = snap.random
+        if cp.io_count != self.io_count:
+            raise RecoveryError(
+                f"checkpoint io_count {cp.io_count} disagrees with its "
+                f"per-disk counters, which total {self.io_count}"
+            )
         by_name: dict[str, tuple[Task, ScanSpec]] = {}
         for task in self._pending:
             if task.name in by_name:
@@ -1531,10 +1330,7 @@ class _MicroEngine:
                 slave.cursor = s.cursor
                 slave.retired = s.retired
                 slave.crashed = s.crashed
-                slave.segments = [
-                    _Segment(lo, hi, stride, residue)
-                    for lo, hi, stride, residue in s.segments
-                ]
+                slave.segments = [PageAssignment(*seg) for seg in s.segments]
                 slave.intervals = list(s.intervals)
                 if s.inflight is not None:
                     # The page was mid-read when the checkpoint was cut:
@@ -1546,7 +1342,7 @@ class _MicroEngine:
                     if run.page_mode:
                         slave.segments.insert(
                             0,
-                            _Segment(
+                            PageAssignment(
                                 lo=s.inflight,
                                 hi=s.inflight,
                                 stride=1,
@@ -1650,43 +1446,27 @@ class _MicroEngine:
             tracer.counter(
                 "running_tasks", t=self.clock, value=float(len(self.running))
             )
-        if spec.partitioning == "page":
-            for i in range(n):
-                slave = _Slave(slave_id=i)
-                slave.segments.append(
-                    _Segment(lo=0, hi=spec.n_pages - 1, stride=n, residue=i)
-                )
-                run.slaves[i] = slave
-                self._slave_next(run, slave)
-            run.next_slave_id = n
+        if run.page_mode:
+            slaves = [
+                _Slave(slave_id=i, segments=[stride])
+                for i, stride in enumerate(page_assignments(spec.n_pages, n))
+            ]
         else:
-            bounds = self._split_range(0, spec.n_pages - 1, n)
-            for i, interval in enumerate(bounds):
-                slave = _Slave(slave_id=i)
-                if interval is not None:
-                    slave.intervals.append(interval)
-                run.slaves[i] = slave
-                self._slave_next(run, slave)
-            run.next_slave_id = n
+            # More slaves than keys leaves the trailing shares empty:
+            # those slaves retire on their first claim.
+            shares = repartition_intervals([(0, spec.n_pages - 1)], n)
+            slaves = [
+                _Slave(slave_id=i, intervals=share)
+                for i, share in enumerate(shares)
+            ]
+        for slave in slaves:
+            run.slaves[slave.slave_id] = slave
+            self._slave_next(run, slave)
+        run.next_slave_id = n
         self._maybe_checkpoint()
         invariants = self.invariants
         if invariants is not None:
             invariants.micro_site(self, run, "start")
-
-    @staticmethod
-    def _split_range(lo: int, hi: int, n: int) -> list[tuple[int, int] | None]:
-        """Split [lo, hi] into n near-equal contiguous intervals."""
-        total = hi - lo + 1
-        out: list[tuple[int, int] | None] = []
-        start = lo
-        for i in range(n):
-            size = total // n + (1 if i < total % n else 0)
-            if size == 0:
-                out.append(None)
-            else:
-                out.append((start, start + size - 1))
-                start += size
-        return out
 
     def _slave_next(self, run: _TaskRun, slave: _Slave) -> None:
         """Move a slave to its next page, or retire it."""
@@ -1699,7 +1479,8 @@ class _MicroEngine:
             return
         slave.busy = True
         slave.inflight_page = page
-        # Inlined _TaskRun.page_block: this runs once per page.
+        # Round-robin striping: sequential block order for sequential
+        # scans, scattered (run.order) for random ones.
         p = run.order[page]
         disk_id = p % self._n_disks
         self._disk_queues[disk_id].append(
@@ -1710,7 +1491,7 @@ class _MicroEngine:
 
     def _maybe_complete(self, run: _TaskRun) -> None:
         if run.pages_done < run.spec.n_pages:
-            return  # hot path: one int compare per page
+            return  # pages still out (run() checks this before calling)
         if run.task.task_id not in self.running:
             return
         if run.pages_done > run.spec.n_pages:
@@ -1718,9 +1499,7 @@ class _MicroEngine:
                 f"{run.task.name}: processed {run.pages_done} of "
                 f"{run.spec.n_pages} pages — page conservation violated"
             )
-        if run.pages_done >= run.spec.n_pages and all(
-            s.retired for s in run.slaves.values()
-        ):
+        if all(s.retired for s in run.slaves.values()):
             del self.running[run.task.task_id]
             self.completed_ids.add(run.task.task_id)
             self.records.append(
@@ -1768,9 +1547,10 @@ class _MicroEngine:
         a simple SCAN/elevator policy.
 
         The scan stops at the first sequential request (rank 0 cannot
-        be beaten, and FIFO-within-class means the first hit wins) and
-        classifies through :meth:`Disk._match`'s memo, so the winning
-        request's regime is not recomputed by ``service_time``.
+        be beaten, and FIFO-within-class means the first hit wins).
+
+        This is the general serve: any queue depth, faulted or healthy.
+        ``run`` inlines only the healthy single-request case.
         """
         if self._disk_busy[disk_id]:
             return
@@ -1822,62 +1602,17 @@ class _MicroEngine:
                 entry = queue[best_index]
                 del queue[best_index]
         self._disk_busy[disk_id] = True
-        block = entry[3]
         if injector is None:
-            # Inlined Disk.service_time for the healthy multiplier=1.0
-            # case — identical accounting, no method call per page.
-            cached = disk._match_cache.get(block)
-            regime, index = cached if cached is not None else disk._match(block)
-            counters = disk.counters
-            if regime == "sequential":
-                counters.sequential += 1
-            elif regime == "almost_sequential":
-                counters.almost_sequential += 1
-            else:
-                counters.random += 1
-            service = disk._service_times[regime]
-            streams = disk._streams
-            if index is not None:
-                streams.pop(index)
-            streams.append(block)
-            if len(streams) > disk.stream_memory:
-                streams.pop(0)
-            disk._match_cache.clear()
-            disk.busy_time += service
+            service = disk.service_time(entry[3])
         else:
             multiplier = injector.multiplier(disk_id)
-            service = disk.service_time(block, multiplier=multiplier)
+            service = disk.service_time(entry[3], multiplier=multiplier)
             self._observe_disk(disk_id, multiplier)
-        self.io_count += 1
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
             self._events, (self.clock + service, seq, _EV_IO_DONE, entry)
         )
-
-    # -- processors ------------------------------------------------------------------------------
-
-    def _dispatch_cpu(self) -> None:
-        """Hand free processors to queued pages (FIFO).
-
-        Completion is the type-tagged ``_EV_CPU_DONE`` heap entry — the
-        run loop's jump table does the bookkeeping, so no closure is
-        allocated per page.
-        """
-        queue = self._cpu_queue
-        events = self._events
-        heappush = heapq.heappush
-        clock = self.clock
-        while self.free_processors > 0 and queue:
-            entry = queue.popleft()
-            if entry[1].crashed:
-                continue
-            self.free_processors -= 1
-            duration = entry[0].cpu_per_page
-            self.cpu_busy_time += duration
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(events, (clock + duration, seq, _EV_CPU_DONE, entry))
 
     # -- dynamic adjustment (Figures 5 and 6) -------------------------------------------------------
 
@@ -2006,7 +1741,7 @@ class _MicroEngine:
             # Clamp the old stride at maxpage - 1 ("all the pages
             # before maxpage"); the new strides start at maxpage.
             slave.segments = [
-                _Segment(seg.lo, min(seg.hi, maxpage - 1), seg.stride, seg.residue)
+                replace(seg, hi=min(seg.hi, maxpage - 1))
                 for seg in slave.segments
                 if seg.lo <= maxpage - 1
             ]
@@ -2024,7 +1759,9 @@ class _MicroEngine:
                 run.slaves[slave.slave_id] = slave
                 owners.append(slave)
             for residue, slave in enumerate(owners):
-                slave.segments.append(_Segment(maxpage, last, n_new, residue))
+                slave.segments.append(
+                    PageAssignment(maxpage, last, n_new, residue)
+                )
         for slave in run.slaves.values():
             if not slave.retired and not slave.busy:
                 self._slave_next(run, slave)
@@ -2063,12 +1800,10 @@ class _MicroEngine:
             slave.intervals = []
             slave.paused = True
         run.harvest = harvest
-        remaining.sort()
-        total = sum(hi - lo + 1 for lo, hi in remaining)
         delta = self.machine.signal_latency
         self._send(
             delta,
-            lambda: self._apply_range_adjustment(run, n_new, remaining, total, epoch),
+            lambda: self._apply_range_adjustment(run, n_new, remaining, epoch),
         )
 
     def _apply_range_adjustment(
@@ -2076,30 +1811,14 @@ class _MicroEngine:
         run: _TaskRun,
         n_new: int,
         remaining: list[tuple[int, int]],
-        total: int,
         epoch: int,
     ) -> None:
         if self._stale(run, epoch):
             return
         run.harvest = None
-        # Deal out near-equal shares of the remaining keys; a slave may
-        # receive several intervals (the paper allows this).
-        shares: list[list[tuple[int, int]]] = [[] for __ in range(n_new)]
-        if total:
-            base = total // n_new
-            extra = total % n_new
-            quota = [base + (1 if i < extra else 0) for i in range(n_new)]
-            i = 0
-            for lo, hi in remaining:
-                while lo <= hi:
-                    while i < n_new and quota[i] == 0:
-                        i += 1
-                    if i >= n_new:
-                        break
-                    take = min(quota[i], hi - lo + 1)
-                    shares[i].append((lo, lo + take - 1))
-                    quota[i] -= take
-                    lo += take
+        # Near-equal shares of the remaining keys; a slave may receive
+        # several intervals (the paper allows this).
+        shares = repartition_intervals(remaining, n_new)
         # Shares go to the n' lowest-id survivors by *rank*; missing
         # owners are fresh slaves whose ids come from next_slave_id,
         # never a recycled id that would clobber another slave's slot
@@ -2137,7 +1856,10 @@ class _MicroEngine:
                 dur=self.clock - run.adjust_started_at,
                 track=f"task:{run.task.name}",
                 cat="adjust",
-                args={"n_new": n_new, "keys": total},
+                args={
+                    "n_new": n_new,
+                    "keys": sum(hi - lo + 1 for lo, hi in remaining),
+                },
             )
         invariants = self.invariants
         if invariants is not None:

@@ -81,10 +81,6 @@ class Disk:
         if self.stream_memory < 1:
             raise ConfigError("stream_memory must be >= 1")
         self._streams: list[int] = []  # recent positions, most recent last
-        #: Memo of _match keyed by block, valid until _streams mutates.
-        #: An elevator classifying a queue then serving the winner asks
-        #: about the same block twice against unchanged streams.
-        self._match_cache: dict[int, tuple[str, int | None]] = {}
         # DiskProfile is frozen, so the per-regime service times can be
         # computed once instead of dividing on every request.
         self._service_times = {
@@ -96,10 +92,11 @@ class Disk:
         self.busy_time = 0.0
 
     def _match(self, block: int) -> tuple[str, int | None]:
-        """(regime, matching stream index) for a request (memoized)."""
-        cached = self._match_cache.get(block)
-        if cached is not None:
-            return cached
+        """(regime, matching stream index) for a request.
+
+        The one classifier: :meth:`classify` reads it without serving,
+        :meth:`service_time` reads it and then moves the streams.
+        """
         best: tuple[str, int | None] = ("random", None)
         streams = self._streams
         last = len(streams) - 1
@@ -112,7 +109,6 @@ class Disk:
                 best = ("almost_sequential", i)
             elif 0 <= delta <= self.almost_seq_window and best[0] == "random":
                 best = ("almost_sequential", i)
-        self._match_cache[block] = best
         return best
 
     def classify(self, block: int) -> str:
@@ -133,10 +129,7 @@ class Disk:
         """
         if multiplier <= 0:
             raise ConfigError("multiplier must be positive")
-        # The elevator usually classified this block moments ago; read
-        # the memo directly to skip a call on the per-page hot path.
-        cached = self._match_cache.get(block)
-        regime, index = cached if cached is not None else self._match(block)
+        regime, index = self._match(block)
         counters = self.counters
         if regime == "sequential":
             counters.sequential += 1
@@ -153,14 +146,12 @@ class Disk:
         streams.append(block)
         if len(streams) > self.stream_memory:
             streams.pop(0)
-        self._match_cache.clear()
         self.busy_time += t
         return t
 
     def reset(self) -> None:
         """Forget all stream positions and zero all counters."""
         self._streams = []
-        self._match_cache.clear()
         self.counters.reset()
         self.busy_time = 0.0
 

@@ -183,3 +183,47 @@ class TestRepartitionIntervals:
     def test_slave_may_get_multiple_intervals(self):
         shares = repartition_intervals([(0, 1), (10, 11)], 1)
         assert shares == [[(0, 1), (10, 11)]]
+
+    # The shapes the micro engine borrows: _start_task deals one whole
+    # range, _apply_range_adjustment deals sorted leftovers.
+
+    @pytest.mark.parametrize("n_keys,parallelism", [(1, 4), (3, 8), (5, 6)])
+    def test_more_slaves_than_keys_leaves_trailing_shares_empty(
+        self, n_keys, parallelism
+    ):
+        shares = repartition_intervals([(0, n_keys - 1)], parallelism)
+        assert shares[:n_keys] == [[(k, k)] for k in range(n_keys)]
+        assert shares[n_keys:] == [[]] * (parallelism - n_keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=40),  # interval length
+                st.integers(min_value=1, max_value=40),  # gap before it
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        parallelism=st.integers(min_value=1, max_value=8),
+    )
+    def test_sorted_deal_is_near_equal_quotas_in_order(
+        self, lengths, parallelism
+    ):
+        intervals, at = [], 0
+        for length, gap in lengths:
+            at += gap
+            intervals.append((at, at + length - 1))
+            at += length
+        keys = [k for lo, hi in intervals for k in range(lo, hi + 1)]
+        base, extra = divmod(len(keys), parallelism)
+        expected, start = [], 0
+        for i in range(parallelism):
+            quota = base + (1 if i < extra else 0)
+            expected.append(keys[start : start + quota])
+            start += quota
+        shares = repartition_intervals(intervals, parallelism)
+        assert [
+            [k for lo, hi in share for k in range(lo, hi + 1)]
+            for share in shares
+        ] == expected

@@ -101,3 +101,16 @@ class TestSerialization:
         raw["running"] = "nope"
         with pytest.raises(RecoveryError, match="malformed checkpoint"):
             Checkpoint.from_dict(raw)
+
+    def test_tampered_io_count_is_refused_on_resume(
+        self, checkpoint, machine, specs, policy
+    ):
+        """io_count is redundant with the per-disk counters: a check."""
+        raw = json.loads(json.dumps(checkpoint.to_dict()))
+        intact = Checkpoint.from_dict(raw)
+        MicroSimulator(machine, seed=0).run(specs, policy, resume_from=intact)
+        raw["io_count"] += 1
+        with pytest.raises(RecoveryError, match="io_count"):
+            MicroSimulator(machine, seed=0).run(
+                specs, policy, resume_from=Checkpoint.from_dict(raw)
+            )

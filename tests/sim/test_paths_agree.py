@@ -27,6 +27,8 @@ from repro.sim import MicroSimulator, spec_for_io_rate
 from repro.workloads import WorkloadConfig, WorkloadKind
 from repro.workloads.mixes import generate_specs
 
+from .corpus_tools import trace_digest
+
 MACHINE = paper_machine()
 
 POLICIES = {
@@ -53,7 +55,7 @@ class _EngineProbe:
 
 
 def run_digest(specs, policy, *, seed, faults, consult_interval=None):
-    """Everything observable about one run, floats as ``float.hex``."""
+    """The corpus digest of one run plus its per-disk accounting."""
     probe = _EngineProbe()
     result = MicroSimulator(
         MACHINE,
@@ -62,30 +64,19 @@ def run_digest(specs, policy, *, seed, faults, consult_interval=None):
         faults=faults,
         invariants=probe,
     ).run(list(specs), policy)
-    return {
-        "elapsed": result.elapsed.hex(),
-        "adjustments": result.adjustments,
-        "cpu_busy": result.cpu_busy.hex(),
-        "io_served": result.io_served.hex(),
-        "records": [
-            (
-                r.task.name,
-                r.started_at.hex(),
-                r.finished_at.hex(),
-                [(t.hex(), x.hex()) for t, x in r.parallelism_history],
-            )
-            for r in result.records
-        ],
-        "disks": [
-            (
-                d.counters.sequential,
-                d.counters.almost_sequential,
-                d.counters.random,
-                d.busy_time.hex(),
-            )
-            for d in probe.engine.disks
-        ],
-    }
+    digest = trace_digest(result)
+    # Only the arm with an injector keeps a fault log (its one "done" line).
+    digest.pop("fault_events", None)
+    digest["disks"] = [
+        (
+            d.counters.sequential,
+            d.counters.almost_sequential,
+            d.counters.random,
+            d.busy_time.hex(),
+        )
+        for d in probe.engine.disks
+    ]
+    return digest
 
 
 def assert_paths_agree(specs, make_policy, *, seed, consult_interval=None):

@@ -1,6 +1,8 @@
 """Tests for the single-disk timing model and its regimes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DiskProfile
 from repro.errors import ConfigError
@@ -36,6 +38,34 @@ class TestClassification:
     def test_backward_block_is_random(self, disk):
         disk.service_time(10)
         assert disk.classify(9) == "random"
+
+
+class TestClassifyNamesTheServedRegime:
+    """``_match`` is the one classifier: what ``classify`` reports just
+    before a request is the counter ``service_time`` then moves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream_memory=st.sampled_from([1, 4]),
+        blocks=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=60),  # near: streams
+                st.integers(min_value=0, max_value=5_000),  # far: seeks
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_classify_then_serve_agree(self, stream_memory, blocks):
+        disk = Disk(0, stream_memory=stream_memory)
+        for block in blocks:
+            regime = disk.classify(block)
+            before = getattr(disk.counters, regime)
+            total = disk.counters.total
+            service = disk.service_time(block)
+            assert getattr(disk.counters, regime) == before + 1
+            assert disk.counters.total == total + 1
+            assert service == disk._service_times[regime]
 
 
 class TestTiming:

@@ -8,7 +8,7 @@ digits changing mid-bar).
 
 from __future__ import annotations
 
-from ..sim.fluid import ScheduleResult, TaskRecord
+from ..sim.ledger import ScheduleResult, TaskRecord
 
 
 def render_gantt(

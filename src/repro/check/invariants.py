@@ -115,7 +115,7 @@ class InvariantChecker:
         free = engine.free_processors
         if not 0 <= free <= n:
             self._fail(label, f"free_processors={free} outside [0, {n}]")
-        for other in engine.running.values():
+        for other in engine.runs.values():
             self._check_parallelism(
                 label, other, machine, integral_slack=0.5
             )
@@ -133,7 +133,7 @@ class InvariantChecker:
         if (
             self.deep
             and site in ("adjust", "complete")
-            and not any(r.adjusting for r in engine.running.values())
+            and not any(r.adjusting for r in engine.runs.values())
         ):
             self._check_checkpoint_roundtrip(label, engine)
 

@@ -173,6 +173,20 @@ class MachineConfig:
         """Return a copy of this configuration with a new processor count."""
         return replace(self, processors=processors)
 
+    def with_disk_scale(self, scale: float) -> "MachineConfig":
+        """A copy whose three per-disk bandwidths are multiplied by
+        ``scale`` — the machine as *measured* under degradation."""
+        disk = self.disk
+        return replace(
+            self,
+            disk=replace(
+                disk,
+                seq_ios_per_sec=disk.seq_ios_per_sec * scale,
+                almost_seq_ios_per_sec=disk.almost_seq_ios_per_sec * scale,
+                random_ios_per_sec=disk.random_ios_per_sec * scale,
+            ),
+        )
+
 
 def paper_machine() -> MachineConfig:
     """The configuration of the paper's experiments (Section 3).

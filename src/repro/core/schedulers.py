@@ -99,6 +99,10 @@ class EngineState(Protocol):
 
     machine: MachineConfig
 
+    #: The machine as currently *measured* (disk degradation folded
+    #: in); equals ``machine`` on a healthy run.
+    effective_machine: MachineConfig
+
     #: Ids of tasks that already completed (both engines expose this;
     #: the admission gate uses it to count in-flight fragments).
     completed_ids: set[int]
@@ -337,11 +341,8 @@ class InterWithAdjPolicy(SchedulingPolicy):
 
     def decide(self, state: EngineState) -> list[Action]:
         if self.degradation_aware:
-            eff = getattr(state, "effective_machine", None)
-            if (
-                eff is not None
-                and eff.io_bandwidth != state.machine.io_bandwidth
-            ):
+            eff = state.effective_machine
+            if eff.io_bandwidth != state.machine.io_bandwidth:
                 state = _MachineOverrideView(state, eff)
         actions = self._decide(state)
         if actions:

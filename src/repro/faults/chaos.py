@@ -50,6 +50,24 @@ _WORKLOAD_SHAPE = (
 )
 
 
+def scan_workload(
+    machine: MachineConfig, shape, scale: float
+) -> list[ScanSpec]:
+    """One scan per ``shape`` row, page counts multiplied by ``scale``
+    (never below 8).  Shared with the recovery harness."""
+    return [
+        spec_for_io_rate(
+            name,
+            machine,
+            io_rate=io_rate,
+            n_pages=max(int(n_pages * scale), 8),
+            pattern=pattern,
+            partitioning=partitioning,
+        )
+        for name, io_rate, n_pages, pattern, partitioning in shape
+    ]
+
+
 def chaos_workload(
     machine: MachineConfig, *, scale: float = 1.0
 ) -> list[ScanSpec]:
@@ -60,19 +78,7 @@ def chaos_workload(
     """
     if scale <= 0:
         raise FaultError("scale must be positive")
-    specs = []
-    for name, io_rate, n_pages, pattern, partitioning in _WORKLOAD_SHAPE:
-        specs.append(
-            spec_for_io_rate(
-                name,
-                machine,
-                io_rate=io_rate,
-                n_pages=max(int(n_pages * scale), 8),
-                pattern=pattern,
-                partitioning=partitioning,
-            )
-        )
-    return specs
+    return scan_workload(machine, _WORKLOAD_SHAPE, scale)
 
 
 @dataclass

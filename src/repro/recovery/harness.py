@@ -25,9 +25,10 @@ from ..config import MachineConfig, paper_machine
 from ..core.schedulers import InterWithAdjPolicy
 from ..core.task import IOPattern
 from ..errors import RecoveryError
+from ..faults.chaos import scan_workload
 from ..faults.schedule import FaultSchedule, preset_schedule
 from ..sim.fluid import ScheduleResult
-from ..sim.micro import MicroSimulator, ScanSpec, spec_for_io_rate
+from ..sim.micro import MicroSimulator, ScanSpec
 from .manager import RecoveryManager, RecoveryRun, run_with_recovery
 
 #: Scan shapes of the recovery workload: smaller than the chaos
@@ -49,19 +50,7 @@ def recover_workload(
     """The standard three-scan recovery workload, optionally scaled."""
     if scale <= 0:
         raise RecoveryError("scale must be positive")
-    specs = []
-    for name, io_rate, n_pages, pattern, partitioning in _WORKLOAD_SHAPE:
-        specs.append(
-            spec_for_io_rate(
-                name,
-                machine,
-                io_rate=io_rate,
-                n_pages=max(int(n_pages * scale), 8),
-                pattern=pattern,
-                partitioning=partitioning,
-            )
-        )
-    return specs
+    return scan_workload(machine, _WORKLOAD_SHAPE, scale)
 
 
 @dataclass

@@ -206,9 +206,7 @@ class _GatedView:
         self._banned = banned
         self.machine = state.machine
         self.completed_ids = state.completed_ids
-        self.effective_machine = getattr(
-            state, "effective_machine", state.machine
-        )
+        self.effective_machine = state.effective_machine
 
     @property
     def now(self) -> float:
@@ -740,10 +738,11 @@ class AdmissionGate(SchedulingPolicy):
         """
         self.decide_rounds += 1
         if self.breaker is not None:
-            eff = getattr(state, "effective_machine", None)
-            if eff is not None and state.machine.io_bandwidth > 0:
+            if state.machine.io_bandwidth > 0:
                 self.breaker.observe_bandwidth(
-                    state.now, eff.io_bandwidth / state.machine.io_bandwidth
+                    state.now,
+                    state.effective_machine.io_bandwidth
+                    / state.machine.io_bandwidth,
                 )
         actions = self._drain_retries(state)
         actions.extend(self._offer_arrivals(state))
@@ -1004,9 +1003,7 @@ class QueryService:
             if self.timeline_bucket is not None
             else []
         )
-        if self.metrics is not None:
-            self._publish(outcomes, gate, self.metrics)
-        return ServiceMetrics(
+        metrics = ServiceMetrics(
             admission_name=self.admission.name,
             elapsed=schedule.elapsed,
             tenants=tenants,
@@ -1017,55 +1014,41 @@ class QueryService:
                 list(gate.breaker.timeline) if gate.breaker is not None else []
             ),
         )
+        if self.metrics is not None:
+            self._publish(outcomes, metrics.overall, gate, self.metrics)
+        return metrics
 
     @staticmethod
     def _publish(
         outcomes: list[SubmissionOutcome],
+        totals: TenantMetrics,
         gate: AdmissionGate,
         registry,
     ) -> None:
         """Fold the run's outcomes into a unified metrics registry.
 
         Populates ``service.*`` counters (offered/admitted/rejected/
-        completed/retries), the response-time and queue-wait histograms
-        and the breaker-state series on the given
-        :class:`~repro.obs.MetricsRegistry`.
+        completed/retries) from the tenant totals the digest step just
+        classified, the response-time and queue-wait histograms (one
+        batch each, in outcome order) and the breaker-state series on
+        the given :class:`~repro.obs.MetricsRegistry`.
         """
-        # Counts and latency batches accumulate in locals so the
-        # registry sees one O(1) update per metric, and the histograms
-        # one batched sort, instead of per-outcome insertion.
-        n_admitted = n_rejected = n_completed = n_retries = 0
-        n_deadline = n_degraded = 0
-        response_times: list[float] = []
-        queue_waits: list[float] = []
-        for outcome in outcomes:
-            n_retries += gate.retry_counts.get(
-                outcome.submission.submission_id, 0
-            )
-            if outcome.status == "rejected":
-                n_rejected += 1
-            elif outcome.status == "deadline":
-                n_deadline += 1
-                if outcome.admitted_at is not None:
-                    n_admitted += 1
-            else:
-                n_admitted += 1
-                n_completed += 1
-                if outcome.status == "degraded":
-                    n_degraded += 1
-                response_times.append(outcome.response_time)
-                queue_waits.append(outcome.queueing_delay)
-        registry.counter("service.offered").inc(len(outcomes))
-        registry.counter("service.admitted").inc(n_admitted)
-        registry.counter("service.rejected").inc(n_rejected)
-        registry.counter("service.completed").inc(n_completed)
-        registry.counter("service.retries").inc(n_retries)
-        registry.counter("service.deadline_cancels").inc(n_deadline)
-        registry.counter("service.degraded").inc(n_degraded)
-        registry.histogram("service.response_time").observe_many(
-            response_times
+        registry.counter("service.offered").inc(totals.offered)
+        registry.counter("service.admitted").inc(totals.admitted)
+        registry.counter("service.rejected").inc(totals.rejected)
+        registry.counter("service.completed").inc(totals.completed)
+        registry.counter("service.retries").inc(totals.retries)
+        registry.counter("service.deadline_cancels").inc(
+            totals.deadline_cancelled
         )
-        registry.histogram("service.queue_wait").observe_many(queue_waits)
+        registry.counter("service.degraded").inc(totals.degraded)
+        finished = [o for o in outcomes if o.finished_at is not None]
+        registry.histogram("service.response_time").observe_many(
+            [o.response_time for o in finished]
+        )
+        registry.histogram("service.queue_wait").observe_many(
+            [o.queueing_delay for o in finished]
+        )
         if gate.breaker is not None:
             series = registry.series("service.breaker_state")
             for t, name in gate.breaker.timeline:

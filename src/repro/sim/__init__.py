@@ -1,6 +1,9 @@
-"""Simulation engines: the fluid-rate engine and the page-level micro engine."""
+"""Simulation engines: the fluid-rate engine and the page-level micro
+engine, two event loops over one task ledger and one action path
+(:mod:`repro.sim.ledger`)."""
 
-from .fluid import FluidSimulator, ScheduleResult, ShedRecord, TaskRecord
+from .fluid import FluidSimulator
+from .ledger import ScheduleResult, ShedRecord, TaskRecord
 from .micro import MicroSimulator, ScanSpec, spec_for_io_rate
 
 __all__ = [

@@ -14,7 +14,9 @@ resource-utilization integrals.
 
 This is the substrate for the Figure-7 experiment; the page-level
 micro simulator (``repro.sim.micro``) cross-checks it with explicit
-slave backends and adjustment protocols.
+slave backends and adjustment protocols.  Both keep their tasks in one
+:class:`~repro.sim.ledger.TaskLedger` and apply policy actions through
+its one dispatch; this file adds the running set and the rate solve.
 
 The event loop is on the optimizer's critical path (``parcost``
 simulates it for every costed candidate), so the hot structures carry
@@ -29,26 +31,17 @@ pin that down to ``float.hex`` equality.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..config import MachineConfig
 from ..core.balance import effective_bandwidth_mix
-from ..core.schedulers import (
-    Action,
-    Adjust,
-    Cancel,
-    SchedulingPolicy,
-    Shed,
-    Start,
-)
+from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import SimulationError
+from .ledger import ScheduleResult, TaskLedger
 
 if TYPE_CHECKING:  # imported lazily: repro.faults imports nothing from sim
-    from ..faults.injector import FaultLog
     from ..faults.schedule import DiskDegradation
 
 #: Safety valve: a run issuing more events than this is considered hung.
@@ -83,123 +76,6 @@ class _Running:
     @property
     def remaining_seq_time(self) -> float:
         return self.remaining
-
-
-@dataclass(frozen=True, slots=True)
-class TaskRecord:
-    """Trace of one completed task."""
-
-    task: Task
-    started_at: float
-    finished_at: float
-    parallelism_history: tuple[tuple[float, float], ...]
-
-    @property
-    def response_time(self) -> float:
-        """Completion minus arrival (multi-user metric)."""
-        return self.finished_at - self.task.arrival_time
-
-    @property
-    def wait_time(self) -> float:
-        return self.started_at - self.task.arrival_time
-
-
-@dataclass(frozen=True, slots=True)
-class ShedRecord:
-    """Trace of one task dropped by a :class:`~repro.core.schedulers.Shed`."""
-
-    task: Task
-    shed_at: float
-
-
-@dataclass(frozen=True, slots=True)
-class CancelRecord:
-    """Trace of one task cooperatively cancelled mid-run.
-
-    ``started_at`` is ``None`` when the task was cancelled before it
-    ever started (pending or not yet arrived); ``pages_done`` counts
-    partial progress in the engine's work unit (pages for the micro
-    engine, 0 for the fluid engine).
-    """
-
-    task: Task
-    cancelled_at: float
-    started_at: float | None = None
-    pages_done: int = 0
-    reason: str = "deadline"
-
-
-@dataclass
-class ScheduleResult:
-    """Outcome of one simulated run.
-
-    CPU accounting carries two semantics (see docs/CHECKING.md):
-
-    * **occupancy** — processor-seconds *allocated*: a slave holds its
-      processor for its whole lifetime, io-throttled or not.  This is
-      the fluid engine's native integral ``∫ Σ xᵢ dt``.
-    * **service** — processor-seconds actually *computing* tuples.
-      This is the micro engine's native sum of per-page CPU bursts.
-
-    ``cpu_busy`` keeps each engine's historical native semantics
-    (occupancy for fluid, service for micro); ``cpu_busy_occupancy``
-    and ``cpu_busy_service`` report both quantities from both engines,
-    so cross-engine checks compare like with like.
-    """
-
-    policy_name: str
-    elapsed: float
-    records: list[TaskRecord]
-    adjustments: int
-    cpu_busy: float  # processor-seconds, engine-native semantics
-    io_served: float  # io requests served
-    machine: MachineConfig
-    peak_memory: float = 0.0  # largest co-resident working set (bytes)
-    shed_records: list[ShedRecord] = field(default_factory=list)
-    #: Fault-injection trace of the run (``None`` = healthy run).
-    fault_log: "FaultLog | None" = None
-    #: Tasks cooperatively cancelled (deadline kills and their
-    #: transitive dependents); never counted in ``records``.
-    cancel_records: list[CancelRecord] = field(default_factory=list)
-    #: Processor-seconds *allocated* (occupancy semantics).
-    cpu_busy_occupancy: float = 0.0
-    #: Processor-seconds spent *computing* (service semantics).
-    cpu_busy_service: float = 0.0
-
-    @property
-    def cpu_utilization(self) -> float:
-        denom = self.machine.processors * self.elapsed
-        return self.cpu_busy / denom if denom > 0 else 0.0
-
-    @property
-    def cpu_utilization_occupancy(self) -> float:
-        """Fraction of processor capacity *held* over the run."""
-        denom = self.machine.processors * self.elapsed
-        return self.cpu_busy_occupancy / denom if denom > 0 else 0.0
-
-    @property
-    def cpu_utilization_service(self) -> float:
-        """Fraction of processor capacity spent *computing* tuples."""
-        denom = self.machine.processors * self.elapsed
-        return self.cpu_busy_service / denom if denom > 0 else 0.0
-
-    @property
-    def io_utilization(self) -> float:
-        denom = self.machine.io_bandwidth * self.elapsed
-        return self.io_served / denom if denom > 0 else 0.0
-
-    @property
-    def mean_response_time(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.response_time for r in self.records) / len(self.records)
-
-    def record_for(self, task: Task) -> TaskRecord:
-        """The trace record of one task."""
-        for record in self.records:
-            if record.task.task_id == task.task_id:
-                return record
-        raise SimulationError(f"no record for {task!r}")
 
 
 class FluidSimulator:
@@ -282,52 +158,42 @@ class FluidSimulator:
         if scale >= 1.0 - 1e-12:
             return self.machine
         cached = self._machine_by_scale.get(scale)
-        if cached is not None:
-            return cached
-        disk = self.machine.disk
-        machine = replace(
-            self.machine,
-            disk=replace(
-                disk,
-                seq_ios_per_sec=disk.seq_ios_per_sec * scale,
-                almost_seq_ios_per_sec=disk.almost_seq_ios_per_sec * scale,
-                random_ios_per_sec=disk.random_ios_per_sec * scale,
-            ),
-        )
-        self._machine_by_scale[scale] = machine
-        return machine
+        if cached is None:
+            cached = self._machine_by_scale[scale] = (
+                self.machine.with_disk_scale(scale)
+            )
+        return cached
 
     # -- public API -------------------------------------------------------------
 
     def run(self, tasks: list[Task], policy: SchedulingPolicy) -> ScheduleResult:
         """Simulate ``tasks`` under ``policy`` until all complete."""
         policy.reset()
-        state = _SimState(self.machine, tasks)
-        adjustments = 0
+        state = _SimState(
+            self.machine, tasks, self.adjustment_overhead, self.tracer
+        )
         cpu_busy = 0.0
         cpu_service = 0.0
         io_served = 0.0
         peak_memory = 0.0
         healthy = not self.degradations
-        tracer = self.tracer
         invariants = self.invariants
-        n_recorded = 0
         for __ in range(_MAX_EVENTS):
             if not healthy:
                 state.effective_machine = self._effective_machine(state.clock)
             actions = policy.decide(state)
             if actions:
-                adjustments += self._apply(state, actions)
+                state.apply(actions)
             # Memory sum is maintained on membership change, with the
             # same summation order a per-event resum would use.
             if state.memory_in_use > peak_memory:
                 peak_memory = state.memory_in_use
-            if state.done() and policy.next_wakeup(state.clock) is None:
-                break
+            if state.done():
+                break  # a wake-up that outlives the last task is not waited for
+            wakeup = policy.next_wakeup(state.clock)
             # Rates under the current allocation.
             rates = self._rates(state)
             horizon = self._next_event_in(state, rates)
-            wakeup = policy.next_wakeup(state.clock)
             if wakeup is not None:
                 wake_in = max(wakeup - state.clock, _EPS)
                 horizon = wake_in if horizon is None else min(horizon, wake_in)
@@ -363,36 +229,18 @@ class FluidSimulator:
                 io_served += run.io_rate * rate * dt
             state.clock += dt
             state.settle()
-            if tracer is not None and len(state.records) > n_recorded:
-                for record in state.records[n_recorded:]:
-                    tracer.span(
-                        record.task.name,
-                        t=record.started_at,
-                        dur=record.finished_at - record.started_at,
-                        track=f"task:{record.task.name}",
-                        cat="task",
-                        args={
-                            "adjustments": len(record.parallelism_history) - 1
-                        },
-                    )
-                n_recorded = len(state.records)
             if invariants is not None:
                 invariants.fluid_event(
                     state, machine=self.machine, cpu_busy=cpu_busy
                 )
         else:
             raise SimulationError("simulation exceeded the event budget")
-        result = ScheduleResult(
-            policy_name=policy.name,
-            elapsed=state.clock,
-            records=state.records,
-            adjustments=adjustments,
+        result = state.result(
+            policy.name,
+            adjustments=state.adjustments,
             cpu_busy=cpu_busy,
             io_served=io_served,
-            machine=self.machine,
             peak_memory=peak_memory,
-            shed_records=state.shed_records,
-            cancel_records=state.cancel_records,
             cpu_busy_occupancy=cpu_busy,
             cpu_busy_service=cpu_service,
         )
@@ -401,57 +249,6 @@ class FluidSimulator:
         return result
 
     # -- internals ----------------------------------------------------------------
-
-    def _apply(self, state: "_SimState", actions: list[Action]) -> int:
-        adjustments = 0
-        tracer = self.tracer
-        for action in actions:
-            if isinstance(action, Start):
-                state.start(action.task, action.parallelism)
-                if tracer is not None:
-                    tracer.instant(
-                        f"start x={action.parallelism:g}",
-                        t=state.clock,
-                        track=f"task:{action.task.name}",
-                        cat="task",
-                        args={"parallelism": action.parallelism},
-                    )
-            elif isinstance(action, Adjust):
-                run = state.running_by_id(action.task.task_id)
-                if abs(run.parallelism - action.parallelism) > _EPS:
-                    run.parallelism = action.parallelism
-                    run.remaining += self.adjustment_overhead
-                    run.history.append((state.clock, action.parallelism))
-                    adjustments += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            f"adjust x={action.parallelism:g}",
-                            t=state.clock,
-                            track=f"task:{action.task.name}",
-                            cat="adjust",
-                            args={"parallelism": action.parallelism},
-                        )
-            elif isinstance(action, Shed):
-                state.shed(action.task)
-                if tracer is not None:
-                    tracer.instant(
-                        "shed",
-                        t=state.clock,
-                        track=f"task:{action.task.name}",
-                        cat="admission",
-                    )
-            elif isinstance(action, Cancel):
-                state.cancel(action.task, action.reason)
-                if tracer is not None:
-                    tracer.instant(
-                        f"cancel ({action.reason})",
-                        t=state.clock,
-                        track=f"task:{action.task.name}",
-                        cat="cancel",
-                    )
-            else:  # pragma: no cover - exhaustiveness guard
-                raise SimulationError(f"unknown action: {action!r}")
-        return adjustments
 
     def _rates(self, state: "_SimState") -> list[tuple[_Running, float]]:
         """Work-progress rate of each running task (seq-seconds/second)."""
@@ -506,59 +303,38 @@ class FluidSimulator:
         return min(horizons)
 
 
-class _SimState:
-    """Mutable simulation state; doubles as the policy's EngineState.
+class _SimState(TaskLedger):
+    """One run's mutable state: the task ledger plus the running set.
 
-    The ``running`` and ``pending`` views are memoized and invalidated
-    on the state transitions that can change them (start, shed,
-    completion, arrival) — policies call both several times per event
+    It is the policy's EngineState and the target of the ledger's
+    action dispatch.  The ``running`` view is memoized like the
+    ledger's ``pending`` — policies call both several times per event
     and must treat the returned lists as read-only snapshots.
     """
 
     __slots__ = (
-        "machine",
-        "effective_machine",
-        "clock",
-        "running_map",
-        "records",
-        "shed_records",
-        "cancel_records",
-        "completed_ids",
-        "memory_in_use",
-        "_arrivals",
-        "_pending",
-        "_counter",
-        "_running_view",
-        "_ready_view",
+        "effective_machine", "running_map", "memory_in_use", "adjustments",
+        "tracer", "_adjustment_overhead", "_running_view",
     )
 
-    def __init__(self, machine: MachineConfig, tasks: list[Task]) -> None:
-        self.machine = machine
+    def __init__(
+        self,
+        machine: MachineConfig,
+        tasks: list[Task],
+        adjustment_overhead: float,
+        tracer,
+    ) -> None:
+        super().__init__(machine, tasks)
+        self.tracer = tracer
         self.effective_machine = machine
-        self.clock = 0.0
         self.running_map: dict[int, _Running] = {}
-        self.records: list[TaskRecord] = []
-        self.shed_records: list[ShedRecord] = []
-        self.cancel_records: list[CancelRecord] = []
-        self.completed_ids: set[int] = set()
         #: Sum of running tasks' working sets, maintained on membership
         #: change (same floats, same order as a per-event resum).
         self.memory_in_use = 0.0
-        self._arrivals: list[tuple[float, int, Task]] = [
-            (t.arrival_time, i, t) for i, t in enumerate(tasks)
-        ]
-        heapq.heapify(self._arrivals)
-        self._pending: list[Task] = []
-        self._counter = itertools.count(len(tasks))
+        self.adjustments = 0
+        self._adjustment_overhead = adjustment_overhead
         self._running_view: list[_Running] | None = []
-        self._ready_view: list[Task] | None = None
-        self._drain_arrivals()
-
-    # -- EngineState protocol --------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.clock
+        self.admit_due(_EPS)
 
     @property
     def running(self) -> list[_Running]:
@@ -567,48 +343,18 @@ class _SimState:
             view = self._running_view = list(self.running_map.values())
         return view
 
-    @property
-    def pending(self) -> list[Task]:
-        """Arrived tasks that are *ready*: all dependencies completed."""
-        view = self._ready_view
-        if view is None:
-            completed = self.completed_ids
-            view = self._ready_view = [
-                t for t in self._pending if t.depends_on <= completed
-            ]
-        return view
-
-    # -- mutation ----------------------------------------------------------------------
-
-    def _resum_memory(self) -> None:
+    def _running_changed(self) -> None:
+        self._running_view = None
         self.memory_in_use = sum(
             r.task.memory_bytes for r in self.running_map.values()
         )
 
-    def _remove_pending(self, task: Task) -> None:
-        """Drop ``task`` from the pending list, matching by task id.
+    # -- the engine's side of the actions ------------------------------------------------
 
-        Ids are unique within a run, so this finds exactly the element
-        ``list.remove`` would — but compares one int per candidate
-        instead of running the full dataclass equality, which matters
-        in serving mode where the pending list holds every
-        not-yet-admitted fragment of the whole arrival stream.
-        """
-        pending = self._pending
-        tid = task.task_id
-        for i, t in enumerate(pending):
-            if t.task_id == tid:
-                del pending[i]
-                return
-        raise ValueError(tid)
-
-    def start(self, task: Task, parallelism: float) -> None:
+    def start_task(self, task: Task, parallelism: float) -> None:
         if task.task_id in self.running_map:
             raise SimulationError(f"{task!r} is already running")
-        try:
-            self._remove_pending(task)
-        except ValueError:
-            raise SimulationError(f"{task!r} is not pending") from None
+        self.claim(task)
         if parallelism <= 0:
             raise SimulationError(f"{task!r}: parallelism must be positive")
         disk = self.machine.disk
@@ -628,46 +374,52 @@ class _SimState:
             cpu_frac=max(0.0, 1.0 - task.io_rate * io_service),
         )
         self.running_map[task.task_id] = run
-        self._running_view = None
-        self._ready_view = None
-        self._resum_memory()
-
-    def shed(self, task: Task) -> None:
-        """Drop a pending (possibly not-yet-ready) task without running it."""
-        if task.task_id in self.running_map:
-            raise SimulationError(f"{task!r} is running and cannot be shed")
-        try:
-            self._remove_pending(task)
-        except ValueError:
-            raise SimulationError(f"{task!r} is not pending") from None
-        self.shed_records.append(ShedRecord(task=task, shed_at=self.clock))
-        self._ready_view = None
-
-    def cancel(self, task: Task, reason: str = "deadline") -> None:
-        """Cooperatively cancel ``task``, running or pending."""
-        run = self.running_map.pop(task.task_id, None)
-        if run is not None:
-            self.cancel_records.append(
-                CancelRecord(
-                    task=task,
-                    cancelled_at=self.clock,
-                    started_at=run.started_at,
-                    reason=reason,
-                )
+        self._running_changed()
+        if self.tracer is not None:
+            self._instant(
+                f"start x={parallelism:g}", task, "task", {"parallelism": parallelism}
             )
-            self._running_view = None
-            self._resum_memory()
-            return
-        try:
-            self._remove_pending(task)
-        except ValueError:
-            raise SimulationError(
-                f"{task!r} is neither running nor pending"
-            ) from None
-        self.cancel_records.append(
-            CancelRecord(task=task, cancelled_at=self.clock, reason=reason)
+
+    def adjust_task(self, task: Task, parallelism: float) -> None:
+        run = self.running_map.get(task.task_id)
+        if run is None:
+            raise SimulationError(f"task {task.task_id} is not running")
+        if abs(run.parallelism - parallelism) > _EPS:
+            run.parallelism = parallelism
+            run.remaining += self._adjustment_overhead
+            run.history.append((self.clock, parallelism))
+            self.adjustments += 1
+            if self.tracer is not None:
+                self._instant(
+                    f"adjust x={parallelism:g}",
+                    task,
+                    "adjust",
+                    {"parallelism": parallelism},
+                )
+
+    def cancel_task(self, task: Task, reason: str) -> None:
+        run = self.running_map.pop(task.task_id, None)
+        if run is None:
+            self.cancel(task, reason)
+        else:
+            self.cancel(task, reason, started_at=run.started_at)
+            self._running_changed()
+
+    def task_cancelled(self, record, where) -> None:
+        if self.tracer is not None:
+            self._instant(f"cancel ({record.reason})", record.task, "cancel")
+
+    def shed_task(self, task: Task) -> None:
+        super().shed_task(task)
+        if self.tracer is not None:
+            self._instant("shed", task, "admission")
+
+    def _instant(self, name: str, task: Task, cat: str, args=None) -> None:
+        self.tracer.instant(
+            name, t=self.clock, track=f"task:{task.name}", cat=cat, args=args
         )
-        self._ready_view = None
+
+    # -- time ------------------------------------------------------------------------
 
     def settle(self) -> None:
         """Retire finished tasks and admit due arrivals."""
@@ -677,40 +429,20 @@ class _SimState:
         if finished:
             for run in finished:
                 del self.running_map[run.task.task_id]
-                self.completed_ids.add(run.task.task_id)
-                self.records.append(
-                    TaskRecord(
-                        task=run.task,
-                        started_at=run.started_at,
-                        finished_at=self.clock,
-                        parallelism_history=tuple(run.history),
-                    )
+                self.complete(
+                    run.task, run.started_at, self.clock, run.history
                 )
-            self._running_view = None
-            self._ready_view = None
-            self._resum_memory()
-        self._drain_arrivals()
-
-    def _drain_arrivals(self) -> None:
-        arrivals = self._arrivals
-        if not arrivals:
-            return
-        deadline = self.clock + _EPS
-        while arrivals and arrivals[0][0] <= deadline:
-            __, __, task = heapq.heappop(arrivals)
-            self._pending.append(task)
-            self._ready_view = None
-
-    def next_arrival_in(self) -> float | None:
-        if not self._arrivals:
-            return None
-        return max(0.0, self._arrivals[0][0] - self.clock)
-
-    def running_by_id(self, task_id: int) -> _Running:
-        try:
-            return self.running_map[task_id]
-        except KeyError:
-            raise SimulationError(f"task {task_id} is not running") from None
+                if self.tracer is not None:
+                    self.tracer.span(
+                        run.task.name,
+                        t=run.started_at,
+                        dur=self.clock - run.started_at,
+                        track=f"task:{run.task.name}",
+                        cat="task",
+                        args={"adjustments": len(run.history) - 1},
+                    )
+            self._running_changed()
+        self.admit_due(self.clock + _EPS)
 
     def done(self) -> bool:
-        return not self.running_map and not self._pending and not self._arrivals
+        return not (self.running_map or self.waiting or self.arrivals)

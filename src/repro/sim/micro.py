@@ -22,6 +22,11 @@ memory — that is the paper's point; the abl3 bench sweeps it).
 Workloads are :class:`ScanSpec` objects — synthetic scans with a page
 count, a per-page CPU time and an io pattern — which map exactly onto
 the scheduler's :class:`~repro.core.task.Task` model.
+
+The policy-facing half — which tasks wait, arrive, completed or were
+cancelled, and how ``Start/Adjust/Shed/Cancel`` reach the engine — is
+:class:`~repro.sim.ledger.TaskLedger`, shared with the fluid engine;
+this file is the event loop, the disks and the protocols.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..config import MachineConfig
-from ..core.schedulers import Adjust, Cancel, SchedulingPolicy, Start
+from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import (
     MasterCrashError,
@@ -64,7 +69,7 @@ from ..recovery.checkpoint import (
     TaskSnapshot,
 )
 from ..storage.disk import Disk
-from .fluid import CancelRecord, ScheduleResult, TaskRecord
+from .ledger import ScheduleResult, TaskLedger
 
 _EPS = 1e-12
 _MAX_EVENTS = 5_000_000
@@ -281,7 +286,7 @@ class _TaskRun:
     #: scans, scattered for random ones); owned by the run so the hot
     #: path needs no per-page dict lookup.
     order: list[int] = field(default_factory=list)
-    # Hot-path caches of immutable spec fields, set by _start_task so
+    # Hot-path caches of immutable spec fields, set by start_task so
     # the per-page code avoids the run.spec.* attribute chain.
     page_mode: bool = True  # spec.partitioning == "page"
     cpu_per_page: float = 0.0
@@ -374,12 +379,17 @@ class MicroSimulator:
 
     def run(
         self,
-        specs: list[ScanSpec],
+        specs: "Sequence[ScanSpec | Task]",
         policy: SchedulingPolicy,
         *,
         resume_from: Checkpoint | None = None,
     ) -> ScheduleResult:
         """Simulate the scan specs under ``policy`` until all complete.
+
+        An item may also be a ready-made :class:`Task` whose
+        ``payload`` is its :class:`ScanSpec`; it is used as is (id,
+        dependencies and arrival time included), so a caller that
+        groups tasks — the serving gate — can drive this engine.
 
         ``resume_from`` restarts the run from a checkpoint taken by a
         :class:`~repro.recovery.RecoveryManager`: already-completed
@@ -396,9 +406,13 @@ class MicroSimulator:
             if self.faults is not None
             else None
         )
+        tasks = [
+            item if isinstance(item, Task) else item.to_task(self.machine)
+            for item in specs
+        ]
         engine = _MicroEngine(
             self.machine,
-            specs,
+            tasks,
             policy,
             seed=self.seed,
             consult_interval=self.consult_interval,
@@ -412,11 +426,14 @@ class MicroSimulator:
         return engine.run()
 
 
-class _MicroEngine:
+class _MicroEngine(TaskLedger):
+    """One run: the task ledger (so also the policy's EngineState) plus
+    the event heap, the disks, the processors and the slave backends."""
+
     def __init__(
         self,
         machine: MachineConfig,
-        specs: list[ScanSpec],
+        tasks: list[Task],
         policy: SchedulingPolicy,
         *,
         seed: int,
@@ -430,17 +447,16 @@ class _MicroEngine:
     ) -> None:
         import random
 
-        self.machine = machine
+        super().__init__(machine, tasks)
+        # Tracer (None = disabled).  Emission sites are all off the
+        # inner per-page loop and guard with one None check, so a
+        # disabled tracer leaves the hot path untouched.
+        self.tracer = tracer
         self.seed = seed
         self.policy = policy
-        #: Span tracer (None = disabled).  Emission sites are all off
-        #: the inner per-page loop and guard with one None check, so a
-        #: disabled tracer leaves the hot path untouched.
-        self.tracer = tracer or None
         #: Invariant checker (None = disabled).  Same idiom as the
         #: tracer: hooks only on cold sites, one None check each.
         self.invariants = invariants
-        self.clock = 0.0
         #: Heap of (time, seq, tag, payload) — see the _EV_* tags.
         self._events: list[tuple[float, int, int, object]] = []
         self._seq = 0  # heap tiebreaker; incremented inline (hot path)
@@ -459,17 +475,15 @@ class _MicroEngine:
         #: integrated from their records at result build).
         self.occupancy_cancelled = 0.0
         # tasks
-        self._pending: list[Task] = []
-        self._arrivals: list[tuple[float, int, Task, ScanSpec]] = []
-        self.running: dict[int, _TaskRun] = {}
-        self.completed_ids: set[int] = set()
-        self.records: list[TaskRecord] = []
-        self.cancel_records: list[CancelRecord] = []
+        self.runs: dict[int, _TaskRun] = {}
         self.adjustments = 0
         self.peak_memory = 0.0
         self._block_cursor = 0
-        self._arrival_armed = False
         self._consult_interval = consult_interval
+        #: A batch cancelled a running task: consult once more after it.
+        self._reconsult = False
+        #: When the one armed policy wake-up fires (None = none armed).
+        self._wake_at: float | None = None
         # fault injection
         self.injector = injector
         self.adjust_timeout = adjust_timeout
@@ -483,17 +497,10 @@ class _MicroEngine:
         #: RecoveryManager (or None): one attribute check on the cold
         #: checkpoint sites, nothing anywhere near the per-page loop.
         self.recovery = recovery
-        for i, spec in enumerate(specs):
-            task = spec.to_task(machine)
-            if spec.arrival_time <= 0:
-                self._pending.append(task)
-            else:
-                heapq.heappush(
-                    self._arrivals, (spec.arrival_time, i, task, spec)
-                )
+        self.admit_due(0.0)
         # Restore before arming faults: a resumed clock filters the
         # spent ones.  For fresh runs this ordering is event-identical
-        # to arming first — the spec loop pushes no heap events.
+        # to arming first — nothing above pushes a heap event.
         if resume_from is not None:
             self._restore(resume_from)
         if injector is not None:
@@ -505,15 +512,11 @@ class _MicroEngine:
             if resume_from is not None:
                 injector.skip_messages_before(self.clock)
 
-    # -- EngineState protocol for the policy ------------------------------------
+    # -- EngineState protocol (the rest is the ledger's) -------------------------
 
     @property
-    def now(self) -> float:
-        return self.clock
-
-    @property
-    def pending(self) -> list[Task]:
-        return [t for t in self._pending if t.depends_on <= self.completed_ids]
+    def running(self) -> list["_TaskRun"]:
+        return list(self.runs.values())
 
     @property
     def io_count(self) -> int:
@@ -532,7 +535,7 @@ class _MicroEngine:
     def _master_tick(self) -> None:
         if self._finished():
             return
-        self._consult_policy()
+        self._consult()
         # A tick with no round in flight is a round boundary too; with
         # recovery off this is the usual single None check.
         self._maybe_checkpoint()
@@ -543,13 +546,13 @@ class _MicroEngine:
         self._schedule(self._consult_interval, self._master_tick)
 
     def _finished(self) -> bool:
-        return not self.running and not self._pending and not self._arrivals
+        return not (self.runs or self.waiting or self.arrivals)
 
     def run(self) -> ScheduleResult:
         self._arm_arrival()
         if self._consult_interval is not None:
             self._schedule(self._consult_interval, self._master_tick)
-        self._consult_policy()
+        self._consult()
         # The event loop is the engine's hot path: per-page events are
         # type-tagged tuples handled inline (no closure allocation, no
         # indirect call), everything rare is a callback.  A page cycle
@@ -570,15 +573,17 @@ class _MicroEngine:
         disks = self.disks
         injector = self.injector
         n_disks = self._n_disks
-        running = self.running
-        pending = self._pending
-        arrivals = self._arrivals
+        # The ledger mutates these three in place and never rebinds
+        # them, so the finished test below may hold them as locals.
+        runs = self.runs
+        waiting = self.waiting
+        arrivals = self.arrivals
         clock = self.clock
         for _ in range(_MAX_EVENTS):
             # Stop at the last completion, not at the last armed fault:
             # remaining injector events must not stretch the clock.
             # (Inlined self._finished().)
-            if not events or not (running or pending or arrivals):
+            if not events or not (runs or waiting or arrivals):
                 break
             time, __, tag, payload = heappop(events)
             if time > clock:
@@ -721,18 +726,18 @@ class _MicroEngine:
             progress = ", ".join(
                 f"{r.task.name} {r.pages_done}/{r.spec.n_pages}p x={r.parallelism}"
                 + (" adjusting" if r.adjusting else "")
-                for r in self.running.values()
+                for r in self.runs.values()
             )
             raise SimulationError(
                 f"micro simulation exceeded the event budget "
                 f"({_MAX_EVENTS} events) at t={self.clock:.3f}s; "
-                f"pending={[t.name for t in self._pending]}; "
+                f"pending={[t.name for t in self.waiting]}; "
                 f"running=[{progress or 'none'}]"
             )
         if not self._finished():
             raise SimulationError(
                 "micro simulation stalled: "
-                f"running={list(self.running)}, pending={[t.name for t in self._pending]}"
+                f"running={list(self.runs)}, pending={[t.name for t in self.waiting]}"
             )
         elapsed = self.clock
         if self.injector is not None:
@@ -742,17 +747,13 @@ class _MicroEngine:
             _history_occupancy(r.parallelism_history, r.finished_at)
             for r in self.records
         )
-        result = ScheduleResult(
-            policy_name=self.policy.name,
-            elapsed=elapsed,
-            records=self.records,
+        result = self.result(
+            self.policy.name,
             adjustments=self.adjustments,
             cpu_busy=self.cpu_busy_time,
             io_served=float(self.io_count),
-            machine=self.machine,
             peak_memory=self.peak_memory,
             fault_log=self.injector.log if self.injector is not None else None,
-            cancel_records=self.cancel_records,
             cpu_busy_occupancy=occupancy,
             cpu_busy_service=self.cpu_busy_time,
         )
@@ -881,6 +882,7 @@ class _MicroEngine:
         self._measured_mult[disk_id] = 0.7 * old + 0.3 * multiplier
         self._effective_cache = None
 
+    @property
     def effective_machine(self) -> MachineConfig:
         """The machine as currently *measured*, not as configured.
 
@@ -900,24 +902,14 @@ class _MicroEngine:
         if abs(scale - 1.0) < 1e-9:
             machine = self.machine
         else:
-            scale = max(scale, 0.05)
-            disk = self.machine.disk
-            machine = replace(
-                self.machine,
-                disk=replace(
-                    disk,
-                    seq_ios_per_sec=disk.seq_ios_per_sec * scale,
-                    almost_seq_ios_per_sec=disk.almost_seq_ios_per_sec * scale,
-                    random_ios_per_sec=disk.random_ios_per_sec * scale,
-                ),
-            )
+            machine = self.machine.with_disk_scale(max(scale, 0.05))
         self._effective_cache = machine
         return machine
 
     def _inject_crash(self, fault: SlaveCrash) -> None:
         injector = self.injector
         assert injector is not None
-        runs = sorted(self.running.values(), key=lambda r: r.task.task_id)
+        runs = sorted(self.runs.values(), key=lambda r: r.task.task_id)
         if fault.task is not None:
             runs = [r for r in runs if r.task.name == fault.task]
         if not runs:
@@ -965,14 +957,12 @@ class _MicroEngine:
                 else ""
             ),
         )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
+        if self.tracer is not None:
+            self._instant(
                 f"crash slave {slave.slave_id}",
-                t=self.clock,
-                track=f"task:{run.task.name}",
-                cat="fault",
-                args={"slave": slave.slave_id},
+                run.task,
+                "fault",
+                {"slave": slave.slave_id},
             )
         replacement = _Slave(slave_id=run.next_slave_id)
         run.next_slave_id += 1
@@ -1024,39 +1014,47 @@ class _MicroEngine:
                     self.clock, "no-op", f"deadline: {name!r} already complete"
                 )
                 return
-        for run in self.running.values():
+        for run in self.runs.values():
             if run.task.name == name:
-                self._cancel_run(run, reason="deadline")
+                self._cancel_run(run, "deadline")
+                self._consult()
                 return
-        for task in self._pending:
+        for task in self.waiting:
             if task.name == name:
-                self._cancel_pending(task, reason="deadline")
-                self._consult_policy()
+                self.cancel(task, "deadline")
+                self._consult()
                 return
-        for __, __i, task, __spec in self._arrivals:
+        for __, __i, task in self.arrivals:
             if task.name == name:
-                self._cancel_arrival(task, reason="deadline")
+                self.cancel(task, "deadline")
                 return
         injector.log.record(
             self.clock, "no-op", f"deadline: no task named {name!r}"
         )
 
-    def _log_cancel(self, task: Task, reason: str, detail: str) -> None:
+    def task_cancelled(self, record, where) -> None:
+        """Fault-log and trace one of the ledger's new cancel records."""
+        task, reason = record.task, record.reason
+        when = {
+            None: f"after {record.pages_done} pages",
+            "waiting": "before start",
+            "arrivals": "before arrival",
+        }[where]
         injector = self.injector
         if injector is not None:
             injector.log.deadline_cancels += 1
-            injector.log.record(self.clock, "cancel", detail)
+            injector.log.record(
+                self.clock, "cancel", f"{task.name}: cancelled ({reason}) {when}"
+            )
         tracer = self.tracer
         if tracer is not None:
-            tracer.instant(
-                f"cancel ({reason})",
-                t=self.clock,
-                track=f"task:{task.name}",
-                cat="cancel",
-                args={"reason": reason},
-            )
+            self._instant(f"cancel ({reason})", task, "cancel", {"reason": reason})
+            if where is None:  # a run ended: sample before the cone's instants
+                tracer.counter(
+                    "running_tasks", t=self.clock, value=float(len(self.runs))
+                )
 
-    def _cancel_run(self, run: _TaskRun, *, reason: str = "deadline") -> None:
+    def _cancel_run(self, run: _TaskRun, reason: str) -> None:
         """Cooperatively cancel a *running* task, releasing everything.
 
         Slaves are marked crashed+retired, which the event loop and the
@@ -1078,63 +1076,26 @@ class _MicroEngine:
             slave.paused = False
             slave.segments = []
             slave.intervals = []
-        del self.running[task.task_id]
-        self._log_cancel(
-            task,
-            reason,
-            f"{task.name}: cancelled ({reason}) after {run.pages_done} pages",
-        )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.counter(
-                "running_tasks", t=self.clock, value=float(len(self.running))
-            )
-        self.cancel_records.append(
-            CancelRecord(
-                task=task,
-                cancelled_at=self.clock,
-                started_at=run.started_at,
-                pages_done=run.pages_done,
-                reason=reason,
-            )
-        )
-        self._cancel_dependents(task)
-        self._consult_policy()
+        del self.runs[task.task_id]
+        self.cancel(task, reason, started_at=run.started_at, pages_done=run.pages_done)
 
-    def _cancel_pending(self, task: Task, *, reason: str) -> None:
-        self._pending.remove(task)
-        self._log_cancel(
-            task, reason, f"{task.name}: cancelled ({reason}) before start"
-        )
-        self.cancel_records.append(
-            CancelRecord(task=task, cancelled_at=self.clock, reason=reason)
-        )
-        self._cancel_dependents(task)
+    def shed_task(self, task: Task) -> None:
+        super().shed_task(task)
+        if self.tracer is not None:
+            self._instant("shed", task, "admission")
 
-    def _cancel_arrival(self, task: Task, *, reason: str) -> None:
-        self._arrivals = [e for e in self._arrivals if e[2] is not task]
-        heapq.heapify(self._arrivals)
-        self._log_cancel(
-            task, reason, f"{task.name}: cancelled ({reason}) before arrival"
+    def _instant(self, name: str, task: Task, cat: str, args=None) -> None:
+        self.tracer.instant(
+            name, t=self.clock, track=f"task:{task.name}", cat=cat, args=args
         )
-        self.cancel_records.append(
-            CancelRecord(task=task, cancelled_at=self.clock, reason=reason)
-        )
-        self._cancel_dependents(task)
 
-    def _cancel_dependents(self, task: Task) -> None:
-        """Transitively cancel tasks that can now never become ready.
-
-        A cancelled task's id never joins ``completed_ids``, so any
-        dependent would wait forever — the engine would report a stall.
-        Cancelling the whole dependency cone keeps the run live.
-        """
-        for dep in [t for t in self._pending if task.task_id in t.depends_on]:
-            self._cancel_pending(dep, reason="dependency")
-        for dep in [
-            e[2] for e in self._arrivals if task.task_id in e[2].depends_on
-        ]:
-            self._cancel_arrival(dep, reason="dependency")
+    def cancel_task(self, task: Task, reason: str) -> None:
+        run = self.runs.get(task.task_id)
+        if run is None:
+            self.cancel(task, reason)
+        else:
+            self._cancel_run(run, reason)
+            self._reconsult = True
 
     # -- checkpoint / resume ------------------------------------------------------
 
@@ -1149,7 +1110,7 @@ class _MicroEngine:
         recovery = self.recovery
         if recovery is None:
             return
-        if any(r.adjusting for r in self.running.values()):
+        if any(r.adjusting for r in self.runs.values()):
             return
         recovery.capture(self)
 
@@ -1161,7 +1122,7 @@ class _MicroEngine:
         adjustment protocol leg is in flight.
         """
         running = []
-        for run in sorted(self.running.values(), key=lambda r: r.task.task_id):
+        for run in sorted(self.runs.values(), key=lambda r: r.task.task_id):
             slaves = []
             for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
                 slaves.append(
@@ -1265,39 +1226,23 @@ class _MicroEngine:
                 f"checkpoint io_count {cp.io_count} disagrees with its "
                 f"per-disk counters, which total {self.io_count}"
             )
-        by_name: dict[str, tuple[Task, ScanSpec]] = {}
-        for task in self._pending:
+        by_name: dict[str, Task] = {}
+        for task in self.waiting + [e[2] for e in self.arrivals]:
             if task.name in by_name:
                 raise RecoveryError(
                     f"duplicate task name {task.name!r}: checkpoints match "
                     "tasks by name, so names must be unique"
                 )
-            by_name[task.name] = (task, task.payload)
-        for __, __i, task, spec in self._arrivals:
-            if task.name in by_name:
-                raise RecoveryError(
-                    f"duplicate task name {task.name!r}: checkpoints match "
-                    "tasks by name, so names must be unique"
-                )
-            by_name[task.name] = (task, spec)
-        consumed: set[str] = set()
+            by_name[task.name] = task
         for rec in cp.completed:
             if rec.name not in by_name:
                 raise RecoveryError(
                     f"checkpoint records completed task {rec.name!r} "
                     "missing from this workload"
                 )
-            task, __spec = by_name[rec.name]
-            consumed.add(rec.name)
-            self.completed_ids.add(task.task_id)
-            self.records.append(
-                TaskRecord(
-                    task=task,
-                    started_at=rec.started_at,
-                    finished_at=rec.finished_at,
-                    parallelism_history=rec.history,
-                )
-            )
+            task = by_name[rec.name]
+            self._take(task, unarrived=True)
+            self.complete(task, rec.started_at, rec.finished_at, rec.history)
         injector = self.injector
         for snap in cp.running:
             if snap.name not in by_name:
@@ -1305,8 +1250,9 @@ class _MicroEngine:
                     f"checkpoint records running task {snap.name!r} "
                     "missing from this workload"
                 )
-            task, spec = by_name[snap.name]
-            consumed.add(snap.name)
+            task = by_name[snap.name]
+            spec: ScanSpec = task.payload  # type: ignore[assignment]
+            self._take(task, unarrived=True)
             run = _TaskRun(
                 task=task,
                 spec=spec,
@@ -1353,17 +1299,11 @@ class _MicroEngine:
                     else:
                         slave.intervals.insert(0, (s.inflight, s.inflight))
                 run.slaves[s.slave_id] = slave
-            self.running[task.task_id] = run
-        self._pending = [t for t in self._pending if t.name not in consumed]
-        kept = [e for e in self._arrivals if e[2].name not in consumed]
-        due = sorted(e for e in kept if e[0] <= self.clock + _EPS)
-        for __, __i, task, __spec in due:
-            self._pending.append(task)
-        self._arrivals = [e for e in kept if e[0] > self.clock + _EPS]
-        heapq.heapify(self._arrivals)
+            self.runs[task.task_id] = run
+        self.admit_due(self.clock + _EPS)
         # Kick every idle slave: the previously-busy ones claim their
         # re-read singleton and issue its io at the restored clock.
-        for run in sorted(self.running.values(), key=lambda r: r.task.task_id):
+        for run in sorted(self.runs.values(), key=lambda r: r.task.task_id):
             for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
                 if not slave.retired and not slave.busy:
                     self._slave_next(run, slave)
@@ -1372,44 +1312,45 @@ class _MicroEngine:
 
     # -- policy interaction -----------------------------------------------------------
 
-    def _consult_policy(self) -> None:
-        state = _PolicyState(self)
-        for action in self.policy.decide(state):
-            if isinstance(action, Start):
-                self._start_task(action.task, action.parallelism)
-            elif isinstance(action, Adjust):
-                self._begin_adjustment(action.task, action.parallelism)
-            elif isinstance(action, Cancel):
-                run = self.running.get(action.task.task_id)
-                if run is not None:
-                    self._cancel_run(run, reason=action.reason)
-                elif action.task in self._pending:
-                    self._cancel_pending(action.task, reason=action.reason)
-            else:  # pragma: no cover
-                raise SimulationError(f"unknown action {action!r}")
+    def _consult(self) -> None:
+        """Ask the policy once, apply its batch, arm its wake-up.
+
+        Never re-entered: nothing a batch does consults the policy.  A
+        batch that cancelled a running task freed processors the policy
+        has not seen, so it is consulted once more after the batch.
+        """
+        policy = self.policy
+        while True:
+            self._reconsult = False
+            self.apply(policy.decide(self))
+            if not self._reconsult:
+                break
+        wake = policy.next_wakeup(self.clock)
+        if wake is not None and (self._wake_at is None or wake < self._wake_at):
+            self._wake_at = wake
+            self._schedule(max(0.0, wake - self.clock), lambda: self._wake(wake))
+
+    def _wake(self, at: float) -> None:
+        if self._wake_at == at:  # else superseded by an earlier wake
+            self._wake_at = None
+            self._consult()
 
     def _arm_arrival(self) -> None:
-        if self._arrivals and not self._arrival_armed:
-            self._arrival_armed = True
-            delay = max(0.0, self._arrivals[0][0] - self.clock)
-            self._schedule(delay, self._admit_arrivals)
+        # One arrival event at a time: run() arms the first, each
+        # firing arms the next.
+        if self.arrivals:
+            self._schedule(self.next_arrival_in(), self._admit_arrivals)
 
     def _admit_arrivals(self) -> None:
-        self._arrival_armed = False
-        while self._arrivals and self._arrivals[0][0] <= self.clock + _EPS:
-            __, __i, task, __spec = heapq.heappop(self._arrivals)
-            self._pending.append(task)
+        self.admit_due(self.clock + _EPS)
         self._arm_arrival()
-        self._consult_policy()
+        self._consult()
 
     # -- task lifecycle ------------------------------------------------------------------
 
-    def _start_task(self, task: Task, parallelism: float) -> None:
+    def start_task(self, task: Task, parallelism: float) -> None:
         n = max(1, int(round(parallelism)))
-        try:
-            self._pending.remove(task)
-        except ValueError:
-            raise SimulationError(f"{task!r} is not pending") from None
+        self.claim(task)
         spec: ScanSpec = task.payload  # type: ignore[assignment]
         if not isinstance(spec, ScanSpec):
             raise SimulationError(f"{task!r} has no ScanSpec payload")
@@ -1429,22 +1370,18 @@ class _MicroEngine:
             self._rng.shuffle(order)
         run.order = order
         run.history.append((self.clock, float(n)))
-        self.running[task.task_id] = run
+        self.runs[task.task_id] = run
         self.peak_memory = max(
             self.peak_memory,
-            sum(r.task.memory_bytes for r in self.running.values()),
+            sum(r.task.memory_bytes for r in self.runs.values()),
         )
         tracer = self.tracer
         if tracer is not None:
-            tracer.instant(
-                f"start x={n}",
-                t=self.clock,
-                track=f"task:{task.name}",
-                cat="task",
-                args={"pages": spec.n_pages, "parallelism": n},
+            self._instant(
+                f"start x={n}", task, "task", {"pages": spec.n_pages, "parallelism": n}
             )
             tracer.counter(
-                "running_tasks", t=self.clock, value=float(len(self.running))
+                "running_tasks", t=self.clock, value=float(len(self.runs))
             )
         if run.page_mode:
             slaves = [
@@ -1492,7 +1429,7 @@ class _MicroEngine:
     def _maybe_complete(self, run: _TaskRun) -> None:
         if run.pages_done < run.spec.n_pages:
             return  # pages still out (run() checks this before calling)
-        if run.task.task_id not in self.running:
+        if run.task.task_id not in self.runs:
             return
         if run.pages_done > run.spec.n_pages:
             raise SimulationError(
@@ -1500,16 +1437,8 @@ class _MicroEngine:
                 f"{run.spec.n_pages} pages — page conservation violated"
             )
         if all(s.retired for s in run.slaves.values()):
-            del self.running[run.task.task_id]
-            self.completed_ids.add(run.task.task_id)
-            self.records.append(
-                TaskRecord(
-                    task=run.task,
-                    started_at=run.started_at,
-                    finished_at=self.clock,
-                    parallelism_history=tuple(run.history),
-                )
-            )
+            del self.runs[run.task.task_id]
+            self.complete(run.task, run.started_at, self.clock, run.history)
             tracer = self.tracer
             if tracer is not None:
                 tracer.span(
@@ -1526,12 +1455,12 @@ class _MicroEngine:
                 tracer.counter(
                     "running_tasks",
                     t=self.clock,
-                    value=float(len(self.running)),
+                    value=float(len(self.runs)),
                 )
             invariants = self.invariants
             if invariants is not None:
                 invariants.micro_site(self, run, "complete")
-            self._consult_policy()
+            self._consult()
             self._maybe_checkpoint()
 
     # -- disks --------------------------------------------------------------------------------
@@ -1616,8 +1545,8 @@ class _MicroEngine:
 
     # -- dynamic adjustment (Figures 5 and 6) -------------------------------------------------------
 
-    def _begin_adjustment(self, task: Task, parallelism: float) -> None:
-        run = self.running.get(task.task_id)
+    def adjust_task(self, task: Task, parallelism: float) -> None:
+        run = self.runs.get(task.task_id)
         if run is None:
             raise SimulationError(f"{task!r} is not running")
         n_new = max(1, int(round(parallelism)))
@@ -1662,7 +1591,7 @@ class _MicroEngine:
         so page conservation survives the abort.  The policy is then
         consulted again and typically re-issues the adjustment.
         """
-        if self._stale(run, epoch) or run.task.task_id not in self.running:
+        if self._stale(run, epoch) or run.task.task_id not in self.runs:
             return  # the round completed (or the task did) in time
         injector = self.injector
         assert injector is not None
@@ -1673,14 +1602,9 @@ class _MicroEngine:
         log.adjust_aborts += 1
         error = ProtocolTimeoutError(run.task.name, self.adjust_timeout)
         log.record(self.clock, "timeout", str(error))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                "adjust:abort",
-                t=self.clock,
-                track=f"task:{run.task.name}",
-                cat="adjust",
-                args={"timeout": self.adjust_timeout},
+        if self.tracer is not None:
+            self._instant(
+                "adjust:abort", run.task, "adjust", {"timeout": self.adjust_timeout}
             )
         harvest, run.harvest = run.harvest, None
         if harvest:
@@ -1703,7 +1627,7 @@ class _MicroEngine:
         if invariants is not None:
             invariants.micro_site(self, run, "abort")
         self._maybe_complete(run)
-        self._consult_policy()
+        self._consult()
 
     def _collect_maxpage(self, run: _TaskRun, n_new: int, epoch: int) -> None:
         """Figure 5: compute maxpage from slave cursors, broadcast."""
@@ -1866,33 +1790,3 @@ class _MicroEngine:
             invariants.micro_site(self, run, "adjust")
         self._maybe_complete(run)
         self._maybe_checkpoint()
-
-
-class _PolicyState:
-    """Adapter exposing the micro engine as an EngineState."""
-
-    def __init__(self, engine: _MicroEngine) -> None:
-        self._engine = engine
-        self.machine = engine.machine
-
-    @property
-    def now(self) -> float:
-        return self._engine.clock
-
-    @property
-    def running(self) -> list[_TaskRun]:
-        return list(self._engine.running.values())
-
-    @property
-    def pending(self) -> list[Task]:
-        return self._engine.pending
-
-    @property
-    def completed_ids(self) -> set[int]:
-        return self._engine.completed_ids
-
-    @property
-    def effective_machine(self) -> MachineConfig:
-        """The machine as measured (degradation included), for
-        bandwidth-aware policies; equals ``machine`` when healthy."""
-        return self._engine.effective_machine()

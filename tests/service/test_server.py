@@ -231,6 +231,7 @@ class TestAdmissionGate:
         # list object until its membership changes, then a fresh one.
         state = SimpleNamespace(
             machine=machine,
+            effective_machine=machine,
             completed_ids=set(),
             now=0.0,
             running=[],

@@ -188,23 +188,26 @@ def run_case(
     return failures
 
 
-def _optimizer_case(seed: int) -> list[str]:
-    """Fast-path-vs-reference on one seeded random query."""
+def random_join_schema(seed: int):
+    """One seeded random chain or star join (schema, catalog, query)."""
     from ..workloads.queries import chain_join, star_join
 
     rng = random.Random(seed ^ 0x0F)
     if rng.random() < 0.5:
-        schema = chain_join(
+        return chain_join(
             rng.randint(3, 5), rows_per_relation=rng.randrange(100, 600), seed=seed
         )
-    else:
-        schema = star_join(
-            rng.randint(2, 4),
-            fact_rows=rng.randrange(200, 800),
-            dimension_rows=rng.randrange(40, 160),
-            seed=seed,
-        )
-    return check_optimizer_fast_path(schema)
+    return star_join(
+        rng.randint(2, 4),
+        fact_rows=rng.randrange(200, 800),
+        dimension_rows=rng.randrange(40, 160),
+        seed=seed,
+    )
+
+
+def _optimizer_case(seed: int) -> list[str]:
+    """Fast-path-vs-reference on one seeded random query."""
+    return check_optimizer_fast_path(random_join_schema(seed))
 
 
 # ---------------------------------------------------------------------------

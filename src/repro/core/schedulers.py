@@ -32,7 +32,7 @@ from .balance import (
     inter_time_realizable,
     intra_time,
 )
-from .classify import is_io_bound, max_parallelism
+from .classify import is_io_bound, max_parallelism, split_by_bound
 from .task import Task
 
 
@@ -228,8 +228,7 @@ class InterWithAdjPolicy(SchedulingPolicy):
     # -- queue views -------------------------------------------------------------
 
     def _queues(self, state: EngineState) -> tuple[list[Task], list[Task]]:
-        io_q = [t for t in state.pending if is_io_bound(t, state.machine)]
-        cpu_q = [t for t in state.pending if not is_io_bound(t, state.machine)]
+        io_q, cpu_q = split_by_bound(state.pending, state.machine)
         if self.pairing == "extreme":
             io_q.sort(key=lambda t: -t.io_rate)
             cpu_q.sort(key=lambda t: t.io_rate)
@@ -298,14 +297,15 @@ class InterWithAdjPolicy(SchedulingPolicy):
         actions.append(Start(candidate, x_new))
         return actions
 
-    def _fresh_pair(self, state: EngineState) -> list[Action] | None:
+    def _fresh_pair(
+        self, state: EngineState, io_q: list[Task], cpu_q: list[Task]
+    ) -> list[Action] | None:
         """Start a new IO/CPU pair from the queues (steps 2-4).
 
         Candidates are tried in heuristic order; a pair must fit in
         work memory and be worthwhile.
         """
         machine = state.machine
-        io_q, cpu_q = self._queues(state)
         if not io_q or not cpu_q:
             return None
         for fi in io_q:
@@ -418,11 +418,11 @@ class InterWithAdjPolicy(SchedulingPolicy):
         if not state.pending:
             return []
         self._solo_until_done.clear()
-        actions = self._fresh_pair(state)
+        io_q, cpu_q = self._queues(state)
+        actions = self._fresh_pair(state, io_q, cpu_q)
         if actions is not None:
             return actions
         # One-sided queue (step 8): intra-operation parallelism only.
-        io_q, cpu_q = self._queues(state)
         queue = io_q or cpu_q
         task = queue[0]
         x = _clamp(max_parallelism(task, machine), machine, integral=self.integral)

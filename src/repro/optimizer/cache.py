@@ -34,7 +34,8 @@ drops all three memos when the catalog (or its
 :attr:`~repro.catalog.catalog.Catalog.stats_epoch`) is not the one they
 were filled under.  Nobody has to remember to clear anything after an
 ANALYZE.  What a caches object still assumes is one cost model and one
-machine family for its ``node_estimates``.
+machine family for its ``node_estimates`` and the subtree memo beside
+them (a fragment summary prices io on the machine's disks).
 """
 
 from __future__ import annotations
@@ -43,7 +44,13 @@ from dataclasses import asdict, dataclass, field
 
 from ..catalog.catalog import Catalog
 from ..config import MachineConfig
-from ..plans.costing import CostModel, NodeEstimate, PlanEstimate, estimate_plan
+from ..plans.costing import (
+    CostModel,
+    EstimateMemo,
+    PlanEstimate,
+    Subtree,
+    estimate_plan,
+)
 from ..plans.nodes import PlanNode
 
 
@@ -128,6 +135,9 @@ class OptimizerCaches:
             entries of its losing candidates, so what stays is the
             nodes of plans in ``subplans`` plus whatever callers
             estimated on top (a final projection).
+        subtrees: the subtree memo riding on ``node_estimates`` (so
+            ``estimate_plan(cache=node_estimates)`` finds it), see
+            :class:`~repro.plans.costing.EstimateMemo`.
         parcost_elapsed: ``(signature, machine, policy key)`` ->
             ``parcost`` (simulated elapsed seconds).
         subplans: DP cell key -> ``(cost, plan)``, the cross-query
@@ -138,7 +148,7 @@ class OptimizerCaches:
         stats: the counters above, shared with the enumeration loop.
     """
 
-    node_estimates: dict[int, NodeEstimate] = field(default_factory=dict)
+    node_estimates: EstimateMemo = field(default_factory=EstimateMemo)
     parcost_elapsed: dict[tuple, float] = field(default_factory=dict)
     subplans: dict[tuple, tuple[float, PlanNode]] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
@@ -146,6 +156,10 @@ class OptimizerCaches:
     _filled_under: tuple[Catalog, int] | None = field(
         default=None, init=False, repr=False
     )
+
+    @property
+    def subtrees(self) -> dict[int, Subtree]:
+        return self.node_estimates.subtrees
 
     def sync(self, catalog: Catalog) -> None:
         """Drop the memos unless they were filled under ``catalog`` as it is now.

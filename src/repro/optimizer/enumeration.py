@@ -47,7 +47,7 @@ from ..catalog.catalog import Catalog
 from ..errors import OptimizerError
 from ..executor.expressions import And, col, column_bounds, eq
 from ..plans import nodes as pn
-from ..plans.costing import NodeEstimate
+from ..plans.costing import EstimateMemo
 from .cache import CacheStats, OptimizerCaches
 from .query import JoinPredicate, Query
 
@@ -217,9 +217,7 @@ def _splits(
         yield (rest, single) if space == "left-deep" else (single, rest)
 
 
-def _drop_losers(
-    estimates: dict[int, NodeEstimate], mark: int, winner: pn.PlanNode
-) -> None:
+def _drop_losers(estimates: EstimateMemo, mark: int, winner: pn.PlanNode) -> None:
     """Forget the node estimates one DP cell's losing candidates added.
 
     Everything past position ``mark`` of ``estimates`` was added while
@@ -240,8 +238,7 @@ def _drop_losers(
         if node.node_id in losers:
             losers.discard(node.node_id)
             stack.extend(node.children)
-    for node_id in losers:
-        del estimates[node_id]
+    estimates.forget(losers)
 
 
 class _Incumbent:

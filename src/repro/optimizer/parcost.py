@@ -37,7 +37,12 @@ from ..core.schedulers import (
 )
 from ..core.task import Task
 from ..plans.costing import CostModel, PlanEstimate, estimate_plan
-from ..plans.fragments import FragmentGraph, fragment_plan
+from ..plans.fragments import (
+    FragmentGraph,
+    fragment_plan,
+    plan_signature,
+    signature_tasks,
+)
 from ..plans.nodes import PlanNode
 from ..sim.fluid import FluidSimulator, ScheduleResult
 from .cache import OptimizerCaches
@@ -104,17 +109,6 @@ def _policy_cache_key(policy: SchedulingPolicy | None) -> tuple | None:
 _DEFAULT_POLICY = InterWithAdjPolicy()
 
 
-def _simulate(
-    fragments: FragmentGraph,
-    machine: MachineConfig,
-    policy: SchedulingPolicy | None,
-) -> tuple[list[Task], ScheduleResult]:
-    tasks = fragments.to_tasks()
-    simulator = FluidSimulator(machine, adjustment_overhead=0.0)
-    schedule = simulator.run(list(tasks), policy or _DEFAULT_POLICY)
-    return tasks, schedule
-
-
 def parcost_lower_bound(estimate: PlanEstimate, machine: MachineConfig) -> float:
     """A provable lower bound on ``parcost(p, n)`` from cheap estimates.
 
@@ -134,6 +128,30 @@ def parcost_lower_bound(estimate: PlanEstimate, machine: MachineConfig) -> float
         estimate.seqcost() / machine.processors,
         estimate.total_ios() / machine.io_bandwidth,
     )
+
+
+def _prepare(plan, catalog, machine, cost_model, policy, caches, estimate):
+    """What both cost functions start from: machine, estimate, memo key."""
+    machine = machine or paper_machine()
+    memo = key = None
+    if caches is not None:
+        caches.sync(catalog)
+        memo = caches.node_estimates
+        key = _policy_cache_key(policy)
+    if estimate is None:
+        estimate = estimate_plan(
+            plan, catalog, cost_model=cost_model, machine=machine, cache=memo
+        )
+    return machine, estimate, key
+
+
+def _simulate(tasks, signature, machine, policy, caches, key) -> ScheduleResult:
+    """Run the scheduling algorithm over ``tasks``; memoize the elapsed time."""
+    simulator = FluidSimulator(machine, adjustment_overhead=0.0)
+    schedule = simulator.run(tasks, policy or _DEFAULT_POLICY)
+    if key is not None:
+        caches.parcost_elapsed[(signature, machine, key)] = schedule.elapsed
+    return schedule
 
 
 def parallel_cost(
@@ -166,25 +184,13 @@ def parallel_cost(
     from a fresh simulation of *this* plan's tasks, so ``schedule``
     records match ``tasks`` by id even when the scalar cache is warm.
     """
-    machine = machine or paper_machine()
-    if caches is not None:
-        caches.sync(catalog)
-    if estimate is None:
-        estimate = estimate_plan(
-            plan,
-            catalog,
-            cost_model=cost_model,
-            machine=machine,
-            cache=caches.node_estimates if caches is not None else None,
-        )
+    machine, estimate, key = _prepare(
+        plan, catalog, machine, cost_model, policy, caches, estimate
+    )
     fragments = fragment_plan(plan, estimate)
-    tasks, schedule = _simulate(fragments, machine, policy)
-    if caches is not None:
-        key = _policy_cache_key(policy)
-        if key is not None:
-            caches.parcost_elapsed[(fragments.signature(), machine, key)] = (
-                schedule.elapsed
-            )
+    signature = fragments.signature()
+    tasks = signature_tasks(signature, fragments.fragments)
+    schedule = _simulate(list(tasks), signature, machine, policy, caches, key)
     return ParallelCost(
         plan=plan,
         estimate=estimate,
@@ -206,42 +212,27 @@ def parcost(
 ) -> float:
     """``parcost(p, n)`` as a plain number (the optimizer's cost hook).
 
-    With ``caches`` attached, plans whose fragment signature was already
-    simulated (for this machine and policy configuration) return the
-    memoized elapsed time without running the engine.
+    No fragment is built: the signature is composed from the plan's
+    fragment summary and the tasks come straight from its rows.  With
+    ``caches`` attached, subplans already summarized are not revisited,
+    and plans whose signature was already simulated (for this machine
+    and policy configuration) return the memoized elapsed time without
+    running the engine.
     """
-    machine = machine or paper_machine()
-    if caches is None:
-        return parallel_cost(
-            plan,
-            catalog,
-            machine=machine,
-            cost_model=cost_model,
-            policy=policy,
-        ).elapsed
-    caches.sync(catalog)
-    if estimate is None:
-        estimate = estimate_plan(
-            plan,
-            catalog,
-            cost_model=cost_model,
-            machine=machine,
-            cache=caches.node_estimates,
-        )
-    fragments = fragment_plan(plan, estimate)
-    key = _policy_cache_key(policy)
-    if key is None:
+    machine, estimate, key = _prepare(
+        plan, catalog, machine, cost_model, policy, caches, estimate
+    )
+    signature = plan_signature(
+        plan, estimate, caches.subtrees if caches is not None else None
+    )
+    if caches is not None:
+        cached = caches.parcost_elapsed.get((signature, machine, key))
+        if cached is not None:
+            caches.stats.parcost_hits += 1
+            return cached
         caches.stats.parcost_misses += 1
-        return _simulate(fragments, machine, policy)[1].elapsed
-    cache_key = (fragments.signature(), machine, key)
-    cached = caches.parcost_elapsed.get(cache_key)
-    if cached is not None:
-        caches.stats.parcost_hits += 1
-        return cached
-    caches.stats.parcost_misses += 1
-    elapsed = _simulate(fragments, machine, policy)[1].elapsed
-    caches.parcost_elapsed[cache_key] = elapsed
-    return elapsed
+    tasks = signature_tasks(signature)
+    return _simulate(tasks, signature, machine, policy, caches, key).elapsed
 
 
 class ParcostObjective:

@@ -141,6 +141,54 @@ class PlanEstimate:
         return cpu + io
 
 
+#: The cost model ``estimate_plan`` uses when handed none (frozen, shared).
+_DEFAULT_COSTS = CostModel()
+
+
+class Subtree:
+    """What the memo keeps for a node reused as a whole subtree.
+
+    Attributes:
+        by_node: the subtree's estimates in preorder — what a cache hit
+            on its root copies into a :class:`PlanEstimate`.
+        fragments: its :class:`~repro.plans.fragments.FragmentSummary`,
+            filled in by the fragmenter on first use.
+    """
+
+    __slots__ = ("by_node", "fragments")
+
+    def __init__(self, by_node: dict[int, NodeEstimate]) -> None:
+        self.by_node = by_node
+        self.fragments = None
+
+
+class EstimateMemo(dict):
+    """``estimate_plan``'s ``cache`` with a subtree memo beside it.
+
+    The dict itself maps ``node_id`` to :class:`NodeEstimate`.
+    ``subtrees`` holds a :class:`Subtree` for every memoized node that
+    has been met again as the root of a cached subplan; its keys are
+    always a subset of the dict's, because the two are only ever
+    dropped together (:meth:`forget`, :meth:`clear`).
+    """
+
+    __slots__ = ("subtrees",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.subtrees: dict[int, Subtree] = {}
+
+    def forget(self, node_ids) -> None:
+        """Drop these nodes' estimates and the subtrees shadowing them."""
+        for node_id in node_ids:
+            del self[node_id]
+            self.subtrees.pop(node_id, None)
+
+    def clear(self) -> None:
+        super().clear()
+        self.subtrees.clear()
+
+
 def estimate_plan(
     plan: pn.PlanNode,
     catalog: Catalog,
@@ -156,49 +204,69 @@ def estimate_plan(
             search reuses subplan *objects* across thousands of
             candidate joins, so with a shared cache only the nodes a
             candidate adds on top are estimated; already-seen subtrees
-            are copied out of the memo.  The caller owns the cache and
+            are copied out of the memo (one ``dict.update`` each from
+            an :class:`EstimateMemo`).  The caller owns the cache and
             must not reuse it across different catalogs, cost models or
             machines (node ids are process-unique, so distinct plans
             never collide, but stale statistics would go unnoticed).
     """
-    estimator = _Estimator(catalog, cost_model or CostModel(), machine or paper_machine())
-    by_node: dict[int, NodeEstimate] = {}
-    estimator.visit(plan, by_node, cache)
-    return PlanEstimate(plan=plan, by_node=by_node, machine=estimator.machine)
+    estimator = _Estimator(
+        catalog,
+        cost_model or _DEFAULT_COSTS,
+        machine or paper_machine(),
+        {} if cache is None else cache,
+    )
+    estimator.visit(plan)
+    return PlanEstimate(plan=plan, by_node=estimator.out, machine=estimator.machine)
 
 
 class _Estimator:
-    """Bottom-up estimation visitor."""
+    """Bottom-up estimation visitor filling ``out`` through ``cache``."""
 
-    def __init__(self, catalog: Catalog, cost: CostModel, machine: MachineConfig) -> None:
+    def __init__(
+        self,
+        catalog: Catalog,
+        cost: CostModel,
+        machine: MachineConfig,
+        cache: dict[int, NodeEstimate],
+    ) -> None:
         self.catalog = catalog
         self.cost = cost
         self.machine = machine
+        self.cache = cache
+        # A plain-dict cache gets a subtree memo that lasts this call.
+        self.subtrees: dict[int, Subtree] = getattr(cache, "subtrees", {})
+        self.out: dict[int, NodeEstimate] = {}
 
-    def visit(
-        self,
-        node: pn.PlanNode,
-        out: dict[int, NodeEstimate],
-        cache: dict[int, NodeEstimate] | None = None,
-    ) -> NodeEstimate:
-        if cache is not None:
-            hit = cache.get(node.node_id)
-            if hit is not None:
-                # A cached root implies every descendant was cached by
-                # the same bottom-up pass; copy the whole subtree out so
-                # the PlanEstimate covers exactly this plan's nodes.
-                for sub in node.walk():
-                    out[sub.node_id] = cache[sub.node_id]
-                return hit
-        child_estimates = [self.visit(c, out, cache) for c in node.children]
+    def visit(self, node: pn.PlanNode) -> NodeEstimate:
+        node_id = node.node_id
+        hit = self.cache.get(node_id)
+        if hit is not None:
+            # A cached root implies every descendant was cached by the
+            # same bottom-up pass; copy the whole subtree out so the
+            # PlanEstimate covers exactly this plan's nodes.
+            self.out.update(self.subtree(node).by_node)
+            return hit
+        child_estimates = [self.visit(c) for c in node.children]
         method = getattr(self, f"_visit_{type(node).__name__}", None)
         if method is None:
             raise OptimizerError(f"no cost rule for {type(node).__name__}")
-        estimate = method(node, child_estimates)
-        out[node.node_id] = estimate
-        if cache is not None:
-            cache[node.node_id] = estimate
+        estimate = self.out[node_id] = self.cache[node_id] = method(node, child_estimates)
         return estimate
+
+    def subtree(self, node: pn.PlanNode) -> Subtree:
+        """A cached node's memoized subtree, composed on first use.
+
+        Preorder — the node, then each child's subtree, as
+        ``node.walk()`` — because ``seqcost()`` sums over it.
+        """
+        entry = self.subtrees.get(node.node_id)
+        if entry is None:
+            by_node = {node.node_id: self.cache[node.node_id]}
+            for child in node.children:
+                by_node.update(self.subtree(child).by_node)
+            entry = self.subtrees[node.node_id] = Subtree(by_node)
+        return entry
 
     # -- base stats helpers --------------------------------------------------------
 

@@ -12,15 +12,22 @@ dependencies induced by the blocking edges.  With a
 :class:`~repro.plans.costing.PlanEstimate` attached, each fragment
 carries the ``(T_i, D_i, C_i)`` profile the scheduler consumes
 (:meth:`Fragment.to_task`).
+
+The cut itself lives in one function, :func:`_cut`, which composes a
+subtree's :class:`FragmentSummary` from its children's.
+:func:`fragment_plan` materializes a summary into fragments;
+:func:`plan_signature` reads the scheduling signature straight off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ..core.ids import task_ids as _task_ids
 from ..core.task import IOPattern, Task
 from ..errors import PlanError
-from .costing import PlanEstimate, RANDOM, SEQUENTIAL
+from .costing import PlanEstimate, RANDOM, SEQUENTIAL, Subtree
 from .nodes import PlanNode
 
 
@@ -125,9 +132,11 @@ class FragmentGraph:
 
         The tuple captures everything the scheduling simulation can
         observe about the fragments — each fragment's ``(T, D, pattern,
-        memory)`` profile plus the dependency shape over fragment
-        indices — and nothing else (no node ids, no task ids, no plan
-        object identity).  Fragment ids are assigned by a deterministic
+        memory)`` profile plus the dependency shape, each dependency
+        counted from the fragment's own index so that a subplan's rows
+        read the same wherever it sits in a larger plan — and nothing
+        else (no node ids, no task ids, no plan object
+        identity).  Fragment ids are assigned by a deterministic
         tree traversal, so two structurally equivalent plans produce
         equal signatures, which is what lets ``parcost`` share one
         simulation across equivalent subplans (the optimizer fast
@@ -145,7 +154,7 @@ class FragmentGraph:
                 f.io_count,
                 f.io_pattern.value,
                 f.memory_bytes,
-                tuple(sorted(f.depends_on)),
+                tuple(sorted(d - f.fragment_id for d in f.depends_on)),
             )
             for f in self.fragments
         )
@@ -153,12 +162,138 @@ class FragmentGraph:
     def to_tasks(self) -> list[Task]:
         """Scheduler tasks for every fragment, wired with the
         order-dependencies induced by the blocking edges."""
-        tasks = [f.to_task() for f in self.fragments]
-        by_fragment = {f.fragment_id: t.task_id for f, t in zip(self.fragments, tasks)}
-        return [
-            task.with_dependencies(by_fragment[d] for d in fragment.depends_on)
-            for fragment, task in zip(self.fragments, tasks)
-        ]
+        return signature_tasks(self.signature(), self.fragments)
+
+
+class FragmentSummary(NamedTuple):
+    """How a subtree fragments, in a form its parent can extend.
+
+    The subtree's root sits in a fragment that is still *open* — the
+    parent may pipeline into it; everything under a blocking edge is
+    *closed* and final.  Locally the open fragment is number 0 and
+    ``closed[j]`` is number ``j + 1``; dependencies are counted from
+    the dependent fragment's own number, so composing summaries is
+    concatenation.  Every float sum keeps the order
+    :func:`fragment_plan` always used — an open fragment is re-summed
+    left to right over its items, a closed one keeps the profile it was
+    closed with — because the search compares the costs exactly.
+
+    Attributes:
+        open: the open fragment's nodes in pipeline (pre-)order, each
+            as ``(node, cpu, io_time, ios, memory, io_pattern)``.
+        waits: the open fragment's dependencies.
+        closed: one signature row per closed fragment, in id order.
+        closed_items: per closed fragment, the ``open`` it had.
+    """
+
+    open: tuple
+    waits: tuple[int, ...]
+    closed: tuple
+    closed_items: tuple
+
+
+def _cut(
+    node: PlanNode, estimate: PlanEstimate | None, subtrees: dict[int, Subtree]
+) -> FragmentSummary:
+    """Summarize ``node``'s subtree — the one place a plan is cut.
+
+    A blocking child edge closes the child's open fragment; any other
+    edge pipelines the child into this node's.  ``subtrees`` is the
+    estimator's subtree memo: a node it holds keeps its summary there,
+    so only nodes above memoized subplans are ever visited.
+    """
+    entry = subtrees.get(node.node_id)
+    if entry is not None and entry.fragments is not None:
+        return entry.fragments
+    if estimate is None:
+        item = (node, 0.0, 0.0, 0.0, 0.0, None)
+    else:
+        e = estimate.by_node[node.node_id]
+        item = (node, e.cpu_time, estimate.io_time(e), e.ios, e.memory_bytes, e.io_pattern)
+    open_: tuple = (item,)
+    waits: tuple[int, ...] = ()
+    closed: tuple = ()
+    closed_items: tuple = ()
+    blocking = node.blocking_children()
+    for i, child in enumerate(node.children):
+        below = _cut(child, estimate, subtrees)
+        shift = len(closed)
+        if i in blocking:
+            waits += (shift + 1,)
+            closed += ((*_profile(below.open), below.waits), *below.closed)
+            closed_items += (below.open, *below.closed_items)
+        else:
+            open_ += below.open
+            waits += tuple([shift + d for d in below.waits]) if shift else below.waits
+            closed += below.closed
+            closed_items += below.closed_items
+    summary = FragmentSummary(open_, waits, closed, closed_items)
+    if entry is not None:
+        entry.fragments = summary
+    return summary
+
+
+def _profile(items: tuple) -> tuple[float, float, str, float]:
+    """One fragment's ``(T, D, pattern, memory)`` from its nodes' items.
+
+    Working memory (hash tables, sort buffers) is charged to the
+    fragment containing the consuming node — the table must be resident
+    while that fragment runs.  IO pattern by majority of io volume.
+    """
+    cpu = io_time = ios = seq_ios = random_ios = memory = 0.0
+    for __, node_cpu, node_io_time, node_ios, node_memory, pattern in items:
+        cpu += node_cpu
+        io_time += node_io_time
+        ios += node_ios
+        memory += node_memory
+        if pattern == SEQUENTIAL:
+            seq_ios += node_ios
+        elif pattern == RANDOM:
+            random_ios += node_ios
+    return (
+        max(cpu + io_time, 1e-9),
+        ios,
+        RANDOM if random_ios > seq_ios else SEQUENTIAL,
+        memory,
+    )
+
+
+def _signature(summary: FragmentSummary) -> tuple:
+    return ((*_profile(summary.open), summary.waits), *summary.closed)
+
+
+def plan_signature(
+    plan: PlanNode, estimate: PlanEstimate, subtrees: dict[int, Subtree] | None = None
+) -> tuple:
+    """``fragment_plan(plan, estimate).signature()`` without the fragments."""
+    return _signature(_cut(plan, estimate, {} if subtrees is None else subtrees))
+
+
+def signature_tasks(signature: tuple, fragments: list[Fragment] | None = None) -> list[Task]:
+    """Scheduler tasks for a signature's rows, dependencies wired.
+
+    One task id is drawn per fragment, in fragment order, before any
+    task is built, so every ``depends_on`` is set at construction.
+    With ``fragments`` each task is named after, and carries as
+    payload, its fragment.
+    """
+    ids = [_task_ids() for __ in signature]
+    tasks = []
+    for i, (seq_time, io_count, pattern, memory, deps) in enumerate(signature):
+        fragment = fragments[i] if fragments is not None else None
+        tasks.append(
+            Task(
+                name=f"frag{i}({fragment.root.label()})" if fragment else f"frag{i}",
+                seq_time=seq_time,
+                io_count=io_count,
+                io_pattern=IOPattern(pattern),
+                depends_on=frozenset([ids[i + d] for d in deps]),
+                memory_bytes=memory,
+                task_id=ids[i],
+                payload=fragment,
+            )
+        )
+    return tasks
 
 
 def fragment_plan(
@@ -170,55 +305,20 @@ def fragment_plan(
     profile: the sum of its nodes' CPU and io costs, io pattern by
     majority of io volume.
     """
-    fragments: list[Fragment] = []
-
-    def new_fragment(root: PlanNode) -> Fragment:
-        fragment = Fragment(fragment_id=len(fragments), root=root)
+    summary = _cut(plan, estimate, {})
+    fragments = []
+    for row, items in zip(_signature(summary), (summary.open, *summary.closed_items)):
+        seq_time, io_count, pattern, memory, deps = row
+        fragment = Fragment(
+            fragment_id=len(fragments),
+            root=items[0][0],
+            nodes=[item[0] for item in items],
+            depends_on={len(fragments) + d for d in deps},
+        )
+        if estimate is not None:
+            fragment.seq_time = seq_time
+            fragment.io_count = io_count
+            fragment.io_pattern = IOPattern(pattern)
+            fragment.memory_bytes = memory
         fragments.append(fragment)
-        return fragment
-
-    def assign(node: PlanNode, fragment: Fragment) -> None:
-        fragment.nodes.append(node)
-        blocking = set(node.blocking_children())
-        for i, child in enumerate(node.children):
-            if i in blocking:
-                child_fragment = new_fragment(child)
-                fragment.depends_on.add(child_fragment.fragment_id)
-                assign(child, child_fragment)
-            else:
-                assign(child, fragment)
-
-    assign(plan, new_fragment(plan))
-    if estimate is not None:
-        for fragment in fragments:
-            _profile(fragment, estimate)
     return FragmentGraph(plan=plan, fragments=fragments)
-
-
-def _profile(fragment: Fragment, estimate: PlanEstimate) -> None:
-    """Fill in (T, D, pattern) from per-node estimates."""
-    cpu = 0.0
-    io_time = 0.0
-    ios = 0.0
-    seq_ios = 0.0
-    random_ios = 0.0
-    memory = 0.0
-    for node in fragment.nodes:
-        node_estimate = estimate.node(node)
-        cpu += node_estimate.cpu_time
-        io_time += estimate.io_time(node_estimate)
-        ios += node_estimate.ios
-        memory += node_estimate.memory_bytes
-        if node_estimate.io_pattern == SEQUENTIAL:
-            seq_ios += node_estimate.ios
-        elif node_estimate.io_pattern == RANDOM:
-            random_ios += node_estimate.ios
-    # Working memory (hash tables, sort buffers) is charged to the
-    # fragment containing the consuming node — the table must be
-    # resident while that fragment runs.
-    fragment.seq_time = max(cpu + io_time, 1e-9)
-    fragment.io_count = ios
-    fragment.memory_bytes = memory
-    fragment.io_pattern = (
-        IOPattern.RANDOM if random_ios > seq_ios else IOPattern.SEQUENTIAL
-    )

@@ -105,6 +105,28 @@ class TestInterWithAdj:
                 assert x == int(x)
 
 
+    @pytest.mark.parametrize(
+        "rates", [(60.0, 50.0, 45.0), (60.0, 10.0, 45.0)], ids=["one-sided", "paired"]
+    )
+    def test_ready_tasks_are_classified_once_per_consult(self, monkeypatch, rates):
+        from types import SimpleNamespace
+
+        from repro.core import classify
+
+        classified = []
+        real = classify.is_io_bound
+
+        def counting(candidate, machine):
+            classified.append(candidate)
+            return real(candidate, machine)
+
+        monkeypatch.setattr(classify, "is_io_bound", counting)
+        pending = [task(rate) for rate in rates]
+        state = SimpleNamespace(machine=MACHINE, running=[], pending=pending)
+        assert InterWithAdjPolicy().decide(state)
+        assert classified == pending
+
+
 class TestInterWithoutAdj:
     def test_never_adjusts(self):
         tasks = [task(float(r), 15.0) for r in (65, 60, 10, 8, 45, 20)]

@@ -1,0 +1,237 @@
+"""Composition oracle: a candidate costed from its children's memo
+entries must be the candidate costed from its leaves.
+
+The fast path builds a candidate's :class:`PlanEstimate` and scheduling
+signature from the subtree memo plus the candidate's own new nodes, and
+its simulated tasks straight from the signature rows.  Every search run
+under the ``oracle`` fixture has every candidate it estimates — costed
+or pruned — re-derived the long way — ``estimate_plan`` without a cache, the
+walk-and-cut fragmenter this file keeps as reference, tasks wired one
+``Fragment.to_task`` at a time — and compared exactly.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.check.fuzz import random_join_schema
+from repro.core.ids import id_scope, snapshot_counters
+from repro.core.task import IOPattern
+from repro.executor import between
+from repro.optimizer import (
+    JoinPredicate,
+    OptimizerCaches,
+    OptimizerMode,
+    ParcostObjective,
+    Query,
+    TwoPhaseOptimizer,
+    enumerate_space,
+)
+from repro.plans import (
+    FilterNode,
+    HashJoinNode,
+    IndexScanNode,
+    MergeJoinNode,
+    NestLoopJoinNode,
+    ProjectNode,
+    RANDOM,
+    SEQUENTIAL,
+    SortNode,
+    estimate_plan,
+    fragment_plan,
+)
+from repro.plans.fragments import plan_signature, signature_tasks
+
+from .corpus_tools import SPACES, WORKLOADS
+
+def _reference_order(plan, cached: set[int]) -> list[int]:
+    """Preorder under a cached root, children-then-node above it."""
+    if plan.node_id in cached:
+        return [node.node_id for node in plan.walk()]
+    order = [i for child in plan.children for i in _reference_order(child, cached)]
+    return order + [plan.node_id]
+
+
+def _reference_fragments(plan, estimate):
+    """The fragmenter as it was before summaries: walk, cut, then sum.
+
+    Returns per fragment ``(node ids, dependencies, T, D, pattern,
+    memory)`` with every sum taken left to right over the fragment's
+    nodes in the order the walk met them.
+    """
+    fragments: list[tuple[list, set]] = []
+
+    def assign(node, index):
+        fragments[index][0].append(node)
+        blocking = set(node.blocking_children())
+        for i, child in enumerate(node.children):
+            if i in blocking:
+                fragments.append(([], set()))
+                fragments[index][1].add(len(fragments) - 1)
+                assign(child, len(fragments) - 1)
+            else:
+                assign(child, index)
+
+    fragments.append(([], set()))
+    assign(plan, 0)
+    rows = []
+    for nodes, deps in fragments:
+        cpu = io_time = ios = seq_ios = random_ios = memory = 0.0
+        for node in nodes:
+            e = estimate.node(node)
+            cpu += e.cpu_time
+            io_time += estimate.io_time(e)
+            ios += e.ios
+            memory += e.memory_bytes
+            if e.io_pattern == SEQUENTIAL:
+                seq_ios += e.ios
+            elif e.io_pattern == RANDOM:
+                random_ios += e.ios
+        pattern = IOPattern.RANDOM if random_ios > seq_ios else IOPattern.SEQUENTIAL
+        rows.append(
+            ([n.node_id for n in nodes], deps, max(cpu + io_time, 1e-9), ios, pattern, memory)
+        )
+    return rows
+
+
+def _reference_tasks(graph):
+    """``to_tasks`` the long way: build each task, then re-wire it."""
+    tasks = [fragment.to_task() for fragment in graph.fragments]
+    ids = {f.fragment_id: t.task_id for f, t in zip(graph.fragments, tasks)}
+    return [
+        task.with_dependencies(ids[d] for d in fragment.depends_on)
+        for fragment, task in zip(graph.fragments, tasks)
+    ]
+
+
+def _in_fresh_scope(build):
+    with id_scope():
+        tasks = build()
+        return tasks, snapshot_counters().get("task", 0)
+
+
+def _scheduling_view(tasks):
+    return [
+        (t.seq_time, t.io_count, t.io_pattern, t.memory_bytes, t.task_id, t.depends_on)
+        for t in tasks
+    ]
+
+
+def _check_costing(plan, estimate, fresh, subtrees, seen) -> None:
+    """Signature and tasks composed from the memo == cut from the root."""
+    graph = fragment_plan(plan, fresh)
+    assert [
+        (
+            [n.node_id for n in f.nodes],
+            f.depends_on,
+            f.seq_time,
+            f.io_count,
+            f.io_pattern,
+            f.memory_bytes,
+        )
+        for f in graph.fragments
+    ] == _reference_fragments(plan, fresh)
+    signature = graph.signature()
+    assert plan_signature(plan, estimate, subtrees) == signature
+    from_rows, drawn = _in_fresh_scope(lambda: signature_tasks(signature))
+    for build in (lambda: _reference_tasks(graph), graph.to_tasks):
+        expected, expected_drawn = _in_fresh_scope(build)
+        assert _scheduling_view(from_rows) == _scheduling_view(expected)
+        assert drawn == expected_drawn == len(graph)
+    seen["checked"] += 1
+    for node in plan.walk():
+        seen[type(node).__name__] += 1
+        if isinstance(node, NestLoopJoinNode) and not node.blocking_children():
+            seen["NestLoopJoinNode/pipelined"] += 1
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Check every candidate estimated under it, costed or pruned.
+
+    Returns a counter of what was checked: ``checked`` and one entry
+    per plan-node type (``NestLoopJoinNode/pipelined`` for a nest-loop
+    whose index-scan inner does not block).
+    """
+    seen: Counter = Counter()
+    real_estimate = OptimizerCaches.estimate
+
+    def estimate(self, plan, catalog, *, cost_model, machine):
+        self.sync(catalog)
+        cached = set(self.node_estimates)
+        composed = real_estimate(
+            self, plan, catalog, cost_model=cost_model, machine=machine
+        )
+        fresh = estimate_plan(plan, catalog, cost_model=cost_model, machine=machine)
+        # The order seqcost()/total_ios() sum in, and the same nodes
+        # with the same estimates as a search with no memo at all.
+        assert list(composed.by_node) == _reference_order(plan, cached)
+        assert composed.by_node == fresh.by_node
+        _check_costing(plan, composed, fresh, self.subtrees, seen)
+        return composed
+
+    monkeypatch.setattr(OptimizerCaches, "estimate", estimate)
+    return seen
+
+
+def _check_chosen(plan, catalog, caches, seen) -> None:
+    """The search's answer again, now one cached root (plus a projection)."""
+    cached = set(caches.node_estimates)
+    estimate = estimate_plan(plan, catalog, cache=caches.node_estimates)
+    assert list(estimate.by_node) == _reference_order(plan, cached)
+    _check_costing(plan, estimate, estimate_plan(plan, catalog), caches.subtrees, seen)
+    assert caches.subtrees.keys() <= caches.node_estimates.keys()
+
+
+def _search_every_space(schema, oracle):
+    for space in SPACES:
+        caches = OptimizerCaches()
+        objective = ParcostObjective(schema.catalog, caches=caches)
+        before = oracle["checked"]
+        plan = enumerate_space(
+            schema.query, schema.catalog, objective, space=space, caches=caches
+        )
+        # Every candidate offered is estimated, and so checked, once.
+        assert oracle["checked"] - before == caches.stats.candidates > 0
+        _check_chosen(plan, schema.catalog, caches, oracle)
+
+
+@pytest.mark.parametrize(
+    "factory", [factory for __, factory in WORKLOADS], ids=[label for label, __ in WORKLOADS]
+)
+def test_corpus_workloads_compose_exactly(factory, oracle):
+    _search_every_space(factory(), oracle)
+    for kind in (HashJoinNode, MergeJoinNode, SortNode, NestLoopJoinNode):
+        assert oracle[kind.__name__]
+
+
+@pytest.mark.parametrize("mode", list(OptimizerMode))
+def test_every_operator_shape_composes_exactly(catalog, mode, oracle):
+    """Index-scan inner, residual filter and a projection on top."""
+    query = Query(
+        relations=["r1", "r2", "r3"],
+        joins=[
+            JoinPredicate("r1", "a", "r2", "b2"),
+            JoinPredicate("r1", "b1", "r2", "c2"),
+            JoinPredicate("r2", "c2", "r3", "c3"),
+        ],
+        selections={"r1": between("a", 0, 0)},
+        projection=("d3",),
+    )
+    optimizer = TwoPhaseOptimizer(catalog)
+    optimized = optimizer.optimize(query, mode=mode)
+    assert isinstance(optimized.plan, ProjectNode)
+    _check_chosen(optimized.plan, catalog, optimizer.caches, oracle)
+    assert oracle[ProjectNode.__name__]
+    assert oracle["checked"] > optimizer.cache_stats.candidates
+    for kind in (FilterNode, IndexScanNode, HashJoinNode, MergeJoinNode, SortNode):
+        assert oracle[kind.__name__], kind
+    assert oracle["NestLoopJoinNode/pipelined"]
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", range(40))
+def test_random_schemas_compose_exactly(seed, oracle):
+    _search_every_space(random_join_schema(seed), oracle)

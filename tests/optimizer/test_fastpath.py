@@ -471,8 +471,15 @@ class TestSharedPlansStayIntact:
 
     @staticmethod
     def _snapshot(plan):
+        # vars(): a memo hung on a shared plan node would show up here.
         return [
-            (node.node_id, type(node), node.label(), tuple(id(c) for c in node.children))
+            (
+                node.node_id,
+                type(node),
+                node.label(),
+                tuple(id(c) for c in node.children),
+                sorted(vars(node)),
+            )
             for node in plan.walk()
         ]
 
@@ -520,6 +527,38 @@ class TestNodeEstimateMemoIsBounded:
         assert caches.subplans
         assert set(caches.node_estimates) == _reachable_ids(caches)
         assert caches.stats.candidates > len(caches.subplans)  # losers existed
+        # The subtree memo shadows the estimates: reused subplans only,
+        # each entry covering exactly its own subtree.
+        assert caches.subtrees
+        assert caches.subtrees.keys() <= caches.node_estimates.keys()
+        by_id = {
+            node.node_id: node
+            for __, plan in caches.subplans.values()
+            for node in plan.walk()
+        }
+        for node_id, subtree in caches.subtrees.items():
+            assert list(subtree.by_node) == [n.node_id for n in by_id[node_id].walk()]
+
+    def test_cold_search_counters_are_pinned(self):
+        """One fixed cold search, counter for counter.
+
+        A "pure speed" change that alters pruning, signature sharing or
+        the hit/miss accounting moves one of these before it moves a
+        benchmark table.
+        """
+        schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
+        optimizer = TwoPhaseOptimizer(schema.catalog)
+        optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
+        stats = optimizer.cache_stats.as_dict()
+        assert {key: stats[key] for key in stats if not key.startswith("subplan")} == {
+            "candidates": 2696,
+            "pruned": 1349,
+            "costed": 1347,
+            "parcost_hits": 947,
+            "parcost_misses": 400,
+            "estimate_hits": 34080,
+            "estimate_misses": 4488,
+        }
 
     def test_estimates_of_kept_nodes_are_the_uncached_ones(self, star):
         optimizer = TwoPhaseOptimizer(star.catalog)

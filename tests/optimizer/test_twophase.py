@@ -133,7 +133,10 @@ class TestStatsEpoch:
 
         # ANALYZE finds r1 shrunk to a handful of rows.
         old = catalog.table("r1").stats
+        assert opt.caches.subtrees
         catalog.set_stats("r1", replace(old, row_count=8, page_count=1))
+        opt.caches.sync(catalog)
+        assert not opt.caches.subtrees and not opt.caches.node_estimates
         replanned = opt.optimize(chain_query, mode=mode)
         assert replanned.stats["subplan_misses"] > again.stats["subplan_misses"]
         assert replanned.stats["candidates"] > again.stats["candidates"]
@@ -157,6 +160,12 @@ class TestStatsEpoch:
         position = catalog.table("r2").schema.index_of("b2")
         for rid, row in catalog.table("r2").heap.scan():
             index.insert(row[position], rid)
+        opt.parallelize(before)  # reuses the plan whole: a subtree entry
+        assert opt.caches.subtrees
         catalog.add_index("r2", "r2_b2_idx", "b2", index, clustered=True)
+        opt.caches.sync(catalog)
+        assert not opt.caches.subtrees and not opt.caches.node_estimates
         after = opt.choose_plan(query, OptimizerMode.LEFT_DEEP_SEQ)
         assert isinstance(after, IndexScanNode)
+        fresh = TwoPhaseOptimizer(catalog).choose_plan(query, OptimizerMode.LEFT_DEEP_SEQ)
+        assert after.label() == fresh.label()

@@ -15,7 +15,6 @@ operations in the tasks do not affect the performance" (Section 3).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -101,11 +100,31 @@ class Task:
 
     def with_dependencies(self, task_ids) -> "Task":
         """A copy of this task (same task_id) depending on ``task_ids``."""
-        return dataclasses.replace(self, depends_on=frozenset(task_ids))
+        return Task(
+            name=self.name,
+            seq_time=self.seq_time,
+            io_count=self.io_count,
+            io_pattern=self.io_pattern,
+            arrival_time=self.arrival_time,
+            depends_on=frozenset(task_ids),
+            memory_bytes=self.memory_bytes,
+            task_id=self.task_id,
+            payload=self.payload,
+        )
 
     def with_memory(self, memory_bytes: float) -> "Task":
         """A copy of this task (same task_id) pinning ``memory_bytes``."""
-        return dataclasses.replace(self, memory_bytes=memory_bytes)
+        return Task(
+            name=self.name,
+            seq_time=self.seq_time,
+            io_count=self.io_count,
+            io_pattern=self.io_pattern,
+            arrival_time=self.arrival_time,
+            depends_on=self.depends_on,
+            memory_bytes=memory_bytes,
+            task_id=self.task_id,
+            payload=self.payload,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,6 @@ from .cache import CacheStats, OptimizerCaches
 from .enumeration import (
     JOIN_METHODS,
     access_paths,
-    delivered_order,
     enumerate_all_bushy,
     enumerate_space,
     join_candidates,
@@ -44,7 +43,6 @@ __all__ = [
     "QuerySubmission",
     "TwoPhaseOptimizer",
     "access_paths",
-    "delivered_order",
     "enumerate_all_bushy",
     "enumerate_space",
     "join_candidates",

@@ -60,13 +60,14 @@ class CacheStats:
 
     Attributes:
         candidates: candidate plans the enumeration considered.
-        pruned: candidates dropped without a full cost call (beaten on
-            both the parcost lower bound and interesting order).
+        pruned: candidates dropped without a full cost call (their
+            parcost lower bound exceeds the incumbent's cost).
         costed: candidates that reached the cost function.
         parcost_hits: parcost calls answered from the signature cache.
         parcost_misses: parcost calls that ran a fresh simulation.
         estimate_hits: plan nodes whose estimate came out of the node
-            memo (a candidate's reused subplans).
+            memo (a candidate's reused subplans; counted once per
+            candidate, when it is estimated).
         estimate_misses: plan nodes that had to be estimated (a
             candidate's own top nodes).
         subplan_hits: DP cells answered from the cross-query sub-plan

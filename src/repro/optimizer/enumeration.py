@@ -14,18 +14,21 @@ The conventional (System-R style) layer under the two-phase strategy:
 Dynamic programming over connected subsets, cross products avoided
 whenever the join graph is connected.  Ties on cost are broken by a
 deterministic canonical plan key (:func:`plan_shape_key`), so the
-chosen plan never depends on candidate generation order — which is what
-lets the fast path (memoized parcost plus branch-and-bound skipping,
-see :mod:`repro.optimizer.cache`) promise byte-identical plans: a
-candidate is only skipped when its provable cost lower bound *strictly*
-exceeds the incumbent's true cost and the incumbent also covers its
-interesting order, so no skipped candidate could have won either the
-cost comparison or the tie-break.  Exact cost ties are common, not
-rare — merge join is symmetric in its inputs and equal-cardinality
-relations are interchangeable, so on the serving workload one offer in
-nine ties its incumbent to the last bit — which is why the key exists
-at all and why nothing here may reorder a cost sum: an exact tie the
-key settles would become ulp noise settling it.
+chosen plan never depends on the order candidates are generated or
+costed in — which is what lets the fast path (memoized parcost plus
+branch-and-bound skipping, see :mod:`repro.optimizer.cache`) promise
+byte-identical plans.  A cell keeps *one* plan, so strict cost dominance
+is sufficient to skip a candidate: when its provable lower bound
+exceeds the incumbent's true cost it could have won neither the cost
+comparison nor the tie-break.  The order it would deliver is beside the
+point — no parent rule reads a child's order (:func:`join_candidates`
+sorts both merge inputs itself), so once costed it loses its cell
+anyway.  Exact cost ties are common, not rare — merge join is symmetric
+in its inputs and equal-cardinality relations are interchangeable, so
+on the serving workload one offer in nine ties its incumbent to the
+last bit — which is why the key exists at all and why nothing here may
+reorder a cost sum: an exact tie the key settles would become ulp noise
+settling it.
 
 The DP table is also the unit of sharing *across* queries.
 ``best[subset]`` is context-free: it is a function of the subset, the
@@ -41,6 +44,7 @@ one lookup of its full cell.
 from __future__ import annotations
 
 from itertools import combinations, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from ..catalog.catalog import Catalog
@@ -150,30 +154,6 @@ def plan_shape_key(plan: pn.PlanNode) -> str:
     return f"{plan.label()}[{inner}]"
 
 
-def delivered_order(plan: pn.PlanNode) -> tuple[str, ...]:
-    """The sort order a subplan's output is known to satisfy.
-
-    Sort delivers its keys; merge join preserves the outer's join
-    column; order-preserving unary operators (filter, project, limit)
-    pass their child's order through; everything else delivers none.
-    This is the "interesting order" side of dominance pruning: an
-    incumbent only shadows a pruned candidate when it delivers at least
-    the candidate's order.
-    """
-    if isinstance(plan, pn.SortNode):
-        return tuple(plan.columns)
-    if isinstance(plan, pn.MergeJoinNode):
-        return (plan.outer_column,)
-    if isinstance(plan, (pn.FilterNode, pn.ProjectNode, pn.LimitNode)):
-        return delivered_order(plan.children[0])
-    return ()
-
-
-def _order_covered(candidate: tuple[str, ...], incumbent: tuple[str, ...]) -> bool:
-    """Does ``incumbent`` deliver every order ``candidate`` delivers?"""
-    return incumbent[: len(candidate)] == candidate
-
-
 #: Relative margin a candidate's lower bound must clear before it is
 #: pruned.  The bound is mathematically ``<= parcost``, but the two
 #: sides are computed through different float summation orders, so the
@@ -242,7 +222,7 @@ def _drop_losers(estimates: EstimateMemo, mark: int, winner: pn.PlanNode) -> Non
 
 
 class _Incumbent:
-    """Streaming best-candidate tracker for one DP subset.
+    """Best-candidate tracker for one DP subset.
 
     Keeps the candidate minimizing ``(cost, plan_shape_key)``.  The key
     is a recursive string join, so it is built lazily: for a candidate
@@ -250,40 +230,66 @@ class _Incumbent:
     once, then kept.
 
     When the cost function exposes ``lower_bound`` (the fast path's
-    :class:`~repro.optimizer.parcost.ParcostObjective`), candidates
-    whose provable bound exceeds the current incumbent's true cost by
-    :data:`PRUNE_MARGIN` — and whose interesting order the incumbent
-    covers — are dropped without the expensive cost call.  Safety: the
-    skipped candidate's true cost is ``>= bound - ulp noise >
-    incumbent >= final best``, so it can never win or even tie the
-    ``(cost, key)`` minimum; near-ties inside the margin are always
-    costed and settled by the key, keeping the chosen plan
-    byte-identical to the unpruned search.
+    :class:`~repro.optimizer.parcost.ParcostObjective`), a candidate
+    whose provable bound exceeds the incumbent's true cost by
+    :data:`PRUNE_MARGIN` is dropped without the expensive cost call.
+    Safety: the cell keeps one plan, and the skipped candidate's true
+    cost is ``>= bound - ulp noise > incumbent >= final best``, so it
+    can never win or even tie the ``(cost, key)`` minimum; near-ties
+    inside the margin are always costed and settled by the key, keeping
+    the chosen plan byte-identical to the unpruned search.
     """
 
-    __slots__ = ("cost_fn", "lower_bound", "stats", "cost", "key", "plan", "order")
+    __slots__ = ("cost_fn", "stats", "cost", "key", "plan")
 
     def __init__(self, cost_fn: PlanCost, stats: CacheStats | None) -> None:
         self.cost_fn = cost_fn
-        self.lower_bound = getattr(cost_fn, "lower_bound", None)
         self.stats = stats
         self.cost: float | None = None
         self.key: str | None = None
         self.plan: pn.PlanNode | None = None
-        self.order: tuple[str, ...] = ()
 
-    def offer(self, candidate: pn.PlanNode) -> None:
+    def offer_all(self, candidates: Iterable[pn.PlanNode]) -> None:
+        """Offer one cell's candidates, cheapest bound first if bounded.
+
+        Every bound is taken before anything is costed, in generation
+        order, so the estimate memo fills exactly as a streaming search
+        fills it.  Costing then runs in ascending-bound order: the
+        winner's bound is below every bound its cost prunes, so it is
+        costed before them and a candidate is costed if and only if its
+        bound does not clear the cell's *final* cost — the fewest cost
+        calls any order allows.  The minimum of ``(cost, key)`` does
+        not depend on the order it is searched in.
+        """
+        lower_bound = getattr(self.cost_fn, "lower_bound", None)
+        if lower_bound is None:
+            for candidate in candidates:
+                self.offer(candidate)
+            return
+        bounded = [(*lower_bound(candidate), candidate) for candidate in candidates]
+        bounded.sort(key=itemgetter(0))
+        for bound, estimate, candidate in bounded:
+            self.offer(candidate, bound, estimate)
+
+    def offer(
+        self, candidate: pn.PlanNode, bound: float | None = None, estimate=None
+    ) -> None:
+        """Cost ``candidate`` unless ``bound`` says it cannot win.
+
+        ``estimate`` is whatever ``lower_bound`` built next to the
+        bound, handed back to the cost function instead of rebuilt.
+        """
         stats = self.stats
         if stats is not None:
             stats.candidates += 1
-        if self.cost is not None and self.lower_bound is not None:
-            if self.lower_bound(candidate) > self.cost * (
-                1.0 + PRUNE_MARGIN
-            ) and _order_covered(delivered_order(candidate), self.order):
-                if stats is not None:
-                    stats.pruned += 1
-                return
-        cost = self.cost_fn(candidate)
+        if bound is None:
+            cost = self.cost_fn(candidate)
+        elif self.cost is not None and bound > self.cost * (1.0 + PRUNE_MARGIN):
+            if stats is not None:
+                stats.pruned += 1
+            return
+        else:
+            cost = self.cost_fn(candidate, estimate)
         if stats is not None:
             stats.costed += 1
         key = None
@@ -299,7 +305,6 @@ class _Incumbent:
         self.cost = cost
         self.key = key
         self.plan = candidate
-        self.order = delivered_order(candidate)
 
 
 def enumerate_space(
@@ -320,9 +325,9 @@ def enumerate_space(
         catalog: resolves schemas, indexes and statistics.
         cost: plan-cost function (seqcost or parcost); lower is better.
             When it exposes a ``lower_bound(plan)`` method (see
-            :class:`~repro.optimizer.parcost.ParcostObjective`),
-            candidates provably beaten by the running incumbent are
-            skipped without costing.
+            :class:`~repro.optimizer.parcost.ParcostObjective`), each
+            cell is costed cheapest bound first and candidates provably
+            beaten by the incumbent are skipped without costing.
         space: ``"left-deep"``, ``"right-deep"`` or ``"bushy"``.
         methods: join methods to consider.
         avoid_cross_products: skip unconnected splits when the join
@@ -415,8 +420,7 @@ def enumerate_space(
             stats.subplan_misses += 1
         mark = len(estimates) if estimates is not None else 0
         incumbent = _Incumbent(cost, stats)
-        for candidate in candidates:
-            incumbent.offer(candidate)
+        incumbent.offer_all(candidates)
         if incumbent.plan is None:
             return
         assert incumbent.cost is not None

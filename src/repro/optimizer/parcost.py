@@ -261,11 +261,6 @@ class ParcostObjective:
         self.cost_model = cost_model
         self.policy = policy
         self.caches = caches
-        # One-slot memo: enumeration probes lower_bound(plan) and then
-        # costs the same plan object, so the estimate built for the
-        # bound is handed straight to parcost instead of re-walked.
-        self._memo_id = -1
-        self._memo_estimate: PlanEstimate | None = None
         #: What the enumeration shares DP cells under; None = never
         #: (no caches, or a policy that cannot be keyed).
         self.memo_key: tuple | None = None
@@ -282,26 +277,17 @@ class ParcostObjective:
     def stats(self):
         return self.caches.stats if self.caches is not None else None
 
-    def __call__(self, plan: PlanNode) -> float:
-        estimate = None
-        caches = self.caches
-        if caches is not None:
-            if self._memo_id == plan.node_id:
-                # Handed over by lower_bound.  Single use, so the slot
-                # can never outlive the statistics it was built under.
-                estimate = self._memo_estimate
-                assert estimate is not None
-                self._memo_id, self._memo_estimate = -1, None
-                caches.stats.estimate_hits += len(estimate.by_node)
-            else:
-                estimate = self._estimate(plan)
+    def __call__(self, plan: PlanNode, estimate: PlanEstimate | None = None) -> float:
+        """``parcost(plan)``; ``estimate`` is the one :meth:`lower_bound` built."""
+        if estimate is None and self.caches is not None:
+            estimate = self._estimate(plan)
         return parcost(
             plan,
             self.catalog,
             machine=self.machine,
             cost_model=self.cost_model,
             policy=self.policy,
-            caches=caches,
+            caches=self.caches,
             estimate=estimate,
         )
 
@@ -311,8 +297,12 @@ class ParcostObjective:
             plan, self.catalog, cost_model=self.cost_model, machine=self.machine
         )
 
-    def lower_bound(self, plan: PlanNode) -> float:
-        """Cheap provable bound (see :func:`parcost_lower_bound`)."""
+    def lower_bound(self, plan: PlanNode) -> tuple[float, PlanEstimate]:
+        """Cheap provable bound (see :func:`parcost_lower_bound`).
+
+        Returned with the estimate it was read off, which the search
+        hands back to :meth:`__call__` if it costs the plan after all —
+        so a candidate is estimated exactly once either way.
+        """
         estimate = self._estimate(plan)
-        self._memo_id, self._memo_estimate = plan.node_id, estimate
-        return parcost_lower_bound(estimate, self.machine)
+        return parcost_lower_bound(estimate, self.machine), estimate

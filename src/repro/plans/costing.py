@@ -19,8 +19,10 @@ calibration bench re-derives them against the real executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from math import log2
+from typing import Callable
 
 from ..catalog.catalog import Catalog
 from ..catalog.statistics import ColumnStats, RelationStats
@@ -52,7 +54,6 @@ class CostModel:
     cpu_output_time: float = 0.00005
 
 
-@dataclass
 class NodeEstimate:
     """Estimated behaviour of one plan node (excluding its children).
 
@@ -65,15 +66,64 @@ class NodeEstimate:
             (hash table, sort buffer, materialization buffer).
         avg_row_bytes: estimated width of one output row.
         column_stats: propagated per-column statistics of the output.
+            May be handed over as a zero-argument callable, which runs
+            on first read: only a parent rule reads them, and most join
+            candidates lose their DP cell before they have a parent.
     """
 
-    rows: float
-    ios: float = 0.0
-    io_pattern: str | None = None
-    cpu_time: float = 0.0
-    memory_bytes: float = 0.0
-    avg_row_bytes: float = 0.0
-    column_stats: dict[str, ColumnStats] = field(default_factory=dict)
+    __slots__ = (
+        "rows",
+        "ios",
+        "io_pattern",
+        "cpu_time",
+        "memory_bytes",
+        "avg_row_bytes",
+        "_column_stats",
+    )
+
+    def __init__(
+        self,
+        rows: float,
+        ios: float = 0.0,
+        io_pattern: str | None = None,
+        cpu_time: float = 0.0,
+        memory_bytes: float = 0.0,
+        avg_row_bytes: float = 0.0,
+        column_stats: dict[str, ColumnStats] | Callable[[], dict] | None = None,
+    ) -> None:
+        self.rows = rows
+        self.ios = ios
+        self.io_pattern = io_pattern
+        self.cpu_time = cpu_time
+        self.memory_bytes = memory_bytes
+        self.avg_row_bytes = avg_row_bytes
+        self._column_stats = {} if column_stats is None else column_stats
+
+    @property
+    def column_stats(self) -> dict[str, ColumnStats]:
+        stats = self._column_stats
+        if callable(stats):
+            stats = self._column_stats = stats()
+        return stats
+
+    def _astuple(self) -> tuple:
+        return (
+            self.rows,
+            self.ios,
+            self.io_pattern,
+            self.cpu_time,
+            self.memory_bytes,
+            self.avg_row_bytes,
+            self.column_stats,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NodeEstimate:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return f"NodeEstimate{self._astuple()!r}"
 
 
 @dataclass
@@ -465,6 +515,7 @@ class _Estimator:
 
     @staticmethod
     def _merged_stats(outer: NodeEstimate, inner: NodeEstimate, rows: float):
+        """A join's output statistics; the join rules defer this call."""
         merged = dict(outer.column_stats)
         for name, stats in inner.column_stats.items():
             merged.setdefault(name, stats)
@@ -499,7 +550,7 @@ class _Estimator:
             # The lowered nest-loop materializes its inner.
             memory_bytes=inner.rows * inner.avg_row_bytes,
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=self._merged_stats(outer, inner, rows_out),
+            column_stats=partial(self._merged_stats, outer, inner, rows_out),
         )
 
     def _visit_MergeJoinNode(self, node: pn.MergeJoinNode, children) -> NodeEstimate:
@@ -513,7 +564,7 @@ class _Estimator:
             rows=rows_out,
             cpu_time=cpu,
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=self._merged_stats(outer, inner, rows_out),
+            column_stats=partial(self._merged_stats, outer, inner, rows_out),
         )
 
     def _visit_HashJoinNode(self, node: pn.HashJoinNode, children) -> NodeEstimate:
@@ -530,7 +581,7 @@ class _Estimator:
             # The hash table holds the whole build (inner) side.
             memory_bytes=inner.rows * inner.avg_row_bytes,
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=self._merged_stats(outer, inner, rows_out),
+            column_stats=partial(self._merged_stats, outer, inner, rows_out),
         )
 
 

@@ -51,6 +51,33 @@ class TestTask:
         assert wired.task_id == task.task_id
         assert wired.depends_on == {dep.task_id}
 
+    def test_copies_equal_dataclasses_replace_field_for_field(self):
+        import dataclasses
+
+        task = Task(
+            "t",
+            seq_time=5.0,
+            io_count=10.0,
+            io_pattern=IOPattern.RANDOM,
+            arrival_time=2.0,
+            depends_on=frozenset({7}),
+            memory_bytes=64.0,
+            payload=object(),
+        )
+        for copy, change in (
+            (task.with_dependencies(iter([3, 4])), {"depends_on": frozenset({3, 4})}),
+            (task.with_memory(128.0), {"memory_bytes": 128.0}),
+        ):
+            expected = dataclasses.replace(task, **change)
+            for f in dataclasses.fields(Task):
+                assert getattr(copy, f.name) == getattr(expected, f.name), f.name
+            assert copy.payload is task.payload
+
+    def test_copies_still_validate(self):
+        task = Task("t", seq_time=5.0, io_count=10.0)
+        with pytest.raises(SchedulingError):
+            task.with_memory(-1.0)
+
 
 class TestMakeTask:
     def test_from_io_rate(self):

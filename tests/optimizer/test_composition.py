@@ -8,10 +8,17 @@ under the ``oracle`` fixture has every candidate it estimates — costed
 or pruned — re-derived the long way — ``estimate_plan`` without a cache, the
 walk-and-cut fragmenter this file keeps as reference, tasks wired one
 ``Fragment.to_task`` at a time — and compared exactly.
+
+The same oracle holds the branch-and-bound to its two promises: the
+bound a candidate is pruned on never exceeds its simulated ``parcost``
+beyond :data:`PRUNE_MARGIN` (checked for every candidate, pruned ones
+included), and a cell settles on the same ``(cost, plan_shape_key)``
+whatever order its candidates arrive in.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -28,7 +35,11 @@ from repro.optimizer import (
     Query,
     TwoPhaseOptimizer,
     enumerate_space,
+    parcost,
+    parcost_lower_bound,
+    plan_shape_key,
 )
+from repro.optimizer.enumeration import PRUNE_MARGIN, _Incumbent
 from repro.plans import (
     FilterNode,
     HashJoinNode,
@@ -151,6 +162,7 @@ def _check_costing(plan, estimate, fresh, subtrees, seen) -> None:
 def oracle(monkeypatch):
     """Check every candidate estimated under it, costed or pruned.
 
+    Each one's lower bound is held against a fresh simulation too.
     Returns a counter of what was checked: ``checked`` and one entry
     per plan-node type (``NestLoopJoinNode/pipelined`` for a nest-loop
     whose index-scan inner does not block).
@@ -170,6 +182,12 @@ def oracle(monkeypatch):
         assert list(composed.by_node) == _reference_order(plan, cached)
         assert composed.by_node == fresh.by_node
         _check_costing(plan, composed, fresh, self.subtrees, seen)
+        # The bound the search prunes on against a simulation of its own.
+        with id_scope():
+            simulated = parcost(
+                plan, catalog, machine=machine, cost_model=cost_model, estimate=fresh
+            )
+        assert parcost_lower_bound(composed, machine) <= simulated * (1.0 + PRUNE_MARGIN)
         return composed
 
     monkeypatch.setattr(OptimizerCaches, "estimate", estimate)
@@ -198,13 +216,53 @@ def _search_every_space(schema, oracle):
         _check_chosen(plan, schema.catalog, caches, oracle)
 
 
-@pytest.mark.parametrize(
+def _settled_cells(schema, space, monkeypatch, permute) -> dict:
+    """Every DP cell's ``(cost hex, shape key)`` with its candidates permuted."""
+    real = _Incumbent.offer_all
+
+    def offer_all(self, candidates):
+        real(self, permute(list(candidates)))
+
+    caches = OptimizerCaches()
+    objective = ParcostObjective(schema.catalog, caches=caches)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Incumbent, "offer_all", offer_all)
+        enumerate_space(
+            schema.query, schema.catalog, objective, space=space, caches=caches
+        )
+    return {
+        key[1]: (cost.hex(), plan_shape_key(plan))
+        for key, (cost, plan) in caches.subplans.items()
+    }
+
+
+def _check_order_independence(schema, monkeypatch, seed=0) -> None:
+    def shuffled(candidates):
+        random.Random(seed).shuffle(candidates)
+        return candidates
+
+    for space in SPACES:
+        as_generated = _settled_cells(schema, space, monkeypatch, lambda c: c)
+        assert len(as_generated) >= len(schema.query.relations)
+        for permute in (lambda c: c[::-1], shuffled):
+            assert _settled_cells(schema, space, monkeypatch, permute) == as_generated
+
+
+_CORPUS = pytest.mark.parametrize(
     "factory", [factory for __, factory in WORKLOADS], ids=[label for label, __ in WORKLOADS]
 )
+
+
+@_CORPUS
 def test_corpus_workloads_compose_exactly(factory, oracle):
     _search_every_space(factory(), oracle)
     for kind in (HashJoinNode, MergeJoinNode, SortNode, NestLoopJoinNode):
         assert oracle[kind.__name__]
+
+
+@_CORPUS
+def test_corpus_cells_settle_the_same_in_any_candidate_order(factory, monkeypatch):
+    _check_order_independence(factory(), monkeypatch)
 
 
 @pytest.mark.parametrize("mode", list(OptimizerMode))
@@ -235,3 +293,11 @@ def test_every_operator_shape_composes_exactly(catalog, mode, oracle):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_schemas_compose_exactly(seed, oracle):
     _search_every_space(random_join_schema(seed), oracle)
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", range(40))
+def test_random_schemas_bound_is_sound_in_any_candidate_order(seed, oracle, monkeypatch):
+    """Permuted searches under the oracle: every bound, every ordering."""
+    _check_order_independence(random_join_schema(seed), monkeypatch, seed)
+    assert oracle["checked"]

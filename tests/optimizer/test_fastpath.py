@@ -29,11 +29,11 @@ from repro.optimizer import (
     parcost_lower_bound,
     plan_shape_key,
 )
-from repro.optimizer.enumeration import PRUNE_MARGIN, delivered_order
+from repro.optimizer.enumeration import PRUNE_MARGIN
 from repro.optimizer.parcost import _policy_cache_key
 from repro.plans.costing import estimate_plan
 from repro.plans.fragments import fragment_plan
-from repro.plans.nodes import HashJoinNode, SeqScanNode, SortNode
+from repro.plans.nodes import HashJoinNode, MergeJoinNode, SeqScanNode
 from repro.workloads.queries import chain_join, star_join
 
 
@@ -154,6 +154,47 @@ class TestLowerBound:
             checked += 1
         assert checked > 50
 
+    def test_dearer_merge_join_is_pruned_not_simulated(self, monkeypatch):
+        """Cost dominance alone decides: a candidate reaches the cost
+        function iff its bound does not clear its cell's *final* cost.
+
+        Before, a merge join was costed whenever the incumbent did not
+        deliver its sort order — nearly always, the incumbent being a
+        hash join — though no parent ever reads that order.
+        """
+        schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
+        bounds, costed = {}, set()
+        real_bound = ParcostObjective.lower_bound
+        real_cost = ParcostObjective.__call__
+
+        def lower_bound(self, plan):
+            bound, estimate = real_bound(self, plan)
+            bounds[plan.node_id] = (plan, bound)
+            return bound, estimate
+
+        def cost(self, plan, estimate=None):
+            costed.add(plan.node_id)
+            return real_cost(self, plan, estimate)
+
+        monkeypatch.setattr(ParcostObjective, "lower_bound", lower_bound)
+        monkeypatch.setattr(ParcostObjective, "__call__", cost)
+        optimizer = TwoPhaseOptimizer(schema.catalog)
+        optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
+
+        def relations(plan):
+            return frozenset(n.table for n in plan.walk() if hasattr(n, "table"))
+
+        final = {
+            relations(plan): cost for cost, plan in optimizer.caches.subplans.values()
+        }
+        merges_pruned = 0
+        for plan, bound in bounds.values():
+            dominated = bound > final[relations(plan)] * (1.0 + PRUNE_MARGIN)
+            assert (plan.node_id not in costed) == dominated
+            merges_pruned += dominated and isinstance(plan, MergeJoinNode)
+        assert len(bounds) == optimizer.cache_stats.candidates
+        assert merges_pruned > 500
+
     def test_pruning_stats_account_for_every_candidate(self, star):
         caches = OptimizerCaches()
         objective = ParcostObjective(star.catalog, caches=caches)
@@ -174,15 +215,6 @@ class TestLowerBound:
         assert as_dict["candidates"] == stats.candidates
         stats.reset()
         assert stats.candidates == 0
-
-
-class TestDeliveredOrder:
-    def test_sort_delivers_its_keys(self):
-        plan = SortNode(SeqScanNode("s1"), ("s1_r",))
-        assert delivered_order(plan) == ("s1_r",)
-
-    def test_plain_scan_delivers_nothing(self):
-        assert delivered_order(SeqScanNode("s1")) == ()
 
 
 class TestDeterminism:
@@ -545,6 +577,17 @@ class TestNodeEstimateMemoIsBounded:
         A "pure speed" change that alters pruning, signature sharing or
         the hit/miss accounting moves one of these before it moves a
         benchmark table.
+
+        Re-pinned when the search began costing each cell cheapest
+        bound first and pruning on cost dominance alone.  Enumeration
+        and estimation did not move (``candidates`` 2,696,
+        ``estimate_misses`` 4,488); what the bound now saves did:
+        ``pruned`` 1,349 -> 2,519, ``costed`` 1,347 -> 177,
+        ``parcost_hits`` 947 -> 128, ``parcost_misses`` 400 -> 49.
+        ``estimate_hits`` 34,080 -> 21,504: a candidate is estimated
+        once, for its bound, and the cost call is handed that estimate
+        rather than counting its nodes as memo hits a second time
+        (2,696 candidates' reused nodes, whatever was pruned).
         """
         schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
         optimizer = TwoPhaseOptimizer(schema.catalog)
@@ -552,11 +595,11 @@ class TestNodeEstimateMemoIsBounded:
         stats = optimizer.cache_stats.as_dict()
         assert {key: stats[key] for key in stats if not key.startswith("subplan")} == {
             "candidates": 2696,
-            "pruned": 1349,
-            "costed": 1347,
-            "parcost_hits": 947,
-            "parcost_misses": 400,
-            "estimate_hits": 34080,
+            "pruned": 2519,
+            "costed": 177,
+            "parcost_hits": 128,
+            "parcost_misses": 49,
+            "estimate_hits": 21504,
             "estimate_misses": 4488,
         }
 

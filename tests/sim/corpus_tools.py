@@ -18,13 +18,26 @@ to the last bit, not within a tolerance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+from repro.check import InvariantChecker
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy, policy_by_name
 from repro.core.task import IOPattern
-from repro.faults import preset_schedule
+from repro.faults import (
+    FaultSchedule,
+    MasterCrash,
+    MessageFault,
+    QueryDeadline,
+    SlaveCrash,
+    preset_schedule,
+    random_schedule,
+    with_deadlines,
+)
+from repro.obs import Tracer
+from repro.recovery import RecoveryManager, run_with_recovery
 from repro.sim.micro import MicroSimulator, spec_for_io_rate
 from repro.workloads import WorkloadConfig, WorkloadKind
 from repro.workloads.mixes import generate_specs
@@ -120,6 +133,188 @@ def faulted_digest(seed):
     return trace_digest(result)
 
 
+# ---------------------------------------------------------------------------
+# cold-path cells: master crash + restore, deadlines, stalls, an aborted
+# round whose harvested owner died, policy-issued Cancel/Shed.  Frozen
+# at the engine that still held these handlers itself, before they
+# moved behind the fault-injector and checkpoint hooks.
+
+def cold_specs(machine):
+    """A page scan beside a (scattered) range scan, so both protocols
+    are live whenever a fault lands; a waiting range scan and two
+    late-arriving page scans."""
+
+    def scan(name, io_rate, n_pages, pattern, partitioning, arrival=0.0):
+        return spec_for_io_rate(
+            name, machine, io_rate=io_rate, n_pages=n_pages, pattern=pattern,
+            partitioning=partitioning, arrival_time=arrival,
+        )
+
+    seq, rnd = IOPattern.SEQUENTIAL, IOPattern.RANDOM
+    return [
+        scan("pg0", 55.0, 300, seq, "page"),
+        scan("rg0", 8.0, 90, rnd, "range"),
+        scan("rg1", 20.0, 80, seq, "range"),
+        scan("pg1", 12.0, 60, seq, "page", arrival=1.5),
+        scan("pg2", 30.0, 40, seq, "page", arrival=3.0),
+    ]
+
+
+_COLD_NAMES = ("pg0", "rg0", "rg1", "pg1", "pg2")
+_COLD_HORIZON = 4.0
+
+
+def _soak_schedule(index):
+    """One ``run_soak``-shaped schedule: random faults, layered
+    deadlines, and a mid-run master crash."""
+    schedule = with_deadlines(
+        random_schedule(index, horizon=_COLD_HORIZON, task_names=_COLD_NAMES),
+        index,
+        horizon=_COLD_HORIZON,
+        task_names=_COLD_NAMES,
+    )
+    return FaultSchedule(
+        schedule.faults + (MasterCrash(at=0.4 * _COLD_HORIZON),)
+    )
+
+
+#: label -> fault schedule replayed over :func:`cold_specs`.
+COLD_SCHEDULES = {
+    # Three master crashes with page and range scans mid-page: capture,
+    # restore, in-flight re-read in both partitionings, spent-fault skip.
+    "crash-heavy": preset_schedule("crash-heavy", horizon=_COLD_HORIZON),
+    # Deadlines on a waiting, an unarrived and a running task, then on
+    # that cancelled task again and on one that already finished.
+    "deadlines": FaultSchedule(
+        (
+            QueryDeadline(at=1.0, task="rg1"),
+            QueryDeadline(at=1.0, task="pg2"),
+            QueryDeadline(at=1.2, task="pg0"),
+            QueryDeadline(at=2.4, task="pg0"),
+            QueryDeadline(at=2.4, task="rg0"),
+        )
+    ),
+    # Two stalls: the frozen disk's one-shot resume timer.
+    "stall": preset_schedule("stall", horizon=_COLD_HORIZON),
+    # rg0 is told to widen when pg0 completes (t ~ 2.3).  The round's
+    # first leg is delayed and its last one lost; while it hangs, two
+    # paused slaves whose intervals the master holds die (one mid-page,
+    # one idle), so the timeout must restart the harvested strides on
+    # fresh slaves.  The first crash names a task that has not arrived:
+    # a logged no-op.
+    "abort-dead-owner": FaultSchedule(
+        (
+            SlaveCrash(at=0.5, task="pg1"),
+            MessageFault(at=2.0, kind="delay", extra=0.2),
+            MessageFault(at=2.0, kind="drop"),
+            SlaveCrash(at=2.6, task="rg0", slave_index=1),
+            SlaveCrash(at=2.75, task="rg0", slave_index=0),
+        )
+    ),
+    "soak0": _soak_schedule(0),
+    "soak5": _soak_schedule(5),
+}
+COLD_SEEDS = (0, 1)
+
+
+def cold_digest(result, tracer, invariants=None, recovery=None):
+    """:func:`trace_digest` plus cancel/shed records, the fault log's
+    counters, a hash of the tracer's events, the invariant checker's
+    hook-site count and the recovery counters."""
+    digest = trace_digest(result)
+    digest["cancels"] = [
+        [
+            c.task.name,
+            c.cancelled_at.hex(),
+            None if c.started_at is None else c.started_at.hex(),
+            c.pages_done,
+            c.reason,
+        ]
+        for c in result.cancel_records
+    ]
+    digest["sheds"] = [[s.task.name, s.shed_at.hex()] for s in result.shed_records]
+    if result.fault_log is not None:
+        digest["fault_counters"] = {
+            name: value
+            for name, value in vars(result.fault_log).items()
+            if name != "events"
+        }
+    rows = [
+        [e.kind, e.name, e.cat, e.track, e.start.hex(), e.dur.hex(), e.value.hex(), e.args]
+        for e in tracer.events
+    ]
+    digest["trace"] = [
+        len(rows),
+        hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest(),
+    ]
+    if invariants is not None:
+        digest["invariants"] = [invariants.checks, invariants.violations]
+    if recovery is not None:
+        digest["recovery"] = {
+            "attempts": recovery.attempts,
+            "crashes": recovery.crashes,
+            "lost_work": recovery.lost_work.hex(),
+            "checkpoints": recovery.checkpoints,
+            "restores": recovery.restores,
+            "recovery_points": [t.hex() for t in recovery.recovery_points],
+        }
+    return digest
+
+
+def cold_fault_digest(label, seed):
+    """Replay one :data:`COLD_SCHEDULES` cell through the crash/resume
+    driver (a schedule without master crashes is one plain attempt)."""
+    machine = paper_machine()
+    schedule = COLD_SCHEDULES[label]
+    tracer = Tracer()
+    # One checker cannot span a resume (its clock would run backwards).
+    invariants = (
+        None if schedule.master_crashes else InvariantChecker(collect=True)
+    )
+    sim = MicroSimulator(
+        machine,
+        seed=seed,
+        consult_interval=0.1,
+        faults=schedule,
+        fault_seed=seed,
+        tracer=tracer,
+        invariants=invariants,
+    )
+    run = run_with_recovery(
+        sim,
+        cold_specs(machine),
+        InterWithAdjPolicy(integral=True, degradation_aware=True),
+        manager=RecoveryManager(min_interval=0.1, tracer=tracer),
+    )
+    return cold_digest(run.result, tracer, invariants, run)
+
+
+def cold_policy_digest(faults):
+    """The engine-contract script (a policy that sheds, cancels waiting
+    and running tasks and takes a dependent with them) on micro."""
+    from .test_engine_contract import MACHINE, ScriptedPolicy, scripted_tasks
+
+    tasks = scripted_tasks()
+    tracer = Tracer()
+    sim = MicroSimulator(MACHINE, faults=faults, tracer=tracer)
+    result = sim.run(list(tasks.values()), ScriptedPolicy(tasks))
+    return cold_digest(result, tracer)
+
+
+def cold_cells():
+    """label -> zero-argument digest builder, one per cold-path cell."""
+    cells = {
+        f"cold/{label}/seed{seed}": (
+            lambda label=label, seed=seed: cold_fault_digest(label, seed)
+        )
+        for label in COLD_SCHEDULES
+        for seed in COLD_SEEDS
+    }
+    cells["cold/policy-cancel/healthy"] = lambda: cold_policy_digest(None)
+    cells["cold/policy-cancel/logged"] = lambda: cold_policy_digest(FaultSchedule())
+    return cells
+
+
 def build_corpus():
     """All corpus digests, keyed by configuration label."""
     corpus = {}
@@ -129,6 +324,8 @@ def build_corpus():
                 seed, policy_name
             )
         corpus[f"faulted/seed{seed}"] = faulted_digest(seed)
+    for label, build in cold_cells().items():
+        corpus[label] = build()
     return corpus
 
 

@@ -30,6 +30,26 @@ EXIT_USAGE = 2
 EXIT_REPRO_ERROR = 3
 
 
+def _print_smoke(lines: list[str]) -> int:
+    """Print a ``--smoke`` report; exit 1 if it holds a ``smoke failed`` line."""
+    print("\n".join(lines))
+    return 1 if any(line.startswith("smoke failed") for line in lines) else 0
+
+
+def _workload_kind(value: str):
+    """argparse ``type`` of ``gantt --workload``.  Resolved when the
+    flag is parsed, so building the parser imports no workload code."""
+    from .workloads import WorkloadKind
+
+    try:
+        return WorkloadKind(value)
+    except ValueError:
+        kinds = ", ".join(kind.value for kind in WorkloadKind)
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {kinds})"
+        ) from None
+
+
 def _cmd_figure7(args: argparse.Namespace) -> int:
     from .bench import run_figure7
     from .workloads import WorkloadConfig
@@ -71,10 +91,10 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from .config import paper_machine
     from .core import policy_by_name
     from .sim import FluidSimulator
-    from .workloads import WorkloadConfig, WorkloadKind, generate_tasks
+    from .workloads import WorkloadConfig, generate_tasks
 
     machine = paper_machine()
-    kind = WorkloadKind(args.workload)
+    kind = args.workload
     tasks = generate_tasks(
         kind,
         seed=args.seed,
@@ -129,11 +149,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.smoke:
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _print_smoke(smoke_lines(seed=args.seed))
 
     machine = paper_machine()
     config = mixed_tenant_config(args.n)
@@ -192,8 +208,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .errors import SimulationError
-    from .faults import load_schedule, random_schedule
-    from .faults.chaos import run_chaos, run_soak
+    from .faults import load_schedule
+    from .faults.chaos import random_chaos_schedule, run_chaos, run_soak
 
     if args.soak is not None:
         try:
@@ -213,12 +229,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.schedule is not None:
         schedule = load_schedule(args.schedule)
     elif args.random is not None:
-        schedule = random_schedule(
-            args.random,
-            horizon=args.horizon,
-            n_disks=4,
-            task_names=("io0", "cpu0", "rnd0"),
-        )
+        schedule = random_chaos_schedule(args.random, horizon=args.horizon)
     scale = 0.2 if args.smoke else args.scale
     try:
         report = run_chaos(
@@ -245,11 +256,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .recovery.harness import run_recover, smoke_lines
 
     if args.smoke:
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _print_smoke(smoke_lines(seed=args.seed))
     schedule = (
         load_schedule(args.schedule) if args.schedule is not None else None
     )
@@ -277,11 +284,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.smoke:
         # Byte-stable: virtual-time event counts and simulated
         # quantities only, never wall-clock.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _print_smoke(smoke_lines(seed=args.seed))
     report = run_trace(
         args.seed,
         n_tasks=args.tasks,
@@ -312,11 +315,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.smoke:
         # One quick pass over every pillar: invariant hooks in both
         # engines, each differential pair, and the real executor.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _print_smoke(smoke_lines(seed=args.seed))
     if args.invariants:
         scenario = generate_scenario(args.seed)
         print(scenario.describe())
@@ -381,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     gantt = commands.add_parser("gantt", help="draw one workload's schedule")
     gantt.add_argument(
         "--workload",
-        choices=[k.value for k in __import__("repro.workloads", fromlist=["WorkloadKind"]).WorkloadKind],
+        type=_workload_kind,
         default="Extreme",
+        help="one of the four Figure-7 workload mixes",
     )
     gantt.add_argument(
         "--policy",

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 
 from ..errors import InvariantViolation
+from ..recovery.checkpoint import Checkpoint
 
 _ABS_EPS = 1e-9
 
@@ -237,9 +238,9 @@ class InvariantChecker:
             )
 
     def _check_checkpoint_roundtrip(self, label: str, engine) -> None:
-        checkpoint = engine.checkpoint()
+        checkpoint = Checkpoint.capture(engine)
         wire = json.loads(json.dumps(checkpoint.to_dict()))
-        restored = type(checkpoint).from_dict(wire)
+        restored = Checkpoint.from_dict(wire)
         if restored != checkpoint:
             self._fail(
                 label,

@@ -31,6 +31,7 @@ root in ``(0, N)`` by a coarse downward scan followed by bisection (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..config import MachineConfig
@@ -317,6 +318,14 @@ def inter_time(
     return min(rate_i, rate_j) + remaining / max_parallelism(remaining_task, machine)
 
 
+def clamp_parallelism(x: float, machine: MachineConfig, *, integral: bool) -> float:
+    """Clamp a degree of parallelism into [1, N], optionally integral."""
+    x = max(1.0, min(float(machine.processors), x))
+    if integral:
+        return float(max(1, math.floor(x)))
+    return x
+
+
 def realizable_rates(
     point: BalancePoint,
     machine: MachineConfig,
@@ -332,16 +341,8 @@ def realizable_rates(
     or disks, both tasks slow proportionally — exactly the execution
     engines' semantics.  Returns ``(rate_io, rate_cpu, x_io, x_cpu)``.
     """
-    import math
-
-    def clamp(x: float) -> float:
-        x = max(1.0, min(float(machine.processors), x))
-        if integral:
-            return float(max(1, math.floor(x)))
-        return x
-
-    xi = clamp(point.x_io)
-    xj = clamp(point.x_cpu)
+    xi = clamp_parallelism(point.x_io, machine, integral=integral)
+    xj = clamp_parallelism(point.x_cpu, machine, integral=integral)
     cpu_scale = min(1.0, machine.processors / (xi + xj))
     demand_io = point.task_io.io_rate * xi * cpu_scale
     demand_cpu = point.task_cpu.io_rate * xj * cpu_scale

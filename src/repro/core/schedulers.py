@@ -28,6 +28,7 @@ from ..errors import SchedulingError
 from .balance import (
     BalancePoint,
     balance_point,
+    clamp_parallelism as _clamp,
     inter_time,
     inter_time_realizable,
     intra_time,
@@ -150,12 +151,16 @@ def memory_fits(machine: MachineConfig, *tasks: Task) -> bool:
     return sum(t.memory_bytes for t in tasks) <= machine.work_memory_bytes
 
 
-def _clamp(x: float, machine: MachineConfig, *, integral: bool) -> float:
-    """Clamp a degree of parallelism into [1, N], optionally integral."""
-    x = max(1.0, min(float(machine.processors), x))
-    if integral:
-        return float(max(1, math.floor(x)))
-    return x
+def _remnant(view: RunningTaskView) -> Task:
+    """The unfinished part of a running task as a task of its own: the
+    same io rate and pattern, ``remaining_seq_time`` long."""
+    rem = max(view.remaining_seq_time, 1e-12)
+    return Task(
+        name=view.task.name,
+        seq_time=rem,
+        io_count=view.task.io_rate * rem,
+        io_pattern=view.task.io_pattern,
+    )
 
 
 class IntraOnlyPolicy(SchedulingPolicy):
@@ -264,12 +269,7 @@ class InterWithAdjPolicy(SchedulingPolicy):
         # the partner's remaining work and the *realizable* allocation
         # (clamped to whole-machine reality), so the decision prices the
         # pairing exactly as the engine will run it.
-        remaining_partner = Task(
-            name=partner.task.name,
-            seq_time=max(partner.remaining_seq_time, 1e-12),
-            io_count=partner.task.io_rate * max(partner.remaining_seq_time, 1e-12),
-            io_pattern=partner.task.io_pattern,
-        )
+        remaining_partner = _remnant(partner)
         remaining_point = balance_point(
             candidate,
             remaining_partner,
@@ -360,17 +360,7 @@ class InterWithAdjPolicy(SchedulingPolicy):
         ):
             return []
         views = list(state.running)
-        remnants = []
-        for view in views:
-            rem = max(view.remaining_seq_time, 1e-12)
-            remnants.append(
-                Task(
-                    name=view.task.name,
-                    seq_time=rem,
-                    io_count=view.task.io_rate * rem,
-                    io_pattern=view.task.io_pattern,
-                )
-            )
+        remnants = [_remnant(view) for view in views]
         point = balance_point(
             remnants[0],
             remnants[1],

@@ -50,6 +50,11 @@ _WORKLOAD_SHAPE = (
 )
 
 
+#: Names of the chaos workload's tasks: what a crash or deadline fault
+#: drawn for it may name.
+CHAOS_TASK_NAMES = tuple(shape[0] for shape in _WORKLOAD_SHAPE)
+
+
 def scan_workload(
     machine: MachineConfig, shape, scale: float
 ) -> list[ScanSpec]:
@@ -79,6 +84,20 @@ def chaos_workload(
     if scale <= 0:
         raise FaultError("scale must be positive")
     return scan_workload(machine, _WORKLOAD_SHAPE, scale)
+
+
+def random_chaos_schedule(
+    seed: int, *, horizon: float, machine: MachineConfig | None = None
+) -> FaultSchedule:
+    """A seeded random schedule aimed at the chaos workload: its task
+    names, the machine's disks.  What ``chaos --random`` replays and
+    what every soak schedule starts from."""
+    return random_schedule(
+        seed,
+        horizon=horizon,
+        n_disks=(machine or paper_machine()).disks,
+        task_names=CHAOS_TASK_NAMES,
+    )
 
 
 @dataclass
@@ -300,7 +319,6 @@ def run_soak(
     and a local one disagree only if the engine does.
     """
     machine = machine or paper_machine()
-    task_names = tuple(shape[0] for shape in _WORKLOAD_SHAPE)
     report = SoakReport(n_schedules=n_schedules, seeds=tuple(seeds))
     for seed in seeds:
         horizon = MicroSimulator(
@@ -309,14 +327,11 @@ def run_soak(
               InterWithAdjPolicy(integral=True, degradation_aware=True),
               ).elapsed
         for index in range(n_schedules):
-            schedule = random_schedule(
-                index, horizon=horizon, task_names=task_names
-            )
             schedule = with_deadlines(
-                schedule,
+                random_chaos_schedule(index, horizon=horizon, machine=machine),
                 index,
                 horizon=horizon,
-                task_names=task_names,
+                task_names=CHAOS_TASK_NAMES,
                 max_deadlines=max_deadlines,
             )
             if index % 5 == 0:

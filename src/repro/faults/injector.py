@@ -1,9 +1,15 @@
 """The fault injector: live fault state plus the fault log.
 
 The injector is the bridge between a pure :class:`FaultSchedule` and an
-execution engine.  The engine owns the event heap, so *it* arms the
-timed transitions (degradation begin/end, stall begin, crash instants)
-and calls back into the injector, which tracks:
+execution engine.  :meth:`FaultInjector.attach` arms every fault's
+instants on the engine's event heap (``engine._schedule``); each one
+fires back into the handler its fault type named, which logs it, traces
+it on ``engine.tracer`` and — for the three kinds that touch the run —
+reaches the engine through one mechanism each: crash this slave
+(``engine._crash_slave``), cancel this task (``engine.cancel_task`` +
+``engine._consult``), raise :class:`~repro.errors.MasterCrashError`.
+The engine is duck-typed; nothing here imports :mod:`repro.sim`.  The
+injector tracks:
 
 * which :class:`~repro.faults.schedule.DiskDegradation` windows are
   active per disk (:meth:`multiplier` is their product);
@@ -25,8 +31,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..errors import FaultError
-from .schedule import DiskDegradation, DiskStall, FaultSchedule
+from ..errors import FaultError, MasterCrashError
+from .schedule import (
+    DiskDegradation,
+    DiskStall,
+    FaultSchedule,
+    MasterCrash,
+    QueryDeadline,
+    SlaveCrash,
+)
 
 
 @dataclass
@@ -86,6 +99,7 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Rewind all live state for a fresh run of the same schedule."""
+        self.engine = None
         self.rng = random.Random(self.seed)
         self.log = FaultLog()
         self._active: dict[int, list[DiskDegradation]] = {}
@@ -94,10 +108,43 @@ class FaultInjector:
             self.schedule.message_faults, key=lambda f: f.at
         )
 
+    # -- arming -------------------------------------------------------------------
+
+    def attach(self, engine, *, resumed: bool) -> None:
+        """Arm every scheduled fault on ``engine``'s event heap.
+
+        Delays are relative to the engine's clock (0 on a fresh run,
+        the checkpoint time on a ``resumed`` one) and clamp at zero, so
+        a window already open at resume time begins immediately; a
+        resumed run skips the faults its clock has already spent.
+        Rejects a malformed schedule before anything is armed.
+        """
+        self.schedule.validate_against(engine.machine.disks)
+        self.engine = engine
+        now = engine.clock
+        for fault in self.schedule:
+            if resumed and fault.spent(now):
+                continue
+            for at, handler in fault.fires(self):
+                engine._schedule(
+                    max(0.0, at - now),
+                    lambda fault=fault, handler=handler: handler(
+                        fault, engine.clock
+                    ),
+                )
+        if resumed:
+            self.skip_messages_before(now)
+
+    def _trace(self, name: str, now: float, track: str, args=None) -> None:
+        """One fault instant on the attached engine's tracer, if any."""
+        tracer = getattr(self.engine, "tracer", None)
+        if tracer is not None:
+            tracer.instant(name, t=now, track=track, cat="fault", args=args)
+
     # -- disk degradation ---------------------------------------------------------
 
     def begin_degradation(self, fault: DiskDegradation, now: float) -> None:
-        """Activate a degradation window (called by the engine at start)."""
+        """Activate a degradation window."""
         self._active.setdefault(fault.disk, []).append(fault)
         self.log.degradations += 1
         self.log.record(
@@ -106,13 +153,20 @@ class FaultInjector:
             f"disk {fault.disk} at {fault.factor:.0%} bandwidth "
             f"for {fault.duration:g}s",
         )
+        self._trace(
+            f"degrade x{fault.factor:g}",
+            now,
+            f"disk:{fault.disk}",
+            {"factor": fault.factor},
+        )
 
     def end_degradation(self, fault: DiskDegradation, now: float) -> None:
-        """Deactivate a degradation window (called by the engine at end)."""
+        """Deactivate a degradation window."""
         active = self._active.get(fault.disk, [])
         if fault in active:
             active.remove(fault)
             self.log.record(now, "recover", f"disk {fault.disk} back to full bandwidth")
+        self._trace("degrade:end", now, f"disk:{fault.disk}")
 
     def multiplier(self, disk_id: int) -> float:
         """Current bandwidth factor of one disk (1.0 = healthy)."""
@@ -124,12 +178,18 @@ class FaultInjector:
     # -- disk stalls --------------------------------------------------------------
 
     def begin_stall(self, fault: DiskStall, now: float) -> None:
-        """Freeze a disk until the stall's end (called by the engine)."""
+        """Freeze a disk until the stall's end."""
         until = max(self._stalled_until.get(fault.disk, 0.0), fault.end)
         self._stalled_until[fault.disk] = until
         self.log.stalls += 1
         self.log.record(
             now, "stall", f"disk {fault.disk} frozen for {fault.duration:g}s"
+        )
+        self._trace(
+            f"stall {fault.duration:g}s",
+            now,
+            f"disk:{fault.disk}",
+            {"duration": fault.duration},
         )
 
     def stalled_until(self, disk_id: int) -> float:
@@ -166,3 +226,94 @@ class FaultInjector:
             )
             return "delay", fault.extra
         return "ok", 0.0
+
+    # -- crashes ------------------------------------------------------------------
+
+    def crash_slave(self, fault: SlaveCrash, now: float) -> None:
+        """Pick the victim (seeded where the fault leaves it open) and
+        have the engine crash it."""
+        engine = self.engine
+        runs = sorted(engine.runs.values(), key=lambda r: r.task.task_id)
+        if fault.task is not None:
+            runs = [r for r in runs if r.task.name == fault.task]
+        if not runs:
+            self.log.record(now, "no-op", "crash fault found no running task")
+            return
+        run = runs[0] if fault.task is not None else runs[self.rng.randrange(len(runs))]
+        active = [
+            s
+            for s in sorted(run.slaves.values(), key=lambda s: s.slave_id)
+            if not s.retired
+        ]
+        if not active:
+            self.log.record(
+                now, "no-op", f"{run.task.name}: no live slave to crash"
+            )
+            return
+        if fault.slave_index is not None:
+            slave = active[fault.slave_index % len(active)]
+        else:
+            slave = active[self.rng.randrange(len(active))]
+        engine._crash_slave(run, slave)
+
+    def crash_master(self, fault: MasterCrash, now: float) -> None:
+        """The whole engine dies: record it and unwind out of its run.
+
+        The caller (typically :func:`repro.recovery.run_with_recovery`)
+        restarts from the newest checkpoint.
+        """
+        recovery = self.engine.recovery
+        checkpoint_at = (
+            recovery.last_checkpoint_at if recovery is not None else None
+        )
+        self.log.master_crashes += 1
+        error = MasterCrashError(now, checkpoint_at)
+        self.log.record(now, "mcrash", str(error))
+        self._trace(
+            "master crash", now, "recovery", {"checkpoint_at": checkpoint_at}
+        )
+        raise error
+
+    # -- cooperative cancellation (deadline budgets) ------------------------------
+
+    def expire_deadline(self, fault: QueryDeadline, now: float) -> None:
+        """A query's deadline passed: cancel it wherever it is.
+
+        Completed queries are left alone (a deadline firing after the
+        finish line is a logged no-op); running queries cancel
+        cooperatively at this event boundary; queued or not-yet-arrived
+        queries are dropped before doing any work.  The policy is
+        consulted again unless the task had not even arrived.
+        """
+        engine = self.engine
+        name = fault.task
+        if any(record.task.name == name for record in engine.records):
+            self.log.record(now, "no-op", f"deadline: {name!r} already complete")
+            return
+        for arrived, tasks in (
+            (True, [run.task for run in engine.runs.values()]),
+            (True, engine.waiting),
+            (False, [entry[2] for entry in engine.arrivals]),
+        ):
+            for task in tasks:
+                if task.name == name:
+                    engine.cancel_task(task, "deadline")
+                    if arrived:
+                        engine._consult()
+                    return
+        self.log.record(now, "no-op", f"deadline: no task named {name!r}")
+
+    def task_cancelled(self, record, where: str | None, now: float) -> None:
+        """Log one of the engine ledger's new cancel records (whoever
+        asked for it: a deadline here, or the policy)."""
+        when = {
+            None: f"after {record.pages_done} pages",
+            "waiting": "before start",
+            "arrivals": "before arrival",
+        }[where]
+        self.log.deadline_cancels += 1
+        self.log.record(
+            now,
+            "cancel",
+            f"{record.task.name}: cancelled ({record.reason}) {when}",
+        )

@@ -4,7 +4,10 @@ A :class:`FaultSchedule` is a plain, ordered list of fault events — the
 *plan* of a chaos run.  It is deliberately dumb: no randomness, no
 engine knowledge.  Determinism comes from here being pure data; the
 :class:`~repro.faults.injector.FaultInjector` turns the plan into timed
-engine callbacks.
+engine callbacks.  Each fault type answers the injector's two questions
+itself — :meth:`fires` (which instants, handled by which injector
+method) and :meth:`spent` (has a run resumed at this clock already
+lived through it) — so nobody dispatches on the type.
 
 Four fault kinds, mirroring what the XPRS adjustment protocol must
 survive (ISSUE: robustness):
@@ -33,9 +36,44 @@ from dataclasses import dataclass, field
 
 from ..errors import FaultError
 
+_EPS = 1e-12
+
+
+class _Fault:
+    """What the injector asks of every fault type."""
+
+    def fires(self, injector) -> tuple:
+        """``(instant, injector handler)`` pairs to arm, in arming
+        order.  None by default: a :class:`MessageFault` is consumed
+        lazily, by the first protocol leg sent at or after it."""
+        return ()
+
+    def spent(self, now: float) -> bool:
+        """Did a run checkpointed at ``now`` already consume this fault?
+
+        Never, by default: a deadline firing on a long-gone task is a
+        logged no-op, and the injector drops the message faults itself.
+        """
+        return False
+
+
+class _Window(_Fault):
+    """Spent only once its *end* has passed — a window straddling the
+    checkpoint re-arms and covers its remainder."""
+
+    def spent(self, now: float) -> bool:
+        return self.end <= now + _EPS
+
+
+class _Instant(_Fault):
+    """Spent once its instant has passed."""
+
+    def spent(self, now: float) -> bool:
+        return self.at <= now + _EPS
+
 
 @dataclass(frozen=True)
-class DiskDegradation:
+class DiskDegradation(_Window):
     """Scale one disk's bandwidth by ``factor`` during an interval."""
 
     disk: int
@@ -55,9 +93,15 @@ class DiskDegradation:
     def end(self) -> float:
         return self.start + self.duration
 
+    def fires(self, injector) -> tuple:
+        return (
+            (self.start, injector.begin_degradation),
+            (self.end, injector.end_degradation),
+        )
+
 
 @dataclass(frozen=True)
-class DiskStall:
+class DiskStall(_Window):
     """One disk dispatches nothing during ``[at, at + duration)``."""
 
     disk: int
@@ -74,9 +118,12 @@ class DiskStall:
     def end(self) -> float:
         return self.at + self.duration
 
+    def fires(self, injector) -> tuple:
+        return ((self.at, injector.begin_stall),)
+
 
 @dataclass(frozen=True)
-class SlaveCrash:
+class SlaveCrash(_Instant):
     """Kill one active slave backend at time ``at``.
 
     Attributes:
@@ -95,9 +142,12 @@ class SlaveCrash:
         if self.at < 0:
             raise FaultError("crash: at must be >= 0")
 
+    def fires(self, injector) -> tuple:
+        return ((self.at, injector.crash_slave),)
+
 
 @dataclass(frozen=True)
-class MessageFault:
+class MessageFault(_Fault):
     """Drop or delay the next protocol message at or after ``at``.
 
     Attributes:
@@ -120,7 +170,7 @@ class MessageFault:
 
 
 @dataclass(frozen=True)
-class MasterCrash:
+class MasterCrash(_Instant):
     """The whole engine dies at time ``at``.
 
     Unlike a :class:`SlaveCrash` (which the master repairs in-line),
@@ -137,9 +187,12 @@ class MasterCrash:
         if self.at < 0:
             raise FaultError("master-crash: at must be >= 0")
 
+    def fires(self, injector) -> tuple:
+        return ((self.at, injector.crash_master),)
+
 
 @dataclass(frozen=True)
-class QueryDeadline:
+class QueryDeadline(_Fault):
     """Cancel one task cooperatively when it is unfinished at ``at``.
 
     The engine-level form of a deadline budget: when the task named
@@ -162,6 +215,9 @@ class QueryDeadline:
             raise FaultError("deadline: at must be >= 0")
         if not self.task:
             raise FaultError("deadline: a task name is required")
+
+    def fires(self, injector) -> tuple:
+        return ((self.at, injector.expire_deadline),)
 
 
 Fault = (
@@ -217,8 +273,11 @@ class FaultSchedule:
         )
 
     def validate_against(self, n_disks: int) -> None:
-        """Reject faults naming a disk outside ``[0, n_disks)``."""
+        """Reject entries that are no fault type at all, and faults
+        naming a disk outside ``[0, n_disks)``."""
         for fault in self.faults:
+            if not isinstance(fault, _Fault):
+                raise FaultError(f"unknown fault {fault!r}")
             disk = getattr(fault, "disk", None)
             if disk is not None and disk >= n_disks:
                 raise FaultError(

@@ -79,7 +79,7 @@ class RecoveryManager:
             and engine.clock - last.taken_at < self.min_interval
         ):
             return
-        self.last = engine.checkpoint()
+        self.last = Checkpoint.capture(engine)
         self.captures += 1
         if self.metrics is not None:
             self.metrics.counter("recovery.checkpoints").inc()
@@ -94,7 +94,7 @@ class RecoveryManager:
             )
 
     def note_restore(self, engine) -> None:
-        """Called by the engine after rebuilding itself from a checkpoint."""
+        """Called by :meth:`Checkpoint.restore` once the engine is rebuilt."""
         self.restores += 1
         if self.metrics is not None:
             self.metrics.counter("recovery.restores").inc()

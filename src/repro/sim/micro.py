@@ -27,6 +27,14 @@ The policy-facing half — which tasks wait, arrive, completed or were
 cancelled, and how ``Start/Adjust/Shed/Cancel`` reach the engine — is
 :class:`~repro.sim.ledger.TaskLedger`, shared with the fluid engine;
 this file is the event loop, the disks and the protocols.
+
+Four collaborators hook in at named cold sites, each behind one
+``is not None`` test and none of them near the per-page loop: the
+tracer, the invariant checker, the fault injector (which arms its own
+instants on this engine's heap and reaches back only to crash a slave,
+cancel a task or raise ``MasterCrashError``) and the recovery manager
+(:meth:`Checkpoint.capture <repro.recovery.checkpoint.Checkpoint.capture>`
+reads the engine, ``Checkpoint.restore`` rebuilds one).
 """
 
 from __future__ import annotations
@@ -40,34 +48,15 @@ from typing import Sequence
 from ..config import MachineConfig
 from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
-from ..errors import (
-    MasterCrashError,
-    ProtocolTimeoutError,
-    RecoveryError,
-    SimulationError,
-)
+from ..errors import ProtocolTimeoutError, SimulationError
 from ..faults.injector import FaultInjector
-from ..faults.schedule import (
-    DiskDegradation,
-    DiskStall,
-    FaultSchedule,
-    MasterCrash,
-    MessageFault,
-    QueryDeadline,
-    SlaveCrash,
-)
+from ..faults.schedule import FaultSchedule
 from ..parallel.partition import (
     PageAssignment,
     page_assignments,
     repartition_intervals,
 )
-from ..recovery.checkpoint import (
-    Checkpoint,
-    DiskSnapshot,
-    RecordSnapshot,
-    SlaveSnapshot,
-    TaskSnapshot,
-)
+from ..recovery.checkpoint import Checkpoint
 from ..storage.disk import Disk
 from .ledger import ScheduleResult, TaskLedger
 
@@ -502,15 +491,9 @@ class _MicroEngine(TaskLedger):
         # spent ones.  For fresh runs this ordering is event-identical
         # to arming first — nothing above pushes a heap event.
         if resume_from is not None:
-            self._restore(resume_from)
+            resume_from.restore(self)
         if injector is not None:
-            injector.schedule.validate_against(machine.disks)
-            for fault in injector.schedule:
-                if resume_from is not None and self._fault_spent(fault):
-                    continue
-                self._arm_fault(fault)
-            if resume_from is not None:
-                injector.skip_messages_before(self.clock)
+            injector.attach(self, resumed=resume_from is not None)
 
     # -- EngineState protocol (the rest is the ledger's) -------------------------
 
@@ -523,7 +506,31 @@ class _MicroEngine(TaskLedger):
         """Requests served so far: the disks' own counters, summed."""
         return sum(disk.counters.total for disk in self.disks)
 
-    # -- event plumbing ------------------------------------------------------------
+    @property
+    def effective_machine(self) -> MachineConfig:
+        """The machine as currently *measured*, not as configured.
+
+        Scales the disk profile by the mean per-disk health estimate so
+        ``io_bandwidth`` tracks what the degraded array actually
+        delivers; degradation-aware policies recompute balance points
+        against this instead of the static ``MachineConfig.B``.
+
+        The result is memoized until the next health observation, so a
+        policy consult does not rebuild two dataclasses per call on a
+        healthy (or merely stable) machine.
+        """
+        cached = self._effective_cache
+        if cached is not None:
+            return cached
+        scale = sum(self._measured_mult) / len(self._measured_mult)
+        if abs(scale - 1.0) < 1e-9:
+            machine = self.machine
+        else:
+            machine = self.machine.with_disk_scale(max(scale, 0.05))
+        self._effective_cache = machine
+        return machine
+
+    # -- the master: event plumbing and policy interaction ------------------------------
 
     def _schedule(self, delay: float, callback) -> None:
         seq = self._seq
@@ -547,6 +554,40 @@ class _MicroEngine(TaskLedger):
 
     def _finished(self) -> bool:
         return not (self.runs or self.waiting or self.arrivals)
+
+    def _consult(self) -> None:
+        """Ask the policy once, apply its batch, arm its wake-up.
+
+        Never re-entered: nothing a batch does consults the policy.  A
+        batch that cancelled a running task freed processors the policy
+        has not seen, so it is consulted once more after the batch.
+        """
+        policy = self.policy
+        while True:
+            self._reconsult = False
+            self.apply(policy.decide(self))
+            if not self._reconsult:
+                break
+        wake = policy.next_wakeup(self.clock)
+        if wake is not None and (self._wake_at is None or wake < self._wake_at):
+            self._wake_at = wake
+            self._schedule(max(0.0, wake - self.clock), lambda: self._wake(wake))
+
+    def _wake(self, at: float) -> None:
+        if self._wake_at == at:  # else superseded by an earlier wake
+            self._wake_at = None
+            self._consult()
+
+    def _arm_arrival(self) -> None:
+        # One arrival event at a time: run() arms the first, each
+        # firing arms the next.
+        if self.arrivals:
+            self._schedule(self.next_arrival_in(), self._admit_arrivals)
+
+    def _admit_arrivals(self) -> None:
+        self.admit_due(self.clock + _EPS)
+        self._arm_arrival()
+        self._consult()
 
     def run(self) -> ScheduleResult:
         self._arm_arrival()
@@ -762,615 +803,38 @@ class _MicroEngine(TaskLedger):
             invariants.micro_end(self, result)
         return result
 
-    # -- fault injection ---------------------------------------------------------
-
-    def _fault_spent(self, fault: object) -> bool:
-        """Did a resumed run's checkpoint already consume this fault?
-
-        Windows (degradation, stall) are spent only once their *end*
-        has passed — a window straddling the checkpoint re-arms and
-        covers its remainder.  Instant faults are spent once their
-        instant has passed; deadlines are never skipped (firing on a
-        long-gone task is a logged no-op).
-        """
-        clock = self.clock
-        if isinstance(fault, (DiskDegradation, DiskStall)):
-            return fault.end <= clock + _EPS
-        if isinstance(fault, (SlaveCrash, MasterCrash)):
-            return fault.at <= clock + _EPS
-        return False
-
-    def _arm_fault(self, fault: object) -> None:
-        """Register one scheduled fault's timed transitions.
-
-        Delays are relative to the current clock (0 on a fresh run, the
-        checkpoint time on a resumed one) and clamp at zero so a window
-        already open at resume time begins immediately.
-        """
-        injector = self.injector
-        assert injector is not None
-        if isinstance(fault, DiskDegradation):
-            def degrade_begin() -> None:
-                injector.begin_degradation(fault, self.clock)
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        f"degrade x{fault.factor:g}",
-                        t=self.clock,
-                        track=f"disk:{fault.disk}",
-                        cat="fault",
-                        args={"factor": fault.factor},
-                    )
-
-            def degrade_end() -> None:
-                injector.end_degradation(fault, self.clock)
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        "degrade:end",
-                        t=self.clock,
-                        track=f"disk:{fault.disk}",
-                        cat="fault",
-                    )
-
-            self._schedule(max(0.0, fault.start - self.clock), degrade_begin)
-            self._schedule(max(0.0, fault.end - self.clock), degrade_end)
-        elif isinstance(fault, DiskStall):
-            def stall() -> None:
-                injector.begin_stall(fault, self.clock)
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        f"stall {fault.duration:g}s",
-                        t=self.clock,
-                        track=f"disk:{fault.disk}",
-                        cat="fault",
-                        args={"duration": fault.duration},
-                    )
-
-            self._schedule(max(0.0, fault.at - self.clock), stall)
-        elif isinstance(fault, SlaveCrash):
-            self._schedule(
-                max(0.0, fault.at - self.clock),
-                lambda: self._inject_crash(fault),
-            )
-        elif isinstance(fault, MasterCrash):
-            self._schedule(
-                max(0.0, fault.at - self.clock),
-                lambda: self._master_crash(fault),
-            )
-        elif isinstance(fault, QueryDeadline):
-            self._schedule(
-                max(0.0, fault.at - self.clock),
-                lambda: self._deadline_fire(fault),
-            )
-        elif isinstance(fault, MessageFault):
-            pass  # consumed lazily by _send
-        else:  # pragma: no cover - schedule validation catches this
-            raise SimulationError(f"unknown fault {fault!r}")
-
-    def _master_crash(self, fault: MasterCrash) -> None:
-        """The whole engine dies: record it and unwind out of run().
-
-        The caller (typically :func:`repro.recovery.run_with_recovery`)
-        restarts from the newest checkpoint.
-        """
-        injector = self.injector
-        assert injector is not None
-        recovery = self.recovery
-        checkpoint_at = (
-            recovery.last_checkpoint_at if recovery is not None else None
-        )
-        log = injector.log
-        log.master_crashes += 1
-        error = MasterCrashError(self.clock, checkpoint_at)
-        log.record(self.clock, "mcrash", str(error))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                "master crash",
-                t=self.clock,
-                track="recovery",
-                cat="fault",
-                args={"checkpoint_at": checkpoint_at},
-            )
-        raise error
-
-    def _observe_disk(self, disk_id: int, multiplier: float) -> None:
-        """Fold one served request's health ratio into the disk estimate."""
-        old = self._measured_mult[disk_id]
-        self._measured_mult[disk_id] = 0.7 * old + 0.3 * multiplier
-        self._effective_cache = None
-
-    @property
-    def effective_machine(self) -> MachineConfig:
-        """The machine as currently *measured*, not as configured.
-
-        Scales the disk profile by the mean per-disk health estimate so
-        ``io_bandwidth`` tracks what the degraded array actually
-        delivers; degradation-aware policies recompute balance points
-        against this instead of the static ``MachineConfig.B``.
-
-        The result is memoized until the next health observation, so a
-        policy consult does not rebuild two dataclasses per call on a
-        healthy (or merely stable) machine.
-        """
-        cached = self._effective_cache
-        if cached is not None:
-            return cached
-        scale = sum(self._measured_mult) / len(self._measured_mult)
-        if abs(scale - 1.0) < 1e-9:
-            machine = self.machine
-        else:
-            machine = self.machine.with_disk_scale(max(scale, 0.05))
-        self._effective_cache = machine
-        return machine
-
-    def _inject_crash(self, fault: SlaveCrash) -> None:
-        injector = self.injector
-        assert injector is not None
-        runs = sorted(self.runs.values(), key=lambda r: r.task.task_id)
-        if fault.task is not None:
-            runs = [r for r in runs if r.task.name == fault.task]
-        if not runs:
-            injector.log.record(
-                self.clock, "no-op", "crash fault found no running task"
-            )
-            return
-        run = runs[0] if fault.task is not None else runs[injector.rng.randrange(len(runs))]
-        active = [
-            s
-            for s in sorted(run.slaves.values(), key=lambda s: s.slave_id)
-            if not s.retired
-        ]
-        if not active:
-            injector.log.record(
-                self.clock, "no-op", f"{run.task.name}: no live slave to crash"
-            )
-            return
-        if fault.slave_index is not None:
-            slave = active[fault.slave_index % len(active)]
-        else:
-            slave = active[injector.rng.randrange(len(active))]
-        self._crash_slave(run, slave)
-
-    def _crash_slave(self, run: _TaskRun, slave: _Slave) -> None:
-        """Kill one slave; the master restarts its stride so no page is lost.
-
-        The crashed slave's unclaimed pages (and its in-flight page,
-        which never completed) move to a fresh replacement slave.  Any
-        events still referencing the dead slave are ignored when they
-        fire, and its queued requests are dropped before dispatch.
-        """
-        injector = self.injector
-        assert injector is not None
-        slave.crashed = True
-        slave.retired = True
-        injector.log.crashes += 1
-        injector.log.record(
-            self.clock,
-            "crash",
-            f"{run.task.name}: slave {slave.slave_id} died"
-            + (
-                f" holding page {slave.inflight_page}"
-                if slave.busy and slave.inflight_page is not None
-                else ""
-            ),
-        )
-        if self.tracer is not None:
-            self._instant(
-                f"crash slave {slave.slave_id}",
-                run.task,
-                "fault",
-                {"slave": slave.slave_id},
-            )
-        replacement = _Slave(slave_id=run.next_slave_id)
-        run.next_slave_id += 1
-        inflight = slave.inflight_page if slave.busy else None
-        if run.spec.partitioning == "page":
-            if inflight is not None:
-                injector.log.pages_reread += 1
-                replacement.segments.append(
-                    PageAssignment(lo=inflight, hi=inflight, stride=1, residue=0)
-                )
-            replacement.segments.extend(slave.segments)
-            # After re-reading the in-flight page the replacement's
-            # cursor lands exactly on the dead slave's cursor, so the
-            # inherited segments resume where the stride stopped.
-            replacement.cursor = 0 if inflight is not None else slave.cursor
-        else:
-            if inflight is not None:
-                injector.log.pages_reread += 1
-                replacement.intervals.append((inflight, inflight))
-            # Intervals already harvested by an in-flight Figure-6
-            # round stay with the master (run.harvest): they are
-            # redistributed by the apply step or by the abort path.
-            replacement.intervals.extend(slave.remaining_intervals())
-        slave.segments = []
-        slave.intervals = []
-        run.slaves[replacement.slave_id] = replacement
-        self._slave_next(run, replacement)
-        invariants = self.invariants
-        if invariants is not None:
-            invariants.micro_site(self, run, "crash")
-        self._maybe_complete(run)
-
-    # -- cooperative cancellation (deadline budgets) ------------------------------
-
-    def _deadline_fire(self, fault: QueryDeadline) -> None:
-        """A query's deadline passed: cancel it wherever it is.
-
-        Completed queries are left alone (a deadline firing after the
-        finish line is a logged no-op); running queries cancel
-        cooperatively at this event boundary; queued or not-yet-arrived
-        queries are dropped before doing any work.
-        """
-        injector = self.injector
-        assert injector is not None
-        name = fault.task
-        for record in self.records:
-            if record.task.name == name:
-                injector.log.record(
-                    self.clock, "no-op", f"deadline: {name!r} already complete"
-                )
-                return
-        for run in self.runs.values():
-            if run.task.name == name:
-                self._cancel_run(run, "deadline")
-                self._consult()
-                return
-        for task in self.waiting:
-            if task.name == name:
-                self.cancel(task, "deadline")
-                self._consult()
-                return
-        for __, __i, task in self.arrivals:
-            if task.name == name:
-                self.cancel(task, "deadline")
-                return
-        injector.log.record(
-            self.clock, "no-op", f"deadline: no task named {name!r}"
-        )
-
-    def task_cancelled(self, record, where) -> None:
-        """Fault-log and trace one of the ledger's new cancel records."""
-        task, reason = record.task, record.reason
-        when = {
-            None: f"after {record.pages_done} pages",
-            "waiting": "before start",
-            "arrivals": "before arrival",
-        }[where]
-        injector = self.injector
-        if injector is not None:
-            injector.log.deadline_cancels += 1
-            injector.log.record(
-                self.clock, "cancel", f"{task.name}: cancelled ({reason}) {when}"
-            )
-        tracer = self.tracer
-        if tracer is not None:
-            self._instant(f"cancel ({reason})", task, "cancel", {"reason": reason})
-            if where is None:  # a run ended: sample before the cone's instants
-                tracer.counter(
-                    "running_tasks", t=self.clock, value=float(len(self.runs))
-                )
-
-    def _cancel_run(self, run: _TaskRun, reason: str) -> None:
-        """Cooperatively cancel a *running* task, releasing everything.
-
-        Slaves are marked crashed+retired, which the event loop and the
-        dispatchers already treat as "drop on sight": in-flight io
-        completions free their disk, in-flight cpu completions free
-        their processor, queued requests are filtered out before
-        dispatch.  Bumping the adjustment epoch stales any in-flight
-        protocol leg or timeout timer, so a mid-round cancel can never
-        wedge (or double-abort) an adjustment round.
-        """
-        task = run.task
-        run.adjust_epoch += 1
-        run.adjusting = False
-        run.harvest = None
-        self.occupancy_cancelled += _history_occupancy(run.history, self.clock)
-        for slave in run.slaves.values():
-            slave.crashed = True
-            slave.retired = True
-            slave.paused = False
-            slave.segments = []
-            slave.intervals = []
-        del self.runs[task.task_id]
-        self.cancel(task, reason, started_at=run.started_at, pages_done=run.pages_done)
-
-    def shed_task(self, task: Task) -> None:
-        super().shed_task(task)
-        if self.tracer is not None:
-            self._instant("shed", task, "admission")
-
-    def _instant(self, name: str, task: Task, cat: str, args=None) -> None:
-        self.tracer.instant(
-            name, t=self.clock, track=f"task:{task.name}", cat=cat, args=args
-        )
-
-    def cancel_task(self, task: Task, reason: str) -> None:
-        run = self.runs.get(task.task_id)
-        if run is None:
-            self.cancel(task, reason)
-        else:
-            self._cancel_run(run, reason)
-            self._reconsult = True
-
-    # -- checkpoint / resume ------------------------------------------------------
-
-    def _maybe_checkpoint(self) -> None:
-        """Offer the recovery manager a snapshot at a round boundary.
-
-        Called only on cold paths (task start, adjustment apply, task
-        completion); one None check when recovery is off.  Capture is
-        skipped while any adjustment round is in flight — a round
-        boundary is precisely when no protocol leg is pending.
-        """
-        recovery = self.recovery
-        if recovery is None:
-            return
-        if any(r.adjusting for r in self.runs.values()):
-            return
-        recovery.capture(self)
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the engine's schedule state (see :mod:`repro.recovery`).
-
-        Valid at round boundaries: every live slave is either busy on
-        exactly one page (re-read on resume) or retired, and no
-        adjustment protocol leg is in flight.
-        """
-        running = []
-        for run in sorted(self.runs.values(), key=lambda r: r.task.task_id):
-            slaves = []
-            for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
-                slaves.append(
-                    SlaveSnapshot(
-                        slave_id=slave.slave_id,
-                        cursor=slave.cursor,
-                        segments=tuple(
-                            (seg.lo, seg.hi, seg.stride, seg.residue)
-                            for seg in slave.segments
-                        ),
-                        intervals=tuple(slave.intervals),
-                        retired=slave.retired,
-                        crashed=slave.crashed,
-                        inflight=(
-                            slave.inflight_page
-                            if slave.busy and not slave.crashed
-                            else None
-                        ),
-                    )
-                )
-            running.append(
-                TaskSnapshot(
-                    name=run.task.name,
-                    parallelism=run.parallelism,
-                    started_at=run.started_at,
-                    pages_done=run.pages_done,
-                    next_slave_id=run.next_slave_id,
-                    block_base=run.block_base,
-                    history=tuple(run.history),
-                    order=(
-                        tuple(run.order)
-                        if run.spec.pattern == IOPattern.RANDOM
-                        else None
-                    ),
-                    slaves=tuple(slaves),
-                )
-            )
-        return Checkpoint(
-            taken_at=self.clock,
-            seed=self.seed,
-            rng_state=self._rng.getstate(),
-            block_cursor=self._block_cursor,
-            io_count=self.io_count,
-            cpu_busy_time=self.cpu_busy_time,
-            adjustments=self.adjustments,
-            peak_memory=self.peak_memory,
-            measured_mult=tuple(self._measured_mult),
-            running=tuple(running),
-            completed=tuple(
-                RecordSnapshot(
-                    name=r.task.name,
-                    started_at=r.started_at,
-                    finished_at=r.finished_at,
-                    history=r.parallelism_history,
-                )
-                for r in self.records
-            ),
-            disks=tuple(
-                DiskSnapshot(
-                    streams=tuple(d._streams),
-                    busy_time=d.busy_time,
-                    sequential=d.counters.sequential,
-                    almost_sequential=d.counters.almost_sequential,
-                    random=d.counters.random,
-                )
-                for d in self.disks
-            ),
-        )
-
-    def _restore(self, cp: Checkpoint) -> None:
-        """Rebuild the engine's state from a checkpoint (in __init__).
-
-        Tasks are matched by *name* against this run's specs.  Each
-        slave that was mid-page re-reads its in-flight page through the
-        same singleton-stride mechanism a crash replacement uses, so
-        page conservation holds across the resume.
-        """
-        if len(cp.disks) != len(self.disks) or len(cp.measured_mult) != len(
-            self.disks
-        ):
-            raise RecoveryError(
-                f"checkpoint has {len(cp.disks)} disks, machine has "
-                f"{len(self.disks)}"
-            )
-        self.clock = cp.taken_at
-        self._rng.setstate(cp.rng_state)
-        self._block_cursor = cp.block_cursor
-        self.cpu_busy_time = cp.cpu_busy_time
-        self.adjustments = cp.adjustments
-        self.peak_memory = cp.peak_memory
-        self._measured_mult = list(cp.measured_mult)
-        self._effective_cache = None
-        for disk, snap in zip(self.disks, cp.disks):
-            disk._streams = list(snap.streams)
-            disk.busy_time = snap.busy_time
-            disk.counters.sequential = snap.sequential
-            disk.counters.almost_sequential = snap.almost_sequential
-            disk.counters.random = snap.random
-        if cp.io_count != self.io_count:
-            raise RecoveryError(
-                f"checkpoint io_count {cp.io_count} disagrees with its "
-                f"per-disk counters, which total {self.io_count}"
-            )
-        by_name: dict[str, Task] = {}
-        for task in self.waiting + [e[2] for e in self.arrivals]:
-            if task.name in by_name:
-                raise RecoveryError(
-                    f"duplicate task name {task.name!r}: checkpoints match "
-                    "tasks by name, so names must be unique"
-                )
-            by_name[task.name] = task
-        for rec in cp.completed:
-            if rec.name not in by_name:
-                raise RecoveryError(
-                    f"checkpoint records completed task {rec.name!r} "
-                    "missing from this workload"
-                )
-            task = by_name[rec.name]
-            self._take(task, unarrived=True)
-            self.complete(task, rec.started_at, rec.finished_at, rec.history)
-        injector = self.injector
-        for snap in cp.running:
-            if snap.name not in by_name:
-                raise RecoveryError(
-                    f"checkpoint records running task {snap.name!r} "
-                    "missing from this workload"
-                )
-            task = by_name[snap.name]
-            spec: ScanSpec = task.payload  # type: ignore[assignment]
-            self._take(task, unarrived=True)
-            run = _TaskRun(
-                task=task,
-                spec=spec,
-                parallelism=snap.parallelism,
-                started_at=snap.started_at,
-                block_base=snap.block_base,
-                page_mode=spec.partitioning == "page",
-                cpu_per_page=spec.cpu_per_page,
-                n_pages=spec.n_pages,
-            )
-            run.pages_done = snap.pages_done
-            run.next_slave_id = snap.next_slave_id
-            run.history = [(t, x) for t, x in snap.history]
-            run.order = (
-                list(snap.order)
-                if snap.order is not None
-                else list(range(spec.n_pages))
-            )
-            for s in snap.slaves:
-                slave = _Slave(slave_id=s.slave_id)
-                slave.cursor = s.cursor
-                slave.retired = s.retired
-                slave.crashed = s.crashed
-                slave.segments = [PageAssignment(*seg) for seg in s.segments]
-                slave.intervals = list(s.intervals)
-                if s.inflight is not None:
-                    # The page was mid-read when the checkpoint was cut:
-                    # re-read it first, exactly like a crash replacement
-                    # (after the re-read the cursor lands back on the
-                    # stored position, so the stride resumes in place).
-                    if injector is not None:
-                        injector.log.pages_reread += 1
-                    if run.page_mode:
-                        slave.segments.insert(
-                            0,
-                            PageAssignment(
-                                lo=s.inflight,
-                                hi=s.inflight,
-                                stride=1,
-                                residue=0,
-                            ),
-                        )
-                        slave.cursor = 0
-                    else:
-                        slave.intervals.insert(0, (s.inflight, s.inflight))
-                run.slaves[s.slave_id] = slave
-            self.runs[task.task_id] = run
-        self.admit_due(self.clock + _EPS)
-        # Kick every idle slave: the previously-busy ones claim their
-        # re-read singleton and issue its io at the restored clock.
-        for run in sorted(self.runs.values(), key=lambda r: r.task.task_id):
-            for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
-                if not slave.retired and not slave.busy:
-                    self._slave_next(run, slave)
-        if self.recovery is not None:
-            self.recovery.note_restore(self)
-
-    # -- policy interaction -----------------------------------------------------------
-
-    def _consult(self) -> None:
-        """Ask the policy once, apply its batch, arm its wake-up.
-
-        Never re-entered: nothing a batch does consults the policy.  A
-        batch that cancelled a running task freed processors the policy
-        has not seen, so it is consulted once more after the batch.
-        """
-        policy = self.policy
-        while True:
-            self._reconsult = False
-            self.apply(policy.decide(self))
-            if not self._reconsult:
-                break
-        wake = policy.next_wakeup(self.clock)
-        if wake is not None and (self._wake_at is None or wake < self._wake_at):
-            self._wake_at = wake
-            self._schedule(max(0.0, wake - self.clock), lambda: self._wake(wake))
-
-    def _wake(self, at: float) -> None:
-        if self._wake_at == at:  # else superseded by an earlier wake
-            self._wake_at = None
-            self._consult()
-
-    def _arm_arrival(self) -> None:
-        # One arrival event at a time: run() arms the first, each
-        # firing arms the next.
-        if self.arrivals:
-            self._schedule(self.next_arrival_in(), self._admit_arrivals)
-
-    def _admit_arrivals(self) -> None:
-        self.admit_due(self.clock + _EPS)
-        self._arm_arrival()
-        self._consult()
-
     # -- task lifecycle ------------------------------------------------------------------
 
-    def start_task(self, task: Task, parallelism: float) -> None:
-        n = max(1, int(round(parallelism)))
-        self.claim(task)
+    def _new_run(
+        self, task: Task, parallelism: int, started_at: float, block_base: int
+    ) -> _TaskRun:
+        """Register a run of ``task`` (no slaves yet): a fresh start, or
+        one a checkpoint is restoring."""
         spec: ScanSpec = task.payload  # type: ignore[assignment]
         if not isinstance(spec, ScanSpec):
             raise SimulationError(f"{task!r} has no ScanSpec payload")
-        run = _TaskRun(
+        run = self.runs[task.task_id] = _TaskRun(
             task=task,
             spec=spec,
-            parallelism=n,
-            started_at=self.clock,
-            block_base=self._block_cursor,
+            parallelism=parallelism,
+            started_at=started_at,
+            block_base=block_base,
+            order=list(range(spec.n_pages)),
             page_mode=spec.partitioning == "page",
             cpu_per_page=spec.cpu_per_page,
             n_pages=spec.n_pages,
         )
+        return run
+
+    def start_task(self, task: Task, parallelism: float) -> None:
+        n = max(1, int(round(parallelism)))
+        self.claim(task)
+        run = self._new_run(task, n, self.clock, self._block_cursor)
+        spec = run.spec
         self._block_cursor += math.ceil(spec.n_pages / self.machine.disks) + 10_000
-        order = list(range(spec.n_pages))
         if spec.pattern == IOPattern.RANDOM:
-            self._rng.shuffle(order)
-        run.order = order
+            self._rng.shuffle(run.order)
         run.history.append((self.clock, float(n)))
-        self.runs[task.task_id] = run
         self.peak_memory = max(
             self.peak_memory,
             sum(r.task.memory_bytes for r in self.runs.values()),
@@ -1384,26 +848,27 @@ class _MicroEngine(TaskLedger):
                 "running_tasks", t=self.clock, value=float(len(self.runs))
             )
         if run.page_mode:
-            slaves = [
-                _Slave(slave_id=i, segments=[stride])
-                for i, stride in enumerate(page_assignments(spec.n_pages, n))
-            ]
+            for stride in page_assignments(spec.n_pages, n):
+                self._spawn_slave(run).segments.append(stride)
         else:
             # More slaves than keys leaves the trailing shares empty:
             # those slaves retire on their first claim.
-            shares = repartition_intervals([(0, spec.n_pages - 1)], n)
-            slaves = [
-                _Slave(slave_id=i, intervals=share)
-                for i, share in enumerate(shares)
-            ]
-        for slave in slaves:
-            run.slaves[slave.slave_id] = slave
-            self._slave_next(run, slave)
-        run.next_slave_id = n
+            for share in repartition_intervals([(0, spec.n_pages - 1)], n):
+                self._spawn_slave(run).intervals = share
+        self._kick_idle(run)
         self._maybe_checkpoint()
         invariants = self.invariants
         if invariants is not None:
             invariants.micro_site(self, run, "start")
+
+    def _spawn_slave(self, run: _TaskRun) -> _Slave:
+        """A fresh, idle slave.  Its id comes from ``next_slave_id`` —
+        never one recycled from a retired or crash-replaced slave, which
+        would clobber that slot in ``run.slaves`` while the orphaned
+        object kept claiming pages."""
+        slave = run.slaves[run.next_slave_id] = _Slave(slave_id=run.next_slave_id)
+        run.next_slave_id += 1
+        return slave
 
     def _slave_next(self, run: _TaskRun, slave: _Slave) -> None:
         """Move a slave to its next page, or retire it."""
@@ -1425,6 +890,15 @@ class _MicroEngine(TaskLedger):
         )
         if not self._disk_busy[disk_id]:
             self._dispatch_disk(disk_id)
+
+    def _kick_idle(self, run: _TaskRun) -> None:
+        """Lift any range-protocol pause and move every idle live slave
+        to its next page, in slave-id order (``run.slaves`` only ever
+        grows, by increasing id)."""
+        for slave in run.slaves.values():
+            slave.paused = False
+            if not slave.retired and not slave.busy:
+                self._slave_next(run, slave)
 
     def _maybe_complete(self, run: _TaskRun) -> None:
         if run.pages_done < run.spec.n_pages:
@@ -1543,6 +1017,12 @@ class _MicroEngine(TaskLedger):
             self._events, (self.clock + service, seq, _EV_IO_DONE, entry)
         )
 
+    def _observe_disk(self, disk_id: int, multiplier: float) -> None:
+        """Fold one served request's health ratio into the disk estimate."""
+        old = self._measured_mult[disk_id]
+        self._measured_mult[disk_id] = 0.7 * old + 0.3 * multiplier
+        self._effective_cache = None
+
     # -- dynamic adjustment (Figures 5 and 6) -------------------------------------------------------
 
     def adjust_task(self, task: Task, parallelism: float) -> None:
@@ -1583,52 +1063,6 @@ class _MicroEngine(TaskLedger):
         """Is a protocol leg from an aborted (timed-out) round arriving?"""
         return not run.adjusting or run.adjust_epoch != epoch
 
-    def _adjust_deadline(self, run: _TaskRun, epoch: int) -> None:
-        """Abort a hung adjustment round instead of wedging the run.
-
-        Harvested range intervals are handed back to their owners —
-        or restarted on fresh slaves when the owner crashed mid-round —
-        so page conservation survives the abort.  The policy is then
-        consulted again and typically re-issues the adjustment.
-        """
-        if self._stale(run, epoch) or run.task.task_id not in self.runs:
-            return  # the round completed (or the task did) in time
-        injector = self.injector
-        assert injector is not None
-        run.adjust_epoch += 1
-        run.adjusting = False
-        log = injector.log
-        log.adjust_timeouts += 1
-        log.adjust_aborts += 1
-        error = ProtocolTimeoutError(run.task.name, self.adjust_timeout)
-        log.record(self.clock, "timeout", str(error))
-        if self.tracer is not None:
-            self._instant(
-                "adjust:abort", run.task, "adjust", {"timeout": self.adjust_timeout}
-            )
-        harvest, run.harvest = run.harvest, None
-        if harvest:
-            for slave_id, intervals in sorted(harvest.items()):
-                if not intervals:
-                    continue
-                owner = run.slaves.get(slave_id)
-                if owner is None or owner.retired:
-                    # The stride's owner died mid-round: restart it on a
-                    # fresh slave so its keys are not lost.
-                    owner = _Slave(slave_id=run.next_slave_id)
-                    run.next_slave_id += 1
-                    run.slaves[owner.slave_id] = owner
-                owner.intervals.extend(intervals)
-        for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
-            slave.paused = False
-            if not slave.retired and not slave.busy:
-                self._slave_next(run, slave)
-        invariants = self.invariants
-        if invariants is not None:
-            invariants.micro_site(self, run, "abort")
-        self._maybe_complete(run)
-        self._consult()
-
     def _collect_maxpage(self, run: _TaskRun, n_new: int, epoch: int) -> None:
         """Figure 5: compute maxpage from slave cursors, broadcast."""
         if self._stale(run, epoch):
@@ -1648,66 +1082,28 @@ class _MicroEngine(TaskLedger):
     ) -> None:
         if self._stale(run, epoch):
             return
-        spec = run.spec
-        last = spec.n_pages - 1
+        last = run.spec.n_pages - 1
         # Slaves keep reading between reporting curpage and receiving
         # maxpage (the paper assumes that window is negligible; a
         # delayed leg makes it real).  The switch must not place the
         # boundary below any slave's current position, or the new
         # strides would re-cover pages processed during the window.
         maxpage = max([maxpage] + [s.cursor for s in run.slaves.values()])
-        survivors = [
-            s
-            for s in sorted(run.slaves.values(), key=lambda s: s.slave_id)
-            if not s.retired
-        ]
-        for slave in survivors:
-            # Clamp the old stride at maxpage - 1 ("all the pages
-            # before maxpage"); the new strides start at maxpage.
-            slave.segments = [
-                replace(seg, hi=min(seg.hi, maxpage - 1))
-                for seg in slave.segments
-                if seg.lo <= maxpage - 1
-            ]
-        # The n' new strides go to the lowest-id survivors by *rank*
-        # (survivors beyond n' finish their clamped strides and
-        # retire).  Missing owners are fresh slaves whose ids come
-        # from next_slave_id — never an id recycled from a retired or
-        # crash-replaced slave, which would clobber its slot in
-        # run.slaves while the orphaned object kept claiming pages.
-        owners = survivors[:n_new]
+        for slave in run.slaves.values():
+            if not slave.retired:
+                # Clamp the old stride at maxpage - 1 ("all the pages
+                # before maxpage"); the new strides start at maxpage.
+                slave.segments = [
+                    replace(seg, hi=min(seg.hi, maxpage - 1))
+                    for seg in slave.segments
+                    if seg.lo <= maxpage - 1
+                ]
         if maxpage <= last:
-            while len(owners) < n_new:
-                slave = _Slave(slave_id=run.next_slave_id)
-                run.next_slave_id += 1
-                run.slaves[slave.slave_id] = slave
-                owners.append(slave)
-            for residue, slave in enumerate(owners):
+            for residue, slave in enumerate(self._owners(run, n_new)):
                 slave.segments.append(
                     PageAssignment(maxpage, last, n_new, residue)
                 )
-        for slave in run.slaves.values():
-            if not slave.retired and not slave.busy:
-                self._slave_next(run, slave)
-        run.parallelism = n_new
-        run.adjust_epoch += 1
-        run.adjusting = False
-        run.history.append((self.clock, float(n_new)))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(
-                f"adjust(page) x={n_new}",
-                t=run.adjust_started_at,
-                dur=self.clock - run.adjust_started_at,
-                track=f"task:{run.task.name}",
-                cat="adjust",
-                args={"n_new": n_new, "maxpage": maxpage},
-            )
-        invariants = self.invariants
-        if invariants is not None:
-            invariants.micro_site(self, run, "adjust")
-        self._maybe_complete(run)
-        self._maybe_checkpoint()
+        self._finish_round(run, n_new, "page", {"maxpage": maxpage})
 
     def _collect_intervals(self, run: _TaskRun, n_new: int, epoch: int) -> None:
         """Figure 6: gather remaining intervals, repartition, resume."""
@@ -1741,33 +1137,32 @@ class _MicroEngine(TaskLedger):
             return
         run.harvest = None
         # Near-equal shares of the remaining keys; a slave may receive
-        # several intervals (the paper allows this).
-        shares = repartition_intervals(remaining, n_new)
-        # Shares go to the n' lowest-id survivors by *rank*; missing
-        # owners are fresh slaves whose ids come from next_slave_id,
-        # never a recycled id that would clobber another slave's slot
-        # in run.slaves (see _apply_page_adjustment).  A crash
+        # several intervals (the paper allows this).  A crash
         # replacement spawned mid-round was never harvested: extending
         # keeps its re-read singleton alongside the new share instead
         # of overwriting (losing) it.
-        survivors = sorted(
-            (s for s in run.slaves.values() if not s.retired),
-            key=lambda s: s.slave_id,
-        )
-        owners = survivors[:n_new]
-        while len(owners) < n_new:
-            slave = _Slave(slave_id=run.next_slave_id)
-            run.next_slave_id += 1
-            run.slaves[slave.slave_id] = slave
-            owners.append(slave)
-        for share, slave in zip(shares, owners):
+        shares = repartition_intervals(remaining, n_new)
+        for share, slave in zip(shares, self._owners(run, n_new)):
             slave.intervals.extend(share)
-        # Surviving slaves beyond n' got no intervals: they retire when
-        # their in-flight page finishes (next _slave_next call).
-        for slave in run.slaves.values():
-            slave.paused = False
-            if not slave.retired and not slave.busy:
-                self._slave_next(run, slave)
+        keys = sum(hi - lo + 1 for lo, hi in remaining)
+        self._finish_round(run, n_new, "range", {"keys": keys})
+
+    def _owners(self, run: _TaskRun, n_new: int) -> list[_Slave]:
+        """The n' slaves a round's new strides or shares go to: the
+        lowest-id survivors by *rank*, then fresh slaves.  Survivors
+        beyond n' finish what they still hold and retire."""
+        owners = [s for s in run.slaves.values() if not s.retired][:n_new]
+        while len(owners) < n_new:
+            owners.append(self._spawn_slave(run))
+        return owners
+
+    def _finish_round(
+        self, run: _TaskRun, n_new: int, kind: str, detail: dict
+    ) -> None:
+        """What both apply steps end with: slaves resume on their new
+        assignment, the run is declared ``n_new`` wide, and the round
+        boundary is offered to every collaborator."""
+        self._kick_idle(run)
         run.parallelism = n_new
         run.adjust_epoch += 1
         run.adjusting = False
@@ -1775,18 +1170,191 @@ class _MicroEngine(TaskLedger):
         tracer = self.tracer
         if tracer is not None:
             tracer.span(
-                f"adjust(range) x={n_new}",
+                f"adjust({kind}) x={n_new}",
                 t=run.adjust_started_at,
                 dur=self.clock - run.adjust_started_at,
                 track=f"task:{run.task.name}",
                 cat="adjust",
-                args={
-                    "n_new": n_new,
-                    "keys": sum(hi - lo + 1 for lo, hi in remaining),
-                },
+                args={"n_new": n_new, **detail},
             )
         invariants = self.invariants
         if invariants is not None:
             invariants.micro_site(self, run, "adjust")
         self._maybe_complete(run)
         self._maybe_checkpoint()
+
+    def _adjust_deadline(self, run: _TaskRun, epoch: int) -> None:
+        """Abort a hung adjustment round instead of wedging the run.
+
+        Harvested range intervals are handed back to their owners —
+        or restarted on fresh slaves when the owner crashed mid-round —
+        so page conservation survives the abort.  The policy is then
+        consulted again and typically re-issues the adjustment.
+        """
+        if self._stale(run, epoch) or run.task.task_id not in self.runs:
+            return  # the round completed (or the task did) in time
+        injector = self.injector
+        assert injector is not None
+        run.adjust_epoch += 1
+        run.adjusting = False
+        log = injector.log
+        log.adjust_timeouts += 1
+        log.adjust_aborts += 1
+        error = ProtocolTimeoutError(run.task.name, self.adjust_timeout)
+        log.record(self.clock, "timeout", str(error))
+        if self.tracer is not None:
+            self._instant(
+                "adjust:abort", run.task, "adjust", {"timeout": self.adjust_timeout}
+            )
+        harvest, run.harvest = run.harvest, None
+        for slave_id, intervals in sorted((harvest or {}).items()):
+            if not intervals:
+                continue
+            owner = run.slaves.get(slave_id)
+            if owner is None or owner.retired:
+                # The stride's owner died mid-round: restart it on a
+                # fresh slave so its keys are not lost.
+                owner = self._spawn_slave(run)
+            owner.intervals.extend(intervals)
+        self._kick_idle(run)
+        invariants = self.invariants
+        if invariants is not None:
+            invariants.micro_site(self, run, "abort")
+        self._maybe_complete(run)
+        self._consult()
+
+    # -- crashes, cancellation and the collaborators' hooks --------------------------
+
+    def _reread(self, run: _TaskRun, slave: _Slave, page: int) -> None:
+        """Put a page whose read never completed — its reader crashed,
+        or a checkpoint was cut mid-read — at the head of ``slave``'s
+        work as a singleton stride / interval.  After the re-read a
+        page-mode cursor lands back on the position it held, so the
+        stride resumes in place."""
+        if self.injector is not None:
+            self.injector.log.pages_reread += 1
+        if run.page_mode:
+            slave.segments.insert(
+                0, PageAssignment(lo=page, hi=page, stride=1, residue=0)
+            )
+            slave.cursor = 0
+        else:
+            slave.intervals.insert(0, (page, page))
+
+    def _crash_slave(self, run: _TaskRun, slave: _Slave) -> None:
+        """Kill one slave; the master restarts its stride so no page is lost.
+
+        The crashed slave's unclaimed pages (and its in-flight page,
+        which never completed) move to a fresh replacement slave.  Any
+        events still referencing the dead slave are ignored when they
+        fire, and its queued requests are dropped before dispatch.
+        """
+        injector = self.injector
+        assert injector is not None
+        slave.crashed = True
+        slave.retired = True
+        injector.log.crashes += 1
+        injector.log.record(
+            self.clock,
+            "crash",
+            f"{run.task.name}: slave {slave.slave_id} died"
+            + (
+                f" holding page {slave.inflight_page}"
+                if slave.busy and slave.inflight_page is not None
+                else ""
+            ),
+        )
+        if self.tracer is not None:
+            self._instant(
+                f"crash slave {slave.slave_id}",
+                run.task,
+                "fault",
+                {"slave": slave.slave_id},
+            )
+        # The replacement inherits whichever the partitioning uses: the
+        # stride segments and cursor, or the unclaimed intervals.
+        # Intervals already harvested by an in-flight Figure-6 round
+        # stay with the master (run.harvest): they are redistributed by
+        # the apply step or by the abort path.
+        replacement = self._spawn_slave(run)
+        replacement.segments, slave.segments = slave.segments, []
+        replacement.cursor = slave.cursor
+        replacement.intervals, slave.intervals = slave.remaining_intervals(), []
+        if slave.busy and slave.inflight_page is not None:
+            self._reread(run, replacement, slave.inflight_page)
+        self._slave_next(run, replacement)
+        invariants = self.invariants
+        if invariants is not None:
+            invariants.micro_site(self, run, "crash")
+        self._maybe_complete(run)
+
+    def _cancel_run(self, run: _TaskRun, reason: str) -> None:
+        """Cooperatively cancel a *running* task, releasing everything.
+
+        Slaves are marked crashed+retired, which the event loop and the
+        dispatchers already treat as "drop on sight": in-flight io
+        completions free their disk, in-flight cpu completions free
+        their processor, queued requests are filtered out before
+        dispatch.  Bumping the adjustment epoch stales any in-flight
+        protocol leg or timeout timer, so a mid-round cancel can never
+        wedge (or double-abort) an adjustment round.
+        """
+        task = run.task
+        run.adjust_epoch += 1
+        run.adjusting = False
+        run.harvest = None
+        self.occupancy_cancelled += _history_occupancy(run.history, self.clock)
+        for slave in run.slaves.values():
+            slave.crashed = True
+            slave.retired = True
+            slave.paused = False
+            slave.segments = []
+            slave.intervals = []
+        del self.runs[task.task_id]
+        self.cancel(task, reason, started_at=run.started_at, pages_done=run.pages_done)
+
+    def cancel_task(self, task: Task, reason: str) -> None:
+        run = self.runs.get(task.task_id)
+        if run is None:
+            self.cancel(task, reason)
+        else:
+            self._cancel_run(run, reason)
+            self._reconsult = True
+
+    def shed_task(self, task: Task) -> None:
+        super().shed_task(task)
+        if self.tracer is not None:
+            self._instant("shed", task, "admission")
+
+    def _instant(self, name: str, task: Task, cat: str, args=None) -> None:
+        self.tracer.instant(
+            name, t=self.clock, track=f"task:{task.name}", cat=cat, args=args
+        )
+
+    def task_cancelled(self, record, where) -> None:
+        """Fault-log and trace one of the ledger's new cancel records."""
+        if self.injector is not None:
+            self.injector.task_cancelled(record, where, self.clock)
+        tracer = self.tracer
+        if tracer is not None:
+            task, reason = record.task, record.reason
+            self._instant(f"cancel ({reason})", task, "cancel", {"reason": reason})
+            if where is None:  # a run ended: sample before the cone's instants
+                tracer.counter(
+                    "running_tasks", t=self.clock, value=float(len(self.runs))
+                )
+
+    def _maybe_checkpoint(self) -> None:
+        """Offer the recovery manager a snapshot at a round boundary.
+
+        Called only on cold paths (task start, adjustment apply, task
+        completion); one None check when recovery is off.  Capture is
+        skipped while any adjustment round is in flight — a round
+        boundary is precisely when no protocol leg is pending.
+        """
+        recovery = self.recovery
+        if recovery is None:
+            return
+        if any(r.adjusting for r in self.runs.values()):
+            return
+        recovery.capture(self)

@@ -37,6 +37,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "policy=INTER-WITH-ADJ" in out
 
+    def test_gantt_workload_is_validated_when_parsed(self, capsys):
+        assert main(["gantt", "--workload", "Earthquake"]) == EXIT_USAGE
+        assert "choose from AllCPU, AllIO, Extreme, Random" in capsys.readouterr().err
+
     def test_demo_sql(self, capsys):
         assert main(["demo-sql", "SELECT count(*) FROM s1"]) == 0
         assert "(" in capsys.readouterr().out
@@ -284,3 +288,26 @@ class TestChaosSoak:
         captured = capsys.readouterr()
         assert "verdict: FAILED" in captured.out
         assert "soak verdict FAILED" in captured.err
+
+    def test_cli_random_and_soak_draw_over_the_same_workload(
+        self, capsys, monkeypatch
+    ):
+        """``chaos --random`` and ``run_soak`` name the same tasks and
+        disks: both derive them from the chaos workload and machine."""
+        from repro.faults import chaos as chaos_module
+
+        drawn = []
+        real = chaos_module.random_schedule
+
+        def spy(seed, **kwargs):
+            drawn.append((kwargs["n_disks"], kwargs["task_names"]))
+            return real(seed, **kwargs)
+
+        monkeypatch.setattr(chaos_module, "random_schedule", spy)
+        assert main(["chaos", "--smoke", "--random", "4", "--horizon", "3"]) == 0
+        assert main(["chaos", "--soak", "1", "--smoke"]) == 0
+        capsys.readouterr()
+        assert len(drawn) == 4 and len(set(drawn)) == 1
+        machine = chaos_module.paper_machine()
+        names = tuple(s.name for s in chaos_module.chaos_workload(machine))
+        assert drawn[0] == (machine.disks, names)

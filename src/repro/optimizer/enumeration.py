@@ -43,6 +43,7 @@ one lookup of its full cell.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -51,7 +52,18 @@ from ..catalog.catalog import Catalog
 from ..errors import OptimizerError
 from ..executor.expressions import And, col, column_bounds, eq
 from ..plans import nodes as pn
-from ..plans.costing import EstimateMemo
+from ..plans.costing import (
+    CostModel,
+    EstimateMemo,
+    NodeEstimate,
+    equijoin_rows,
+    filter_cpu,
+    hash_join_cpu,
+    merge_join_cpu,
+    nest_loop_cpu,
+    sort_cpu,
+    subtree_sums,
+)
 from .cache import CacheStats, OptimizerCaches
 from .query import JoinPredicate, Query
 
@@ -136,6 +148,39 @@ def join_candidates(
         )
 
 
+def join_costs(
+    outer: NodeEstimate,
+    inner: NodeEstimate,
+    predicates: list[JoinPredicate],
+    outer_rels: frozenset[str],
+    model: CostModel,
+    *,
+    methods: tuple[str, ...] = JOIN_METHODS,
+) -> Iterator[tuple[str, float]]:
+    """``(method, own cost)`` of each operator :func:`join_candidates` yields.
+
+    The sequential seconds a join's own nodes — the join, a merge join's
+    two sorts, the residual filter; none of them does io — add to its
+    inputs', from the inputs' root estimates alone: no node is built.
+    Same methods in the same order.  Only ever compared, never stored as
+    a cost: the built plan's ``seqcost`` sums in another order.
+    """
+    if not predicates:
+        if "nestloop" in methods:
+            rows = outer.rows * inner.rows
+            yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows, model)
+        return
+    rows = equijoin_rows(outer, inner, *predicates[0].oriented(outer_rels))
+    residual = filter_cpu(rows, model) if len(predicates) > 1 else 0.0
+    if "hash" in methods:
+        yield "hash", hash_join_cpu(outer.rows, inner.rows, rows, model) + residual
+    if "merge" in methods:
+        sorts = sort_cpu(outer.rows, model) + sort_cpu(inner.rows, model)
+        yield "merge", sorts + merge_join_cpu(outer.rows, inner.rows, rows, model) + residual
+    if "nestloop" in methods:
+        yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows, model) + residual
+
+
 def plan_shape_key(plan: pn.PlanNode) -> str:
     """A deterministic canonical key for a plan's structure.
 
@@ -180,16 +225,16 @@ def _proper_subsets(subset: frozenset[str]) -> Iterator[tuple[frozenset[str], fr
 def _splits(
     subset: frozenset[str], space: str
 ) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-    """The ``(outer, inner)`` splits of ``subset`` that ``space`` allows.
+    """The ``(outer, inner)`` 2-partitions of ``subset`` that ``space`` allows.
 
-    Bushy: both orientations of every 2-partition.  Left-deep
-    (right-deep): the inner (outer) is a single relation, so there are
-    only ``len(subset)`` splits and they are generated directly.
+    Bushy: every 2-partition, once — it is joined both ways round, and
+    the caller mirrors it (what connects the two sides does not depend
+    on which is the outer).  Left-deep (right-deep): the inner (outer)
+    is a single relation, so there are only ``len(subset)`` splits and
+    they are generated directly.
     """
     if space == "bushy":
-        for left, right in _proper_subsets(subset):
-            yield left, right
-            yield right, left
+        yield from _proper_subsets(subset)
         return
     for name in sorted(subset):
         single = frozenset((name,))
@@ -221,6 +266,20 @@ def _drop_losers(estimates: EstimateMemo, mark: int, winner: pn.PlanNode) -> Non
     estimates.forget(losers)
 
 
+#: What one DP cell is settled from: an access path, or the
+#: :func:`join_candidates` arguments of one ``(split, method)`` — outer
+#: plan, inner plan, predicates, outer relations, method.
+Recipe = pn.PlanNode | tuple
+
+
+def _build(recipe: Recipe) -> pn.PlanNode:
+    """The plan ``recipe`` stands for (an access path is one already)."""
+    if isinstance(recipe, pn.PlanNode):
+        return recipe
+    (candidate,) = join_candidates(*recipe[:-1], methods=recipe[-1:])
+    return candidate
+
+
 class _Incumbent:
     """Best-candidate tracker for one DP subset.
 
@@ -248,6 +307,14 @@ class _Incumbent:
         self.cost: float | None = None
         self.key: str | None = None
         self.plan: pn.PlanNode | None = None
+
+    def offer_bounded(self, rows: Iterable[tuple[float, Recipe]]) -> None:
+        """The seam every ``(pre-bound, recipe)`` row of a cell crosses.
+
+        For now every recipe is built and bounded again from its
+        estimate; the pre-bound rides along for the oracle to check.
+        """
+        self.offer_all([_build(recipe) for __, recipe in rows])
 
     def offer_all(self, candidates: Iterable[pn.PlanNode]) -> None:
         """Offer one cell's candidates, cheapest bound first if bounded.
@@ -324,10 +391,13 @@ def enumerate_space(
         query: the query block.
         catalog: resolves schemas, indexes and statistics.
         cost: plan-cost function (seqcost or parcost); lower is better.
-            When it exposes a ``lower_bound(plan)`` method (see
-            :class:`~repro.optimizer.parcost.ParcostObjective`), each
-            cell is costed cheapest bound first and candidates provably
-            beaten by the incumbent are skipped without costing.
+            When it exposes ``pre_bound`` (see
+            :class:`~repro.optimizer.parcost.ParcostObjective`), every
+            ``(split, method)`` into a cell is bounded from its two
+            inputs' cost sums and :func:`join_costs` before anything is
+            built; the cell is settled cheapest bound first and only
+            recipes the incumbent does not provably beat become plans.
+            Without it every recipe is built and costed.
         space: ``"left-deep"``, ``"right-deep"`` or ``"bushy"``.
         methods: join methods to consider.
         avoid_cross_products: skip unconnected splits when the join
@@ -407,48 +477,82 @@ def enumerate_space(
             return finish(hit[1])
 
     best: dict[frozenset[str], tuple[float, pn.PlanNode]] = {}
+    #: Per settled cell, what bounds a join over it: its plan's root
+    #: estimate, seqcost and total ios.
+    sums: dict[frozenset[str], tuple[NodeEstimate, float, float]] = {}
+    pre_bound = getattr(cost, "pre_bound", None)
+    if pre_bound is not None:
+        # An objective that bounds says what it estimates under.
+        model = cost.cost_model or CostModel()
+        summarize = partial(
+            subtree_sums,
+            catalog=catalog,
+            cost_model=cost.cost_model,
+            machine=cost.machine,
+            cache=cost.caches.node_estimates,
+        )
 
-    def settle(subset: frozenset[str], candidates: Iterable[pn.PlanNode]) -> None:
-        """Fill ``best[subset]`` from the memo or by costing ``candidates``."""
-        if memo is not None:
-            key = cell_key(subset)
-            hit = memo.get(key)
-            if hit is not None:
-                stats.subplan_hits += 1
-                best[subset] = hit
-                return
-            stats.subplan_misses += 1
-        mark = len(estimates) if estimates is not None else 0
-        incumbent = _Incumbent(cost, stats)
-        incumbent.offer_all(candidates)
-        if incumbent.plan is None:
-            return
-        assert incumbent.cost is not None
-        if estimates is not None:
-            _drop_losers(estimates, mark, incumbent.plan)
-        best[subset] = (incumbent.cost, incumbent.plan)
-        if memo is not None:
-            memo[key] = best[subset]
-
-    def joins_into(subset: frozenset[str]) -> Iterator[pn.PlanNode]:
-        for outer_set, inner_set in _splits(subset, space):
-            outer = best.get(outer_set)
-            inner = best.get(inner_set)
-            if outer is None or inner is None:
+    def recipes_into(subset: frozenset[str]) -> list[tuple[float, Recipe]]:
+        """One ``(pre-bound, recipe)`` row per way to build ``subset``, as generated."""
+        if len(subset) == 1:
+            (name,) = subset
+            return [(0.0, path) for path in access_paths(query, name, catalog)]
+        rows: list[tuple[float, Recipe]] = []
+        for left, right in _splits(subset, space):
+            if left not in best or right not in best:
                 continue
-            predicates = graph.joins_between(outer_set, inner_set)
+            predicates = graph.joins_between(left, right)
             if not predicates and not allow_cross:
                 continue
-            yield from join_candidates(
-                outer[1], inner[1], predicates, outer_set, methods=methods
-            )
+            sides = ((left, right), (right, left)) if space == "bushy" else ((left, right),)
+            for outer_set, inner_set in sides:
+                join = (best[outer_set][1], best[inner_set][1], predicates, outer_set)
+                if pre_bound is None:
+                    # Nothing to bound with: every candidate is built.
+                    rows += [(0.0, c) for c in join_candidates(*join, methods=methods)]
+                    continue
+                outer, outer_seq, outer_ios = sums[outer_set]
+                inner, inner_seq, inner_ios = sums[inner_set]
+                seq, ios = outer_seq + inner_seq, outer_ios + inner_ios
+                for method, own in join_costs(
+                    outer, inner, predicates, outer_set, model, methods=methods
+                ):
+                    rows.append((pre_bound(seq + own, ios), (*join, method)))
+        return rows
+
+    def settle(subset: frozenset[str]) -> None:
+        """Fill ``best[subset]`` from the memo or by searching its recipes."""
+        key = cell = None
+        if memo is not None:
+            key = cell_key(subset)
+            cell = memo.get(key)
+            if cell is not None:
+                stats.subplan_hits += 1
+            else:
+                stats.subplan_misses += 1
+        if cell is None:
+            mark = len(estimates) if estimates is not None else 0
+            rows = recipes_into(subset)
+            incumbent = _Incumbent(cost, stats)
+            incumbent.offer_bounded(rows)
+            if incumbent.plan is None:
+                return
+            assert incumbent.cost is not None
+            if estimates is not None:
+                _drop_losers(estimates, mark, incumbent.plan)
+            cell = (incumbent.cost, incumbent.plan)
+            if memo is not None:
+                memo[key] = cell
+        best[subset] = cell
+        if pre_bound is not None:
+            sums[subset] = summarize(cell[1])
 
     for name in query.relations:
-        settle(frozenset((name,)), access_paths(query, name, catalog))
+        settle(frozenset((name,)))
     for size in range(2, len(query.relations) + 1):
         for subset in map(frozenset, combinations(sorted(full), size)):
             if allow_cross or graph.is_connected(subset):
-                settle(subset, joins_into(subset))
+                settle(subset)
     if full not in best:
         raise OptimizerError("no plan found (disconnected join graph?)")
     return finish(best[full][1])
@@ -495,14 +599,13 @@ def enumerate_all_bushy(
                 if avoid_cross and not predicates:
                     continue
                 for outer_set, inner_set in ((left, right), (right, left)):
-                    preds = graph.joins_between(outer_set, inner_set)
                     for outer_plan in plans_for(outer_set):
                         for inner_plan in plans_for(inner_set):
                             result.extend(
                                 join_candidates(
                                     outer_plan,
                                     inner_plan,
-                                    preds,
+                                    predicates,
                                     outer_set,
                                     methods=methods,
                                 )

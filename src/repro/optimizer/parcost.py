@@ -124,10 +124,11 @@ def parcost_lower_bound(estimate: PlanEstimate, machine: MachineConfig) -> float
     the skip is strict-inequality-only, so tie-breaking — and therefore
     the chosen plan — is unchanged).
     """
-    return max(
-        estimate.seqcost() / machine.processors,
-        estimate.total_ios() / machine.io_bandwidth,
-    )
+    return _lower_bound(estimate.seqcost(), estimate.total_ios(), machine)
+
+
+def _lower_bound(seqcost: float, total_ios: float, machine: MachineConfig) -> float:
+    return max(seqcost / machine.processors, total_ios / machine.io_bandwidth)
 
 
 def _prepare(plan, catalog, machine, cost_model, policy, caches, estimate):
@@ -268,6 +269,7 @@ class ParcostObjective:
             # Shadow the method: the unoptimized reference path offers no
             # pruning hook, so the enumeration costs every candidate.
             self.lower_bound = None  # type: ignore[assignment]
+            self.pre_bound = None  # type: ignore[assignment]
         else:
             policy_key = _policy_cache_key(policy)
             if policy_key is not None:
@@ -306,3 +308,12 @@ class ParcostObjective:
         """
         estimate = self._estimate(plan)
         return parcost_lower_bound(estimate, self.machine), estimate
+
+    def pre_bound(self, seqcost: float, total_ios: float) -> float:
+        """:func:`parcost_lower_bound` of a plan with these two sums.
+
+        The search passes its inputs' sums plus the join's own cost, so
+        a candidate is bounded — and mostly rejected — before any node
+        of it exists.
+        """
+        return _lower_bound(seqcost, total_ios, self.machine)

@@ -10,6 +10,7 @@ guarantees this), which keeps join schemas flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from ..catalog.catalog import Catalog
@@ -158,13 +159,18 @@ class JoinGraph:
     def joins_between(
         self, a: frozenset[str], b: frozenset[str]
     ) -> list[JoinPredicate]:
-        """Predicates connecting ``a`` and ``b``, in ``query.joins`` order."""
+        """Predicates connecting ``a`` and ``b``, in ``query.joins`` order.
+
+        Symmetric in its arguments — which side is the outer only
+        matters to :meth:`JoinPredicate.oriented` — so the DP asks once
+        per 2-partition, not once per orientation.
+        """
         found: list[tuple[int, JoinPredicate]] = []
         for ra in a:
             for rb in self.adjacency.get(ra, ()):
                 if rb in b:
                     found.extend(self._by_pair[frozenset((ra, rb))])
-        found.sort(key=lambda entry: entry[0])
+        found.sort(key=itemgetter(0))  # positions are unique
         return [join for __, join in found]
 
     def is_connected(self, subset: frozenset[str]) -> bool:

@@ -82,9 +82,9 @@ class SeqcostObjective:
 
     The sibling of :class:`~repro.optimizer.parcost.ParcostObjective`:
     with ``caches`` it estimates through the shared node memo, so a
-    candidate costs only its own top nodes, and names itself through
+    candidate costs only its own top nodes, names itself through
     ``memo_key`` so the enumeration may share its DP cells across
-    queries.
+    queries, and offers the same :meth:`pre_bound` hook.
     """
 
     def __init__(
@@ -102,6 +102,8 @@ class SeqcostObjective:
         self.memo_key = (
             ("seqcost", machine, cost_model) if caches is not None else None
         )
+        if caches is None:
+            self.pre_bound = None  # type: ignore[assignment]
 
     def __call__(self, plan: PlanNode) -> float:
         if self.caches is None:
@@ -113,6 +115,15 @@ class SeqcostObjective:
                 plan, self.catalog, cost_model=self.cost_model, machine=self.machine
             )
         return estimate.seqcost()
+
+    def pre_bound(self, seqcost: float, total_ios: float) -> float:
+        """``seqcost`` bounds itself: the sum *is* the cost, to rounding.
+
+        So a seqcost search builds, and costs exactly, only the recipes
+        within :data:`~repro.optimizer.enumeration.PRUNE_MARGIN` of
+        their cell's best.
+        """
+        return seqcost
 
 
 class TwoPhaseOptimizer:

@@ -203,13 +203,16 @@ class Subtree:
             on its root copies into a :class:`PlanEstimate`.
         fragments: its :class:`~repro.plans.fragments.FragmentSummary`,
             filled in by the fragmenter on first use.
+        sums: its ``(seqcost, total_ios)``, folded once by
+            :func:`subtree_sums` — what a join over it is bounded from.
     """
 
-    __slots__ = ("by_node", "fragments")
+    __slots__ = ("by_node", "fragments", "sums")
 
     def __init__(self, by_node: dict[int, NodeEstimate]) -> None:
         self.by_node = by_node
         self.fragments = None
+        self.sums: tuple[float, float] | None = None
 
 
 class EstimateMemo(dict):
@@ -237,6 +240,89 @@ class EstimateMemo(dict):
     def clear(self) -> None:
         super().clear()
         self.subtrees.clear()
+
+
+# -- node-free cost rules --------------------------------------------------------
+#
+# What a join, sort or filter costs, from its inputs' estimates alone.
+# The estimator's ``_visit_*`` methods and the search's pre-bound
+# (:func:`repro.optimizer.enumeration.join_costs`) both call these, so a
+# candidate join is priced before any node of it exists.
+
+
+def equijoin_rows(
+    outer: NodeEstimate, inner: NodeEstimate, outer_col: str, inner_col: str
+) -> float:
+    """Output cardinality of the equi-join ``outer_col = inner_col``."""
+    left = outer.column_stats.get(outer_col)
+    right = inner.column_stats.get(inner_col)
+    distinct = max(
+        left.n_distinct if left else 1, right.n_distinct if right else 1, 1
+    )
+    return outer.rows * inner.rows / distinct
+
+
+def filter_cpu(rows: float, cost: CostModel) -> float:
+    """CPU seconds of a filter over ``rows`` input rows."""
+    return rows * cost.cpu_tuple_time
+
+
+def sort_cpu(rows: float, cost: CostModel) -> float:
+    """CPU seconds of sorting ``rows`` rows."""
+    n = max(rows, 1.0)
+    return n * log2(n + 1) * cost.cpu_compare_time
+
+
+def nest_loop_cpu(
+    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
+) -> float:
+    """CPU seconds of a nested-loops join emitting ``rows_out`` rows."""
+    return outer_rows * inner_rows * cost.cpu_tuple_time + rows_out * cost.cpu_output_time
+
+
+def merge_join_cpu(
+    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
+) -> float:
+    """CPU seconds of merging two sorted inputs into ``rows_out`` rows."""
+    return (
+        (outer_rows + inner_rows) * cost.cpu_compare_time
+        + rows_out * cost.cpu_output_time
+    )
+
+
+def hash_join_cpu(
+    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
+) -> float:
+    """CPU seconds of building on the inner and probing with the outer."""
+    return (
+        inner_rows * cost.cpu_hash_build_time
+        + outer_rows * cost.cpu_hash_probe_time
+        + rows_out * cost.cpu_output_time
+    )
+
+
+def subtree_sums(
+    plan: pn.PlanNode,
+    catalog: Catalog,
+    *,
+    cost_model: CostModel | None,
+    machine: MachineConfig,
+    cache: EstimateMemo,
+) -> tuple[NodeEstimate, float, float]:
+    """``plan``'s root estimate, ``seqcost()`` and ``total_ios()`` through ``cache``.
+
+    The two folds run once per memoized subtree and stay on its
+    :class:`Subtree` entry: a settled DP cell hands them to every join
+    the search considers over it.
+    """
+    entry = cache.subtrees.get(plan.node_id)
+    if entry is None or entry.sums is None:
+        estimator = _Estimator(catalog, cost_model or _DEFAULT_COSTS, machine, cache)
+        estimator.visit(plan)
+        entry = estimator.subtree(plan)
+        estimate = PlanEstimate(plan, entry.by_node, machine)
+        entry.sums = (estimate.seqcost(), estimate.total_ios())
+    return (cache[plan.node_id], *entry.sums)
 
 
 def estimate_plan(
@@ -441,7 +527,7 @@ class _Estimator:
         rows_out = child.rows * selectivity
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=child.rows * self.cost.cpu_tuple_time,
+            cpu_time=filter_cpu(child.rows, self.cost),
             avg_row_bytes=child.avg_row_bytes,
             column_stats=self._scale_stats(child.column_stats, rows_out),
         )
@@ -474,10 +560,9 @@ class _Estimator:
 
     def _visit_SortNode(self, node: pn.SortNode, children) -> NodeEstimate:
         (child,) = children
-        n = max(child.rows, 1.0)
         return NodeEstimate(
             rows=child.rows,
-            cpu_time=n * log2(n + 1) * self.cost.cpu_compare_time,
+            cpu_time=sort_cpu(child.rows, self.cost),
             memory_bytes=child.rows * child.avg_row_bytes,
             avg_row_bytes=child.avg_row_bytes,
             column_stats=dict(child.column_stats),
@@ -521,16 +606,6 @@ class _Estimator:
             merged.setdefault(name, stats)
         return _Estimator._scale_stats(merged, rows)
 
-    def _equijoin_rows(
-        self, outer: NodeEstimate, inner: NodeEstimate, outer_col: str, inner_col: str
-    ) -> float:
-        left = outer.column_stats.get(outer_col)
-        right = inner.column_stats.get(inner_col)
-        distinct = max(
-            left.n_distinct if left else 1, right.n_distinct if right else 1, 1
-        )
-        return outer.rows * inner.rows / distinct
-
     def _visit_NestLoopJoinNode(self, node: pn.NestLoopJoinNode, children) -> NodeEstimate:
         outer, inner = children
         if node.predicate is None:
@@ -540,13 +615,9 @@ class _Estimator:
             merged.update(inner.column_stats)
             selectivity = self._predicate_selectivity(node.predicate, merged)
             rows_out = outer.rows * inner.rows * selectivity
-        cpu = (
-            outer.rows * inner.rows * self.cost.cpu_tuple_time
-            + rows_out * self.cost.cpu_output_time
-        )
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=cpu,
+            cpu_time=nest_loop_cpu(outer.rows, inner.rows, rows_out, self.cost),
             # The lowered nest-loop materializes its inner.
             memory_bytes=inner.rows * inner.avg_row_bytes,
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
@@ -555,29 +626,20 @@ class _Estimator:
 
     def _visit_MergeJoinNode(self, node: pn.MergeJoinNode, children) -> NodeEstimate:
         outer, inner = children
-        rows_out = self._equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        cpu = (
-            (outer.rows + inner.rows) * self.cost.cpu_compare_time
-            + rows_out * self.cost.cpu_output_time
-        )
+        rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=cpu,
+            cpu_time=merge_join_cpu(outer.rows, inner.rows, rows_out, self.cost),
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
             column_stats=partial(self._merged_stats, outer, inner, rows_out),
         )
 
     def _visit_HashJoinNode(self, node: pn.HashJoinNode, children) -> NodeEstimate:
         outer, inner = children
-        rows_out = self._equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        cpu = (
-            inner.rows * self.cost.cpu_hash_build_time
-            + outer.rows * self.cost.cpu_hash_probe_time
-            + rows_out * self.cost.cpu_output_time
-        )
+        rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=cpu,
+            cpu_time=hash_join_cpu(outer.rows, inner.rows, rows_out, self.cost),
             # The hash table holds the whole build (inner) side.
             memory_bytes=inner.rows * inner.avg_row_bytes,
             avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,

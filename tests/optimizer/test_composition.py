@@ -3,17 +3,20 @@ entries must be the candidate costed from its leaves.
 
 The fast path builds a candidate's :class:`PlanEstimate` and scheduling
 signature from the subtree memo plus the candidate's own new nodes, and
-its simulated tasks straight from the signature rows.  Every search run
-under the ``oracle`` fixture has every candidate it estimates — costed
-or pruned — re-derived the long way — ``estimate_plan`` without a cache, the
+its simulated tasks straight from the signature rows.  The search only
+builds the recipes its pre-bound lets through, so the ``oracle`` fixture
+sits on the seam every recipe crosses — ``_Incumbent.offer_bounded`` —
+and builds *every* ``(split, method)`` itself, pruned or not, then
+re-derives it the long way — ``estimate_plan`` without a cache, the
 walk-and-cut fragmenter this file keeps as reference, tasks wired one
-``Fragment.to_task`` at a time — and compared exactly.
+``Fragment.to_task`` at a time — and compares exactly.
 
-The same oracle holds the branch-and-bound to its two promises: the
-bound a candidate is pruned on never exceeds its simulated ``parcost``
-beyond :data:`PRUNE_MARGIN` (checked for every candidate, pruned ones
-included), and a cell settles on the same ``(cost, plan_shape_key)``
-whatever order its candidates arrive in.
+The same oracle holds the branch-and-bound to its promises: the
+pre-bound, taken from floats before anything exists, is the built
+plan's ``parcost_lower_bound`` (``seqcost`` for a seqcost search) to
+rounding; it never exceeds the simulated ``parcost`` beyond
+:data:`PRUNE_MARGIN`; and a cell settles on the same
+``(cost, plan_shape_key)`` whatever order its recipes are offered in.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from repro.optimizer import (
     parcost_lower_bound,
     plan_shape_key,
 )
-from repro.optimizer.enumeration import PRUNE_MARGIN, _Incumbent
+from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent
+from repro.optimizer.twophase import SeqcostObjective
 from repro.plans import (
     FilterNode,
     HashJoinNode,
@@ -158,39 +162,64 @@ def _check_costing(plan, estimate, fresh, subtrees, seen) -> None:
             seen["NestLoopJoinNode/pipelined"] += 1
 
 
-@pytest.fixture
-def oracle(monkeypatch):
-    """Check every candidate estimated under it, costed or pruned.
+#: A pre-bound sums the same terms as the built plan's estimate, in
+#: another order: equal to a few ulps, seven orders inside PRUNE_MARGIN.
+ROUNDING = 1e-12
 
-    Each one's lower bound is held against a fresh simulation too.
-    Returns a counter of what was checked: ``checked`` and one entry
-    per plan-node type (``NestLoopJoinNode/pipelined`` for a nest-loop
-    whose index-scan inner does not block).
-    """
-    seen: Counter = Counter()
-    real_estimate = OptimizerCaches.estimate
 
-    def estimate(self, plan, catalog, *, cost_model, machine):
-        self.sync(catalog)
-        cached = set(self.node_estimates)
-        composed = real_estimate(
-            self, plan, catalog, cost_model=cost_model, machine=machine
-        )
-        fresh = estimate_plan(plan, catalog, cost_model=cost_model, machine=machine)
-        # The order seqcost()/total_ios() sum in, and the same nodes
-        # with the same estimates as a search with no memo at all.
-        assert list(composed.by_node) == _reference_order(plan, cached)
-        assert composed.by_node == fresh.by_node
-        _check_costing(plan, composed, fresh, self.subtrees, seen)
-        # The bound the search prunes on against a simulation of its own.
+def _check_recipe(objective, bound, recipe, seen) -> None:
+    """Build one recipe the long way and hold its pre-bound to the result."""
+    catalog, machine, cost_model = objective.catalog, objective.machine, objective.cost_model
+    memo = objective.caches.node_estimates
+    plan = _build(recipe)
+    cached = set(memo)
+    composed = estimate_plan(
+        plan, catalog, cost_model=cost_model, machine=machine, cache=memo
+    )
+    fresh = estimate_plan(plan, catalog, cost_model=cost_model, machine=machine)
+    # The order seqcost()/total_ios() sum in, and the same nodes with
+    # the same estimates as a search with no memo at all.
+    assert list(composed.by_node) == _reference_order(plan, cached)
+    assert composed.by_node == fresh.by_node
+    _check_costing(plan, composed, fresh, memo.subtrees, seen)
+    # The search may never build this one: leave its memo as it was.
+    memo.forget([node_id for node_id in composed.by_node if node_id not in cached])
+    if not plan.children:
+        assert bound == 0.0  # an access path is costed, never bounded
+    elif isinstance(objective, SeqcostObjective):
+        assert abs(bound - fresh.seqcost()) <= ROUNDING * fresh.seqcost()
+        seen["bounded/seqcost"] += 1
+    else:
+        exact = parcost_lower_bound(fresh, machine)
+        assert abs(bound - exact) <= ROUNDING * exact
+        # ... and against a simulation of its own.
         with id_scope():
             simulated = parcost(
                 plan, catalog, machine=machine, cost_model=cost_model, estimate=fresh
             )
-        assert parcost_lower_bound(composed, machine) <= simulated * (1.0 + PRUNE_MARGIN)
-        return composed
+        assert bound <= simulated * (1.0 + PRUNE_MARGIN)
+        seen["bounded/parcost"] += 1
 
-    monkeypatch.setattr(OptimizerCaches, "estimate", estimate)
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Check every recipe a search under it considers, pruned or not.
+
+    Returns a counter of what was checked: ``checked`` and one entry
+    per plan-node type (``NestLoopJoinNode/pipelined`` for a nest-loop
+    whose index-scan inner does not block), plus how many pre-bounds
+    were held to their objective.
+    """
+    seen: Counter = Counter()
+    real = _Incumbent.offer_bounded
+
+    def offer_bounded(self, rows):
+        rows = list(rows)
+        for bound, recipe in rows:
+            _check_recipe(self.cost_fn, bound, recipe, seen)
+        real(self, rows)
+
+    monkeypatch.setattr(_Incumbent, "offer_bounded", offer_bounded)
     return seen
 
 
@@ -211,25 +240,35 @@ def _search_every_space(schema, oracle):
         plan = enumerate_space(
             schema.query, schema.catalog, objective, space=space, caches=caches
         )
-        # Every candidate offered is estimated, and so checked, once.
+        # Every (split, method) considered is checked once, built or not.
         assert oracle["checked"] - before == caches.stats.candidates > 0
+        assert caches.stats.pruned > 0
         _check_chosen(plan, schema.catalog, caches, oracle)
 
 
 def _settled_cells(schema, space, monkeypatch, permute) -> dict:
-    """Every DP cell's ``(cost hex, shape key)`` with its candidates permuted."""
-    real = _Incumbent.offer_all
+    """Every DP cell's ``(cost hex, shape key)`` with its recipes permuted.
 
-    def offer_all(self, candidates):
-        real(self, permute(list(candidates)))
+    The rows reach the seam cheapest bound first; ``permute`` has the
+    last word, so any order at all is offered — dearest first included,
+    where the bound prunes next to nothing.
+    """
+    real = _Incumbent.offer_bounded
+    offered = []
+
+    def offer_bounded(self, rows):
+        offered.append(len(rows))
+        real(self, permute(list(rows)))
 
     caches = OptimizerCaches()
     objective = ParcostObjective(schema.catalog, caches=caches)
     with monkeypatch.context() as patch:
-        patch.setattr(_Incumbent, "offer_all", offer_all)
+        patch.setattr(_Incumbent, "offer_bounded", offer_bounded)
         enumerate_space(
             schema.query, schema.catalog, objective, space=space, caches=caches
         )
+    # Not vacuous: every candidate went through the permuted seam.
+    assert sum(offered) == caches.stats.candidates > len(offered) > 0
     return {
         key[1]: (cost.hex(), plan_shape_key(plan))
         for key, (cost, plan) in caches.subplans.items()
@@ -258,6 +297,7 @@ def test_corpus_workloads_compose_exactly(factory, oracle):
     _search_every_space(factory(), oracle)
     for kind in (HashJoinNode, MergeJoinNode, SortNode, NestLoopJoinNode):
         assert oracle[kind.__name__]
+    assert oracle["bounded/parcost"] and not oracle["bounded/seqcost"]
 
 
 @_CORPUS
@@ -287,6 +327,8 @@ def test_every_operator_shape_composes_exactly(catalog, mode, oracle):
     for kind in (FilterNode, IndexScanNode, HashJoinNode, MergeJoinNode, SortNode):
         assert oracle[kind.__name__], kind
     assert oracle["NestLoopJoinNode/pipelined"]
+    held = "bounded/parcost" if mode is OptimizerMode.BUSHY_PAR else "bounded/seqcost"
+    assert set(oracle) & {"bounded/parcost", "bounded/seqcost"} == {held}
 
 
 @pytest.mark.fuzz

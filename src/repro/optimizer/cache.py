@@ -59,16 +59,19 @@ class CacheStats:
     """Observability counters for one optimizer's fast path.
 
     Attributes:
-        candidates: candidate plans the enumeration considered.
-        pruned: candidates dropped without a full cost call (their
-            parcost lower bound exceeds the incumbent's cost).
-        costed: candidates that reached the cost function.
+        candidates: ``(split, method)`` recipes and access paths the
+            enumeration considered.
+        pruned: recipes dropped on their pre-bound, before any node of
+            them was built or estimated.  A parcost search bounds with
+            ``max(seqcost / N, D / B)``; a seqcost search with the cost
+            itself (to rounding), so there it counts every recipe more
+            than ``PRUNE_MARGIN`` dearer than its cell's best.
+        costed: candidates built and handed to the cost function.
         parcost_hits: parcost calls answered from the signature cache.
         parcost_misses: parcost calls that ran a fresh simulation.
         estimate_hits: plan nodes whose estimate came out of the node
-            memo (a candidate's reused subplans; counted once per
-            candidate, when it is estimated).
-        estimate_misses: plan nodes that had to be estimated (a
+            memo (a costed candidate's reused subplans).
+        estimate_misses: plan nodes that had to be estimated (a costed
             candidate's own top nodes).
         subplan_hits: DP cells answered from the cross-query sub-plan
             memo; a repeated query is exactly one hit.

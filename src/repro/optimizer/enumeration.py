@@ -20,15 +20,19 @@ branch-and-bound skipping, see :mod:`repro.optimizer.cache`) promise
 byte-identical plans.  A cell keeps *one* plan, so strict cost dominance
 is sufficient to skip a candidate: when its provable lower bound
 exceeds the incumbent's true cost it could have won neither the cost
-comparison nor the tie-break.  The order it would deliver is beside the
-point — no parent rule reads a child's order (:func:`join_candidates`
-sorts both merge inputs itself), so once costed it loses its cell
-anyway.  Exact cost ties are common, not rare — merge join is symmetric
-in its inputs and equal-cardinality relations are interchangeable, so
-on the serving workload one offer in nine ties its incumbent to the
-last bit — which is why the key exists at all and why nothing here may
-reorder a cost sum: an exact tie the key settles would become ulp noise
-settling it.
+comparison nor the tie-break (the order it would deliver is beside the
+point: no parent rule reads a child's order, :func:`join_candidates`
+sorts both merge inputs itself).  The bound is taken before the
+candidate exists: a cell gathers one *recipe* per ``(split, method)``,
+each bounded from floats — its two inputs' settled cost sums plus
+:func:`join_costs` — and builds them cheapest bound first, so nine in
+ten never become a plan tree.  A bound is only compared, never kept as
+a cost, because exact cost ties are common, not rare — merge join is
+symmetric in its inputs and equal-cardinality relations are
+interchangeable, so on the serving workload one offer in nine ties its
+incumbent to the last bit — which is why the key exists at all and why
+nothing here may reorder a cost sum: an exact tie the key settles
+would become ulp noise settling it.
 
 The DP table is also the unit of sharing *across* queries.
 ``best[subset]`` is context-free: it is a function of the subset, the
@@ -159,11 +163,11 @@ def join_costs(
 ) -> Iterator[tuple[str, float]]:
     """``(method, own cost)`` of each operator :func:`join_candidates` yields.
 
-    The sequential seconds a join's own nodes — the join, a merge join's
-    two sorts, the residual filter; none of them does io — add to its
-    inputs', from the inputs' root estimates alone: no node is built.
-    Same methods in the same order.  Only ever compared, never stored as
-    a cost: the built plan's ``seqcost`` sums in another order.
+    The sequential seconds the join's own nodes — the join, a merge
+    join's two sorts, the residual filter; none does io — add to its
+    inputs', from the inputs' root estimates alone: nothing is built.
+    Only ever compared, never kept as a cost: the built plan's
+    ``seqcost`` sums the same terms in another order.
     """
     if not predicates:
         if "nestloop" in methods:
@@ -266,9 +270,8 @@ def _drop_losers(estimates: EstimateMemo, mark: int, winner: pn.PlanNode) -> Non
     estimates.forget(losers)
 
 
-#: What one DP cell is settled from: an access path, or the
-#: :func:`join_candidates` arguments of one ``(split, method)`` — outer
-#: plan, inner plan, predicates, outer relations, method.
+#: What a DP cell is settled from: an access path, or one ``(split,
+#: method)`` as :func:`join_candidates`' arguments with the method last.
 Recipe = pn.PlanNode | tuple
 
 
@@ -288,15 +291,13 @@ class _Incumbent:
     only when its cost *equals* the incumbent's, and for the incumbent
     once, then kept.
 
-    When the cost function exposes ``lower_bound`` (the fast path's
-    :class:`~repro.optimizer.parcost.ParcostObjective`), a candidate
-    whose provable bound exceeds the incumbent's true cost by
-    :data:`PRUNE_MARGIN` is dropped without the expensive cost call.
+    A recipe whose pre-bound exceeds the incumbent's true cost by
+    :data:`PRUNE_MARGIN` is dropped before any node of it is built.
     Safety: the cell keeps one plan, and the skipped candidate's true
     cost is ``>= bound - ulp noise > incumbent >= final best``, so it
     can never win or even tie the ``(cost, key)`` minimum; near-ties
-    inside the margin are always costed and settled by the key, keeping
-    the chosen plan byte-identical to the unpruned search.
+    inside the margin are always built, costed and settled by the key,
+    keeping the chosen plan byte-identical to the unpruned search.
     """
 
     __slots__ = ("cost_fn", "stats", "cost", "key", "plan")
@@ -309,56 +310,29 @@ class _Incumbent:
         self.plan: pn.PlanNode | None = None
 
     def offer_bounded(self, rows: Iterable[tuple[float, Recipe]]) -> None:
-        """The seam every ``(pre-bound, recipe)`` row of a cell crosses.
+        """Offer one cell's ``(pre-bound, recipe)`` rows in the order given.
 
-        For now every recipe is built and bounded again from its
-        estimate; the pre-bound rides along for the oracle to check.
-        """
-        self.offer_all([_build(recipe) for __, recipe in rows])
-
-    def offer_all(self, candidates: Iterable[pn.PlanNode]) -> None:
-        """Offer one cell's candidates, cheapest bound first if bounded.
-
-        Every bound is taken before anything is costed, in generation
-        order, so the estimate memo fills exactly as a streaming search
-        fills it.  Costing then runs in ascending-bound order: the
-        winner's bound is below every bound its cost prunes, so it is
-        costed before them and a candidate is costed if and only if its
-        bound does not clear the cell's *final* cost — the fewest cost
-        calls any order allows.  The minimum of ``(cost, key)`` does
-        not depend on the order it is searched in.
-        """
-        lower_bound = getattr(self.cost_fn, "lower_bound", None)
-        if lower_bound is None:
-            for candidate in candidates:
-                self.offer(candidate)
-            return
-        bounded = [(*lower_bound(candidate), candidate) for candidate in candidates]
-        bounded.sort(key=itemgetter(0))
-        for bound, estimate, candidate in bounded:
-            self.offer(candidate, bound, estimate)
-
-    def offer(
-        self, candidate: pn.PlanNode, bound: float | None = None, estimate=None
-    ) -> None:
-        """Cost ``candidate`` unless ``bound`` says it cannot win.
-
-        ``estimate`` is whatever ``lower_bound`` built next to the
-        bound, handed back to the cost function instead of rebuilt.
+        Cheapest bound first, the winner's bound is below every bound
+        its cost prunes, so a recipe becomes a plan iff its bound does
+        not clear the cell's *final* cost — the fewest any order allows.
+        The ``(cost, key)`` minimum does not depend on the order, so any
+        other one settles the same cell, only dearer.
         """
         stats = self.stats
-        if stats is not None:
-            stats.candidates += 1
-        if bound is None:
-            cost = self.cost_fn(candidate)
-        elif self.cost is not None and bound > self.cost * (1.0 + PRUNE_MARGIN):
+        for bound, recipe in rows:
             if stats is not None:
-                stats.pruned += 1
-            return
-        else:
-            cost = self.cost_fn(candidate, estimate)
-        if stats is not None:
-            stats.costed += 1
+                stats.candidates += 1
+            if self.cost is not None and bound > self.cost * (1.0 + PRUNE_MARGIN):
+                if stats is not None:
+                    stats.pruned += 1
+                continue
+            self.offer(_build(recipe))
+
+    def offer(self, candidate: pn.PlanNode) -> None:
+        """Cost ``candidate`` and keep it if it beats the incumbent."""
+        cost = self.cost_fn(candidate)
+        if self.stats is not None:
+            self.stats.costed += 1
         key = None
         if self.cost is not None and cost >= self.cost:
             if cost > self.cost:
@@ -393,11 +367,12 @@ def enumerate_space(
         cost: plan-cost function (seqcost or parcost); lower is better.
             When it exposes ``pre_bound`` (see
             :class:`~repro.optimizer.parcost.ParcostObjective`), every
-            ``(split, method)`` into a cell is bounded from its two
-            inputs' cost sums and :func:`join_costs` before anything is
-            built; the cell is settled cheapest bound first and only
-            recipes the incumbent does not provably beat become plans.
-            Without it every recipe is built and costed.
+            ``(split, method)`` into a cell is bounded from its inputs'
+            cost sums and :func:`join_costs`, the cell is settled
+            cheapest bound first, and only recipes the incumbent does
+            not provably beat are built.  Without it, all are.  Such an
+            objective also says what it estimates under: ``cost_model``,
+            ``machine`` and ``caches`` attributes.
         space: ``"left-deep"``, ``"right-deep"`` or ``"bushy"``.
         methods: join methods to consider.
         avoid_cross_products: skip unconnected splits when the join
@@ -481,8 +456,7 @@ def enumerate_space(
     #: estimate, seqcost and total ios.
     sums: dict[frozenset[str], tuple[NodeEstimate, float, float]] = {}
     pre_bound = getattr(cost, "pre_bound", None)
-    if pre_bound is not None:
-        # An objective that bounds says what it estimates under.
+    if pre_bound is not None:  # such an objective says what it estimates under
         model = cost.cost_model or CostModel()
         summarize = partial(
             subtree_sums,
@@ -498,17 +472,17 @@ def enumerate_space(
             (name,) = subset
             return [(0.0, path) for path in access_paths(query, name, catalog)]
         rows: list[tuple[float, Recipe]] = []
+        mirrored = space == "bushy"  # _splits yields a bushy partition once
         for left, right in _splits(subset, space):
             if left not in best or right not in best:
                 continue
             predicates = graph.joins_between(left, right)
             if not predicates and not allow_cross:
                 continue
-            sides = ((left, right), (right, left)) if space == "bushy" else ((left, right),)
+            sides = ((left, right), (right, left)) if mirrored else ((left, right),)
             for outer_set, inner_set in sides:
                 join = (best[outer_set][1], best[inner_set][1], predicates, outer_set)
-                if pre_bound is None:
-                    # Nothing to bound with: every candidate is built.
+                if pre_bound is None:  # nothing to bound with: build them all
                     rows += [(0.0, c) for c in join_candidates(*join, methods=methods)]
                     continue
                 outer, outer_seq, outer_ios = sums[outer_set]
@@ -533,6 +507,7 @@ def enumerate_space(
         if cell is None:
             mark = len(estimates) if estimates is not None else 0
             rows = recipes_into(subset)
+            rows.sort(key=itemgetter(0))  # stable: ties stay in generation order
             incumbent = _Incumbent(cost, stats)
             incumbent.offer_bounded(rows)
             if incumbent.plan is None:

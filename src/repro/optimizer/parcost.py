@@ -20,7 +20,8 @@ signatures are answered from the memo with the exact float the fresh
 run would have produced.  :class:`ParcostObjective` packages the cached
 cost function together with the provable lower bound
 ``parcost >= max(seqcost / N, D / B)`` that the enumeration's
-branch-and-bound skip relies on.
+branch-and-bound relies on, in a form it can take before a candidate
+is built.
 """
 
 from __future__ import annotations
@@ -240,12 +241,12 @@ class ParcostObjective:
     """``parcost`` as a pluggable enumeration objective.
 
     Callable like the plain cost hook, but optionally memoized
-    (``caches``) and exposing :meth:`lower_bound` so
+    (``caches``) and exposing :meth:`pre_bound` so
     :func:`~repro.optimizer.enumeration.enumerate_space` can
-    branch-and-bound.  With ``caches=None`` this is the unoptimized
-    path: every call estimates, fragments and simulates from scratch
-    and no pruning hook is offered — the reference the golden-plan
-    corpus compares the fast path against.
+    branch-and-bound before it builds.  With ``caches=None`` this is the
+    unoptimized path: every call estimates, fragments and simulates from
+    scratch and no pruning hook is offered — the reference the
+    golden-plan corpus compares the fast path against.
     """
 
     def __init__(
@@ -267,22 +268,19 @@ class ParcostObjective:
         self.memo_key: tuple | None = None
         if caches is None:
             # Shadow the method: the unoptimized reference path offers no
-            # pruning hook, so the enumeration costs every candidate.
-            self.lower_bound = None  # type: ignore[assignment]
+            # pruning hook, so the enumeration builds every candidate.
             self.pre_bound = None  # type: ignore[assignment]
         else:
             policy_key = _policy_cache_key(policy)
             if policy_key is not None:
                 self.memo_key = ("parcost", self.machine, cost_model, policy_key)
 
-    @property
-    def stats(self):
-        return self.caches.stats if self.caches is not None else None
-
-    def __call__(self, plan: PlanNode, estimate: PlanEstimate | None = None) -> float:
-        """``parcost(plan)``; ``estimate`` is the one :meth:`lower_bound` built."""
-        if estimate is None and self.caches is not None:
-            estimate = self._estimate(plan)
+    def __call__(self, plan: PlanNode) -> float:
+        estimate = None
+        if self.caches is not None:
+            estimate = self.caches.estimate(
+                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
+            )
         return parcost(
             plan,
             self.catalog,
@@ -292,22 +290,6 @@ class ParcostObjective:
             caches=self.caches,
             estimate=estimate,
         )
-
-    def _estimate(self, plan: PlanNode) -> PlanEstimate:
-        assert self.caches is not None
-        return self.caches.estimate(
-            plan, self.catalog, cost_model=self.cost_model, machine=self.machine
-        )
-
-    def lower_bound(self, plan: PlanNode) -> tuple[float, PlanEstimate]:
-        """Cheap provable bound (see :func:`parcost_lower_bound`).
-
-        Returned with the estimate it was read off, which the search
-        hands back to :meth:`__call__` if it costs the plan after all —
-        so a candidate is estimated exactly once either way.
-        """
-        estimate = self._estimate(plan)
-        return parcost_lower_bound(estimate, self.machine), estimate
 
     def pre_bound(self, seqcost: float, total_ios: float) -> float:
         """:func:`parcost_lower_bound` of a plan with these two sums.

@@ -19,10 +19,8 @@ calibration bench re-derives them against the real executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from math import log2
-from typing import Callable
 
 from ..catalog.catalog import Catalog
 from ..catalog.statistics import ColumnStats, RelationStats
@@ -54,6 +52,7 @@ class CostModel:
     cpu_output_time: float = 0.00005
 
 
+@dataclass(slots=True)
 class NodeEstimate:
     """Estimated behaviour of one plan node (excluding its children).
 
@@ -66,64 +65,15 @@ class NodeEstimate:
             (hash table, sort buffer, materialization buffer).
         avg_row_bytes: estimated width of one output row.
         column_stats: propagated per-column statistics of the output.
-            May be handed over as a zero-argument callable, which runs
-            on first read: only a parent rule reads them, and most join
-            candidates lose their DP cell before they have a parent.
     """
 
-    __slots__ = (
-        "rows",
-        "ios",
-        "io_pattern",
-        "cpu_time",
-        "memory_bytes",
-        "avg_row_bytes",
-        "_column_stats",
-    )
-
-    def __init__(
-        self,
-        rows: float,
-        ios: float = 0.0,
-        io_pattern: str | None = None,
-        cpu_time: float = 0.0,
-        memory_bytes: float = 0.0,
-        avg_row_bytes: float = 0.0,
-        column_stats: dict[str, ColumnStats] | Callable[[], dict] | None = None,
-    ) -> None:
-        self.rows = rows
-        self.ios = ios
-        self.io_pattern = io_pattern
-        self.cpu_time = cpu_time
-        self.memory_bytes = memory_bytes
-        self.avg_row_bytes = avg_row_bytes
-        self._column_stats = {} if column_stats is None else column_stats
-
-    @property
-    def column_stats(self) -> dict[str, ColumnStats]:
-        stats = self._column_stats
-        if callable(stats):
-            stats = self._column_stats = stats()
-        return stats
-
-    def _astuple(self) -> tuple:
-        return (
-            self.rows,
-            self.ios,
-            self.io_pattern,
-            self.cpu_time,
-            self.memory_bytes,
-            self.avg_row_bytes,
-            self.column_stats,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not NodeEstimate:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"NodeEstimate{self._astuple()!r}"
+    rows: float
+    ios: float = 0.0
+    io_pattern: str | None = None
+    cpu_time: float = 0.0
+    memory_bytes: float = 0.0
+    avg_row_bytes: float = 0.0
+    column_stats: dict[str, ColumnStats] = field(default_factory=dict)
 
 
 @dataclass
@@ -250,15 +200,11 @@ class EstimateMemo(dict):
 # candidate join is priced before any node of it exists.
 
 
-def equijoin_rows(
-    outer: NodeEstimate, inner: NodeEstimate, outer_col: str, inner_col: str
-) -> float:
+def equijoin_rows(outer: NodeEstimate, inner: NodeEstimate, outer_col: str, inner_col: str) -> float:
     """Output cardinality of the equi-join ``outer_col = inner_col``."""
     left = outer.column_stats.get(outer_col)
     right = inner.column_stats.get(inner_col)
-    distinct = max(
-        left.n_distinct if left else 1, right.n_distinct if right else 1, 1
-    )
+    distinct = max(left.n_distinct if left else 1, right.n_distinct if right else 1, 1)
     return outer.rows * inner.rows / distinct
 
 
@@ -273,30 +219,21 @@ def sort_cpu(rows: float, cost: CostModel) -> float:
     return n * log2(n + 1) * cost.cpu_compare_time
 
 
-def nest_loop_cpu(
-    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
-) -> float:
-    """CPU seconds of a nested-loops join emitting ``rows_out`` rows."""
-    return outer_rows * inner_rows * cost.cpu_tuple_time + rows_out * cost.cpu_output_time
+def nest_loop_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+    """CPU seconds of nested loops over ``outer`` x ``inner`` rows."""
+    return outer * inner * cost.cpu_tuple_time + rows_out * cost.cpu_output_time
 
 
-def merge_join_cpu(
-    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
-) -> float:
-    """CPU seconds of merging two sorted inputs into ``rows_out`` rows."""
+def merge_join_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+    """CPU seconds of merging sorted inputs of ``outer`` and ``inner`` rows."""
+    return (outer + inner) * cost.cpu_compare_time + rows_out * cost.cpu_output_time
+
+
+def hash_join_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+    """CPU seconds of building on ``inner`` rows and probing with ``outer``."""
     return (
-        (outer_rows + inner_rows) * cost.cpu_compare_time
-        + rows_out * cost.cpu_output_time
-    )
-
-
-def hash_join_cpu(
-    outer_rows: float, inner_rows: float, rows_out: float, cost: CostModel
-) -> float:
-    """CPU seconds of building on the inner and probing with the outer."""
-    return (
-        inner_rows * cost.cpu_hash_build_time
-        + outer_rows * cost.cpu_hash_probe_time
+        inner * cost.cpu_hash_build_time
+        + outer * cost.cpu_hash_probe_time
         + rows_out * cost.cpu_output_time
     )
 
@@ -598,13 +535,18 @@ class _Estimator:
 
     # -- joins -----------------------------------------------------------------------
 
-    @staticmethod
-    def _merged_stats(outer: NodeEstimate, inner: NodeEstimate, rows: float):
-        """A join's output statistics; the join rules defer this call."""
+    def _join(self, outer, inner, rows_out: float, cpu: float, *, holds_inner: bool) -> NodeEstimate:
+        """A join's estimate, given its cardinality and its CPU rule's answer."""
         merged = dict(outer.column_stats)
         for name, stats in inner.column_stats.items():
             merged.setdefault(name, stats)
-        return _Estimator._scale_stats(merged, rows)
+        return NodeEstimate(
+            rows=rows_out,
+            cpu_time=cpu,
+            memory_bytes=inner.rows * inner.avg_row_bytes if holds_inner else 0.0,
+            avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
+            column_stats=self._scale_stats(merged, rows_out),
+        )
 
     def _visit_NestLoopJoinNode(self, node: pn.NestLoopJoinNode, children) -> NodeEstimate:
         outer, inner = children
@@ -615,36 +557,22 @@ class _Estimator:
             merged.update(inner.column_stats)
             selectivity = self._predicate_selectivity(node.predicate, merged)
             rows_out = outer.rows * inner.rows * selectivity
-        return NodeEstimate(
-            rows=rows_out,
-            cpu_time=nest_loop_cpu(outer.rows, inner.rows, rows_out, self.cost),
-            # The lowered nest-loop materializes its inner.
-            memory_bytes=inner.rows * inner.avg_row_bytes,
-            avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=partial(self._merged_stats, outer, inner, rows_out),
-        )
+        cpu = nest_loop_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        # The lowered nest-loop materializes its inner.
+        return self._join(outer, inner, rows_out, cpu, holds_inner=True)
 
     def _visit_MergeJoinNode(self, node: pn.MergeJoinNode, children) -> NodeEstimate:
         outer, inner = children
         rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        return NodeEstimate(
-            rows=rows_out,
-            cpu_time=merge_join_cpu(outer.rows, inner.rows, rows_out, self.cost),
-            avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=partial(self._merged_stats, outer, inner, rows_out),
-        )
+        cpu = merge_join_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        return self._join(outer, inner, rows_out, cpu, holds_inner=False)
 
     def _visit_HashJoinNode(self, node: pn.HashJoinNode, children) -> NodeEstimate:
         outer, inner = children
         rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        return NodeEstimate(
-            rows=rows_out,
-            cpu_time=hash_join_cpu(outer.rows, inner.rows, rows_out, self.cost),
-            # The hash table holds the whole build (inner) side.
-            memory_bytes=inner.rows * inner.avg_row_bytes,
-            avg_row_bytes=outer.avg_row_bytes + inner.avg_row_bytes,
-            column_stats=partial(self._merged_stats, outer, inner, rows_out),
-        )
+        cpu = hash_join_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        # The hash table holds the whole build (inner) side.
+        return self._join(outer, inner, rows_out, cpu, holds_inner=True)
 
 
 def analyze_table(catalog: Catalog, name: str) -> RelationStats:

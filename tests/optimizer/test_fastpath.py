@@ -12,12 +12,17 @@ may and may not share.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy
+from repro.executor import between
 from repro.optimizer import (
+    JOIN_METHODS,
     CacheStats,
+    JoinPredicate,
     OptimizerCaches,
     OptimizerMode,
     ParcostObjective,
@@ -29,11 +34,22 @@ from repro.optimizer import (
     parcost_lower_bound,
     plan_shape_key,
 )
-from repro.optimizer.enumeration import PRUNE_MARGIN
+from repro.optimizer import enumeration
+from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent
 from repro.optimizer.parcost import _policy_cache_key
+from repro.optimizer.twophase import SeqcostObjective
 from repro.plans.costing import estimate_plan
 from repro.plans.fragments import fragment_plan
-from repro.plans.nodes import HashJoinNode, MergeJoinNode, SeqScanNode
+from repro.plans.nodes import (
+    FilterNode,
+    HashJoinNode,
+    IndexScanNode,
+    MergeJoinNode,
+    NestLoopJoinNode,
+    PlanNode,
+    SeqScanNode,
+    SortNode,
+)
 from repro.workloads.queries import chain_join, star_join
 
 
@@ -131,13 +147,13 @@ class TestParcostCache:
         )
 
     def test_uncached_objective_offers_no_pruning_hook(self, chain):
-        assert ParcostObjective(chain.catalog, caches=None).lower_bound is None
-        assert (
-            ParcostObjective(
-                chain.catalog, caches=OptimizerCaches()
-            ).lower_bound
-            is not None
-        )
+        machine = paper_machine()
+        for objective in (
+            partial(ParcostObjective, chain.catalog),
+            partial(SeqcostObjective, chain.catalog, machine=machine),
+        ):
+            assert objective(caches=None).pre_bound is None
+            assert objective(caches=OptimizerCaches()).pre_bound is not None
 
 
 class TestLowerBound:
@@ -155,28 +171,33 @@ class TestLowerBound:
         assert checked > 50
 
     def test_dearer_merge_join_is_pruned_not_simulated(self, monkeypatch):
-        """Cost dominance alone decides: a candidate reaches the cost
-        function iff its bound does not clear its cell's *final* cost.
+        """Cost dominance alone decides, and decides before anything is
+        built: a recipe becomes a plan — and reaches the cost function —
+        iff its pre-bound does not clear its cell's *final* cost.
 
-        Before, a merge join was costed whenever the incumbent did not
-        deliver its sort order — nearly always, the incumbent being a
-        hash join — though no parent ever reads that order.
+        Once a merge join was costed whenever the incumbent did not
+        deliver its sort order, then built and estimated only to be
+        bounded away; now its two sorts and the join are never made.
         """
         schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
-        bounds, costed = {}, set()
-        real_bound = ParcostObjective.lower_bound
+        rows, built, costed = [], set(), []
+        real_offer = _Incumbent.offer_bounded
         real_cost = ParcostObjective.__call__
 
-        def lower_bound(self, plan):
-            bound, estimate = real_bound(self, plan)
-            bounds[plan.node_id] = (plan, bound)
-            return bound, estimate
+        def offer_bounded(self, cell_rows):
+            rows.extend(cell_rows)  # keeps every recipe alive: ids stay unique
+            real_offer(self, cell_rows)
 
-        def cost(self, plan, estimate=None):
-            costed.add(plan.node_id)
-            return real_cost(self, plan, estimate)
+        def build(recipe):
+            built.add(id(recipe))
+            return _build(recipe)
 
-        monkeypatch.setattr(ParcostObjective, "lower_bound", lower_bound)
+        def cost(self, plan):
+            costed.append(plan)
+            return real_cost(self, plan)
+
+        monkeypatch.setattr(_Incumbent, "offer_bounded", offer_bounded)
+        monkeypatch.setattr(enumeration, "_build", build)
         monkeypatch.setattr(ParcostObjective, "__call__", cost)
         optimizer = TwoPhaseOptimizer(schema.catalog)
         optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
@@ -188,11 +209,18 @@ class TestLowerBound:
             relations(plan): cost for cost, plan in optimizer.caches.subplans.values()
         }
         merges_pruned = 0
-        for plan, bound in bounds.values():
-            dominated = bound > final[relations(plan)] * (1.0 + PRUNE_MARGIN)
-            assert (plan.node_id not in costed) == dominated
-            merges_pruned += dominated and isinstance(plan, MergeJoinNode)
-        assert len(bounds) == optimizer.cache_stats.candidates
+        for bound, recipe in rows:
+            if isinstance(recipe, PlanNode):  # an access path: built, never bounded
+                assert bound == 0.0 and id(recipe) in built
+                continue
+            outer, inner, *__, method = recipe
+            cell = final[relations(outer) | relations(inner)]
+            dominated = bound > cell * (1.0 + PRUNE_MARGIN)
+            assert (id(recipe) not in built) == dominated
+            merges_pruned += dominated and method == "merge"
+        assert len(rows) == optimizer.cache_stats.candidates
+        assert len(costed) == len(built) == optimizer.cache_stats.costed
+        assert not any(isinstance(plan, MergeJoinNode) for plan in costed)
         assert merges_pruned > 500
 
     def test_pruning_stats_account_for_every_candidate(self, star):
@@ -215,6 +243,96 @@ class TestLowerBound:
         assert as_dict["candidates"] == stats.candidates
         stats.reset()
         assert stats.candidates == 0
+
+
+def _triangle():
+    """Cyclic: whichever join closes it carries a residual filter."""
+    return Query(
+        relations=["r1", "r2", "r3"],
+        joins=[
+            JoinPredicate("r1", "b1", "r2", "b2"),
+            JoinPredicate("r2", "c2", "r3", "c3"),
+            JoinPredicate("r1", "a", "r3", "d3"),
+        ],
+    )
+
+
+def _chain(**selections):
+    return Query(
+        relations=["r1", "r2", "r3"],
+        joins=[JoinPredicate("r1", "b1", "r2", "b2"), JoinPredicate("r2", "c2", "r3", "c3")],
+        selections=selections,
+    )
+
+
+#: Shapes the star/chain benchmark never plans: label -> (query, space,
+#: methods, a node type the chosen plan must contain).
+OFF_BENCHMARK = {
+    "cyclic/residual-filter": (_triangle(), "bushy", JOIN_METHODS, FilterNode),
+    "cross-product": (
+        Query(relations=["r1", "r2", "r3"], joins=[JoinPredicate("r1", "b1", "r2", "b2")]),
+        "bushy",
+        JOIN_METHODS,
+        NestLoopJoinNode,
+    ),
+    "merge-only": (_chain(), "bushy", ("merge",), SortNode),
+    "nestloop-only": (_chain(), "bushy", ("nestloop",), NestLoopJoinNode),
+    "index-scan-inner": (
+        _chain(r1=between("a", 0, 0)), "left-deep", ("nestloop",), IndexScanNode
+    ),
+    "selection-on-join-column": (_chain(r1=between("b1", 0, 9)), "bushy", JOIN_METHODS, HashJoinNode),
+    "right-deep": (_chain(), "right-deep", JOIN_METHODS, HashJoinNode),
+}
+
+
+class TestBoundBeforeBuildOffTheBenchmarkPath:
+    """Every shape goes through the one settle loop, bounded and not."""
+
+    #: A symmetric nest loop ties its mirror image exactly, and the
+    #: memoized and the reference ``seqcost`` arms sum a plan's nodes in
+    #: different orders — the tie falls to ulp noise on each side (so it
+    #: did before there was a bound).  Only bound-vs-no-bound holds here.
+    ARMS_DISAGREE = {(SeqcostObjective, "nestloop-only")}
+
+    @pytest.mark.parametrize("label", OFF_BENCHMARK)
+    @pytest.mark.parametrize("objective", [ParcostObjective, SeqcostObjective])
+    def test_bounded_search_chooses_what_the_exhaustive_one_does(
+        self, catalog, label, objective
+    ):
+        query, space, methods, expected = OFF_BENCHMARK[label]
+        machine = paper_machine()
+        cells, chosen = [], []
+        for arm in ("bounded", "unbounded", "reference"):
+            caches = OptimizerCaches() if arm != "reference" else None
+            cost = objective(catalog, machine=machine, caches=caches)
+            if arm == "unbounded":
+                cost.pre_bound = None  # same memos, every recipe built
+            plan = enumerate_space(
+                query, catalog, cost, space=space, methods=methods, caches=caches
+            )
+            assert any(isinstance(node, expected) for node in plan.walk())
+            fresh = estimate_plan(plan, catalog)
+            chosen.append(
+                (
+                    plan_shape_key(plan),
+                    parcost(plan, catalog, estimate=fresh).hex(),
+                    fresh.seqcost().hex(),
+                )
+            )
+            if caches is not None:
+                stats = caches.stats
+                assert stats.candidates == stats.pruned + stats.costed
+                assert (stats.pruned > 0) == (arm == "bounded")
+                cells.append(
+                    {
+                        key[1]: (cost.hex(), plan_shape_key(plan))
+                        for key, (cost, plan) in caches.subplans.items()
+                    }
+                )
+        assert cells[0] == cells[1] and len(cells[0]) > len(query.relations)
+        assert chosen[0] == chosen[1]
+        if (objective, label) not in self.ARMS_DISAGREE:
+            assert chosen[0] == chosen[2]
 
 
 class TestDeterminism:
@@ -342,6 +460,11 @@ class TestTwoPhaseFastPath:
 
 
 LEFT_DEEP = OptimizerMode.LEFT_DEEP_SEQ
+
+
+def _search_counters(optimizer) -> dict:
+    stats = optimizer.cache_stats.as_dict()
+    return {key: stats[key] for key in stats if not key.startswith("subplan")}
 
 
 def _reachable_ids(caches):
@@ -578,30 +701,57 @@ class TestNodeEstimateMemoIsBounded:
         the hit/miss accounting moves one of these before it moves a
         benchmark table.
 
-        Re-pinned when the search began costing each cell cheapest
-        bound first and pruning on cost dominance alone.  Enumeration
-        and estimation did not move (``candidates`` 2,696,
-        ``estimate_misses`` 4,488); what the bound now saves did:
-        ``pruned`` 1,349 -> 2,519, ``costed`` 1,347 -> 177,
-        ``parcost_hits`` 947 -> 128, ``parcost_misses`` 400 -> 49.
-        ``estimate_hits`` 34,080 -> 21,504: a candidate is estimated
-        once, for its bound, and the cost call is handed that estimate
-        rather than counting its nodes as memo hits a second time
-        (2,696 candidates' reused nodes, whatever was pruned).
+        Re-pinned when the bound moved in front of construction.  What
+        the search considers and what the bound rejects did not move
+        (``candidates`` 2,696, ``pruned`` 2,519, ``costed`` 177,
+        ``parcost_hits`` 128, ``parcost_misses`` 49 — the pre-bound is
+        the old bound to rounding); what is *estimated* did:
+        ``estimate_misses`` 4,488 -> 177, the own nodes of the costed
+        candidates only (one hash join or scan each: every merge join
+        and its two sorts is pruned unbuilt), and ``estimate_hits``
+        21,504 -> 1,218, the reused nodes under those 177.
         """
         schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
         optimizer = TwoPhaseOptimizer(schema.catalog)
         optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
-        stats = optimizer.cache_stats.as_dict()
-        assert {key: stats[key] for key in stats if not key.startswith("subplan")} == {
+        assert _search_counters(optimizer) == {
             "candidates": 2696,
             "pruned": 2519,
             "costed": 177,
             "parcost_hits": 128,
             "parcost_misses": 49,
-            "estimate_hits": 21504,
-            "estimate_misses": 4488,
+            "estimate_hits": 1218,
+            "estimate_misses": 177,
         }
+
+    def test_cold_seqcost_search_counters_are_pinned(self):
+        """The ``LEFT_DEEP_SEQ`` twin: ``seqcost`` is its own bound.
+
+        Before, a seqcost search had no bound and costed all 1,373
+        candidates; now it builds the 177 within ``PRUNE_MARGIN`` of
+        their cell's best and chooses the same plan at the same cost.
+        """
+        schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
+        optimizer = TwoPhaseOptimizer(schema.catalog)
+        plan = optimizer.choose_plan(schema.query, LEFT_DEEP)
+        assert _search_counters(optimizer) == {
+            "candidates": 1373,
+            "pruned": 1196,
+            "costed": 177,
+            "parcost_hits": 0,
+            "parcost_misses": 0,
+            "estimate_hits": 1218,
+            "estimate_misses": 177,
+        }
+        reference = TwoPhaseOptimizer(schema.catalog, fast_path=False)
+        exhaustive = reference.choose_plan(schema.query, LEFT_DEEP)
+        assert plan_shape_key(plan) == plan_shape_key(exhaustive)
+        (cost,) = [
+            cost for cost, best in optimizer.caches.subplans.values() if best is plan
+        ]
+        # The float the unbounded search settled this cell at (a memo-
+        # composed sum: ulps off a fresh estimate of the same plan).
+        assert cost.hex() == "0x1.989aaa66d8722p-1"
 
     def test_estimates_of_kept_nodes_are_the_uncached_ones(self, star):
         optimizer = TwoPhaseOptimizer(star.catalog)
@@ -624,8 +774,6 @@ class TestTieBreaking:
     def test_lazy_key_picks_the_least_key_among_equal_costs(self):
         from itertools import permutations
 
-        from repro.optimizer.enumeration import _Incumbent
-
         scans = [SeqScanNode(name) for name in ("s3", "s1", "s2")]
         for order in permutations(scans):
             incumbent = _Incumbent(lambda plan: 1.0, None)
@@ -634,8 +782,6 @@ class TestTieBreaking:
             assert incumbent.plan.table == "s1"
 
     def test_cheaper_always_beats_a_smaller_key(self):
-        from repro.optimizer.enumeration import _Incumbent
-
         costs = {"s1": 2.0, "s2": 1.0, "s3": 2.0}
         incumbent = _Incumbent(lambda plan: costs[plan.table], None)
         for name in ("s3", "s1", "s2", "s1"):

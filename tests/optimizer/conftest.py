@@ -1,49 +1,15 @@
 """Fixtures for optimizer tests: a three-relation chain-join catalog."""
 
-import numpy as np
 import pytest
 
-from repro.catalog import Catalog, Schema
-from repro.config import paper_machine
-from repro.optimizer import JoinPredicate, Query
-from repro.plans import analyze_table
-from repro.storage import BTreeIndex, DiskArray, HeapFile
+from .corpus_tools import three_chain_catalog, three_chain_query
 
 
 @pytest.fixture
 def catalog():
-    machine = paper_machine()
-    array = DiskArray(machine)
-    cat = Catalog()
-    rng = np.random.default_rng(11)
-
-    def make_rel(name, int_cols, text_col, n, payload):
-        schema = Schema.of(*[(c, "int4") for c in int_cols], (text_col, "text"))
-        heap = HeapFile(schema, array, name=name)
-        for __ in range(n):
-            vals = tuple(int(rng.integers(0, n // 4 + 1)) for __ in int_cols)
-            heap.insert(vals + ("x" * payload,))
-        cat.create_table(name, schema, heap)
-        analyze_table(cat, name)
-        return heap
-
-    heap1 = make_rel("r1", ["a", "b1"], "p1", 800, 40)
-    make_rel("r2", ["b2", "c2"], "p2", 500, 40)
-    make_rel("r3", ["c3", "d3"], "p3", 300, 40)
-
-    index = BTreeIndex()
-    for rid, row in heap1.scan():
-        index.insert(row[0], rid)
-    cat.add_index("r1", "r1_a_idx", "a", index)
-    return cat
+    return three_chain_catalog()
 
 
 @pytest.fixture
 def chain_query():
-    return Query(
-        relations=["r1", "r2", "r3"],
-        joins=[
-            JoinPredicate("r1", "b1", "r2", "b2"),
-            JoinPredicate("r2", "c2", "r3", "c3"),
-        ],
-    )
+    return three_chain_query()

@@ -13,6 +13,11 @@ schemas) are replayed by four arms — a cold optimizer per query, one
 warm optimizer, a warm optimizer fed the queries in a shuffled order,
 and ``fast_path=False`` — because what one optimizer remembers from
 earlier queries must never change what it answers for a later one.
+
+The ``batch/…`` and ``explain/…`` entries replay the step after phase
+1 — fragments become named, arrival-stamped, wired tasks and are
+scheduled — through ``MultiQueryScheduler.run`` and
+``XprsSystem.explain``, compared by task name and ``float.hex``.
 """
 
 from __future__ import annotations
@@ -25,12 +30,19 @@ import pytest
 from repro.optimizer import TwoPhaseOptimizer
 
 from .corpus_tools import (
+    BATCH_MODES,
+    BATCH_POLICIES,
+    BATCHES,
     CORPUS_PATH,
+    EXPLAINED,
     SERVED_SCHEMAS,
     SPACES,
     WORKLOADS,
     choose,
     choose_served,
+    explain_system,
+    run_batch,
+    run_explain,
     served_queries,
 )
 
@@ -112,9 +124,32 @@ class TestServedPlans:
         self._replay(served_queries(label, schema), lambda: reference)
 
 
+@pytest.mark.parametrize("label, factory", BATCHES, ids=[label for label, __ in BATCHES])
+def test_batch_schedule_matches_corpus(label, factory):
+    """Plan → named, stamped, wired tasks → pooled schedule, to the bit."""
+    catalog, submissions = factory()
+    for mode in BATCH_MODES:
+        for policy_label, policy in BATCH_POLICIES:
+            key = f"batch/{label}/{mode.name}/{policy_label}"
+            assert run_batch(catalog, submissions, mode, policy()) == CORPUS[key], key
+
+
+def test_explain_matches_corpus():
+    system = explain_system()
+    for label, sql in EXPLAINED:
+        assert run_explain(system, sql) == CORPUS[f"explain/{label}"], label
+
+
 def test_corpus_covers_every_configuration():
     expected = {f"{label}/{space}" for label, __ in WORKLOADS for space in SPACES}
     for label, factory in SERVED_SCHEMAS:
         expected |= {key for key, __ in served_queries(label, factory())}
+    expected |= {
+        f"batch/{label}/{mode.name}/{policy}"
+        for label, __ in BATCHES
+        for mode in BATCH_MODES
+        for policy, __ in BATCH_POLICIES
+    }
+    expected |= {f"explain/{label}" for label, __ in EXPLAINED}
     assert set(CORPUS) == expected
     assert sum(key.startswith("served/") for key in CORPUS) == 3 * (56 + 14)

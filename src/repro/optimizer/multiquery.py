@@ -13,7 +13,8 @@ utilizations using our scheduling algorithm."  This module implements
 exactly that pipeline:
 
 1. phase 1 per query (any :class:`OptimizerMode`);
-2. fragment every chosen plan, preserving intra-query dependencies;
+2. fragment every chosen plan into named, arrival-stamped tasks that
+   keep its intra-query dependencies (:meth:`FragmentGraph.to_tasks`);
 3. pool all fragments into one adaptive scheduler run (optionally with
    per-query arrival times);
 4. report per-query response times alongside the batch elapsed time.
@@ -145,25 +146,9 @@ class MultiQueryScheduler:
                 cache=caches.node_estimates if caches is not None else None,
             )
             fragments = fragment_plan(plan, estimate)
-            named = [
-                fragment.to_task(
-                    name=f"{submission.name}/frag{fragment.fragment_id}"
-                )
-                for fragment in fragments.fragments
-            ]
-            id_by_fragment = {
-                fragment.fragment_id: task.task_id
-                for fragment, task in zip(fragments.fragments, named)
-            }
-            wired = [
-                task.with_dependencies(
-                    id_by_fragment[d] for d in fragment.depends_on
-                )
-                for fragment, task in zip(fragments.fragments, named)
-            ]
-            # with_arrival re-keys ids, so re-wire the dependencies.
-            arrived = [t.with_arrival(submission.arrival_time) for t in wired]
-            tasks = rewire_dependencies(wired, arrived)
+            tasks = fragments.to_tasks(
+                name=submission.name, arrival_time=submission.arrival_time
+            )
             outcomes.append(
                 QueryOutcome(
                     submission=submission,
@@ -205,9 +190,11 @@ def rewire_dependencies(
     *fresh* ``task_id``, which orphans every ``depends_on`` edge between
     tasks of the same batch.  Given the original tasks and their
     positionally matching re-keyed copies, this rewrites each copy's
-    dependencies in terms of the new ids.  Both the multi-query batch
-    pipeline and the serving layer
-    (:mod:`repro.service`) stamp arrival times this way.
+    dependencies in terms of the new ids.  The library itself no
+    longer stamps this way — a plan's tasks come stamped and wired from
+    :meth:`~repro.plans.fragments.FragmentGraph.to_tasks` — and the
+    remaining caller is the end-to-end benchmark harness
+    (``benchmarks/e2e/e2e_workloads.py``), whose workloads stay fixed.
 
     Args:
         originals: tasks whose ``depends_on`` sets reference ids within

@@ -10,8 +10,9 @@ execution and are also called tasks" (Section 2.1).
 returns a :class:`FragmentGraph` — fragments plus the precedence
 dependencies induced by the blocking edges.  With a
 :class:`~repro.plans.costing.PlanEstimate` attached, each fragment
-carries the ``(T_i, D_i, C_i)`` profile the scheduler consumes
-(:meth:`Fragment.to_task`).
+carries the ``(T_i, D_i, C_i)`` profile the scheduler consumes, and
+:meth:`FragmentGraph.to_tasks` turns them into named, arrival-stamped,
+wired tasks.
 
 The cut itself lives in one function, :func:`_cut`, which composes a
 subtree's :class:`FragmentSummary` from its children's.
@@ -159,10 +160,17 @@ class FragmentGraph:
             for f in self.fragments
         )
 
-    def to_tasks(self) -> list[Task]:
+    def to_tasks(self, name: str | None = None, arrival_time: float = 0.0) -> list[Task]:
         """Scheduler tasks for every fragment, wired with the
-        order-dependencies induced by the blocking edges."""
-        return signature_tasks(self.signature(), self.fragments)
+        order-dependencies induced by the blocking edges.
+
+        The one place a plan's fragments become tasks: with ``name``
+        they are named ``{name}/frag{i}`` (a query in a pool of
+        queries), and every task arrives at ``arrival_time``.
+        """
+        return signature_tasks(
+            self.signature(), self.fragments, name=name, arrival_time=arrival_time
+        )
 
 
 class FragmentSummary(NamedTuple):
@@ -269,24 +277,35 @@ def plan_signature(
     return _signature(_cut(plan, estimate, {} if subtrees is None else subtrees))
 
 
-def signature_tasks(signature: tuple, fragments: list[Fragment] | None = None) -> list[Task]:
+def signature_tasks(
+    signature: tuple,
+    fragments: list[Fragment] | None = None,
+    *,
+    name: str | None = None,
+    arrival_time: float = 0.0,
+) -> list[Task]:
     """Scheduler tasks for a signature's rows, dependencies wired.
 
     One task id is drawn per fragment, in fragment order, before any
     task is built, so every ``depends_on`` is set at construction.
-    With ``fragments`` each task is named after, and carries as
-    payload, its fragment.
+    With ``fragments`` each task carries its fragment as payload and,
+    without ``name``, is named after it.
     """
     ids = [_task_ids() for __ in signature]
     tasks = []
     for i, (seq_time, io_count, pattern, memory, deps) in enumerate(signature):
         fragment = fragments[i] if fragments is not None else None
+        if name is not None:
+            label = f"{name}/frag{i}"
+        else:
+            label = f"frag{i}({fragment.root.label()})" if fragment else f"frag{i}"
         tasks.append(
             Task(
-                name=f"frag{i}({fragment.root.label()})" if fragment else f"frag{i}",
+                name=label,
                 seq_time=seq_time,
                 io_count=io_count,
                 io_pattern=IOPattern(pattern),
+                arrival_time=arrival_time,
                 depends_on=frozenset([ids[i + d] for d in deps]),
                 memory_bytes=memory,
                 task_id=ids[i],

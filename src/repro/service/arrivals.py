@@ -16,10 +16,11 @@ keeps arriving regardless of progress.  This module turns the existing
 Both are seeded and fully deterministic: the same ``(seed, λ, mix)``
 always yields byte-identical streams.  Each submission bundles one or
 more tasks drawn from the mix; multi-task bundles are chained with
-order-dependencies (fragment pipelines), and arrival stamping re-keys
-task ids, so dependencies are re-wired with
-:func:`repro.optimizer.rewire_dependencies` — the same helper the
-multi-query batch pipeline uses.
+order-dependencies (fragment pipelines) on the ids the arrival stamp
+gives them.  To submit an optimized plan instead, build its tasks with
+:meth:`FragmentGraph.to_tasks(name=, arrival_time=)
+<repro.plans.fragments.FragmentGraph.to_tasks>`, which names, stamps
+and wires them in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from ..config import MachineConfig, paper_machine
 from ..core.balance import intra_time
 from ..core.ids import id_scope, restore_counters, snapshot_counters
 from ..errors import ConfigError
-from ..optimizer.multiquery import rewire_dependencies
 from ..workloads import RateBands, WorkloadConfig, WorkloadKind, generate_tasks
 from .queue import ServiceSubmission
 
@@ -263,18 +263,17 @@ def _build_submissions_scoped(
     for i, (arrival, size) in enumerate(zip(arrival_times, sizes)):
         tenant_index = config.tenant_of(i)
         cursor = cursors[tenant_index]
-        bundle = pools[tenant_index][cursor : cursor + size]
+        # Stamping re-keys ids in stream order; chain on the stamped ids.
+        stamped = [
+            task.with_arrival(arrival)
+            for task in pools[tenant_index][cursor : cursor + size]
+        ]
         cursors[tenant_index] = cursor + size
         if config.chain_fragments:
-            bundle = [
-                task
-                if j == 0
-                else task.with_dependencies({bundle[j - 1].task_id})
-                for j, task in enumerate(bundle)
+            stamped = [
+                task if j == 0 else task.with_dependencies({stamped[j - 1].task_id})
+                for j, task in enumerate(stamped)
             ]
-        stamped = rewire_dependencies(
-            bundle, [t.with_arrival(arrival) for t in bundle]
-        )
         deadline = None
         if config.slo_stretch is not None:
             ideal = sum(intra_time(t, machine) for t in stamped)

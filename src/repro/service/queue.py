@@ -29,8 +29,10 @@ class ServiceSubmission:
         tenant: owning tenant; each tenant has its own bounded queue.
         tasks: the query's plan fragments as scheduler tasks.  Their
             ``depends_on`` edges must stay within the bundle and their
-            ``arrival_time`` must equal :attr:`arrival_time` (use
-            :meth:`repro.optimizer.rewire_dependencies` after stamping).
+            ``arrival_time`` must equal :attr:`arrival_time` (a plan's
+            :meth:`FragmentGraph.to_tasks(name=, arrival_time=)
+            <repro.plans.fragments.FragmentGraph.to_tasks>` builds
+            them that way).
         arrival_time: when the submission reaches the service (seconds).
         deadline: absolute response-time SLO deadline, or ``None`` when
             the submission carries no SLO.

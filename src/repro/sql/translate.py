@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
-from ..config import MachineConfig
+from ..config import MachineConfig, paper_machine
 from ..executor import expressions as ex
 from ..executor.operators.aggregate import AggregateSpec
 from ..optimizer.enumeration import enumerate_space
 from ..optimizer.query import JoinPredicate, Query
+from ..optimizer.twophase import SeqcostObjective
 from ..plans import nodes as pn
-from ..plans.costing import CostModel, estimate_plan
+from ..plans.costing import CostModel
 from . import ast
 from .lexer import SqlError
 from .parser import parse
@@ -193,11 +194,9 @@ def translate(
     query.validate(catalog)
 
     # -- phase 1: join-order optimization ---------------------------------------
-    def seqcost(plan: pn.PlanNode) -> float:
-        return estimate_plan(
-            plan, catalog, cost_model=cost_model, machine=machine
-        ).seqcost()
-
+    seqcost = SeqcostObjective(
+        catalog, machine=machine or paper_machine(), cost_model=cost_model
+    )
     plan = enumerate_space(query, catalog, seqcost, space=space)
     residual = None
     if residual_parts:

@@ -26,45 +26,28 @@ from typing import Sequence
 from .catalog import Catalog, Schema
 from .config import MachineConfig, paper_machine
 from .core.schedulers import InterWithAdjPolicy, SchedulingPolicy
-from .core.task import Task
 from .errors import ReproError
-from .plans.costing import CostModel, PlanEstimate, estimate_plan
-from .plans.fragments import FragmentGraph, fragment_plan
-from .plans.nodes import PlanNode
-from .sim.fluid import FluidSimulator, ScheduleResult
+from .optimizer.parcost import ParallelCost, parallel_cost
+from .plans.costing import CostModel
 from .sql.translate import TranslatedQuery, translate
 from .storage import BTreeIndex, DiskArray, HeapFile
 
 
 @dataclass
-class ExplainReport:
+class ExplainReport(ParallelCost):
     """Everything the master backend decides about one query.
 
-    Attributes:
-        sql: the statement text.
-        plan: the chosen sequential plan (phase 1).
-        estimate: per-node cost estimates.
-        fragments: the plan fragments (tasks) with blocking-edge deps.
-        tasks: scheduler-level tasks derived from the fragments.
-        schedule: the predicted parallel schedule (phase 2).
+    The :class:`~repro.optimizer.ParallelCost` of the chosen plan
+    (phase 1's plan, its estimate, fragments, tasks and the predicted
+    phase-2 schedule) plus ``sql``, the statement text.
     """
 
     sql: str
-    plan: PlanNode
-    estimate: PlanEstimate
-    fragments: FragmentGraph
-    tasks: list[Task]
-    schedule: ScheduleResult
 
     @property
     def predicted_elapsed(self) -> float:
         """``parcost(p, n)`` — the predicted parallel elapsed time."""
-        return self.schedule.elapsed
-
-    @property
-    def seqcost(self) -> float:
-        """The conventional sequential cost of the chosen plan."""
-        return self.estimate.seqcost()
+        return self.elapsed
 
     def pretty(self) -> str:
         """A multi-section EXPLAIN-style rendering."""
@@ -176,26 +159,14 @@ class XprsSystem:
 
     def explain(self, sql: str) -> ExplainReport:
         """Phase 1 + phase 2 without executing: plan, fragments, schedule."""
-        translated = self._translate(sql)
-        estimate = estimate_plan(
-            translated.plan,
+        cost = parallel_cost(
+            self._translate(sql).plan,
             self.catalog,
-            cost_model=self.cost_model,
             machine=self.machine,
+            cost_model=self.cost_model,
+            policy=self.policy,
         )
-        fragments = fragment_plan(translated.plan, estimate)
-        tasks = fragments.to_tasks()
-        simulator = FluidSimulator(self.machine, adjustment_overhead=0.0)
-        self.policy.reset()
-        schedule = simulator.run(list(tasks), self.policy)
-        return ExplainReport(
-            sql=sql,
-            plan=translated.plan,
-            estimate=estimate,
-            fragments=fragments,
-            tasks=tasks,
-            schedule=schedule,
-        )
+        return ExplainReport(**vars(cost), sql=sql)
 
     def _translate(self, sql: str) -> TranslatedQuery:
         if not isinstance(sql, str) or not sql.strip():

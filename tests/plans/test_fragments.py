@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ids import id_scope, task_ids
 from repro.core.task import IOPattern
 from repro.errors import PlanError
 from repro.executor import AggregateSpec, col, eq
@@ -132,6 +133,36 @@ class TestProfiles:
         probe, build = tasks
         assert probe.depends_on == {build.task_id}
         assert build.depends_on == frozenset()
+
+    def test_to_tasks_names_stamps_and_wires(self, catalog):
+        plan = MergeJoinNode(
+            SortNode(SeqScanNode("r1"), ("b1",)),
+            SortNode(SeqScanNode("r2"), ("b2",)),
+            "b1",
+            "b2",
+        )
+        graph = fragment_plan(plan, estimate_plan(plan, catalog))
+        with id_scope():
+            tasks = graph.to_tasks(name="q7", arrival_time=2.5)
+            drawn = task_ids()
+        assert drawn == len(tasks) == 3
+        assert [t.name for t in tasks] == ["q7/frag0", "q7/frag1", "q7/frag2"]
+        assert all(t.arrival_time == 2.5 for t in tasks)
+        merge, left, right = tasks
+        assert merge.depends_on == {left.task_id, right.task_id}
+        assert left.depends_on == right.depends_on == frozenset()
+        for task, fragment in zip(tasks, graph.fragments):
+            assert task.payload is fragment
+            assert task.seq_time == fragment.seq_time
+
+    def test_to_tasks_defaults_keep_fragment_labels(self, catalog):
+        plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")
+        tasks = fragment_plan(plan, estimate_plan(plan, catalog)).to_tasks()
+        assert [t.name for t in tasks] == [
+            "frag0(HashJoin(b1 = b2))",
+            "frag1(SeqScan(r2))",
+        ]
+        assert all(t.arrival_time == 0.0 for t in tasks)
 
     def test_task_io_rate_positive(self, catalog):
         plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")

@@ -18,6 +18,18 @@ was deleted, so they pin the surviving gate to that history: the
 replay test checks it still produces these bytes, and any behavioural
 drift fails loudly and points at the exact case.
 
+A third block, ``records``, pins what the digest leaves out.  For every
+label of the first two blocks it holds the sha256 of one run with a
+live :class:`~repro.obs.Tracer` (the breaker gets it too) and a
+:class:`~repro.obs.MetricsRegistry`: the digest and ``decide_rounds``,
+every :class:`~repro.service.metrics.TenantMetrics` field (response
+times as ``float.hex``), the breaker timeline, ``registry.as_dict()``,
+every trace event of the gate's categories (the ``tenant:*`` and
+``breaker`` tracks and the engine's shed instants), and the sorted
+cancel and shed records.  It was generated from the gate that
+kept one outcome map per status, before the gate moved to one record
+per submission.
+
 Regenerate after an *intentional* behaviour change with::
 
     PYTHONPATH=src python tests/service/corpus_tools.py
@@ -31,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -38,6 +51,7 @@ from repro.core.ids import id_scope
 from repro.core.schedulers import InterWithAdjPolicy
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
+from repro.obs import MetricsRegistry, Tracer
 from repro.service.admission import admission_by_name
 from repro.service.arrivals import (
     ArrivalConfig,
@@ -61,6 +75,9 @@ STREAMS = ("poisson", "onoff", "mixed")
 #: Gate sizes as (queue_capacity, max_inflight_fragments).
 GATES = {"tight": (2, 2), "roomy": (6, 5)}
 STATUSES = ("completed", "degraded", "deadline", "rejected")
+#: Trace categories a ``records`` entry keeps: every ``tenant:*`` and
+#: ``breaker`` track event, plus the engine's instant for each shed task.
+GATE_CATEGORIES = ("admission", "deadline", "fault")
 
 
 def _stream(kind: str, seed: int):
@@ -72,7 +89,7 @@ def _stream(kind: str, seed: int):
     return poisson_stream(rate=0.45, seed=seed, config=config)
 
 
-def corpus_case(
+def _serve(
     seed: int,
     admission: str,
     deadline_policy: str,
@@ -81,8 +98,10 @@ def corpus_case(
     gate: tuple[int, int] = (4, 4),
     retry: bool = True,
     breaker: bool = False,
-) -> list:
-    """Digest of one corpus cell, a pure function of its arguments.
+    tracer=None,
+    metrics=None,
+):
+    """One corpus cell's :class:`ServiceResult`.
 
     Small but not trivial: 40 SLO-tagged submissions over a tight gate
     (by default queue bound 4, fragment budget 4, retry backoff), so
@@ -99,13 +118,72 @@ def corpus_case(
             retry=RetryPolicy(max_retries=2, base_delay=0.5, max_delay=4.0)
             if retry
             else None,
-            breaker=CircuitBreaker(failure_threshold=3, cooldown=5.0)
+            breaker=CircuitBreaker(
+                failure_threshold=3, cooldown=5.0, tracer=tracer
+            )
             if breaker
             else None,
             deadline_policy=deadline_policy,
             deadline_grace=3.0 if deadline_policy == "shed" else 0.0,
+            tracer=tracer,
+            metrics=metrics,
         )
-        return service.run(_stream(stream, seed)).digest()
+        return service.run(_stream(stream, seed))
+
+
+def corpus_case(seed: int, admission: str, deadline_policy: str, **kwargs) -> list:
+    """Digest of one corpus cell, a pure function of its arguments."""
+    return _serve(seed, admission, deadline_policy, **kwargs).digest()
+
+
+def _hexify(value):
+    """``value`` with every float, however nested, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexify(v) for v in value]
+    return value
+
+
+def corpus_record(**kwargs) -> str:
+    """sha256 of everything one traced, metered cell run produced.
+
+    Covers what :meth:`ServiceResult.digest` does not: ``decide_rounds``,
+    every tenant counter, the breaker timeline, the metrics registry,
+    the gate's and the breaker's trace events, and the engine's cancel
+    and shed records.
+    """
+    tracer, registry = Tracer(), MetricsRegistry()
+    result = _serve(**kwargs, tracer=tracer, metrics=registry)
+    schedule = result.schedule
+    record = {
+        "digest": result.digest(),
+        "decide_rounds": result.decide_rounds,
+        "tenants": [
+            [getattr(tm, f.name) for f in fields(tm)]
+            for __, tm in sorted(result.metrics.tenants.items())
+        ],
+        "breaker": result.metrics.breaker_timeline,
+        "registry": registry.as_dict(),
+        "events": [
+            [e.kind, e.name, e.cat, e.track, e.start, e.dur, e.value, e.args]
+            for e in tracer.events
+            if e.cat in GATE_CATEGORIES
+        ],
+        "cancels": sorted(
+            _hexify(
+                [c.task.name, c.cancelled_at, c.started_at, c.pages_done, c.reason]
+            )
+            for c in schedule.cancel_records
+        ),
+        "sheds": sorted(
+            _hexify([s.task.name, s.shed_at]) for s in schedule.shed_records
+        ),
+    }
+    payload = json.dumps(_hexify(record), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def corpus_cells() -> list[tuple[int, str, str]]:
@@ -146,6 +224,16 @@ def extra_cells() -> dict[str, dict]:
     return cells
 
 
+def all_cells() -> dict[str, dict]:
+    """Every label of ``cases`` and ``cells`` as ``label -> kwargs``."""
+    return {
+        f"{seed}-{admission}-{policy}": dict(
+            seed=seed, admission=admission, deadline_policy=policy
+        )
+        for seed, admission, policy in corpus_cells()
+    } | extra_cells()
+
+
 def summarize(digest: list) -> dict:
     """What a ``cells`` entry stores of a digest: its hash and counts."""
     counts = Counter(row[2] for row in digest if isinstance(row, list))
@@ -178,16 +266,27 @@ def generate_corpus() -> dict:
             {"cell": label, **summarize(corpus_case(**kwargs))}
             for label, kwargs in extra_cells().items()
         ],
+        "records": [
+            {"record": label, "sha256": corpus_record(**kwargs)}
+            for label, kwargs in all_cells().items()
+        ],
     }
 
 
 def render(document: dict) -> str:
-    """The corpus file: ``cases`` indented as ever, one line per cell."""
+    """The corpus file: ``cases`` indented as ever, one line per cell
+    and per record."""
     head = json.dumps(
-        {k: v for k, v in document.items() if k != "cells"}, indent=1
+        {k: v for k, v in document.items() if k not in ("cells", "records")},
+        indent=1,
     )
-    cells = ",\n".join("  " + json.dumps(c) for c in document["cells"])
-    return f'{head[:-2]},\n "cells": [\n{cells}\n ]\n}}\n'
+    blocks = ",\n".join(
+        f' "{key}": [\n'
+        + ",\n".join("  " + json.dumps(row) for row in document[key])
+        + "\n ]"
+        for key in ("cells", "records")
+    )
+    return f"{head[:-2]},\n{blocks}\n}}\n"
 
 
 def main() -> None:

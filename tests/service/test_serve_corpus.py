@@ -4,7 +4,10 @@ The corpus (see ``corpus_tools.py``) pins twelve serving runs as
 ``float.hex``-exact digests and 288 more gate configurations as the
 sha256 of theirs, all generated from the seed-era reference gate
 before it was deleted.  The incremental gate — the only one left —
-must keep reproducing them byte for byte.
+must keep reproducing them byte for byte.  Its ``records`` block pins,
+for the same 300 labels, what the digest leaves out: decide rounds,
+tenant counters, the breaker timeline, the metrics registry, the
+gate's trace events and the cancel/shed records.
 """
 
 import json
@@ -14,19 +17,15 @@ import pytest
 from .corpus_tools import (
     CORPUS_PATH,
     STATUSES,
+    all_cells,
     corpus_case,
-    corpus_cells,
+    corpus_record,
     extra_cells,
     summarize,
 )
 
 #: Every replayed cell, ``test id -> corpus_case keyword arguments``.
-REPLAY = {
-    f"{seed}-{admission}-{policy}": dict(
-        seed=seed, admission=admission, deadline_policy=policy
-    )
-    for seed, admission, policy in corpus_cells()
-} | extra_cells()
+REPLAY = all_cells()
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +52,15 @@ def cells(document):
     }
 
 
-def test_corpus_covers_the_full_grid(corpus, cells):
+@pytest.fixture(scope="module")
+def records(document):
+    return {row["record"]: row["sha256"] for row in document["records"]}
+
+
+def test_corpus_covers_the_full_grid(corpus, cells, records):
     assert set(cells) == set(extra_cells())
     assert set(corpus) == set(REPLAY) - set(cells)
+    assert list(records) == list(REPLAY)
 
 
 @pytest.mark.parametrize("label", REPLAY)
@@ -65,6 +70,11 @@ def test_fast_path_matches_frozen_digest(corpus, cells, label):
         assert summarize(digest) == cells[label]
     else:
         assert digest == corpus[label]
+
+
+@pytest.mark.parametrize("label", REPLAY)
+def test_traced_run_matches_frozen_record(records, label):
+    assert corpus_record(**REPLAY[label]) == records[label]
 
 
 def test_corpus_exercises_every_outcome_kind(corpus, cells):

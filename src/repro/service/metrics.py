@@ -76,7 +76,10 @@ class TenantMetrics:
 
     @property
     def slo_miss_rate(self) -> float:
-        """Fraction of SLO-tagged completions that missed their deadline."""
+        """Fraction of SLO-tagged submissions that missed their deadline.
+
+        Rejected and deadline-cancelled submissions count as misses.
+        """
         if self.slo_tagged == 0:
             return 0.0
         return self.slo_misses / self.slo_tagged

@@ -71,6 +71,7 @@ class SubmissionOutcome:
         rejected_at: when it was shed (``None`` if it ran).
         cancelled_at: when the deadline budget cancelled or degraded it
             (``None`` otherwise).
+        retries: backoff re-offers the gate made after sheds.
     """
 
     submission: ServiceSubmission
@@ -79,6 +80,7 @@ class SubmissionOutcome:
     finished_at: float | None = None
     rejected_at: float | None = None
     cancelled_at: float | None = None
+    retries: int = 0
 
     @property
     def response_time(self) -> float:
@@ -188,11 +190,14 @@ class _GatedView:
     The pending filter is memoized on the gate.  The engine's
     ``state.pending`` is itself memoized and rebuilt as a *fresh list
     object* whenever membership changes, so ``(source list identity,
-    allowed-set version)`` keys the filtered view exactly: a hit means
-    neither the engine's ready set nor the admitted set moved since the
+    in-flight version)`` keys the filtered view exactly: a hit means
+    neither the engine's ready set nor the in-flight set moved since the
     last consult, and the previous filtered list (same tasks, same
-    order) is still the answer.  The gate holds a reference to the
-    source list, so its identity cannot be recycled while the key lives.
+    order) is still the answer.  Admissions and cancels bump the
+    version; completions do not, because a completed task is never
+    pending, so dropping it from the in-flight set cannot change the
+    filter.  The gate holds a reference to the source list, so its
+    identity cannot be recycled while the key lives.
     """
 
     def __init__(
@@ -227,22 +232,51 @@ class _GatedView:
         source = self._state.pending
         if (
             gate._gated_pending_src is source
-            and gate._gated_pending_version == gate._allowed_version
+            and gate._gated_pending_version == gate._inflight_version
         ):
             return gate._gated_pending
-        allowed = gate._allowed
-        filtered = [t for t in source if t.task_id in allowed]
+        inflight = gate._inflight
+        filtered = [t for t in source if t.task_id in inflight]
         gate._gated_pending_src = source
-        gate._gated_pending_version = gate._allowed_version
+        gate._gated_pending_version = gate._inflight_version
         gate._gated_pending = filtered
         return filtered
+
+
+@dataclass(slots=True, eq=False)
+class _Entry:
+    """One submission's fate, written where each gate decision is made.
+
+    ``where`` is ``"queued"``, ``"retry"`` (backing off) or
+    ``"inflight"`` (admitted, some fragment unfinished); ``None`` before
+    arrival and after the submission leaves the gate.  ``unfinished``
+    holds its admitted fragments that have neither completed nor been
+    cancelled; ``cancelled`` the task ids deadline enforcement
+    cancelled.  Both are replaced, never mutated, so the gate builds
+    one entry per submission without allocating either.
+    :meth:`AdmissionGate.outcomes` is the only reader.
+    """
+
+    submission: ServiceSubmission
+    where: str | None = None
+    retries: int = 0
+    admitted_at: float | None = None
+    rejected_at: float | None = None
+    killed_at: float | None = None
+    degraded_at: float | None = None
+    unfinished: Sequence[Task] = ()
+    cancelled: frozenset[int] = frozenset()
 
 
 class AdmissionGate(SchedulingPolicy):
     """The serving-mode policy wrapper (see the module docstring).
 
+    Each submission's fate lives in one private entry, written where
+    each decision is made; after a run :meth:`outcomes` turns the
+    entries into :class:`SubmissionOutcome` records.
+
     Args:
-        submissions: the full arrival stream, any order.
+        submissions: the arrival stream, any order (see :meth:`load`).
         inner: the scheduling policy that places admitted fragments
             (the paper's INTER-WITH-ADJ by default).
         admission: queue-selection policy.
@@ -282,7 +316,7 @@ class AdmissionGate(SchedulingPolicy):
 
     def __init__(
         self,
-        submissions: Sequence[ServiceSubmission],
+        submissions: Sequence[ServiceSubmission] = (),
         *,
         inner: SchedulingPolicy,
         admission: AdmissionPolicy,
@@ -313,6 +347,10 @@ class AdmissionGate(SchedulingPolicy):
         self.deadline_policy = deadline_policy
         self.deadline_grace = deadline_grace
         self.tracer = tracer or None
+        self.load(submissions)
+
+    def load(self, submissions: Sequence[ServiceSubmission]) -> None:
+        """Take a new arrival stream (any order) and reset for it."""
         self._stream = sorted(
             submissions, key=lambda s: (s.arrival_time, s.submission_id)
         )
@@ -326,34 +364,20 @@ class AdmissionGate(SchedulingPolicy):
         self.inner.reset()
         self._queue = AdmissionQueue(self.queue_capacity)
         self._cursor = 0
-        self._allowed: set[int] = set()
-        self._inflight: dict[int, Task] = {}
-        self._by_submission: dict[int, ServiceSubmission] = {}
-        self.admitted_at: dict[int, float] = {}
-        self.rejected_at: dict[int, float] = {}
-        #: Submissions killed by their deadline budget (sid -> when).
-        self.deadline_cancelled_at: dict[int, float] = {}
-        #: Submissions degraded (fragments shed) at their deadline.
-        self.degraded_at: dict[int, float] = {}
-        #: Task ids cancelled by deadline enforcement.
-        self.cancelled_tasks: set[int] = set()
-        #: Deferred re-offers: (due_time, submission_id, attempt, submission).
-        self._retries: list[tuple[float, int, int, ServiceSubmission]] = []
-        #: Retries performed per submission id.
-        self.retry_counts: dict[int, int] = {}
+        #: One entry per submission, by id, in stream order.
+        self._entries = {s.submission_id: _Entry(s) for s in self._stream}
+        #: Admitted-but-unfinished fragments: task id -> (task, entry).
+        self._inflight: dict[int, tuple[Task, _Entry]] = {}
+        #: Deferred re-offers ``(due_time, submission_id)``.
+        self._retries: list[tuple[float, int]] = []
         #: Gate consults this run (one per engine event, not per arrival).
         self.decide_rounds = 0
-        #: Submission ids currently backing off (mirrors ``_retries``).
-        self._retry_sids: set[int] = set()
-        #: One-shot deadline instants ``(time, sid)``; entries whose sid
-        #: left every gate class are dead and popped lazily.
+        #: One-shot deadline instants ``(time, sid)``; entries whose
+        #: submission left the gate are dead and popped lazily.
         self._deadline_heap: list[tuple[float, int]] = []
-        #: Admitted-but-unfinished fragments grouped by submission id.
-        self._inflight_by_sid: dict[int, list[Task]] = {}
-        #: Memo of ``list(self._inflight.values())`` for admission consults.
-        self._inflight_list: list[Task] | None = None
-        #: Bumped on every ``_allowed`` mutation; keys the gated-view memo.
-        self._allowed_version = 0
+        #: Bumped when admits or cancels change ``_inflight``; keys the
+        #: gated-view memo.
+        self._inflight_version = 0
         self._gated_pending_src: list[Task] | None = None
         self._gated_pending_version = -1
         self._gated_pending: list[Task] = []
@@ -364,6 +388,24 @@ class AdmissionGate(SchedulingPolicy):
 
     # -- gate steps --------------------------------------------------------------
 
+    def _note(
+        self,
+        submission: ServiceSubmission,
+        label: str,
+        now: float,
+        cat: str,
+        args: dict | None = None,
+    ) -> None:
+        """One instant on the submission's tenant track."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                f"{label} {submission.name}",
+                t=now,
+                track=f"tenant:{submission.tenant}",
+                cat=cat,
+                args=args,
+            )
+
     def _offer_arrivals(self, state: EngineState) -> list[Action]:
         """Queue submissions that arrived by now; shed on overflow."""
         shed: list[Action] = []
@@ -373,14 +415,14 @@ class AdmissionGate(SchedulingPolicy):
         ):
             submission = self._stream[self._cursor]
             self._cursor += 1
-            shed.extend(self._offer(submission, 0, state))
+            shed.extend(
+                self._offer(self._entries[submission.submission_id], state.now)
+            )
         return shed
 
-    def _offer(
-        self, submission: ServiceSubmission, attempt: int, state: EngineState
-    ) -> list[Action]:
+    def _offer(self, entry: _Entry, now: float) -> list[Action]:
         """One offer of a submission to its tenant queue, breaker-gated."""
-        now = state.now
+        submission = entry.submission
         if self.deadline_policy != "off" and submission.deadline is not None:
             # One-shot enforcement instant; a re-offer pushes a harmless
             # duplicate (same time, popped together).
@@ -389,87 +431,51 @@ class AdmissionGate(SchedulingPolicy):
                 (submission.deadline, submission.submission_id),
             )
         if self.breaker is not None and not self.breaker.allow(now):
-            if self.tracer is not None:
-                self.tracer.instant(
-                    f"breaker:reject {submission.name}",
-                    t=now,
-                    track=f"tenant:{submission.tenant}",
-                    cat="admission",
-                )
-            return self._handle_shed(submission, attempt, state)
+            self._note(submission, "breaker:reject", now, "admission")
+            return self._handle_shed(entry, now)
         try:
             self._queue.offer(submission, now)
         except ServiceOverloadError:
             if self.breaker is not None:
                 self.breaker.record_failure(now)
-            return self._handle_shed(submission, attempt, state)
+            return self._handle_shed(entry, now)
+        entry.where = "queued"
         if self.breaker is not None:
             self.breaker.record_success(now)
         return []
 
-    def _handle_shed(
-        self, submission: ServiceSubmission, attempt: int, state: EngineState
-    ) -> list[Action]:
+    def _handle_shed(self, entry: _Entry, now: float) -> list[Action]:
         """Backoff-and-retry a shed submission, or reject it for good."""
-        tracer = self.tracer
+        submission = entry.submission
+        attempt = entry.retries
         if self.retry is not None and attempt < self.retry.max_retries:
-            due = state.now + self.retry.backoff(
-                submission.submission_id, attempt
+            due = now + self.retry.backoff(submission.submission_id, attempt)
+            heapq.heappush(self._retries, (due, submission.submission_id))
+            entry.retries = attempt + 1
+            entry.where = "retry"
+            self._note(
+                submission,
+                "backoff",
+                now,
+                "admission",
+                {"attempt": attempt + 1, "due": due},
             )
-            heapq.heappush(
-                self._retries,
-                (due, submission.submission_id, attempt + 1, submission),
-            )
-            self._retry_sids.add(submission.submission_id)
-            self.retry_counts[submission.submission_id] = attempt + 1
-            if tracer is not None:
-                tracer.instant(
-                    f"backoff {submission.name}",
-                    t=state.now,
-                    track=f"tenant:{submission.tenant}",
-                    cat="admission",
-                    args={"attempt": attempt + 1, "due": due},
-                )
             return []
-        self.rejected_at[submission.submission_id] = state.now
-        if tracer is not None:
-            tracer.instant(
-                f"shed {submission.name}",
-                t=state.now,
-                track=f"tenant:{submission.tenant}",
-                cat="admission",
-                args={"attempts": attempt + 1},
-            )
+        entry.rejected_at = now
+        self._note(
+            submission, "shed", now, "admission", {"attempts": attempt + 1}
+        )
         return [Shed(task) for task in submission.tasks]
 
     def _drain_retries(self, state: EngineState) -> list[Action]:
         """Re-offer every submission whose backoff has elapsed."""
         actions: list[Action] = []
         while self._retries and self._retries[0][0] <= state.now + _EPS:
-            __, sid, attempt, submission = heapq.heappop(self._retries)
-            self._retry_sids.discard(sid)
-            actions.extend(self._offer(submission, attempt, state))
+            __, sid = heapq.heappop(self._retries)
+            entry = self._entries[sid]
+            entry.where = None
+            actions.extend(self._offer(entry, state.now))
         return actions
-
-    def _cancel_instant(
-        self, submission: ServiceSubmission, label: str, now: float, n: int
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"{label} {submission.name}",
-                t=now,
-                track=f"tenant:{submission.tenant}",
-                cat="deadline",
-                args={"deadline": submission.deadline, "fragments": n},
-            )
-
-    def _deadline_live(self, sid: int) -> bool:
-        """Is this submission still anywhere the deadline budget can act?"""
-        return (
-            sid in self._queue
-            or sid in self._retry_sids
-            or sid in self._inflight_by_sid
-        )
 
     def _enforce_deadlines(self, state: EngineState) -> list[Action]:
         """Cancel work whose deadline budget has expired.
@@ -500,37 +506,43 @@ class AdmissionGate(SchedulingPolicy):
         waiting set cannot repopulate after the shed and running
         fragments never revert to waiting.  So a processed submission
         either leaves the gate or its only future action is covered by
-        its grace instant.
+        its grace instant.  Every instant is at or past its deadline,
+        so a due submission is always overdue.
         """
         if self.deadline_policy == "off":
             return []
         now = state.now
         heap = self._deadline_heap
-        while heap and not self._deadline_live(heap[0][1]):
+        entries = self._entries
+        while heap and entries[heap[0][1]].where is None:
             heapq.heappop(heap)
         if not heap or now <= heap[0][0] + _EPS:
             return []
-        # Consume every due instant, keeping the live submissions.
+        # Consume every due instant, keeping the live submissions; the
+        # head is live and due, so at least one is kept.
         due_sids: set[int] = set()
         while heap and now > heap[0][0] + _EPS:
             __, sid = heapq.heappop(heap)
-            if self._deadline_live(sid):
+            if entries[sid].where is not None:
                 due_sids.add(sid)
-        if not due_sids:
-            return []
         actions: list[Action] = []
 
-        def drop(submission: ServiceSubmission, label: str) -> None:
-            sid = submission.submission_id
-            self.deadline_cancelled_at.setdefault(sid, now)
-            self._cancel_instant(
-                submission, label, now, submission.n_fragments
+        def drop(entry: _Entry) -> None:
+            submission = entry.submission
+            entry.where = None
+            entry.killed_at = now
+            self._note(
+                submission,
+                "deadline:drop",
+                now,
+                "deadline",
+                {
+                    "deadline": submission.deadline,
+                    "fragments": submission.n_fragments,
+                },
             )
-            for task in submission.tasks:
-                if task.task_id in self.cancelled_tasks:
-                    continue
-                self.cancelled_tasks.add(task.task_id)
-                actions.append(Cancel(task, "deadline"))
+            entry.cancelled = frozenset(t.task_id for t in submission.tasks)
+            actions.extend(Cancel(t, "deadline") for t in submission.tasks)
 
         # Queued submissions whose budget ran out before admission: a
         # queued sid's instants are all deadline instants (grace bounds
@@ -542,14 +554,15 @@ class AdmissionGate(SchedulingPolicy):
         queued_due = {sid for sid in due_sids if sid in self._queue}
         if queued_due:
             overdue_waiting = []
-            for entry in self._queue.waiting():
-                if entry.submission.submission_id in queued_due:
-                    overdue_waiting.append(entry)
+            for queued in self._queue.waiting():
+                if queued.submission.submission_id in queued_due:
+                    overdue_waiting.append(queued)
                     if len(overdue_waiting) == len(queued_due):
                         break
-            for entry in overdue_waiting:
-                self._queue.take(entry.submission.submission_id)
-                drop(entry.submission, "deadline:drop")
+            for queued in overdue_waiting:
+                sid = queued.submission.submission_id
+                self._queue.take(sid)
+                drop(entries[sid])
         # Backing-off submissions whose budget ran out mid-retry (each
         # sid has at most one pending retry entry).
         if self._retries:
@@ -560,57 +573,56 @@ class AdmissionGate(SchedulingPolicy):
                     e for e in self._retries if e[1] not in over_sids
                 ]
                 heapq.heapify(self._retries)
-                for __, sid, __attempt, submission in overdue:
-                    self._retry_sids.discard(sid)
-                    drop(submission, "deadline:drop")
+                for __, sid in overdue:
+                    drop(entries[sid])
         # Admitted submissions past their budget: kill or degrade.
         inflight_due = [
-            sid for sid in sorted(due_sids) if sid in self._inflight_by_sid
+            entries[sid]
+            for sid in sorted(due_sids)
+            if entries[sid].where == "inflight"
         ]
         if not inflight_due:
             return actions
         running_ids = {r.task.task_id for r in state.running}
-        for sid in inflight_due:
+        for entry in inflight_due:
             unfinished = sorted(
-                self._inflight_by_sid[sid],
-                key=lambda t: (t.seq_time, t.task_id),
+                entry.unfinished, key=lambda t: (t.seq_time, t.task_id)
             )
-            submission = self._by_submission[unfinished[0].task_id]
+            submission = entry.submission
             deadline = submission.deadline
-            if deadline is None or now <= deadline + _EPS:
-                continue
             running = [t for t in unfinished if t.task_id in running_ids]
             waiting = [t for t in unfinished if t.task_id not in running_ids]
             grace_over = now > deadline + self.deadline_grace + _EPS
             if self.deadline_policy == "kill" or not running or grace_over:
                 to_cancel = waiting + running
-                self.deadline_cancelled_at.setdefault(sid, now)
+                entry.killed_at = now
                 label = "deadline:kill"
             else:
                 to_cancel = waiting
                 if to_cancel:
-                    self.degraded_at.setdefault(sid, now)
+                    entry.degraded_at = now
                 label = "deadline:shed"
             if not to_cancel:
                 continue
-            self._cancel_instant(submission, label, now, len(to_cancel))
+            self._note(
+                submission,
+                label,
+                now,
+                "deadline",
+                {"deadline": deadline, "fragments": len(to_cancel)},
+            )
+            entry.cancelled = entry.cancelled.union(
+                t.task_id for t in to_cancel
+            )
             for task in to_cancel:
-                self.cancelled_tasks.add(task.task_id)
-                self._allowed.discard(task.task_id)
                 del self._inflight[task.task_id]
                 actions.append(Cancel(task, "deadline"))
-            self._allowed_version += 1
-            self._inflight_list = None
-            cancelled = {t.task_id for t in to_cancel}
-            survivors = [
-                t
-                for t in self._inflight_by_sid[sid]
-                if t.task_id not in cancelled
+            self._inflight_version += 1
+            entry.unfinished = [
+                t for t in entry.unfinished if t.task_id not in entry.cancelled
             ]
-            if survivors:
-                self._inflight_by_sid[sid] = survivors
-            else:
-                del self._inflight_by_sid[sid]
+            if not entry.unfinished:
+                entry.where = None
         return actions
 
     def next_wakeup(self, now: float) -> float | None:
@@ -618,26 +630,13 @@ class AdmissionGate(SchedulingPolicy):
         times: list[float] = []
         if self._retries:
             times.append(self._retries[0][0])
-        if self.deadline_policy != "off" and self._deadline_heap:
-            heap = self._deadline_heap
-            # Ascending pops: the first live entry past now is the min
-            # deadline wake.  Live-but-boundary entries (within _EPS of
-            # now, not yet consumable) are pushed back untouched.
-            buffered: list[tuple[float, int]] = []
-            while heap:
-                t, sid = heap[0]
-                if not self._deadline_live(sid):
-                    heapq.heappop(heap)
-                    continue
-                # Nudged past the instant so the `now > deadline`
-                # comparison in the enforcement pass is already true
-                # when we wake.
-                if t + 2 * _EPS > now + _EPS:
-                    times.append(t + 2 * _EPS)
-                    break
-                buffered.append(heapq.heappop(heap))
-            for entry in buffered:
-                heapq.heappush(heap, entry)
+        heap = self._deadline_heap
+        while heap and self._entries[heap[0][1]].where is None:
+            heapq.heappop(heap)
+        if heap:
+            # Nudged past the instant so the `now > deadline` comparison
+            # in the enforcement pass is already true when we wake.
+            times.append(heap[0][0] + 2 * _EPS)
         future = [t for t in times if t > now + _EPS]
         return min(future) if future else None
 
@@ -652,17 +651,13 @@ class AdmissionGate(SchedulingPolicy):
             return
         self._completed_seen = len(completed)
         done = [tid for tid in self._inflight if tid in completed]
-        if not done:
-            return
         for tid in done:
-            del self._inflight[tid]
-            sid = self._by_submission[tid].submission_id
-            tasks = self._inflight_by_sid.get(sid)
-            if tasks is not None:
-                tasks[:] = [t for t in tasks if t.task_id != tid]
-                if not tasks:
-                    del self._inflight_by_sid[sid]
-        self._inflight_list = None
+            __, entry = self._inflight.pop(tid)
+            entry.unfinished = [
+                t for t in entry.unfinished if t.task_id != tid
+            ]
+            if not entry.unfinished:
+                entry.where = None
 
     def _admit(self, state: EngineState) -> None:
         """Release waiting submissions while the fragment budget allows."""
@@ -682,9 +677,9 @@ class AdmissionGate(SchedulingPolicy):
                 if budget < 1:
                     return  # every bundle has >= 1 fragment: no candidates
                 candidates = []
-                for entry in queue.waiting():
-                    if entry.submission.n_fragments <= budget:
-                        candidates.append(entry)
+                for queued in queue.waiting():
+                    if queued.submission.n_fragments <= budget:
+                        candidates.append(queued)
                         if hw is not None and len(candidates) >= hw:
                             break
             else:
@@ -693,16 +688,18 @@ class AdmissionGate(SchedulingPolicy):
                 candidates = waiting if hw is None else waiting[:hw]
             if not candidates:
                 return
-            if self._inflight_list is None:
-                self._inflight_list = list(inflight.values())
             choice = self.admission.select(
-                candidates, self._inflight_list, state.machine
+                candidates,
+                [task for task, __ in inflight.values()],
+                state.machine,
             )
             if choice is None:
                 return
             submission = queue.take(choice.submission_id)
             sid = submission.submission_id
-            self.admitted_at[sid] = state.now
+            entry = self._entries[sid]
+            entry.where = "inflight"
+            entry.admitted_at = state.now
             if self.tracer is not None:
                 self.tracer.span(
                     f"queue-wait {submission.name}",
@@ -713,12 +710,9 @@ class AdmissionGate(SchedulingPolicy):
                     args={"fragments": submission.n_fragments},
                 )
             for task in submission.tasks:
-                self._allowed.add(task.task_id)
-                inflight[task.task_id] = task
-                self._by_submission[task.task_id] = submission
-            self._allowed_version += 1
-            self._inflight_list = None
-            self._inflight_by_sid[sid] = list(submission.tasks)
+                inflight[task.task_id] = (task, entry)
+            entry.unfinished = submission.tasks
+            self._inflight_version += 1
             if (
                 self.deadline_policy == "shed"
                 and submission.deadline is not None
@@ -758,29 +752,75 @@ class AdmissionGate(SchedulingPolicy):
         actions.extend(self.inner.decide(_GatedView(state, self, banned)))
         return actions
 
+    def outcomes(self, schedule: ScheduleResult) -> list[SubmissionOutcome]:
+        """Every submission's fate in the run that produced ``schedule``.
+
+        One :class:`SubmissionOutcome` per submission, in stream order
+        (arrival time, then submission id).
+
+        Raises:
+            AdmissionError: an admitted submission that was neither
+                cancelled nor degraded did not run to completion.
+        """
+        finished: dict[int, float] = {}
+        for record in schedule.records:
+            finished[record.task.task_id] = record.finished_at
+        outcomes = []
+        for entry in self._entries.values():
+            submission = entry.submission
+            cancelled_at = (
+                entry.killed_at
+                if entry.killed_at is not None
+                else entry.degraded_at
+            )
+            ends = [
+                finished.get(t.task_id)
+                for t in submission.tasks
+                if t.task_id not in entry.cancelled
+            ]
+            finished_at = max(ends) if ends and None not in ends else None
+            if entry.rejected_at is not None:
+                status, finished_at = "rejected", None
+            elif cancelled_at is None:
+                if finished_at is None:
+                    raise AdmissionError(
+                        submission.submission_id,
+                        "admitted submission did not run to completion",
+                    )
+                status = "completed"
+            elif entry.killed_at is None and finished_at is not None:
+                status = "degraded"
+            else:
+                status, finished_at = "deadline", None
+            outcomes.append(
+                SubmissionOutcome(
+                    submission=submission,
+                    status=status,
+                    admitted_at=entry.admitted_at,
+                    finished_at=finished_at,
+                    rejected_at=entry.rejected_at,
+                    cancelled_at=cancelled_at,
+                    retries=entry.retries,
+                )
+            )
+        return outcomes
+
 
 class QueryService:
     """An open multi-tenant query service over the fluid engine.
 
+    The service builds one :class:`AdmissionGate` at construction and
+    keeps it as :attr:`gate`; ``admission``, ``scheduler`` (the gate's
+    ``inner``), ``queue_capacity``, ``max_inflight_fragments``,
+    ``retry``, ``breaker``, ``deadline_policy`` and ``deadline_grace``
+    are the gate's arguments, and an invalid one raises here.
+    ``admission`` defaults to balance-aware and ``scheduler`` to the
+    paper's INTER-WITH-ADJ, unchanged.
+
     Args:
         machine: machine configuration (defaults to the paper machine).
-        admission: admission policy (defaults to balance-aware).
-        scheduler: inner scheduling policy (defaults to the paper's
-            INTER-WITH-ADJ, unchanged).
-        queue_capacity: per-tenant waiting-queue bound.
-        max_inflight_fragments: admitted-but-unfinished fragment budget.
         timeline_bucket: bucket width (seconds) of the utilization
             timeline attached to the metrics; ``None`` skips it.
-        retry: shed-retry policy handed to the gate (``None`` = off).
-        breaker: admission circuit breaker (``None`` = off).
-        deadline_policy: end-to-end deadline enforcement — ``"off"``
-            (deadlines stay soft SLO tags), ``"kill"`` (cancel every
-            unfinished fragment at the deadline) or ``"shed"`` (shed
-            cheapest not-yet-started fragments at the deadline, kill
-            the rest after ``deadline_grace``).  See
-            :class:`AdmissionGate`.
-        deadline_grace: extra virtual seconds ``"shed"`` grants running
-            fragments past their deadline.
         degradations: scheduled disk-bandwidth degradation windows,
             applied by the fluid engine and observed by the breaker.
         tracer: a :class:`~repro.obs.Tracer` threaded into the gate
@@ -809,18 +849,21 @@ class QueryService:
         metrics=None,
     ) -> None:
         self.machine = machine or paper_machine()
-        self.admission = admission or BalanceAwareAdmission()
-        self.scheduler = scheduler or InterWithAdjPolicy()
-        self.queue_capacity = queue_capacity
-        self.max_inflight_fragments = max_inflight_fragments
         self.timeline_bucket = timeline_bucket
-        self.retry = retry
-        self.breaker = breaker
-        self.deadline_policy = deadline_policy
-        self.deadline_grace = deadline_grace
         self.degradations = tuple(degradations or ())
         self.tracer = tracer or None
         self.metrics = metrics
+        self.gate = AdmissionGate(
+            inner=scheduler or InterWithAdjPolicy(),
+            admission=admission or BalanceAwareAdmission(),
+            queue_capacity=queue_capacity,
+            max_inflight_fragments=max_inflight_fragments,
+            retry=retry,
+            breaker=breaker,
+            deadline_policy=deadline_policy,
+            deadline_grace=deadline_grace,
+            tracer=self.tracer,
+        )
         self._submitted: list[ServiceSubmission] = []
 
     def submit(
@@ -867,18 +910,8 @@ class QueryService:
         """Serve one arrival stream to completion and digest the trace."""
         if not submissions:
             raise AdmissionError(-1, "empty submission stream")
-        gate = AdmissionGate(
-            submissions,
-            inner=self.scheduler,
-            admission=self.admission,
-            queue_capacity=self.queue_capacity,
-            max_inflight_fragments=self.max_inflight_fragments,
-            retry=self.retry,
-            breaker=self.breaker,
-            deadline_policy=self.deadline_policy,
-            deadline_grace=self.deadline_grace,
-            tracer=self.tracer,
-        )
+        gate = self.gate
+        gate.load(submissions)
         pooled = [task for s in submissions for task in s.tasks]
         simulator = FluidSimulator(
             self.machine,
@@ -886,10 +919,10 @@ class QueryService:
             tracer=self.tracer,
         )
         schedule = simulator.run(pooled, gate)
-        outcomes = self._collect(submissions, gate, schedule)
-        metrics = self._digest(outcomes, schedule, gate)
+        outcomes = gate.outcomes(schedule)
+        metrics = self._digest(outcomes, schedule)
         return ServiceResult(
-            admission_name=self.admission.name,
+            admission_name=gate.admission.name,
             outcomes=outcomes,
             schedule=schedule,
             metrics=metrics,
@@ -898,81 +931,10 @@ class QueryService:
 
     # -- digestion ----------------------------------------------------------------
 
-    @staticmethod
-    def _collect(
-        submissions: Sequence[ServiceSubmission],
-        gate: AdmissionGate,
-        schedule: ScheduleResult,
-    ) -> list[SubmissionOutcome]:
-        finished: dict[int, float] = {}
-        for record in schedule.records:
-            finished[record.task.task_id] = record.finished_at
-        outcomes = []
-        for submission in sorted(
-            submissions, key=lambda s: (s.arrival_time, s.submission_id)
-        ):
-            sid = submission.submission_id
-            if sid in gate.rejected_at:
-                outcomes.append(
-                    SubmissionOutcome(
-                        submission=submission,
-                        status="rejected",
-                        rejected_at=gate.rejected_at[sid],
-                    )
-                )
-                continue
-            if sid in gate.deadline_cancelled_at or sid in gate.degraded_at:
-                ends = [
-                    finished.get(t.task_id)
-                    for t in submission.tasks
-                    if t.task_id not in gate.cancelled_tasks
-                ]
-                if (
-                    sid in gate.deadline_cancelled_at
-                    or not ends
-                    or any(e is None for e in ends)
-                ):
-                    outcomes.append(
-                        SubmissionOutcome(
-                            submission=submission,
-                            status="deadline",
-                            admitted_at=gate.admitted_at.get(sid),
-                            cancelled_at=gate.deadline_cancelled_at.get(
-                                sid, gate.degraded_at.get(sid)
-                            ),
-                        )
-                    )
-                else:
-                    outcomes.append(
-                        SubmissionOutcome(
-                            submission=submission,
-                            status="degraded",
-                            admitted_at=gate.admitted_at[sid],
-                            finished_at=max(ends),
-                            cancelled_at=gate.degraded_at[sid],
-                        )
-                    )
-                continue
-            ends = [finished.get(t.task_id) for t in submission.tasks]
-            if any(e is None for e in ends):
-                raise AdmissionError(
-                    sid, "admitted submission did not run to completion"
-                )
-            outcomes.append(
-                SubmissionOutcome(
-                    submission=submission,
-                    status="completed",
-                    admitted_at=gate.admitted_at[sid],
-                    finished_at=max(ends),
-                )
-            )
-        return outcomes
-
     def _digest(
         self,
         outcomes: list[SubmissionOutcome],
         schedule: ScheduleResult,
-        gate: AdmissionGate,
     ) -> ServiceMetrics:
         tenants: dict[str, TenantMetrics] = {}
         for outcome in outcomes:
@@ -981,7 +943,7 @@ class QueryService:
                 submission.tenant, TenantMetrics(tenant=submission.tenant)
             )
             tm.offered += 1
-            tm.retries += gate.retry_counts.get(submission.submission_id, 0)
+            tm.retries += outcome.retries
             if outcome.status == "rejected":
                 tm.rejected += 1
             elif outcome.status == "deadline":
@@ -1003,26 +965,27 @@ class QueryService:
             if self.timeline_bucket is not None
             else []
         )
+        breaker = self.gate.breaker
         metrics = ServiceMetrics(
-            admission_name=self.admission.name,
+            admission_name=self.gate.admission.name,
             elapsed=schedule.elapsed,
             tenants=tenants,
             cpu_utilization=schedule.cpu_utilization,
             io_utilization=schedule.io_utilization,
             utilization_timeline=timeline,
             breaker_timeline=(
-                list(gate.breaker.timeline) if gate.breaker is not None else []
+                list(breaker.timeline) if breaker is not None else []
             ),
         )
         if self.metrics is not None:
-            self._publish(outcomes, metrics.overall, gate, self.metrics)
+            self._publish(outcomes, metrics.overall, breaker, self.metrics)
         return metrics
 
     @staticmethod
     def _publish(
         outcomes: list[SubmissionOutcome],
         totals: TenantMetrics,
-        gate: AdmissionGate,
+        breaker: CircuitBreaker | None,
         registry,
     ) -> None:
         """Fold the run's outcomes into a unified metrics registry.
@@ -1049,7 +1012,7 @@ class QueryService:
         registry.histogram("service.queue_wait").observe_many(
             [o.queueing_delay for o in finished]
         )
-        if gate.breaker is not None:
+        if breaker is not None:
             series = registry.series("service.breaker_state")
-            for t, name in gate.breaker.timeline:
+            for t, name in breaker.timeline:
                 series.append(t, name)

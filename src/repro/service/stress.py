@@ -106,12 +106,13 @@ def estimate_capacity(
     )
     # Capacity probes must never shed: give the probe a queue deep
     # enough for the whole batch.
+    gate = service.gate
     probe_service = QueryService(
         machine,
-        admission=service.admission,
-        scheduler=service.scheduler,
-        queue_capacity=max(service.queue_capacity, n_probe),
-        max_inflight_fragments=service.max_inflight_fragments,
+        admission=gate.admission,
+        scheduler=gate.inner,
+        queue_capacity=max(gate.queue_capacity, n_probe),
+        max_inflight_fragments=gate.max_inflight_fragments,
     )
     result = probe_service.run(stream)
     completed = sum(1 for o in result.outcomes if o.status == "completed")

@@ -71,18 +71,14 @@ class TestSubmitApi:
             )
 
     def test_bad_policy_and_grace_rejected(self, machine):
-        bad_policy = _service(machine, policy="maybe")
-        bad_policy.submit(
-            "q", [make_task("q-f0", io_rate=40.0, seq_time=1.0)]
-        )
+        # An invalid gate configuration fails at construction, not at
+        # the service's first run.
         with pytest.raises(AdmissionError, match="deadline_policy"):
-            bad_policy.run_submitted()
-        bad_grace = _service(machine, policy="kill", grace=-1.0)
-        bad_grace.submit(
-            "q", [make_task("q-f0", io_rate=40.0, seq_time=1.0)]
-        )
+            _service(machine, policy="maybe")
         with pytest.raises(AdmissionError, match="deadline_grace"):
-            bad_grace.run_submitted()
+            _service(machine, policy="kill", grace=-1.0)
+        with pytest.raises(AdmissionError, match="max_inflight_fragments"):
+            _service(machine, max_inflight_fragments=0)
 
 
 class TestOffPolicy:

@@ -4,12 +4,15 @@ This is the acceptance test of the engine contract (DESIGN.md): one
 ``AdmissionGate`` object — sheds, retries, deadline cancels, wake-ups
 and all — drives first the fluid and then the micro engine over one
 spec-backed arrival stream.  On both, every task must end in exactly
-one of completed / shed / cancelled.  Nothing here is a service mode:
-``QueryService`` still runs the fluid engine only; the micro run exists
-so serving-time scheduling code can be cross-checked at page level.
+one of completed / shed / cancelled, and every submission in exactly
+one status of ``AdmissionGate.outcomes``.  Nothing here is a service
+mode: ``QueryService`` still runs the fluid engine only, and the fluid
+arm's outcomes must equal its own; the micro run exists so
+serving-time scheduling code can be cross-checked at page level.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.service.admission import BalanceAwareAdmission, FifoAdmission
 from repro.service.queue import ServiceSubmission
-from repro.service.server import AdmissionGate
+from repro.service.server import AdmissionGate, QueryService
 from repro.sim import FluidSimulator, MicroSimulator, spec_for_io_rate
+
+from .corpus_tools import STATUSES
 
 MACHINE = paper_machine()
 
@@ -72,25 +77,47 @@ def spec_stream(seed, n=40, *, rate=1.2, max_fragments=2):
     return submissions
 
 
-def run_on_both(submissions, gate, *, seed=0):
-    """``{engine: ScheduleResult}`` of the one gate object on each engine."""
+def run_on_both(submissions, *, seed=0, **config):
+    """Run one ``AdmissionGate(submissions, **config)`` on each engine.
+
+    Returns ``{engine: (ScheduleResult, outcomes)}``, the outcomes read
+    from the gate right after that engine's run.
+    """
+    gate = AdmissionGate(submissions, **config)
     pooled = [task for s in submissions for task in s.tasks]
     engines = {
         "fluid": FluidSimulator(MACHINE),
         "micro": MicroSimulator(MACHINE, seed=seed),
     }
-    return {name: sim.run(pooled, gate) for name, sim in engines.items()}
+    runs = {}
+    for name, sim in engines.items():
+        schedule = sim.run(pooled, gate)
+        runs[name] = (schedule, gate.outcomes(schedule))
+    return runs
 
 
-def assert_conserved(submissions, results):
+def assert_conserved(submissions, runs):
     everyone = {task.name for s in submissions for task in s.tasks}
-    for engine, result in results.items():
+    for engine, (result, outcomes) in runs.items():
         done = {r.task.name for r in result.records}
         shed = {r.task.name for r in result.shed_records}
         cancelled = {r.task.name for r in result.cancel_records}
         assert done | shed | cancelled == everyone, engine
         assert not (done & shed or done & cancelled or shed & cancelled), engine
         assert len(done) + len(shed) + len(cancelled) == len(everyone), engine
+        # Submissions too: exactly one status each, and the status
+        # counts sum to the stream length.
+        names = [o.submission.name for o in outcomes]
+        assert sorted(names) == sorted(s.name for s in submissions), engine
+        counts = Counter(o.status for o in outcomes)
+        assert set(counts) <= set(STATUSES), engine
+        assert sum(counts.values()) == len(submissions), engine
+
+
+def assert_fluid_arm_is_the_service(submissions, runs, *, inner, **config):
+    """The fluid arm's outcomes are what ``QueryService.run`` reports."""
+    service = QueryService(MACHINE, scheduler=inner, **config)
+    assert service.run(submissions).outcomes == runs["fluid"][1]
 
 
 @pytest.mark.parametrize("retry", [False, True], ids=["single-shot", "retry"])
@@ -98,8 +125,7 @@ def assert_conserved(submissions, results):
 @pytest.mark.parametrize("seed", range(6))
 def test_gate_completes_on_both_engines(seed, deadline_policy, retry):
     submissions = spec_stream(seed)
-    gate = AdmissionGate(
-        submissions,
+    config = dict(
         inner=InterWithAdjPolicy(integral=True),
         admission=FifoAdmission(),
         queue_capacity=2,
@@ -112,11 +138,12 @@ def test_gate_completes_on_both_engines(seed, deadline_policy, retry):
         deadline_policy=deadline_policy,
         deadline_grace=0.5,
     )
-    results = run_on_both(submissions, gate, seed=seed)
-    assert_conserved(submissions, results)
+    runs = run_on_both(submissions, seed=seed, **config)
+    assert_conserved(submissions, runs)
+    assert_fluid_arm_is_the_service(submissions, runs, **config)
     # Page-level and fluid time agree loosely on the same stream.
-    assert results["micro"].elapsed == pytest.approx(
-        results["fluid"].elapsed, rel=0.15
+    assert runs["micro"][0].elapsed == pytest.approx(
+        runs["fluid"][0].elapsed, rel=0.15
     )
 
 
@@ -151,8 +178,7 @@ def test_gate_conserves_tasks_on_both_engines_fuzz(
     submissions = spec_stream(
         seed, n, rate=rate, max_fragments=max_fragments
     )
-    gate = AdmissionGate(
-        submissions,
+    config = dict(
         inner=InterWithAdjPolicy(integral=True),
         admission=BalanceAwareAdmission() if balance else FifoAdmission(),
         queue_capacity=queue_capacity,
@@ -170,4 +196,6 @@ def test_gate_conserves_tasks_on_both_engines_fuzz(
         deadline_policy=deadline_policy,
         deadline_grace=grace,
     )
-    assert_conserved(submissions, run_on_both(submissions, gate, seed=seed))
+    runs = run_on_both(submissions, seed=seed, **config)
+    assert_conserved(submissions, runs)
+    assert_fluid_arm_is_the_service(submissions, runs, **config)

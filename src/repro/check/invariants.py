@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 
+from ..core.classify import max_parallelism
 from ..errors import InvariantViolation
 from ..recovery.checkpoint import Checkpoint
 
@@ -170,12 +171,9 @@ class InvariantChecker:
             )
         task = run.task
         if task.io_rate > 0:
-            # The pattern-aware bandwidth wall (classify.max_parallelism
-            # inlined to keep this module import-free).  The micro engine
-            # rounds continuous degrees to integers, so allow half a
-            # processor of rounding slack.
-            from ..core.classify import max_parallelism
-
+            # The pattern-aware bandwidth wall.  The micro engine rounds
+            # continuous degrees to integers, so allow half a processor
+            # of rounding slack.
             maxp = max_parallelism(task, machine)
             if x > maxp * (1.0 + eps) + integral_slack:
                 self._fail(

@@ -11,9 +11,10 @@ reaches the engine through one mechanism each: crash this slave
 The engine is duck-typed; nothing here imports :mod:`repro.sim`.  The
 injector tracks:
 
-* which :class:`~repro.faults.schedule.DiskDegradation` windows are
-  active per disk (:meth:`multiplier` is their product);
-* until when each disk is stalled (:meth:`stalled_until`);
+* per disk, the bandwidth factor ``mult`` (the product of the active
+  :class:`~repro.faults.schedule.DiskDegradation` windows, in activation
+  order) and the stall end ``stall``: the engine's own lists once
+  :meth:`attach` adopts them, written only by the handlers, at fault instants;
 * which :class:`~repro.faults.schedule.MessageFault` is next in line
   (:meth:`message_fate` consumes them in ``at`` order);
 * a seeded RNG used for crash-target picks, so a schedule that says
@@ -103,7 +104,11 @@ class FaultInjector:
         self.rng = random.Random(self.seed)
         self.log = FaultLog()
         self._active: dict[int, list[DiskDegradation]] = {}
-        self._stalled_until: dict[int, float] = {}
+        # Per-disk bandwidth factor and stall end, sized to the disks the
+        # schedule names; attach() swaps in the engine's own lists.
+        disks = 1 + max((getattr(f, "disk", -1) for f in self.schedule), default=-1)
+        self.mult = [1.0] * disks
+        self.stall = [0.0] * disks
         self._message_queue = sorted(
             self.schedule.message_faults, key=lambda f: f.at
         )
@@ -120,6 +125,8 @@ class FaultInjector:
         Rejects a malformed schedule before anything is armed.
         """
         self.schedule.validate_against(engine.machine.disks)
+        # The handlers now write the per-disk lists the engine serves by.
+        self.mult, self.stall = engine._mult, engine._stall
         self.engine = engine
         now = engine.clock
         for fault in self.schedule:
@@ -133,7 +140,9 @@ class FaultInjector:
                     ),
                 )
         if resumed:
-            self.skip_messages_before(now)
+            # A resumed run cannot know which message faults the crashed
+            # attempt consumed: every one timed up to the checkpoint is spent.
+            self._message_queue = [f for f in self._message_queue if f.at > now]
 
     def _trace(self, name: str, now: float, track: str, args=None) -> None:
         """One fault instant on the attached engine's tracer, if any."""
@@ -146,6 +155,7 @@ class FaultInjector:
     def begin_degradation(self, fault: DiskDegradation, now: float) -> None:
         """Activate a degradation window."""
         self._active.setdefault(fault.disk, []).append(fault)
+        self._refresh_mult(fault.disk)
         self.log.degradations += 1
         self.log.record(
             now,
@@ -165,22 +175,22 @@ class FaultInjector:
         active = self._active.get(fault.disk, [])
         if fault in active:
             active.remove(fault)
+            self._refresh_mult(fault.disk)
             self.log.record(now, "recover", f"disk {fault.disk} back to full bandwidth")
         self._trace("degrade:end", now, f"disk:{fault.disk}")
 
-    def multiplier(self, disk_id: int) -> float:
-        """Current bandwidth factor of one disk (1.0 = healthy)."""
+    def _refresh_mult(self, disk_id: int) -> None:
+        """One disk's factor: its active windows' product, in activation order."""
         factor = 1.0
-        for fault in self._active.get(disk_id, []):
+        for fault in self._active[disk_id]:
             factor *= fault.factor
-        return factor
+        self.mult[disk_id] = factor
 
     # -- disk stalls --------------------------------------------------------------
 
     def begin_stall(self, fault: DiskStall, now: float) -> None:
-        """Freeze a disk until the stall's end."""
-        until = max(self._stalled_until.get(fault.disk, 0.0), fault.end)
-        self._stalled_until[fault.disk] = until
+        """Freeze a disk until the stall's end (a shorter one never shortens it)."""
+        self.stall[fault.disk] = max(self.stall[fault.disk], fault.end)
         self.log.stalls += 1
         self.log.record(
             now, "stall", f"disk {fault.disk} frozen for {fault.duration:g}s"
@@ -191,19 +201,6 @@ class FaultInjector:
             f"disk:{fault.disk}",
             {"duration": fault.duration},
         )
-
-    def stalled_until(self, disk_id: int) -> float:
-        """Until when the disk dispatches nothing (0.0 = not stalled)."""
-        return self._stalled_until.get(disk_id, 0.0)
-
-    def skip_messages_before(self, t: float) -> None:
-        """Drop pending message faults with ``at <= t`` (resume support).
-
-        A resumed engine cannot know which message faults the crashed
-        attempt had already consumed; the convention is that every fault
-        timed at or before the checkpoint is spent.
-        """
-        self._message_queue = [f for f in self._message_queue if f.at > t]
 
     # -- protocol messages --------------------------------------------------------
 

@@ -266,12 +266,6 @@ class FaultSchedule:
     def deadlines(self) -> tuple[QueryDeadline, ...]:
         return tuple(f for f in self.faults if isinstance(f, QueryDeadline))
 
-    def without_master_crashes(self) -> "FaultSchedule":
-        """This schedule with every :class:`MasterCrash` removed."""
-        return FaultSchedule(
-            tuple(f for f in self.faults if not isinstance(f, MasterCrash))
-        )
-
     def validate_against(self, n_disks: int) -> None:
         """Reject entries that are no fault type at all, and faults
         naming a disk outside ``[0, n_disks)``."""

@@ -25,7 +25,7 @@ crash replacement does) and ``_kick_idle``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..core.task import IOPattern
 from ..errors import RecoveryError
@@ -290,9 +290,17 @@ class Checkpoint:
             engine.recovery.note_restore(engine)
 
     def to_dict(self) -> dict:
-        """A JSON-serializable dict (lossless round-trip)."""
-        raw = asdict(self)
+        """A JSON-serializable dict (lossless round-trip): one shallow
+        copy per snapshot, since everything below one is a scalar or a
+        tuple and tuples serialise as JSON arrays."""
+        raw = dict(vars(self))
         raw["rng_state"] = _encode_rng(self.rng_state)
+        raw["running"] = [
+            {**vars(task), "slaves": [dict(vars(s)) for s in task.slaves]}
+            for task in self.running
+        ]
+        raw["completed"] = [dict(vars(record)) for record in self.completed]
+        raw["disks"] = [dict(vars(disk)) for disk in self.disks]
         return raw
 
     @classmethod

@@ -29,12 +29,11 @@ cancelled, and how ``Start/Adjust/Shed/Cancel`` reach the engine — is
 this file is the event loop, the disks and the protocols.
 
 Four collaborators hook in at named cold sites, each behind one
-``is not None`` test and none of them near the per-page loop: the
-tracer, the invariant checker, the fault injector (which arms its own
-instants on this engine's heap and reaches back only to crash a slave,
-cancel a task or raise ``MasterCrashError``) and the recovery manager
-(:meth:`Checkpoint.capture <repro.recovery.checkpoint.Checkpoint.capture>`
-reads the engine, ``Checkpoint.restore`` rebuilds one).
+``is not None`` test: the tracer, the invariant checker, the fault
+injector (it arms its own instants on this engine's heap, writes the
+per-disk factor and stall lists the page loop reads, and can only crash
+a slave, cancel a task or raise ``MasterCrashError``) and the recovery
+manager (``Checkpoint.capture`` reads the engine, ``restore`` rebuilds one).
 """
 
 from __future__ import annotations
@@ -476,6 +475,10 @@ class _MicroEngine(TaskLedger):
         # fault injection
         self.injector = injector
         self.adjust_timeout = adjust_timeout
+        #: Per-disk bandwidth factor and stall end.  An injector adopts
+        #: both lists at attach and writes them only at fault instants.
+        self._mult = [1.0] * machine.disks
+        self._stall = [0.0] * machine.disks
         #: Measured per-disk health: EWMA of (nominal service time /
         #: observed service time) per served request.  1.0 = healthy.
         self._measured_mult = [1.0] * machine.disks
@@ -599,12 +602,12 @@ class _MicroEngine(TaskLedger):
         # indirect call), everything rare is a callback.  A page cycle
         # is io done -> processor grant -> cpu done -> next-page claim
         # -> io.  The two event branches only *choose*: ``serve`` is a
-        # request to start on its idle healthy disk, ``ready`` a page
+        # request to start on its idle, unstalled disk, ``ready`` a page
         # to hand a processor.  The shared tail holds the one inlined
-        # disk serve and the one processor grant.  Every other case —
-        # deeper queues, faulted disks, cold callers — goes through
-        # _dispatch_disk and _slave_next, the general forms of the same
-        # steps.  Only this loop assigns the clock.
+        # disk serve (scaled and health-folded under an injector) and the
+        # one processor grant.  Deeper queues, stalls and cold callers go
+        # through _dispatch_disk and _slave_next, the general forms of
+        # the same steps.  Only this loop assigns the clock.
         events = self._events
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -613,6 +616,8 @@ class _MicroEngine(TaskLedger):
         disk_busy = self._disk_busy
         disks = self.disks
         injector = self.injector
+        mult = self._mult
+        stall = self._stall
         n_disks = self._n_disks
         # The ledger mutates these three in place and never rebinds
         # them, so the finished test below may hold them as locals.
@@ -637,7 +642,9 @@ class _MicroEngine(TaskLedger):
                 disk_busy[disk_id] = False
                 queue = disk_queues[disk_id]
                 if queue:
-                    if injector is None and len(queue) == 1:
+                    if len(queue) == 1 and (
+                        injector is None or stall[disk_id] <= clock + _EPS
+                    ):
                         serve = queue.popleft()
                     else:
                         self._dispatch_disk(disk_id)
@@ -693,16 +700,14 @@ class _MicroEngine(TaskLedger):
                                 disk_id,
                                 run.block_base + p // n_disks,
                             )
-                            if (
-                                disk_busy[disk_id]
-                                or disk_queues[disk_id]
-                                or injector is not None
+                            if not (disk_busy[disk_id] or disk_queues[disk_id]) and (
+                                injector is None or stall[disk_id] <= clock + _EPS
                             ):
+                                serve = entry
+                            else:
                                 disk_queues[disk_id].append(entry)
                                 if not disk_busy[disk_id]:
                                     self._dispatch_disk(disk_id)
-                            else:
-                                serve = entry
                     if run.pages_done >= run.n_pages:
                         self._maybe_complete(run)
                 # The freed processor goes to the queue head; requests
@@ -716,8 +721,8 @@ class _MicroEngine(TaskLedger):
                 payload()
                 continue
             if serve is not None:
-                # Inlined Disk.service_time at multiplier 1.0: the same
-                # classification and accounting, no call per page.
+                # Inlined Disk.service_time: the same classification,
+                # scaling and accounting, no call per page.
                 disk_id = serve[2]
                 block = serve[3]
                 disk = disks[disk_id]
@@ -746,6 +751,11 @@ class _MicroEngine(TaskLedger):
                 else:
                     counters.random += 1
                 service = disk._service_times[regime]
+                if injector is not None:
+                    multiplier = mult[disk_id]
+                    if multiplier != 1.0:
+                        service = service / multiplier
+                    self._observe_disk(disk_id, multiplier)
                 if index is not None:
                     streams.pop(index)
                 streams.append(block)
@@ -781,9 +791,8 @@ class _MicroEngine(TaskLedger):
                 f"running={list(self.runs)}, pending={[t.name for t in self.waiting]}"
             )
         elapsed = self.clock
-        if self.injector is not None:
-            log = self.injector.log
-            log.record(elapsed, "done", f"{len(self.records)} tasks complete")
+        if injector is not None:
+            injector.log.record(elapsed, "done", f"{len(self.records)} tasks complete")
         occupancy = self.occupancy_cancelled + sum(
             _history_occupancy(r.parallelism_history, r.finished_at)
             for r in self.records
@@ -794,7 +803,7 @@ class _MicroEngine(TaskLedger):
             cpu_busy=self.cpu_busy_time,
             io_served=float(self.io_count),
             peak_memory=self.peak_memory,
-            fault_log=self.injector.log if self.injector is not None else None,
+            fault_log=injector.log if injector is not None else None,
             cpu_busy_occupancy=occupancy,
             cpu_busy_service=self.cpu_busy_time,
         )
@@ -952,65 +961,44 @@ class _MicroEngine(TaskLedger):
         The scan stops at the first sequential request (rank 0 cannot
         be beaten, and FIFO-within-class means the first hit wins).
 
-        This is the general serve: any queue depth, faulted or healthy.
-        ``run`` inlines only the healthy single-request case.
+        ``run`` inlines the single request on an unstalled disk; this is
+        the general serve.  A healthy machine's factor is 1.0, the fold's
+        fixed point, so no injector test is needed here.
         """
         if self._disk_busy[disk_id]:
             return
         queue = self._disk_queues[disk_id]
-        injector = self.injector
-        if injector is not None:
-            # Requests queued by since-crashed slaves are dropped unserved.
-            if any(entry[1].crashed for entry in queue):
-                self._disk_queues[disk_id] = queue = deque(
-                    entry for entry in queue if not entry[1].crashed
-                )
         if not queue:
             return
-        if injector is not None:
-            until = injector.stalled_until(disk_id)
-            if until > self.clock + _EPS:
-                # Frozen: dispatch nothing, resume once when the stall ends.
-                if not self._stall_armed[disk_id]:
-                    self._stall_armed[disk_id] = True
+        until = self._stall[disk_id]
+        if until > self.clock + _EPS:
+            # Frozen: dispatch nothing, resume once when the stall ends.
+            if not self._stall_armed[disk_id]:
+                self._stall_armed[disk_id] = True
 
-                    def resume() -> None:
-                        self._stall_armed[disk_id] = False
-                        self._dispatch_disk(disk_id)
+                def resume() -> None:
+                    self._stall_armed[disk_id] = False
+                    self._dispatch_disk(disk_id)
 
-                    self._schedule(until - self.clock, resume)
-                return
+                self._schedule(until - self.clock, resume)
+            return
         disk = self.disks[disk_id]
-        if len(queue) == 1:
-            # Singleton queue: selection is trivial, skip classifying
-            # (serving classifies the winner anyway).
-            entry = queue.popleft()
-        else:
-            match = disk._match
-            rank = _REGIME_RANK
-            best_rank = 3
-            best_index = 0
-            i = 0
-            for entry in queue:
-                r = rank[match(entry[3])[0]]
-                if r < best_rank:
-                    best_index = i
-                    if r == 0:
-                        break
-                    best_rank = r
-                i += 1
-            if best_index == 0:
-                entry = queue.popleft()
-            else:
-                entry = queue[best_index]
-                del queue[best_index]
+        match = disk._match
+        best_rank = 3
+        best_index = 0
+        for i, entry in enumerate(queue):
+            rank = _REGIME_RANK[match(entry[3])[0]]
+            if rank < best_rank:
+                best_index = i
+                if rank == 0:
+                    break
+                best_rank = rank
+        entry = queue[best_index]
+        del queue[best_index]
         self._disk_busy[disk_id] = True
-        if injector is None:
-            service = disk.service_time(entry[3])
-        else:
-            multiplier = injector.multiplier(disk_id)
-            service = disk.service_time(entry[3], multiplier=multiplier)
-            self._observe_disk(disk_id, multiplier)
+        multiplier = self._mult[disk_id]
+        service = disk.service_time(entry[3], multiplier=multiplier)
+        self._observe_disk(disk_id, multiplier)
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
@@ -1018,7 +1006,7 @@ class _MicroEngine(TaskLedger):
         )
 
     def _observe_disk(self, disk_id: int, multiplier: float) -> None:
-        """Fold one served request's health ratio into the disk estimate."""
+        """The one health fold: a served request's ratio into its disk's EWMA."""
         old = self._measured_mult[disk_id]
         self._measured_mult[disk_id] = 0.7 * old + 0.3 * multiplier
         self._effective_cache = None
@@ -1247,12 +1235,13 @@ class _MicroEngine(TaskLedger):
         The crashed slave's unclaimed pages (and its in-flight page,
         which never completed) move to a fresh replacement slave.  Any
         events still referencing the dead slave are ignored when they
-        fire, and its queued requests are dropped before dispatch.
+        fire, and its queued request is dropped here, unserved.
         """
         injector = self.injector
         assert injector is not None
         slave.crashed = True
         slave.retired = True
+        self._purge_crashed()
         injector.log.crashes += 1
         injector.log.record(
             self.clock,
@@ -1291,13 +1280,13 @@ class _MicroEngine(TaskLedger):
     def _cancel_run(self, run: _TaskRun, reason: str) -> None:
         """Cooperatively cancel a *running* task, releasing everything.
 
-        Slaves are marked crashed+retired, which the event loop and the
-        dispatchers already treat as "drop on sight": in-flight io
-        completions free their disk, in-flight cpu completions free
-        their processor, queued requests are filtered out before
-        dispatch.  Bumping the adjustment epoch stales any in-flight
-        protocol leg or timeout timer, so a mid-round cancel can never
-        wedge (or double-abort) an adjustment round.
+        Slaves are marked crashed+retired, which the event loop treats
+        as "drop on sight": in-flight io and cpu completions free their
+        disk and processor.  Under an injector their queued requests are
+        purged here, unserved; a run without one still serves them (its
+        traces are frozen that way).  Bumping the adjustment epoch stales
+        any in-flight protocol leg or timeout timer, so a mid-round cancel
+        can never wedge (or double-abort) an adjustment round.
         """
         task = run.task
         run.adjust_epoch += 1
@@ -1310,8 +1299,19 @@ class _MicroEngine(TaskLedger):
             slave.paused = False
             slave.segments = []
             slave.intervals = []
+        if self.injector is not None:
+            self._purge_crashed()
         del self.runs[task.task_id]
         self.cancel(task, reason, started_at=run.started_at, pages_done=run.pages_done)
+
+    def _purge_crashed(self) -> None:
+        """Drop every queued request of a crashed slave, unserved, so
+        no dispatch has to filter them."""
+        for queue in self._disk_queues:
+            if any(entry[1].crashed for entry in queue):
+                live = [entry for entry in queue if not entry[1].crashed]
+                queue.clear()
+                queue.extend(live)
 
     def cancel_task(self, task: Task, reason: str) -> None:
         run = self.runs.get(task.task_id)

@@ -1,5 +1,7 @@
 """Tests for the fault injector and its log."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import FaultError
@@ -19,20 +21,52 @@ def _schedule(*faults):
 
 class TestDegradation:
     def test_multiplier_defaults_to_healthy(self):
-        injector = FaultInjector(_schedule())
-        assert injector.multiplier(0) == 1.0
+        fault = DiskDegradation(disk=1, start=0.0, duration=1.0, factor=0.5)
+        assert FaultInjector(_schedule()).mult == []
+        assert FaultInjector(_schedule(fault)).mult == [1.0, 1.0]
 
     def test_active_windows_stack_multiplicatively(self):
         a = DiskDegradation(disk=0, start=0.0, duration=5.0, factor=0.5)
         b = DiskDegradation(disk=0, start=1.0, duration=5.0, factor=0.5)
-        injector = FaultInjector(_schedule(a, b))
+        c = DiskDegradation(disk=1, start=0.0, duration=5.0, factor=0.5)
+        injector = FaultInjector(_schedule(a, b, c))
         injector.begin_degradation(a, 0.0)
-        assert injector.multiplier(0) == 0.5
+        assert injector.mult[0] == 0.5
         injector.begin_degradation(b, 1.0)
-        assert injector.multiplier(0) == 0.25
-        assert injector.multiplier(1) == 1.0
+        assert injector.mult == [0.25, 1.0]
         injector.end_degradation(a, 5.0)
-        assert injector.multiplier(0) == 0.5
+        assert injector.mult == [0.5, 1.0]
+        injector.end_degradation(b, 6.0)
+        assert injector.mult == [1.0, 1.0]
+
+    def test_product_is_taken_in_activation_order(self):
+        # (0.43 * 0.6) * 0.56 and (0.43 * 0.56) * 0.6 differ in the last bit.
+        first, second, third = (
+            DiskDegradation(disk=0, start=0.0, duration=9.0, factor=f)
+            for f in (0.43, 0.6, 0.56)
+        )
+        injector = FaultInjector(_schedule(first, second, third))
+        for fault in (first, second, third):
+            injector.begin_degradation(fault, 0.0)
+        assert injector.mult[0] == (0.43 * 0.6) * 0.56
+        assert (0.43 * 0.6) * 0.56 != (0.43 * 0.56) * 0.6
+        injector.end_degradation(second, 1.0)
+        assert injector.mult[0] == 0.43 * 0.56
+
+    def test_attach_adopts_the_engines_lists(self):
+        fault = DiskDegradation(disk=1, start=0.0, duration=1.0, factor=0.5)
+        injector = FaultInjector(_schedule(fault))
+        engine = SimpleNamespace(
+            machine=SimpleNamespace(disks=4),
+            clock=0.0,
+            _schedule=lambda delay, callback: None,
+            _mult=[1.0] * 4,
+            _stall=[0.0] * 4,
+        )
+        injector.attach(engine, resumed=False)
+        injector.begin_degradation(fault, 0.0)
+        assert engine._mult == [1.0, 0.5, 1.0, 1.0]
+        assert injector.stall is engine._stall
 
     def test_log_counts_and_events(self):
         fault = DiskDegradation(disk=2, start=0.0, duration=1.0, factor=0.5)
@@ -49,11 +83,11 @@ class TestStalls:
         a = DiskStall(disk=0, at=1.0, duration=2.0)
         b = DiskStall(disk=0, at=2.0, duration=0.5)
         injector = FaultInjector(_schedule(a, b))
-        assert injector.stalled_until(0) == 0.0
+        assert injector.stall == [0.0]
         injector.begin_stall(a, 1.0)
-        assert injector.stalled_until(0) == 3.0
+        assert injector.stall == [3.0]
         injector.begin_stall(b, 2.0)  # ends earlier, must not shorten
-        assert injector.stalled_until(0) == 3.0
+        assert injector.stall == [3.0]
         assert injector.log.stalls == 2
 
 

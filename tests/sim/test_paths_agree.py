@@ -1,12 +1,19 @@
-"""The micro engine's inlined fast path must equal its general path.
+"""An injector that is present but idle must leave a run bit-identical.
 
-A healthy run serves pages through the code inlined in
-``_MicroEngine.run``; a run with an *empty* fault schedule has an
-injector, which forces every page through the general methods
-(``_dispatch_disk`` / ``Disk.service_time`` / ``_slave_next``) while
-injecting nothing.  The two must agree to the last bit — this is the
-in-repo oracle for "inlined ≡ general", next to the frozen
-``data/trace_corpus.json``.
+A run with an *empty* fault schedule has an injector that injects
+nothing.  The engine then does more than on a healthy run: per served
+request it scales by the disk's bandwidth factor (1.0) and folds the
+disk's health estimate (1.0 is the fold's fixed point); it checks the
+stall list (never set); a cancel purges crashed requests from the disk
+queues (none here).  The two runs must agree to the last bit, per-disk
+counters and busy time included.
+
+Both arms serve a singleton queue on an unstalled disk inline in
+``_MicroEngine.run`` and deeper queues through ``_dispatch_disk``;
+stalls and the cold callers of ``_slave_next`` are general-path only.
+"Inlined ≡ general" under real faults is pinned by the frozen
+``data/trace_corpus.json``, whose faulted cells were generated while
+every request of a faulted run took the general serve.
 """
 
 import random
@@ -24,6 +31,7 @@ from repro.core import (
 from repro.core.task import IOPattern
 from repro.faults import FaultSchedule
 from repro.sim import MicroSimulator, spec_for_io_rate
+from repro.sim.micro import _MicroEngine
 from repro.workloads import WorkloadConfig, WorkloadKind
 from repro.workloads.mixes import generate_specs
 
@@ -80,22 +88,22 @@ def run_digest(specs, policy, *, seed, faults, consult_interval=None):
 
 
 def assert_paths_agree(specs, make_policy, *, seed, consult_interval=None):
-    fast = run_digest(
+    healthy = run_digest(
         specs,
         make_policy(),
         seed=seed,
         faults=None,
         consult_interval=consult_interval,
     )
-    general = run_digest(
+    idle_injector = run_digest(
         specs,
         make_policy(),
         seed=seed,
         faults=FaultSchedule(),
         consult_interval=consult_interval,
     )
-    assert fast == general
-    assert float.fromhex(fast["io_served"]) == sum(s.n_pages for s in specs)
+    assert healthy == idle_injector
+    assert float.fromhex(healthy["io_served"]) == sum(s.n_pages for s in specs)
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -109,6 +117,33 @@ def test_fast_path_equals_general_path(kind, seed, policy_name):
         config=WorkloadConfig(max_pages=600),
     )
     assert_paths_agree(specs, POLICIES[policy_name], seed=seed)
+
+
+@pytest.mark.parametrize("kind", list(WorkloadKind), ids=lambda k: k.value)
+def test_idle_injector_takes_the_general_serve_only_where_healthy_does(
+    kind, monkeypatch
+):
+    """Per-disk fault state is read, not re-derived: with nothing
+    injected, a faulted run leaves the inlined serve exactly as often
+    as a healthy one (deep queues and cold callers only)."""
+    calls = []
+    general = _MicroEngine._dispatch_disk
+    monkeypatch.setattr(
+        _MicroEngine,
+        "_dispatch_disk",
+        lambda engine, disk_id: calls.append(disk_id) or general(engine, disk_id),
+    )
+    specs = generate_specs(
+        kind, seed=0, machine=MACHINE, config=WorkloadConfig(max_pages=600)
+    )
+    counts = []
+    for faults in (None, FaultSchedule()):
+        calls.clear()
+        MicroSimulator(MACHINE, seed=0, faults=faults).run(
+            list(specs), InterWithAdjPolicy(integral=True)
+        )
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < sum(s.n_pages for s in specs) / 4
 
 
 def _scan_strategy():

@@ -22,9 +22,10 @@ pairs, and what "agreement" means for each:
   bit-identical parcost on every query; the fast path promises plan
   identity, so *any* difference is a bug.
 * **real executor vs protocol semantics** — the multiprocessing
-  Figure-5/6 executor must deliver every row exactly once under any
-  adjustment schedule, the same exactly-once guarantee the micro
-  engine's conservation invariant asserts for the simulated protocol.
+  Figure-5/6 executor must run every round of its adjustment schedule
+  and deliver every row exactly once, under both protocols: the same
+  exactly-once guarantee the micro engine's conservation invariant
+  asserts for the simulated protocol.
 """
 
 from __future__ import annotations
@@ -191,16 +192,21 @@ def check_executor_vs_protocol(
     parallelism: int = 2,
     adjustments=(),
 ) -> list[str]:
-    """The real mp executor delivers every row exactly once.
+    """The real mp executor runs every round and delivers every row once.
 
     This is the executor-side twin of the micro engine's page
-    conservation invariant: across the same Figure-5 adjustment
-    schedule, the simulated protocol conserves pages and the real one
-    must conserve rows.
+    conservation invariant, under both protocols: a page-partitioned
+    sequential scan (Figure 5) and a range-partitioned index scan
+    (Figure 6) run the same schedule.  ``adjustments`` are ``(fraction,
+    parallelism)`` steps; a step fires once that fraction of the scan's
+    pages (index scan: keys) has been read, so the thresholds follow
+    the heap's size.  A step fires whenever a slave is still running,
+    and a round leaves at least its n' slaves running, so every step
+    must run as long as each one but the last keeps two or more.
     """
     from ..catalog import Schema
-    from ..parallel import AdjustmentPlan, ParallelSeqScan
-    from ..storage import DiskArray, HeapFile
+    from ..parallel import AdjustmentPlan, ParallelIndexScan, ParallelSeqScan
+    from ..storage import BTreeIndex, DiskArray, HeapFile
 
     heap = HeapFile(
         Schema.of(("a", "int4"), ("b", "text")),
@@ -208,20 +214,44 @@ def check_executor_vs_protocol(
         name="check",
     )
     heap.insert_many([(i, f"p-{i}" + "x" * 40) for i in range(n_rows)])
-    plans = [AdjustmentPlan(after_pages=a, parallelism=p) for a, p in adjustments]
-    report = ParallelSeqScan(heap, parallelism=parallelism, adjustments=plans).run()
+    index = BTreeIndex()
+    for rid, row in heap.scan():
+        index.insert(row[0], rid)
     divergences: list[str] = []
-    got = sorted(r[0] for r in report.rows)
-    if got != list(range(n_rows)):
-        missing = sorted(set(range(n_rows)) - set(got))
-        extra = sorted(k for k in set(got) if got.count(k) > 1)
-        divergences.append(
-            f"executor row conservation violated: missing={missing[:8]} "
-            f"duplicated={extra[:8]}"
-        )
-    if report.pages_read != heap.page_count:
-        divergences.append(
-            f"executor page count diverges: read {report.pages_read} of "
-            f"{heap.page_count}"
-        )
+    arms = (("seq", "pages", heap.page_count), ("index", "keys", n_rows))
+    for arm, unit, total in arms:
+        plans = [
+            AdjustmentPlan(after_pages=max(1, int(f * total)), parallelism=p)
+            for f, p in adjustments
+        ]
+        if arm == "seq":
+            scan = ParallelSeqScan(heap, parallelism=parallelism, adjustments=plans)
+        else:
+            scan = ParallelIndexScan(
+                heap,
+                index,
+                low=0,
+                high=n_rows - 1,
+                parallelism=parallelism,
+                adjustments=plans,
+            )
+        report = scan.run()
+        got = sorted(r[0] for r in report.rows)
+        if got != list(range(n_rows)):
+            missing = sorted(set(range(n_rows)) - set(got))
+            extra = sorted(k for k in set(got) if got.count(k) > 1)
+            divergences.append(
+                f"executor {arm} scan row conservation violated: "
+                f"missing={missing[:8]} duplicated={extra[:8]}"
+            )
+        if report.pages_read != total:
+            divergences.append(
+                f"executor {arm} scan {unit} diverge: read "
+                f"{report.pages_read} of {total}"
+            )
+        if report.adjustments != len(plans):
+            divergences.append(
+                f"executor {arm} scan ran {report.adjustments} of "
+                f"{len(plans)} adjustment rounds"
+            )
     return divergences

@@ -175,13 +175,19 @@ def run_case(
 
     if executor and scenario.seed % 25 == 0:
         rng = random.Random(scenario.seed ^ 0xE0)
+        n_rows = rng.randrange(200, 500)
+        parallelism = rng.randint(1, 3)
+        # Each step changes the degree, and the first keeps two or more
+        # slaves running so the second is sure to fire.
+        first = rng.choice([p for p in (2, 3, 4) if p != parallelism])
+        second = rng.choice([p for p in (1, 2, 3, 4) if p != first])
         failures.extend(
             check_executor_vs_protocol(
-                n_rows=rng.randrange(200, 500),
-                parallelism=rng.randint(1, 3),
+                n_rows=n_rows,
+                parallelism=parallelism,
                 adjustments=(
-                    (rng.randrange(5, 15), rng.randint(1, 4)),
-                    (rng.randrange(15, 30), rng.randint(1, 4)),
+                    (rng.uniform(0.1, 0.5), first),
+                    (rng.uniform(0.5, 1.0), second),
                 ),
             )
         )
@@ -363,9 +369,9 @@ def smoke_lines(seed: int = 0) -> list[str]:
     report("recursion-vs-fluid", check_recursion_vs_fluid(tasks, machine))
     report("optimizer fast-path", _optimizer_case(seed))
     report(
-        "executor exactly-once",
+        "executor rounds + exactly-once (Figures 5 and 6)",
         check_executor_vs_protocol(
-            n_rows=300, parallelism=2, adjustments=((8, 4), (20, 2))
+            n_rows=300, parallelism=2, adjustments=((0.25, 4), (0.5, 2))
         ),
     )
     return lines

@@ -8,10 +8,8 @@ from .executor import (
 )
 from .partition import (
     PageAssignment,
-    adjusted_assignments,
-    balanced_ranges,
     intervals_from_separators,
-    maxpage_split,
+    maxpage_round,
     page_assignments,
     repartition_intervals,
 )
@@ -22,10 +20,8 @@ __all__ = [
     "ParallelIndexScan",
     "ParallelSeqScan",
     "ScanReport",
-    "adjusted_assignments",
-    "balanced_ranges",
     "intervals_from_separators",
-    "maxpage_split",
+    "maxpage_round",
     "page_assignments",
     "repartition_intervals",
 ]

@@ -13,6 +13,13 @@ parallelism with the literal Figure-5 / Figure-6 protocols:
    broadcasts the new assignments; paused slaves resume and freshly
    spawned slaves join.
 
+Both scans share one master loop, one adjustment round and one slave
+main loop; they differ only in the slave's work object (how it claims,
+reads, reports and accepts work) and in how the master deals the
+reported positions — the Figure-5 arithmetic is
+:func:`~repro.parallel.partition.maxpage_round`, the same function the
+micro simulator calls.
+
 On this grid the Python GIL is irrelevant — slaves are processes — but
 a single-core host obviously gains no wall-clock speedup; the executor
 demonstrates *correctness* of the protocols (every page scanned exactly
@@ -36,8 +43,8 @@ from . import protocol as msg
 from .partition import (
     PageAssignment,
     intervals_from_separators,
+    maxpage_round,
     page_assignments,
-    readjust_assignments,
     repartition_intervals,
 )
 
@@ -58,172 +65,136 @@ class ScanReport:
 # slave processes
 
 
-def _page_slave(
+class _PageWork:
+    """A page slave's strides and cursor (Figure 5)."""
+
+    command = msg.NewPageAssignment
+
+    def __init__(self, heap: HeapFile, assignments: Sequence[PageAssignment]) -> None:
+        self.heap = heap
+        self.pending = list(assignments)
+        self.cursor = 0
+
+    def claim(self) -> int | None:
+        while self.pending:
+            page = self.pending[0].first_at_or_after(self.cursor)
+            if page is None:
+                self.pending.pop(0)
+                continue
+            self.cursor = page + 1
+            return page
+        return None
+
+    def read(self, page: int) -> tuple[int, list[Row]]:
+        return 1, [row for __, row in self.heap.scan_pages([page])]
+
+    def position(self, slave_id: int, generation: int) -> msg.CurPage:
+        return msg.CurPage(slave_id, self.cursor, generation)
+
+    def accept(self, command: msg.NewPageAssignment) -> None:
+        self.pending = list(command.assignments)
+
+
+class _RangeWork:
+    """A range slave's remaining int-key intervals (Figure 6)."""
+
+    command = msg.NewIntervals
+
+    def __init__(
+        self, heap: HeapFile, index: BTreeIndex, intervals: Sequence[tuple[int, int]]
+    ) -> None:
+        self.heap = heap
+        self.index = index
+        self.pending = [(lo, hi) for lo, hi in intervals if lo <= hi]
+
+    def claim(self) -> int | None:
+        while self.pending:
+            lo, hi = self.pending[0]
+            if lo > hi:
+                self.pending.pop(0)
+                continue
+            self.pending[0] = (lo + 1, hi)
+            return lo
+        return None
+
+    def read(self, key: int) -> tuple[int, list[Row]]:
+        """Each fetched row counts as one read (a page, for a seq scan)."""
+        rows = [self.heap.fetch(rid) for __, rid in self.index.range_scan(key, key)]
+        return len(rows), rows
+
+    def position(self, slave_id: int, generation: int) -> msg.RemainingIntervals:
+        # The intervals go back to the master, which deals them anew.
+        remaining = tuple((lo, hi) for lo, hi in self.pending if lo <= hi)
+        self.pending = []
+        return msg.RemainingIntervals(slave_id, remaining, generation)
+
+    def accept(self, command: msg.NewIntervals) -> None:
+        self.pending = list(command.intervals)
+
+
+def _slave(
     slave_id: int,
-    heap: HeapFile,
+    work: _PageWork | _RangeWork,
     predicate: Expression | None,
-    assignments: list[PageAssignment],
     command_conn,
     report_queue,
 ) -> None:
-    """Slave main loop: page-partitioned sequential scan."""
+    """Slave main loop: claim, read and batch rows; obey the master."""
     try:
-        bound = predicate.bind(heap.schema) if predicate is not None else None
-        pending = list(assignments)
-        cursor = 0
+        bound = predicate.bind(work.heap.schema) if predicate is not None else None
         generation = 0
         rows: list[Row] = []
-        pages = 0
-        total_pages = 0
+        read = 0
+        total_read = 0
         total_rows = 0
 
         def flush() -> None:
-            nonlocal rows, pages, total_pages, total_rows
-            if rows or pages:
-                report_queue.put(msg.Rows(slave_id, tuple(rows), pages))
-                total_pages += pages
+            nonlocal rows, read, total_read, total_rows
+            if rows or read:
+                report_queue.put(msg.Rows(slave_id, tuple(rows), read))
+                total_read += read
                 total_rows += len(rows)
-                rows, pages = [], 0
-
-        def next_page() -> int | None:
-            nonlocal pending, cursor
-            while pending:
-                page = pending[0].first_at_or_after(cursor)
-                if page is None:
-                    pending.pop(0)
-                    continue
-                cursor = page + 1
-                return page
-            return None
+                rows, read = [], 0
 
         def handle_commands(block: bool) -> bool:
             """Process pending commands; returns False on Shutdown."""
-            nonlocal pending, generation
+            nonlocal generation
             while block or command_conn.poll():
                 command = command_conn.recv()
                 if isinstance(command, msg.Shutdown):
                     return False
                 if isinstance(command, msg.Signal):
-                    # Figure 5 step 2: report position, then pause until
-                    # the new assignment arrives.
+                    # Step 2 of either protocol: report position, then
+                    # pause until the new assignment arrives.
                     flush()
-                    report_queue.put(msg.CurPage(slave_id, cursor, generation))
+                    report_queue.put(work.position(slave_id, generation))
                     block = True
                     continue
-                if isinstance(command, msg.NewPageAssignment):
-                    pending = list(command.assignments)
+                if isinstance(command, work.command):
+                    work.accept(command)
                     generation = command.generation
                     block = False
                     continue
                 raise ProtocolError(f"unexpected command: {command!r}")
             return True
 
-        alive = True
-        while alive:
-            if not handle_commands(block=False):
-                break
-            page = next_page()
-            if page is None:
+        while handle_commands(block=False):
+            unit = work.claim()
+            if unit is None:
                 flush()
                 report_queue.put(
-                    msg.SlaveDone(slave_id, total_pages, total_rows, generation)
+                    msg.SlaveDone(slave_id, total_read, total_rows, generation)
                 )
                 # Wait for the shutdown (or a late adjustment reviving us).
                 if not handle_commands(block=True):
                     break
                 continue
-            for __, row in heap.scan_pages([page]):
-                if bound is None or bound(row):
-                    rows.append(row)
-            pages += 1
-            if pages >= _BATCH_PAGES:
+            count, fetched = work.read(unit)
+            read += count
+            rows.extend(row for row in fetched if bound is None or bound(row))
+            if read >= _BATCH_PAGES:
                 flush()
     except Exception:  # pragma: no cover - surfaced via SlaveError
-        report_queue.put(msg.SlaveError(slave_id, traceback.format_exc()))
-
-
-def _range_slave(
-    slave_id: int,
-    heap: HeapFile,
-    index: BTreeIndex,
-    predicate: Expression | None,
-    intervals: list[tuple[int, int]],
-    command_conn,
-    report_queue,
-) -> None:
-    """Slave main loop: range-partitioned index scan over int keys."""
-    try:
-        bound = predicate.bind(heap.schema) if predicate is not None else None
-        pending = [(lo, hi) for lo, hi in intervals if lo <= hi]
-        generation = 0
-        rows: list[Row] = []
-        fetched = 0
-        total_fetched = 0
-        total_rows = 0
-
-        def flush() -> None:
-            nonlocal rows, fetched, total_fetched, total_rows
-            if rows or fetched:
-                report_queue.put(msg.Rows(slave_id, tuple(rows), fetched))
-                total_fetched += fetched
-                total_rows += len(rows)
-                rows, fetched = [], 0
-
-        def next_key() -> int | None:
-            nonlocal pending
-            while pending:
-                lo, hi = pending[0]
-                if lo > hi:
-                    pending.pop(0)
-                    continue
-                pending[0] = (lo + 1, hi)
-                return lo
-            return None
-
-        def handle_commands(block: bool) -> bool:
-            nonlocal pending, generation
-            while block or command_conn.poll():
-                command = command_conn.recv()
-                if isinstance(command, msg.Shutdown):
-                    return False
-                if isinstance(command, msg.Signal):
-                    flush()
-                    remaining = tuple((lo, hi) for lo, hi in pending if lo <= hi)
-                    report_queue.put(
-                        msg.RemainingIntervals(slave_id, remaining, generation)
-                    )
-                    pending = []
-                    block = True
-                    continue
-                if isinstance(command, msg.NewIntervals):
-                    pending = [(lo, hi) for lo, hi in command.intervals]
-                    generation = command.generation
-                    block = False
-                    continue
-                raise ProtocolError(f"unexpected command: {command!r}")
-            return True
-
-        alive = True
-        while alive:
-            if not handle_commands(block=False):
-                break
-            key = next_key()
-            if key is None:
-                flush()
-                report_queue.put(
-                    msg.SlaveDone(slave_id, total_fetched, total_rows, generation)
-                )
-                if not handle_commands(block=True):
-                    break
-                continue
-            for __, rid in index.range_scan(key, key):
-                row = heap.fetch(rid)
-                fetched += 1
-                if bound is None or bound(row):
-                    rows.append(row)
-            if fetched >= _BATCH_PAGES:
-                flush()
-    except Exception:  # pragma: no cover
         report_queue.put(msg.SlaveError(slave_id, traceback.format_exc()))
 
 
@@ -240,36 +211,113 @@ class AdjustmentPlan:
 
 
 class _MasterBase:
-    """Shared master plumbing for both partitioning styles."""
+    """The master of either partitioning style: one scan loop, one round.
 
-    def __init__(self, parallelism: int) -> None:
+    Subclasses name the slaves' position report (``_report``) and
+    supply ``initial_shares()``, a slave's work object (``_work``) and
+    the deal of a round (``_deal``: the shares by position, and the
+    command that carries one share).
+    """
+
+    _report: type
+
+    def __init__(
+        self,
+        heap: HeapFile,
+        predicate: Expression | None,
+        parallelism: int,
+        adjustments: Sequence[AdjustmentPlan],
+    ) -> None:
         if parallelism < 1:
             raise ProtocolError("parallelism must be >= 1")
         self._ctx = mp.get_context("fork")
+        self.heap = heap
+        self.predicate = predicate
         self.parallelism = parallelism
+        self.adjustments = sorted(adjustments, key=lambda a: a.after_pages)
         self.report_queue = self._ctx.Queue()
         self._conns: dict[int, Any] = {}
         self._procs: dict[int, Any] = {}
+        #: each slave's latest share, as dealt by the master.
+        self._shares: dict[int, list] = {}
         self._done: set[int] = set()
         self._buffer: list = []
         self._generation = 0
         #: slaves spawned at generation g report that g in SlaveDone.
         self._spawn_generation: dict[int, int] = {}
 
-    def _spawn(self, slave_id: int, target, args) -> None:
+    def run(self) -> ScanReport:
+        """Execute the scan to completion; returns rows and statistics."""
+        for slave_id, share in enumerate(self.initial_shares()):
+            self._spawn(slave_id, share)
+        report = ScanReport(rows=[], pages_read=0)
+        report.parallelism_history.append(self.parallelism)
+        pending_adjustments = list(self.adjustments)
+        while len(self._done) < len(self._procs):
+            message = self._next_message()
+            if isinstance(message, msg.SlaveError):
+                self._shutdown()
+                raise ProtocolError(message.message)
+            if isinstance(message, msg.Rows):
+                report.rows.extend(message.rows)
+                report.pages_read += message.pages_read
+            elif isinstance(message, msg.SlaveDone):
+                if message.generation >= self._min_generation(message.slave_id):
+                    self._done.add(message.slave_id)
+            elif isinstance(message, (msg.CurPage, msg.RemainingIntervals)):
+                if message.generation >= self._min_generation(message.slave_id):
+                    raise ProtocolError(f"unsolicited report: {message!r}")
+                # Stale straggler from before a completed adjustment
+                # round; the round already collected a fresh report.
+            if (
+                pending_adjustments
+                and report.pages_read >= pending_adjustments[0].after_pages
+                and len(self._done) < len(self._procs)
+            ):
+                plan = pending_adjustments.pop(0)
+                if plan.parallelism != self.parallelism:
+                    self._adjust(plan.parallelism)
+                    report.adjustments += 1
+                    report.parallelism_history.append(plan.parallelism)
+        self._shutdown()
+        return report
+
+    def _adjust(self, new_parallelism: int) -> None:
+        """One adjustment round (Figure 5 or 6), for real."""
+        live = [i for i in sorted(self._procs) if i not in self._done]
+        for slave_id in live:
+            self._conns[slave_id].send(msg.Signal())
+        reports = self._collect_reports(self._report, live)
+        shares, command = self._deal(live, reports, new_parallelism)
+        self._generation += 1
+        # Position i takes share i: the live slaves, then fresh slaves
+        # up to n'.  Positions the deal left out get no new work.
+        positions = max(len(live), new_parallelism)
+        shares.extend([] for __ in range(len(shares), positions))
+        for slave_id, share in zip(live, shares):
+            self._shares[slave_id] = share
+            self._spawn_generation[slave_id] = self._generation
+            self._conns[slave_id].send(command(share, self._generation))
+        for share in shares[len(live):]:
+            slave_id = max(self._procs) + 1
+            self._spawn_generation[slave_id] = 0  # fresh slaves report gen 0
+            self._spawn(slave_id, share)
+        self.parallelism = new_parallelism
+
+    def _spawn(self, slave_id: int, share: list) -> None:
         parent, child = self._ctx.Pipe()
+        work = self._work(share)
         proc = self._ctx.Process(
-            target=target, args=(*args, child, self.report_queue), daemon=True
+            target=_slave,
+            args=(slave_id, work, self.predicate, child, self.report_queue),
+            daemon=True,
         )
         proc.start()
         child.close()
         self._conns[slave_id] = parent
         self._procs[slave_id] = proc
+        self._shares[slave_id] = share
         self._done.discard(slave_id)
-
-    def _broadcast(self, message) -> None:
-        for conn in self._conns.values():
-            conn.send(message)
 
     def _shutdown(self) -> None:
         for conn in self._conns.values():
@@ -343,6 +391,8 @@ class ParallelSeqScan(_MasterBase):
             triggered by total pages processed.
     """
 
+    _report = msg.CurPage
+
     def __init__(
         self,
         heap: HeapFile,
@@ -351,91 +401,36 @@ class ParallelSeqScan(_MasterBase):
         parallelism: int = 2,
         adjustments: Sequence[AdjustmentPlan] = (),
     ) -> None:
-        super().__init__(parallelism)
-        self.heap = heap
-        self.predicate = predicate
-        self.adjustments = sorted(adjustments, key=lambda a: a.after_pages)
-        self._assignments: dict[int, list[PageAssignment]] = {}
+        super().__init__(heap, predicate, parallelism, adjustments)
 
-    def run(self) -> ScanReport:
-        """Execute the scan to completion; returns rows and statistics."""
-        n_pages = self.heap.page_count
-        initial = page_assignments(n_pages, self.parallelism)
-        for i, assignment in enumerate(initial):
-            self._assignments[i] = [assignment]
-            self._spawn(
-                i, _page_slave, (i, self.heap, self.predicate, [assignment])
-            )
-        report = ScanReport(rows=[], pages_read=0)
-        report.parallelism_history.append(self.parallelism)
-        pending_adjustments = list(self.adjustments)
-        while len(self._done) < len(self._procs):
-            message = self._next_message()
-            if isinstance(message, msg.SlaveError):
-                self._shutdown()
-                raise ProtocolError(message.message)
-            if isinstance(message, msg.Rows):
-                report.rows.extend(message.rows)
-                report.pages_read += message.pages_read
-            elif isinstance(message, msg.SlaveDone):
-                if message.generation >= self._min_generation(message.slave_id):
-                    self._done.add(message.slave_id)
-            elif isinstance(message, (msg.CurPage, msg.RemainingIntervals)):
-                if message.generation >= self._min_generation(message.slave_id):
-                    raise ProtocolError(f"unsolicited report: {message!r}")
-                # Stale straggler from before a completed adjustment
-                # round; the round already collected a fresh report.
-            if (
-                pending_adjustments
-                and report.pages_read >= pending_adjustments[0].after_pages
-                and len(self._done) < len(self._procs)
-            ):
-                plan = pending_adjustments.pop(0)
-                if plan.parallelism != self.parallelism:
-                    self._adjust(plan.parallelism, n_pages)
-                    report.adjustments += 1
-                    report.parallelism_history.append(plan.parallelism)
-        self._shutdown()
-        return report
+    def initial_shares(self) -> list[list[PageAssignment]]:
+        """The initial per-slave stride lists: ``{p | p mod n = i}``."""
+        return [[a] for a in page_assignments(self.heap.page_count, self.parallelism)]
 
-    def _adjust(self, new_parallelism: int, n_pages: int) -> None:
-        """The Figure-5 maxpage protocol, for real."""
-        live = [i for i in sorted(self._procs) if i not in self._done]
-        for slave_id in live:
-            self._conns[slave_id].send(msg.Signal())
-        reports = self._collect_reports(msg.CurPage, live)
-        current = [self._assignments[i] for i in live]
-        cursors = [reports[i].curpage for i in live]
-        maxpage, per_slave = readjust_assignments(
-            current, cursors, n_pages, new_parallelism
+    def _work(self, share: list[PageAssignment]) -> _PageWork:
+        return _PageWork(self.heap, share)
+
+    def _deal(self, live: list[int], reports: dict, new_parallelism: int):
+        """Figure 5 over every slave's cursor.  A finished slave read
+        all of its strides, so its final cursor is one past their last
+        page."""
+        finished = [
+            max((p + 1 for a in self._shares[i] for p in a.pages()[-1:]), default=0)
+            for i in self._done
+        ]
+        maxpage, strides = maxpage_round(
+            [self._shares[i] for i in live],
+            [reports[i].curpage for i in live] + finished,
+            self.heap.page_count,
+            new_parallelism,
         )
-        self._generation += 1
-        # per_slave is indexed by live position; position i takes the
-        # new-stride residue i.
-        for index, slave_id in enumerate(live):
-            new_assignment = per_slave[index] if index < len(per_slave) else []
-            self._assignments[slave_id] = new_assignment
-            self._spawn_generation[slave_id] = self._generation
-            self._conns[slave_id].send(
-                msg.NewPageAssignment(
-                    maxpage,
-                    new_parallelism,
-                    tuple(new_assignment),
-                    self._generation,
-                )
+
+        def command(share, generation):
+            return msg.NewPageAssignment(
+                maxpage, new_parallelism, tuple(share), generation
             )
-        # Spawn brand-new slaves for residues beyond the old count.
-        for residue in range(len(live), new_parallelism):
-            assignment = per_slave[residue]
-            slave_id = max(self._procs) + 1
-            self._assignments[slave_id] = assignment
-            self._spawn_generation[slave_id] = 0  # fresh slaves report gen 0
-            self._spawn(
-                slave_id,
-                _page_slave,
-                (slave_id, self.heap, self.predicate, assignment),
-            )
-        self.parallelism = new_parallelism
+
+        return strides, command
 
 
 class ParallelIndexScan(_MasterBase):
@@ -448,6 +443,8 @@ class ParallelIndexScan(_MasterBase):
     ``use_index_distribution=False`` for a plain even key-space split.
     The Figure-6 protocol rebalances leftovers on adjustment.
     """
+
+    _report = msg.RemainingIntervals
 
     def __init__(
         self,
@@ -462,15 +459,12 @@ class ParallelIndexScan(_MasterBase):
         use_index_distribution: bool = True,
         separators: Sequence[int] | None = None,
     ) -> None:
-        super().__init__(parallelism)
+        super().__init__(heap, predicate, parallelism, adjustments)
         if low > high:
             raise ProtocolError("low must be <= high")
-        self.heap = heap
         self.index = index
         self.low = low
         self.high = high
-        self.predicate = predicate
-        self.adjustments = sorted(adjustments, key=lambda a: a.after_pages)
         self.use_index_distribution = use_index_distribution
         self.separators = tuple(separators) if separators is not None else None
 
@@ -495,68 +489,14 @@ class ParallelIndexScan(_MasterBase):
                 )
         return repartition_intervals([(self.low, self.high)], self.parallelism)
 
-    def run(self) -> ScanReport:
-        """Execute the index scan to completion; returns rows + stats."""
-        shares = self.initial_shares()
-        for i, intervals in enumerate(shares):
-            self._spawn(
-                i,
-                _range_slave,
-                (i, self.heap, self.index, self.predicate, intervals),
-            )
-        report = ScanReport(rows=[], pages_read=0)
-        report.parallelism_history.append(self.parallelism)
-        pending_adjustments = list(self.adjustments)
-        while len(self._done) < len(self._procs):
-            message = self._next_message()
-            if isinstance(message, msg.SlaveError):
-                self._shutdown()
-                raise ProtocolError(message.message)
-            if isinstance(message, msg.Rows):
-                report.rows.extend(message.rows)
-                report.pages_read += message.pages_read
-            elif isinstance(message, msg.SlaveDone):
-                if message.generation >= self._min_generation(message.slave_id):
-                    self._done.add(message.slave_id)
-            elif isinstance(message, (msg.CurPage, msg.RemainingIntervals)):
-                if message.generation >= self._min_generation(message.slave_id):
-                    raise ProtocolError(f"unsolicited report: {message!r}")
-            if (
-                pending_adjustments
-                and report.pages_read >= pending_adjustments[0].after_pages
-                and len(self._done) < len(self._procs)
-            ):
-                plan = pending_adjustments.pop(0)
-                if plan.parallelism != self.parallelism:
-                    self._adjust(plan.parallelism)
-                    report.adjustments += 1
-                    report.parallelism_history.append(plan.parallelism)
-        self._shutdown()
-        return report
+    def _work(self, share: list[tuple[int, int]]) -> _RangeWork:
+        return _RangeWork(self.heap, self.index, share)
 
-    def _adjust(self, new_parallelism: int) -> None:
-        """The Figure-6 interval protocol, for real."""
-        live = [i for i in sorted(self._procs) if i not in self._done]
-        for slave_id in live:
-            self._conns[slave_id].send(msg.Signal())
-        reports = self._collect_reports(msg.RemainingIntervals, live)
-        remaining: list[tuple[int, int]] = []
-        for slave_id in live:
-            remaining.extend(reports[slave_id].intervals)
-        shares = repartition_intervals(remaining, new_parallelism)
-        self._generation += 1
-        for index, slave_id in enumerate(live):
-            intervals = shares[index] if index < len(shares) else []
-            self._spawn_generation[slave_id] = self._generation
-            self._conns[slave_id].send(
-                msg.NewIntervals(new_parallelism, tuple(intervals), self._generation)
-            )
-        for residue in range(len(live), new_parallelism):
-            slave_id = max(self._procs) + 1
-            self._spawn_generation[slave_id] = 0
-            self._spawn(
-                slave_id,
-                _range_slave,
-                (slave_id, self.heap, self.index, self.predicate, shares[residue]),
-            )
-        self.parallelism = new_parallelism
+    def _deal(self, live: list[int], reports: dict, new_parallelism: int):
+        """Figure 6: repartition the live slaves' remaining intervals."""
+        remaining = [iv for i in live for iv in reports[i].intervals]
+
+        def command(share, generation):
+            return msg.NewIntervals(new_parallelism, tuple(share), generation)
+
+        return repartition_intervals(remaining, new_parallelism), command

@@ -9,18 +9,19 @@ XPRS parallelizes operators two ways (Section 2.4):
   node of an index"; used for index scans.
 
 This module holds the pure arithmetic shared by the micro simulator and
-the real multiprocessing executor: stride assignments, the maxpage
-split, balanced range cuts and the repartitioning of leftover
-intervals.  The simulator's slaves hold :class:`PageAssignment` strides
-(dealt by :func:`page_assignments`) and both its initial range split
-and its Figure-6 deal are :func:`repartition_intervals`; only its
-per-page claim inlines :meth:`PageAssignment.first_at_or_after`.
+the real multiprocessing executor: stride assignments, the Figure-5
+round, balanced range cuts and the repartitioning of leftover
+intervals.  Both engines deal strides with :func:`page_assignments`,
+run every Figure-5 round through :func:`maxpage_round` and every
+Figure-6 deal through :func:`repartition_intervals`; only the
+simulator's per-page claim inlines
+:meth:`PageAssignment.first_at_or_after`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..errors import SchedulingError
 
@@ -71,141 +72,51 @@ def page_assignments(n_pages: int, parallelism: int) -> list[PageAssignment]:
     ]
 
 
-def maxpage_split(
-    cursors: Sequence[int], n_pages: int
-) -> int:
-    """Figure 5: the adjustment boundary from the slaves' cursors.
-
-    Each cursor is a slave's next-unclaimed page.  Every page below the
-    returned boundary stays with the old strides; pages at or above it
-    move to the new strides.
-    """
-    if not cursors:
-        return n_pages
-    return min(max(cursors), n_pages)
-
-
-def adjusted_assignments(
-    old: Sequence[PageAssignment],
+def maxpage_round(
+    strides: Sequence[Sequence[PageAssignment]],
     cursors: Sequence[int],
     n_pages: int,
     new_parallelism: int,
 ) -> tuple[int, list[list[PageAssignment]]]:
-    """Apply the Figure-5 protocol to a set of page assignments.
+    """One Figure-5 round: ``maxpage`` and every position's new strides.
 
     Args:
-        old: current assignment of slave i at index i.
-        cursors: slave i's next-unclaimed page.
+        strides: the stride list of each live slave, by position.
+        cursors: the next-unclaimed page of *every* slave that ever held
+            a stride.  A finished slave's final cursor must be here, or
+            the new strides would re-cover the pages it already read.
         n_pages: total pages of the scan.
         new_parallelism: the new degree ``n'``.
 
-    Returns ``(maxpage, per_slave)`` where ``per_slave[i]`` is the new
-    assignment list for slave ``i`` (``max(len(old), n')`` entries —
-    shrunk slaves keep only their old remainder, new slaves get only a
-    post-maxpage stride).
+    Every page below ``maxpage`` stays with the old strides, each
+    clamped at ``maxpage - 1``; pages from ``maxpage`` on go to the new
+    ``mod n'`` strides, residue ``i`` to position ``i``.  Returns
+    ``(maxpage, per_position)``: one entry per live slave, plus one per
+    fresh slave to spawn (``n'`` positions in all when pages remain past
+    ``maxpage``, none beyond the live slaves otherwise).
     """
-    if len(old) != len(cursors):
-        raise SchedulingError("one cursor per old assignment required")
-    maxpage = maxpage_split(cursors, n_pages)
-    total_slaves = max(len(old), new_parallelism)
-    per_slave: list[list[PageAssignment]] = []
-    for i in range(total_slaves):
-        assignments: list[PageAssignment] = []
-        if i < len(old) and maxpage - 1 >= old[i].lo:
-            clamped = PageAssignment(
-                lo=old[i].lo,
-                hi=min(old[i].hi, maxpage - 1),
-                stride=old[i].stride,
-                residue=old[i].residue,
+    if len(cursors) < len(strides):
+        raise SchedulingError("every live slave must report a cursor")
+    maxpage = min(max(cursors, default=n_pages), n_pages)
+    per_position = [
+        [
+            PageAssignment(seg.lo, min(seg.hi, maxpage - 1), seg.stride, seg.residue)
+            for seg in held
+            if seg.lo < maxpage
+        ]
+        for held in strides
+    ]
+    if maxpage < n_pages:
+        per_position.extend([] for __ in range(len(strides), new_parallelism))
+        for residue in range(new_parallelism):
+            per_position[residue].append(
+                PageAssignment(maxpage, n_pages - 1, new_parallelism, residue)
             )
-            assignments.append(clamped)
-        if i < new_parallelism and maxpage <= n_pages - 1:
-            assignments.append(
-                PageAssignment(
-                    lo=maxpage, hi=n_pages - 1, stride=new_parallelism, residue=i
-                )
-            )
-        per_slave.append(assignments)
-    return maxpage, per_slave
-
-
-def readjust_assignments(
-    current: Sequence[Sequence[PageAssignment]],
-    cursors: Sequence[int],
-    n_pages: int,
-    new_parallelism: int,
-) -> tuple[int, list[list[PageAssignment]]]:
-    """Generalized Figure-5 step for slaves holding *segment lists*.
-
-    After one adjustment a slave owns several stride segments, so a
-    second adjustment must clamp every remaining segment at
-    ``maxpage - 1`` and append the new post-maxpage stride.  Returns
-    ``(maxpage, per_slave)`` with ``max(len(current), n')`` entries;
-    entry ``i`` is the full new segment list for the slave at position
-    ``i`` (new positions beyond ``len(current)`` are fresh slaves).
-    """
-    if len(current) != len(cursors):
-        raise SchedulingError("one cursor per live slave required")
-    maxpage = maxpage_split(cursors, n_pages)
-    total = max(len(current), new_parallelism)
-    per_slave: list[list[PageAssignment]] = []
-    for i in range(total):
-        segments: list[PageAssignment] = []
-        if i < len(current):
-            for seg in current[i]:
-                if seg.lo <= maxpage - 1:
-                    segments.append(
-                        PageAssignment(
-                            lo=seg.lo,
-                            hi=min(seg.hi, maxpage - 1),
-                            stride=seg.stride,
-                            residue=seg.residue,
-                        )
-                    )
-        if i < new_parallelism and maxpage <= n_pages - 1:
-            segments.append(
-                PageAssignment(
-                    lo=maxpage, hi=n_pages - 1, stride=new_parallelism, residue=i
-                )
-            )
-        per_slave.append(segments)
-    return maxpage, per_slave
+    return maxpage, per_position
 
 
 # ---------------------------------------------------------------------------
 # range partitioning
-
-
-def balanced_ranges(
-    separators: Sequence[Any], parallelism: int
-) -> list[tuple[Any, Any] | None]:
-    """Cut balanced key ranges from ordered separator keys.
-
-    ``separators`` come from an equi-depth histogram or a B+tree root;
-    adjacent separators bound roughly equal row counts, so slicing them
-    evenly yields a balanced partition.  Returns ``parallelism``
-    ``(low, high)`` interval bounds (high of slot i = low of slot i+1;
-    scan i uses ``low <= key < high`` except the last, which is
-    unbounded above).  ``None`` entries mean "no work" (more slaves
-    than separators).
-    """
-    if parallelism < 1:
-        raise SchedulingError("parallelism must be >= 1")
-    keys = list(separators)
-    if not keys:
-        return [None] * parallelism
-    out: list[tuple[Any, Any] | None] = []
-    n = len(keys)
-    for i in range(parallelism):
-        lo_index = (i * n) // parallelism
-        hi_index = ((i + 1) * n) // parallelism
-        if lo_index >= hi_index:
-            out.append(None)
-            continue
-        low = keys[lo_index] if i > 0 else None
-        high = keys[hi_index] if i < parallelism - 1 else None
-        out.append((low, high))
-    return out
 
 
 def intervals_from_separators(

@@ -113,8 +113,3 @@ class SlaveError:
 
 MasterMessage = Signal | NewPageAssignment | NewIntervals | Shutdown
 SlaveMessage = CurPage | RemainingIntervals | Rows | SlaveDone | SlaveError
-
-
-def orphan_residues(old_parallelism: int, new_parallelism: int) -> list[int]:
-    """Residues needing *new* slave processes after growing to n'."""
-    return [i for i in range(old_parallelism, new_parallelism)]

@@ -52,6 +52,7 @@ from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..parallel.partition import (
     PageAssignment,
+    maxpage_round,
     page_assignments,
     repartition_intervals,
 )
@@ -1070,27 +1071,20 @@ class _MicroEngine(TaskLedger):
     ) -> None:
         if self._stale(run, epoch):
             return
-        last = run.spec.n_pages - 1
         # Slaves keep reading between reporting curpage and receiving
         # maxpage (the paper assumes that window is negligible; a
         # delayed leg makes it real).  The switch must not place the
         # boundary below any slave's current position, or the new
         # strides would re-cover pages processed during the window.
-        maxpage = max([maxpage] + [s.cursor for s in run.slaves.values()])
-        for slave in run.slaves.values():
-            if not slave.retired:
-                # Clamp the old stride at maxpage - 1 ("all the pages
-                # before maxpage"); the new strides start at maxpage.
-                slave.segments = [
-                    replace(seg, hi=min(seg.hi, maxpage - 1))
-                    for seg in slave.segments
-                    if seg.lo <= maxpage - 1
-                ]
-        if maxpage <= last:
-            for residue, slave in enumerate(self._owners(run, n_new)):
-                slave.segments.append(
-                    PageAssignment(maxpage, last, n_new, residue)
-                )
+        live = [s for s in run.slaves.values() if not s.retired]
+        maxpage, strides = maxpage_round(
+            [s.segments for s in live],
+            [maxpage] + [s.cursor for s in run.slaves.values()],
+            run.spec.n_pages,
+            n_new,
+        )
+        for slave, segments in zip(self._owners(run, len(strides)), strides):
+            slave.segments = segments
         self._finish_round(run, n_new, "page", {"maxpage": maxpage})
 
     def _collect_intervals(self, run: _TaskRun, n_new: int, epoch: int) -> None:
@@ -1135,12 +1129,13 @@ class _MicroEngine(TaskLedger):
         keys = sum(hi - lo + 1 for lo, hi in remaining)
         self._finish_round(run, n_new, "range", {"keys": keys})
 
-    def _owners(self, run: _TaskRun, n_new: int) -> list[_Slave]:
-        """The n' slaves a round's new strides or shares go to: the
-        lowest-id survivors by *rank*, then fresh slaves.  Survivors
-        beyond n' finish what they still hold and retire."""
-        owners = [s for s in run.slaves.values() if not s.retired][:n_new]
-        while len(owners) < n_new:
+    def _owners(self, run: _TaskRun, positions: int) -> list[_Slave]:
+        """The slaves a round deals to, by position: the survivors in
+        slave-id order, then fresh slaves up to ``positions``.  New
+        strides or shares go to the first n'; survivors beyond n'
+        finish what they still hold and retire."""
+        owners = [s for s in run.slaves.values() if not s.retired]
+        while len(owners) < positions:
             owners.append(self._spawn_slave(run))
         return owners
 

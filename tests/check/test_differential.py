@@ -217,7 +217,7 @@ class TestExecutorVsProtocol:
     def test_exactly_once_under_adjustments(self):
         assert (
             check_executor_vs_protocol(
-                n_rows=300, parallelism=2, adjustments=((6, 4), (14, 1))
+                n_rows=300, parallelism=2, adjustments=((0.25, 4), (0.5, 1))
             )
             == []
         )

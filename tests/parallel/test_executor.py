@@ -4,6 +4,8 @@ These spin up actual processes; relations are kept small so the suite
 stays fast on a single-core host.
 """
 
+import time
+
 import pytest
 
 from repro.catalog import Schema
@@ -80,6 +82,28 @@ class TestParallelSeqScan:
         ).run()
         assert report.pages_read == heap.page_count
         assert sorted(r[0] for r in report.rows) == list(range(N_ROWS))
+
+    def test_finished_slave_cursor_bounds_maxpage(self, heap, monkeypatch):
+        # Slave 0 (pages 0, 3, 6) runs fast and finishes before the
+        # round; the others sleep on every page.  maxpage must count its
+        # final cursor, or the new strides re-read its pages.
+        scan_pages = heap.scan_pages
+
+        def slow_scan_pages(pages):
+            if any(p % 3 for p in pages):
+                time.sleep(0.01)
+            return scan_pages(pages)
+
+        monkeypatch.setattr(heap, "scan_pages", slow_scan_pages)
+        first_share = len(range(0, heap.page_count, 3))
+        report = ParallelSeqScan(
+            heap,
+            parallelism=3,
+            adjustments=[AdjustmentPlan(after_pages=first_share + 1, parallelism=4)],
+        ).run()
+        assert report.adjustments == 1
+        assert sorted(r[0] for r in report.rows) == list(range(N_ROWS))
+        assert report.pages_read == heap.page_count
 
     def test_bad_parallelism(self, heap):
         with pytest.raises(ProtocolError):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SchedulingError
 from repro.parallel import (
     PageAssignment,
-    adjusted_assignments,
-    balanced_ranges,
-    maxpage_split,
+    maxpage_round,
     page_assignments,
     repartition_intervals,
 )
@@ -59,19 +57,42 @@ class TestPagePartition:
             page_assignments(10, 0)
 
 
+def _assert_round_is_exact(n_pages, old, cursors, finished, new_n):
+    """Run one Figure-5 round over ``old`` strides and check that the
+    pages already read plus the pages still to read cover the scan
+    exactly once.  ``finished[i]`` slaves have read their whole stride:
+    they hold nothing but still report their final cursor."""
+    live = [i for i in range(len(old)) if not finished[i]]
+    maxpage, per_position = maxpage_round(
+        [[old[i]] for i in live],
+        [cursors[i] for i in live] + [c for c, f in zip(cursors, finished) if f],
+        n_pages,
+        new_n,
+    )
+    assert maxpage == min(max(cursors, default=n_pages), n_pages)
+    read = [p for a, c in zip(old, cursors) for p in a.pages() if p < c]
+    for position, assignments in enumerate(per_position):
+        cursor = cursors[live[position]] if position < len(live) else 0
+        read += [p for a in assignments for p in a.pages() if p >= cursor]
+    assert sorted(read) == list(range(n_pages))
+    return maxpage
+
+
 class TestMaxpage:
     def test_is_max_cursor(self):
-        assert maxpage_split([3, 9, 5], 100) == 9
+        old = page_assignments(100, 3)
+        assert _assert_round_is_exact(100, old, [3, 9, 5], [False] * 3, 2) == 9
 
     def test_clamped_to_n_pages(self):
-        assert maxpage_split([120], 100) == 100
+        old = page_assignments(100, 1)
+        assert _assert_round_is_exact(100, old, [120], [True], 3) == 100
 
     def test_empty_cursors(self):
-        assert maxpage_split([], 50) == 50
+        assert maxpage_round([], [], 50, 2) == (50, [])
 
 
 class TestAdjustedAssignments:
-    """The Figure-5 protocol must preserve exactly-once coverage."""
+    """The Figure-5 round must preserve exactly-once coverage."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -82,58 +103,21 @@ class TestAdjustedAssignments:
     )
     def test_exactly_once_coverage(self, n_pages, old_n, new_n, data):
         old = page_assignments(n_pages, old_n)
-        # Cursors: each slave has consumed a prefix of its stride.
-        cursors = [
-            data.draw(st.integers(min_value=0, max_value=n_pages), label=f"c{i}")
-            for i in range(old_n)
-        ]
-        maxpage, per_slave = adjusted_assignments(old, cursors, n_pages, new_n)
-        # Pages already scanned by slave i: old stride pages < cursor_i.
-        scanned = [
-            {p for p in old[i].pages() if p < cursors[i]} for i in range(old_n)
-        ]
-        # Pages each slave will scan after the adjustment.
-        future: list[set] = []
-        for i, assignments in enumerate(per_slave):
-            cursor = cursors[i] if i < old_n else 0
-            pages = set()
-            for a in assignments:
-                pages |= {p for p in a.pages() if p >= cursor}
-            future.append(pages)
-        all_scanned = set().union(*scanned) if scanned else set()
-        all_future = set().union(*future) if future else set()
-        # No double coverage:
-        total = sum(len(s) for s in scanned) + sum(len(f) for f in future)
-        assert len(all_scanned | all_future) == total
-        # Full coverage:
-        assert all_scanned | all_future == set(range(n_pages))
+        finished = [data.draw(st.booleans(), label=f"f{i}") for i in range(old_n)]
+        # A live slave has read a prefix of its stride; a finished one
+        # has read all of it, so its cursor is past its last page.
+        cursors = []
+        for i, a in enumerate(old):
+            low = a.pages()[-1] + 1 if finished[i] and a.count() else 0
+            cursors.append(
+                data.draw(st.integers(min_value=low, max_value=n_pages), label=f"c{i}")
+            )
+        _assert_round_is_exact(n_pages, old, cursors, finished, new_n)
 
     def test_mismatched_cursors_rejected(self):
         old = page_assignments(10, 2)
         with pytest.raises(SchedulingError):
-            adjusted_assignments(old, [0], 10, 3)
-
-
-class TestBalancedRanges:
-    def test_even_cut(self):
-        ranges = balanced_ranges(list(range(100)), 4)
-        assert len(ranges) == 4
-        assert ranges[0][0] is None  # open below
-        assert ranges[-1][1] is None  # open above
-        # Interior bounds line up.
-        assert ranges[0][1] == ranges[1][0]
-
-    def test_more_slaves_than_keys(self):
-        ranges = balanced_ranges([1, 2], 5)
-        assert len(ranges) == 5
-        assert ranges.count(None) >= 3
-
-    def test_empty_separators(self):
-        assert balanced_ranges([], 3) == [None, None, None]
-
-    def test_bad_parallelism(self):
-        with pytest.raises(SchedulingError):
-            balanced_ranges([1], 0)
+            maxpage_round([[a] for a in old], [0], 10, 3)
 
 
 class TestRepartitionIntervals:

@@ -27,8 +27,3 @@ class TestMessages:
     def test_generation_defaults_to_zero(self):
         done = msg.SlaveDone(0, 10, 5)
         assert done.generation == 0
-
-    def test_orphan_residues(self):
-        assert msg.orphan_residues(2, 5) == [2, 3, 4]
-        assert msg.orphan_residues(4, 2) == []
-        assert msg.orphan_residues(3, 3) == []

@@ -40,20 +40,20 @@ def index(heap):
 class _StragglerSeqScan(ParallelSeqScan):
     """Injects slave 0's pre-adjustment CurPage ahead of a later round."""
 
-    def _adjust(self, new_parallelism, n_pages):
+    def _adjust(self, new_parallelism):
         if self._generation >= 1:
             # A slow slave's report from before round 1 completed,
             # surfacing just as round 2 signals: generation 0 while
             # slave 0 was last assigned at generation 1.
             self.report_queue.put(msg.CurPage(0, 0, 0))
-        super()._adjust(new_parallelism, n_pages)
+        super()._adjust(new_parallelism)
 
 
 class _LateStragglerSeqScan(ParallelSeqScan):
     """Injects the straggler *after* the round, into the main loop."""
 
-    def _adjust(self, new_parallelism, n_pages):
-        super()._adjust(new_parallelism, n_pages)
+    def _adjust(self, new_parallelism):
+        super()._adjust(new_parallelism)
         self.report_queue.put(msg.CurPage(0, 0, 0))
 
 

@@ -26,15 +26,19 @@ Invariant catalogue (see docs/CHECKING.md for the derivations):
   only ever grows.
 * **checkpoint roundtrip** — at every round boundary, the engine's
   checkpoint survives ``to_dict -> json -> from_dict`` losslessly
-  (``deep=True`` only; this one is O(state) per boundary).
+  (``deep=True`` only): the header every time, a part (RNG state,
+  running task, completed record, disk) only when it differs from the
+  last one verified in its slot.
 
-The checker is one-run state (it remembers the last clock and epoch);
-build a fresh one per run or call :meth:`reset`.
+The checker holds one run's state; the micro engine calls
+:meth:`new_run` when built, so one checker spans ``run_with_recovery``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain
 
 from ..core.classify import max_parallelism
 from ..errors import InvariantViolation
@@ -52,8 +56,7 @@ class InvariantChecker:
             raising :class:`~repro.errors.InvariantViolation` at the
             first one (the fuzzer collects; tests usually raise).
         deep: also verify the checkpoint dict/JSON roundtrip at micro
-            round boundaries (O(state) per boundary, so opt-out for
-            large workloads).
+            round boundaries.
     """
 
     def __init__(
@@ -70,6 +73,8 @@ class InvariantChecker:
         self.checks = 0
         self._last_clock = float("-inf")
         self._last_epoch: dict[int, int] = {}
+        #: The last checkpoint part that survived the round trip, per slot.
+        self._verified: dict = {}
 
     def reset(self) -> None:
         """Clear violations, counters and all per-run state."""
@@ -78,9 +83,11 @@ class InvariantChecker:
         self.new_run()
 
     def new_run(self) -> None:
-        """Forget per-run state (clock, epochs) but keep violations."""
+        """Forget per-run state (clock, epochs, verified checkpoint parts)
+        but keep violations.  The micro engine calls it when it is built."""
         self._last_clock = float("-inf")
         self._last_epoch.clear()
+        self._verified.clear()
 
     @property
     def ok(self) -> bool:
@@ -182,11 +189,12 @@ class InvariantChecker:
                 )
 
     def _check_conservation(self, label: str, run) -> None:
-        """pages_done + inflight + unclaimed == n_pages, no double claim."""
+        """pages_done + inflight + unclaimed == n_pages, no double claim;
+        claims are ``range``s, so a double claim makes their union short."""
         name = run.task.name
         n_pages = run.spec.n_pages
         inflight: list[int] = []
-        claims: dict[int, int] = {}
+        spans: list[range] = []
         for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
             if slave.crashed:
                 continue
@@ -196,29 +204,23 @@ class InvariantChecker:
                 pos = slave.cursor
                 for seg in slave.segments:
                     page = seg.first_at_or_after(pos)
-                    while page is not None:
-                        claims[page] = claims.get(page, 0) + 1
-                        pos = page + 1
-                        page = page + seg.stride
-                        if page > seg.hi:
-                            page = None
+                    if page is not None:
+                        span = range(page, seg.hi + 1, seg.stride)
+                        spans.append(span)
+                        pos = span[-1] + 1
             else:
-                for lo, hi in slave.intervals:
-                    for key in range(lo, hi + 1):
-                        claims[key] = claims.get(key, 0) + 1
-        harvest = getattr(run, "harvest", None)
-        if harvest:
-            for intervals in harvest.values():
-                for lo, hi in intervals:
-                    for key in range(lo, hi + 1):
-                        claims[key] = claims.get(key, 0) + 1
-        doubled = sorted(p for p, c in claims.items() if c > 1)
-        if doubled:
+                spans += [range(lo, hi + 1) for lo, hi in slave.intervals]
+        for intervals in (getattr(run, "harvest", None) or {}).values():
+            spans += [range(lo, hi + 1) for lo, hi in intervals]
+        claims = set().union(*spans)
+        if len(claims) != sum(map(len, spans)):
+            counts = Counter(chain.from_iterable(spans))
+            doubled = sorted(p for p, c in counts.items() if c > 1)
             self._fail(
                 label,
                 f"{name}: pages claimable by two slaves: {doubled[:8]}",
             )
-        overlap = sorted(set(inflight) & set(claims))
+        overlap = sorted(claims.intersection(inflight))
         if overlap:
             self._fail(
                 label,
@@ -236,15 +238,28 @@ class InvariantChecker:
             )
 
     def _check_checkpoint_roundtrip(self, label: str, engine) -> None:
+        """The round trip part by part, as the encoding and ``from_dict``
+        work: the header every time, a part only when it differs from the
+        last part verified in its slot (the memo holds one checkpoint)."""
         checkpoint = Checkpoint.capture(engine)
-        wire = json.loads(json.dumps(checkpoint.to_dict()))
-        restored = Checkpoint.from_dict(wire)
-        if restored != checkpoint:
-            self._fail(
-                label,
-                "checkpoint changed across to_dict/json/from_dict at "
-                f"t={checkpoint.taken_at!r}",
-            )
+        header, parts = checkpoint.split()
+        verified = self._verified
+        fresh = [entry for entry in parts if verified.get(entry[0]) != entry[1]]
+        header_raw, *raws = json.loads(
+            json.dumps([header] + [encode(part) for _, part, (encode, _) in fresh])
+        )
+        if Checkpoint.header_from_dict(header_raw) == header:
+            for raw, (slot, part, (_, decode)) in zip(raws, fresh):
+                if decode(raw) != part:
+                    break
+                verified[slot] = part
+            else:
+                return
+        self._fail(
+            label,
+            "checkpoint changed across to_dict/json/from_dict at "
+            f"t={checkpoint.taken_at!r}",
+        )
 
     # -- fluid engine ---------------------------------------------------------
 

@@ -11,7 +11,9 @@ fault log and the tolerance verdict:
 * every page processed exactly once (the engine raises on violation and
   a task cannot complete with pages missing);
 * every adjustment timeout resolved by abort-and-restart — the number
-  of aborts equals the number of timeouts, i.e. no round wedged.
+  of aborts equals the number of timeouts, i.e. no round wedged;
+* no runtime invariant violated: the faulted arm runs under an
+  :class:`~repro.check.InvariantChecker`, across every resume too.
 
 Everything is a pure function of ``(workload, schedule, seed)``, so two
 identical invocations print byte-identical reports — the determinism
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..check.invariants import InvariantChecker
 from ..config import MachineConfig, paper_machine
 from ..core.schedulers import InterWithAdjPolicy
 from ..core.task import IOPattern
@@ -107,7 +110,8 @@ class ChaosReport:
     ``recovery`` is set when the schedule contained ``master-crash``
     faults: the faulted arm is then driven by
     :func:`~repro.recovery.manager.run_with_recovery` and ``faulted``
-    is the final (completed) attempt's result.
+    is the final (completed) attempt's result.  ``violations`` are the
+    invariant checker's findings over every attempt of the faulted arm.
     """
 
     schedule: FaultSchedule
@@ -115,6 +119,7 @@ class ChaosReport:
     healthy: ScheduleResult
     faulted: ScheduleResult
     recovery: RecoveryRun | None = None
+    violations: list[str] = field(default_factory=list)
 
     @property
     def log(self) -> FaultLog:
@@ -144,7 +149,7 @@ class ChaosReport:
         accounted explicitly — completed plus cancelled must cover the
         healthy run's task set, so nothing vanishes silently.  On top
         of that, every protocol timeout must have resolved via
-        abort-and-restart.
+        abort-and-restart, and no invariant may have been violated.
         """
         accounted = len(self.faulted.records) + len(
             self.faulted.cancel_records
@@ -152,6 +157,7 @@ class ChaosReport:
         return (
             accounted == len(self.healthy.records)
             and self.wedged_adjustments == 0
+            and not self.violations
         )
 
     def to_lines(self) -> list[str]:
@@ -188,6 +194,7 @@ class ChaosReport:
                 f"  restores:          {rec.restores}",
                 f"  lost work:         {rec.lost_work:.4f}s",
             ]
+        lines += [f"invariant violated: {v}" for v in self.violations]
         cancelled = len(self.faulted.cancel_records)
         lines.append(
             f"verdict: {'OK' if self.ok else 'FAILED'} "
@@ -240,6 +247,7 @@ def run_chaos(
         faults=schedule,
         fault_seed=seed,
         adjust_timeout=adjust_timeout,
+        invariants=InvariantChecker(collect=True),
     )
     recovery: RecoveryRun | None = None
     if schedule.master_crashes:
@@ -260,6 +268,7 @@ def run_chaos(
         healthy=healthy,
         faulted=faulted,
         recovery=recovery,
+        violations=simulator.invariants.violations,
     )
 
 
@@ -269,8 +278,9 @@ class SoakReport:
 
     A soak run is the recovery subsystem's endurance test: every run
     must conserve pages (completed + cancelled tasks cover the healthy
-    task set) and resolve every adjustment timeout — one wedged round
-    anywhere fails the whole soak.
+    task set), resolve every adjustment timeout and violate no runtime
+    invariant — one wedged round or violation anywhere fails the whole
+    soak.
     """
 
     n_schedules: int
@@ -356,6 +366,8 @@ def run_soak(
                 report.failures.append(
                     f"seed={seed} schedule={index}: "
                     f"{accounted}/{len(run.healthy.records)} tasks, "
-                    f"{run.wedged_adjustments} wedged"
+                    f"{run.wedged_adjustments} wedged, "
+                    f"{len(run.violations)} invariant violations"
+                    + "".join(f"; {v}" for v in run.violations[:1])
                 )
     return report

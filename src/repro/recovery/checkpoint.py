@@ -289,19 +289,42 @@ class Checkpoint:
         if engine.recovery is not None:
             engine.recovery.note_restore(engine)
 
+    def split(self) -> tuple[dict, list]:
+        """``(header, parts)``: the fields that serialise as they are, and
+        ``(slot, part, (encode, decode))`` for the RNG state and each
+        running task, completed record and disk — the codecs
+        :meth:`to_dict` and :meth:`from_dict` apply part by part.  A slot
+        is ``(field, index)``."""
+        header = dict(vars(self))
+        rng = (_encode_rng, _decode_rng)
+        parts = [(("rng_state", 0), header.pop("rng_state"), rng)]
+        for name, codec in _SNAPSHOT_CODECS.items():
+            parts += [((name, i), p, codec) for i, p in enumerate(header.pop(name))]
+        return header, parts
+
     def to_dict(self) -> dict:
-        """A JSON-serializable dict (lossless round-trip): one shallow
-        copy per snapshot, since everything below one is a scalar or a
-        tuple and tuples serialise as JSON arrays."""
+        """A JSON-serializable dict (lossless round-trip): the header as it
+        is (scalars, and tuples serialise as JSON arrays), every part
+        through its encoder."""
         raw = dict(vars(self))
         raw["rng_state"] = _encode_rng(self.rng_state)
-        raw["running"] = [
-            {**vars(task), "slaves": [dict(vars(s)) for s in task.slaves]}
-            for task in self.running
-        ]
-        raw["completed"] = [dict(vars(record)) for record in self.completed]
-        raw["disks"] = [dict(vars(disk)) for disk in self.disks]
+        for name, (encode, __) in _SNAPSHOT_CODECS.items():
+            raw[name] = [encode(part) for part in raw[name]]
         return raw
+
+    @staticmethod
+    def header_from_dict(raw: dict) -> dict:
+        """The header fields of a :meth:`to_dict` dict, decoded."""
+        return dict(
+            taken_at=float(raw["taken_at"]),
+            seed=int(raw["seed"]),
+            block_cursor=int(raw["block_cursor"]),
+            io_count=int(raw["io_count"]),
+            cpu_busy_time=float(raw["cpu_busy_time"]),
+            adjustments=int(raw["adjustments"]),
+            peak_memory=float(raw["peak_memory"]),
+            measured_mult=tuple(float(m) for m in raw["measured_mult"]),
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Checkpoint":
@@ -310,73 +333,12 @@ class Checkpoint:
             raise RecoveryError(f"checkpoint must be an object, got {raw!r}")
         try:
             return cls(
-                taken_at=float(raw["taken_at"]),
-                seed=int(raw["seed"]),
+                **cls.header_from_dict(raw),
                 rng_state=_decode_rng(raw["rng_state"]),
-                block_cursor=int(raw["block_cursor"]),
-                io_count=int(raw["io_count"]),
-                cpu_busy_time=float(raw["cpu_busy_time"]),
-                adjustments=int(raw["adjustments"]),
-                peak_memory=float(raw["peak_memory"]),
-                measured_mult=tuple(float(m) for m in raw["measured_mult"]),
-                running=tuple(
-                    TaskSnapshot(
-                        name=t["name"],
-                        parallelism=int(t["parallelism"]),
-                        started_at=float(t["started_at"]),
-                        pages_done=int(t["pages_done"]),
-                        next_slave_id=int(t["next_slave_id"]),
-                        block_base=int(t["block_base"]),
-                        history=_pairs(t["history"]),
-                        order=(
-                            tuple(int(p) for p in t["order"])
-                            if t["order"] is not None
-                            else None
-                        ),
-                        slaves=tuple(
-                            SlaveSnapshot(
-                                slave_id=int(s["slave_id"]),
-                                cursor=int(s["cursor"]),
-                                segments=tuple(
-                                    (int(a), int(b), int(c), int(d))
-                                    for a, b, c, d in s["segments"]
-                                ),
-                                intervals=tuple(
-                                    (int(a), int(b))
-                                    for a, b in s["intervals"]
-                                ),
-                                retired=bool(s["retired"]),
-                                crashed=bool(s["crashed"]),
-                                inflight=(
-                                    int(s["inflight"])
-                                    if s["inflight"] is not None
-                                    else None
-                                ),
-                            )
-                            for s in t["slaves"]
-                        ),
-                    )
-                    for t in raw["running"]
-                ),
-                completed=tuple(
-                    RecordSnapshot(
-                        name=r["name"],
-                        started_at=float(r["started_at"]),
-                        finished_at=float(r["finished_at"]),
-                        history=_pairs(r["history"]),
-                    )
-                    for r in raw["completed"]
-                ),
-                disks=tuple(
-                    DiskSnapshot(
-                        streams=tuple(int(b) for b in d["streams"]),
-                        busy_time=float(d["busy_time"]),
-                        sequential=int(d["sequential"]),
-                        almost_sequential=int(d["almost_sequential"]),
-                        random=int(d["random"]),
-                    )
-                    for d in raw["disks"]
-                ),
+                **{
+                    name: tuple(map(decode, raw[name]))
+                    for name, (__, decode) in _SNAPSHOT_CODECS.items()
+                },
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RecoveryError(f"malformed checkpoint: {exc!r}") from None
@@ -399,4 +361,66 @@ def _encode_rng(state: tuple) -> list:
 
 def _decode_rng(raw) -> tuple:
     version, internal, gauss = raw
-    return (version, tuple(int(x) for x in internal), gauss)
+    return (version, tuple(map(int, internal)), gauss)
+
+
+def _task_from_dict(t) -> TaskSnapshot:
+    return TaskSnapshot(
+        name=t["name"],
+        parallelism=int(t["parallelism"]),
+        started_at=float(t["started_at"]),
+        pages_done=int(t["pages_done"]),
+        next_slave_id=int(t["next_slave_id"]),
+        block_base=int(t["block_base"]),
+        history=_pairs(t["history"]),
+        order=None if t["order"] is None else tuple(map(int, t["order"])),
+        slaves=tuple(
+            SlaveSnapshot(
+                slave_id=int(s["slave_id"]),
+                cursor=int(s["cursor"]),
+                segments=tuple(
+                    (int(a), int(b), int(c), int(d)) for a, b, c, d in s["segments"]
+                ),
+                intervals=tuple((int(a), int(b)) for a, b in s["intervals"]),
+                retired=bool(s["retired"]),
+                crashed=bool(s["crashed"]),
+                inflight=int(s["inflight"]) if s["inflight"] is not None else None,
+            )
+            for s in t["slaves"]
+        ),
+    )
+
+
+def _record_from_dict(r) -> RecordSnapshot:
+    return RecordSnapshot(
+        name=r["name"],
+        started_at=float(r["started_at"]),
+        finished_at=float(r["finished_at"]),
+        history=_pairs(r["history"]),
+    )
+
+
+def _disk_from_dict(d) -> DiskSnapshot:
+    return DiskSnapshot(
+        streams=tuple(map(int, d["streams"])),
+        busy_time=float(d["busy_time"]),
+        sequential=int(d["sequential"]),
+        almost_sequential=int(d["almost_sequential"]),
+        random=int(d["random"]),
+    )
+
+
+def _shallow(snapshot) -> dict:
+    # Everything below a record or disk snapshot is a scalar or a tuple.
+    return dict(vars(snapshot))
+
+
+#: ``field -> (encode, decode)`` for each element of the snapshot tuples.
+_SNAPSHOT_CODECS = {
+    "running": (
+        lambda task: {**vars(task), "slaves": [dict(vars(s)) for s in task.slaves]},
+        _task_from_dict,
+    ),
+    "completed": (_shallow, _record_from_dict),
+    "disks": (_shallow, _disk_from_dict),
+}

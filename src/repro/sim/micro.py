@@ -444,8 +444,12 @@ class _MicroEngine(TaskLedger):
         self.seed = seed
         self.policy = policy
         #: Invariant checker (None = disabled).  Same idiom as the
-        #: tracer: hooks only on cold sites, one None check each.
+        #: tracer: hooks only on cold sites, one None check each.  Every
+        #: engine is one run to it: each attempt of run_with_recovery is
+        #: a fresh engine, its clock back at a checkpoint or at zero.
         self.invariants = invariants
+        if invariants is not None:
+            invariants.new_run()
         #: Heap of (time, seq, tag, payload) — see the _EV_* tags.
         self._events: list[tuple[float, int, int, object]] = []
         self._seq = 0  # heap tiebreaker; incremented inline (hot path)
@@ -619,6 +623,7 @@ class _MicroEngine(TaskLedger):
         injector = self.injector
         mult = self._mult
         stall = self._stall
+        measured = self._measured_mult
         n_disks = self._n_disks
         # The ledger mutates these three in place and never rebinds
         # them, so the finished test below may hold them as locals.
@@ -756,7 +761,10 @@ class _MicroEngine(TaskLedger):
                     multiplier = mult[disk_id]
                     if multiplier != 1.0:
                         service = service / multiplier
-                    self._observe_disk(disk_id, multiplier)
+                        self._observe_disk(disk_id, multiplier)
+                    elif measured[disk_id] != 1.0:
+                        # A healthy disk at 1.0 is the fold's fixed point.
+                        self._observe_disk(disk_id, multiplier)
                 if index is not None:
                     streams.pop(index)
                 streams.append(block)

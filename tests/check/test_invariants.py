@@ -1,13 +1,22 @@
 """Tests for the runtime invariant checker and its engine hooks."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import InvariantChecker
 from repro.config import paper_machine
 from repro.core import InterWithAdjPolicy, IntraOnlyPolicy
 from repro.core.task import IOPattern
 from repro.errors import InvariantViolation
-from repro.faults import random_schedule
+from repro.faults import FaultSchedule, MasterCrash, random_schedule
+from repro.faults.chaos import chaos_workload
+from repro.parallel.partition import PageAssignment
+from repro.recovery import Checkpoint, RecoveryManager, run_with_recovery
+from repro.recovery import checkpoint as checkpoint_module
 from repro.sim.fluid import FluidSimulator
 from repro.sim.micro import MicroSimulator, spec_for_io_rate
 
@@ -236,3 +245,253 @@ class TestConservation:
         run = _FakeMicroRun([slave], n_pages=11)
         with pytest.raises(InvariantViolation, match="in-flight"):
             inv._check_conservation("test", run)
+
+
+def reference_conservation(run):
+    """The page-by-page enumeration ``_check_conservation`` replaced,
+    kept as its oracle: the violation details, in order."""
+    name = run.task.name
+    found = []
+    inflight = []
+    claims = {}
+    for slave in sorted(run.slaves.values(), key=lambda s: s.slave_id):
+        if slave.crashed:
+            continue
+        if slave.busy and slave.inflight_page is not None:
+            inflight.append(slave.inflight_page)
+        if run.page_mode:
+            pos = slave.cursor
+            for seg in slave.segments:
+                page = seg.first_at_or_after(pos)
+                while page is not None:
+                    claims[page] = claims.get(page, 0) + 1
+                    pos = page + 1
+                    page = page + seg.stride
+                    if page > seg.hi:
+                        page = None
+        else:
+            for lo, hi in slave.intervals:
+                for key in range(lo, hi + 1):
+                    claims[key] = claims.get(key, 0) + 1
+    for intervals in run.harvest.values():
+        for lo, hi in intervals:
+            for key in range(lo, hi + 1):
+                claims[key] = claims.get(key, 0) + 1
+    doubled = sorted(p for p, c in claims.items() if c > 1)
+    if doubled:
+        found.append(f"{name}: pages claimable by two slaves: {doubled[:8]}")
+    overlap = sorted(set(inflight) & set(claims))
+    if overlap:
+        found.append(f"{name}: in-flight pages still claimable: {overlap[:8]}")
+    if len(inflight) != len(set(inflight)):
+        found.append(f"{name}: page in flight twice: {inflight}")
+    if run.pages_done + len(inflight) + len(claims) != run.spec.n_pages:
+        found.append(
+            f"{name}: page conservation violated — done={run.pages_done} "
+            f"inflight={len(inflight)} unclaimed={len(claims)} "
+            f"!= n_pages={run.spec.n_pages}"
+        )
+    return found
+
+
+@st.composite
+def claim_layouts(draw):
+    """A partition of ``n_pages`` (mod-k strides or contiguous key
+    intervals) part-way through a scan, with ``pages_done`` and in-flight
+    pages that add up; then, half the time, drawn damage: extra strides
+    and intervals (double claims), moved cursors, stray in-flight pages
+    (possibly still claimable or in flight twice), crashed slaves,
+    harvested intervals and a miscounted ``pages_done``."""
+    n_pages = draw(st.integers(1, 40))
+    page_mode = draw(st.booleans())
+    k = draw(st.integers(1, 5))
+    slaves = []
+    done = 0
+    for i in range(k):
+        slave = _FakeSlave(i, [])
+        lo, hi = i * n_pages // k, (i + 1) * n_pages // k - 1
+        if page_mode and i < n_pages:
+            slave.segments = [PageAssignment(0, n_pages - 1, k, i)]
+            slave.cursor = draw(st.integers(0, n_pages))
+            read = len(range(i, slave.cursor, k))
+        else:
+            read = draw(st.integers(0, hi - lo + 1))
+            slave.intervals = [(lo + read, hi)]
+        slave.busy = read > 0 and draw(st.booleans())
+        if slave.busy:  # the last page read is still in flight
+            last = (slave.cursor - 1 - i) // k * k + i
+            slave.inflight_page = last if page_mode else lo + read - 1
+        done += read - slave.busy
+        slaves.append(slave)
+    run = _FakeMicroRun(slaves, n_pages, pages_done=done)
+    run.page_mode = page_mode
+    if not draw(st.booleans()):
+        return run
+    page = st.integers(0, n_pages + 2)
+    interval = st.tuples(page, page)
+    for slave in slaves:
+        for lo, hi, stride in draw(
+            st.lists(st.tuples(page, page, st.integers(1, 4)), max_size=2)
+        ):
+            slave.segments.append(PageAssignment(lo, hi, stride, lo % stride))
+        slave.intervals += draw(st.lists(interval, max_size=2))
+        slave.cursor = draw(st.just(slave.cursor) | st.integers(0, n_pages))
+        slave.busy = draw(st.booleans())
+        slave.inflight_page = draw(st.just(slave.inflight_page) | st.none() | page)
+        slave.crashed = draw(st.integers(0, 4)) == 0
+    run.pages_done += draw(st.integers(-1, 1))
+    run.harvest = draw(
+        st.dictionaries(st.integers(0, 5), st.lists(interval, max_size=2), max_size=2)
+    )
+    return run
+
+
+class TestIncrementalConservation:
+    @settings(max_examples=300, deadline=None)
+    @given(run=claim_layouts())
+    def test_same_verdict_and_text_as_the_page_enumeration(self, run):
+        inv = InvariantChecker(collect=True)
+        inv._check_conservation("site", run)
+        assert inv.violations == [
+            f"[site] {detail}" for detail in reference_conservation(run)
+        ]
+
+
+class _BoundaryLog(InvariantChecker):
+    """Records each round-trip boundary's label and checkpoint."""
+
+    def __init__(self):
+        super().__init__(collect=True)
+        self.boundaries = []
+
+    def _check_checkpoint_roundtrip(self, label, engine):
+        self.boundaries.append((label, Checkpoint.capture(engine)))
+        super()._check_checkpoint_roundtrip(label, engine)
+
+
+def logged_run(checker=None):
+    checker = checker or _BoundaryLog()
+    MicroSimulator(MACHINE, seed=3, invariants=checker).run(
+        specs(), InterWithAdjPolicy(integral=True)
+    )
+    return checker
+
+
+def first_new_part(boundaries, field, index):
+    """``(k, part)``: the first boundary past the first whose
+    ``field[index]`` differs from the one before (or is new)."""
+    before = None
+    for k, (__, cp) in enumerate(boundaries):
+        parts = getattr(cp, field)
+        part = parts[index] if len(parts) > index else None
+        if k > 0 and part is not None and part != before:
+            return k, part
+        before = part
+    raise AssertionError(f"no new {field}[{index}] past the first boundary")
+
+
+def count_rng_encodes(monkeypatch):
+    encoded = []
+    real = checkpoint_module._encode_rng
+    monkeypatch.setattr(
+        checkpoint_module,
+        "_encode_rng",
+        lambda state: encoded.append(state) or real(state),
+    )
+    return encoded
+
+
+class TestIncrementalRoundTrip:
+    @pytest.mark.parametrize(
+        "field, index",
+        # The second task to finish: a record in a slot first filled past
+        # the first boundary.  The running task at the second boundary: a
+        # new value in a slot verified at the first.
+        [("completed", 1), ("running", 0)],
+    )
+    def test_a_corrupt_part_is_caught_at_the_boundary_it_first_shows(
+        self, monkeypatch, field, index
+    ):
+        clean = logged_run()
+        assert clean.ok
+        k, victim = first_new_part(clean.boundaries, field, index)
+        encode, decode = checkpoint_module._SNAPSHOT_CODECS[field]
+
+        def corrupt(raw):
+            part = decode(raw)
+            if part != victim:
+                return part
+            return dataclasses.replace(part, started_at=part.started_at + 1)
+
+        monkeypatch.setitem(
+            checkpoint_module._SNAPSHOT_CODECS, field, (encode, corrupt)
+        )
+        checker = logged_run()
+        label, at_k = checker.boundaries[k]
+        assert checker.violations[0] == (
+            f"[{label}] checkpoint changed across to_dict/json/from_dict "
+            f"at t={at_k.taken_at!r}"
+        )
+        # The whole checkpoint through the same codecs fails at exactly
+        # the boundaries the part-by-part check flags.
+        whole = [
+            f"[{label}] checkpoint changed across to_dict/json/from_dict "
+            f"at t={cp.taken_at!r}"
+            for label, cp in checker.boundaries
+            if Checkpoint.from_dict(json.loads(json.dumps(cp.to_dict()))) != cp
+        ]
+        assert checker.violations == whole
+
+    def test_an_unchanged_rng_state_is_not_serialised_again(self, monkeypatch):
+        encoded = count_rng_encodes(monkeypatch)
+        checker = logged_run()
+        states = [cp.rng_state for __, cp in checker.boundaries]
+        assert checker.ok
+        assert len(set(states)) < len(states)
+        assert len(encoded) == len(set(encoded)) == len(set(states))
+
+    def test_new_run_clears_the_memo(self, monkeypatch):
+        checker = logged_run()
+        assert checker._verified
+        checker.new_run()
+        assert not checker._verified
+        # The engine calls new_run when it is built, so a second run
+        # through the same checker verifies every part afresh.
+        encoded = count_rng_encodes(monkeypatch)
+        logged_run(checker)
+        first = len(encoded)
+        logged_run(checker)
+        assert len(encoded) == 2 * first > 0
+        assert checker.ok
+
+
+class TestCheckerSpansAResume:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["restore", "scratch"])
+    def test_master_crashes_report_no_violation(self, enabled):
+        # Each attempt is a fresh engine whose clock starts at its
+        # checkpoint (or at zero): the checker must follow it.
+        policy = lambda: InterWithAdjPolicy(integral=True, degradation_aware=True)
+        workload = chaos_workload(MACHINE, scale=1.0)
+        healthy = MicroSimulator(MACHINE, seed=0, consult_interval=1.0).run(
+            workload, policy()
+        )
+        crashes = tuple(
+            MasterCrash(at=share * healthy.elapsed) for share in (0.2, 0.6, 0.8)
+        )
+        checker = InvariantChecker(collect=True)
+        run = run_with_recovery(
+            MicroSimulator(
+                MACHINE,
+                seed=0,
+                consult_interval=1.0,
+                faults=FaultSchedule(crashes),
+                invariants=checker,
+            ),
+            workload,
+            policy(),
+            manager=RecoveryManager(enabled=enabled, min_interval=5.0),
+        )
+        assert run.crashes == 3
+        assert (run.restores > 0) == enabled
+        assert checker.checks > 0
+        assert checker.violations == []

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.check import InvariantChecker
 from repro.config import paper_machine
 from repro.errors import FaultError
-from repro.faults.chaos import ChaosReport, chaos_workload, run_chaos
-from repro.faults.schedule import FaultSchedule, SlaveCrash
+from repro.faults import chaos
+from repro.faults.chaos import ChaosReport, chaos_workload, run_chaos, run_soak
+from repro.faults.schedule import FaultSchedule, MasterCrash, SlaveCrash
 
 
 class TestChaosWorkload:
@@ -29,6 +31,7 @@ class TestRunChaos:
         assert isinstance(report, ChaosReport)
         assert report.ok
         assert report.wedged_adjustments == 0
+        assert report.violations == []
         assert report.log.faults_injected >= 1
         assert report.faulted.elapsed >= report.healthy.elapsed
         lines = report.to_lines()
@@ -50,3 +53,46 @@ class TestRunChaos:
             report.faulted.elapsed / report.healthy.elapsed
         )
         assert report.slowdown > 1.0
+
+
+class _PlantedViolation(InvariantChecker):
+    """A checker that finds one violation at the end of every run."""
+
+    def micro_end(self, engine, result):
+        super().micro_end(engine, result)
+        self._fail("micro:end", "planted")
+
+
+@pytest.mark.chaos
+class TestChaosUnderTheChecker:
+    def test_a_violation_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(chaos, "InvariantChecker", _PlantedViolation)
+        schedule = FaultSchedule((SlaveCrash(at=0.5, task="cpu0"),))
+        report = run_chaos(schedule=schedule, seed=0, scale=0.2)
+        assert report.violations == ["[micro:end] planted"]
+        assert not report.ok
+        lines = report.to_lines()
+        assert "invariant violated: [micro:end] planted" in lines
+        assert lines[-1].startswith("verdict: FAILED")
+
+    def test_the_checker_spans_every_recovery_attempt(self, monkeypatch):
+        checkers = []
+        monkeypatch.setattr(
+            chaos,
+            "InvariantChecker",
+            lambda **kw: checkers.append(InvariantChecker(**kw)) or checkers[-1],
+        )
+        schedule = FaultSchedule((MasterCrash(at=1.0), MasterCrash(at=2.0)))
+        report = run_chaos(schedule=schedule, seed=0, scale=0.2)
+        assert report.recovery is not None and report.recovery.crashes == 2
+        assert len(checkers) == 1 and checkers[0].checks > 0
+        assert report.violations == [] and report.ok
+
+    def test_soak_reports_a_violation_on_a_failed_line(self, monkeypatch):
+        monkeypatch.setattr(chaos, "InvariantChecker", _PlantedViolation)
+        soak = run_soak(n_schedules=1, seeds=(0,), scale=0.1)
+        assert soak.failures == [
+            "seed=0 schedule=0: 3/3 tasks, 0 wedged, 1 invariant violations; "
+            "[micro:end] planted"
+        ]
+        assert "  FAILED " + soak.failures[0] in soak.to_lines()

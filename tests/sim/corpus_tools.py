@@ -333,7 +333,8 @@ def cold_fault_digest(label, seed):
     machine = paper_machine()
     schedule = COLD_SCHEDULES[label]
     tracer = Tracer()
-    # One checker cannot span a resume (its clock would run backwards).
+    # The master-crash cells were frozen before a checker could span a
+    # resume, so they carry no checker count.
     invariants = (
         None if schedule.master_crashes else InvariantChecker(collect=True)
     )

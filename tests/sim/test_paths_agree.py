@@ -2,9 +2,9 @@
 
 A run with an *empty* fault schedule has an injector that injects
 nothing.  The engine then does more than on a healthy run: per served
-request it scales by the disk's bandwidth factor (1.0) and folds the
-disk's health estimate (1.0 is the fold's fixed point); it checks the
-stall list (never set); a cancel purges crashed requests from the disk
+request it reads the disk's bandwidth factor (1.0) and skips the
+health fold (a healthy estimate of 1.0 is the fold's fixed point); it
+checks the stall list (never set); a cancel purges crashed requests from the disk
 queues (none here).  The two runs must agree to the last bit, per-disk
 counters and busy time included.
 
@@ -54,6 +54,9 @@ class _EngineProbe:
     """
 
     engine = None
+
+    def new_run(self):
+        pass
 
     def micro_site(self, engine, run, site):
         pass
@@ -144,6 +147,31 @@ def test_idle_injector_takes_the_general_serve_only_where_healthy_does(
         )
         counts.append(len(calls))
     assert counts[0] == counts[1] < sum(s.n_pages for s in specs) / 4
+
+
+def test_a_healthy_disk_is_the_health_folds_fixed_point(monkeypatch):
+    """The inlined serve folds a disk's health only when its factor or
+    its estimate is off 1.0; the skipped fold would have written 1.0."""
+    assert 0.7 * 1.0 + 0.3 * 1.0 == 1.0
+    folds = []
+    fold = _MicroEngine._observe_disk
+    monkeypatch.setattr(
+        _MicroEngine,
+        "_observe_disk",
+        lambda engine, disk_id, m: folds.append(m) or fold(engine, disk_id, m),
+    )
+    specs = generate_specs(
+        WorkloadKind.RANDOM, seed=0, machine=MACHINE, config=WorkloadConfig(max_pages=300)
+    )
+    probe = _EngineProbe()
+    MicroSimulator(MACHINE, faults=FaultSchedule(), invariants=probe).run(
+        list(specs), InterWithAdjPolicy(integral=True)
+    )
+    assert probe.engine._measured_mult == [1.0] * MACHINE.disks
+    inlined = len(folds)
+    probe.engine._observe_disk(0, 1.0)
+    assert probe.engine._measured_mult[0] == 1.0
+    assert inlined < sum(s.n_pages for s in specs) / 4
 
 
 def _scan_strategy():

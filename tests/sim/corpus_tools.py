@@ -6,7 +6,11 @@ set of workloads — seeds 0-4, all three policies, plus a faulted
 configuration — before the fast-path overhaul.  The property test in
 ``test_trace_corpus.py`` replays the same workloads on the current
 engine and asserts byte-identical digests, so any optimization that
-changes even one event ordering or float is caught.
+changes even one event ordering or float is caught.  The ``fluid/``
+cells do the same for the fluid engine under a bare policy: the
+Figure-7 grid (every workload kind, all three policies, continuous and
+integral degrees, seeds 0-2), a run with staggered arrivals and
+``depends_on`` chains, and one under degradation windows.
 
 Regenerate (only when a trace change is *intended* and reviewed)::
 
@@ -20,12 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro.check import InvariantChecker
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy, policy_by_name
-from repro.core.task import IOPattern
+from repro.core.task import IOPattern, make_task
 from repro.faults import (
     DiskDegradation,
     DiskStall,
@@ -40,9 +45,10 @@ from repro.faults import (
 )
 from repro.obs import Tracer
 from repro.recovery import RecoveryManager, run_with_recovery
+from repro.sim import FluidSimulator
 from repro.sim.micro import MicroSimulator, spec_for_io_rate
 from repro.workloads import WorkloadConfig, WorkloadKind
-from repro.workloads.mixes import generate_specs
+from repro.workloads.mixes import generate_specs, generate_tasks
 
 CORPUS_PATH = Path(__file__).parent / "data" / "trace_corpus.json"
 
@@ -393,6 +399,83 @@ def cold_cells():
     return cells
 
 
+# ---------------------------------------------------------------------------
+# fluid cells: the fluid engine under a bare policy (no admission gate,
+# no parcost around it), frozen before its rate solve was memoized.
+
+FLUID_SEEDS = (0, 1, 2)
+FLUID_MODES = {"continuous": False, "integral": True}
+
+
+def fluid_grid_digest(kind, seed, policy_name, integral):
+    """One Figure-7 workload, at paper scale, on the fluid engine."""
+    machine = paper_machine()
+    tasks = generate_tasks(kind, seed=seed, machine=machine)
+    result = FluidSimulator(machine).run(
+        tasks, policy_by_name(policy_name, integral=integral)
+    )
+    return trace_digest(result)
+
+
+def fluid_chain_tasks():
+    """Staggered arrivals, two ``depends_on`` chains and working sets
+    that do not all fit in work memory together."""
+    io_a = make_task("io-a", io_rate=55.0, seq_time=30.0)
+    cpu_a = make_task("cpu-a", io_rate=6.0, seq_time=24.0, arrival_time=1.5)
+    io_b = make_task("io-b", io_rate=40.0, seq_time=12.0, arrival_time=2.0)
+    io_b = io_b.with_dependencies({io_a.task_id}).with_memory(3.0)
+    cpu_b = make_task("cpu-b", io_rate=12.0, seq_time=18.0, arrival_time=4.0)
+    cpu_b = cpu_b.with_dependencies({cpu_a.task_id}).with_memory(2.0)
+    rnd = make_task(
+        "rnd", io_rate=20.0, seq_time=9.0, io_pattern=IOPattern.RANDOM,
+        arrival_time=6.25,
+    ).with_memory(2.0)
+    tail = make_task("tail", io_rate=25.0, seq_time=7.0, arrival_time=8.0)
+    tail = tail.with_dependencies({io_b.task_id, cpu_b.task_id})
+    return [io_a, cpu_a, io_b, cpu_b, rnd, tail]
+
+
+def fluid_chain_digest():
+    machine = replace(paper_machine(), work_memory_bytes=4.0)
+    result = FluidSimulator(machine).run(
+        fluid_chain_tasks(), InterWithAdjPolicy()
+    )
+    return trace_digest(result)
+
+
+def fluid_degraded_digest():
+    """A Random mix while two disks degrade, under the policy that
+    re-balances on the measured bandwidth."""
+    machine = paper_machine()
+    tasks = generate_tasks(WorkloadKind.RANDOM, seed=0, machine=machine)
+    windows = (
+        DiskDegradation(disk=0, start=1.0, duration=40.0, factor=0.3),
+        DiskDegradation(disk=2, start=5.0, duration=30.0, factor=0.5),
+    )
+    result = FluidSimulator(machine, degradations=windows).run(
+        tasks, InterWithAdjPolicy(degradation_aware=True)
+    )
+    return trace_digest(result)
+
+
+def fluid_cells():
+    """label -> zero-argument digest builder, one per fluid cell."""
+    cells = {
+        f"fluid/{kind.value}/seed{seed}/{policy_name}/{mode}": (
+            lambda kind=kind, seed=seed, policy_name=policy_name, integral=integral: (
+                fluid_grid_digest(kind, seed, policy_name, integral)
+            )
+        )
+        for kind in WorkloadKind
+        for seed in FLUID_SEEDS
+        for policy_name in POLICY_NAMES
+        for mode, integral in FLUID_MODES.items()
+    }
+    cells["fluid/chains"] = fluid_chain_digest
+    cells["fluid/degraded"] = fluid_degraded_digest
+    return cells
+
+
 def build_corpus():
     """All corpus digests, keyed by configuration label."""
     corpus = {}
@@ -403,6 +486,8 @@ def build_corpus():
             )
         corpus[f"faulted/seed{seed}"] = faulted_digest(seed)
     for label, build in cold_cells().items():
+        corpus[label] = build()
+    for label, build in fluid_cells().items():
         corpus[label] = build()
     return corpus
 

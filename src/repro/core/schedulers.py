@@ -26,14 +26,19 @@ from typing import Protocol, Sequence
 from ..config import MachineConfig
 from ..errors import SchedulingError
 from .balance import (
-    BalancePoint,
     balance_point,
+    balance_solution,
     clamp_parallelism as _clamp,
-    inter_time,
     inter_time_realizable,
     intra_time,
+    realizable_time,
 )
-from .classify import is_io_bound, max_parallelism, split_by_bound
+from .classify import (
+    is_io_bound,
+    max_parallelism,
+    max_parallelism_of,
+    split_by_bound,
+)
 from .task import Task
 
 
@@ -151,16 +156,15 @@ def memory_fits(machine: MachineConfig, *tasks: Task) -> bool:
     return sum(t.memory_bytes for t in tasks) <= machine.work_memory_bytes
 
 
-def _remnant(view: RunningTaskView) -> Task:
-    """The unfinished part of a running task as a task of its own: the
-    same io rate and pattern, ``remaining_seq_time`` long."""
+def _remnant(view: RunningTaskView) -> tuple[float, float]:
+    """The unfinished part of a running task, priced as a task of its
+    own with the same io pattern: ``(seq_time, io_rate)``.
+
+    The rate is what ``Task.io_rate`` of such a task would read,
+    ``(C * T) / T``, which is not always ``C`` to the last bit.
+    """
     rem = max(view.remaining_seq_time, 1e-12)
-    return Task(
-        name=view.task.name,
-        seq_time=rem,
-        io_count=view.task.io_rate * rem,
-        io_pattern=view.task.io_pattern,
-    )
+    return rem, (view.task.io_rate * rem) / rem
 
 
 class IntraOnlyPolicy(SchedulingPolicy):
@@ -250,18 +254,22 @@ class InterWithAdjPolicy(SchedulingPolicy):
     ) -> list[Action] | None:
         """Try to run ``candidate`` against ``partner`` (or a fresh pair).
 
-        Returns None when pairing is not worthwhile.
+        Returns None when pairing is not worthwhile.  Decided on floats
+        (:func:`~repro.core.balance.balance_solution`,
+        :func:`~repro.core.balance.realizable_time`): no task and no
+        balance-point object is built per candidate.
         """
         machine = state.machine
         if partner is None:
             return None
-        if not memory_fits(machine, candidate, partner.task):
+        partner_task = partner.task
+        if not memory_fits(machine, candidate, partner_task):
             return None
-        point = balance_point(
-            candidate,
-            partner.task,
-            machine,
-            use_effective_bandwidth=self.use_effective_bandwidth,
+        effective = self.use_effective_bandwidth
+        c_new, pattern_new = candidate.io_rate, candidate.io_pattern
+        c_partner, pattern_partner = partner_task.io_rate, partner_task.io_pattern
+        point = balance_solution(
+            c_new, pattern_new, c_partner, pattern_partner, machine, effective
         )
         if point is None:
             return None
@@ -269,31 +277,35 @@ class InterWithAdjPolicy(SchedulingPolicy):
         # the partner's remaining work and the *realizable* allocation
         # (clamped to whole-machine reality), so the decision prices the
         # pairing exactly as the engine will run it.
-        remaining_partner = _remnant(partner)
-        remaining_point = balance_point(
-            candidate,
-            remaining_partner,
-            machine,
-            use_effective_bandwidth=self.use_effective_bandwidth,
+        rem, c_rem = _remnant(partner)
+        remaining_point = balance_solution(
+            c_new, pattern_new, c_rem, pattern_partner, machine, effective
         )
         if remaining_point is None:
             return None
-        paired = inter_time_realizable(
-            remaining_point,
-            machine,
-            use_effective_bandwidth=self.use_effective_bandwidth,
-            integral=self.integral,
+        new = (candidate.seq_time, c_new, pattern_new)
+        rest = (rem, c_rem, pattern_partner)
+        io, cpu = (new, rest) if c_new > c_rem else (rest, new)
+        x_io, x_cpu, __ = remaining_point
+        paired = realizable_time(
+            x_io, x_cpu, io, cpu, machine, effective, self.integral
         )
-        alone = intra_time(candidate, machine) + intra_time(remaining_partner, machine)
+        alone = (
+            candidate.seq_time / max_parallelism_of(c_new, pattern_new, machine)
+            + rem / max_parallelism_of(c_rem, pattern_partner, machine)
+        )
         if paired >= alone:
             return None
-        x_new = _clamp(point.parallelism_of(candidate), machine, integral=self.integral)
-        x_partner = _clamp(
-            point.parallelism_of(partner.task), machine, integral=self.integral
-        )
+        x_io, x_cpu, __ = point
+        if c_new > c_partner:
+            x_new, x_partner = x_io, x_cpu
+        else:
+            x_new, x_partner = x_cpu, x_io
+        x_new = _clamp(x_new, machine, integral=self.integral)
+        x_partner = _clamp(x_partner, machine, integral=self.integral)
         actions: list[Action] = []
         if abs(x_partner - partner.parallelism) > 1e-9:
-            actions.append(Adjust(partner.task, x_partner))
+            actions.append(Adjust(partner_task, x_partner))
         actions.append(Start(candidate, x_new))
         return actions
 
@@ -359,19 +371,27 @@ class InterWithAdjPolicy(SchedulingPolicy):
             and abs(b - self._last_b) / self._last_b <= self.rebalance_threshold
         ):
             return []
-        views = list(state.running)
-        remnants = [_remnant(view) for view in views]
-        point = balance_point(
-            remnants[0],
-            remnants[1],
+        first, second = state.running
+        __, c_first = _remnant(first)
+        __, c_second = _remnant(second)
+        point = balance_solution(
+            c_first,
+            first.task.io_pattern,
+            c_second,
+            second.task.io_pattern,
             machine,
-            use_effective_bandwidth=self.use_effective_bandwidth,
+            self.use_effective_bandwidth,
         )
         if point is None:
             return []
+        x_io, x_cpu, __ = point
+        if c_first > c_second:
+            seats = ((first, x_io), (second, x_cpu))
+        else:
+            seats = ((first, x_cpu), (second, x_io))
         actions: list[Action] = []
-        for view, remnant in zip(views, remnants):
-            x = _clamp(point.parallelism_of(remnant), machine, integral=self.integral)
+        for view, x in seats:
+            x = _clamp(x, machine, integral=self.integral)
             if abs(x - view.parallelism) > 1e-9:
                 actions.append(Adjust(view.task, x))
         # Remember the bandwidth we balanced for even when the clamped

@@ -14,10 +14,14 @@ executed — the open-system analogue of the closed batch in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..core.ids import submission_ids as _submission_ids
 from ..core.task import Task
 from ..errors import AdmissionError, ServiceOverloadError
+
+_seq_time = attrgetter("seq_time")
+_io_count = attrgetter("io_count")
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +41,11 @@ class ServiceSubmission:
         deadline: absolute response-time SLO deadline, or ``None`` when
             the submission carries no SLO.
         submission_id: unique id, auto-assigned.
+        io_rate: aggregate io rate ``sum(D_i) / sum(T_i)`` of the
+            bundle, computed once at construction — the
+            submission-level analogue of the paper's per-task
+            ``C_i = D_i / T_i``; the balance-aware admission policy
+            classifies waiting submissions with it.
     """
 
     name: str
@@ -45,6 +54,7 @@ class ServiceSubmission:
     arrival_time: float = 0.0
     deadline: float | None = None
     submission_id: int = field(default_factory=_submission_ids)
+    io_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -57,6 +67,9 @@ class ServiceSubmission:
             raise AdmissionError(
                 self.submission_id, "deadline precedes the arrival time"
             )
+        total = self.total_seq_time
+        io_rate = self.total_io_count / total if total > 0 else 0.0
+        object.__setattr__(self, "io_rate", io_rate)
 
     @property
     def n_fragments(self) -> int:
@@ -66,23 +79,12 @@ class ServiceSubmission:
     @property
     def total_seq_time(self) -> float:
         """Total sequential work across the bundle, in seconds."""
-        return sum(t.seq_time for t in self.tasks)
+        return sum(map(_seq_time, self.tasks))
 
     @property
     def total_io_count(self) -> float:
         """Total io requests issued by the bundle."""
-        return sum(t.io_count for t in self.tasks)
-
-    @property
-    def io_rate(self) -> float:
-        """Aggregate io rate ``sum(D_i) / sum(T_i)`` of the bundle.
-
-        The submission-level analogue of the paper's per-task
-        ``C_i = D_i / T_i``; the balance-aware admission policy
-        classifies waiting submissions with it.
-        """
-        total = self.total_seq_time
-        return self.total_io_count / total if total > 0 else 0.0
+        return sum(map(_io_count, self.tasks))
 
 
 @dataclass(frozen=True, slots=True)

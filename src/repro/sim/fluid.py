@@ -22,11 +22,13 @@ The event loop is on the optimizer's critical path (``parcost``
 simulates it for every costed candidate), so the hot structures carry
 ``__slots__``, per-task constants (io rate, io pattern) are cached at
 start time, the ready-pending and running views are memoized between
-state changes, and the per-event rate solve builds one list instead of
-dicts.  All of it is float-order-preserving: every sum and product
-happens over the same values in the same order as the straightforward
-implementation, so traces are byte-identical — the sim corpus tests
-pin that down to ``float.hex`` equality.
+state changes, the rate solve builds one list instead of dicts and
+runs only when the running set or a parallelism changed (about half
+of a serving run's events change neither).  All of it is
+float-order-preserving: every sum and product happens over the same
+values in the same order as the straightforward implementation, so
+traces are byte-identical — the sim corpus tests pin that down to
+``float.hex`` equality.
 """
 
 from __future__ import annotations
@@ -90,12 +92,16 @@ class FluidSimulator:
         use_effective_bandwidth: model the sequential/random bandwidth
             drop when streams interleave; off = nominal ``B`` always.
         degradations: scheduled per-disk bandwidth degradation windows
-            (:class:`~repro.faults.schedule.DiskDegradation`).  The
-            fluid model has no per-disk queues, so a window scales the
-            array's aggregate bandwidth by its per-disk factor averaged
-            over the array; window edges become simulation events and
-            the measured machine is exposed to policies and to the
-            serving gate as ``state.effective_machine``.
+            (:class:`~repro.faults.schedule.DiskDegradation`).  They
+            change what policies *see*, not how fast work runs: at
+            each event the engine sets ``state.effective_machine`` to
+            the machine with every disk's bandwidth scaled by the
+            factors averaged over the array, and policies (and the
+            serving gate's breaker) read it.  Window edges are not
+            events — a window that opens between two events is first
+            seen at the next one — and the rate solve always uses the
+            nominal ``machine``, so a degraded run progresses exactly
+            like a healthy one under the same decisions.
         tracer: a :class:`~repro.obs.Tracer` recording task spans and
             start/adjust/shed instants at virtual time; ``None`` (or
             the falsy NullTracer) records nothing.  Emission sites are
@@ -178,6 +184,8 @@ class FluidSimulator:
         peak_memory = 0.0
         healthy = not self.degradations
         invariants = self.invariants
+        rates: list[tuple[_Running, float]] = []
+        solved = -1  # the state.version ``rates`` was solved at
         for __ in range(_MAX_EVENTS):
             if not healthy:
                 state.effective_machine = self._effective_machine(state.clock)
@@ -191,9 +199,18 @@ class FluidSimulator:
             if state.done():
                 break  # a wake-up that outlives the last task is not waited for
             wakeup = policy.next_wakeup(state.clock)
-            # Rates under the current allocation.
-            rates = self._rates(state)
-            horizon = self._next_event_in(state, rates)
+            # Rates under the current allocation: a pure function of
+            # the running set and its parallelisms, so re-solved only
+            # when ``state.version`` says one of them moved.
+            if state.version != solved:
+                rates = self._rates(state)
+                solved = state.version
+            # Seconds until the next completion or arrival.
+            horizons = [run.remaining / rate for run, rate in rates if rate > _EPS]
+            next_arrival = state.next_arrival_in()
+            if next_arrival is not None:
+                horizons.append(next_arrival)
+            horizon = min(horizons) if horizons else None
             if wakeup is not None:
                 wake_in = max(wakeup - state.clock, _EPS)
                 horizon = wake_in if horizon is None else min(horizon, wake_in)
@@ -287,21 +304,6 @@ class FluidSimulator:
         )
         return effective_bandwidth_mix(self.machine, seq_rates, random_total)
 
-    def _next_event_in(
-        self, state: "_SimState", rates: list[tuple[_Running, float]]
-    ) -> float | None:
-        """Seconds until the next completion or arrival."""
-        horizons = []
-        for run, rate in rates:
-            if rate > _EPS:
-                horizons.append(run.remaining / rate)
-        next_arrival = state.next_arrival_in()
-        if next_arrival is not None:
-            horizons.append(next_arrival)
-        if not horizons:
-            return None
-        return min(horizons)
-
 
 class _SimState(TaskLedger):
     """One run's mutable state: the task ledger plus the running set.
@@ -314,7 +316,7 @@ class _SimState(TaskLedger):
 
     __slots__ = (
         "effective_machine", "running_map", "memory_in_use", "adjustments",
-        "tracer", "_adjustment_overhead", "_running_view",
+        "tracer", "_adjustment_overhead", "_running_view", "version",
     )
 
     def __init__(
@@ -334,6 +336,9 @@ class _SimState(TaskLedger):
         self.adjustments = 0
         self._adjustment_overhead = adjustment_overhead
         self._running_view: list[_Running] | None = []
+        #: Bumped whenever the running set or a parallelism changes —
+        #: every input of the rate solve; ``run()`` keys its rates on it.
+        self.version = 0
         self.admit_due(_EPS)
 
     @property
@@ -345,6 +350,7 @@ class _SimState(TaskLedger):
 
     def _running_changed(self) -> None:
         self._running_view = None
+        self.version += 1
         self.memory_in_use = sum(
             r.task.memory_bytes for r in self.running_map.values()
         )
@@ -386,6 +392,7 @@ class _SimState(TaskLedger):
             raise SimulationError(f"task {task.task_id} is not running")
         if abs(run.parallelism - parallelism) > _EPS:
             run.parallelism = parallelism
+            self.version += 1
             run.remaining += self._adjustment_overhead
             run.history.append((self.clock, parallelism))
             self.adjustments += 1

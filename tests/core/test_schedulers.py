@@ -1,6 +1,10 @@
 """Tests for the three scheduling policies driven by the fluid engine."""
 
+from dataclasses import dataclass, replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import paper_machine
 from repro.core import (
@@ -11,7 +15,17 @@ from repro.core import (
     max_parallelism,
     policy_by_name,
 )
+from repro.core.balance import (
+    balance_point,
+    clamp_parallelism,
+    inter_time_realizable,
+    intra_time,
+)
+from repro.core.ids import id_scope
+from repro.core.schedulers import Adjust, Start, memory_fits
+from repro.core.task import IOPattern, Task
 from repro.errors import SchedulingError
+from repro.faults import DiskDegradation
 from repro.sim import FluidSimulator
 
 MACHINE = paper_machine()
@@ -164,3 +178,215 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(SchedulingError):
             policy_by_name("FAIR-SHARE")
+
+
+# ---------------------------------------------------------------------------
+# The pairing test on floats, against the task-building reference.
+
+
+@dataclass
+class _View:
+    """A running task as a policy sees it."""
+
+    task: Task
+    parallelism: float
+    remaining_seq_time: float
+
+
+@dataclass
+class _State:
+    machine: object
+    running: list
+    pending: list
+
+    @property
+    def effective_machine(self):
+        return self.machine
+
+
+def _reference_remnant(view):
+    """The partner's unfinished part as a task of its own (builds a
+    ``Task``, drawing an id)."""
+    rem = max(view.remaining_seq_time, 1e-12)
+    return Task(
+        name=view.task.name,
+        seq_time=rem,
+        io_count=view.task.io_rate * rem,
+        io_pattern=view.task.io_pattern,
+    )
+
+
+def _reference_pair_actions(policy, machine, candidate, partner):
+    """``InterWithAdjPolicy._pair_actions`` built from tasks and
+    balance points: remnant task, two ``balance_point`` objects,
+    ``inter_time_realizable`` and ``intra_time``."""
+    effective = policy.use_effective_bandwidth
+    if not memory_fits(machine, candidate, partner.task):
+        return None
+    point = balance_point(
+        candidate, partner.task, machine, use_effective_bandwidth=effective
+    )
+    if point is None:
+        return None
+    remnant = _reference_remnant(partner)
+    remaining_point = balance_point(
+        candidate, remnant, machine, use_effective_bandwidth=effective
+    )
+    if remaining_point is None:
+        return None
+    paired = inter_time_realizable(
+        remaining_point,
+        machine,
+        use_effective_bandwidth=effective,
+        integral=policy.integral,
+    )
+    alone = intra_time(candidate, machine) + intra_time(remnant, machine)
+    if paired >= alone:
+        return None
+    x_new = clamp_parallelism(
+        point.parallelism_of(candidate), machine, integral=policy.integral
+    )
+    x_partner = clamp_parallelism(
+        point.parallelism_of(partner.task), machine, integral=policy.integral
+    )
+    actions = []
+    if abs(x_partner - partner.parallelism) > 1e-9:
+        actions.append(Adjust(partner.task, x_partner))
+    actions.append(Start(candidate, x_new))
+    return actions
+
+
+def _reference_rebalance(policy, machine, views):
+    remnants = [_reference_remnant(view) for view in views]
+    point = balance_point(
+        remnants[0],
+        remnants[1],
+        machine,
+        use_effective_bandwidth=policy.use_effective_bandwidth,
+    )
+    if point is None:
+        return []
+    actions = []
+    for view, remnant in zip(views, remnants):
+        x = clamp_parallelism(
+            point.parallelism_of(remnant), machine, integral=policy.integral
+        )
+        if abs(x - view.parallelism) > 1e-9:
+            actions.append(Adjust(view.task, x))
+    return actions
+
+
+def _shape(actions):
+    if actions is None:
+        return None
+    return [
+        (type(a).__name__, a.task.task_id, a.parallelism.hex()) for a in actions
+    ]
+
+
+#: Work memory for two of the drawn working sets, not three.
+_SMALL_MEMORY = replace(MACHINE, work_memory_bytes=4.0)
+
+_rates = st.floats(min_value=0.5, max_value=120.0)
+_remaining = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-9),
+    st.floats(min_value=1e-9, max_value=60.0),
+)
+
+
+class TestPairingOnFloats:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        c_new=_rates,
+        c_partner=_rates,
+        pattern_new=st.sampled_from(IOPattern),
+        pattern_partner=st.sampled_from(IOPattern),
+        seq_time=st.floats(min_value=0.1, max_value=60.0),
+        remaining=_remaining,
+        parallelism=st.floats(min_value=1.0, max_value=8.0),
+        memory=st.tuples(st.sampled_from([0.0, 2.0, 3.0]), st.sampled_from([0.0, 2.0])),
+        integral=st.booleans(),
+        effective=st.booleans(),
+    )
+    # (c * rem) / rem != c for this remnant, and the balance point
+    # against it puts B one ulp higher than against the whole task.
+    @example(
+        c_new=6.0, c_partner=89.63975966272466, pattern_new=IOPattern.SEQUENTIAL,
+        pattern_partner=IOPattern.SEQUENTIAL, seq_time=12.0,
+        remaining=7.053145791802895e-10, parallelism=3.0, memory=(0.0, 0.0),
+        integral=False, effective=True,
+    )
+    def test_pair_actions_match_the_task_building_reference(
+        self, c_new, c_partner, pattern_new, pattern_partner, seq_time,
+        remaining, parallelism, memory, integral, effective,
+    ):
+        candidate = make_task(
+            "new", io_rate=c_new, seq_time=seq_time, io_pattern=pattern_new
+        ).with_memory(memory[0])
+        partner_task = make_task(
+            "old", io_rate=c_partner, seq_time=60.0, io_pattern=pattern_partner
+        ).with_memory(memory[1])
+        partner = _View(partner_task, parallelism, remaining)
+        policy = InterWithAdjPolicy(
+            integral=integral, use_effective_bandwidth=effective
+        )
+        state = _State(_SMALL_MEMORY, [partner], [candidate])
+        expected = _reference_pair_actions(policy, _SMALL_MEMORY, candidate, partner)
+        actual = policy._pair_actions(state, candidate, partner)
+        assert _shape(actual) == _shape(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rates=st.tuples(_rates, _rates),
+        patterns=st.tuples(st.sampled_from(IOPattern), st.sampled_from(IOPattern)),
+        remaining=st.tuples(_remaining, _remaining),
+        parallelism=st.tuples(
+            st.floats(min_value=1.0, max_value=8.0),
+            st.floats(min_value=1.0, max_value=8.0),
+        ),
+        integral=st.booleans(),
+        effective=st.booleans(),
+    )
+    def test_rebalance_matches_the_task_building_reference(
+        self, rates, patterns, remaining, parallelism, integral, effective
+    ):
+        views = [
+            _View(
+                make_task(f"r{i}", io_rate=rates[i], seq_time=60.0, io_pattern=patterns[i]),
+                parallelism[i],
+                remaining[i],
+            )
+            for i in range(2)
+        ]
+        policy = InterWithAdjPolicy(
+            integral=integral,
+            use_effective_bandwidth=effective,
+            degradation_aware=True,
+        )
+        expected = _reference_rebalance(policy, MACHINE, views)
+        actual = policy._rebalance(_State(MACHINE, views, []))
+        assert _shape(actual) == _shape(expected)
+
+    def test_a_consult_draws_no_task_id(self):
+        with id_scope():
+            partner = _View(make_task("io", io_rate=60.0, seq_time=40.0), 4.0, 25.0)
+            candidate = make_task("cpu", io_rate=8.0, seq_time=40.0)
+            actions = InterWithAdjPolicy().decide(
+                _State(MACHINE, [partner], [candidate])
+            )
+            assert [type(a) for a in actions] == [Adjust, Start]
+            assert make_task("next", io_rate=1.0, seq_time=1.0).task_id == 2
+
+    def test_a_run_draws_no_task_id(self):
+        """Pairing, re-pairing and re-balancing a whole degraded run."""
+        windows = [DiskDegradation(disk=0, start=2.0, duration=30.0, factor=0.4)]
+        with id_scope():
+            tasks = [
+                make_task(f"t{i}", io_rate=rate, seq_time=20.0 + i)
+                for i, rate in enumerate((60.0, 8.0, 45.0, 12.0, 70.0, 4.0))
+            ]
+            result = FluidSimulator(MACHINE, degradations=windows).run(
+                tasks, InterWithAdjPolicy(degradation_aware=True)
+            )
+            assert result.adjustments > 0
+            assert make_task("next", io_rate=1.0, seq_time=1.0).task_id == len(tasks)

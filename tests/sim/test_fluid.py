@@ -13,6 +13,7 @@ from repro.core import (
     make_task,
 )
 from repro.errors import SimulationError
+from repro.faults import DiskDegradation
 from repro.sim import FluidSimulator
 
 MACHINE = paper_machine()
@@ -175,6 +176,70 @@ class TestConservation:
         result = sim.run(tasks, InterWithAdjPolicy())
         lower_bound = sum(t.seq_time for t in tasks) / MACHINE.processors
         assert result.elapsed >= lower_bound - 1e-6
+
+
+class TestDegradationWindows:
+    """What a degradation window does on the fluid engine, pinned.
+
+    A window changes ``state.effective_machine`` — what policies see —
+    and nothing else: the rate solve runs on the nominal machine, and a
+    window edge is not an event, so the new bandwidth is first seen at
+    the next completion or arrival.  ``FluidSimulator.run`` re-solves
+    rates only when the running set or a parallelism changes; that is
+    sound *because* the solve never reads ``effective_machine``.  Making
+    degradation throttle the fluid engine (ROADMAP item 5(b)) means
+    turning window edges into events that invalidate the rates too.
+    """
+
+    #: Every disk at 30% of its bandwidth from t=1 on.
+    WINDOWS = tuple(
+        DiskDegradation(disk=d, start=1.0, duration=1000.0, factor=0.3)
+        for d in range(MACHINE.disks)
+    )
+
+    @staticmethod
+    def pair():
+        return [task(60.0, 40.0, "io"), task(8.0, 40.0, "cpu")]
+
+    @staticmethod
+    def trace(result):
+        return (
+            result.elapsed.hex(),
+            result.io_served.hex(),
+            result.cpu_busy.hex(),
+            [
+                (r.task.name, r.started_at.hex(), r.finished_at.hex(),
+                 r.parallelism_history)
+                for r in result.records
+            ],
+        )
+
+    @pytest.mark.parametrize("policy", [IntraOnlyPolicy, InterWithAdjPolicy])
+    def test_a_window_does_not_slow_the_engine(self, policy):
+        healthy = FluidSimulator(MACHINE).run(self.pair(), policy())
+        degraded = FluidSimulator(MACHINE, degradations=self.WINDOWS).run(
+            self.pair(), policy()
+        )
+        assert self.trace(degraded) == self.trace(healthy)
+        expected = 15.0 if policy is IntraOnlyPolicy else 12.090627389800094
+        assert degraded.elapsed == expected
+
+    def test_policies_see_the_window_at_the_next_event(self):
+        class Spy(InterWithAdjPolicy):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def decide(self, state):
+                self.seen.append((state.now, state.effective_machine.io_bandwidth))
+                return super().decide(state)
+
+        spy = Spy()
+        FluidSimulator(MACHINE, degradations=self.WINDOWS).run(self.pair(), spy)
+        first_completion = 7.911922610199905
+        assert spy.seen[0] == (0.0, MACHINE.io_bandwidth)
+        assert spy.seen[1][0] == first_completion
+        assert spy.seen[1][1] == pytest.approx(0.3 * MACHINE.io_bandwidth)
 
 
 def test_small_machine():

@@ -1,6 +1,6 @@
 """Engine stall edges must terminate with a diagnostic, never hang.
 
-The dangerous corner: the fluid engine's ``_next_event_in`` returns
+The dangerous corner: the fluid engine's next-event horizon is
 ``None`` while unfinished tasks remain (every progress rate below
 ``_EPS`` and no pending arrival).  Pre-diagnostic code reported this as
 a generic "deadlock"; now a run that wedges names the stalled tasks,

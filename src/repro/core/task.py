@@ -74,6 +74,9 @@ class Task:
             raise SchedulingError(f"task {self.name!r}: arrival_time must be >= 0")
         if self.memory_bytes < 0:
             raise SchedulingError(f"task {self.name!r}: memory_bytes must be >= 0")
+        # Fill io_rate's cache now: nearly every task's rate is read, and
+        # a cached_property's first read is far dearer than a division.
+        self.__dict__["io_rate"] = self.io_count / self.seq_time
 
     @cached_property
     def io_rate(self) -> float:
@@ -81,7 +84,8 @@ class Task:
 
         Cached: the task is frozen and schedulers read the rate in every
         classification, sort key and balance equation.  The cache lives
-        in ``__dict__`` and never enters eq/hash.
+        in ``__dict__``, is filled at construction and never enters
+        eq/hash.
         """
         return self.io_count / self.seq_time
 

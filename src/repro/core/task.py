@@ -30,7 +30,7 @@ class IOPattern(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Task:
     """One schedulable unit of work.
 
@@ -65,18 +65,37 @@ class Task:
     task_id: int = field(default_factory=_task_ids)
     payload: object | None = field(default=None, compare=False, hash=False)
 
-    def __post_init__(self) -> None:
-        if self.seq_time <= 0:
-            raise SchedulingError(f"task {self.name!r}: seq_time must be positive")
-        if self.io_count < 0:
-            raise SchedulingError(f"task {self.name!r}: io_count must be >= 0")
-        if self.arrival_time < 0:
-            raise SchedulingError(f"task {self.name!r}: arrival_time must be >= 0")
-        if self.memory_bytes < 0:
-            raise SchedulingError(f"task {self.name!r}: memory_bytes must be >= 0")
-        # Fill io_rate's cache now: nearly every task's rate is read, and
-        # a cached_property's first read is far dearer than a division.
-        self.__dict__["io_rate"] = self.io_count / self.seq_time
+    def __init__(
+        self, name: str, seq_time: float, io_count: float,
+        io_pattern: IOPattern = IOPattern.SEQUENTIAL, arrival_time: float = 0.0,
+        depends_on: frozenset[int] = frozenset(), memory_bytes: float = 0.0,
+        task_id: int | None = None, payload: object | None = None,
+    ) -> None:
+        # Not generated: a frozen dataclass's __init__ pays one
+        # object.__setattr__ per field.  As there, the id is drawn first.
+        if task_id is None:
+            task_id = _task_ids()
+        if seq_time <= 0:
+            raise SchedulingError(f"task {name!r}: seq_time must be positive")
+        if io_count < 0:
+            raise SchedulingError(f"task {name!r}: io_count must be >= 0")
+        if arrival_time < 0:
+            raise SchedulingError(f"task {name!r}: arrival_time must be >= 0")
+        if memory_bytes < 0:
+            raise SchedulingError(f"task {name!r}: memory_bytes must be >= 0")
+        # One store per field keeps the dict sharing the class's keys (a new
+        # dict would not); io_rate's cache is filled, as it is nearly always read.
+        state = self.__dict__
+        state["name"] = name
+        state["seq_time"] = seq_time
+        state["io_count"] = io_count
+        state["io_pattern"] = io_pattern
+        state["arrival_time"] = arrival_time
+        state["depends_on"] = depends_on
+        state["memory_bytes"] = memory_bytes
+        state["task_id"] = task_id
+        state["payload"] = payload
+        state["io_rate"] = io_count / seq_time
 
     @cached_property
     def io_rate(self) -> float:
@@ -90,45 +109,27 @@ class Task:
         return self.io_count / self.seq_time
 
     def with_arrival(self, arrival_time: float) -> "Task":
-        """A copy of this task arriving at ``arrival_time``."""
-        return Task(
-            name=self.name,
-            seq_time=self.seq_time,
-            io_count=self.io_count,
-            io_pattern=self.io_pattern,
-            arrival_time=arrival_time,
-            depends_on=self.depends_on,
-            memory_bytes=self.memory_bytes,
-            payload=self.payload,
-        )
+        """A copy of this task arriving at ``arrival_time`` (fresh task_id)."""
+        return self._copy("arrival_time", arrival_time, _task_ids())
 
     def with_dependencies(self, task_ids) -> "Task":
         """A copy of this task (same task_id) depending on ``task_ids``."""
-        return Task(
-            name=self.name,
-            seq_time=self.seq_time,
-            io_count=self.io_count,
-            io_pattern=self.io_pattern,
-            arrival_time=self.arrival_time,
-            depends_on=frozenset(task_ids),
-            memory_bytes=self.memory_bytes,
-            task_id=self.task_id,
-            payload=self.payload,
-        )
+        return self._copy("depends_on", frozenset(task_ids), self.task_id)
 
     def with_memory(self, memory_bytes: float) -> "Task":
         """A copy of this task (same task_id) pinning ``memory_bytes``."""
-        return Task(
-            name=self.name,
-            seq_time=self.seq_time,
-            io_count=self.io_count,
-            io_pattern=self.io_pattern,
-            arrival_time=self.arrival_time,
-            depends_on=self.depends_on,
-            memory_bytes=memory_bytes,
-            task_id=self.task_id,
-            payload=self.payload,
-        )
+        return self._copy("memory_bytes", memory_bytes, self.task_id)
+
+    def _copy(self, name: str, value, task_id: int) -> "Task":
+        """This task with ``name`` set to ``value`` (checked if bounded), as ``task_id``."""
+        if name != "depends_on" and value < 0:
+            raise SchedulingError(f"task {self.name!r}: {name} must be >= 0")
+        state = self.__dict__.copy()
+        state[name] = value
+        state["task_id"] = task_id
+        copy = object.__new__(Task)
+        object.__setattr__(copy, "__dict__", state)
+        return copy
 
     def __repr__(self) -> str:
         return (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log2
+from weakref import ref
 
 from ..catalog.catalog import Catalog
 from ..catalog.statistics import ColumnStats, RelationStats
@@ -78,11 +79,13 @@ class NodeEstimate:
 
 @dataclass
 class PlanEstimate:
-    """Estimates for every node of one plan."""
+    """Estimates for every node of one plan, and a weak ``memo`` reference to
+    the :class:`EstimateMemo` they came from (whose clear outdates them)."""
 
     plan: pn.PlanNode
     by_node: dict[int, NodeEstimate]
     machine: MachineConfig
+    memo: "ref[EstimateMemo] | None" = field(default=None, compare=False, repr=False)
 
     def node(self, node: pn.PlanNode) -> NodeEstimate:
         """The estimate of one plan node."""
@@ -175,7 +178,7 @@ class EstimateMemo(dict):
     dropped together (:meth:`forget`, :meth:`clear`).
     """
 
-    __slots__ = ("subtrees",)
+    __slots__ = ("subtrees", "__weakref__")
 
     def __init__(self) -> None:
         super().__init__()
@@ -290,7 +293,8 @@ def estimate_plan(
         {} if cache is None else cache,
     )
     estimator.visit(plan)
-    return PlanEstimate(plan=plan, by_node=estimator.out, machine=estimator.machine)
+    memo = ref(cache) if isinstance(cache, EstimateMemo) else None
+    return PlanEstimate(plan, estimator.out, estimator.machine, memo)
 
 
 class _Estimator:

@@ -16,7 +16,9 @@ wired tasks.
 
 The cut itself lives in one function, :func:`_cut`, which composes a
 subtree's :class:`FragmentSummary` from its children's.
-:func:`fragment_plan` materializes a summary into fragments;
+:func:`fragment_plan` materializes a summary into fragments, cutting
+through the subtree memo its ``PlanEstimate`` was made with (the
+optimizer's, so a repeated plan is one lookup);
 :func:`plan_signature` reads the scheduling signature straight off it.
 """
 
@@ -322,9 +324,10 @@ def fragment_plan(
 
     With ``estimate`` supplied, each fragment gets its ``(T_i, D_i)``
     profile: the sum of its nodes' CPU and io costs, io pattern by
-    majority of io volume.
+    majority of io volume.  It cuts through the estimate's subtree memo.
     """
-    summary = _cut(plan, estimate, {})
+    memo = estimate.memo() if estimate is not None and estimate.memo else None
+    summary = _cut(plan, estimate, {} if memo is None else memo.subtrees)
     fragments = []
     for row, items in zip(_signature(summary), (summary.open, *summary.closed_items)):
         seq_time, io_count, pattern, memory, deps = row

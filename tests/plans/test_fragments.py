@@ -171,3 +171,95 @@ class TestProfiles:
             assert fragment.io_rate > 0
             task = fragment.to_task()
             assert task.seq_time == pytest.approx(fragment.seq_time)
+
+
+def _shape(graph):
+    """Everything a fragmentation hands on, by value and node id."""
+    return (
+        graph.signature(),
+        [f.fragment_id for f in graph.fragments],
+        [f.root.node_id for f in graph.fragments],
+        [[n.node_id for n in f.nodes] for f in graph.fragments],
+        [f.depends_on for f in graph.fragments],
+    )
+
+
+class TestCutThroughTheMemo:
+    """``fragment_plan`` cuts through the subtree memo its estimate carries."""
+
+    @pytest.fixture
+    def served(self):
+        """An optimizer, its catalog's query, and the served plan's estimate."""
+        from repro.optimizer import OptimizerMode, TwoPhaseOptimizer
+        from repro.workloads import chain_join
+
+        schema = chain_join(4, rows_per_relation=60, seed=3)
+        optimizer = TwoPhaseOptimizer(schema.catalog)
+        plan = optimizer.choose_plan(schema.query, OptimizerMode.LEFT_DEEP_SEQ)
+
+        def estimate(cache):
+            return estimate_plan(
+                plan, schema.catalog, machine=optimizer.machine, cache=cache
+            )
+
+        return optimizer, plan, estimate
+
+    def test_cold_and_hit_cuts_equal_a_plain_dict_cut(self, served):
+        optimizer, plan, estimate = served
+        memo = optimizer.caches.node_estimates
+        memoized = estimate(memo)
+        assert memoized.memo() is memo
+        assert memo.subtrees[plan.node_id].fragments is None
+        plain = _shape(fragment_plan(plan, estimate({})))
+        assert len(plain[0]) > 1
+        cold = fragment_plan(plan, memoized)
+        assert memo.subtrees[plan.node_id].fragments is not None
+        hit = fragment_plan(plan, estimate(memo))
+        assert _shape(cold) == _shape(hit) == plain
+        assert _shape(fragment_plan(plan, estimate(None))) == plain
+
+    def test_a_summarized_plan_is_cut_at_its_root_only(self, served, monkeypatch):
+        from repro.plans import fragments
+
+        optimizer, plan, estimate = served
+        memoized = estimate(optimizer.caches.node_estimates)
+        fragment_plan(plan, memoized)
+        calls = []
+        cut = fragments._cut
+
+        def counting(node, *args):
+            calls.append(node.node_id)
+            return cut(node, *args)
+
+        monkeypatch.setattr(fragments, "_cut", counting)
+        fragment_plan(plan, memoized)
+        assert calls == [plan.node_id]
+        calls.clear()
+        fragment_plan(plan, estimate({}))
+        assert len(calls) == len(list(plan.walk()))
+
+    def test_a_stats_epoch_bump_recuts_with_the_new_estimates(self, served):
+        import dataclasses
+
+        optimizer, plan, estimate = served
+        caches = optimizer.caches
+        before = fragment_plan(plan, estimate(caches.node_estimates)).signature()
+        catalog = optimizer.catalog
+        stats = catalog.table("s1").stats
+        catalog.set_stats("s1", dataclasses.replace(stats, page_count=stats.page_count * 3))
+        caches.sync(catalog)
+        assert not caches.subtrees
+        after = fragment_plan(plan, estimate(caches.node_estimates)).signature()
+        assert after != before
+        assert after == fragment_plan(plan, estimate(None)).signature()
+
+    def test_an_estimate_does_not_keep_the_memo_alive(self, served):
+        import gc
+
+        optimizer, plan, estimate = served
+        memoized = estimate(optimizer.caches.node_estimates)
+        expected = _shape(fragment_plan(plan, memoized))
+        optimizer.caches = None
+        gc.collect()
+        assert memoized.memo() is None
+        assert _shape(fragment_plan(plan, memoized)) == expected

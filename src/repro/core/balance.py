@@ -148,9 +148,10 @@ def effective_bandwidth_mix(
 
     ``sequential_rates`` holds the per-stream io rates of the sequential
     streams; ``random_rate_total`` the combined rate of all random
-    streams.  The model reduces exactly to the pairwise one for two
-    streams: interleaving among sequential streams is measured by how
-    much io volume competes with the largest stream
+    streams.  For two streams the model agrees with the pairwise one to
+    within an ulp (the two round in different orders; ROADMAP item 9
+    makes them one function): interleaving among sequential streams is
+    measured by how much io volume competes with the largest stream
     (``interleave = (total_seq - max) / max``, clipped to [0, 1], which
     is ``min/max`` for two streams), and random io dilutes the
     sequential regime in proportion to its share.

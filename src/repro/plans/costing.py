@@ -24,7 +24,7 @@ from math import log2
 from weakref import ref
 
 from ..catalog.catalog import Catalog
-from ..catalog.statistics import ColumnStats, RelationStats
+from ..catalog.statistics import ColumnStats, RelationStats, build_relation_stats
 from ..config import MachineConfig, paper_machine
 from ..errors import OptimizerError
 from ..executor.expressions import (
@@ -582,17 +582,24 @@ class _Estimator:
 def analyze_table(catalog: Catalog, name: str) -> RelationStats:
     """Scan a relation and (re)compute its statistics — ANALYZE.
 
-    Returns the stats after storing them in the catalog.
+    One walk over the live records decodes every row and sums the
+    encoded lengths for ``avg_row_size``.  Returns the stats after
+    storing them in the catalog.
     """
-    from ..catalog.statistics import build_relation_stats
-
     entry = catalog.table(name)
     heap = entry.heap
+    decode = entry.schema.decode_row
+    rows = []
+    total_size = 0
+    for page_no in range(heap.page_count):
+        for __, record in heap.page(page_no).records():
+            rows.append(decode(record))
+            total_size += len(record)
     stats = build_relation_stats(
-        (row for __, row in heap.scan()),
+        rows,
         entry.schema.names(),
         page_count=heap.page_count,
-        avg_row_size=heap.avg_row_size(),
+        avg_row_size=total_size / len(rows) if rows else 0.0,
     )
     catalog.set_stats(name, stats)
     return stats

@@ -10,7 +10,7 @@ partitioning*: "given n processors, processor i processes disk pages
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..catalog.schema import Row, Schema
 from ..errors import PageFullError, StorageError
@@ -88,7 +88,7 @@ class HeapFile:
         self._row_count += 1
         return RecordId(len(self._pages) - 1, slot)
 
-    def insert_many(self, rows: Sequence[Sequence]) -> list[RecordId]:
+    def insert_many(self, rows: Iterable[Sequence]) -> list[RecordId]:
         """Bulk insert; returns the RecordIds in input order."""
         return [self.insert(row) for row in rows]
 
@@ -138,13 +138,3 @@ class HeapFile:
     def read_time(self, page_no: int) -> float:
         """Simulated io time for reading ``page_no`` (advances disk state)."""
         return self.array.read_time(self.extent, page_no)
-
-    def avg_row_size(self) -> float:
-        """Mean encoded row size, from a full scan (0.0 when empty)."""
-        total = 0
-        count = 0
-        for page in self._pages:
-            for __, record in page.records():
-                total += len(record)
-                count += 1
-        return total / count if count else 0.0

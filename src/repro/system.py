@@ -117,8 +117,7 @@ class XprsSystem:
         """
         schema = Schema.of(*columns)
         heap = HeapFile(schema, self.array, name=name)
-        for row in rows:
-            heap.insert(row)
+        heap.insert_many(rows)
         self.catalog.create_table(name, schema, heap)
         self.analyze(name)
         return heap

@@ -43,14 +43,17 @@ def _populate(
 ) -> None:
     schema = Schema.of(*[(c, "int4") for c in int_columns], (f"{name}_pad", "text"))
     heap = HeapFile(schema, array, name=name)
-    for __ in range(n_rows):
-        values = tuple(int(rng.integers(0, key_range)) for __ in int_columns)
-        heap.insert(values + ("x" * payload,))
+    # One draw for the whole relation, row-major: it yields and consumes
+    # exactly what n_rows * k scalar draws would, so the relations built
+    # after this one from the same ``rng`` see the same stream.
+    keys = rng.integers(0, key_range, size=(n_rows, len(int_columns))).tolist()
+    pad = "x" * payload
+    rids = heap.insert_many((*row, pad) for row in keys)
     catalog.create_table(name, schema, heap)
     if index_column is not None:
         index = BTreeIndex()
         position = schema.index_of(index_column)
-        for rid, row in heap.scan():
+        for row, rid in zip(keys, rids):
             index.insert(row[position], rid)
         catalog.add_index(name, f"{name}_{index_column}_idx", index_column, index)
     analyze_table(catalog, name)

@@ -23,7 +23,7 @@ import numpy as np
 from ..catalog import Catalog, Schema
 from ..config import MachineConfig, paper_machine
 from ..errors import ConfigError
-from ..plans.costing import CostModel
+from ..plans.costing import CostModel, analyze_table
 from ..storage import BTreeIndex, DiskArray, HeapFile
 from ..storage.page import SlottedPage
 
@@ -69,16 +69,14 @@ def build_relation(
     key_range = key_range or n_rows
     heap = HeapFile(R1_SCHEMA, array, name=name)
     payload = None if payload_size is None else "x" * payload_size
-    for __ in range(n_rows):
-        heap.insert((int(rng.integers(0, key_range)), payload))
+    keys = rng.integers(0, key_range, size=n_rows).tolist()
+    rids = heap.insert_many((key, payload) for key in keys)
     catalog.create_table(name, R1_SCHEMA, heap)
     index = BTreeIndex()
     if with_index:
-        for rid, row in heap.scan():
-            index.insert(row[0], rid)
+        for key, rid in zip(keys, rids):
+            index.insert(key, rid)
         catalog.add_index(name, f"{name}_a_idx", "a", index)
-    from ..plans.costing import analyze_table
-
     analyze_table(catalog, name)
     return BuiltRelation(
         name=name, heap=heap, index=index, payload_size=payload_size or 0

@@ -124,11 +124,3 @@ class TestIoAccounting:
         for p in range(heap.page_count):
             heap.read_time(p)
         assert heap.array.total_ios == heap.page_count
-
-    def test_avg_row_size(self, heap):
-        fill(heap, 10, payload="z" * 96)
-        # int4 (5) + text (4 + 96)
-        assert heap.avg_row_size() == pytest.approx(105.0)
-
-    def test_avg_row_size_empty(self, heap):
-        assert heap.avg_row_size() == 0.0

@@ -15,6 +15,7 @@ is byte-identical given the same (seed, λ, mix).
 from conftest import emit
 
 from repro.bench import format_table
+from repro.obs import percentile
 from repro.service import (
     BalanceAwareAdmission,
     FifoAdmission,
@@ -23,7 +24,6 @@ from repro.service import (
     format_sweep,
     mixed_tenant_config,
     onoff_stream,
-    percentile,
     sweep,
 )
 

@@ -80,22 +80,6 @@ class BTreeError(StorageError):
     """A B+tree invariant was violated or a bad key was supplied."""
 
 
-def __getattr__(name: str):
-    # ``IndexError_`` shadow-punned the ``IndexError`` builtin and is
-    # retired; the lazy shim keeps old imports working for one release
-    # while warning loudly.  New code must catch :class:`BTreeError`.
-    if name == "IndexError_":
-        import warnings
-
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; catch BTreeError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return BTreeError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # --------------------------------------------------------------------------
 # execution
 

@@ -89,11 +89,6 @@ class CacheStats:
     subplan_misses: int = 0
 
     @property
-    def simulated(self) -> int:
-        """Simulations actually run (alias of ``parcost_misses``)."""
-        return self.parcost_misses
-
-    @property
     def parcost_hit_rate(self) -> float:
         total = self.parcost_hits + self.parcost_misses
         return self.parcost_hits / total if total else 0.0

@@ -25,7 +25,6 @@ from .metrics import (
     ServiceMetrics,
     TenantMetrics,
     format_timeline,
-    percentile,
     utilization_timeline,
 )
 from .queue import AdmissionQueue, QueuedSubmission, ServiceSubmission
@@ -65,7 +64,6 @@ __all__ = [
     "format_timeline",
     "mixed_tenant_config",
     "onoff_stream",
-    "percentile",
     "poisson_stream",
     "run_point",
     "smoke_lines",

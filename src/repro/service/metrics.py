@@ -6,13 +6,8 @@ The serving mode is judged the way an online system is: counters
 the closed-batch makespan the Figure-7 experiments report.  Everything
 here is plain deterministic arithmetic over the simulator trace, so a
 metrics table is a pure function of ``(seed, λ, mix)`` and can be
-diffed byte-for-byte across runs.
-
-The percentile implementation now lives in
-:mod:`repro.obs.metrics`; :func:`percentile` is re-exported here for
-backward compatibility (it raises
-:class:`~repro.errors.ObsError`, a :class:`~repro.errors.ReproError`
-subclass, on an out-of-range ``p``).
+diffed byte-for-byte across runs.  Percentiles come from
+:func:`repro.obs.metrics.percentile`.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from ..obs.metrics import percentile
 from ..sim.fluid import ScheduleResult
 
 __all__ = [
-    "percentile",
     "TenantMetrics",
     "ServiceMetrics",
     "utilization_timeline",

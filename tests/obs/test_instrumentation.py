@@ -11,8 +11,6 @@ Two contracts are pinned here against the frozen trace corpus
   per-page hot path, nothing stored, nothing branched in the loop).
 """
 
-import json
-
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy, policy_by_name
 from repro.faults import preset_schedule
@@ -22,14 +20,10 @@ from repro.sim.micro import MicroSimulator
 from repro.workloads import WorkloadConfig, WorkloadKind
 from repro.workloads.mixes import generate_specs
 
-from tests.sim.corpus_tools import (
-    CORPUS_PATH,
-    corpus_specs,
-    faulted_specs,
-    trace_digest,
-)
+from tests.corpus import corpora
+from tests.sim.corpus_tools import corpus_specs, faulted_specs, trace_digest
 
-CORPUS = json.loads(CORPUS_PATH.read_text())
+CORPUS = corpora()["trace"].read()
 
 
 def run_healthy(seed, policy_name, tracer):

@@ -47,12 +47,6 @@ class TestPercentile:
         with pytest.raises(ObsError):
             percentiles([1.0, 2.0], (50.0, 101.0))
 
-    def test_service_metrics_reexports_this_implementation(self):
-        # Satellite: one percentile implementation in the repository.
-        from repro.service import metrics as service_metrics
-
-        assert service_metrics.percentile is percentile
-
 
 class TestCounter:
     def test_inc_accumulates(self):

@@ -1,13 +1,8 @@
-"""Shared fixtures for the golden-plan corpus.
+"""The golden-plan corpus' workloads and cell builders.
 
 The corpus (``tests/optimizer/data/plan_corpus.json``) freezes the plan
 the *reference* optimizer — the uncached, unpruned search — chooses for
-a fixed set of seeded workloads across all three plan spaces, together
-with each plan's ``parcost`` serialized via ``float.hex()`` so the
-comparison is exact to the last bit.  The replay test in
-``test_plan_corpus.py`` re-runs every configuration with the fast path
-off *and* on and asserts both reproduce the frozen plan exactly, which
-is the plan-identical guarantee the optimizer fast path promises.
+seeded workloads in all three plan spaces, with its ``parcost``.
 
 The ``served/…`` entries are the shapes the serving path plans: every
 connected 3–6-relation sub-query of the two ``serve_queries`` schemas
@@ -24,16 +19,14 @@ schedule — for :meth:`MultiQueryScheduler.run` and
 names too) with every time as ``float.hex``; task ids are not stored,
 because how many ids a path draws is not behaviour.
 
-Regenerate (only when a plan change is *intended* and reviewed)::
-
-    PYTHONPATH=src python -m tests.optimizer.corpus_tools
+The blocks and the commits that froze them are registered in
+``tests/corpus.py``; regenerate (only when a plan change is *intended*
+and reviewed) with ``PYTHONPATH=src python -m tests.corpus plan``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -63,8 +56,6 @@ from repro.system import XprsSystem
 from repro.workloads import build_relation, one_tuple_per_page_payload
 from repro.workloads.queries import chain_join, star_join
 
-CORPUS_PATH = Path(__file__).parent / "data" / "plan_corpus.json"
-
 SPACES = ("left-deep", "right-deep", "bushy")
 
 #: (label, factory) — the corpus workloads.  Small enough that the
@@ -85,15 +76,27 @@ WORKLOADS = (
 )
 
 
-def choose(schema, space, *, fast_path):
-    """Run one phase-1 search; returns (shape key, parcost float)."""
+def choose(factory, space, *, fast_path=False):
+    """Run one phase-1 search on a fresh schema; returns its plan's
+    shape key and parcost."""
+    schema = factory()
     caches = OptimizerCaches() if fast_path else None
     objective = ParcostObjective(schema.catalog, caches=caches)
     stats = caches.stats if caches is not None else None
     plan = enumerate_space(
         schema.query, schema.catalog, objective, space=space, stats=stats
     )
-    return plan_shape_key(plan), parcost(plan, schema.catalog)
+    return {"shape": plan_shape_key(plan), "parcost": parcost(plan, schema.catalog)}
+
+
+def golden_cells(workloads=WORKLOADS):
+    """``<workload>/<space>`` -> the reference search, as a zero-argument
+    :func:`choose`."""
+    return {
+        f"{label}/{space}": partial(choose, factory, space)
+        for label, factory in workloads
+        for space in SPACES
+    }
 
 
 #: (label, factory) — the two ``serve_queries`` schemas of
@@ -144,12 +147,25 @@ def served_queries(label, schema):
 
 
 def choose_served(optimizer, query):
-    """One ``LEFT_DEEP_SEQ`` search; returns (shape key, seqcost hex)."""
+    """One ``LEFT_DEEP_SEQ`` search; returns its plan's shape key and
+    seqcost."""
     plan = optimizer.choose_plan(query, OptimizerMode.LEFT_DEEP_SEQ)
     # A fresh, cache-free estimate: the frozen float is the plan's own
     # cost, whatever memo the optimizer under test consulted.
     cost = estimate_plan(plan, optimizer.catalog, machine=optimizer.machine)
-    return plan_shape_key(plan), cost.seqcost().hex()
+    return {"shape": plan_shape_key(plan), "seqcost": cost.seqcost()}
+
+
+def served_cells():
+    """``served/…`` -> the reference search, as a zero-argument
+    :func:`choose_served`, one per sub-query of each served schema."""
+    cells = {}
+    for label, factory in SERVED_SCHEMAS:
+        schema = factory()
+        reference = TwoPhaseOptimizer(schema.catalog, fast_path=False)
+        for key, query in served_queries(label, schema):
+            cells[key] = partial(choose_served, reference, query)
+    return cells
 
 
 def three_chain_catalog() -> Catalog:
@@ -228,7 +244,7 @@ BATCH_POLICIES = (("adaptive", lambda: None), ("intra-only", IntraOnlyPolicy))
 
 
 def run_batch(catalog, submissions, mode, policy) -> dict:
-    """One ``MultiQueryScheduler.run``, rendered id-free as ``float.hex``.
+    """One ``MultiQueryScheduler.run``, rendered id-free.
 
     Each task row is ``[name, sorted dependency names, started_at,
     finished_at]``, in submission then fragment order.
@@ -242,25 +258,9 @@ def run_batch(catalog, submissions, mode, policy) -> dict:
     rows = []
     for task in tasks:
         record = result.schedule.record_for(task)
-        rows.append(
-            [
-                task.name,
-                sorted(name_of[d] for d in task.depends_on),
-                record.started_at.hex(),
-                record.finished_at.hex(),
-            ]
-        )
-    return {"elapsed": result.elapsed.hex(), "tasks": rows}
-
-
-def batch_entries():
-    """``batch/<batch>/<mode>/<policy>`` → :func:`run_batch`."""
-    for label, factory in BATCHES:
-        catalog, submissions = factory()
-        for mode in BATCH_MODES:
-            for policy_label, policy in BATCH_POLICIES:
-                key = f"batch/{label}/{mode.name}/{policy_label}"
-                yield key, run_batch(catalog, submissions, mode, policy())
+        deps = sorted(name_of[d] for d in task.depends_on)
+        rows.append([task.name, deps, record.started_at, record.finished_at])
+    return {"elapsed": result.elapsed, "tasks": rows}
 
 
 def explain_system() -> XprsSystem:
@@ -287,7 +287,7 @@ EXPLAINED = (
 
 
 def run_explain(system, sql) -> dict:
-    """``system.explain(sql)``'s tasks and predicted schedule as ``float.hex``.
+    """``system.explain(sql)``'s tasks and predicted schedule, id-free.
 
     A task row is ``[name, T, D, pattern, memory, dependency names]``; a
     schedule row is ``[name, started_at, finished_at, parallelism
@@ -297,67 +297,36 @@ def run_explain(system, sql) -> dict:
         report = system.explain(sql)
     name_of = {task.task_id: task.name for task in report.tasks}
     return {
-        "elapsed": report.schedule.elapsed.hex(),
+        "elapsed": report.schedule.elapsed,
         "adjustments": report.schedule.adjustments,
         "tasks": [
-            [
-                task.name,
-                task.seq_time.hex(),
-                task.io_count.hex(),
-                task.io_pattern.value,
-                task.memory_bytes.hex(),
-                sorted(name_of[d] for d in task.depends_on),
-            ]
-            for task in report.tasks
+            [t.name, t.seq_time, t.io_count, t.io_pattern.value, t.memory_bytes]
+            + [sorted(name_of[d] for d in t.depends_on)]
+            for t in report.tasks
         ],
         "schedule": [
-            [
-                record.task.name,
-                record.started_at.hex(),
-                record.finished_at.hex(),
-                [[t.hex(), x.hex()] for t, x in record.parallelism_history],
-            ]
-            for record in report.schedule.records
+            [r.task.name, r.started_at, r.finished_at, r.parallelism_history]
+            for r in report.schedule.records
         ],
     }
 
 
-def explain_entries():
-    """``explain/<label>`` → :func:`run_explain`."""
-    system = explain_system()
+def schedule_cells():
+    """``batch/<batch>/<mode>/<policy>`` -> :func:`run_batch` and
+    ``explain/<label>`` -> :func:`run_explain` builders.  The cells of one
+    batch share its catalog, and the explain cells one system, built on
+    first use."""
+    cells = {}
+    for label, factory in BATCHES:
+        built = cache(factory)
+        for mode in BATCH_MODES:
+            for policy_label, policy in BATCH_POLICIES:
+                cells[f"batch/{label}/{mode.name}/{policy_label}"] = (
+                    lambda built=built, mode=mode, policy=policy: run_batch(
+                        *built(), mode, policy()
+                    )
+                )
+    system = cache(explain_system)
     for label, sql in EXPLAINED:
-        yield f"explain/{label}", run_explain(system, sql)
-
-
-def build_corpus():
-    """Every entry: the batch and explain schedules, then the golden
-    plans from the reference (uncached) search."""
-    corpus = dict(batch_entries())
-    corpus.update(explain_entries())
-    for label, factory in SERVED_SCHEMAS:
-        schema = factory()
-        reference = TwoPhaseOptimizer(schema.catalog, fast_path=False)
-        for key, query in served_queries(label, schema):
-            shape, cost = choose_served(reference, query)
-            corpus[key] = {"shape": shape, "seqcost": cost}
-    for label, factory in WORKLOADS:
-        schema = factory()
-        for space in SPACES:
-            shape, cost = choose(schema, space, fast_path=False)
-            corpus[f"{label}/{space}"] = {
-                "shape": shape,
-                "parcost": cost.hex(),
-            }
-    return corpus
-
-
-def main():
-    """Regenerate the corpus file from the current reference search."""
-    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    corpus = build_corpus()
-    CORPUS_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} corpus entries to {CORPUS_PATH}")
-
-
-if __name__ == "__main__":
-    main()
+        cells[f"explain/{label}"] = lambda sql=sql: run_explain(system(), sql)
+    return cells

@@ -5,7 +5,7 @@ The corpus freezes the reference optimizer's choices (plan shape plus
 replayed twice — fast path off and on — and both must reproduce the
 frozen plan exactly.  A failure here means either the reference search
 drifted (intended plan changes require a reviewed corpus regeneration,
-see ``corpus_tools.py``) or the fast path's caching/pruning changed a
+see ``tests/corpus.py``) or the fast path's caching/pruning changed a
 choice, which its safety argument says can never happen.
 
 The ``served/…`` entries (left-deep/seqcost sub-queries of the serving
@@ -22,18 +22,17 @@ scheduled — through ``MultiQueryScheduler.run`` and
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from repro.optimizer import TwoPhaseOptimizer
+from tests.corpus import canon, corpora
 
 from .corpus_tools import (
     BATCH_MODES,
     BATCH_POLICIES,
     BATCHES,
-    CORPUS_PATH,
     EXPLAINED,
     SERVED_SCHEMAS,
     SPACES,
@@ -46,16 +45,7 @@ from .corpus_tools import (
     served_queries,
 )
 
-
-def _corpus():
-    assert CORPUS_PATH.exists(), (
-        "golden-plan corpus missing; regenerate with "
-        "PYTHONPATH=src python -m tests.optimizer.corpus_tools"
-    )
-    return json.loads(CORPUS_PATH.read_text())
-
-
-CORPUS = _corpus()
+CORPUS = corpora()["plan"].read()
 
 CONFIGS = [
     (label, factory, space)
@@ -71,16 +61,11 @@ CONFIGS = [
 )
 class TestGoldenPlans:
     def test_reference_path_matches_corpus(self, label, factory, space):
-        golden = CORPUS[f"{label}/{space}"]
-        shape, cost = choose(factory(), space, fast_path=False)
-        assert shape == golden["shape"]
-        assert cost.hex() == golden["parcost"]
+        assert canon(choose(factory, space)) == CORPUS[f"{label}/{space}"]
 
     def test_fast_path_matches_corpus(self, label, factory, space):
         golden = CORPUS[f"{label}/{space}"]
-        shape, cost = choose(factory(), space, fast_path=True)
-        assert shape == golden["shape"]
-        assert cost.hex() == golden["parcost"]
+        assert canon(choose(factory, space, fast_path=True)) == golden
 
 
 @pytest.mark.parametrize(
@@ -92,9 +77,7 @@ class TestServedPlans:
     @staticmethod
     def _replay(queries, optimizer_for):
         for key, query in queries:
-            shape, cost = choose_served(optimizer_for(), query)
-            assert shape == CORPUS[key]["shape"], key
-            assert cost == CORPUS[key]["seqcost"], key
+            assert canon(choose_served(optimizer_for(), query)) == CORPUS[key], key
 
     def test_cold_optimizer_per_query(self, label, factory):
         schema = factory()
@@ -131,25 +114,11 @@ def test_batch_schedule_matches_corpus(label, factory):
     for mode in BATCH_MODES:
         for policy_label, policy in BATCH_POLICIES:
             key = f"batch/{label}/{mode.name}/{policy_label}"
-            assert run_batch(catalog, submissions, mode, policy()) == CORPUS[key], key
+            batch = run_batch(catalog, submissions, mode, policy())
+            assert canon(batch) == CORPUS[key], key
 
 
 def test_explain_matches_corpus():
     system = explain_system()
     for label, sql in EXPLAINED:
-        assert run_explain(system, sql) == CORPUS[f"explain/{label}"], label
-
-
-def test_corpus_covers_every_configuration():
-    expected = {f"{label}/{space}" for label, __ in WORKLOADS for space in SPACES}
-    for label, factory in SERVED_SCHEMAS:
-        expected |= {key for key, __ in served_queries(label, factory())}
-    expected |= {
-        f"batch/{label}/{mode.name}/{policy}"
-        for label, __ in BATCHES
-        for mode in BATCH_MODES
-        for policy, __ in BATCH_POLICIES
-    }
-    expected |= {f"explain/{label}" for label, __ in EXPLAINED}
-    assert set(CORPUS) == expected
-    assert sum(key.startswith("served/") for key in CORPUS) == 3 * (56 + 14)
+        assert canon(run_explain(system, sql)) == CORPUS[f"explain/{label}"], label

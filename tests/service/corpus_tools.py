@@ -1,4 +1,4 @@
-"""Generator and replay helpers for the frozen serve-digest corpus.
+"""The serve corpus' gate configurations and cell builders.
 
 ``tests/service/data/serve_corpus.json`` pins the full decision record
 of small serving runs as ``float.hex``-exact digests (see
@@ -30,22 +30,19 @@ cancel and shed records.  It was generated from the gate that
 kept one outcome map per status, before the gate moved to one record
 per submission.
 
-Regenerate after an *intentional* behaviour change with::
-
-    PYTHONPATH=src python tests/service/corpus_tools.py
-
-and review the diff: every changed digest is a changed serving
-decision, not a refactor.
+The blocks and the commits that froze them are registered in
+``tests/corpus.py``.  Regenerate after an *intentional* behaviour
+change with ``PYTHONPATH=src python -m tests.corpus serve`` and review
+the diff: every changed digest is a changed serving decision, not a
+refactor.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import fields
+from functools import partial
 from itertools import product
-from pathlib import Path
 
 from repro.core.ids import id_scope
 from repro.core.schedulers import InterWithAdjPolicy
@@ -61,7 +58,7 @@ from repro.service.arrivals import (
 )
 from repro.service.server import QueryService
 
-CORPUS_PATH = Path(__file__).parent / "data" / "serve_corpus.json"
+from tests.corpus import canon, sha
 
 #: The original grid: every (seed, admission, deadline policy) cell.
 SEEDS = (0, 1, 2)
@@ -136,19 +133,8 @@ def corpus_case(seed: int, admission: str, deadline_policy: str, **kwargs) -> li
     return _serve(seed, admission, deadline_policy, **kwargs).digest()
 
 
-def _hexify(value):
-    """``value`` with every float, however nested, as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {k: _hexify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_hexify(v) for v in value]
-    return value
-
-
-def corpus_record(**kwargs) -> str:
-    """sha256 of everything one traced, metered cell run produced.
+def corpus_record(**kwargs) -> dict:
+    """Everything one traced, metered cell run produced.
 
     Covers what :meth:`ServiceResult.digest` does not: ``decide_rounds``,
     every tenant counter, the breaker timeline, the metrics registry,
@@ -158,7 +144,7 @@ def corpus_record(**kwargs) -> str:
     tracer, registry = Tracer(), MetricsRegistry()
     result = _serve(**kwargs, tracer=tracer, metrics=registry)
     schedule = result.schedule
-    record = {
+    return {
         "digest": result.digest(),
         "decide_rounds": result.decide_rounds,
         "tenants": [
@@ -173,32 +159,37 @@ def corpus_record(**kwargs) -> str:
             if e.cat in GATE_CATEGORIES
         ],
         "cancels": sorted(
-            _hexify(
-                [c.task.name, c.cancelled_at, c.started_at, c.pages_done, c.reason]
-            )
+            canon([c.task.name, c.cancelled_at, c.started_at, c.pages_done, c.reason])
             for c in schedule.cancel_records
         ),
         "sheds": sorted(
-            _hexify([s.task.name, s.shed_at]) for s in schedule.shed_records
+            canon([s.task.name, s.shed_at]) for s in schedule.shed_records
         ),
     }
-    payload = json.dumps(_hexify(record), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def corpus_cells() -> list[tuple[int, str, str]]:
-    """All original (seed, admission, deadline policy) cells, in order."""
-    return [
-        (seed, admission, deadline_policy)
-        for seed in SEEDS
-        for admission in ADMISSIONS
-        for deadline_policy in DEADLINE_POLICIES
-    ]
+#: label -> :func:`corpus_case` keyword arguments: the original
+#: (seed, admission, deadline policy) grid, stored whole in ``cases``.
+CASES = {
+    f"{seed}-{admission}-{policy}": dict(
+        seed=seed, admission=admission, deadline_policy=policy
+    )
+    for seed, admission, policy in product(SEEDS, ADMISSIONS, DEADLINE_POLICIES)
+}
 
 
-def extra_cells() -> dict[str, dict]:
-    """The extra grid as ``label -> corpus_case keyword arguments``."""
-    cells = {}
+#: The same for the extra grid, stored hashed in ``cells``.
+EXTRA = {
+    f"{seed}-{admission}-{policy}-{stream}-{gate}"
+    f"-retry{'+' if retry else '-'}-breaker{'+' if breaker else '-'}": dict(
+        seed=seed,
+        admission=admission,
+        deadline_policy=policy,
+        stream=stream,
+        gate=GATES[gate],
+        retry=retry,
+        breaker=breaker,
+    )
     for seed, admission, policy, stream, gate, retry, breaker in product(
         EXTRA_SEEDS,
         ADMISSIONS,
@@ -207,93 +198,24 @@ def extra_cells() -> dict[str, dict]:
         GATES,
         (True, False),
         (True, False),
-    ):
-        label = (
-            f"{seed}-{admission}-{policy}-{stream}-{gate}"
-            f"-retry{'+' if retry else '-'}-breaker{'+' if breaker else '-'}"
-        )
-        cells[label] = dict(
-            seed=seed,
-            admission=admission,
-            deadline_policy=policy,
-            stream=stream,
-            gate=GATES[gate],
-            retry=retry,
-            breaker=breaker,
-        )
-    return cells
+    )
+}
 
 
-def all_cells() -> dict[str, dict]:
-    """Every label of ``cases`` and ``cells`` as ``label -> kwargs``."""
-    return {
-        f"{seed}-{admission}-{policy}": dict(
-            seed=seed, admission=admission, deadline_policy=policy
-        )
-        for seed, admission, policy in corpus_cells()
-    } | extra_cells()
+def _builders(run, grid: dict) -> dict:
+    return {label: partial(run, **kwargs) for label, kwargs in grid.items()}
+
+
+#: label -> zero-argument builder, one set per block.
+case_cells = partial(_builders, corpus_case, CASES)
+extra_cells = partial(_builders, corpus_case, EXTRA)
+record_cells = partial(_builders, corpus_record, CASES | EXTRA)
 
 
 def summarize(digest: list) -> dict:
     """What a ``cells`` entry stores of a digest: its hash and counts."""
     counts = Counter(row[2] for row in digest if isinstance(row, list))
     return {
-        "sha256": hashlib.sha256(json.dumps(digest).encode()).hexdigest(),
+        "sha256": sha(digest),
         "counts": {status: counts[status] for status in STATUSES},
     }
-
-
-def generate_corpus() -> dict:
-    """The corpus document, regenerated from the gate as it is now."""
-    cases = []
-    for seed, admission, deadline_policy in corpus_cells():
-        cases.append(
-            {
-                "seed": seed,
-                "admission": admission,
-                "deadline_policy": deadline_policy,
-                "digest": corpus_case(seed, admission, deadline_policy),
-            }
-        )
-    return {
-        "comment": (
-            "Frozen serving digests (float.hex-exact); regenerate with "
-            "tests/service/corpus_tools.py and review every change as a "
-            "behaviour change"
-        ),
-        "cases": cases,
-        "cells": [
-            {"cell": label, **summarize(corpus_case(**kwargs))}
-            for label, kwargs in extra_cells().items()
-        ],
-        "records": [
-            {"record": label, "sha256": corpus_record(**kwargs)}
-            for label, kwargs in all_cells().items()
-        ],
-    }
-
-
-def render(document: dict) -> str:
-    """The corpus file: ``cases`` indented as ever, one line per cell
-    and per record."""
-    head = json.dumps(
-        {k: v for k, v in document.items() if k not in ("cells", "records")},
-        indent=1,
-    )
-    blocks = ",\n".join(
-        f' "{key}": [\n'
-        + ",\n".join("  " + json.dumps(row) for row in document[key])
-        + "\n ]"
-        for key in ("cells", "records")
-    )
-    return f"{head[:-2]},\n{blocks}\n}}\n"
-
-
-def main() -> None:
-    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    CORPUS_PATH.write_text(render(generate_corpus()))
-    print(f"wrote {CORPUS_PATH}")
-
-
-if __name__ == "__main__":
-    main()

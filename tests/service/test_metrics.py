@@ -4,10 +4,10 @@ import pytest
 
 from repro.config import paper_machine
 from repro.errors import ObsError, ServiceError
+from repro.obs import percentile
 from repro.service import (
     QueryService,
     format_timeline,
-    percentile,
     poisson_stream,
     utilization_timeline,
 )

@@ -1,31 +1,16 @@
-"""Shared fixtures for the pre-optimization trace corpus.
+"""The trace corpus' workloads and cell builders.
 
-The corpus (``tests/sim/data/trace_corpus.json``) freezes the exact
-``ScheduleResult`` traces the *seed* micro engine produced for a fixed
-set of workloads — seeds 0-4, all three policies, plus a faulted
-configuration — before the fast-path overhaul.  The property test in
-``test_trace_corpus.py`` replays the same workloads on the current
-engine and asserts byte-identical digests, so any optimization that
-changes even one event ordering or float is caught.  The ``fluid/``
-cells do the same for the fluid engine under a bare policy: the
-Figure-7 grid (every workload kind, all three policies, continuous and
-integral degrees, seeds 0-2), a run with staggered arrivals and
-``depends_on`` chains, and one under degradation windows.
-
-Regenerate (only when a trace change is *intended* and reviewed)::
-
-    PYTHONPATH=src python -m tests.sim.corpus_tools
-
-Floats are serialized with ``float.hex()`` so the comparison is exact
-to the last bit, not within a tolerance.
+``test_trace_corpus.py`` replays them and says what each block pins;
+``tests/corpus.py`` registers the blocks and the commits that froze
+them.  Regenerate (only when a trace change is *intended* and
+reviewed) with ``PYTHONPATH=src python -m tests.corpus trace``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
+from functools import partial
 
 from repro.check import InvariantChecker
 from repro.config import paper_machine
@@ -50,7 +35,7 @@ from repro.sim.micro import MicroSimulator, spec_for_io_rate
 from repro.workloads import WorkloadConfig, WorkloadKind
 from repro.workloads.mixes import generate_specs, generate_tasks
 
-CORPUS_PATH = Path(__file__).parent / "data" / "trace_corpus.json"
+from tests.corpus import sha
 
 SEEDS = (0, 1, 2, 3, 4)
 POLICY_NAMES = ("INTRA-ONLY", "INTER-WITHOUT-ADJ", "INTER-WITH-ADJ")
@@ -141,6 +126,19 @@ def faulted_digest(seed):
     return trace_digest(result)
 
 
+def seed_cells():
+    """label -> zero-argument digest builder, one per healthy and
+    faulted cell."""
+    cells = {}
+    for seed in SEEDS:
+        for policy_name in POLICY_NAMES:
+            cells[f"healthy/seed{seed}/{policy_name}"] = partial(
+                healthy_digest, seed, policy_name
+            )
+        cells[f"faulted/seed{seed}"] = partial(faulted_digest, seed)
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # cold-path cells: master crash + restore, deadlines, stalls, an aborted
 # round whose harvested owner died, policy-issued Cancel/Shed.  Frozen
@@ -187,7 +185,7 @@ def _soak_schedule(index):
 
 
 #: label -> fault schedule replayed over :func:`cold_specs`.
-COLD_SCHEDULES = {
+CRASH_SCHEDULES = {
     # Three master crashes with page and range scans mid-page: capture,
     # restore, in-flight re-read in both partitionings, spent-fault skip.
     "crash-heavy": preset_schedule("crash-heavy", horizon=_COLD_HORIZON),
@@ -270,7 +268,7 @@ FAULT_STATE_SCHEDULES = {
         )
     ),
 }
-COLD_SCHEDULES.update(FAULT_STATE_SCHEDULES)
+COLD_SCHEDULES = CRASH_SCHEDULES | FAULT_STATE_SCHEDULES
 COLD_SEEDS = (0, 1)
 
 
@@ -315,10 +313,8 @@ def cold_digest(result, tracer, invariants=None, recovery=None):
         [e.kind, e.name, e.cat, e.track, e.start.hex(), e.dur.hex(), e.value.hex(), e.args]
         for e in tracer.events
     ]
-    digest["trace"] = [
-        len(rows),
-        hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest(),
-    ]
+    # ``args`` floats stay as ``repr``, as frozen: hashed raw, not canon.
+    digest["trace"] = [len(rows), sha(json.dumps(rows, sort_keys=True).encode())]
     if invariants is not None:
         digest["invariants"] = [invariants.checks, invariants.violations]
     if recovery is not None:
@@ -366,10 +362,7 @@ def cold_fault_digest(label, seed):
     digest = cold_digest(run.result, tracer, invariants, run)
     if logged:
         wire = "\n".join(json.dumps(cp.to_dict()) for cp in manager.taken)
-        digest["checkpoint_wire"] = [
-            len(manager.taken),
-            hashlib.sha256(wire.encode()).hexdigest(),
-        ]
+        digest["checkpoint_wire"] = [len(manager.taken), sha(wire.encode())]
     return digest
 
 
@@ -385,18 +378,31 @@ def cold_policy_digest(faults):
     return cold_digest(result, tracer)
 
 
-def cold_cells():
-    """label -> zero-argument digest builder, one per cold-path cell."""
-    cells = {
-        f"cold/{label}/seed{seed}": (
-            lambda label=label, seed=seed: cold_fault_digest(label, seed)
-        )
-        for label in COLD_SCHEDULES
+def _schedule_cells(schedules):
+    return {
+        f"cold/{label}/seed{seed}": partial(cold_fault_digest, label, seed)
+        for label in schedules
         for seed in COLD_SEEDS
     }
-    cells["cold/policy-cancel/healthy"] = lambda: cold_policy_digest(None)
-    cells["cold/policy-cancel/logged"] = lambda: cold_policy_digest(FaultSchedule())
+
+
+def crash_cells():
+    """label -> digest builder: :data:`CRASH_SCHEDULES` and the policy
+    cancels."""
+    cells = _schedule_cells(CRASH_SCHEDULES)
+    cells["cold/policy-cancel/healthy"] = partial(cold_policy_digest, None)
+    cells["cold/policy-cancel/logged"] = partial(cold_policy_digest, FaultSchedule())
     return cells
+
+
+def fault_state_cells():
+    """label -> digest builder: :data:`FAULT_STATE_SCHEDULES`."""
+    return _schedule_cells(FAULT_STATE_SCHEDULES)
+
+
+def cold_cells():
+    """label -> zero-argument digest builder, one per cold-path cell."""
+    return crash_cells() | fault_state_cells()
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +467,8 @@ def fluid_degraded_digest():
 def fluid_cells():
     """label -> zero-argument digest builder, one per fluid cell."""
     cells = {
-        f"fluid/{kind.value}/seed{seed}/{policy_name}/{mode}": (
-            lambda kind=kind, seed=seed, policy_name=policy_name, integral=integral: (
-                fluid_grid_digest(kind, seed, policy_name, integral)
-            )
+        f"fluid/{kind.value}/seed{seed}/{policy_name}/{mode}": partial(
+            fluid_grid_digest, kind, seed, policy_name, integral
         )
         for kind in WorkloadKind
         for seed in FLUID_SEEDS
@@ -474,31 +478,3 @@ def fluid_cells():
     cells["fluid/chains"] = fluid_chain_digest
     cells["fluid/degraded"] = fluid_degraded_digest
     return cells
-
-
-def build_corpus():
-    """All corpus digests, keyed by configuration label."""
-    corpus = {}
-    for seed in SEEDS:
-        for policy_name in POLICY_NAMES:
-            corpus[f"healthy/seed{seed}/{policy_name}"] = healthy_digest(
-                seed, policy_name
-            )
-        corpus[f"faulted/seed{seed}"] = faulted_digest(seed)
-    for label, build in cold_cells().items():
-        corpus[label] = build()
-    for label, build in fluid_cells().items():
-        corpus[label] = build()
-    return corpus
-
-
-def main():
-    """Regenerate the corpus file from the current engine."""
-    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    corpus = build_corpus()
-    CORPUS_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} traces to {CORPUS_PATH}")
-
-
-if __name__ == "__main__":
-    main()

@@ -60,17 +60,6 @@ class TestBTreeError:
     def test_is_a_storage_error(self):
         assert issubclass(BTreeError, StorageError)
 
-    def test_deprecated_alias_still_names_the_same_class(self):
-        # Old callers catching IndexError_ must keep working for one
-        # release while the shadow-pun name is phased out — but the
-        # access now warns, and the module namespace no longer carries
-        # the alias eagerly.
-        import repro.errors as errors_module
-
-        assert "IndexError_" not in vars(errors_module)
-        with pytest.warns(DeprecationWarning, match="catch BTreeError"):
-            assert errors_module.IndexError_ is BTreeError
-
     def test_unknown_attribute_still_raises(self):
         import repro.errors as errors_module
 

@@ -9,16 +9,14 @@ schemas and ``r_min`` / ``r_max``, each at seeds 0 and 1.  A slip in
 the order keys are drawn, rows are laid out or statistics are summed
 shows here, per relation, before it shows as a plan digest.
 
-Regenerate (only when a build change is *intended* and reviewed)::
-
-    PYTHONPATH=src python -m tests.workloads.test_build_pins
+The pins are the ``build`` corpus of ``tests/corpus.py``; regenerate
+(only when a build change is *intended* and reviewed) with
+``PYTHONPATH=src python -m tests.corpus build``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +26,7 @@ from repro.config import paper_machine
 from repro.storage import DiskArray
 from repro.workloads import build_r_max, build_r_min, chain_join, star_join
 
-PINS_PATH = Path(__file__).with_name("data") / "build_pins.json"
+from tests.corpus import corpora, sha
 
 SEEDS = (0, 1)
 
@@ -67,10 +65,6 @@ BUILDS = {
 }
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def relation_pins(catalog: Catalog) -> dict:
     """Per relation: page-image, statistics and index-order hashes.
 
@@ -82,13 +76,13 @@ def relation_pins(catalog: Catalog) -> dict:
         heap = entry.heap
         pages = b"".join(heap.page(p).to_bytes() for p in range(heap.page_count))
         indexes = {
-            label: _sha(repr(list(ix.index.range_scan())).encode())
+            label: sha(repr(list(ix.index.range_scan())).encode())
             for label, ix in sorted(entry.indexes.items())
         }
         pins[entry.name] = {
             "pages": heap.page_count,
-            "page_bytes": _sha(pages),
-            "stats": _sha(repr(entry.stats).encode()),
+            "page_bytes": sha(pages),
+            "stats": sha(repr(entry.stats).encode()),
             "indexes": indexes,
         }
     return {"stats_epoch": catalog.stats_epoch, "relations": pins}
@@ -99,14 +93,24 @@ def build_pins(label: str, seed: int) -> dict:
     return relation_pins(getattr(built, "catalog", built))
 
 
-def _frozen() -> dict:
-    return json.loads(PINS_PATH.read_text())
+def pin_cells() -> dict:
+    """``<build>/seed<n>`` -> zero-argument :func:`build_pins` builder."""
+    return {
+        f"{label}/seed{seed}": partial(build_pins, label, seed)
+        for label in sorted(BUILDS)
+        for seed in SEEDS
+    }
+
+
+@pytest.fixture(scope="module")
+def frozen():
+    return corpora()["build"].read()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("label", sorted(BUILDS))
-def test_build_matches_frozen_pins(label, seed):
-    assert build_pins(label, seed) == _frozen()[f"{label}/seed{seed}"]
+def test_build_matches_frozen_pins(frozen, label, seed):
+    assert build_pins(label, seed) == frozen[f"{label}/seed{seed}"]
 
 
 @pytest.mark.parametrize("key_range", [80, 100, 120, 400])
@@ -121,17 +125,3 @@ def test_one_draw_equals_a_draw_per_key(key_range):
     ]
     assert drawn == scalar
     assert one.bit_generator.state == per_key.bit_generator.state
-
-
-def test_pins_cover_every_build():
-    assert sorted(_frozen()) == sorted(f"{l}/seed{s}" for l in BUILDS for s in SEEDS)
-
-
-def regenerate() -> None:
-    cells = {f"{l}/seed{s}": build_pins(l, s) for l in sorted(BUILDS) for s in SEEDS}
-    PINS_PATH.parent.mkdir(exist_ok=True)
-    PINS_PATH.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    regenerate()

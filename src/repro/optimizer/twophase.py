@@ -30,7 +30,11 @@ already-seen sub-join-graphs with one lookup each.  The fast path is
 plan-identical — ``fast_path=False`` searches exhaustively with no
 memos and chooses the same plan with the same cost, which the
 golden-plan corpus test asserts exactly — and never stale: the memos
-follow the catalog's ``stats_epoch``.
+follow the catalog's ``stats_epoch``.  One exception: under
+``SeqcostObjective`` with nest-loop-only joins, a plan and its mirror
+image tie exactly, and the two arms sum a plan's nodes in different
+orders, so the tie falls to ulp noise and the arms may choose mirror
+plans (``ARMS_DISAGREE`` in ``tests/optimizer/test_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -140,7 +144,9 @@ class TwoPhaseOptimizer:
             queries; they drop themselves when the catalog's
             ``stats_epoch`` moves (ANALYZE, a new index, a new or
             dropped table).  ``False`` keeps no memo at all and is the
-            exhaustive reference arm.
+            exhaustive reference arm; it chooses the same plan with the
+            same cost, except for the mirror-plan ties of nest-loop-only
+            search under ``SeqcostObjective`` (see the module docstring).
         tracer: a :class:`~repro.obs.Tracer`; each ``optimize`` call
             emits one deterministic instant on the ``optimizer`` track
             carrying this query's candidate/pruned/costed and sub-plan

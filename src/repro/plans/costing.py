@@ -582,19 +582,18 @@ class _Estimator:
 def analyze_table(catalog: Catalog, name: str) -> RelationStats:
     """Scan a relation and (re)compute its statistics — ANALYZE.
 
-    One walk over the live records decodes every row and sums the
-    encoded lengths for ``avg_row_size``.  Returns the stats after
-    storing them in the catalog.
+    One walk over the pages decodes every live row and sums the
+    encoded lengths for ``avg_row_size`` (``HeapFile.decode_page``).
+    Returns the stats after storing them in the catalog.
     """
     entry = catalog.table(name)
     heap = entry.heap
-    decode = entry.schema.decode_row
-    rows = []
+    rows: list = []
     total_size = 0
     for page_no in range(heap.page_count):
-        for __, record in heap.page(page_no).records():
-            rows.append(decode(record))
-            total_size += len(record)
+        __, page_rows, size = heap.decode_page(page_no)
+        rows += page_rows
+        total_size += size
     stats = build_relation_stats(
         rows,
         entry.schema.names(),

@@ -16,7 +16,8 @@ Layout (little-endian)::
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from ..config import PAGE_SIZE
 from ..errors import InvalidSlotError, PageFullError, RecordTooLargeError
@@ -109,6 +110,53 @@ class SlottedPage:
         self._write_header()
         return slot
 
+    def fill(self, records: Sequence[bytes], start: int = 0) -> int:
+        """Append ``records[start:]`` in order while they fit; return the
+        index after the last one appended.
+
+        The page ends as if ``insert`` had been called on each appended
+        record, but the records are written with one copy, the slot
+        directory with one ``pack_into`` and the header once.
+
+        Raises:
+            RecordTooLargeError: if ``records[start]`` can never fit on a
+                page (nothing is appended).
+            ValueError: for an empty record among those that fit
+                (nothing is appended).
+        """
+        n = len(records)
+        if start < n and len(records[start]) > self.max_record_size(self.page_size):
+            raise RecordTooLargeError(
+                f"record of {len(records[start])} bytes exceeds page capacity"
+            )
+        room = self.page_size - self._slot_count * SLOT_SIZE - self._free_offset
+        end = start
+        while end < n:
+            room -= len(records[end]) + SLOT_SIZE
+            if room < 0:
+                break
+            end += 1
+        if end == start:
+            return end
+        batch = records[start:end]
+        if not all(batch):
+            raise ValueError("cannot insert an empty record")
+        lengths = list(map(len, batch))
+        offsets = list(accumulate(lengths, initial=self._free_offset))
+        new_free = offsets.pop()
+        self._buf[self._free_offset : new_free] = b"".join(batch)
+        # Slot i lives below slot i - 1, so the directory is written
+        # highest slot first: (offset, length) pairs in reverse order.
+        directory = [0] * (2 * len(batch))
+        directory[0::2] = offsets[::-1]
+        directory[1::2] = lengths[::-1]
+        self._slot_count += len(batch)
+        top = self._slot_pos(self._slot_count - 1)
+        struct.pack_into(f"<{len(directory)}H", self._buf, top, *directory)
+        self._free_offset = new_free
+        self._write_header()
+        return end
+
     def read(self, slot: int) -> bytes:
         """Return the record in ``slot``.
 
@@ -139,9 +187,23 @@ class SlottedPage:
             if length:
                 yield slot, bytes(self._buf[offset : offset + length])
 
+    def directory(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(offsets, lengths)`` of every slot in slot order, read with one
+        unpack; a tombstone has length 0."""
+        n = self._slot_count
+        raw = struct.unpack_from(f"<{2 * n}H", self._buf, self.page_size - n * SLOT_SIZE)
+        # The directory grows down from the page end: highest slot first.
+        return raw[-2::-2], raw[::-2]
+
     def live_count(self) -> int:
         """Number of live records."""
-        return sum(1 for __ in self.records())
+        return self._slot_count - self.directory()[1].count(0)
+
+    @property
+    def buffer(self) -> bytearray:
+        """The page image itself, not a copy, for decoders that read
+        records in place.  Do not write to it."""
+        return self._buf
 
     def to_bytes(self) -> bytes:
         """The raw page image."""

@@ -30,7 +30,7 @@ from .errors import ReproError
 from .optimizer.parcost import ParallelCost, parallel_cost
 from .plans.costing import CostModel
 from .sql.translate import TranslatedQuery, translate
-from .storage import BTreeIndex, DiskArray, HeapFile
+from .storage import BTreeIndex, DiskArray, HeapFile, RecordId
 
 
 @dataclass
@@ -123,15 +123,37 @@ class XprsSystem:
         return heap
 
     def insert(self, table: str, rows: Sequence[Sequence]) -> None:
-        """Append rows to a relation (indexes are maintained)."""
+        """Append rows to a relation (indexes are maintained).
+
+        The rows go in with one ``insert_many``; a bad row raises what it
+        raises there, and the rows stored before it are indexed too.
+        """
         entry = self.catalog.table(table)
-        for row in rows:
-            rid = entry.heap.insert(row)
-            for index_entry in entry.indexes.values():
-                position = entry.schema.index_of(index_entry.column)
-                key = entry.heap.fetch(rid)[position]
-                if key is not None:
-                    index_entry.index.insert(key, rid)
+        heap = entry.heap
+        keyed = [
+            (entry.schema.index_of(index_entry.column), index_entry.index)
+            for index_entry in entry.indexes.values()
+        ]
+        # Appends take the slots after the last page's last slot, then
+        # new pages, so the rows stored here are read back from there.
+        end = heap.page_count - 1
+        end_slot = heap.page(end).slot_count if end >= 0 else 0
+        try:
+            heap.insert_many(rows)
+        finally:
+            if keyed:
+                stored = [
+                    RecordId(page_no, slot)
+                    for page_no in range(max(end, 0), heap.page_count)
+                    for slot in range(
+                        end_slot if page_no == end else 0, heap.page(page_no).slot_count
+                    )
+                ]
+                for rid in stored:
+                    row = heap.fetch(rid)
+                    for position, index in keyed:
+                        if row[position] is not None:
+                            index.insert(row[position], rid)
 
     def create_index(self, table: str, column: str) -> BTreeIndex:
         """Build an unclustered B+tree index over an existing column."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError, UnknownRelationError
+from repro.errors import ReproError, SchemaError, UnknownRelationError
 from repro.optimizer import ParallelCost, parallel_cost
 from repro.sql import SqlError
 from repro.system import XprsSystem
@@ -37,6 +37,20 @@ class TestDdl:
         system.analyze("emp")
         rows = system.execute("SELECT ename FROM emp WHERE eid = 500")
         assert rows == [("late",)]
+
+    def test_insert_indexes_the_rows_before_a_bad_row(self, system):
+        system.create_index("emp", "eid")
+        rows = [(600 + i, 1, 2000, f"r{i}") for i in range(5)]
+        with pytest.raises(SchemaError, match="int4 requires an int"):
+            system.insert("emp", rows[:3] + [("bad", 1, 2000, "x")] + rows[3:])
+        entry = system.catalog.table("emp")
+        assert entry.heap.row_count == 203
+        index = entry.indexes["emp_eid_idx"].index
+        stored = {row[0]: rid for rid, row in entry.heap.scan() if row[0] >= 600}
+        assert sorted(stored) == [600, 601, 602]
+        for key, rid in stored.items():
+            assert list(index.range_scan(key, key)) == [(key, rid)]
+        assert len(list(index.range_scan())) == 203
 
     def test_unknown_table(self, system):
         with pytest.raises(UnknownRelationError):

@@ -158,15 +158,23 @@ def effective_bandwidth_mix(
     """
     bs = machine.io_bandwidth
     br = machine.total_random_bandwidth
-    seq_rates = [r for r in sequential_rates if r > 0]
-    seq_total = sum(seq_rates)
+    # One pass over the positive rates (the fluid engine's rate solve
+    # calls this at every re-solve): their left-fold sum, which is
+    # what sum() computes on CPython 3.11, and the first largest, which
+    # is what max() returns.
+    seq_total = 0
+    largest = None
+    for r in sequential_rates:
+        if r > 0:
+            seq_total += r
+            if largest is None or r > largest:
+                largest = r
     total = seq_total + max(random_rate_total, 0.0)
     if total <= 0:
         return bs
-    if not seq_rates:
+    if largest is None:
         return br
-    largest = max(seq_rates)
-    interleave = min(1.0, (seq_total - largest) / largest) if largest > 0 else 0.0
+    interleave = min(1.0, (seq_total - largest) / largest)
     seq_regime = br + (1.0 - interleave) * (bs - br)
     seq_share = seq_total / total
     return br + seq_share * (seq_regime - br)

@@ -630,11 +630,14 @@ class AdmissionGate(SchedulingPolicy):
 
     def next_wakeup(self, now: float) -> float | None:
         """Earliest live retry or deadline instant, so the engine wakes us."""
+        retries = self._retries
+        heap = self._deadline_heap
+        if not (retries or heap):
+            return None
         horizon = now + _EPS
         wakeup = None
-        if self._retries and self._retries[0][0] > horizon:
-            wakeup = self._retries[0][0]
-        heap = self._deadline_heap
+        if retries and retries[0][0] > horizon:
+            wakeup = retries[0][0]
         while heap and self._entries[heap[0][1]].where is None:
             heapq.heappop(heap)
         if heap:

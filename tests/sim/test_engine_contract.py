@@ -193,7 +193,9 @@ def test_a_wakeup_past_the_last_task_is_not_waited_for(engine):
 
 
 class _OneBadBatch(SchedulingPolicy):
-    """Starts ``running``, then plays one illegal action."""
+    """Starts ``running``, then plays one illegal action; afterwards it
+    starts whatever is ready, so an action an engine wrongly accepts
+    ends the run cleanly instead of in a deadlock."""
 
     name = "ILLEGAL"
 
@@ -209,7 +211,7 @@ class _OneBadBatch(SchedulingPolicy):
         self.step += 1
         if self.step == 1:
             return [Start(self.running, 2.0), self.bad]
-        return []
+        return [Start(task, 2.0) for task in state.pending]
 
 
 def _stranger():
@@ -218,25 +220,37 @@ def _stranger():
     )
 
 
+#: kind -> the illegal action, given the task the batch starts and a
+#: second task that is still waiting.
 ILLEGAL = {
-    "start-of-a-running-task": lambda running: Start(running, 2.0),
-    "start-of-a-stranger": lambda running: Start(_stranger(), 2.0),
-    "adjust-of-a-stranger": lambda running: Adjust(_stranger(), 2.0),
-    "shed-of-a-running-task": lambda running: Shed(running),
-    "shed-of-a-stranger": lambda running: Shed(_stranger()),
-    "cancel-of-a-stranger": lambda running: Cancel(_stranger(), "deadline"),
+    "start-of-a-running-task": lambda running, spare: Start(running, 2.0),
+    "start-of-a-stranger": lambda running, spare: Start(_stranger(), 2.0),
+    "adjust-of-a-stranger": lambda running, spare: Adjust(_stranger(), 2.0),
+    "shed-of-a-running-task": lambda running, spare: Shed(running),
+    "shed-of-a-stranger": lambda running, spare: Shed(_stranger()),
+    "cancel-of-a-stranger": lambda running, spare: Cancel(_stranger(), "deadline"),
+    "start-at-degree-0": lambda running, spare: Start(spare, 0.0),
+    "start-at-degree-nan": lambda running, spare: Start(spare, float("nan")),
+    "adjust-to-degree-0": lambda running, spare: Adjust(running, 0.0),
+    "adjust-to-degree-minus-1": lambda running, spare: Adjust(running, -1.0),
+    "adjust-to-degree-nan": lambda running, spare: Adjust(running, float("nan")),
 }
+
+#: The message an illegal degree raises on both engines.
+DEGREE = "parallelism must be positive"
+MESSAGE = {kind: DEGREE for kind in ILLEGAL if "-degree-" in kind}
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("kind", sorted(ILLEGAL))
 def test_illegal_action_raises_simulation_error(engine, kind):
-    running = spec_for_io_rate(
-        "running", MACHINE, io_rate=20.0, n_pages=60
-    ).to_task(MACHINE)
-    policy = _OneBadBatch(running, ILLEGAL[kind](running))
-    with pytest.raises(SimulationError):
-        ENGINES[engine](MACHINE).run([running], policy)
+    running, spare = (
+        spec_for_io_rate(name, MACHINE, io_rate=20.0, n_pages=60).to_task(MACHINE)
+        for name in ("running", "spare")
+    )
+    policy = _OneBadBatch(running, ILLEGAL[kind](running, spare))
+    with pytest.raises(SimulationError, match=MESSAGE.get(kind)):
+        ENGINES[engine](MACHINE).run([running, spare], policy)
 
 
 def test_micro_rejects_a_task_without_a_scan_spec():

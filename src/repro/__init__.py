@@ -30,8 +30,6 @@ from .core import (
     IntraOnlyPolicy,
     Task,
     balance_point,
-    inter_time,
-    inter_worthwhile,
     intra_time,
     is_cpu_bound,
     is_io_bound,
@@ -86,8 +84,6 @@ __all__ = [
     "fragment_plan",
     "generate_specs",
     "generate_tasks",
-    "inter_time",
-    "inter_worthwhile",
     "intra_time",
     "is_cpu_bound",
     "is_io_bound",

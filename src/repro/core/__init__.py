@@ -8,9 +8,6 @@ from .balance import (
     BalancePoint,
     balance_point,
     effective_bandwidth,
-    effective_bandwidth_mix,
-    inter_time,
-    inter_worthwhile,
     intra_time,
 )
 from .classify import (
@@ -57,10 +54,7 @@ __all__ = [
     "balance_point",
     "classification_line",
     "effective_bandwidth",
-    "effective_bandwidth_mix",
     "int_parallelism",
-    "inter_time",
-    "inter_worthwhile",
     "intra_time",
     "is_cpu_bound",
     "is_io_bound",

@@ -23,15 +23,23 @@ interpolates: with ``r`` the ratio of the smaller io stream to the
 larger, ``B = Br + (1 - r)(Bs - Br)``.  (The memo prints the same
 expression on both branches of its case split — an obvious typo; the
 intended symmetric form uses the min/max ratio, which is what we
-implement.)  Because ``B`` depends on ``(x_i, x_j)`` and vice versa, the
-corrected balance equation can have several roots; we take the largest
-root in ``(0, N)`` by a coarse downward scan followed by bisection (see
+implement, for any number of streams: :func:`effective_bandwidth`.)
+Because ``B`` depends on ``(x_i, x_j)`` and vice versa, the corrected
+balance equation can have several roots; we take the largest root in
+``(0, N)`` by a coarse downward scan followed by bisection (see
 :func:`balance_point`).
+
+**Progress rates.**  How fast an allocation progresses is one
+definition, :func:`throttle`: the policy prices a pairing with it
+(:func:`realizable_time`, :func:`worthwhile_pairing`), the Section-4
+recursion steps with it and the fluid engine runs with it, so a
+pairing is priced exactly as the machine then runs it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..config import MachineConfig
@@ -43,6 +51,10 @@ from .task import IOPattern, Task
 #: (the bracket found by the downward scan in :func:`balance_point`).
 _MAX_ITERATIONS = 200
 _TOLERANCE = 1e-9
+
+#: :func:`throttle` leaves a total io demand at or below this
+#: unthrottled (the fluid engine's epsilon).
+_IDLE_DEMAND = 1e-9
 
 #: Memo of :func:`balance_solution`.  The solver is a pure function of
 #: the two streams' *(io_rate, io_pattern)* pairs and three numbers of
@@ -103,65 +115,31 @@ class BalancePoint:
 
 def effective_bandwidth(
     machine: MachineConfig,
-    io_rate_a: float,
-    io_rate_b: float,
-    pattern_a: IOPattern,
-    pattern_b: IOPattern,
-) -> float:
-    """Total disk bandwidth ``B`` when two io streams interleave.
-
-    ``io_rate_a`` / ``io_rate_b`` are the streams' aggregate io rates
-    (``C * x``).  Model:
-
-    * two sequential streams — the paper's interpolation
-      ``B = Br + (1 - r)(Bs - Br)`` with ``r = min/max`` of the rates;
-    * a sequential and a random stream — the sequential stream is
-      broken up in proportion to the random stream's share ``1 - a``
-      (``a`` = sequential share), giving ``B = Br + a (Bs - Br)``;
-    * two random streams — ``B = Br`` (seeks everywhere already).
-    """
-    bs = machine.io_bandwidth
-    br = machine.total_random_bandwidth
-    seq_a = pattern_a is _SEQUENTIAL
-    seq_b = pattern_b is _SEQUENTIAL
-    if not seq_a and not seq_b:
-        return br
-    total = io_rate_a + io_rate_b
-    if total <= 0:
-        return bs
-    if seq_a and seq_b:
-        low, high = (
-            (io_rate_a, io_rate_b) if io_rate_a <= io_rate_b else (io_rate_b, io_rate_a)
-        )
-        ratio = low / high if high > 0 else 0.0
-        return br + (1.0 - ratio) * (bs - br)
-    seq_share = (io_rate_a if seq_a else io_rate_b) / total
-    return br + seq_share * (bs - br)
-
-
-def effective_bandwidth_mix(
-    machine: MachineConfig,
     sequential_rates: list[float],
     random_rate_total: float,
 ) -> float:
-    """Generalize :func:`effective_bandwidth` to any number of streams.
+    """Total disk bandwidth ``B`` when io streams interleave.
 
-    ``sequential_rates`` holds the per-stream io rates of the sequential
-    streams; ``random_rate_total`` the combined rate of all random
-    streams.  For two streams the model agrees with the pairwise one to
-    within an ulp (the two round in different orders; ROADMAP item 9
-    makes them one function): interleaving among sequential streams is
-    measured by how much io volume competes with the largest stream
-    (``interleave = (total_seq - max) / max``, clipped to [0, 1], which
-    is ``min/max`` for two streams), and random io dilutes the
-    sequential regime in proportion to its share.
+    ``sequential_rates`` holds the aggregate io rates (``C * x``) of the
+    sequential streams; ``random_rate_total`` the combined rate of all
+    random streams.  Interleaving among sequential streams is measured
+    by how much io volume competes with the largest stream
+    (``interleave = (total_seq - max) / max``, clipped to [0, 1]; for
+    two streams that is the paper's ``r = min/max``, giving
+    ``B = Br + (1 - r)(Bs - Br)``), and random io dilutes the
+    sequential regime in proportion to its share (a sequential and a
+    random stream give ``B = Br + a (Bs - Br)`` with ``a`` the
+    sequential share).  Only random streams: ``B = Br``; no io:
+    ``B = Bs``.
     """
     bs = machine.io_bandwidth
     br = machine.total_random_bandwidth
-    # One pass over the positive rates (the fluid engine's rate solve
-    # calls this at every re-solve): their left-fold sum, which is
-    # what sum() computes on CPython 3.11, and the first largest, which
-    # is what max() returns.
+    # One pass over the positive rates (every rate solve and pricing
+    # calls this): their left-fold sum, which is what sum() computes on
+    # CPython 3.11, and the first largest, which is what max() returns.
+    # Here and in throttle, conditionals stand in for min()/max(): the
+    # same values (ties and NaN keep the first argument) without a
+    # builtin call.
     seq_total = 0
     largest = None
     for r in sequential_rates:
@@ -169,15 +147,69 @@ def effective_bandwidth_mix(
             seq_total += r
             if largest is None or r > largest:
                 largest = r
-    total = seq_total + max(random_rate_total, 0.0)
+    total = seq_total + (0.0 if random_rate_total < 0.0 else random_rate_total)
     if total <= 0:
         return bs
     if largest is None:
         return br
-    interleave = min(1.0, (seq_total - largest) / largest)
+    interleave = (seq_total - largest) / largest
+    if not interleave < 1.0:
+        interleave = 1.0
     seq_regime = br + (1.0 - interleave) * (bs - br)
     seq_share = seq_total / total
     return br + seq_share * (seq_regime - br)
+
+
+def throttle(
+    machine: MachineConfig,
+    allocations: Sequence[tuple[float, float, bool]],
+    use_effective_bandwidth: bool,
+) -> tuple[float, float]:
+    """``(cpu_scale, io_scale)`` of allocations running together.
+
+    ``allocations`` is a sequence of ``(x, io_rate, sequential)``: a
+    degree of parallelism, the io rate of one sequential-second of
+    work and whether the stream is sequential.  An allocation
+    progresses at ``x * cpu_scale * io_scale`` sequential-seconds per
+    second: oversubscribed processors slow every task by
+    ``cpu_scale``, and oversubscribed disks by ``io_scale``.
+
+    ``cpu_scale`` belongs in the io *demand*: a CPU-throttled slave
+    issues its next read only after the page's tuples are processed,
+    so the disks see ``io_rate * x * cpu_scale``.  Folding it in before
+    the seq/random split cannot skew the Section-2.3 formula —
+    :func:`effective_bandwidth` is invariant under uniform scaling of
+    its rates (only the interleave and seq-share *ratios* enter),
+    which the repro.check parity tests pin down.  A total demand at or
+    below ``_IDLE_DEMAND`` is not throttled; testing ``demand > 0``
+    instead gives the same scales, since the bandwidth is at least
+    ``Br`` and so ``bandwidth / demand >= 1`` whenever
+    ``demand <= 1e-9``.
+    """
+    total_x = 0.0
+    for x, __, __ in allocations:
+        total_x += x
+    cpu_scale = machine.processors / total_x if total_x > 0 else 1.0
+    if not cpu_scale < 1.0:
+        cpu_scale = 1.0
+    total_demand = 0.0
+    seq_rates = []
+    random_total = 0.0
+    for x, io_rate, sequential in allocations:
+        demand = io_rate * x * cpu_scale
+        total_demand += demand
+        if sequential:
+            seq_rates.append(demand)
+        else:
+            random_total += demand
+    if use_effective_bandwidth:
+        bandwidth = effective_bandwidth(machine, seq_rates, random_total)
+    else:
+        bandwidth = machine.io_bandwidth
+    io_scale = bandwidth / total_demand if total_demand > _IDLE_DEMAND else 1.0
+    if not io_scale < 1.0:
+        io_scale = 1.0
+    return cpu_scale, io_scale
 
 
 def balance_point(
@@ -275,15 +307,20 @@ def _solve(
         # operating point we want is the *largest* x_io whose io demand
         # the disks can sustain — that maximizes the progress rate of
         # the scarce io work while the CPU task absorbs the remaining
-        # processors.  ``g`` is demand minus bandwidth; we take its
-        # largest root in (0, N) by a downward scan plus bisection.
-        def overload(x_io: float) -> float:
-            x_cpu = n - x_io
-            demand_io, demand_cpu = ci * x_io, cj * x_cpu
-            b = effective_bandwidth(
-                machine, demand_io, demand_cpu, pattern_io, pattern_cpu
+        # processors.  ``overload`` is demand minus bandwidth; we take
+        # its largest root in (0, N) by a downward scan plus bisection.
+        sequential = (pattern_io is _SEQUENTIAL, pattern_cpu is _SEQUENTIAL)
+
+        def pair_bandwidth(demands: tuple[float, float]) -> float:
+            return effective_bandwidth(
+                machine,
+                [d for d, seq in zip(demands, sequential) if seq],
+                sum(d for d, seq in zip(demands, sequential) if not seq),
             )
-            return demand_io + demand_cpu - b
+
+        def overload(x_io: float) -> float:
+            demands = (ci * x_io, cj * (n - x_io))
+            return demands[0] + demands[1] - pair_bandwidth(demands)
 
         if overload(0.0) >= 0:
             return None  # even x_io = 0 oversubscribes: no CPU headroom
@@ -308,9 +345,7 @@ def _solve(
                 break
         x_io = lo
         x_cpu = n - x_io
-        bandwidth = effective_bandwidth(
-            machine, ci * x_io, cj * x_cpu, pattern_io, pattern_cpu
-        )
+        bandwidth = pair_bandwidth((ci * x_io, cj * x_cpu))
     if x_io <= 0 or x_cpu <= 0:
         return None
     return x_io, x_cpu, bandwidth
@@ -325,38 +360,6 @@ def intra_time(task: Task, machine: MachineConfig) -> float:
     return task.seq_time / max_parallelism(task, machine)
 
 
-def inter_time(
-    task_a: Task,
-    task_b: Task,
-    machine: MachineConfig,
-    *,
-    point: BalancePoint | None = None,
-    use_effective_bandwidth: bool = True,
-) -> float:
-    """``T_inter(f_i, f_j)`` — run the pair at the balance point.
-
-    ``min(T_i/x_i, T_j/x_j) + T_ij / maxp_ij`` where ``T_ij`` is the
-    remaining work of the longer task once the shorter finishes and
-    ``maxp_ij`` its maximum parallelism running alone.  Returns
-    ``inf`` when no balance point exists.
-    """
-    if point is None:
-        point = balance_point(
-            task_a, task_b, machine, use_effective_bandwidth=use_effective_bandwidth
-        )
-    if point is None:
-        return float("inf")
-    ti, tj = point.task_io, point.task_cpu
-    xi, xj = point.x_io, point.x_cpu
-    rate_i, rate_j = ti.seq_time / xi, tj.seq_time / xj
-    if rate_i > rate_j:
-        remaining_task, remaining = ti, ti.seq_time - tj.seq_time * xi / xj
-    else:
-        remaining_task, remaining = tj, tj.seq_time - ti.seq_time * xj / xi
-    remaining = max(0.0, remaining)
-    return min(rate_i, rate_j) + remaining / max_parallelism(remaining_task, machine)
-
-
 def clamp_parallelism(x: float, machine: MachineConfig, *, integral: bool) -> float:
     """Clamp a degree of parallelism into [1, N], optionally integral."""
     x = max(1.0, min(float(machine.processors), x))
@@ -365,87 +368,26 @@ def clamp_parallelism(x: float, machine: MachineConfig, *, integral: bool) -> fl
     return x
 
 
-def realizable_rates(
-    point: BalancePoint,
-    machine: MachineConfig,
-    *,
-    use_effective_bandwidth: bool = True,
-    integral: bool = False,
-) -> tuple[float, float, float, float]:
-    """Progress rates of a pair under real resource semantics.
-
-    The balance point's continuous degrees of parallelism are clamped
-    to whole-machine reality (at least one slave each, optionally
-    integral); if the clamped allocation oversubscribes the processors
-    or disks, both tasks slow proportionally — exactly the execution
-    engines' semantics.  Returns ``(rate_io, rate_cpu, x_io, x_cpu)``.
-    """
-    io, cpu = point.task_io, point.task_cpu
-    return _realizable_rates(
-        point.x_io,
-        point.x_cpu,
-        io.io_rate,
-        io.io_pattern,
-        cpu.io_rate,
-        cpu.io_pattern,
-        machine,
-        use_effective_bandwidth,
-        integral,
-    )
-
-
 def _realizable_rates(
     x_io: float,
     x_cpu: float,
-    c_io: float,
-    pattern_io: IOPattern,
-    c_cpu: float,
-    pattern_cpu: IOPattern,
+    io: tuple[float, float, IOPattern],
+    cpu: tuple[float, float, IOPattern],
     machine: MachineConfig,
     use_effective_bandwidth: bool,
     integral: bool,
-) -> tuple[float, float, float, float]:
-    """:func:`realizable_rates` on bare floats."""
+) -> tuple[float, float]:
+    """Progress rates ``(rate_io, rate_cpu)`` of a pair, its balance-point
+    degrees clamped to whole slaves and run through :func:`throttle`:
+    exactly the fluid engine's rate solve."""
     xi = clamp_parallelism(x_io, machine, integral=integral)
     xj = clamp_parallelism(x_cpu, machine, integral=integral)
-    cpu_scale = min(1.0, machine.processors / (xi + xj))
-    demand_io = c_io * xi * cpu_scale
-    demand_cpu = c_cpu * xj * cpu_scale
-    demand = demand_io + demand_cpu
-    if use_effective_bandwidth:
-        bandwidth = effective_bandwidth(
-            machine, demand_io, demand_cpu, pattern_io, pattern_cpu
-        )
-    else:
-        bandwidth = machine.io_bandwidth
-    io_scale = min(1.0, bandwidth / demand) if demand > 0 else 1.0
-    return xi * cpu_scale * io_scale, xj * cpu_scale * io_scale, xi, xj
-
-
-def inter_time_realizable(
-    point: BalancePoint,
-    machine: MachineConfig,
-    *,
-    use_effective_bandwidth: bool = True,
-    integral: bool = False,
-) -> float:
-    """``T_inter`` evaluated at the *realizable* (clamped) allocation.
-
-    The continuous :func:`inter_time` can flatter a pairing whose
-    balance point sits below one whole slave; this variant prices the
-    pairing exactly as the engines would run it, so the worthwhileness
-    decision and the execution agree.
-    """
-    io, cpu = point.task_io, point.task_cpu
-    return realizable_time(
-        point.x_io,
-        point.x_cpu,
-        (io.seq_time, io.io_rate, io.io_pattern),
-        (cpu.seq_time, cpu.io_rate, cpu.io_pattern),
+    cpu_scale, io_scale = throttle(
         machine,
+        ((xi, io[1], io[2] is _SEQUENTIAL), (xj, cpu[1], cpu[2] is _SEQUENTIAL)),
         use_effective_bandwidth,
-        integral,
     )
+    return xi * cpu_scale * io_scale, xj * cpu_scale * io_scale
 
 
 def realizable_time(
@@ -457,23 +399,18 @@ def realizable_time(
     use_effective_bandwidth: bool,
     integral: bool,
 ) -> float:
-    """:func:`inter_time_realizable` on bare floats.
+    """``T_inter(f_i, f_j)`` at the *realizable* (clamped) allocation.
 
+    ``min(T_i/r_i, T_j/r_j) + T_ij / maxp_ij``: the pair runs at its
+    realizable rates ``r`` until the shorter finishes, then the rest
+    ``T_ij`` of the longer runs alone at its maximum parallelism.
     ``io`` and ``cpu`` are the two tasks as ``(seq_time, io_rate,
-    io_pattern)``; ``x_io`` / ``x_cpu`` their balance-point degrees.
+    io_pattern)``, ``x_io`` / ``x_cpu`` their balance-point degrees.
     """
     t_io, c_io, pattern_io = io
     t_cpu, c_cpu, pattern_cpu = cpu
-    rate_i, rate_j, __, __ = _realizable_rates(
-        x_io,
-        x_cpu,
-        c_io,
-        pattern_io,
-        c_cpu,
-        pattern_cpu,
-        machine,
-        use_effective_bandwidth,
-        integral,
+    rate_i, rate_j = _realizable_rates(
+        x_io, x_cpu, io, cpu, machine, use_effective_bandwidth, integral
     )
     time_i = t_io / rate_i
     time_j = t_cpu / rate_j
@@ -487,22 +424,38 @@ def realizable_time(
     return min(time_i, time_j) + remaining / maxp
 
 
-def inter_worthwhile(
-    task_a: Task,
-    task_b: Task,
+def worthwhile_pairing(
+    a: tuple[float, float, IOPattern],
+    b: tuple[float, float, IOPattern],
     machine: MachineConfig,
-    *,
-    use_effective_bandwidth: bool = True,
-) -> bool:
-    """Is pairing better than running the two tasks back to back?
+    use_effective_bandwidth: bool,
+    integral: bool,
+) -> tuple[float, float, float] | None:
+    """The balance point of ``a`` and ``b`` if pairing them is worthwhile.
 
     "We need to compare the estimated time of execution using
     inter-operation parallelism ... and the estimated time of execution
     using only intra-operation parallelism and decide whether
-    inter-operation parallelism is worthwhile" (Section 2.3).
+    inter-operation parallelism is worthwhile" (Section 2.3).  ``a`` and
+    ``b`` are ``(seq_time, io_rate, io_pattern)``; the pair is priced by
+    :func:`realizable_time` at its :func:`balance_solution` and returns
+    that solution ``(x_io, x_cpu, B)`` when it beats running the two
+    back to back at their maximum parallelism, else ``None``.
     """
-    paired = inter_time(
-        task_a, task_b, machine, use_effective_bandwidth=use_effective_bandwidth
+    t_a, c_a, pattern_a = a
+    t_b, c_b, pattern_b = b
+    point = balance_solution(
+        c_a, pattern_a, c_b, pattern_b, machine, use_effective_bandwidth
     )
-    alone = intra_time(task_a, machine) + intra_time(task_b, machine)
-    return paired < alone
+    if point is None:
+        return None
+    io, cpu = (a, b) if c_a > c_b else (b, a)
+    x_io, x_cpu, __ = point
+    paired = realizable_time(
+        x_io, x_cpu, io, cpu, machine, use_effective_bandwidth, integral
+    )
+    alone = (
+        t_a / max_parallelism_of(c_a, pattern_a, machine)
+        + t_b / max_parallelism_of(c_b, pattern_b, machine)
+    )
+    return point if paired < alone else None

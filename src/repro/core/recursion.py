@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..config import MachineConfig
 from ..errors import SchedulingError
-from .balance import balance_point, inter_time_realizable, intra_time, realizable_rates
+from .balance import _realizable_rates, worthwhile_pairing
 from .classify import is_io_bound, max_parallelism
 from .task import Task
 
@@ -84,24 +84,17 @@ def elapsed_time_recursion(
             # each CPU-bound candidate in heuristic order until a
             # realizable, worthwhile pairing is found.
             fi = io_ready[0]
-            chosen = None
             for fj in cpu_ready:
-                point = balance_point(
-                    fi, fj, machine, use_effective_bandwidth=use_effective_bandwidth
-                )
-                if point is None:
-                    continue
-                paired = inter_time_realizable(
-                    point,
+                point = worthwhile_pairing(
+                    (fi.seq_time, fi.io_rate, fi.io_pattern),
+                    (fj.seq_time, fj.io_rate, fj.io_pattern),
                     machine,
-                    use_effective_bandwidth=use_effective_bandwidth,
+                    use_effective_bandwidth,
+                    False,
                 )
-                alone = intra_time(fi, machine) + intra_time(fj, machine)
-                if paired < alone:
-                    chosen = (fj, point)
+                if point is not None:
                     break
-            if chosen is not None:
-                fj, point = chosen
+            if point is not None:
                 elapsed += _pair_step(
                     fi,
                     fj,
@@ -135,12 +128,20 @@ def _pair_step(
     trace,
 ) -> float:
     """Run a pair until the first completes; replace the survivor by
-    its remainder ``f_ij`` (the recursion's ``S - {f_i,f_j} U {f_ij}``)."""
-    rate_io, rate_cpu, __, __ = realizable_rates(
-        point, machine, use_effective_bandwidth=use_effective_bandwidth
+    its remainder ``f_ij`` (the recursion's ``S - {f_i,f_j} U {f_ij}``).
+    ``point`` is their balance solution ``(x_io, x_cpu, B)``."""
+    io, cpu = (fi, fj) if fi.io_rate > fj.io_rate else (fj, fi)
+    x_io, x_cpu, __ = point
+    rate_io, rate_cpu = _realizable_rates(
+        x_io,
+        x_cpu,
+        (io.seq_time, io.io_rate, io.io_pattern),
+        (cpu.seq_time, cpu.io_rate, cpu.io_pattern),
+        machine,
+        use_effective_bandwidth,
+        False,
     )
-    rate_i = rate_io if fi.task_id == point.task_io.task_id else rate_cpu
-    rate_j = rate_cpu if fj.task_id == point.task_cpu.task_id else rate_io
+    rate_i, rate_j = (rate_io, rate_cpu) if io is fi else (rate_cpu, rate_io)
     time_i = fi.seq_time / rate_i
     time_j = fj.seq_time / rate_j
     duration = min(time_i, time_j)

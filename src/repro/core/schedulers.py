@@ -29,14 +29,11 @@ from .balance import (
     balance_point,
     balance_solution,
     clamp_parallelism as _clamp,
-    inter_time_realizable,
-    intra_time,
-    realizable_time,
+    worthwhile_pairing,
 )
 from .classify import (
     is_io_bound,
     max_parallelism,
-    max_parallelism_of,
     split_by_bound,
 )
 from .task import Task
@@ -256,7 +253,7 @@ class InterWithAdjPolicy(SchedulingPolicy):
 
         Returns None when pairing is not worthwhile.  Decided on floats
         (:func:`~repro.core.balance.balance_solution`,
-        :func:`~repro.core.balance.realizable_time`): no task and no
+        :func:`~repro.core.balance.worthwhile_pairing`): no task and no
         balance-point object is built per candidate.
         """
         machine = state.machine
@@ -278,23 +275,9 @@ class InterWithAdjPolicy(SchedulingPolicy):
         # (clamped to whole-machine reality), so the decision prices the
         # pairing exactly as the engine will run it.
         rem, c_rem = _remnant(partner)
-        remaining_point = balance_solution(
-            c_new, pattern_new, c_rem, pattern_partner, machine, effective
-        )
-        if remaining_point is None:
-            return None
         new = (candidate.seq_time, c_new, pattern_new)
         rest = (rem, c_rem, pattern_partner)
-        io, cpu = (new, rest) if c_new > c_rem else (rest, new)
-        x_io, x_cpu, __ = remaining_point
-        paired = realizable_time(
-            x_io, x_cpu, io, cpu, machine, effective, self.integral
-        )
-        alone = (
-            candidate.seq_time / max_parallelism_of(c_new, pattern_new, machine)
-            + rem / max_parallelism_of(c_rem, pattern_partner, machine)
-        )
-        if paired >= alone:
+        if worthwhile_pairing(new, rest, machine, effective, self.integral) is None:
             return None
         x_io, x_cpu, __ = point
         if c_new > c_partner:
@@ -324,25 +307,18 @@ class InterWithAdjPolicy(SchedulingPolicy):
             for fj in cpu_q:
                 if not memory_fits(machine, fi, fj):
                     continue
-                point = balance_point(
-                    fi,
-                    fj,
+                point = worthwhile_pairing(
+                    (fi.seq_time, fi.io_rate, fi.io_pattern),
+                    (fj.seq_time, fj.io_rate, fj.io_pattern),
                     machine,
-                    use_effective_bandwidth=self.use_effective_bandwidth,
+                    self.use_effective_bandwidth,
+                    self.integral,
                 )
-                if point is None:
-                    continue
-                paired = inter_time_realizable(
-                    point,
-                    machine,
-                    use_effective_bandwidth=self.use_effective_bandwidth,
-                    integral=self.integral,
-                )
-                alone = intra_time(fi, machine) + intra_time(fj, machine)
-                if paired < alone:
+                if point is not None:
+                    x_io, x_cpu, __ = point
                     return [
-                        Start(fi, _clamp(point.x_io, machine, integral=self.integral)),
-                        Start(fj, _clamp(point.x_cpu, machine, integral=self.integral)),
+                        Start(fi, _clamp(x_io, machine, integral=self.integral)),
+                        Start(fj, _clamp(x_cpu, machine, integral=self.integral)),
                     ]
             break  # most-IO-bound head found no partner: run it solo
         # Step 4 "otherwise": execute f_i alone to completion, then f_j.

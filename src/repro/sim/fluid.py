@@ -3,9 +3,12 @@
 Tasks progress as continuous flows: a task running with parallelism
 ``x`` completes ``x`` sequential-seconds of work per wall second (the
 near-linear intra-operation speedup measured in [HONG91]), unless the
-disks are saturated, in which case every task slows proportionally.
-Disk saturation uses the same effective-bandwidth model the balance
-solver uses, so a pair placed at its balance point runs unthrottled.
+processors or the disks are oversubscribed, in which case every task
+slows proportionally.  The rate solve is the balance solver's own rate
+model, :func:`~repro.core.balance.throttle` over its
+:func:`~repro.core.balance.effective_bandwidth`, so a policy prices a
+pairing exactly as it then runs and a pair placed at its balance point
+runs unthrottled.
 
 The engine drives a :class:`~repro.core.schedulers.SchedulingPolicy` at
 every event (start, arrival, completion) and records a full trace:
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..config import MachineConfig
-from ..core.balance import effective_bandwidth_mix
+from ..core.balance import throttle
 from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import SimulationError
@@ -59,6 +62,8 @@ if TYPE_CHECKING:  # imported lazily: repro.faults imports nothing from sim
 _MAX_EVENTS = 1_000_000
 
 _EPS = 1e-9
+
+_SEQUENTIAL = IOPattern.SEQUENTIAL
 
 
 @dataclass(eq=False, slots=True)
@@ -152,9 +157,6 @@ class FluidSimulator:
         #: every event; memoizing avoids rebuilding two dataclasses per
         #: event while a window is open.
         self._machine_by_scale: dict[float, MachineConfig] = {}
-        # Hoisted per-event constants (the machine is immutable).
-        self._processors = float(machine.processors)
-        self._nominal_bandwidth = machine.io_bandwidth
         self.tracer = tracer or None
         self.invariants = invariants
 
@@ -307,37 +309,16 @@ class FluidSimulator:
         """Work-progress rate of each running task (seq-seconds/second),
         as ``(run, rate, parallelism, cpu_frac * rate, io_rate * rate)``:
         the last three are its per-second shares of the utilization
-        integrals, fixed until the next solve."""
+        integrals, fixed until the next solve.  The scales come from
+        :func:`~repro.core.balance.throttle`, the rate model the
+        policies price pairings with."""
         running = state.running
         if not running:
             return []
-        total_x = 0.0
-        for r in running:
-            total_x += r.parallelism
-        cpu_scale = min(1.0, self._processors / total_x) if total_x > 0 else 1.0
-        # cpu_scale belongs in the io *demand*: a CPU-throttled slave
-        # issues its next read only after the page's tuples are
-        # processed, so the disks see io_rate * x * cpu_scale.  Folding
-        # it in before the seq/random split cannot skew the Section-2.3
-        # formula — effective_bandwidth_mix is invariant under uniform
-        # scaling of its rates (only the interleave and seq-share
-        # *ratios* enter), which the repro.check parity tests pin down.
-        total_demand = 0.0
-        seq_rates = []
-        random_total = 0.0
-        for r in running:
-            demand = r.io_rate * r.parallelism * cpu_scale
-            total_demand += demand
-            if r.io_pattern is IOPattern.SEQUENTIAL:
-                seq_rates.append(demand)
-            else:
-                random_total += demand
-        if self.use_effective_bandwidth:
-            bandwidth = effective_bandwidth_mix(self.machine, seq_rates, random_total)
-        else:
-            bandwidth = self._nominal_bandwidth
-        io_scale = (
-            min(1.0, bandwidth / total_demand) if total_demand > _EPS else 1.0
+        cpu_scale, io_scale = throttle(
+            self.machine,
+            [(r.parallelism, r.io_rate, r.io_pattern is _SEQUENTIAL) for r in running],
+            self.use_effective_bandwidth,
         )
         rates = []
         for r in running:

@@ -3,7 +3,7 @@
 Includes the Section-2.3 demand-scaling parity tests: the fluid engine
 folds ``cpu_scale`` into the io demand before the sequential/random
 bandwidth split, which is safe exactly because
-``effective_bandwidth_mix`` is invariant under uniform scaling of its
+``effective_bandwidth`` is invariant under uniform scaling of its
 rates — both facts are pinned here.
 """
 
@@ -18,7 +18,7 @@ from repro.check.differential import (
 from repro.check.invariants import InvariantChecker
 from repro.config import paper_machine
 from repro.core import make_task
-from repro.core.balance import effective_bandwidth_mix
+from repro.core.balance import effective_bandwidth
 from repro.core.task import IOPattern
 from repro.sim.micro import spec_for_io_rate
 from repro.workloads.mixes import WorkloadKind, generate_specs
@@ -136,15 +136,15 @@ class TestCpuUtilizationSemantics:
 class TestDemandScalingParity:
     """Satellite: Section-2.3 demand scaling, micro vs fluid."""
 
-    def test_effective_bandwidth_mix_is_scale_invariant(self):
+    def test_effective_bandwidth_is_scale_invariant(self):
         # Only the interleave and seq-share *ratios* enter the formula,
         # so scaling every demand uniformly (what folding cpu_scale into
         # io demand does) cannot move the effective bandwidth.
         seq = [40.0, 25.0, 10.0]
         rnd = 30.0
-        base = effective_bandwidth_mix(MACHINE, seq, rnd)
+        base = effective_bandwidth(MACHINE, seq, rnd)
         for k in (0.1, 0.5, 0.9, 2.0):
-            scaled = effective_bandwidth_mix(
+            scaled = effective_bandwidth(
                 MACHINE, [k * r for r in seq], k * rnd
             )
             assert scaled == pytest.approx(base, rel=1e-12)

@@ -1,7 +1,5 @@
 """Tests for the IO-CPU balance point (Sections 2.3 / 2.5, Figure 4)."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +9,10 @@ from repro.core import (
     IOPattern,
     balance_point,
     effective_bandwidth,
-    effective_bandwidth_mix,
-    inter_time,
-    inter_worthwhile,
     intra_time,
     make_task,
 )
+from repro.core.balance import balance_solution, realizable_time, worthwhile_pairing
 from repro.errors import InfeasibleBalanceError
 
 MACHINE = paper_machine()  # N=8, B=240 (almost-seq), Br=140
@@ -82,36 +78,45 @@ class TestNominalBalance:
             point.parallelism_of(task(50.0))
 
 
+def two_streams(rate_a, pattern_a, rate_b, pattern_b):
+    """``effective_bandwidth`` of two io streams."""
+    streams = ((rate_a, pattern_a), (rate_b, pattern_b))
+    return effective_bandwidth(
+        MACHINE,
+        [r for r, p in streams if p is IOPattern.SEQUENTIAL],
+        sum(r for r, p in streams if p is IOPattern.RANDOM),
+    )
+
+
+SEQ, RND = IOPattern.SEQUENTIAL, IOPattern.RANDOM
+
+
 class TestEffectiveBandwidth:
     def test_single_sequential_stream_full_bs(self):
-        b = effective_bandwidth(MACHINE, 200.0, 0.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        assert b == pytest.approx(240.0)
+        assert two_streams(200.0, SEQ, 0.0, SEQ) == pytest.approx(240.0)
 
     def test_equal_sequential_streams_drop_to_br(self):
-        b = effective_bandwidth(MACHINE, 100.0, 100.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        assert b == pytest.approx(140.0)
+        assert two_streams(100.0, SEQ, 100.0, SEQ) == pytest.approx(140.0)
 
     def test_paper_interpolation(self):
         # r = 50/150: B = Br + (1 - r)(Bs - Br) = 140 + (2/3)*100
-        b = effective_bandwidth(MACHINE, 150.0, 50.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
+        b = two_streams(150.0, SEQ, 50.0, SEQ)
         assert b == pytest.approx(140 + (2 / 3) * 100)
 
     def test_symmetry(self):
-        b1 = effective_bandwidth(MACHINE, 150.0, 50.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        b2 = effective_bandwidth(MACHINE, 50.0, 150.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        assert b1 == pytest.approx(b2)
+        b1 = two_streams(150.0, SEQ, 50.0, SEQ)
+        b2 = two_streams(50.0, SEQ, 150.0, SEQ)
+        assert b1 == b2
 
     def test_two_random_streams_get_br(self):
-        b = effective_bandwidth(MACHINE, 80.0, 40.0, IOPattern.RANDOM, IOPattern.RANDOM)
-        assert b == pytest.approx(140.0)
+        assert two_streams(80.0, RND, 40.0, RND) == pytest.approx(140.0)
 
     def test_seq_plus_random_interpolates_by_share(self):
-        b = effective_bandwidth(MACHINE, 150.0, 50.0, IOPattern.SEQUENTIAL, IOPattern.RANDOM)
+        b = two_streams(150.0, SEQ, 50.0, RND)
         assert b == pytest.approx(140 + 0.75 * 100)
 
     def test_no_io_gives_bs(self):
-        b = effective_bandwidth(MACHINE, 0.0, 0.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        assert b == pytest.approx(240.0)
+        assert two_streams(0.0, SEQ, 0.0, SEQ) == pytest.approx(240.0)
 
     @given(
         st.floats(min_value=0, max_value=300),
@@ -120,42 +125,17 @@ class TestEffectiveBandwidth:
     def test_bounds_property(self, a, b):
         for pa in IOPattern:
             for pb in IOPattern:
-                eff = effective_bandwidth(MACHINE, a, b, pa, pb)
+                eff = two_streams(a, pa, b, pb)
                 assert 140.0 - 1e-9 <= eff <= 240.0 + 1e-9
 
-    def test_mix_reduces_to_pairwise(self):
-        pair = effective_bandwidth(MACHINE, 150.0, 50.0, IOPattern.SEQUENTIAL, IOPattern.SEQUENTIAL)
-        mix = effective_bandwidth_mix(MACHINE, [150.0, 50.0], 0.0)
-        assert mix == pytest.approx(pair)
-
-    def test_mix_within_an_ulp_of_pairwise_on_two_streams(self):
-        # About 5% of these cases differ, by at most ~3.3e-16 relative:
-        # the two functions round in different orders.  Anything larger
-        # is drift between the policy's pricing and the fluid engine's.
-        rng = random.Random(0)
-        seq, rnd = IOPattern.SEQUENTIAL, IOPattern.RANDOM
-        worst = 0.0
-        for __ in range(100_000):
-            a, b = rng.uniform(0, 100), rng.uniform(0, 100)
-            pa, pb = rng.choice((seq, rnd)), rng.choice((seq, rnd))
-            streams = ((a, pa), (b, pb))
-            pair = effective_bandwidth(MACHINE, a, b, pa, pb)
-            mix = effective_bandwidth_mix(
-                MACHINE,
-                [r for r, p in streams if p is seq],
-                sum(r for r, p in streams if p is rnd),
-            )
-            worst = max(worst, abs(mix - pair) / pair)
-        assert worst <= 1e-15
-
     def test_mix_three_equal_streams_hits_br(self):
-        assert effective_bandwidth_mix(MACHINE, [50.0, 50.0, 50.0], 0.0) == pytest.approx(140.0)
+        assert effective_bandwidth(MACHINE, [50.0, 50.0, 50.0], 0.0) == pytest.approx(140.0)
 
     def test_mix_pure_random(self):
-        assert effective_bandwidth_mix(MACHINE, [], 100.0) == pytest.approx(140.0)
+        assert effective_bandwidth(MACHINE, [], 100.0) == pytest.approx(140.0)
 
     def test_mix_idle(self):
-        assert effective_bandwidth_mix(MACHINE, [], 0.0) == pytest.approx(240.0)
+        assert effective_bandwidth(MACHINE, [], 0.0) == pytest.approx(240.0)
 
 
 class TestEffectiveBalance:
@@ -204,28 +184,42 @@ class TestTimes:
         # cpu task: maxp = 8
         assert intra_time(task(10.0, seq_time=16.0), MACHINE) == pytest.approx(2.0)
 
+    @staticmethod
+    def inter_time(fi, fj):
+        """``realizable_time`` at the pair's nominal balance point."""
+        x_io, x_cpu, __ = balance_solution(
+            fi.io_rate, fi.io_pattern, fj.io_rate, fj.io_pattern, MACHINE, False
+        )
+        return realizable_time(
+            x_io,
+            x_cpu,
+            (fi.seq_time, fi.io_rate, fi.io_pattern),
+            (fj.seq_time, fj.io_rate, fj.io_pattern),
+            MACHINE,
+            False,
+            False,
+        )
+
     def test_inter_time_nominal_closed_form(self):
         fi = task(60.0, seq_time=32.0)
         fj = task(10.0, seq_time=48.0)
-        t = inter_time(fi, fj, MACHINE, use_effective_bandwidth=False)
         # x = (3.2, 4.8): fi finishes at 10, fj at 10 -> both at 10, no tail
-        assert t == pytest.approx(10.0)
+        assert self.inter_time(fi, fj) == pytest.approx(10.0)
 
     def test_inter_time_with_tail(self):
         fi = task(60.0, seq_time=32.0)  # finishes at 10 with x=3.2
         fj = task(10.0, seq_time=24.0)  # finishes at 5 with x=4.8
-        t = inter_time(fi, fj, MACHINE, use_effective_bandwidth=False)
         # fj done at 5; fi has 32 - 5*3.2 = 16 left at maxp 4 -> 4 more
-        assert t == pytest.approx(5.0 + 4.0)
-
-    def test_inter_time_infeasible_is_inf(self):
-        assert inter_time(task(50.0), task(40.0), MACHINE) == float("inf")
+        assert self.inter_time(fi, fj) == pytest.approx(5.0 + 4.0)
 
     def test_inter_worthwhile_for_complementary_pair(self):
-        assert inter_worthwhile(
-            task(60.0, seq_time=32.0), task(10.0, seq_time=48.0), MACHINE,
-            use_effective_bandwidth=False,
+        point = worthwhile_pairing(
+            (32.0, 60.0, SEQ), (48.0, 10.0, SEQ), MACHINE, False, False
         )
+        assert point == balance_solution(60.0, SEQ, 10.0, SEQ, MACHINE, False)
 
     def test_inter_not_worthwhile_same_side(self):
-        assert not inter_worthwhile(task(50.0), task(40.0), MACHINE)
+        # Both IO-bound: no balance point, so no pairing.
+        assert worthwhile_pairing(
+            (10.0, 50.0, SEQ), (10.0, 40.0, SEQ), MACHINE, True, False
+        ) is None

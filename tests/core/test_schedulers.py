@@ -18,8 +18,8 @@ from repro.core import (
 from repro.core.balance import (
     balance_point,
     clamp_parallelism,
-    inter_time_realizable,
     intra_time,
+    realizable_time,
 )
 from repro.core.ids import id_scope
 from repro.core.schedulers import Adjust, Start, memory_fits
@@ -219,7 +219,7 @@ def _reference_remnant(view):
 def _reference_pair_actions(policy, machine, candidate, partner):
     """``InterWithAdjPolicy._pair_actions`` built from tasks and
     balance points: remnant task, two ``balance_point`` objects,
-    ``inter_time_realizable`` and ``intra_time``."""
+    ``realizable_time`` at the second and ``intra_time``."""
     effective = policy.use_effective_bandwidth
     if not memory_fits(machine, candidate, partner.task):
         return None
@@ -234,11 +234,15 @@ def _reference_pair_actions(policy, machine, candidate, partner):
     )
     if remaining_point is None:
         return None
-    paired = inter_time_realizable(
-        remaining_point,
+    io, cpu = remaining_point.task_io, remaining_point.task_cpu
+    paired = realizable_time(
+        remaining_point.x_io,
+        remaining_point.x_cpu,
+        (io.seq_time, io.io_rate, io.io_pattern),
+        (cpu.seq_time, cpu.io_rate, cpu.io_pattern),
         machine,
-        use_effective_bandwidth=effective,
-        integral=policy.integral,
+        effective,
+        policy.integral,
     )
     alone = intra_time(candidate, machine) + intra_time(remnant, machine)
     if paired >= alone:

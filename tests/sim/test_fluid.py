@@ -1,7 +1,7 @@
 """Tests for the fluid-rate simulation engine."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MachineConfig, paper_machine
@@ -12,9 +12,12 @@ from repro.core import (
     Start,
     make_task,
 )
+from repro.core.balance import _realizable_rates
+from repro.core.task import IOPattern
 from repro.errors import SimulationError
 from repro.faults import DiskDegradation
 from repro.sim import FluidSimulator
+from repro.sim.fluid import _SimState
 
 MACHINE = paper_machine()
 
@@ -83,6 +86,53 @@ class TestDiskThrottling:
         result = FluidSimulator(MACHINE).run(tasks, DoubleBook())
         # 16 processors requested on 8: each runs at half speed.
         assert result.elapsed == pytest.approx(2.0)
+
+
+class TestPricingEqualsExecution:
+    """The policy prices a pairing at the rates the engine then runs it:
+    for the same two-run allocation, ``balance._realizable_rates`` and
+    ``FluidSimulator._rates`` agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x_io=st.floats(min_value=1.0, max_value=8.0),
+        x_cpu=st.floats(min_value=1.0, max_value=8.0),
+        c_io=st.floats(min_value=0.0, max_value=120.0),
+        c_cpu=st.floats(min_value=0.0, max_value=120.0),
+        pattern_io=st.sampled_from(IOPattern),
+        pattern_cpu=st.sampled_from(IOPattern),
+        effective=st.booleans(),
+    )
+    # Two interleaved sequential streams, oversubscribed processors: the
+    # case where a two-stream bandwidth formula rounded differently.
+    @example(
+        x_io=3.7563950352941933, x_cpu=7.28823571306279,
+        c_io=76.1111640085968, c_cpu=66.12020711904994,
+        pattern_io=IOPattern.SEQUENTIAL, pattern_cpu=IOPattern.SEQUENTIAL,
+        effective=True,
+    )
+    def test_realizable_rates_are_the_engine_rates(
+        self, x_io, x_cpu, c_io, c_cpu, pattern_io, pattern_cpu, effective
+    ):
+        io = make_task("io", io_rate=c_io, seq_time=10.0, io_pattern=pattern_io)
+        cpu = make_task("cpu", io_rate=c_cpu, seq_time=10.0, io_pattern=pattern_cpu)
+        state = _SimState(MACHINE, [io, cpu], 0.0, None)
+        state.start_task(io, x_io)
+        state.start_task(cpu, x_cpu)
+        engine = FluidSimulator(MACHINE, use_effective_bandwidth=effective)
+        executed = {run.task.name: rate for run, rate, *__ in engine._rates(state)}
+        priced = _realizable_rates(
+            x_io,
+            x_cpu,
+            (io.seq_time, io.io_rate, pattern_io),
+            (cpu.seq_time, cpu.io_rate, pattern_cpu),
+            MACHINE,
+            effective,
+            False,
+        )
+        assert [executed["io"].hex(), executed["cpu"].hex()] == [
+            rate.hex() for rate in priced
+        ]
 
 
 class TestArrivals:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import paper_machine
@@ -121,8 +121,20 @@ class ReferenceFluid(FluidSimulator):
                 wake_in = max(wakeup - state.clock, _EPS)
                 horizon = wake_in if horizon is None else min(horizon, wake_in)
             if horizon is None:
+                if state.running:
+                    stalled = [
+                        f"{r.task.name} (x={r.parallelism:g}, "
+                        f"remaining={r.remaining:.3g})"
+                        for r in state.running
+                    ]
+                    raise SimulationError(
+                        "stall: running tasks have no progress rate and "
+                        f"no event is due (running=[{', '.join(stalled)}], "
+                        f"pending={[t.name for t in state.pending]})"
+                    )
                 raise SimulationError(
-                    "stall" if state.running else "deadlock: pending tasks"
+                    "deadlock: pending tasks but the policy started nothing "
+                    f"(pending={[t.name for t in state.pending]})"
                 )
             dt = max(horizon, 0.0)
             for run, rate in rates:
@@ -155,7 +167,8 @@ class ReferenceFluid(FluidSimulator):
         if not running:
             return []
         total_x = sum(r.parallelism for r in running)
-        cpu_scale = min(1.0, self._processors / total_x) if total_x > 0 else 1.0
+        processors = float(self.machine.processors)
+        cpu_scale = min(1.0, processors / total_x) if total_x > 0 else 1.0
         demand = [r.io_rate * r.parallelism * cpu_scale for r in running]
         total_demand = sum(demand)
         bandwidth = self._bandwidth(running, demand)
@@ -164,7 +177,7 @@ class ReferenceFluid(FluidSimulator):
 
     def _bandwidth(self, running, demand):
         if not self.use_effective_bandwidth:
-            return self._nominal_bandwidth
+            return self.machine.io_bandwidth
         seq_rates = [
             d for r, d in zip(running, demand) if r.io_pattern == IOPattern.SEQUENTIAL
         ]
@@ -175,7 +188,7 @@ class ReferenceFluid(FluidSimulator):
 
 
 def _bandwidth_mix(machine, sequential_rates, random_rate_total):
-    """``repro.core.balance.effective_bandwidth_mix`` on ``sum()`` and
+    """``repro.core.balance.effective_bandwidth`` on ``sum()`` and
     ``max()``, as the reference loop called it."""
     bs = machine.io_bandwidth
     br = machine.total_random_bandwidth
@@ -268,7 +281,9 @@ def assert_memo_agrees(make_tasks, make_policy, *, hooks=False, **engine):
     set and policy; demand identical results.  With ``hooks`` each side
     also gets its own tracer and a collecting invariant checker, and
     their events (``repr``, so floats compare bit for bit), check counts
-    and violations must agree too."""
+    and violations must agree too.  A draw the reference fails on (a
+    policy that starts nothing while tasks wait, DESIGN.md §5
+    "Consults") must fail the engine with the same error."""
 
     def build(cls):
         if not hooks:
@@ -281,8 +296,15 @@ def assert_memo_agrees(make_tasks, make_policy, *, hooks=False, **engine):
         )
 
     reference = build(ReferenceFluid)
-    expected = reference.run(make_tasks(), make_policy())
     engine_ = build(FluidSimulator)
+    try:
+        expected = reference.run(make_tasks(), make_policy())
+    except SimulationError as error:
+        with pytest.raises(SimulationError) as raised:
+            engine_.run(make_tasks(), make_policy())
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        return reference
     actual = engine_.run(make_tasks(), make_policy())
     assert digest(actual) == digest(expected)
     if hooks:
@@ -319,8 +341,13 @@ def random_tasks(seed, n, *, tiny_share=0.0):
 
 def arriving_at_a_completion(seed, n, make_policy, pick=0):
     """``random_tasks(seed, n)`` plus one task stamped to arrive at the
-    ``pick``-th completion instant of that set's run without it."""
-    probe = FluidSimulator(MACHINE).run(random_tasks(seed, n), make_policy())
+    ``pick``-th completion instant of that set's run without it.  A set
+    whose run fails has no such instant: it is returned as it is, and
+    :func:`assert_memo_agrees` expects the failure."""
+    try:
+        probe = FluidSimulator(MACHINE).run(random_tasks(seed, n), make_policy())
+    except SimulationError:
+        return lambda: random_tasks(seed, n)
     instants = sorted({r.finished_at for r in probe.records})
     at = instants[pick % len(instants)]
 
@@ -553,6 +580,17 @@ class TestRateMemoCampaign:
         hooks=st.booleans(),
         coincide=st.booleans(),
         pick=st.integers(0, 20),
+    )
+    # The policy cancels its only running task and sizes its starts from
+    # the running set as it was before the batch, so it starts nothing
+    # while three tasks wait: both loops raise "deadlock".
+    @example(
+        seed=39602, n=7, tiny_share=0.0, width=1, churn=True, degraded=False,
+        hooks=False, coincide=False, pick=0,
+    )
+    @example(
+        seed=39602, n=7, tiny_share=0.0, width=1, churn=True, degraded=False,
+        hooks=True, coincide=True, pick=0,
     )
     def test_reference_loop_edges(
         self, seed, n, tiny_share, width, churn, degraded, hooks, coincide, pick

@@ -17,11 +17,12 @@ redundant:
   the subset, the join predicates inside it, the selections on its
   relations and the search configuration, never on the query around
   it.  Cells are therefore shared *across queries*: a sub-query of an
-  earlier query is a lookup, and a repeated query is one lookup of its
-  full cell (see
-  :func:`~repro.optimizer.enumeration.enumerate_space` for the key).
+  earlier query is a lookup (see
+  :func:`~repro.optimizer.enumeration.enumerate_space` for the key);
+  a repeated query is one lookup of the finished plan by its query key,
+  before anything else is done.
 
-:class:`OptimizerCaches` bundles the three memos plus the hit/miss/skip
+:class:`OptimizerCaches` bundles the memos plus the hit/miss/skip
 counters (:class:`CacheStats`) that the benchmarks record, so an entry
 states *why* it got faster.  Caching is exact — every cached value is
 the float, or the plan, the uncached path would have computed — so a
@@ -30,7 +31,7 @@ corpus test replays both paths to prove it.
 
 Staleness is ruled out by construction: every entry point that pairs a
 caches object with a catalog calls :meth:`OptimizerCaches.sync`, which
-drops all three memos when the catalog (or its
+drops every memo when the catalog (or its
 :attr:`~repro.catalog.catalog.Catalog.stats_epoch`) is not the one they
 were filled under.  Nobody has to remember to clear anything after an
 ANALYZE.  What a caches object still assumes is one cost model and one
@@ -73,8 +74,8 @@ class CacheStats:
             memo (a costed candidate's reused subplans).
         estimate_misses: plan nodes that had to be estimated (a costed
             candidate's own top nodes).
-        subplan_hits: DP cells answered from the cross-query sub-plan
-            memo; a repeated query is exactly one hit.
+        subplan_hits: DP cells (or whole queries) answered from the
+            cross-query memos; a repeated query is exactly one hit.
         subplan_misses: DP cells looked up and not found, then searched.
     """
 
@@ -122,7 +123,7 @@ class CacheStats:
 
 @dataclass
 class OptimizerCaches:
-    """The fast path's memos: node estimates, parcost, DP cells.
+    """The fast path's memos: node estimates, parcost, DP cells, queries.
 
     Attributes:
         node_estimates: ``node_id`` -> :class:`NodeEstimate`.  Node ids
@@ -144,12 +145,17 @@ class OptimizerCaches:
             sub-join-graphs (times selections and search
             configurations) ever planned.  Plans are shared between the
             queries they answer; nothing downstream mutates a plan.
+        queries: query key -> finished plan (projection applied), looked
+            up before the query is validated, so a repeated query is one
+            key build and one dict lookup.  Only a query that validated
+            and planned is stored.
         stats: the counters above, shared with the enumeration loop.
     """
 
     node_estimates: EstimateMemo = field(default_factory=EstimateMemo)
     parcost_elapsed: dict[tuple, float] = field(default_factory=dict)
     subplans: dict[tuple, tuple[float, PlanNode]] = field(default_factory=dict)
+    queries: dict[tuple, PlanNode] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
     #: The (catalog, stats_epoch) the memos were filled under.
     _filled_under: tuple[Catalog, int] | None = field(
@@ -199,6 +205,7 @@ class OptimizerCaches:
         self.node_estimates.clear()
         self.parcost_elapsed.clear()
         self.subplans.clear()
+        self.queries.clear()
 
     def clear(self) -> None:
         """Drop every memo and zero the counters."""

@@ -41,8 +41,8 @@ primary predicate), the selections on its relations, the search
 configuration and the cost function — not of the query the subset was
 met in.  Handed an :class:`~repro.optimizer.cache.OptimizerCaches`,
 :func:`enumerate_space` keeps its cells there under exactly that key,
-so a later query's sub-join-graphs are lookups and a repeated query is
-one lookup of its full cell.
+so a later query's sub-join-graphs are lookups; a repeated query is one
+lookup of its finished plan in ``caches.queries``.
 """
 
 from __future__ import annotations
@@ -392,8 +392,14 @@ def enumerate_space(
     ``query.joins`` order (the first one between two sides is the
     join's primary predicate) and the selections on its relations, as
     structural values plus their rendering (``1`` and ``1.0`` are equal
-    but label a plan differently).  Validation always runs; the full
-    cell is looked up before anything is enumerated.
+    but label a plan differently).  A query's own key — ``cost.memo_key``,
+    ``space``, ``methods``, ``avoid_cross_products``, the relations,
+    the joins and the selections in query order, and the projection —
+    is looked up in ``caches.queries`` first: a repeated query returns
+    its finished plan without being validated again, so validation runs
+    once per structurally distinct query per catalog epoch (a query
+    that fails it is never stored).  Otherwise the full cell is looked
+    up before anything is enumerated.
 
     Returns the best complete plan (projection applied when requested).
     Ties on cost are broken by :func:`plan_shape_key`, so the result is
@@ -402,30 +408,35 @@ def enumerate_space(
     """
     if space not in ("left-deep", "right-deep", "bushy"):
         raise OptimizerError(f"unknown plan space: {space!r}")
+    memo_key = query_key = None
+    if caches is not None:
+        caches.sync(catalog)
+        if stats is None:
+            stats = caches.stats
+        memo_key = getattr(cost, "memo_key", None)
+    if memo_key is not None:
+        selections = tuple((rel, p, repr(p)) for rel, p in query.selections.items())
+        query_key = (
+            memo_key, space, methods, avoid_cross_products, tuple(query.relations),
+            tuple(query.joins), selections, tuple(query.projection or ()),
+        )
+        try:
+            # A repeated query: one lookup, nothing validated or enumerated.
+            plan = caches.queries.get(query_key)
+        except TypeError:  # an unhashable literal: plan it unshared
+            query_key = None
+        else:
+            if plan is not None:
+                stats.subplan_hits += 1
+                return plan
     query.validate(catalog)
     graph = query.join_index()
     full = frozenset(query.relations)
     allow_cross = not (avoid_cross_products and graph.is_connected(full))
-    estimates = memo = None
-    config: tuple = ()
-    selected: dict[str, tuple] = {}
-    if caches is not None:
-        caches.sync(catalog)
-        estimates = caches.node_estimates
-        if stats is None:
-            stats = caches.stats
-        memo_key = getattr(cost, "memo_key", None)
-        if memo_key is not None:
-            memo = caches.subplans
-            config = (memo_key, space, methods, allow_cross)
-            selected = {
-                rel: (rel, predicate, repr(predicate))
-                for rel, predicate in query.selections.items()
-            }
-            try:
-                hash(tuple(selected.values()))
-            except TypeError:  # an unhashable literal: plan it unshared
-                memo = None
+    estimates = caches.node_estimates if caches is not None else None
+    memo = caches.subplans if query_key is not None else None
+    config = (memo_key, space, methods, allow_cross)
+    selected = {entry[0]: entry for entry in selections} if memo is not None else {}
 
     def cell_key(subset: frozenset[str]) -> tuple:
         return (
@@ -441,11 +452,13 @@ def enumerate_space(
 
     def finish(plan: pn.PlanNode) -> pn.PlanNode:
         if query.projection:
-            return pn.ProjectNode(plan, tuple(query.projection))
+            plan = pn.ProjectNode(plan, tuple(query.projection))
+        if memo is not None:
+            caches.queries[query_key] = plan
         return plan
 
     if memo is not None:
-        # A repeated query: one lookup, nothing enumerated.
+        # Settled inside a larger query: one lookup, nothing enumerated.
         hit = memo.get(cell_key(full))
         if hit is not None:
             stats.subplan_hits += 1

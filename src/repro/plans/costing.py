@@ -156,15 +156,20 @@ class Subtree:
             on its root copies into a :class:`PlanEstimate`.
         fragments: its :class:`~repro.plans.fragments.FragmentSummary`,
             filled in by the fragmenter on first use.
+        graph: its :class:`~repro.plans.fragments.FragmentGraph`, kept
+            by :func:`~repro.plans.fragments.fragment_plan` the first
+            time the subtree is fragmented as a whole plan; shared and
+            read-only.
         sums: its ``(seqcost, total_ios)``, folded once by
             :func:`subtree_sums` — what a join over it is bounded from.
     """
 
-    __slots__ = ("by_node", "fragments", "sums")
+    __slots__ = ("by_node", "fragments", "graph", "sums")
 
     def __init__(self, by_node: dict[int, NodeEstimate]) -> None:
         self.by_node = by_node
         self.fragments = None
+        self.graph = None
         self.sums: tuple[float, float] | None = None
 
 

@@ -18,7 +18,8 @@ The cut itself lives in one function, :func:`_cut`, which composes a
 subtree's :class:`FragmentSummary` from its children's.
 :func:`fragment_plan` materializes a summary into fragments, cutting
 through the subtree memo its ``PlanEstimate`` was made with (the
-optimizer's, so a repeated plan is one lookup);
+optimizer's, which keeps a memoized plan's graph, so a repeated plan
+is one lookup);
 :func:`plan_signature` reads the scheduling signature straight off it.
 """
 
@@ -86,7 +87,11 @@ class Fragment:
 
 @dataclass
 class FragmentGraph:
-    """The fragments of one plan plus their precedence DAG."""
+    """The fragments of one plan plus their precedence DAG.
+
+    A graph :func:`fragment_plan` cut through the optimizer's memo is
+    shared by every query that plan answers: read it, never mutate it.
+    """
 
     plan: PlanNode
     fragments: list[Fragment]
@@ -324,10 +329,17 @@ def fragment_plan(
 
     With ``estimate`` supplied, each fragment gets its ``(T_i, D_i)``
     profile: the sum of its nodes' CPU and io costs, io pattern by
-    majority of io volume.  It cuts through the estimate's subtree memo.
+    majority of io volume.  It cuts through the estimate's subtree memo,
+    and when that memo holds ``plan``'s root the graph is kept on the
+    root's entry: a memoized plan is cut once, then looked up.  Such a
+    graph is shared by every caller and, like the plan, read-only.
     """
     memo = estimate.memo() if estimate is not None and estimate.memo else None
-    summary = _cut(plan, estimate, {} if memo is None else memo.subtrees)
+    subtrees = {} if memo is None else memo.subtrees
+    entry = subtrees.get(plan.node_id)
+    if entry is not None and entry.graph is not None:
+        return entry.graph
+    summary = _cut(plan, estimate, subtrees)
     fragments = []
     for row, items in zip(_signature(summary), (summary.open, *summary.closed_items)):
         seq_time, io_count, pattern, memory, deps = row
@@ -343,4 +355,7 @@ def fragment_plan(
             fragment.io_pattern = IOPattern(pattern)
             fragment.memory_bytes = memory
         fragments.append(fragment)
-    return FragmentGraph(plan=plan, fragments=fragments)
+    graph = FragmentGraph(plan=plan, fragments=fragments)
+    if entry is not None:
+        entry.graph = graph
+    return graph

@@ -957,9 +957,9 @@ class QueryService:
         tenants: dict[str, TenantMetrics] = {}
         for outcome in outcomes:
             submission = outcome.submission
-            tm = tenants.setdefault(
-                submission.tenant, TenantMetrics(tenant=submission.tenant)
-            )
+            tm = tenants.get(submission.tenant)
+            if tm is None:
+                tm = tenants[submission.tenant] = TenantMetrics(tenant=submission.tenant)
             tm.offered += 1
             tm.retries += outcome.retries
             if outcome.status == "rejected":

@@ -127,7 +127,7 @@ class TestStatsEpoch:
         opt = TwoPhaseOptimizer(catalog)
         first = opt.optimize(chain_query, mode=mode)
         again = opt.optimize(chain_query, mode=mode)
-        assert again.plan is first.plan  # one lookup of the full cell
+        assert again.plan is first.plan  # one lookup of the query memo
         assert again.stats["subplan_hits"] == first.stats["subplan_hits"] + 1
         assert again.stats["candidates"] == first.stats["candidates"]
 

@@ -184,6 +184,20 @@ def _shape(graph):
     )
 
 
+def _profiles(graph):
+    """Each fragment's floats to the bit, its pattern, memory and deps."""
+    return [
+        (
+            f.seq_time.hex(),
+            f.io_count.hex(),
+            f.io_pattern,
+            float(f.memory_bytes).hex(),
+            sorted(f.depends_on),
+        )
+        for f in graph.fragments
+    ]
+
+
 class TestCutThroughTheMemo:
     """``fragment_plan`` cuts through the subtree memo its estimate carries."""
 
@@ -214,16 +228,18 @@ class TestCutThroughTheMemo:
         assert len(plain[0]) > 1
         cold = fragment_plan(plan, memoized)
         assert memo.subtrees[plan.node_id].fragments is not None
+        assert memo.subtrees[plan.node_id].graph is cold
         hit = fragment_plan(plan, estimate(memo))
+        assert hit is cold  # the memoized graph itself, shared
         assert _shape(cold) == _shape(hit) == plain
         assert _shape(fragment_plan(plan, estimate(None))) == plain
+        assert _profiles(hit) == _profiles(fragment_plan(plan, estimate({})))
 
-    def test_a_summarized_plan_is_cut_at_its_root_only(self, served, monkeypatch):
+    def test_a_memoized_plan_is_cut_once_then_looked_up(self, served, monkeypatch):
         from repro.plans import fragments
 
         optimizer, plan, estimate = served
         memoized = estimate(optimizer.caches.node_estimates)
-        fragment_plan(plan, memoized)
         calls = []
         cut = fragments._cut
 
@@ -232,11 +248,15 @@ class TestCutThroughTheMemo:
             return cut(node, *args)
 
         monkeypatch.setattr(fragments, "_cut", counting)
-        fragment_plan(plan, memoized)
-        assert calls == [plan.node_id]
+        first = fragment_plan(plan, memoized)
+        assert sorted(calls) == sorted(node.node_id for node in plan.walk())
         calls.clear()
-        fragment_plan(plan, estimate({}))
+        assert fragment_plan(plan, memoized) is first
+        assert calls == []
+        plain = fragment_plan(plan, estimate({}))
         assert len(calls) == len(list(plan.walk()))
+        assert plain is not first
+        assert fragment_plan(plan, estimate({})) is not plain
 
     def test_a_stats_epoch_bump_recuts_with_the_new_estimates(self, served):
         import dataclasses

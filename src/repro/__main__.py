@@ -310,7 +310,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .check.fuzz import fuzz, generate_scenario, run_case, shrink, smoke_lines
+    from .check.fuzz import fuzz, generate_scenario, run_case, smoke_lines
 
     if args.smoke:
         # One quick pass over every pillar: invariant hooks in both
@@ -354,6 +354,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from .core.schedulers import POLICIES
+    from .service.admission import ADMISSION_POLICIES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="XPRS inter-operation parallelism reproduction CLI",
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gantt.add_argument(
         "--policy",
-        choices=("INTRA-ONLY", "INTER-WITHOUT-ADJ", "INTER-WITH-ADJ"),
+        choices=tuple(POLICIES),
         default="INTER-WITH-ADJ",
     )
     gantt.add_argument("--seed", type=int, default=0)
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serving mode: open arrivals + admission control"
     )
     serve.add_argument(
-        "--admission", choices=("balance", "fifo"), default="balance"
+        "--admission", choices=tuple(ADMISSION_POLICIES), default="balance"
     )
     serve.add_argument(
         "--arrivals", choices=("poisson", "onoff"), default="poisson"

@@ -7,7 +7,6 @@ from .calibration import (
     measure_disk_regimes,
     measure_scan,
 )
-from .export import figure7_to_csv, figure7_to_json, schedule_to_json
 from .figures import Figure3Data, Figure4Data, figure3, figure4
 from .gantt import render_gantt
 from .harness import (
@@ -30,8 +29,6 @@ __all__ = [
     "calibrate",
     "figure3",
     "figure4",
-    "figure7_to_csv",
-    "figure7_to_json",
     "format_bar_chart",
     "format_table",
     "make_policies",
@@ -40,5 +37,4 @@ __all__ = [
     "percent",
     "render_gantt",
     "run_figure7",
-    "schedule_to_json",
 ]

@@ -12,12 +12,7 @@ from statistics import mean
 from typing import Sequence
 
 from ..config import MachineConfig, paper_machine
-from ..core.schedulers import (
-    InterWithAdjPolicy,
-    InterWithoutAdjPolicy,
-    IntraOnlyPolicy,
-    SchedulingPolicy,
-)
+from ..core.schedulers import POLICIES, SchedulingPolicy
 from ..errors import ConfigError
 from ..sim.fluid import FluidSimulator, ScheduleResult
 from ..sim.micro import MicroSimulator
@@ -25,16 +20,12 @@ from ..workloads.mixes import WorkloadConfig, WorkloadKind, generate_specs
 from .report import format_bar_chart, format_table
 
 #: The three algorithms of Section 3, in the paper's order.
-POLICY_NAMES = ("INTRA-ONLY", "INTER-WITHOUT-ADJ", "INTER-WITH-ADJ")
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policies(*, integral: bool = True) -> list[SchedulingPolicy]:
     """Fresh instances of the three Section-3 policies."""
-    return [
-        IntraOnlyPolicy(integral=integral),
-        InterWithoutAdjPolicy(integral=integral),
-        InterWithAdjPolicy(integral=integral),
-    ]
+    return [cls(integral=integral) for cls in POLICIES.values()]
 
 
 @dataclass

@@ -31,7 +31,7 @@ pairs, and what "agreement" means for each:
 from __future__ import annotations
 
 from ..config import MachineConfig, paper_machine
-from ..core import InterWithAdjPolicy, make_task
+from ..core import InterWithAdjPolicy
 from ..core.recursion import elapsed_time_recursion
 from ..sim.fluid import FluidSimulator
 from ..sim.micro import MicroSimulator

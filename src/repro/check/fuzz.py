@@ -21,7 +21,6 @@ from ..core import InterWithAdjPolicy, InterWithoutAdjPolicy, IntraOnlyPolicy
 from ..core.task import IOPattern
 from ..errors import ReproError
 from ..sim.micro import MicroSimulator, spec_for_io_rate
-from ..sim.fluid import FluidSimulator
 from .differential import (
     check_executor_vs_protocol,
     check_micro_vs_fluid,

@@ -34,20 +34,21 @@ PAGE_SIZE = 8192
 class DiskProfile:
     """Per-disk bandwidth profile, in io-requests per second.
 
+    The micro simulator charges no separate seek: it classifies each
+    request into one of the three regimes below
+    (:meth:`~repro.storage.disk.Disk.classify`) and serves it at that
+    regime's rate.
+
     Attributes:
         seq_ios_per_sec: bandwidth for strictly sequential reads.
         almost_seq_ios_per_sec: bandwidth seen by parallel sequential
             scans whose requests arrive slightly out of order.
         random_ios_per_sec: bandwidth for random reads.
-        seek_time: seconds charged when a read is not contiguous with
-            the previous read on the same disk (micro simulator only);
-            derived from the profile when left at 0.
     """
 
     seq_ios_per_sec: float = 97.0
     almost_seq_ios_per_sec: float = 60.0
     random_ios_per_sec: float = 35.0
-    seek_time: float = 0.0
 
     def __post_init__(self) -> None:
         rates = (
@@ -65,8 +66,6 @@ class DiskProfile:
             raise ConfigError(
                 "expected random <= almost-sequential <= sequential bandwidth"
             )
-        if self.seek_time < 0:
-            raise ConfigError("seek_time must be non-negative")
 
     @property
     def sequential_service_time(self) -> float:
@@ -77,19 +76,6 @@ class DiskProfile:
     def random_service_time(self) -> float:
         """Seconds to service one random read."""
         return 1.0 / self.random_ios_per_sec
-
-    @property
-    def effective_seek_time(self) -> float:
-        """Seek penalty for a non-contiguous read in the micro simulator.
-
-        If ``seek_time`` was configured explicitly it is used as-is;
-        otherwise the penalty is the difference between random and
-        sequential service times, which makes the profile's random rate
-        emerge naturally from a fully random request stream.
-        """
-        if self.seek_time:
-            return self.seek_time
-        return self.random_service_time - self.sequential_service_time
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ from .classify import (
 )
 from .task import Task
 
+#: Relative change in measured bandwidth that triggers a re-balance of a
+#: running pair under ``degradation_aware`` (hysteresis against
+#: adjustment churn).
+REBALANCE_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class Start:
@@ -199,9 +204,6 @@ class InterWithAdjPolicy(SchedulingPolicy):
             running pair when the measured bandwidth drifts — e.g. a
             disk degraded by fault injection shifts the balance point
             toward the CPU-bound task.
-        rebalance_threshold: relative change in measured bandwidth that
-            triggers a re-balance of a running pair (hysteresis against
-            adjustment churn).
     """
 
     name = "INTER-WITH-ADJ"
@@ -213,17 +215,13 @@ class InterWithAdjPolicy(SchedulingPolicy):
         use_effective_bandwidth: bool = True,
         pairing: str = "extreme",
         degradation_aware: bool = False,
-        rebalance_threshold: float = 0.05,
     ) -> None:
         if pairing not in ("extreme", "fifo", "sjf"):
             raise SchedulingError(f"unknown pairing strategy: {pairing!r}")
-        if rebalance_threshold < 0:
-            raise SchedulingError("rebalance_threshold must be >= 0")
         self.integral = integral
         self.use_effective_bandwidth = use_effective_bandwidth
         self.pairing = pairing
         self.degradation_aware = degradation_aware
-        self.rebalance_threshold = rebalance_threshold
         self._solo_until_done: set[int] = set()
         self._last_b: float | None = None
 
@@ -344,7 +342,7 @@ class InterWithAdjPolicy(SchedulingPolicy):
         if (
             self._last_b is not None
             and self._last_b > 0
-            and abs(b - self._last_b) / self._last_b <= self.rebalance_threshold
+            and abs(b - self._last_b) / self._last_b <= REBALANCE_THRESHOLD
         ):
             return []
         first, second = state.running
@@ -516,15 +514,17 @@ class InterWithoutAdjPolicy(SchedulingPolicy):
         return math.hypot(dx, abs(dio))
 
 
+#: The three policies by paper name, in the order tables and the CLI list them.
+POLICIES: dict[str, type[SchedulingPolicy]] = {
+    cls.name: cls
+    for cls in (IntraOnlyPolicy, InterWithoutAdjPolicy, InterWithAdjPolicy)
+}
+
+
 def policy_by_name(name: str, **kwargs) -> SchedulingPolicy:
     """Construct one of the three policies from its paper name."""
-    table = {
-        "INTRA-ONLY": IntraOnlyPolicy,
-        "INTER-WITHOUT-ADJ": InterWithoutAdjPolicy,
-        "INTER-WITH-ADJ": InterWithAdjPolicy,
-    }
     try:
-        cls = table[name]
+        cls = POLICIES[name]
     except KeyError:
         raise SchedulingError(f"unknown policy: {name!r}") from None
     return cls(**kwargs)

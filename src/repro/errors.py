@@ -257,22 +257,6 @@ class AdmissionError(ServiceError):
         self.submission_id = submission_id
 
 
-class RetryExhaustedError(ServiceError):
-    """A submission was shed on every attempt allowed by the retry policy.
-
-    Attributes:
-        submission_id: id of the submission that gave up.
-        attempts: total offers made (the first try plus all retries).
-    """
-
-    def __init__(self, submission_id: int, attempts: int) -> None:
-        super().__init__(
-            f"submission {submission_id} shed after {attempts} attempts"
-        )
-        self.submission_id = submission_id
-        self.attempts = attempts
-
-
 class DeadlineExceededError(ServiceError):
     """A query overran its deadline budget and was cancelled.
 
@@ -296,16 +280,3 @@ class DeadlineExceededError(ServiceError):
         self.deadline = deadline
         self.now = now
 
-
-class CircuitOpenError(ServiceError):
-    """A submission was rejected at the gate because the breaker is open.
-
-    Attributes:
-        submission_id: id of the rejected submission.
-    """
-
-    def __init__(self, submission_id: int) -> None:
-        super().__init__(
-            f"submission {submission_id} rejected: circuit breaker is open"
-        )
-        self.submission_id = submission_id

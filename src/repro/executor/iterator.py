@@ -102,9 +102,5 @@ class Operator:
         finally:
             self.close()
 
-    @property
-    def is_open(self) -> bool:
-        return self._state == _State.OPEN
-
     def __repr__(self) -> str:
         return type(self).__name__

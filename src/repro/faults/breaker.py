@@ -41,9 +41,8 @@ class CircuitBreaker:
             breaker proactively.
         tracer: a :class:`~repro.obs.Tracer`; every state transition is
             additionally emitted as an instant on the ``breaker`` track.
-            ``None`` (or the falsy NullTracer) records nothing.  The
-            :attr:`timeline` attribute is kept either way, so existing
-            consumers are unaffected.
+            ``None`` records nothing.  The :attr:`timeline` attribute is
+            kept either way, so existing consumers are unaffected.
     """
 
     def __init__(
@@ -67,7 +66,7 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.degraded_fraction = degraded_fraction
         self.degraded_grace = degraded_grace
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.reset()
 
     def reset(self) -> None:

@@ -4,9 +4,8 @@
 
 * :class:`Tracer` records spans, instants and counter samples stamped
   with **simulator virtual time** — traces are byte-stable per seed.
-  The falsy :class:`NullTracer` is the zero-overhead default; engines
-  normalize ``tracer or None`` so disabled tracing costs one branch at
-  cold emission sites and nothing on the per-page hot path.
+  ``None`` is the default everywhere, so disabled tracing costs one
+  branch at cold emission sites and nothing on the per-page hot path.
 * :class:`MetricsRegistry` holds counters, gauges, streaming-percentile
   histograms and timestamped series under dotted names, consolidating
   what used to live on ``OptimizedQuery.stats``, the breaker timeline
@@ -37,17 +36,14 @@ from .metrics import (
     Series,
     percentile,
 )
-from .tracer import NULL_TRACER, NullTracer, SpanHandle, TraceEvent, Tracer
+from .tracer import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "Series",
-    "SpanHandle",
     "TraceEvent",
     "TraceReport",
     "Tracer",

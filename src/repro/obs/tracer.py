@@ -7,12 +7,12 @@ engines are deterministic per seed, so is every timestamp, which makes
 a trace a byte-stable artifact: two runs of the same seed export the
 same Chrome-trace JSON down to the last float.
 
-The default everywhere is the :class:`NullTracer`, which is *falsy* and
-drops every call.  Instrumentation sites across the engines guard with
-a single truthiness/None check (``if tracer is not None:``), so a
-disabled tracer costs one branch at event-emission sites that are
-already off the inner per-page loop — the frozen trace/plan corpora
-are unaffected (``benchmarks/e2e`` prices the tracer on and off).
+Tracing is off when the tracer is ``None``, the default everywhere.
+Instrumentation sites across the engines guard with a single
+``if tracer is not None:`` check, so a disabled tracer costs one branch
+at event-emission sites that are already off the inner per-page loop —
+the frozen trace/plan corpora are unaffected (``benchmarks/e2e`` prices
+the tracer on and off).
 
 Tracks name the timeline a record belongs to (``task:io0``,
 ``tenant:olap``, ``disk:2``, ``optimizer`` …); the Chrome exporter maps
@@ -22,7 +22,7 @@ per task/tenant/disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ObsError
 
@@ -56,51 +56,6 @@ class TraceEvent:
     args: dict | None = None
 
 
-class SpanHandle:
-    """An open span returned by :meth:`Tracer.begin`.
-
-    Call :meth:`end` with the closing virtual time to record the
-    completed span.  Ending twice raises; never ending simply records
-    nothing (the span is dropped, not flushed half-open).
-    """
-
-    __slots__ = ("_tracer", "name", "cat", "track", "start", "args", "_closed")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        cat: str,
-        track: str,
-        start: float,
-        args: dict | None,
-    ) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.cat = cat
-        self.track = track
-        self.start = start
-        self.args = args
-        self._closed = False
-
-    def end(self, t: float, *, args: dict | None = None) -> None:
-        """Close the span at virtual time ``t`` and record it."""
-        if self._closed:
-            raise ObsError(f"span {self.name!r} ended twice")
-        self._closed = True
-        merged = self.args
-        if args:
-            merged = {**(self.args or {}), **args}
-        self._tracer.span(
-            self.name,
-            t=self.start,
-            dur=t - self.start,
-            track=self.track,
-            cat=self.cat,
-            args=merged,
-        )
-
-
 class Tracer:
     """Collects trace events for one (or several back-to-back) runs.
 
@@ -111,13 +66,11 @@ class Tracer:
     tracer attached and assert byte-identical results.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
     def __bool__(self) -> bool:
-        """A live tracer is truthy (the NullTracer is not)."""
+        """A tracer is truthy even while empty (``__len__`` would say 0)."""
         return True
 
     def __len__(self) -> int:
@@ -150,18 +103,6 @@ class Tracer:
                 args=args,
             )
         )
-
-    def begin(
-        self,
-        name: str,
-        *,
-        t: float,
-        track: str,
-        cat: str = "sim",
-        args: dict | None = None,
-    ) -> SpanHandle:
-        """Open a span at ``t``; record it when the handle is ended."""
-        return SpanHandle(self, name, cat, track, t, args)
 
     def instant(
         self,
@@ -225,55 +166,3 @@ class Tracer:
         """Drop every recorded event."""
         self.events.clear()
 
-
-class NullTracer:
-    """The zero-overhead disabled tracer: falsy, drops every call.
-
-    Engines treat ``tracer or None`` as their stored handle, so passing
-    a NullTracer is exactly equivalent to passing ``None`` — the frozen
-    corpora replay unchanged either way, which the obs test suite
-    asserts.
-    """
-
-    enabled = False
-    #: Always-empty event view, so read-only consumers need no check.
-    events: tuple = ()
-
-    def __bool__(self) -> bool:
-        """The NullTracer is falsy: ``tracer or None`` discards it."""
-        return False
-
-    def __len__(self) -> int:
-        """Always zero events."""
-        return 0
-
-    def span(self, name: str, **kwargs) -> None:
-        """Drop the span."""
-
-    def begin(self, name: str, **kwargs) -> "NullTracer":
-        """Return self; the matching :meth:`end` is also a no-op."""
-        return self
-
-    def end(self, t: float, **kwargs) -> None:
-        """Drop the span end."""
-
-    def instant(self, name: str, **kwargs) -> None:
-        """Drop the instant."""
-
-    def counter(self, name: str, **kwargs) -> None:
-        """Drop the counter sample."""
-
-    def by_category(self) -> dict:
-        """Always empty."""
-        return {}
-
-    def tracks(self) -> list:
-        """Always empty."""
-        return []
-
-    def clear(self) -> None:
-        """Nothing to drop."""
-
-
-#: Shared default instance; safe because the NullTracer has no state.
-NULL_TRACER = NullTracer()

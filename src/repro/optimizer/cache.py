@@ -108,18 +108,6 @@ class CacheStats:
         for name in asdict(self):
             setattr(self, name, 0)
 
-    def publish(self, registry, *, prefix: str = "optimizer") -> None:
-        """Fold the counters into a unified metrics registry.
-
-        Each field becomes the counter ``{prefix}.{field}`` on the
-        given :class:`~repro.obs.MetricsRegistry`; values add, so
-        publishing after every query accumulates whole-run totals when
-        the stats are reset between queries (the hot enumeration loop
-        keeps incrementing plain ints either way).
-        """
-        for key, value in self.as_dict().items():
-            registry.counter(f"{prefix}.{key}").inc(value)
-
 
 @dataclass
 class OptimizerCaches:

@@ -355,11 +355,13 @@ def enumerate_space(
     *,
     space: str = "bushy",
     methods: tuple[str, ...] = JOIN_METHODS,
-    avoid_cross_products: bool = True,
     stats: CacheStats | None = None,
     caches: OptimizerCaches | None = None,
 ) -> pn.PlanNode:
     """Dynamic-programming search for the cheapest plan.
+
+    Cross products are considered only when the query's join graph is
+    disconnected; otherwise every split joins on a predicate.
 
     Args:
         query: the query block.
@@ -375,8 +377,6 @@ def enumerate_space(
             ``machine`` and ``caches`` attributes.
         space: ``"left-deep"``, ``"right-deep"`` or ``"bushy"``.
         methods: join methods to consider.
-        avoid_cross_products: skip unconnected splits when the join
-            graph is connected.
         stats: optional counters (candidates/pruned/costed) for
             observability; defaults to ``caches.stats``.
         caches: the memos ``cost`` estimates into.  The search drops
@@ -393,8 +393,8 @@ def enumerate_space(
     join's primary predicate) and the selections on its relations, as
     structural values plus their rendering (``1`` and ``1.0`` are equal
     but label a plan differently).  A query's own key — ``cost.memo_key``,
-    ``space``, ``methods``, ``avoid_cross_products``, the relations,
-    the joins and the selections in query order, and the projection —
+    ``space``, ``methods``, the relations, the joins and the
+    selections in query order, and the projection —
     is looked up in ``caches.queries`` first: a repeated query returns
     its finished plan without being validated again, so validation runs
     once per structurally distinct query per catalog epoch (a query
@@ -417,7 +417,7 @@ def enumerate_space(
     if memo_key is not None:
         selections = tuple((rel, p, repr(p)) for rel, p in query.selections.items())
         query_key = (
-            memo_key, space, methods, avoid_cross_products, tuple(query.relations),
+            memo_key, space, methods, tuple(query.relations),
             tuple(query.joins), selections, tuple(query.projection or ()),
         )
         try:
@@ -432,7 +432,7 @@ def enumerate_space(
     query.validate(catalog)
     graph = query.join_index()
     full = frozenset(query.relations)
-    allow_cross = not (avoid_cross_products and graph.is_connected(full))
+    allow_cross = not graph.is_connected(full)
     estimates = caches.node_estimates if caches is not None else None
     memo = caches.subplans if query_key is not None else None
     config = (memo_key, space, methods, allow_cross)

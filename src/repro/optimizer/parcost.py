@@ -92,7 +92,6 @@ def _policy_cache_key(policy: SchedulingPolicy | None) -> tuple | None:
             policy.use_effective_bandwidth,
             policy.pairing,
             policy.degradation_aware,
-            policy.rebalance_threshold,
         )
     if cls is InterWithoutAdjPolicy:
         return (

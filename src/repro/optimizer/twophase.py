@@ -151,7 +151,7 @@ class TwoPhaseOptimizer:
             emits one deterministic instant on the ``optimizer`` track
             carrying this query's candidate/pruned/costed and sub-plan
             hit/miss deltas.
-            ``None`` (or the falsy NullTracer) records nothing.
+            ``None`` records nothing.
         metrics: a :class:`~repro.obs.MetricsRegistry`; each
             ``optimize`` call folds this query's cache-counter deltas
             into ``optimizer.*`` counters and its phase-1 wall time into
@@ -179,7 +179,7 @@ class TwoPhaseOptimizer:
         self.caches: OptimizerCaches | None = (
             OptimizerCaches() if fast_path else None
         )
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.metrics = metrics
 
     @property

@@ -8,7 +8,6 @@ down per-slave pipes and slaves reply on a shared report queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .partition import PageAssignment
 

@@ -118,10 +118,6 @@ class PlanEstimate:
         """Total sequential-execution io seconds across the plan."""
         return sum(self.io_time(e) for e in self.by_node.values())
 
-    def total_memory(self) -> float:
-        """Working memory the whole plan would pin if run as one task."""
-        return sum(e.memory_bytes for e in self.by_node.values())
-
     def seqcost(self) -> float:
         """Estimated sequential elapsed time of the whole plan (seconds).
 

@@ -58,7 +58,7 @@ class RecoveryManager:
             raise RecoveryError("min_interval must be >= 0")
         self.enabled = enabled
         self.min_interval = min_interval
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.metrics = metrics
         self.last: Checkpoint | None = None
         self.captures = 0

@@ -141,14 +141,17 @@ class BalanceAwareAdmission(AdmissionPolicy):
         return best[1].submission
 
 
+#: The admission policies by CLI name (``name`` lower-cased), in the
+#: order ``serve --admission`` lists them.
+ADMISSION_POLICIES: dict[str, type[AdmissionPolicy]] = {
+    cls.name.lower(): cls for cls in (BalanceAwareAdmission, FifoAdmission)
+}
+
+
 def admission_by_name(name: str) -> AdmissionPolicy:
     """Construct an admission policy from its CLI name."""
-    table = {
-        "fifo": FifoAdmission,
-        "balance": BalanceAwareAdmission,
-    }
     try:
-        cls = table[name.lower()]
+        cls = ADMISSION_POLICIES[name.lower()]
     except KeyError:
         raise ServiceError(f"unknown admission policy: {name!r}") from None
     return cls()

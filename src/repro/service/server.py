@@ -303,13 +303,13 @@ class AdmissionGate(SchedulingPolicy):
             seconds to finish; if they do, the submission completes
             ``"degraded"``, otherwise it is killed at the grace bound.
         deadline_grace: extra virtual seconds ``"shed"`` grants running
-            fragments past the deadline before killing them (0 kills
-            at the deadline, like ``"kill"`` but shedding cheapest
-            pending fragments first).
+            fragments past the deadline before killing them.  At 0,
+            ``"shed"`` is ``"kill"``: the grace bound has passed by the
+            first instant a deadline is enforced, so both cancel every
+            unfinished fragment then, cheapest first.
         tracer: a :class:`~repro.obs.Tracer` recording admission
             decisions (queue-wait spans, backoff/shed instants) at
-            virtual time; ``None`` (or the falsy NullTracer) records
-            nothing.
+            virtual time; ``None`` records nothing.
     """
 
     name = "ADMISSION-GATE"
@@ -346,7 +346,7 @@ class AdmissionGate(SchedulingPolicy):
         self.breaker = breaker
         self.deadline_policy = deadline_policy
         self.deadline_grace = deadline_grace
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.load(submissions)
 
     def load(self, submissions: Sequence[ServiceSubmission]) -> None:
@@ -842,8 +842,7 @@ class QueryService:
         degradations: scheduled disk-bandwidth degradation windows,
             applied by the fluid engine and observed by the breaker.
         tracer: a :class:`~repro.obs.Tracer` threaded into the gate
-            and the fluid engine; ``None`` (or the falsy NullTracer)
-            records nothing.
+            and the fluid engine; ``None`` records nothing.
         metrics: a :class:`~repro.obs.MetricsRegistry` the digest step
             populates with ``service.*`` counters, histograms and the
             breaker-state series; ``None`` skips it.
@@ -869,7 +868,7 @@ class QueryService:
         self.machine = machine or paper_machine()
         self.timeline_bucket = timeline_bucket
         self.degradations = tuple(degradations or ())
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.metrics = metrics
         self.gate = AdmissionGate(
             inner=scheduler or InterWithAdjPolicy(),

@@ -117,11 +117,10 @@ class FluidSimulator:
             nominal ``machine``, so a degraded run progresses exactly
             like a healthy one under the same decisions.
         tracer: a :class:`~repro.obs.Tracer` recording task spans and
-            start/adjust/shed instants at virtual time; ``None`` (or
-            the falsy NullTracer) records nothing.  Emission sites are
-            per-event, never inside the rate solve, and guard with one
-            None check — parcost's costing loop is unaffected when
-            tracing is off.
+            start/adjust/shed instants at virtual time; ``None``
+            records nothing.  Emission sites are per-event, never
+            inside the rate solve, and guard with one None check —
+            parcost's costing loop is unaffected when tracing is off.
         invariants: an :class:`~repro.check.InvariantChecker` asserting
             clock monotonicity, parallelism bounds and utilization at
             every event; ``None`` (the default) checks nothing and
@@ -157,7 +156,7 @@ class FluidSimulator:
         #: every event; memoizing avoids rebuilding two dataclasses per
         #: event while a window is open.
         self._machine_by_scale: dict[float, MachineConfig] = {}
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.invariants = invariants
 
     def _multiplier_at(self, t: float) -> float:

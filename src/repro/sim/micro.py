@@ -324,9 +324,8 @@ class MicroSimulator:
             default) captures nothing and adds zero per-event work.
         tracer: a :class:`~repro.obs.Tracer` recording task spans,
             adjustment rounds and fault instants at virtual time;
-            ``None`` (or the falsy NullTracer) records nothing.  The
-            tracer only appends to its own event list, so enabling it
-            cannot perturb the schedule.
+            ``None`` records nothing.  The tracer only appends to its
+            own event list, so enabling it cannot perturb the schedule.
         invariants: an :class:`~repro.check.InvariantChecker` asserting
             page conservation, clock monotonicity and resource bounds
             at the engine's cold sites; ``None`` (the default) checks
@@ -363,7 +362,7 @@ class MicroSimulator:
         self.fault_seed = fault_seed
         self.adjust_timeout = adjust_timeout
         self.recovery = recovery
-        self.tracer = tracer or None
+        self.tracer = tracer
         self.invariants = invariants
 
     def run(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import ReproError
 
@@ -113,9 +112,3 @@ def unquote(literal: str) -> str:
     """Strip quotes from a string literal and unescape ``''``."""
     return literal[1:-1].replace("''", "'")
 
-
-def iter_significant(tokens: list[Token]) -> Iterator[Token]:
-    """All tokens except the trailing END sentinel."""
-    for token in tokens:
-        if token.kind != END:
-            yield token

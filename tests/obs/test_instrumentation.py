@@ -6,15 +6,20 @@ Two contracts are pinned here against the frozen trace corpus
 * a **live tracer** attached to the micro engine replays the corpus
   byte-identically — the tracer only copies timestamps the engine
   already holds, it never changes a schedule;
-* a **NullTracer** normalizes to ``None`` inside the engines, so the
-  disabled default is exactly the seed behaviour (zero overhead on the
-  per-page hot path, nothing stored, nothing branched in the loop).
+* ``None``, the disabled default, replays it too and stores no tracer
+  (zero overhead on the per-page hot path, nothing branched in the loop);
+* every constructor that takes a ``tracer`` keeps the one it is given,
+  even an empty (but truthy) one.
 """
 
+from repro.catalog import Catalog
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy, policy_by_name
-from repro.faults import preset_schedule
-from repro.obs import NULL_TRACER, Tracer
+from repro.faults import CircuitBreaker, preset_schedule
+from repro.obs import Tracer
+from repro.optimizer import TwoPhaseOptimizer
+from repro.recovery import RecoveryManager
+from repro.service import AdmissionGate, FifoAdmission, QueryService
 from repro.sim.fluid import FluidSimulator
 from repro.sim.micro import MicroSimulator
 from repro.workloads import WorkloadConfig, WorkloadKind
@@ -73,7 +78,7 @@ class TestTracedRunsMatchFrozenCorpus:
         assert "fault" in cats
 
     def test_null_tracer_is_exactly_the_disabled_default(self):
-        sim, result = run_healthy(1, "INTER-WITH-ADJ", NULL_TRACER)
+        sim, result = run_healthy(1, "INTER-WITH-ADJ", None)
         assert sim.tracer is None
         assert trace_digest(result) == CORPUS["healthy/seed1/INTER-WITH-ADJ"]
 
@@ -138,6 +143,24 @@ class TestFluidInstrumentation:
         ]
         assert len(spans) == len(result.records)
 
-    def test_null_tracer_normalizes_to_none(self):
-        sim = FluidSimulator(paper_machine(), tracer=NULL_TRACER)
-        assert sim.tracer is None
+
+def test_every_constructor_keeps_the_tracer_it_is_given():
+    # An empty Tracer has no events; it must still be stored, not
+    # swapped for None by a truthiness test.
+    tracer = Tracer()
+    machine = paper_machine()
+    service = QueryService(machine, tracer=tracer)
+    holders = [
+        FluidSimulator(machine, tracer=tracer),
+        MicroSimulator(machine, tracer=tracer),
+        AdmissionGate(
+            inner=InterWithAdjPolicy(), admission=FifoAdmission(), tracer=tracer
+        ),
+        service,
+        service.gate,
+        TwoPhaseOptimizer(Catalog(), machine=machine, tracer=tracer),
+        RecoveryManager(tracer=tracer),
+        CircuitBreaker(tracer=tracer),
+    ]
+    for holder in holders:
+        assert holder.tracer is tracer, type(holder).__name__

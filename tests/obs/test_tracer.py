@@ -1,9 +1,9 @@
-"""Tests for the span tracer and the zero-overhead NullTracer."""
+"""Tests for the span tracer."""
 
 import pytest
 
 from repro.errors import ObsError, ReproError
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+from repro.obs import Tracer
 
 
 class TestTracer:
@@ -39,27 +39,8 @@ class TestTracer:
         assert tracer.events[1].value == 4.0
         assert tracer.events[1].track == "counters"
 
-    def test_begin_end_records_span(self):
-        tracer = Tracer()
-        handle = tracer.begin("work", t=2.0, track="t", args={"a": 1})
-        handle.end(5.0, args={"b": 2})
-        (event,) = tracer.events
-        assert event.start == 2.0
-        assert event.dur == 3.0
-        assert event.args == {"a": 1, "b": 2}
-
-    def test_ending_a_span_twice_raises(self):
-        handle = Tracer().begin("once", t=0.0, track="t")
-        handle.end(1.0)
-        with pytest.raises(ObsError):
-            handle.end(2.0)
-
-    def test_unended_begin_records_nothing(self):
-        tracer = Tracer()
-        tracer.begin("dropped", t=0.0, track="t")
-        assert len(tracer) == 0
-
     def test_truthiness_and_len(self):
+        # An empty tracer is truthy: ``__bool__`` overrides ``__len__``.
         tracer = Tracer()
         assert tracer
         assert len(tracer) == 0
@@ -82,27 +63,3 @@ class TestTracer:
         tracer.clear()
         assert len(tracer) == 0
 
-
-class TestNullTracer:
-    def test_is_falsy_so_or_none_discards_it(self):
-        # This is the zero-overhead contract: engines store
-        # ``tracer or None`` and a NullTracer normalizes to None.
-        assert not NULL_TRACER
-        assert (NULL_TRACER or None) is None
-
-    def test_all_recording_calls_are_no_ops(self):
-        null = NullTracer()
-        null.span("s", t=0.0, dur=1.0, track="t")
-        null.instant("i", t=0.0, track="t")
-        null.counter("c", t=0.0, value=1.0)
-        handle = null.begin("b", t=0.0, track="t")
-        handle.end(1.0)
-        assert len(null) == 0
-        assert null.events == ()
-        assert null.by_category() == {}
-        assert null.tracks() == []
-        null.clear()
-
-    def test_enabled_flags(self):
-        assert Tracer().enabled
-        assert not NullTracer().enabled

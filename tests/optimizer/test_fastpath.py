@@ -12,12 +12,13 @@ may and may not share.
 
 from __future__ import annotations
 
+import inspect
 from functools import partial
 
 import pytest
 
 from repro.config import paper_machine
-from repro.core.schedulers import InterWithAdjPolicy
+from repro.core.schedulers import POLICIES, InterWithAdjPolicy
 from repro.executor import between
 from repro.optimizer import (
     JOIN_METHODS,
@@ -145,6 +146,25 @@ class TestParcostCache:
         assert _policy_cache_key(None) == _policy_cache_key(
             InterWithAdjPolicy()
         )
+
+    def test_every_stock_policy_knob_is_in_the_key(self):
+        # A knob the key forgets would let two configurations share
+        # parcost entries.  A new knob of an unlisted kind fails here
+        # until it is given an alternative value (and a key slot).
+        alternatives = {"pairing": "fifo"}
+        for cls in POLICIES.values():
+            params = inspect.signature(cls).parameters.values()
+            assert params, cls.name
+            for param in params:
+                default = param.default
+                other = (
+                    not default if isinstance(default, bool)
+                    else alternatives[param.name]
+                )
+                assert other != default
+                assert _policy_cache_key(cls()) != _policy_cache_key(
+                    cls(**{param.name: other})
+                ), (cls.name, param.name)
 
     def test_uncached_objective_offers_no_pruning_hook(self, chain):
         machine = paper_machine()

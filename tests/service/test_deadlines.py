@@ -11,9 +11,14 @@ import pytest
 
 from repro.config import paper_machine
 from repro.core import make_task
+from repro.core.ids import id_scope
 from repro.errors import AdmissionError, ServiceOverloadError
-from repro.service import QueryService, ServiceSubmission
+from repro.faults.retry import RetryPolicy
+from repro.obs import Tracer
+from repro.service import QueryService, ServiceSubmission, admission_by_name
+from repro.service.arrivals import ArrivalConfig, poisson_stream
 from repro.service.queue import AdmissionQueue
+from repro.service.stress import estimate_capacity
 
 
 @pytest.fixture
@@ -207,6 +212,45 @@ class TestShedPolicy:
             (c.task.name, c.cancelled_at)
             for c in second.schedule.cancel_records
         ]
+
+
+    @pytest.mark.parametrize(
+        "seed, rho, admission, retry",
+        [
+            (0, 1.0, "fifo", False),
+            (1, 3.0, "balance", True),
+            (2, 3.0, "fifo", True),
+            (3, 1.0, "balance", False),
+        ],
+    )
+    def test_zero_grace_is_kill(self, seed, rho, admission, retry):
+        # At the first instant a deadline is enforced its grace bound
+        # has already passed, so "shed" cancels what "kill" cancels, in
+        # the same order: the two runs agree on every recorded byte.
+        config = ArrivalConfig(n_submissions=60, slo_stretch=4.0)
+        rate = rho * estimate_capacity(seed=0, config=config)
+
+        def run(policy):
+            tracer = Tracer()
+            with id_scope():
+                service = QueryService(
+                    admission=admission_by_name(admission),
+                    retry=RetryPolicy() if retry else None,
+                    deadline_policy=policy,
+                    tracer=tracer,
+                )
+                result = service.run(
+                    poisson_stream(rate=rate, seed=seed, config=config)
+                )
+            cancels = [
+                (c.task.name, c.cancelled_at, c.started_at, c.reason)
+                for c in result.schedule.cancel_records
+            ]
+            return result.digest(), result.decide_rounds, cancels, tracer.events
+
+        kill, shed = run("kill"), run("shed")
+        assert kill[2], "the stream must miss some deadlines"
+        assert shed == kill
 
 
 class TestErrorExitPaths:

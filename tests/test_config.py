@@ -26,18 +26,6 @@ class TestDiskProfile:
         with pytest.raises(ConfigError):
             DiskProfile(random_ios_per_sec=200.0)
 
-    def test_rejects_negative_seek(self):
-        with pytest.raises(ConfigError):
-            DiskProfile(seek_time=-1.0)
-
-    def test_effective_seek_derived_when_unset(self):
-        d = DiskProfile()
-        assert d.effective_seek_time == pytest.approx(1 / 35 - 1 / 97)
-
-    def test_effective_seek_explicit(self):
-        d = DiskProfile(seek_time=0.01)
-        assert d.effective_seek_time == 0.01
-
 
 class TestMachineConfig:
     def test_paper_machine_matches_section3(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import (
     AdmissionError,
     BTreeError,
-    CircuitOpenError,
     ConfigError,
     DeadlineExceededError,
     FaultError,
@@ -14,7 +13,6 @@ from repro.errors import (
     ProtocolTimeoutError,
     RecoveryError,
     ReproError,
-    RetryExhaustedError,
     SchedulingError,
     ServiceError,
     ServiceOverloadError,
@@ -81,19 +79,6 @@ class TestProtocolTimeoutError:
 class TestFaultErrors:
     def test_fault_and_resilience_errors_are_repro_errors(self):
         assert issubclass(FaultError, ReproError)
-        assert issubclass(RetryExhaustedError, ServiceError)
-        assert issubclass(CircuitOpenError, ServiceError)
-
-    def test_retry_exhausted_carries_attempts(self):
-        error = RetryExhaustedError(9, 4)
-        assert error.submission_id == 9
-        assert error.attempts == 4
-        assert "4 attempts" in str(error)
-
-    def test_circuit_open_carries_submission(self):
-        error = CircuitOpenError(3)
-        assert error.submission_id == 3
-        assert "breaker is open" in str(error)
 
 
 class TestRecoveryErrors:

@@ -64,7 +64,6 @@ def _run(machine, schedule, seed, *, aware):
         consult_interval=1.0,
         faults=schedule,
         fault_seed=seed,
-        adjust_timeout=0.5,
     )
     return sim.run(_pair(machine), policy)
 

@@ -237,7 +237,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             preset=args.preset,
             seed=args.seed,
             scale=scale,
-            adjust_timeout=args.adjust_timeout,
         )
     except SimulationError as error:
         # A tolerance invariant broke mid-run (e.g. page conservation):
@@ -285,13 +284,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # Byte-stable: virtual-time event counts and simulated
         # quantities only, never wall-clock.
         return _print_smoke(smoke_lines(seed=args.seed))
-    report = run_trace(
-        args.seed,
-        n_tasks=args.tasks,
-        max_pages=args.max_pages,
-        n_submissions=args.submissions,
-        faulted=not args.healthy,
-    )
+    report = run_trace(args.seed, faulted=not args.healthy)
     print(report.summary())
     print()
     print(report.metrics.to_table())
@@ -331,7 +324,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = fuzz(
         n,
         seed=args.seed,
-        deep=not args.shallow,
         executor=args.executor,
         do_shrink=args.shrink,
         progress=progress,
@@ -355,6 +347,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     from .core.schedulers import POLICIES
+    from .faults.schedule import FAULT_PRESETS
     from .service.admission import ADMISSION_POLICIES
 
     parser = argparse.ArgumentParser(
@@ -469,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--preset",
-        choices=("slow-disk", "stall", "crashes", "messages", "mixed"),
+        # crash-heavy is the recovery harness's schedule, not chaos's.
+        choices=tuple(p for p in FAULT_PRESETS if p != "crash-heavy"),
         default="mixed",
         help="built-in fault schedule (scaled to the healthy elapsed time)",
     )
@@ -498,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="workload size multiplier",
-    )
-    chaos.add_argument(
-        "--adjust-timeout",
-        type=float,
-        default=0.5,
-        help="master's adjustment-round timeout, seconds",
     )
     chaos.add_argument(
         "--smoke",
@@ -535,14 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--preset",
-        choices=(
-            "slow-disk",
-            "stall",
-            "crashes",
-            "messages",
-            "mixed",
-            "crash-heavy",
-        ),
+        choices=FAULT_PRESETS,
         default="crash-heavy",
         help="built-in fault schedule (scaled to the healthy elapsed time)",
     )
@@ -563,15 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="record a unified trace and export it"
     )
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--tasks", type=int, default=4, help="micro-engine workload size"
-    )
-    trace.add_argument(
-        "--max-pages", type=int, default=200, help="pages cap per task"
-    )
-    trace.add_argument(
-        "--submissions", type=int, default=10, help="serving stream length"
-    )
     trace.add_argument(
         "--healthy",
         action="store_true",
@@ -624,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the multiprocessing executor differential "
         "(spawns real processes on every 25th seed)",
-    )
-    check.add_argument(
-        "--shallow",
-        action="store_true",
-        help="skip the O(state) checkpoint-roundtrip invariant",
     )
     check.add_argument(
         "--smoke",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..catalog import Catalog
 from ..config import MachineConfig, paper_machine
 from ..errors import ConfigError
-from ..plans.costing import CostModel, estimate_plan
+from ..plans.costing import estimate_plan
 from ..plans.nodes import SeqScanNode
 from ..storage import DiskArray
 from ..workloads.tables import build_r_max, build_r_min
@@ -83,8 +83,6 @@ def measure_scan(
     relation: str,
     *,
     machine: MachineConfig,
-    cost_model: CostModel | None = None,
-    execute: bool = True,
 ) -> ScanMeasurement:
     """Measure a relation's sequential-scan profile.
 
@@ -95,12 +93,8 @@ def measure_scan(
     """
     entry = catalog.table(relation)
     plan = SeqScanNode(relation)
-    if execute:
-        operator = plan.to_operator(catalog, charge_io=False)
-        rows = len(operator.run())
-    else:
-        rows = entry.heap.row_count
-    estimate = estimate_plan(plan, catalog, cost_model=cost_model, machine=machine)
+    rows = len(plan.to_operator(catalog, charge_io=False).run())
+    estimate = estimate_plan(plan, catalog, machine=machine)
     node = estimate.by_node[plan.node_id]
     # Sequential execution at the working (almost-sequential) rate.
     io_time = node.ios / machine.disk.almost_seq_ios_per_sec
@@ -116,25 +110,29 @@ def measure_scan(
     )
 
 
-def measure_disk_regimes(machine: MachineConfig, *, n_ios: int = 500) -> tuple[float, float, float]:
+#: Requests per access pattern in :func:`measure_disk_regimes`.
+_REGIME_IOS = 500
+
+
+def measure_disk_regimes(machine: MachineConfig) -> tuple[float, float, float]:
     """Drive one disk with the three access patterns; return the rates."""
     from ..storage.disk import Disk
 
     # Strictly sequential.
     disk = Disk(0, machine.disk)
     disk.service_time(0)
-    seq = n_ios / sum(disk.service_time(b) for b in range(1, n_ios + 1))
+    seq = _REGIME_IOS / sum(disk.service_time(b) for b in range(1, _REGIME_IOS + 1))
     # Almost sequential: a parallel scan's slightly reordered stream.
     disk = Disk(0, machine.disk)
     order = []
-    for base in range(0, n_ios, 4):
+    for base in range(0, _REGIME_IOS, 4):
         order.extend([base + 2, base, base + 3, base + 1])
     disk.service_time(order[0])
     almost = (len(order) - 1) / sum(disk.service_time(b) for b in order[1:])
     # Random: scattered blocks far beyond any stream memory.
     disk = Disk(0, machine.disk)
     stride = 10_000
-    blocks = [((i * 7919) % n_ios) * stride for i in range(n_ios)]
+    blocks = [((i * 7919) % _REGIME_IOS) * stride for i in range(_REGIME_IOS)]
     random_rate = len(blocks) / sum(disk.service_time(b) for b in blocks)
     return seq, almost, random_rate
 
@@ -142,7 +140,6 @@ def measure_disk_regimes(machine: MachineConfig, *, n_ios: int = 500) -> tuple[f
 def calibrate(
     *,
     machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
     n_rows_min: int = 4000,
     n_rows_max: int = 400,
     seed: int = 0,
@@ -153,8 +150,8 @@ def calibrate(
     catalog = Catalog()
     build_r_min(catalog, array, n_rows=n_rows_min, seed=seed)
     build_r_max(catalog, array, n_rows=n_rows_max, seed=seed)
-    r_min = measure_scan(catalog, "r_min", machine=machine, cost_model=cost_model)
-    r_max = measure_scan(catalog, "r_max", machine=machine, cost_model=cost_model)
+    r_min = measure_scan(catalog, "r_min", machine=machine)
+    r_max = measure_scan(catalog, "r_max", machine=machine)
     seq, almost, random_rate = measure_disk_regimes(machine)
     return CalibrationResult(
         machine=machine,

@@ -75,7 +75,6 @@ def check_micro_vs_fluid(
     policy=None,
     invariants=None,
     rel_elapsed: float | None = None,
-    abs_io_util: float | None = None,
     abs_cpu_util: float | None = None,
 ) -> list[str]:
     """Run ``specs`` through both engines; return bounded divergences."""
@@ -91,10 +90,7 @@ def check_micro_vs_fluid(
             rel_elapsed = REL_ELAPSED_RANDOM
         if any_range:
             rel_elapsed = REL_ELAPSED_RANGE
-    if abs_io_util is None:
-        abs_io_util = (
-            ABS_IO_UTIL_LOOSE if any_random or any_range else ABS_IO_UTIL
-        )
+    abs_io_util = ABS_IO_UTIL_LOOSE if any_random or any_range else ABS_IO_UTIL
     if abs_cpu_util is None:
         abs_cpu_util = ABS_CPU_UTIL
         if any_random:
@@ -154,8 +150,9 @@ def check_recursion_vs_fluid(
     return []
 
 
-def check_optimizer_fast_path(schema, *, spaces=("left-deep", "right-deep", "bushy")) -> list[str]:
-    """Fast path must reproduce the reference plan bit-for-bit."""
+def check_optimizer_fast_path(schema) -> list[str]:
+    """Fast path must reproduce the reference plan bit-for-bit, in every
+    search space."""
     from ..optimizer import (
         OptimizerCaches,
         ParcostObjective,
@@ -165,7 +162,7 @@ def check_optimizer_fast_path(schema, *, spaces=("left-deep", "right-deep", "bus
     )
 
     divergences: list[str] = []
-    for space in spaces:
+    for space in ("left-deep", "right-deep", "bushy"):
         chosen = {}
         for fast_path in (False, True):
             caches = OptimizerCaches() if fast_path else None

@@ -121,7 +121,6 @@ def run_case(
     scenario: Scenario,
     machine: MachineConfig | None = None,
     *,
-    deep: bool = True,
     executor: bool = False,
 ) -> list[str]:
     """All applicable checks for one scenario; returns failure strings."""
@@ -133,7 +132,7 @@ def run_case(
         return [f"scenario build failed: {exc}"]
     tasks = [s.to_task(machine) for s in specs]
     policy = _policy(scenario.policy)
-    invariants = InvariantChecker(collect=True, deep=deep)
+    invariants = InvariantChecker(collect=True)
 
     if scenario.faults:
         # Fault runs exercise the invariants under crashes and stalls;
@@ -310,7 +309,6 @@ def fuzz(
     *,
     seed: int = 0,
     machine: MachineConfig | None = None,
-    deep: bool = True,
     executor: bool = False,
     do_shrink: bool = False,
     progress=None,
@@ -320,14 +318,12 @@ def fuzz(
     report = FuzzReport()
     for i in range(n):
         scenario = generate_scenario(seed + i)
-        failures = run_case(
-            scenario, machine, deep=deep, executor=executor
-        )
+        failures = run_case(scenario, machine, executor=executor)
         report.cases += 1
         if failures:
             if do_shrink:
                 scenario = shrink(scenario, machine)
-                failures = run_case(scenario, machine, deep=deep)
+                failures = run_case(scenario, machine)
             report.failures.append((scenario, failures))
         if progress is not None and (i + 1) % 25 == 0:
             progress(i + 1, n, len(report.failures))

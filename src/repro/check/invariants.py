@@ -21,14 +21,14 @@ Invariant catalogue (see docs/CHECKING.md for the derivations):
   with half-a-processor slack for the micro engine's integral
   rounding).
 * **utilization** — CPU and IO utilization of a finished run are
-  ``<= 1 + epsilon``.
+  ``<= 1 + 1e-6``.
 * **protocol-generation monotonicity** — a run's ``adjust_epoch``
   only ever grows.
 * **checkpoint roundtrip** — at every round boundary, the engine's
-  checkpoint survives ``to_dict -> json -> from_dict`` losslessly
-  (``deep=True`` only): the header every time, a part (RNG state,
-  running task, completed record, disk) only when it differs from the
-  last one verified in its slot.
+  checkpoint survives ``to_dict -> json -> from_dict`` losslessly:
+  the header every time, a part (RNG state, running task, completed
+  record, disk) only when it differs from the last one verified in its
+  slot.
 
 The checker holds one run's state; the micro engine calls
 :meth:`new_run` when built, so one checker spans ``run_with_recovery``.
@@ -45,30 +45,21 @@ from ..errors import InvariantViolation
 from ..recovery.checkpoint import Checkpoint
 
 _ABS_EPS = 1e-9
+#: Relative slack on utilization and bounds checks.
+_REL_EPS = 1e-6
 
 
 class InvariantChecker:
     """Collects or raises invariant violations from engine hook sites.
 
     Args:
-        epsilon: relative slack on utilization and bounds checks.
         collect: record violations in :attr:`violations` instead of
             raising :class:`~repro.errors.InvariantViolation` at the
             first one (the fuzzer collects; tests usually raise).
-        deep: also verify the checkpoint dict/JSON roundtrip at micro
-            round boundaries.
     """
 
-    def __init__(
-        self,
-        *,
-        epsilon: float = 1e-6,
-        collect: bool = False,
-        deep: bool = True,
-    ) -> None:
-        self.epsilon = epsilon
+    def __init__(self, *, collect: bool = False) -> None:
         self.collect = collect
-        self.deep = deep
         self.violations: list[str] = []
         self.checks = 0
         self._last_clock = float("-inf")
@@ -139,10 +130,8 @@ class InvariantChecker:
             self._last_epoch[run.task.task_id] = max(last, epoch)
             if not run.adjusting:
                 self._check_conservation(label, run)
-        if (
-            self.deep
-            and site in ("adjust", "complete")
-            and not any(r.adjusting for r in engine.runs.values())
+        if site in ("adjust", "complete") and not any(
+            r.adjusting for r in engine.runs.values()
         ):
             self._check_checkpoint_roundtrip(label, engine)
 
@@ -150,16 +139,15 @@ class InvariantChecker:
         """Hook at the end of a micro run, with its ScheduleResult."""
         self.checks += 1
         label = "micro:end"
-        eps = self.epsilon
-        if result.cpu_utilization > 1.0 + eps:
+        if result.cpu_utilization > 1.0 + _REL_EPS:
             self._fail(
                 label, f"cpu_utilization={result.cpu_utilization!r} > 1"
             )
-        if result.io_utilization > 1.0 + eps:
+        if result.io_utilization > 1.0 + _REL_EPS:
             self._fail(label, f"io_utilization={result.io_utilization!r} > 1")
         elapsed = result.elapsed
         for disk in engine.disks:
-            if disk.busy_time > elapsed * (1.0 + eps) + _ABS_EPS:
+            if disk.busy_time > elapsed * (1.0 + _REL_EPS) + _ABS_EPS:
                 self._fail(
                     label,
                     f"disk {disk.disk_id} busy {disk.busy_time!r}s in an "
@@ -171,8 +159,7 @@ class InvariantChecker:
     ) -> None:
         x = run.parallelism
         n = machine.processors
-        eps = self.epsilon
-        if not 1.0 - eps <= x <= n + eps:
+        if not 1.0 - _REL_EPS <= x <= n + _REL_EPS:
             self._fail(
                 label, f"{run.task.name}: parallelism {x!r} outside [1, {n}]"
             )
@@ -182,7 +169,7 @@ class InvariantChecker:
             # continuous degrees to integers, so allow half a processor
             # of rounding slack.
             maxp = max_parallelism(task, machine)
-            if x > maxp * (1.0 + eps) + integral_slack:
+            if x > maxp * (1.0 + _REL_EPS) + integral_slack:
                 self._fail(
                     label,
                     f"{task.name}: parallelism {x!r} exceeds maxp {maxp!r}",
@@ -269,7 +256,6 @@ class InvariantChecker:
         label = "fluid:event"
         self._clock(label, state.clock)
         n = machine.processors
-        eps = self.epsilon
         for run in state.running:
             self._check_parallelism(label, run, machine, integral_slack=0.0)
             if run.remaining < -1e-6:
@@ -277,7 +263,7 @@ class InvariantChecker:
                     label,
                     f"{run.task.name}: remaining work {run.remaining!r} < 0",
                 )
-        if cpu_busy > n * state.clock * (1.0 + eps) + _ABS_EPS:
+        if cpu_busy > n * state.clock * (1.0 + _REL_EPS) + _ABS_EPS:
             self._fail(
                 label,
                 f"cpu_busy={cpu_busy!r} exceeds {n} processors x "
@@ -288,10 +274,9 @@ class InvariantChecker:
         """Hook at the end of a fluid run, with its ScheduleResult."""
         self.checks += 1
         label = "fluid:end"
-        eps = self.epsilon
-        if result.cpu_utilization > 1.0 + eps:
+        if result.cpu_utilization > 1.0 + _REL_EPS:
             self._fail(
                 label, f"cpu_utilization={result.cpu_utilization!r} > 1"
             )
-        if result.io_utilization > 1.0 + eps:
+        if result.io_utilization > 1.0 + _REL_EPS:
             self._fail(label, f"io_utilization={result.io_utilization!r} > 1")

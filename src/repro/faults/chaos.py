@@ -53,6 +53,11 @@ _WORKLOAD_SHAPE = (
 )
 
 
+#: Master-tick period, seconds: the policy needs ticks to notice
+#: mid-task bandwidth drift.  Also the checkpoint interval of a run
+#: that loses its master.
+_TICK = 1.0
+
 #: Names of the chaos workload's tasks: what a crash or deadline fault
 #: drawn for it may name.
 CHAOS_TASK_NAMES = tuple(shape[0] for shape in _WORKLOAD_SHAPE)
@@ -212,8 +217,6 @@ def run_chaos(
     seed: int = 0,
     scale: float = 1.0,
     machine: MachineConfig | None = None,
-    adjust_timeout: float = 0.5,
-    consult_interval: float = 1.0,
 ) -> ChaosReport:
     """One chaos run: healthy baseline, then the faulted replay.
 
@@ -225,9 +228,6 @@ def run_chaos(
             injector's crash-target picks.
         scale: workload size multiplier (smoke runs shrink it).
         machine: machine configuration (defaults to the paper machine).
-        adjust_timeout: master's adjustment-round timeout, seconds.
-        consult_interval: master-tick period, seconds; the policy needs
-            ticks to notice mid-task bandwidth drift.
     """
     machine = machine or paper_machine()
     specs = chaos_workload(machine, scale=scale)
@@ -235,18 +235,17 @@ def run_chaos(
     def policy() -> InterWithAdjPolicy:
         return InterWithAdjPolicy(integral=True, degradation_aware=True)
 
-    healthy = MicroSimulator(
-        machine, seed=seed, consult_interval=consult_interval
-    ).run(specs, policy())
+    healthy = MicroSimulator(machine, seed=seed, consult_interval=_TICK).run(
+        specs, policy()
+    )
     if schedule is None:
         schedule = preset_schedule(preset, horizon=healthy.elapsed)
     simulator = MicroSimulator(
         machine,
         seed=seed,
-        consult_interval=consult_interval,
+        consult_interval=_TICK,
         faults=schedule,
         fault_seed=seed,
-        adjust_timeout=adjust_timeout,
         invariants=InvariantChecker(collect=True),
     )
     recovery: RecoveryRun | None = None
@@ -257,7 +256,7 @@ def run_chaos(
             simulator,
             specs,
             policy(),
-            manager=RecoveryManager(min_interval=consult_interval),
+            manager=RecoveryManager(min_interval=_TICK),
         )
         faulted = recovery.result
     else:
@@ -316,23 +315,22 @@ def run_soak(
     seeds: tuple[int, ...] = (0, 1, 2),
     scale: float = 0.2,
     machine: MachineConfig | None = None,
-    max_deadlines: int = 2,
 ) -> SoakReport:
     """Chaos-soak the engine: random fault schedules layered with
     deadline cancellations, every combination checked for conservation
     and wedge-freedom.
 
     For each seed, ``n_schedules`` seeded random schedules are drawn
-    against the measured healthy horizon, each layered with up to
-    ``max_deadlines`` :class:`~repro.faults.schedule.QueryDeadline`
-    events, and replayed.  Pure function of its arguments — a CI soak
-    and a local one disagree only if the engine does.
+    against the measured healthy horizon, each layered with one or two
+    :class:`~repro.faults.schedule.QueryDeadline` events, and replayed.
+    Pure function of its arguments — a CI soak and a local one disagree
+    only if the engine does.
     """
     machine = machine or paper_machine()
     report = SoakReport(n_schedules=n_schedules, seeds=tuple(seeds))
     for seed in seeds:
         horizon = MicroSimulator(
-            machine, seed=seed, consult_interval=1.0
+            machine, seed=seed, consult_interval=_TICK
         ).run(chaos_workload(machine, scale=scale),
               InterWithAdjPolicy(integral=True, degradation_aware=True),
               ).elapsed
@@ -342,7 +340,6 @@ def run_soak(
                 index,
                 horizon=horizon,
                 task_names=CHAOS_TASK_NAMES,
-                max_deadlines=max_deadlines,
             )
             if index % 5 == 0:
                 # Every fifth schedule also loses the master mid-run,

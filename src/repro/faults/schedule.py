@@ -348,6 +348,10 @@ def load_schedule(path: str) -> FaultSchedule:
 # presets and generators
 
 
+#: The named schedules :func:`preset_schedule` builds, in ``--help`` order.
+FAULT_PRESETS = ("slow-disk", "stall", "crashes", "messages", "mixed", "crash-heavy")
+
+
 def preset_schedule(name: str, *, horizon: float = 60.0) -> FaultSchedule:
     """A named, fully deterministic schedule scaled to ``horizon`` seconds.
 
@@ -360,6 +364,10 @@ def preset_schedule(name: str, *, horizon: float = 60.0) -> FaultSchedule:
         ``crash-heavy`` — three master crashes plus slave crashes and a
         degradation: the recovery benchmark's schedule.
     """
+    if name not in FAULT_PRESETS:
+        raise FaultError(
+            f"unknown preset {name!r}; choose from {sorted(FAULT_PRESETS)}"
+        )
     t = horizon
     table: dict[str, tuple[Fault, ...]] = {
         "slow-disk": (
@@ -397,12 +405,7 @@ def preset_schedule(name: str, *, horizon: float = 60.0) -> FaultSchedule:
         MasterCrash(at=0.6 * t),
         MasterCrash(at=0.85 * t),
     )
-    try:
-        return FaultSchedule(table[name])
-    except KeyError:
-        raise FaultError(
-            f"unknown preset {name!r}; choose from {sorted(table)}"
-        ) from None
+    return FaultSchedule(table[name])
 
 
 def random_schedule(
@@ -411,16 +414,15 @@ def random_schedule(
     horizon: float = 60.0,
     n_disks: int = 4,
     task_names: tuple[str, ...] = (),
-    max_faults: int = 8,
 ) -> FaultSchedule:
-    """A seeded random schedule for property tests.
+    """A seeded random schedule of one to eight faults, for property tests.
 
-    Same ``(seed, horizon, n_disks, task_names, max_faults)`` always
-    yields the same schedule.
+    Same ``(seed, horizon, n_disks, task_names)`` always yields the same
+    schedule.
     """
     rng = random.Random(seed)
     faults: list[Fault] = []
-    for __ in range(rng.randint(1, max_faults)):
+    for __ in range(rng.randint(1, 8)):
         kind = rng.choice(("degrade", "stall", "crash", "drop", "delay"))
         at = rng.uniform(0.0, horizon)
         if kind == "degrade":
@@ -457,9 +459,8 @@ def with_deadlines(
     *,
     horizon: float,
     task_names: tuple[str, ...],
-    max_deadlines: int = 2,
 ) -> FaultSchedule:
-    """Layer seeded :class:`QueryDeadline` events onto a schedule.
+    """Layer one or two seeded :class:`QueryDeadline` events onto a schedule.
 
     A *separate* generator on a separate RNG so the draw sequence of
     :func:`random_schedule` (pinned by the frozen trace corpus) is
@@ -470,7 +471,7 @@ def with_deadlines(
         raise FaultError("with_deadlines: task_names must be non-empty")
     rng = random.Random(f"deadlines:{seed}")
     extra: list[Fault] = []
-    for __ in range(rng.randint(1, max_deadlines)):
+    for __ in range(rng.randint(1, 2)):
         extra.append(
             QueryDeadline(
                 at=rng.uniform(horizon / 4, 3 * horizon / 4),

@@ -72,28 +72,18 @@ class TraceReport:
         return summary_table(self.tracer)
 
 
-def run_trace(
-    seed: int = 0,
-    *,
-    n_tasks: int = 4,
-    max_pages: int = 200,
-    n_submissions: int = 10,
-    n_relations: int = 4,
-    faulted: bool = True,
-) -> TraceReport:
+def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
     """Trace one optimizer + service + micro-engine slice of the system.
 
-    All three phases share one tracer and one metrics registry; every
-    timestamp is simulator virtual time, so the report's Chrome export
-    is byte-identical across runs of the same arguments.
+    The slice: a four-relation star join, a ten-submission stream and a
+    four-task micro-engine mix of at most 200 pages per task.  All three
+    phases share one tracer and one metrics registry; every timestamp is
+    simulator virtual time, so the report's Chrome export is
+    byte-identical across runs of the same arguments.
 
     Args:
         seed: keys the join workload, the arrival stream and the
             micro-engine page scatter.
-        n_tasks: micro-engine workload size.
-        max_pages: pages cap per micro-engine task.
-        n_submissions: serving-mode stream length.
-        n_relations: total relations of the optimized star join.
         faulted: run the micro phase under the deterministic ``mixed``
             fault preset so the trace shows degradation, stall and
             crash instants.
@@ -121,9 +111,7 @@ def run_trace(
     # Scoped node ids, so in-process reruns build byte-identical
     # schemas; row counts keep the search small but non-trivial.
     with id_scope():
-        schema = star_join(
-            n_relations - 1, fact_rows=400, dimension_rows=80, seed=seed
-        )
+        schema = star_join(3, fact_rows=400, dimension_rows=80, seed=seed)
     optimizer = TwoPhaseOptimizer(
         schema.catalog, tracer=tracer, metrics=metrics
     )
@@ -147,7 +135,7 @@ def run_trace(
     stream = poisson_stream(
         rate=0.5,
         seed=seed,
-        config=mixed_tenant_config(n_submissions),
+        config=mixed_tenant_config(10),
         machine=machine,
     )
     service_result = service.run(stream)
@@ -160,7 +148,7 @@ def run_trace(
         WorkloadKind.RANDOM,
         seed=seed,
         machine=machine,
-        config=WorkloadConfig(n_tasks=n_tasks, max_pages=max_pages),
+        config=WorkloadConfig(n_tasks=4, max_pages=200),
     )
     faults = preset_schedule("mixed", horizon=6.0) if faulted else None
     micro = MicroSimulator(

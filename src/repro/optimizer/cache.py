@@ -34,9 +34,10 @@ caches object with a catalog calls :meth:`OptimizerCaches.sync`, which
 drops every memo when the catalog (or its
 :attr:`~repro.catalog.catalog.Catalog.stats_epoch`) is not the one they
 were filled under.  Nobody has to remember to clear anything after an
-ANALYZE.  What a caches object still assumes is one cost model and one
-machine family for its ``node_estimates`` and the subtree memo beside
-them (a fragment summary prices io on the machine's disks).
+ANALYZE.  What a caches object still assumes is one machine family for
+its ``node_estimates`` and the subtree memo beside them (a fragment
+summary prices io on the machine's disks); the CPU cost model is one set
+of module constants, so a node's estimate is keyed by its id alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from dataclasses import asdict, dataclass, field
 from ..catalog.catalog import Catalog
 from ..config import MachineConfig
 from ..plans.costing import (
-    CostModel,
     EstimateMemo,
     PlanEstimate,
     Subtree,
@@ -174,16 +174,13 @@ class OptimizerCaches:
         plan: PlanNode,
         catalog: Catalog,
         *,
-        cost_model: CostModel | None,
         machine: MachineConfig,
     ) -> PlanEstimate:
         """``estimate_plan`` through the node memo, counting its use."""
         self.sync(catalog)
         memo = self.node_estimates
         known = len(memo)
-        estimate = estimate_plan(
-            plan, catalog, cost_model=cost_model, machine=machine, cache=memo
-        )
+        estimate = estimate_plan(plan, catalog, machine=machine, cache=memo)
         computed = len(memo) - known
         self.stats.estimate_misses += computed
         self.stats.estimate_hits += len(estimate.by_node) - computed

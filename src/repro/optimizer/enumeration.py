@@ -57,7 +57,6 @@ from ..errors import OptimizerError
 from ..executor.expressions import And, col, column_bounds, eq
 from ..plans import nodes as pn
 from ..plans.costing import (
-    CostModel,
     EstimateMemo,
     NodeEstimate,
     equijoin_rows,
@@ -157,7 +156,6 @@ def join_costs(
     inner: NodeEstimate,
     predicates: list[JoinPredicate],
     outer_rels: frozenset[str],
-    model: CostModel,
     *,
     methods: tuple[str, ...] = JOIN_METHODS,
 ) -> Iterator[tuple[str, float]]:
@@ -172,17 +170,17 @@ def join_costs(
     if not predicates:
         if "nestloop" in methods:
             rows = outer.rows * inner.rows
-            yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows, model)
+            yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows)
         return
     rows = equijoin_rows(outer, inner, *predicates[0].oriented(outer_rels))
-    residual = filter_cpu(rows, model) if len(predicates) > 1 else 0.0
+    residual = filter_cpu(rows) if len(predicates) > 1 else 0.0
     if "hash" in methods:
-        yield "hash", hash_join_cpu(outer.rows, inner.rows, rows, model) + residual
+        yield "hash", hash_join_cpu(outer.rows, inner.rows, rows) + residual
     if "merge" in methods:
-        sorts = sort_cpu(outer.rows, model) + sort_cpu(inner.rows, model)
-        yield "merge", sorts + merge_join_cpu(outer.rows, inner.rows, rows, model) + residual
+        sorts = sort_cpu(outer.rows) + sort_cpu(inner.rows)
+        yield "merge", sorts + merge_join_cpu(outer.rows, inner.rows, rows) + residual
     if "nestloop" in methods:
-        yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows, model) + residual
+        yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows) + residual
 
 
 def plan_shape_key(plan: pn.PlanNode) -> str:
@@ -373,8 +371,8 @@ def enumerate_space(
             cost sums and :func:`join_costs`, the cell is settled
             cheapest bound first, and only recipes the incumbent does
             not provably beat are built.  Without it, all are.  Such an
-            objective also says what it estimates under: ``cost_model``,
-            ``machine`` and ``caches`` attributes.
+            objective also says what it estimates under: ``machine`` and
+            ``caches`` attributes.
         space: ``"left-deep"``, ``"right-deep"`` or ``"bushy"``.
         methods: join methods to consider.
         stats: optional counters (candidates/pruned/costed) for
@@ -470,11 +468,9 @@ def enumerate_space(
     sums: dict[frozenset[str], tuple[NodeEstimate, float, float]] = {}
     pre_bound = getattr(cost, "pre_bound", None)
     if pre_bound is not None:  # such an objective says what it estimates under
-        model = cost.cost_model or CostModel()
         summarize = partial(
             subtree_sums,
             catalog=catalog,
-            cost_model=cost.cost_model,
             machine=cost.machine,
             cache=cost.caches.node_estimates,
         )
@@ -502,7 +498,7 @@ def enumerate_space(
                 inner, inner_seq, inner_ios = sums[inner_set]
                 seq, ios = outer_seq + inner_seq, outer_ios + inner_ios
                 for method, own in join_costs(
-                    outer, inner, predicates, outer_set, model, methods=methods
+                    outer, inner, predicates, outer_set, methods=methods
                 ):
                     rows.append((pre_bound(seq + own, ios), (*join, method)))
         return rows

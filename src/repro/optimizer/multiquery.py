@@ -30,7 +30,7 @@ from ..config import MachineConfig, paper_machine
 from ..core.schedulers import InterWithAdjPolicy, SchedulingPolicy
 from ..core.task import Task
 from ..errors import OptimizerError
-from ..plans.costing import CostModel, estimate_plan
+from ..plans.costing import estimate_plan
 from ..plans.fragments import FragmentGraph, fragment_plan
 from ..plans.nodes import PlanNode
 from ..sim.fluid import FluidSimulator, ScheduleResult
@@ -100,7 +100,6 @@ class MultiQueryScheduler:
     Args:
         catalog: shared catalog (all queries run against it).
         machine: the machine configuration.
-        cost_model: CPU constants for estimation.
         mode: phase-1 optimizer mode per query.  The paper's multi-user
             recommendation is LEFT_DEEP_SEQ — inter-operation
             parallelism then comes from *other queries'* tasks.
@@ -111,16 +110,12 @@ class MultiQueryScheduler:
         catalog: Catalog,
         *,
         machine: MachineConfig | None = None,
-        cost_model: CostModel | None = None,
         mode: OptimizerMode = OptimizerMode.LEFT_DEEP_SEQ,
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.cost_model = cost_model
         self.mode = mode
-        self._optimizer = TwoPhaseOptimizer(
-            catalog, machine=self.machine, cost_model=cost_model
-        )
+        self._optimizer = TwoPhaseOptimizer(catalog, machine=self.machine)
 
     def optimize_batch(
         self, submissions: Sequence[QuerySubmission]
@@ -141,7 +136,6 @@ class MultiQueryScheduler:
             estimate = estimate_plan(
                 plan,
                 self.catalog,
-                cost_model=self.cost_model,
                 machine=self.machine,
                 cache=caches.node_estimates if caches is not None else None,
             )

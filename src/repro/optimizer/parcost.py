@@ -37,7 +37,7 @@ from ..core.schedulers import (
     SchedulingPolicy,
 )
 from ..core.task import Task
-from ..plans.costing import CostModel, PlanEstimate, estimate_plan
+from ..plans.costing import PlanEstimate, estimate_plan
 from ..plans.fragments import (
     FragmentGraph,
     fragment_plan,
@@ -131,7 +131,7 @@ def _lower_bound(seqcost: float, total_ios: float, machine: MachineConfig) -> fl
     return max(seqcost / machine.processors, total_ios / machine.io_bandwidth)
 
 
-def _prepare(plan, catalog, machine, cost_model, policy, caches, estimate):
+def _prepare(plan, catalog, machine, policy, caches, estimate):
     """What both cost functions start from: machine, estimate, memo key."""
     machine = machine or paper_machine()
     memo = key = None
@@ -140,9 +140,7 @@ def _prepare(plan, catalog, machine, cost_model, policy, caches, estimate):
         memo = caches.node_estimates
         key = _policy_cache_key(policy)
     if estimate is None:
-        estimate = estimate_plan(
-            plan, catalog, cost_model=cost_model, machine=machine, cache=memo
-        )
+        estimate = estimate_plan(plan, catalog, machine=machine, cache=memo)
     return machine, estimate, key
 
 
@@ -160,7 +158,6 @@ def parallel_cost(
     catalog: Catalog,
     *,
     machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
     policy: SchedulingPolicy | None = None,
     caches: OptimizerCaches | None = None,
     estimate: PlanEstimate | None = None,
@@ -171,7 +168,6 @@ def parallel_cost(
         plan: the sequential plan to parallelize.
         catalog: resolves statistics.
         machine: the target machine (``n`` is its processor count).
-        cost_model: CPU-time constants for the sequential estimates.
         policy: scheduling policy to simulate (default: the paper's
             INTER-WITH-ADJ algorithm).
         caches: optional fast-path memos; node estimates are reused and
@@ -185,9 +181,7 @@ def parallel_cost(
     from a fresh simulation of *this* plan's tasks, so ``schedule``
     records match ``tasks`` by id even when the scalar cache is warm.
     """
-    machine, estimate, key = _prepare(
-        plan, catalog, machine, cost_model, policy, caches, estimate
-    )
+    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, estimate)
     fragments = fragment_plan(plan, estimate)
     signature = fragments.signature()
     tasks = signature_tasks(signature, fragments.fragments)
@@ -206,7 +200,6 @@ def parcost(
     catalog: Catalog,
     *,
     machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
     policy: SchedulingPolicy | None = None,
     caches: OptimizerCaches | None = None,
     estimate: PlanEstimate | None = None,
@@ -220,9 +213,7 @@ def parcost(
     and policy configuration) return the memoized elapsed time without
     running the engine.
     """
-    machine, estimate, key = _prepare(
-        plan, catalog, machine, cost_model, policy, caches, estimate
-    )
+    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, estimate)
     signature = plan_signature(
         plan, estimate, caches.subtrees if caches is not None else None
     )
@@ -253,13 +244,11 @@ class ParcostObjective:
         catalog: Catalog,
         *,
         machine: MachineConfig | None = None,
-        cost_model: CostModel | None = None,
         policy: SchedulingPolicy | None = None,
         caches: OptimizerCaches | None = None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.cost_model = cost_model
         self.policy = policy
         self.caches = caches
         #: What the enumeration shares DP cells under; None = never
@@ -272,19 +261,16 @@ class ParcostObjective:
         else:
             policy_key = _policy_cache_key(policy)
             if policy_key is not None:
-                self.memo_key = ("parcost", self.machine, cost_model, policy_key)
+                self.memo_key = ("parcost", self.machine, policy_key)
 
     def __call__(self, plan: PlanNode) -> float:
         estimate = None
         if self.caches is not None:
-            estimate = self.caches.estimate(
-                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
-            )
+            estimate = self.caches.estimate(plan, self.catalog, machine=self.machine)
         return parcost(
             plan,
             self.catalog,
             machine=self.machine,
-            cost_model=self.cost_model,
             policy=self.policy,
             caches=self.caches,
             estimate=estimate,

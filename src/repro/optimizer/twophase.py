@@ -47,7 +47,7 @@ from ..catalog.catalog import Catalog
 from ..config import MachineConfig, paper_machine
 from ..core.schedulers import SchedulingPolicy
 from ..errors import OptimizerError
-from ..plans.costing import CostModel, estimate_plan
+from ..plans.costing import estimate_plan
 from ..plans.nodes import PlanNode
 from .cache import CacheStats, OptimizerCaches
 from .enumeration import JOIN_METHODS, enumerate_space
@@ -96,28 +96,20 @@ class SeqcostObjective:
         catalog: Catalog,
         *,
         machine: MachineConfig,
-        cost_model: CostModel | None = None,
         caches: OptimizerCaches | None = None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine
-        self.cost_model = cost_model
         self.caches = caches
-        self.memo_key = (
-            ("seqcost", machine, cost_model) if caches is not None else None
-        )
+        self.memo_key = ("seqcost", machine) if caches is not None else None
         if caches is None:
             self.pre_bound = None  # type: ignore[assignment]
 
     def __call__(self, plan: PlanNode) -> float:
         if self.caches is None:
-            estimate = estimate_plan(
-                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
-            )
+            estimate = estimate_plan(plan, self.catalog, machine=self.machine)
         else:
-            estimate = self.caches.estimate(
-                plan, self.catalog, cost_model=self.cost_model, machine=self.machine
-            )
+            estimate = self.caches.estimate(plan, self.catalog, machine=self.machine)
         return estimate.seqcost()
 
     def pre_bound(self, seqcost: float, total_ios: float) -> float:
@@ -137,7 +129,6 @@ class TwoPhaseOptimizer:
         catalog: resolves schemas, indexes, statistics.
         machine: the run-time machine (known beforehand in the paper's
             single-user setting).
-        cost_model: CPU constants shared by both cost functions.
         methods: join methods the enumerator may use.
         fast_path: enable the memoized/pruned optimizer (default).  The
             caches live on the optimizer instance and are shared across
@@ -165,7 +156,6 @@ class TwoPhaseOptimizer:
         catalog: Catalog,
         *,
         machine: MachineConfig | None = None,
-        cost_model: CostModel | None = None,
         methods: tuple[str, ...] = JOIN_METHODS,
         fast_path: bool = True,
         tracer=None,
@@ -173,7 +163,6 @@ class TwoPhaseOptimizer:
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.cost_model = cost_model
         self.methods = methods
         self.fast_path = fast_path
         self.caches: OptimizerCaches | None = (
@@ -194,18 +183,12 @@ class TwoPhaseOptimizer:
         if mode == OptimizerMode.BUSHY_PAR:
             space = "bushy"
             cost = ParcostObjective(
-                self.catalog,
-                machine=self.machine,
-                cost_model=self.cost_model,
-                caches=self.caches,
+                self.catalog, machine=self.machine, caches=self.caches
             )
         elif mode in (OptimizerMode.BUSHY_SEQ, OptimizerMode.LEFT_DEEP_SEQ):
             space = "bushy" if mode == OptimizerMode.BUSHY_SEQ else "left-deep"
             cost = SeqcostObjective(
-                self.catalog,
-                machine=self.machine,
-                cost_model=self.cost_model,
-                caches=self.caches,
+                self.catalog, machine=self.machine, caches=self.caches
             )
         else:  # pragma: no cover - exhaustiveness guard
             raise OptimizerError(f"unknown mode: {mode!r}")
@@ -228,7 +211,6 @@ class TwoPhaseOptimizer:
             plan,
             self.catalog,
             machine=self.machine,
-            cost_model=self.cost_model,
             policy=policy,
             caches=self.caches,
         )

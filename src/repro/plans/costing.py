@@ -11,7 +11,7 @@ requests it issues itself, the io access pattern and its CPU time.  The
 fragmenter aggregates those into per-task ``(T_i, D_i, C_i)`` profiles;
 ``seqcost`` sums them into the classic scalar plan cost.
 
-The CPU constants default to values backsolved from the paper's
+The CPU constants are values backsolved from the paper's
 measurements (r_min sequential scans run at ~5 ios/second, r_max at
 ~70 ios/second on disks with a 97 ios/second sequential rate); the
 calibration bench re-derives them against the real executor.
@@ -40,17 +40,14 @@ SEQUENTIAL = "sequential"
 RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """CPU-time constants (seconds) for the sequential cost model."""
-
-    cpu_page_time: float = 0.004
-    cpu_tuple_time: float = 0.0003
-    cpu_index_probe_time: float = 0.0001
-    cpu_hash_build_time: float = 0.0002
-    cpu_hash_probe_time: float = 0.0001
-    cpu_compare_time: float = 0.00005
-    cpu_output_time: float = 0.00005
+# CPU-time constants (seconds) of the sequential cost model.
+CPU_PAGE_TIME = 0.004
+CPU_TUPLE_TIME = 0.0003
+CPU_INDEX_PROBE_TIME = 0.0001
+CPU_HASH_BUILD_TIME = 0.0002
+CPU_HASH_PROBE_TIME = 0.0001
+CPU_COMPARE_TIME = 0.00005
+CPU_OUTPUT_TIME = 0.00005
 
 
 @dataclass(slots=True)
@@ -140,10 +137,6 @@ class PlanEstimate:
         return cpu + io
 
 
-#: The cost model ``estimate_plan`` uses when handed none (frozen, shared).
-_DEFAULT_COSTS = CostModel()
-
-
 class Subtree:
     """What the memo keeps for a node reused as a whole subtree.
 
@@ -212,33 +205,33 @@ def equijoin_rows(outer: NodeEstimate, inner: NodeEstimate, outer_col: str, inne
     return outer.rows * inner.rows / distinct
 
 
-def filter_cpu(rows: float, cost: CostModel) -> float:
+def filter_cpu(rows: float) -> float:
     """CPU seconds of a filter over ``rows`` input rows."""
-    return rows * cost.cpu_tuple_time
+    return rows * CPU_TUPLE_TIME
 
 
-def sort_cpu(rows: float, cost: CostModel) -> float:
+def sort_cpu(rows: float) -> float:
     """CPU seconds of sorting ``rows`` rows."""
     n = max(rows, 1.0)
-    return n * log2(n + 1) * cost.cpu_compare_time
+    return n * log2(n + 1) * CPU_COMPARE_TIME
 
 
-def nest_loop_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+def nest_loop_cpu(outer: float, inner: float, rows_out: float) -> float:
     """CPU seconds of nested loops over ``outer`` x ``inner`` rows."""
-    return outer * inner * cost.cpu_tuple_time + rows_out * cost.cpu_output_time
+    return outer * inner * CPU_TUPLE_TIME + rows_out * CPU_OUTPUT_TIME
 
 
-def merge_join_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+def merge_join_cpu(outer: float, inner: float, rows_out: float) -> float:
     """CPU seconds of merging sorted inputs of ``outer`` and ``inner`` rows."""
-    return (outer + inner) * cost.cpu_compare_time + rows_out * cost.cpu_output_time
+    return (outer + inner) * CPU_COMPARE_TIME + rows_out * CPU_OUTPUT_TIME
 
 
-def hash_join_cpu(outer: float, inner: float, rows_out: float, cost: CostModel) -> float:
+def hash_join_cpu(outer: float, inner: float, rows_out: float) -> float:
     """CPU seconds of building on ``inner`` rows and probing with ``outer``."""
     return (
-        inner * cost.cpu_hash_build_time
-        + outer * cost.cpu_hash_probe_time
-        + rows_out * cost.cpu_output_time
+        inner * CPU_HASH_BUILD_TIME
+        + outer * CPU_HASH_PROBE_TIME
+        + rows_out * CPU_OUTPUT_TIME
     )
 
 
@@ -246,7 +239,6 @@ def subtree_sums(
     plan: pn.PlanNode,
     catalog: Catalog,
     *,
-    cost_model: CostModel | None,
     machine: MachineConfig,
     cache: EstimateMemo,
 ) -> tuple[NodeEstimate, float, float]:
@@ -258,7 +250,7 @@ def subtree_sums(
     """
     entry = cache.subtrees.get(plan.node_id)
     if entry is None or entry.sums is None:
-        estimator = _Estimator(catalog, cost_model or _DEFAULT_COSTS, machine, cache)
+        estimator = _Estimator(catalog, machine, cache)
         estimator.visit(plan)
         entry = estimator.subtree(plan)
         estimate = PlanEstimate(plan, entry.by_node, machine)
@@ -270,7 +262,6 @@ def estimate_plan(
     plan: pn.PlanNode,
     catalog: Catalog,
     *,
-    cost_model: CostModel | None = None,
     machine: MachineConfig | None = None,
     cache: dict[int, NodeEstimate] | None = None,
 ) -> PlanEstimate:
@@ -283,13 +274,12 @@ def estimate_plan(
             candidate adds on top are estimated; already-seen subtrees
             are copied out of the memo (one ``dict.update`` each from
             an :class:`EstimateMemo`).  The caller owns the cache and
-            must not reuse it across different catalogs, cost models or
+            must not reuse it across different catalogs or
             machines (node ids are process-unique, so distinct plans
             never collide, but stale statistics would go unnoticed).
     """
     estimator = _Estimator(
         catalog,
-        cost_model or _DEFAULT_COSTS,
         machine or paper_machine(),
         {} if cache is None else cache,
     )
@@ -304,12 +294,10 @@ class _Estimator:
     def __init__(
         self,
         catalog: Catalog,
-        cost: CostModel,
         machine: MachineConfig,
         cache: dict[int, NodeEstimate],
     ) -> None:
         self.catalog = catalog
-        self.cost = cost
         self.machine = machine
         self.cache = cache
         # A plain-dict cache gets a subtree memo that lasts this call.
@@ -415,10 +403,7 @@ class _Estimator:
         stats = self._relation_stats(node.table)
         selectivity = self._predicate_selectivity(node.predicate, stats.columns)
         rows_out = stats.row_count * selectivity
-        cpu = (
-            stats.page_count * self.cost.cpu_page_time
-            + stats.row_count * self.cost.cpu_tuple_time
-        )
+        cpu = stats.page_count * CPU_PAGE_TIME + stats.row_count * CPU_TUPLE_TIME
         return NodeEstimate(
             rows=rows_out,
             ios=float(stats.page_count),
@@ -449,9 +434,7 @@ class _Estimator:
         # One heap page io per match; on a clustered index the reads are
         # ordered with the heap, so they are (almost) sequential.
         pattern = SEQUENTIAL if entry.clustered else RANDOM
-        cpu = matches * (
-            self.cost.cpu_index_probe_time + self.cost.cpu_tuple_time
-        )
+        cpu = matches * (CPU_INDEX_PROBE_TIME + CPU_TUPLE_TIME)
         return NodeEstimate(
             rows=rows_out,
             ios=matches,
@@ -469,7 +452,7 @@ class _Estimator:
         rows_out = child.rows * selectivity
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=filter_cpu(child.rows, self.cost),
+            cpu_time=filter_cpu(child.rows),
             avg_row_bytes=child.avg_row_bytes,
             column_stats=self._scale_stats(child.column_stats, rows_out),
         )
@@ -485,7 +468,7 @@ class _Estimator:
         width = child.avg_row_bytes * len(node.columns) / total_columns
         return NodeEstimate(
             rows=child.rows,
-            cpu_time=child.rows * self.cost.cpu_output_time,
+            cpu_time=child.rows * CPU_OUTPUT_TIME,
             avg_row_bytes=width,
             column_stats=kept,
         )
@@ -495,7 +478,7 @@ class _Estimator:
         rows_out = min(float(node.n), child.rows)
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=rows_out * self.cost.cpu_output_time,
+            cpu_time=rows_out * CPU_OUTPUT_TIME,
             avg_row_bytes=child.avg_row_bytes,
             column_stats=self._scale_stats(child.column_stats, rows_out),
         )
@@ -504,7 +487,7 @@ class _Estimator:
         (child,) = children
         return NodeEstimate(
             rows=child.rows,
-            cpu_time=sort_cpu(child.rows, self.cost),
+            cpu_time=sort_cpu(child.rows),
             memory_bytes=child.rows * child.avg_row_bytes,
             avg_row_bytes=child.avg_row_bytes,
             column_stats=dict(child.column_stats),
@@ -514,7 +497,7 @@ class _Estimator:
         (child,) = children
         return NodeEstimate(
             rows=child.rows,
-            cpu_time=child.rows * self.cost.cpu_output_time,
+            cpu_time=child.rows * CPU_OUTPUT_TIME,
             memory_bytes=child.rows * child.avg_row_bytes,
             avg_row_bytes=child.avg_row_bytes,
             column_stats=dict(child.column_stats),
@@ -532,7 +515,7 @@ class _Estimator:
             rows_out = 1.0
         return NodeEstimate(
             rows=rows_out,
-            cpu_time=child.rows * self.cost.cpu_tuple_time,
+            cpu_time=child.rows * CPU_TUPLE_TIME,
             memory_bytes=rows_out * 32.0,  # accumulator per group
             avg_row_bytes=32.0,
             column_stats={},
@@ -562,20 +545,20 @@ class _Estimator:
             merged.update(inner.column_stats)
             selectivity = self._predicate_selectivity(node.predicate, merged)
             rows_out = outer.rows * inner.rows * selectivity
-        cpu = nest_loop_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        cpu = nest_loop_cpu(outer.rows, inner.rows, rows_out)
         # The lowered nest-loop materializes its inner.
         return self._join(outer, inner, rows_out, cpu, holds_inner=True)
 
     def _visit_MergeJoinNode(self, node: pn.MergeJoinNode, children) -> NodeEstimate:
         outer, inner = children
         rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        cpu = merge_join_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        cpu = merge_join_cpu(outer.rows, inner.rows, rows_out)
         return self._join(outer, inner, rows_out, cpu, holds_inner=False)
 
     def _visit_HashJoinNode(self, node: pn.HashJoinNode, children) -> NodeEstimate:
         outer, inner = children
         rows_out = equijoin_rows(outer, inner, node.outer_column, node.inner_column)
-        cpu = hash_join_cpu(outer.rows, inner.rows, rows_out, self.cost)
+        cpu = hash_join_cpu(outer.rows, inner.rows, rows_out)
         # The hash table holds the whole build (inner) side.
         return self._join(outer, inner, rows_out, cpu, holds_inner=True)
 

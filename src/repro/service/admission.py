@@ -28,14 +28,12 @@ class AdmissionPolicy:
     """Base class: picks the next submission to admit.
 
     ``head_window`` declares how many leading entries of ``waiting``
-    the policy can ever pick from — an opt-in contract the admission
-    gate uses to stop building candidate lists deeper than
-    the policy will look.  ``None`` (the default for third-party
-    policies) promises nothing and the gate passes the full list.
+    the policy can ever pick from; every policy sets it, and the
+    admission gate builds no candidate list deeper than that.
     """
 
     name = "abstract"
-    head_window: int | None = None
+    head_window: int
 
     def select(
         self,

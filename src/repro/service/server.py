@@ -686,12 +686,11 @@ class AdmissionGate(SchedulingPolicy):
                 for queued in queue.waiting():
                     if queued.submission.n_fragments <= budget:
                         candidates.append(queued)
-                        if hw is not None and len(candidates) >= hw:
+                        if len(candidates) >= hw:
                             break
             else:
                 # Never wedge: an empty machine always takes one query.
-                waiting = queue.waiting()
-                candidates = waiting if hw is None else waiting[:hw]
+                candidates = queue.waiting()[:hw]
             if not candidates:
                 return
             choice = self.admission.select(

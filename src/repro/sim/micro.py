@@ -63,6 +63,12 @@ from .ledger import ScheduleResult, TaskLedger
 _EPS = 1e-12
 _MAX_EVENTS = 5_000_000
 
+#: Simulated seconds the master waits for an adjustment round before
+#: aborting it (recorded as a :class:`~repro.errors.ProtocolTimeoutError`
+#: event in the fault log, never raised — the run continues).  Armed only
+#: under a fault injector.
+ADJUST_TIMEOUT = 0.5
+
 # Event tags for the engine's heap entries.  The hot per-page events
 # (io completion, cpu completion) are type-tagged tuples dispatched by
 # the run loop's jump table; only cold, rare events (protocol legs,
@@ -313,12 +319,10 @@ class MicroSimulator:
             adjust mid-task.
         faults: a fault schedule injected into the event loop (disk
             degradation and stalls, slave crashes, dropped/delayed
-            protocol messages); ``None`` runs a healthy machine.
+            protocol messages); ``None`` runs a healthy machine.  An
+            adjustment round the faults hang is aborted after
+            :data:`ADJUST_TIMEOUT`.
         fault_seed: seeds the injector's crash-target RNG.
-        adjust_timeout: simulated seconds the master waits for an
-            adjustment round before aborting it (recorded as a
-            :class:`~repro.errors.ProtocolTimeoutError` event in the
-            fault log, never raised — the run continues).
         recovery: a :class:`~repro.recovery.RecoveryManager` capturing
             checkpoints at adjustment-round boundaries; ``None`` (the
             default) captures nothing and adds zero per-event work.
@@ -340,7 +344,6 @@ class MicroSimulator:
         consult_interval: float | None = None,
         faults: FaultSchedule | None = None,
         fault_seed: int = 0,
-        adjust_timeout: float = 0.5,
         recovery=None,
         tracer=None,
         invariants=None,
@@ -353,14 +356,11 @@ class MicroSimulator:
         )
         if consult_interval is not None and consult_interval <= 0:
             raise SimulationError("consult_interval must be positive")
-        if adjust_timeout <= 0:
-            raise SimulationError("adjust_timeout must be positive")
         self.machine = flattened
         self.seed = seed
         self.consult_interval = consult_interval
         self.faults = faults
         self.fault_seed = fault_seed
-        self.adjust_timeout = adjust_timeout
         self.recovery = recovery
         self.tracer = tracer
         self.invariants = invariants
@@ -405,7 +405,6 @@ class MicroSimulator:
             seed=self.seed,
             consult_interval=self.consult_interval,
             injector=injector,
-            adjust_timeout=self.adjust_timeout,
             recovery=self.recovery,
             resume_from=resume_from,
             tracer=self.tracer,
@@ -427,7 +426,6 @@ class _MicroEngine(TaskLedger):
         seed: int,
         consult_interval: float | None = None,
         injector: FaultInjector | None = None,
-        adjust_timeout: float = 0.5,
         recovery=None,
         resume_from: Checkpoint | None = None,
         tracer=None,
@@ -478,7 +476,6 @@ class _MicroEngine(TaskLedger):
         self._wake_at: float | None = None
         # fault injection
         self.injector = injector
-        self.adjust_timeout = adjust_timeout
         #: Per-disk bandwidth factor and stall end.  An injector adopts
         #: both lists at attach and writes them only at fault instants.
         self._mult = [1.0] * machine.disks
@@ -1042,9 +1039,7 @@ class _MicroEngine(TaskLedger):
         if self.injector is not None:
             # Only a faulted run can hang a round, and arming the timer
             # on healthy runs would perturb their event traces.
-            self._schedule(
-                self.adjust_timeout, lambda: self._adjust_deadline(run, epoch)
-            )
+            self._schedule(ADJUST_TIMEOUT, lambda: self._adjust_deadline(run, epoch))
 
     def _send(self, delay: float, callback) -> None:
         """One protocol leg; the injector may drop or delay it."""
@@ -1190,12 +1185,10 @@ class _MicroEngine(TaskLedger):
         log = injector.log
         log.adjust_timeouts += 1
         log.adjust_aborts += 1
-        error = ProtocolTimeoutError(run.task.name, self.adjust_timeout)
+        error = ProtocolTimeoutError(run.task.name, ADJUST_TIMEOUT)
         log.record(self.clock, "timeout", str(error))
         if self.tracer is not None:
-            self._instant(
-                "adjust:abort", run.task, "adjust", {"timeout": self.adjust_timeout}
-            )
+            self._instant("adjust:abort", run.task, "adjust", {"timeout": ADJUST_TIMEOUT})
         harvest, run.harvest = run.harvest, None
         for slave_id, intervals in sorted((harvest or {}).items()):
             if not intervals:

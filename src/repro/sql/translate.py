@@ -20,7 +20,6 @@ from ..optimizer.enumeration import enumerate_space
 from ..optimizer.query import JoinPredicate, Query
 from ..optimizer.twophase import SeqcostObjective
 from ..plans import nodes as pn
-from ..plans.costing import CostModel
 from . import ast
 from .lexer import SqlError
 from .parser import parse
@@ -133,7 +132,6 @@ def translate(
     *,
     space: str = "bushy",
     machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> TranslatedQuery:
     """Parse, plan and lower one SELECT statement.
 
@@ -141,7 +139,7 @@ def translate(
         sql: the statement text.
         catalog: resolves tables, columns, indexes and statistics.
         space: join-order search space (``"bushy"`` or ``"left-deep"``).
-        machine / cost_model: cost-estimation context.
+        machine: cost-estimation context.
 
     Raises:
         SqlError: for syntax errors, unknown tables/columns, ambiguous
@@ -194,9 +192,7 @@ def translate(
     query.validate(catalog)
 
     # -- phase 1: join-order optimization ---------------------------------------
-    seqcost = SeqcostObjective(
-        catalog, machine=machine or paper_machine(), cost_model=cost_model
-    )
+    seqcost = SeqcostObjective(catalog, machine=machine or paper_machine())
     plan = enumerate_space(query, catalog, seqcost, space=space)
     residual = None
     if residual_parts:

@@ -28,7 +28,6 @@ from .config import MachineConfig, paper_machine
 from .core.schedulers import InterWithAdjPolicy, SchedulingPolicy
 from .errors import ReproError
 from .optimizer.parcost import ParallelCost, parallel_cost
-from .plans.costing import CostModel
 from .sql.translate import TranslatedQuery, translate
 from .storage import BTreeIndex, DiskArray, HeapFile, RecordId
 
@@ -78,7 +77,6 @@ class XprsSystem:
 
     Args:
         machine: machine configuration (the paper's Sequent by default).
-        cost_model: CPU constants for estimation.
         space: join-order search space for phase 1 (``"bushy"`` follows
             Section 4; ``"left-deep"`` is the [HONG91] baseline).
         policy: phase-2 scheduling policy (the adaptive algorithm by
@@ -89,12 +87,10 @@ class XprsSystem:
         self,
         *,
         machine: MachineConfig | None = None,
-        cost_model: CostModel | None = None,
         space: str = "bushy",
         policy: SchedulingPolicy | None = None,
     ) -> None:
         self.machine = machine or paper_machine()
-        self.cost_model = cost_model
         self.space = space
         self.policy = policy or InterWithAdjPolicy()
         self.catalog = Catalog()
@@ -184,7 +180,6 @@ class XprsSystem:
             self._translate(sql).plan,
             self.catalog,
             machine=self.machine,
-            cost_model=self.cost_model,
             policy=self.policy,
         )
         return ExplainReport(**vars(cost), sql=sql)
@@ -192,10 +187,4 @@ class XprsSystem:
     def _translate(self, sql: str) -> TranslatedQuery:
         if not isinstance(sql, str) or not sql.strip():
             raise ReproError("execute() needs a SQL string")
-        return translate(
-            sql,
-            self.catalog,
-            space=self.space,
-            machine=self.machine,
-            cost_model=self.cost_model,
-        )
+        return translate(sql, self.catalog, space=self.space, machine=self.machine)

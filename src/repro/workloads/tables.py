@@ -23,7 +23,7 @@ import numpy as np
 from ..catalog import Catalog, Schema
 from ..config import MachineConfig, paper_machine
 from ..errors import ConfigError
-from ..plans.costing import CostModel, analyze_table
+from ..plans.costing import CPU_PAGE_TIME, CPU_TUPLE_TIME, analyze_table
 from ..storage import BTreeIndex, DiskArray, HeapFile
 from ..storage.page import SlottedPage
 
@@ -120,7 +120,6 @@ def payload_for_io_rate(
     io_rate: float,
     *,
     machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> int | None:
     """Payload size whose sequential scan has ``io_rate`` ios/second.
 
@@ -131,14 +130,13 @@ def payload_for_io_rate(
     when even minimal tuples cannot make the scan that CPU-bound.
     """
     machine = machine or paper_machine()
-    cost = cost_model or CostModel()
     if io_rate <= 0:
         raise ConfigError("io_rate must be positive")
     service = 1.0 / machine.disk.almost_seq_ios_per_sec
-    page_budget = 1.0 / io_rate - service - cost.cpu_page_time
+    page_budget = 1.0 / io_rate - service - CPU_PAGE_TIME
     if page_budget < 0:
         raise ConfigError(f"io rate {io_rate} is not achievable by a scan")
-    tuples_per_page = page_budget / cost.cpu_tuple_time
+    tuples_per_page = page_budget / CPU_TUPLE_TIME
     if tuples_per_page < 1:
         tuples_per_page = 1.0
     usable = SlottedPage.max_record_size(machine.page_size)

@@ -65,7 +65,6 @@ def test_pages_conserved_under_random_faults(schedule_seed):
         consult_interval=1.0,
         faults=schedule,
         fault_seed=schedule_seed,
-        adjust_timeout=0.5,
     )
     # A duplicate page raises inside run(); a lost page would leave the
     # task incomplete (and the run would wedge against _MAX_EVENTS).
@@ -110,7 +109,6 @@ def test_conservation_with_deadline_cancellations(schedule_seed):
         consult_interval=1.0,
         faults=schedule,
         fault_seed=schedule_seed,
-        adjust_timeout=0.5,
     )
     result = sim.run(
         _specs(machine),

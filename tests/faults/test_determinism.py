@@ -53,7 +53,6 @@ def _trace(machine, schedule, seed):
         consult_interval=1.0,
         faults=schedule,
         fault_seed=seed,
-        adjust_timeout=0.5,
     ).run(_specs(machine), InterWithAdjPolicy(integral=True, degradation_aware=True))
     return (
         result.elapsed,

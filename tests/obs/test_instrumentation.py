@@ -50,7 +50,6 @@ def run_faulted(seed, tracer):
         consult_interval=1.0,
         faults=preset_schedule("mixed", horizon=4.0),
         fault_seed=seed,
-        adjust_timeout=0.5,
         tracer=tracer,
     )
     result = sim.run(

@@ -169,14 +169,12 @@ ROUNDING = 1e-12
 
 def _check_recipe(objective, bound, recipe, seen) -> None:
     """Build one recipe the long way and hold its pre-bound to the result."""
-    catalog, machine, cost_model = objective.catalog, objective.machine, objective.cost_model
+    catalog, machine = objective.catalog, objective.machine
     memo = objective.caches.node_estimates
     plan = _build(recipe)
     cached = set(memo)
-    composed = estimate_plan(
-        plan, catalog, cost_model=cost_model, machine=machine, cache=memo
-    )
-    fresh = estimate_plan(plan, catalog, cost_model=cost_model, machine=machine)
+    composed = estimate_plan(plan, catalog, machine=machine, cache=memo)
+    fresh = estimate_plan(plan, catalog, machine=machine)
     # The order seqcost()/total_ios() sum in, and the same nodes with
     # the same estimates as a search with no memo at all.
     assert list(composed.by_node) == _reference_order(plan, cached)
@@ -194,9 +192,7 @@ def _check_recipe(objective, bound, recipe, seen) -> None:
         assert abs(bound - exact) <= ROUNDING * exact
         # ... and against a simulation of its own.
         with id_scope():
-            simulated = parcost(
-                plan, catalog, machine=machine, cost_model=cost_model, estimate=fresh
-            )
+            simulated = parcost(plan, catalog, machine=machine, estimate=fresh)
         assert bound <= simulated * (1.0 + PRUNE_MARGIN)
         seen["bounded/parcost"] += 1
 

@@ -7,7 +7,6 @@ from repro.errors import OptimizerError
 from repro.executor import AggregateSpec, between, col, gt
 from repro.plans import (
     AggregateNode,
-    CostModel,
     FilterNode,
     HashJoinNode,
     IndexScanNode,
@@ -159,11 +158,3 @@ class TestPlanCosts:
         assert idx_est.io_time(idx_node) == pytest.approx(
             idx_node.ios / MACHINE.disk.random_ios_per_sec
         )
-
-    def test_bigger_cost_model_bigger_cost(self, catalog):
-        plan = SeqScanNode("r1")
-        cheap = estimate_plan(plan, catalog, cost_model=CostModel()).seqcost()
-        expensive = estimate_plan(
-            plan, catalog, cost_model=CostModel(cpu_tuple_time=0.01)
-        ).seqcost()
-        assert expensive > cheap

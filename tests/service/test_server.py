@@ -9,7 +9,6 @@ from repro.core import InterWithAdjPolicy, SchedulingPolicy, make_task
 from repro.errors import AdmissionError
 from repro.service import (
     AdmissionGate,
-    AdmissionPolicy,
     BalanceAwareAdmission,
     FifoAdmission,
     QueryService,
@@ -160,19 +159,6 @@ class TestQueryService:
             assert result.metrics.overall.offered == len(stream)
 
 
-class _LastQualifying(AdmissionPolicy):
-    """A third-party policy: no ``head_window`` promise, picks the tail."""
-
-    name = "LAST"
-
-    def __init__(self):
-        self.offered = []
-
-    def select(self, waiting, inflight, machine):
-        self.offered.append([entry.submission.name for entry in waiting])
-        return waiting[-1].submission
-
-
 class _PendingSpy(SchedulingPolicy):
     """An inner policy that places nothing and records what it was shown."""
 
@@ -185,35 +171,6 @@ class _PendingSpy(SchedulingPolicy):
 
 
 class TestAdmissionGate:
-    def test_policy_without_head_window_sees_every_qualifying_entry(
-        self, machine
-    ):
-        # Eight waiting submissions — more than any built-in window —
-        # with one 3-fragment bundle in the middle of the FIFO order.
-        stream = [
-            submission(f"q{i}", n_fragments=3 if i == 2 else 1)
-            for i in range(8)
-        ]
-        policy = _LastQualifying()
-        service = QueryService(
-            machine,
-            admission=policy,
-            queue_capacity=8,
-            max_inflight_fragments=2,
-        )
-        result = service.run(stream)
-        everyone = [f"q{i}" for i in range(8)]
-        # Idle machine: the whole queue, oversized bundle included.
-        assert policy.offered[0] == everyone
-        # One fragment in flight, budget 1: every 1-fragment entry still
-        # waiting, in FIFO order, all the way to the tail.
-        assert policy.offered[1] == [
-            n for n in everyone if n not in ("q2", "q7")
-        ]
-        assert result.outcome("q7").admitted_at == 0.0
-        assert result.outcome("q6").admitted_at == 0.0
-        assert all(o.status == "completed" for o in result.outcomes)
-
     def test_gated_pending_is_memoized_until_something_moves(self, machine):
         a = submission("a", arrival=0.0, deadline=5.0)
         b = submission("b", arrival=10.0)

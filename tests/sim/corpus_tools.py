@@ -117,7 +117,6 @@ def faulted_digest(seed):
         consult_interval=1.0,
         faults=preset_schedule("mixed", horizon=4.0),
         fault_seed=seed,
-        adjust_timeout=0.5,
     )
     result = sim.run(
         faulted_specs(machine),

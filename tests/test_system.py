@@ -98,7 +98,6 @@ class TestExplain:
             report.plan,
             system.catalog,
             machine=system.machine,
-            cost_model=system.cost_model,
             policy=system.policy,
         )
         assert report.elapsed.hex() == direct.elapsed.hex()

@@ -255,28 +255,3 @@ class AdmissionError(ServiceError):
         prefix = f"submission {submission_id}: " if submission_id >= 0 else ""
         super().__init__(prefix + reason)
         self.submission_id = submission_id
-
-
-class DeadlineExceededError(ServiceError):
-    """A query overran its deadline budget and was cancelled.
-
-    Cooperative cancellation: the holder of the budget raises (or logs)
-    this error at a clean boundary, releases its resources, and leaves
-    every conservation invariant intact — a cancelled query never wedges
-    an adjustment round.
-
-    Attributes:
-        name: the query or task that blew its budget.
-        deadline: the absolute virtual-time deadline.
-        now: virtual time when the overrun was detected.
-    """
-
-    def __init__(self, name: str, deadline: float, now: float) -> None:
-        super().__init__(
-            f"{name!r} exceeded its deadline "
-            f"(deadline t={deadline:.3f}, now t={now:.3f})"
-        )
-        self.name = name
-        self.deadline = deadline
-        self.now = now
-

@@ -271,7 +271,7 @@ class FaultInjector:
         )
         raise error
 
-    # -- cooperative cancellation (deadline budgets) ------------------------------
+    # -- cooperative cancellation (deadlines) -------------------------------------
 
     def expire_deadline(self, fault: QueryDeadline, now: float) -> None:
         """A query's deadline passed: cancel it wherever it is.

@@ -195,11 +195,10 @@ class MasterCrash(_Instant):
 class QueryDeadline(_Fault):
     """Cancel one task cooperatively when it is unfinished at ``at``.
 
-    The engine-level form of a deadline budget: when the task named
-    ``task`` has not completed by ``at``, the master cancels it at a
-    clean event boundary — slaves released, in-flight adjustment rounds
-    staled out, page conservation intact — and records a
-    :class:`~repro.errors.DeadlineExceededError` in the fault log
+    The engine-level form of a deadline: when the task named ``task``
+    has not completed by ``at``, the master cancels it at a clean event
+    boundary — slaves released, in-flight adjustment rounds staled out,
+    page conservation intact — and the fault log counts the cancel
     instead of wedging.
 
     Attributes:

@@ -223,29 +223,8 @@ class TwoPhaseOptimizer:
         *,
         mode: OptimizerMode = OptimizerMode.BUSHY_PAR,
         policy: SchedulingPolicy | None = None,
-        budget=None,
-        now: float = 0.0,
     ) -> OptimizedQuery:
-        """Run both phases and return the full result.
-
-        Args:
-            budget: an optional
-                :class:`~repro.recovery.DeadlineBudget`.  A blown
-                budget raises
-                :class:`~repro.errors.DeadlineExceededError` before any
-                enumeration; a *tight* one (``budget.degraded(now)``)
-                deterministically degrades ``BUSHY_PAR`` to the cheap
-                ``LEFT_DEEP_SEQ`` space instead of spending the
-                remaining budget enumerating bushy shapes.
-            now: the virtual time the budget is measured against.
-
-        Raises:
-            DeadlineExceededError: ``budget`` was already exceeded.
-        """
-        if budget is not None:
-            budget.require(now)
-            if mode == OptimizerMode.BUSHY_PAR and budget.degraded(now):
-                mode = OptimizerMode.LEFT_DEEP_SEQ
+        """Run both phases and return the full result."""
         stats = self.cache_stats
         observing = self.tracer is not None or self.metrics is not None
         before = stats.as_dict() if observing and stats is not None else None

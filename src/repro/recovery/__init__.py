@@ -1,23 +1,15 @@
-"""Checkpoint/resume, deadline budgets and cooperative cancellation.
+"""Checkpoint/resume for the micro engine.
 
 The XPRS adjustment protocol gives the engine natural *round
 boundaries* — instants where no protocol leg is in flight and every
-slave is either reading a page or retired.  This package exploits them
-twice:
-
-* :class:`RecoveryManager` snapshots the micro engine's schedule state
-  (:class:`Checkpoint`) at those boundaries, so an injected
-  ``master-crash`` resumes from the last checkpoint instead of
-  re-reading every page (:func:`run_with_recovery`).
-* :class:`DeadlineBudget` carries a query's remaining-virtual-time
-  budget from admission through optimizer phase 1 into the engine,
-  where overrunning it triggers *cooperative cancellation* — a clean
-  :class:`~repro.errors.DeadlineExceededError` at an event boundary,
-  never a wedged adjustment round.
+slave is either reading a page or retired.  :class:`RecoveryManager`
+snapshots the micro engine's schedule state (:class:`Checkpoint`) at
+those boundaries, so an injected ``master-crash`` resumes from the last
+checkpoint instead of re-reading every page (:func:`run_with_recovery`).
 
 The heavy pieces (the manager and the benchmark harness import the
 simulators) load lazily so ``repro.sim.micro`` can import the light
-checkpoint/deadline modules without a cycle.
+checkpoint module without a cycle.
 """
 
 from .checkpoint import (
@@ -27,11 +19,9 @@ from .checkpoint import (
     SlaveSnapshot,
     TaskSnapshot,
 )
-from .deadline import DeadlineBudget
 
 __all__ = [
     "Checkpoint",
-    "DeadlineBudget",
     "DiskSnapshot",
     "RecordSnapshot",
     "RecoveryManager",

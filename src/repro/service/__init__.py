@@ -27,13 +27,9 @@ from .metrics import (
     format_timeline,
     utilization_timeline,
 )
+from .gate import AdmissionGate, SubmissionOutcome
 from .queue import AdmissionQueue, QueuedSubmission, ServiceSubmission
-from .server import (
-    AdmissionGate,
-    QueryService,
-    ServiceResult,
-    SubmissionOutcome,
-)
+from .server import QueryService, ServiceResult
 from .stress import (
     StressPoint,
     estimate_capacity,

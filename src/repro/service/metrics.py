@@ -38,7 +38,7 @@ class TenantMetrics:
     completed: int = 0
     #: Backoff re-offers made for this tenant's shed submissions.
     retries: int = 0
-    #: Submissions killed by deadline-budget enforcement.
+    #: Submissions killed by deadline enforcement.
     deadline_cancelled: int = 0
     #: Submissions that completed degraded (fragments shed at deadline).
     degraded: int = 0

@@ -82,39 +82,6 @@ class TestTwoPhase:
         assert adaptive.elapsed <= intra.elapsed + 1e-9
 
 
-class TestDeadlineBudget:
-    def test_blown_budget_raises_before_enumeration(
-        self, catalog, chain_query
-    ):
-        from repro.errors import DeadlineExceededError
-        from repro.recovery import DeadlineBudget
-
-        opt = TwoPhaseOptimizer(catalog)
-        budget = DeadlineBudget(name="q", deadline=5.0)
-        with pytest.raises(DeadlineExceededError):
-            opt.optimize(chain_query, budget=budget, now=6.0)
-
-    def test_tight_budget_degrades_to_left_deep(self, catalog, chain_query):
-        from repro.recovery import DeadlineBudget
-
-        opt = TwoPhaseOptimizer(catalog)
-        budget = DeadlineBudget(name="q", deadline=10.0, degrade_below=5.0)
-        result = opt.optimize(chain_query, budget=budget, now=7.0)
-        assert result.mode == OptimizerMode.LEFT_DEEP_SEQ
-        assert is_left_deep(result.plan)
-
-    def test_ample_budget_changes_nothing(self, catalog, chain_query):
-        from repro.optimizer.enumeration import plan_shape_key
-        from repro.recovery import DeadlineBudget
-
-        opt = TwoPhaseOptimizer(catalog)
-        budget = DeadlineBudget(name="q", deadline=100.0, degrade_below=5.0)
-        budgeted = opt.optimize(chain_query, budget=budget, now=0.0)
-        plain = TwoPhaseOptimizer(catalog).optimize(chain_query)
-        assert budgeted.mode == OptimizerMode.BUSHY_PAR
-        assert plan_shape_key(budgeted.plan) == plan_shape_key(plain.plan)
-
-
 class TestStatsEpoch:
     """The memos follow the catalog; nobody calls ``caches.clear()``."""
 

@@ -1,37 +1,9 @@
-"""Tests for deadline budgets and engine-level cooperative cancellation."""
+"""Tests for engine-level deadlines and cooperative cancellation."""
 
 import pytest
 
-from repro.errors import ConfigError, DeadlineExceededError
 from repro.faults.schedule import FaultSchedule, QueryDeadline, with_deadlines
-from repro.recovery import DeadlineBudget
 from repro.sim.micro import MicroSimulator
-
-
-class TestDeadlineBudget:
-    def test_remaining_and_expiry(self):
-        budget = DeadlineBudget(name="q", deadline=10.0, submitted_at=2.0)
-        assert budget.remaining(4.0) == pytest.approx(6.0)
-        assert not budget.expired(10.0)
-        assert budget.expired(10.1)
-        budget.require(9.0)
-        with pytest.raises(DeadlineExceededError) as err:
-            budget.require(11.0)
-        assert err.value.name == "q"
-        assert err.value.deadline == 10.0
-        assert err.value.now == 11.0
-
-    def test_degradation_threshold(self):
-        budget = DeadlineBudget(name="q", deadline=10.0, degrade_below=3.0)
-        assert not budget.degraded(5.0)
-        assert budget.degraded(8.0)
-        assert DeadlineBudget(name="q", deadline=10.0).degraded(9.99) is False
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            DeadlineBudget(name="q", deadline=1.0, submitted_at=2.0)
-        with pytest.raises(ConfigError):
-            DeadlineBudget(name="q", deadline=1.0, degrade_below=-1.0)
 
 
 class TestEngineCancellation:

@@ -106,6 +106,10 @@ def _serve(
     drop/kill/degrade, breaker trips — fires somewhere in the grid.
     """
     queue_capacity, max_inflight_fragments = gate
+    grace = 3.0 if deadline_policy == "shed" else 0.0
+    # A "kill" label predates that policy's removal: it was "shed" at zero grace.
+    if deadline_policy == "kill":
+        deadline_policy = "shed"
     with id_scope():
         service = QueryService(
             admission=admission_by_name(admission),
@@ -121,7 +125,7 @@ def _serve(
             if breaker
             else None,
             deadline_policy=deadline_policy,
-            deadline_grace=3.0 if deadline_policy == "shed" else 0.0,
+            deadline_grace=grace,
             tracer=tracer,
             metrics=metrics,
         )

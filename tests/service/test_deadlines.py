@@ -1,24 +1,20 @@
 """Tests for end-to-end deadline budgets in the serving loop.
 
 The deadline enters at admission (``QueryService.submit``), flows with
-the submission through the gate, and — under ``deadline_policy="kill"``
-or ``"shed"`` — triggers cooperative cancellation in the engine: clean
-``Cancel`` actions, resources released, every fragment accounted as
-completed or cancelled, never a wedged run.
+the submission through the gate, and — under ``deadline_policy="shed"``
+— triggers cooperative cancellation in the engine: clean ``Cancel``
+actions, resources released, every fragment accounted as completed or
+cancelled, never a wedged run.  At zero grace (``TestKillPolicy``)
+every unfinished fragment is cancelled at the deadline.
 """
 
 import pytest
 
 from repro.config import paper_machine
 from repro.core import make_task
-from repro.core.ids import id_scope
 from repro.errors import AdmissionError, ServiceOverloadError
-from repro.faults.retry import RetryPolicy
-from repro.obs import Tracer
-from repro.service import QueryService, ServiceSubmission, admission_by_name
-from repro.service.arrivals import ArrivalConfig, poisson_stream
+from repro.service import QueryService, ServiceSubmission
 from repro.service.queue import AdmissionQueue
-from repro.service.stress import estimate_capacity
 
 
 @pytest.fixture
@@ -26,7 +22,7 @@ def machine():
     return paper_machine()
 
 
-def _service(machine, policy="kill", grace=0.0, **kwargs):
+def _service(machine, policy="shed", grace=0.0, **kwargs):
     return QueryService(
         machine,
         deadline_policy=policy,
@@ -65,23 +61,13 @@ class TestSubmitApi:
         )
         assert sub.deadline == pytest.approx(13.0)
 
-    def test_both_deadline_forms_rejected(self, machine):
-        service = _service(machine)
-        with pytest.raises(AdmissionError, match="not both"):
-            service.submit(
-                "q0",
-                [make_task("q0-f0", io_rate=40.0, seq_time=5.0)],
-                deadline=5.0,
-                relative_deadline=5.0,
-            )
-
     def test_bad_policy_and_grace_rejected(self, machine):
         # An invalid gate configuration fails at construction, not at
         # the service's first run.
         with pytest.raises(AdmissionError, match="deadline_policy"):
             _service(machine, policy="maybe")
         with pytest.raises(AdmissionError, match="deadline_grace"):
-            _service(machine, policy="kill", grace=-1.0)
+            _service(machine, grace=-1.0)
         with pytest.raises(AdmissionError, match="max_inflight_fragments"):
             _service(machine, max_inflight_fragments=0)
 
@@ -104,7 +90,7 @@ class TestOffPolicy:
 
 class TestKillPolicy:
     def test_running_submission_killed_at_deadline(self, machine):
-        service = _service(machine, policy="kill")
+        service = _service(machine)
         service.submit(
             "doomed",
             [make_task("doomed-f0", io_rate=40.0, seq_time=60.0)],
@@ -127,9 +113,7 @@ class TestKillPolicy:
         assert tm.completed == 1
 
     def test_queued_submission_dropped_at_deadline(self, machine):
-        service = _service(
-            machine, policy="kill", max_inflight_fragments=1
-        )
+        service = _service(machine, max_inflight_fragments=1)
         service.submit(
             "hog", [make_task("hog-f0", io_rate=40.0, seq_time=60.0)]
         )
@@ -152,7 +136,7 @@ class TestKillPolicy:
         )
 
     def test_every_fragment_accounted(self, machine):
-        service = _service(machine, policy="kill")
+        service = _service(machine)
         service.submit("pipe", _pipe_tasks("pipe"), relative_deadline=2.0)
         service.submit(
             "ok", [make_task("ok-f0", io_rate=40.0, seq_time=5.0)]
@@ -212,45 +196,6 @@ class TestShedPolicy:
             (c.task.name, c.cancelled_at)
             for c in second.schedule.cancel_records
         ]
-
-
-    @pytest.mark.parametrize(
-        "seed, rho, admission, retry",
-        [
-            (0, 1.0, "fifo", False),
-            (1, 3.0, "balance", True),
-            (2, 3.0, "fifo", True),
-            (3, 1.0, "balance", False),
-        ],
-    )
-    def test_zero_grace_is_kill(self, seed, rho, admission, retry):
-        # At the first instant a deadline is enforced its grace bound
-        # has already passed, so "shed" cancels what "kill" cancels, in
-        # the same order: the two runs agree on every recorded byte.
-        config = ArrivalConfig(n_submissions=60, slo_stretch=4.0)
-        rate = rho * estimate_capacity(seed=0, config=config)
-
-        def run(policy):
-            tracer = Tracer()
-            with id_scope():
-                service = QueryService(
-                    admission=admission_by_name(admission),
-                    retry=RetryPolicy() if retry else None,
-                    deadline_policy=policy,
-                    tracer=tracer,
-                )
-                result = service.run(
-                    poisson_stream(rate=rate, seed=seed, config=config)
-                )
-            cancels = [
-                (c.task.name, c.cancelled_at, c.started_at, c.reason)
-                for c in result.schedule.cancel_records
-            ]
-            return result.digest(), result.decide_rounds, cancels, tracer.events
-
-        kill, shed = run("kill"), run("shed")
-        assert kill[2], "the stream must miss some deadlines"
-        assert shed == kill
 
 
 class TestErrorExitPaths:

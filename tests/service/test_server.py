@@ -182,7 +182,7 @@ class TestAdmissionGate:
             inner=spy,
             admission=FifoAdmission(),
             max_inflight_fragments=1,
-            deadline_policy="kill",
+            deadline_policy="shed",
         )
         # The engine contract the memo rests on: ``pending`` is the same
         # list object until its membership changes, then a fresh one.

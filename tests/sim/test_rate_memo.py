@@ -43,7 +43,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs import Tracer
 from repro.service.admission import BalanceAwareAdmission, FifoAdmission
 from repro.service.queue import ServiceSubmission
-from repro.service.server import AdmissionGate
+from repro.service.gate import AdmissionGate
 from repro.sim import FluidSimulator
 from repro.sim.fluid import _EPS, _MAX_EVENTS, _SimState
 from repro.workloads import WorkloadKind
@@ -401,7 +401,15 @@ def gate_stream(seed, n):
     return stream
 
 
-def assert_gate_agrees(stream, *, balance, deadline_policy, inner_seed=None):
+#: ``(deadline_policy, deadline_grace)`` cells of the gate runs.  Zero
+#: grace cancels every unfinished fragment at the deadline; its grid id
+#: is "kill", the name of the policy it replaced.
+DEADLINES = [("off", 2.0), ("shed", 2.0), ("shed", 0.0)]
+
+
+def assert_gate_agrees(stream, *, balance, deadline, inner_seed=None):
+    deadline_policy, deadline_grace = deadline
+
     def gate():
         inner = (
             InterWithAdjPolicy()
@@ -416,7 +424,7 @@ def assert_gate_agrees(stream, *, balance, deadline_policy, inner_seed=None):
             max_inflight_fragments=4,
             retry=RetryPolicy(max_retries=2, base_delay=0.5, max_delay=4.0),
             deadline_policy=deadline_policy,
-            deadline_grace=2.0,
+            deadline_grace=deadline_grace,
         )
 
     pooled = [task for s in stream for task in s.tasks]
@@ -457,12 +465,10 @@ class TestRateMemoGrid:
             use_effective_bandwidth=effective,
         )
 
-    @pytest.mark.parametrize("deadline_policy", ["off", "shed", "kill"])
+    @pytest.mark.parametrize("deadline", DEADLINES, ids=["off", "shed", "kill"])
     @pytest.mark.parametrize("balance", [False, True])
-    def test_admission_gate(self, deadline_policy, balance):
-        assert_gate_agrees(
-            gate_stream(11, 30), balance=balance, deadline_policy=deadline_policy
-        )
+    def test_admission_gate(self, deadline, balance):
+        assert_gate_agrees(gate_stream(11, 30), balance=balance, deadline=deadline)
 
     def test_the_memo_skips_solves(self):
         """The memo is live: an INTER-WITH-ADJ run solves fewer times
@@ -558,14 +564,14 @@ class TestRateMemoCampaign:
         seed=st.integers(0, 10**6),
         n=st.integers(1, 30),
         balance=st.booleans(),
-        deadline_policy=st.sampled_from(["off", "shed", "kill"]),
+        deadline=st.sampled_from(DEADLINES),
         churn=st.booleans(),
     )
-    def test_admission_gate(self, seed, n, balance, deadline_policy, churn):
+    def test_admission_gate(self, seed, n, balance, deadline, churn):
         assert_gate_agrees(
             gate_stream(seed, n),
             balance=balance,
-            deadline_policy=deadline_policy,
+            deadline=deadline,
             inner_seed=seed if churn else None,
         )
 

@@ -6,7 +6,6 @@ from repro.errors import (
     AdmissionError,
     BTreeError,
     ConfigError,
-    DeadlineExceededError,
     FaultError,
     MasterCrashError,
     ProtocolError,
@@ -85,7 +84,6 @@ class TestRecoveryErrors:
     def test_recovery_errors_are_repro_errors(self):
         assert issubclass(RecoveryError, ReproError)
         assert issubclass(MasterCrashError, ReproError)
-        assert issubclass(DeadlineExceededError, ServiceError)
 
     def test_master_crash_carries_times(self):
         error = MasterCrashError(2.5, 1.75)
@@ -98,10 +96,3 @@ class TestRecoveryErrors:
         error = MasterCrashError(0.5)
         assert error.checkpoint_at is None
         assert "no checkpoint yet" in str(error)
-
-    def test_deadline_exceeded_carries_budget(self):
-        error = DeadlineExceededError("q3", 4.0, 4.25)
-        assert error.name == "q3"
-        assert error.deadline == 4.0
-        assert error.now == 4.25
-        assert "q3" in str(error)

@@ -1,10 +1,14 @@
-"""Import hygiene: no module under ``repro`` imports a name it never uses.
+"""Module hygiene under ``repro``: no unused import, no oversized module.
 
 Parses every non-``__init__`` module with :mod:`ast` and checks that each
 name an ``import`` binds is read somewhere in that module.  A use is any
 reference in code, in an annotation (string annotations included) or in
 the module's ``__all__``.  Package ``__init__`` modules import in order
 to re-export, so they are skipped, and so is ``from __future__``.
+
+Every module also stays within :data:`MAX_MODULE_LINES`, apart from the
+ones :data:`OVERSIZED` names, each of which must still be past the bound
+(so an exemption goes once its split lands).
 """
 
 import ast
@@ -13,6 +17,18 @@ from pathlib import Path
 import repro
 
 SOURCE = Path(repro.__file__).parent
+
+#: Lines a module may have.  A module past it is split along a seam it
+#: already has, as ``service/server.py`` was into ``server.py`` and
+#: ``gate.py``.
+MAX_MODULE_LINES = 800
+#: Modules still past the bound, each with the split that will end its
+#: exemption (ROADMAP item 15).
+OVERSIZED = {
+    # The adjustment protocol moves beside parallel.partition.maxpage_round
+    # and the crash/cancel/checkpoint cold path becomes a collaborator.
+    "sim/micro.py",
+}
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -103,3 +119,28 @@ def test_the_walk_sees_annotations_and_flags_a_dead_import():
         "    pass\n"
     )
     assert sorted(set(_bound_names(tree)) - _used_names(tree)) == ["Any", "os"]
+
+
+def _line_counts() -> dict[str, int]:
+    return {
+        path.relative_to(SOURCE).as_posix(): len(path.read_text().splitlines())
+        for path in sorted(SOURCE.rglob("*.py"))
+    }
+
+
+def test_no_module_is_past_the_size_bound():
+    counts = _line_counts()
+    oversized = [
+        f"{module}: {lines} lines"
+        for module, lines in counts.items()
+        if lines > MAX_MODULE_LINES and module not in OVERSIZED
+    ]
+    assert not oversized, (
+        f"modules past {MAX_MODULE_LINES} lines:\n" + "\n".join(oversized)
+    )
+    # The ratchet: an exempt module that shrank below the bound loses
+    # its exemption.
+    for module in OVERSIZED:
+        assert counts.get(module, 0) > MAX_MODULE_LINES, (
+            f"{module} is within the bound; drop it from OVERSIZED"
+        )

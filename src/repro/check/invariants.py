@@ -24,11 +24,6 @@ Invariant catalogue (see docs/CHECKING.md for the derivations):
   ``<= 1 + 1e-6``.
 * **protocol-generation monotonicity** — a run's ``adjust_epoch``
   only ever grows.
-* **checkpoint roundtrip** — at every round boundary, the engine's
-  checkpoint survives ``to_dict -> json -> from_dict`` losslessly:
-  the header every time, a part (RNG state, running task, completed
-  record, disk) only when it differs from the last one verified in its
-  slot.
 
 The checker holds one run's state; the micro engine calls
 :meth:`new_run` when built, so one checker spans ``run_with_recovery``.
@@ -36,13 +31,11 @@ The checker holds one run's state; the micro engine calls
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import chain
 
 from ..core.classify import max_parallelism
 from ..errors import InvariantViolation
-from ..recovery.checkpoint import Checkpoint
 
 _ABS_EPS = 1e-9
 #: Relative slack on utilization and bounds checks.
@@ -64,8 +57,6 @@ class InvariantChecker:
         self.checks = 0
         self._last_clock = float("-inf")
         self._last_epoch: dict[int, int] = {}
-        #: The last checkpoint part that survived the round trip, per slot.
-        self._verified: dict = {}
 
     def reset(self) -> None:
         """Clear violations, counters and all per-run state."""
@@ -74,11 +65,10 @@ class InvariantChecker:
         self.new_run()
 
     def new_run(self) -> None:
-        """Forget per-run state (clock, epochs, verified checkpoint parts)
-        but keep violations.  The micro engine calls it when it is built."""
+        """Forget per-run state (clock, epochs) but keep violations.  The
+        micro engine calls it when it is built."""
         self._last_clock = float("-inf")
         self._last_epoch.clear()
-        self._verified.clear()
 
     @property
     def ok(self) -> bool:
@@ -130,10 +120,6 @@ class InvariantChecker:
             self._last_epoch[run.task.task_id] = max(last, epoch)
             if not run.adjusting:
                 self._check_conservation(label, run)
-        if site in ("adjust", "complete") and not any(
-            r.adjusting for r in engine.runs.values()
-        ):
-            self._check_checkpoint_roundtrip(label, engine)
 
     def micro_end(self, engine, result) -> None:
         """Hook at the end of a micro run, with its ScheduleResult."""
@@ -223,30 +209,6 @@ class InvariantChecker:
                 f"inflight={len(inflight)} unclaimed={len(claims)} "
                 f"!= n_pages={n_pages}",
             )
-
-    def _check_checkpoint_roundtrip(self, label: str, engine) -> None:
-        """The round trip part by part, as the encoding and ``from_dict``
-        work: the header every time, a part only when it differs from the
-        last part verified in its slot (the memo holds one checkpoint)."""
-        checkpoint = Checkpoint.capture(engine)
-        header, parts = checkpoint.split()
-        verified = self._verified
-        fresh = [entry for entry in parts if verified.get(entry[0]) != entry[1]]
-        header_raw, *raws = json.loads(
-            json.dumps([header] + [encode(part) for _, part, (encode, _) in fresh])
-        )
-        if Checkpoint.header_from_dict(header_raw) == header:
-            for raw, (slot, part, (_, decode)) in zip(raws, fresh):
-                if decode(raw) != part:
-                    break
-                verified[slot] = part
-            else:
-                return
-        self._fail(
-            label,
-            "checkpoint changed across to_dict/json/from_dict at "
-            f"t={checkpoint.taken_at!r}",
-        )
 
     # -- fluid engine ---------------------------------------------------------
 

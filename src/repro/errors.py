@@ -128,26 +128,6 @@ class ProtocolError(ReproError):
     """A master/slave message violated the adjustment protocol."""
 
 
-class ProtocolTimeoutError(ProtocolError):
-    """An adjustment round did not complete before the master's timeout.
-
-    The master *aborts* the round instead of wedging; the engine records
-    this error in the fault log rather than raising it, so the run
-    continues with the old degrees of parallelism.
-
-    Attributes:
-        task_name: the task whose adjustment hung.
-        timeout: the timeout that expired, in simulated seconds.
-    """
-
-    def __init__(self, task_name: str, timeout: float) -> None:
-        super().__init__(
-            f"adjustment of {task_name!r} timed out after {timeout:g}s; aborted"
-        )
-        self.task_name = task_name
-        self.timeout = timeout
-
-
 # --------------------------------------------------------------------------
 # fault injection
 

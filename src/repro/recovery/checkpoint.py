@@ -9,9 +9,9 @@ boundary every live slave is either mid-page (its in-flight page is
 re-read on resume, exactly like a crash replacement re-reads a dead
 slave's page) or retired, so the heap is reconstructible.
 
-Snapshots are plain frozen dataclasses of ints/floats/tuples —
-:meth:`Checkpoint.to_dict` / :meth:`Checkpoint.from_dict` round-trip
-through JSON losslessly (Python's float repr round-trips exactly).
+Snapshots are plain frozen dataclasses of ints/floats/tuples, kept in
+memory: the recovery manager holds the newest one and a resumed run
+takes that object, so no checkpoint is ever serialised.
 
 :meth:`Checkpoint.capture` reads a snapshot off a live engine and
 :meth:`Checkpoint.restore` replays one into a freshly constructed
@@ -289,138 +289,8 @@ class Checkpoint:
         if engine.recovery is not None:
             engine.recovery.note_restore(engine)
 
-    def split(self) -> tuple[dict, list]:
-        """``(header, parts)``: the fields that serialise as they are, and
-        ``(slot, part, (encode, decode))`` for the RNG state and each
-        running task, completed record and disk — the codecs
-        :meth:`to_dict` and :meth:`from_dict` apply part by part.  A slot
-        is ``(field, index)``."""
-        header = dict(vars(self))
-        rng = (_encode_rng, _decode_rng)
-        parts = [(("rng_state", 0), header.pop("rng_state"), rng)]
-        for name, codec in _SNAPSHOT_CODECS.items():
-            parts += [((name, i), p, codec) for i, p in enumerate(header.pop(name))]
-        return header, parts
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable dict (lossless round-trip): the header as it
-        is (scalars, and tuples serialise as JSON arrays), every part
-        through its encoder."""
-        raw = dict(vars(self))
-        raw["rng_state"] = _encode_rng(self.rng_state)
-        for name, (encode, __) in _SNAPSHOT_CODECS.items():
-            raw[name] = [encode(part) for part in raw[name]]
-        return raw
-
-    @staticmethod
-    def header_from_dict(raw: dict) -> dict:
-        """The header fields of a :meth:`to_dict` dict, decoded."""
-        return dict(
-            taken_at=float(raw["taken_at"]),
-            seed=int(raw["seed"]),
-            block_cursor=int(raw["block_cursor"]),
-            io_count=int(raw["io_count"]),
-            cpu_busy_time=float(raw["cpu_busy_time"]),
-            adjustments=int(raw["adjustments"]),
-            peak_memory=float(raw["peak_memory"]),
-            measured_mult=tuple(float(m) for m in raw["measured_mult"]),
-        )
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Checkpoint":
-        """Rebuild a checkpoint from :meth:`to_dict` output."""
-        if not isinstance(raw, dict):
-            raise RecoveryError(f"checkpoint must be an object, got {raw!r}")
-        try:
-            return cls(
-                **cls.header_from_dict(raw),
-                rng_state=_decode_rng(raw["rng_state"]),
-                **{
-                    name: tuple(map(decode, raw[name]))
-                    for name, (__, decode) in _SNAPSHOT_CODECS.items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecoveryError(f"malformed checkpoint: {exc!r}") from None
-
     @property
     def pages_done(self) -> int:
         """Pages completed across all running tasks at capture time."""
         return sum(t.pages_done for t in self.running)
 
-
-def _pairs(raw) -> tuple[tuple[float, float], ...]:
-    return tuple((float(a), float(b)) for a, b in raw)
-
-
-def _encode_rng(state: tuple) -> list:
-    # random.Random.getstate() -> (version, tuple-of-ints, gauss_next)
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def _decode_rng(raw) -> tuple:
-    version, internal, gauss = raw
-    return (version, tuple(map(int, internal)), gauss)
-
-
-def _task_from_dict(t) -> TaskSnapshot:
-    return TaskSnapshot(
-        name=t["name"],
-        parallelism=int(t["parallelism"]),
-        started_at=float(t["started_at"]),
-        pages_done=int(t["pages_done"]),
-        next_slave_id=int(t["next_slave_id"]),
-        block_base=int(t["block_base"]),
-        history=_pairs(t["history"]),
-        order=None if t["order"] is None else tuple(map(int, t["order"])),
-        slaves=tuple(
-            SlaveSnapshot(
-                slave_id=int(s["slave_id"]),
-                cursor=int(s["cursor"]),
-                segments=tuple(
-                    (int(a), int(b), int(c), int(d)) for a, b, c, d in s["segments"]
-                ),
-                intervals=tuple((int(a), int(b)) for a, b in s["intervals"]),
-                retired=bool(s["retired"]),
-                crashed=bool(s["crashed"]),
-                inflight=int(s["inflight"]) if s["inflight"] is not None else None,
-            )
-            for s in t["slaves"]
-        ),
-    )
-
-
-def _record_from_dict(r) -> RecordSnapshot:
-    return RecordSnapshot(
-        name=r["name"],
-        started_at=float(r["started_at"]),
-        finished_at=float(r["finished_at"]),
-        history=_pairs(r["history"]),
-    )
-
-
-def _disk_from_dict(d) -> DiskSnapshot:
-    return DiskSnapshot(
-        streams=tuple(map(int, d["streams"])),
-        busy_time=float(d["busy_time"]),
-        sequential=int(d["sequential"]),
-        almost_sequential=int(d["almost_sequential"]),
-        random=int(d["random"]),
-    )
-
-
-def _shallow(snapshot) -> dict:
-    # Everything below a record or disk snapshot is a scalar or a tuple.
-    return dict(vars(snapshot))
-
-
-#: ``field -> (encode, decode)`` for each element of the snapshot tuples.
-_SNAPSHOT_CODECS = {
-    "running": (
-        lambda task: {**vars(task), "slaves": [dict(vars(s)) for s in task.slaves]},
-        _task_from_dict,
-    ),
-    "completed": (_shallow, _record_from_dict),
-    "disks": (_shallow, _disk_from_dict),
-}

@@ -427,9 +427,9 @@ class AdmissionGate(SchedulingPolicy):
         Enforcement is instant-driven, not a sweep.  The heap holds
         every instant at which it can act: each SLO-tagged submission's
         deadline (pushed at every offer) and its grace bound (pushed at
-        admission).  When no live instant is due the pass is provably a
-        no-op and exits in O(1); when one is due, only the submissions
-        with due instants are processed, in a
+        admission when the grace is positive).  When no live instant is
+        due the pass is provably a no-op and exits in O(1); when one is
+        due, only the submissions with due instants are processed, in a
         fixed action order the serve corpus pins: queue drops in FIFO
         order, retry purges in heap-array order, in-flight submissions
         in sid order.  Consuming an instant once is safe because every
@@ -649,8 +649,11 @@ class AdmissionGate(SchedulingPolicy):
                 inflight[task.task_id] = (task, entry)
             entry.unfinished = submission.tasks
             self._inflight_version += 1
+            # At zero grace the grace bound is the deadline instant
+            # ``_offer`` already pushed.
             if (
                 self.deadline_policy == "shed"
+                and self.deadline_grace > 0
                 and submission.deadline is not None
             ):
                 heapq.heappush(

@@ -47,7 +47,7 @@ from typing import Sequence
 from ..config import MachineConfig
 from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
-from ..errors import ProtocolTimeoutError, SimulationError
+from ..errors import SimulationError
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..parallel.partition import (
@@ -64,9 +64,8 @@ _EPS = 1e-12
 _MAX_EVENTS = 5_000_000
 
 #: Simulated seconds the master waits for an adjustment round before
-#: aborting it (recorded as a :class:`~repro.errors.ProtocolTimeoutError`
-#: event in the fault log, never raised — the run continues).  Armed only
-#: under a fault injector.
+#: aborting it (recorded as a ``timeout`` event in the fault log; the run
+#: continues).  Armed only under a fault injector.
 ADJUST_TIMEOUT = 0.5
 
 # Event tags for the engine's heap entries.  The hot per-page events
@@ -1185,8 +1184,12 @@ class _MicroEngine(TaskLedger):
         log = injector.log
         log.adjust_timeouts += 1
         log.adjust_aborts += 1
-        error = ProtocolTimeoutError(run.task.name, ADJUST_TIMEOUT)
-        log.record(self.clock, "timeout", str(error))
+        log.record(
+            self.clock,
+            "timeout",
+            f"adjustment of {run.task.name!r} timed out after "
+            f"{ADJUST_TIMEOUT:g}s; aborted",
+        )
         if self.tracer is not None:
             self._instant("adjust:abort", run.task, "adjust", {"timeout": ADJUST_TIMEOUT})
         harvest, run.harvest = run.harvest, None

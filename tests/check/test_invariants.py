@@ -1,8 +1,5 @@
 """Tests for the runtime invariant checker and its engine hooks."""
 
-import dataclasses
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +12,7 @@ from repro.errors import InvariantViolation
 from repro.faults import FaultSchedule, MasterCrash, random_schedule
 from repro.faults.chaos import chaos_workload
 from repro.parallel.partition import PageAssignment
-from repro.recovery import Checkpoint, RecoveryManager, run_with_recovery
-from repro.recovery import checkpoint as checkpoint_module
+from repro.recovery import RecoveryManager, run_with_recovery
 from repro.sim.fluid import FluidSimulator
 from repro.sim.micro import MicroSimulator, spec_for_io_rate
 
@@ -355,114 +351,6 @@ class TestIncrementalConservation:
         assert inv.violations == [
             f"[site] {detail}" for detail in reference_conservation(run)
         ]
-
-
-class _BoundaryLog(InvariantChecker):
-    """Records each round-trip boundary's label and checkpoint."""
-
-    def __init__(self):
-        super().__init__(collect=True)
-        self.boundaries = []
-
-    def _check_checkpoint_roundtrip(self, label, engine):
-        self.boundaries.append((label, Checkpoint.capture(engine)))
-        super()._check_checkpoint_roundtrip(label, engine)
-
-
-def logged_run(checker=None):
-    checker = checker or _BoundaryLog()
-    MicroSimulator(MACHINE, seed=3, invariants=checker).run(
-        specs(), InterWithAdjPolicy(integral=True)
-    )
-    return checker
-
-
-def first_new_part(boundaries, field, index):
-    """``(k, part)``: the first boundary past the first whose
-    ``field[index]`` differs from the one before (or is new)."""
-    before = None
-    for k, (__, cp) in enumerate(boundaries):
-        parts = getattr(cp, field)
-        part = parts[index] if len(parts) > index else None
-        if k > 0 and part is not None and part != before:
-            return k, part
-        before = part
-    raise AssertionError(f"no new {field}[{index}] past the first boundary")
-
-
-def count_rng_encodes(monkeypatch):
-    encoded = []
-    real = checkpoint_module._encode_rng
-    monkeypatch.setattr(
-        checkpoint_module,
-        "_encode_rng",
-        lambda state: encoded.append(state) or real(state),
-    )
-    return encoded
-
-
-class TestIncrementalRoundTrip:
-    @pytest.mark.parametrize(
-        "field, index",
-        # The second task to finish: a record in a slot first filled past
-        # the first boundary.  The running task at the second boundary: a
-        # new value in a slot verified at the first.
-        [("completed", 1), ("running", 0)],
-    )
-    def test_a_corrupt_part_is_caught_at_the_boundary_it_first_shows(
-        self, monkeypatch, field, index
-    ):
-        clean = logged_run()
-        assert clean.ok
-        k, victim = first_new_part(clean.boundaries, field, index)
-        encode, decode = checkpoint_module._SNAPSHOT_CODECS[field]
-
-        def corrupt(raw):
-            part = decode(raw)
-            if part != victim:
-                return part
-            return dataclasses.replace(part, started_at=part.started_at + 1)
-
-        monkeypatch.setitem(
-            checkpoint_module._SNAPSHOT_CODECS, field, (encode, corrupt)
-        )
-        checker = logged_run()
-        label, at_k = checker.boundaries[k]
-        assert checker.violations[0] == (
-            f"[{label}] checkpoint changed across to_dict/json/from_dict "
-            f"at t={at_k.taken_at!r}"
-        )
-        # The whole checkpoint through the same codecs fails at exactly
-        # the boundaries the part-by-part check flags.
-        whole = [
-            f"[{label}] checkpoint changed across to_dict/json/from_dict "
-            f"at t={cp.taken_at!r}"
-            for label, cp in checker.boundaries
-            if Checkpoint.from_dict(json.loads(json.dumps(cp.to_dict()))) != cp
-        ]
-        assert checker.violations == whole
-
-    def test_an_unchanged_rng_state_is_not_serialised_again(self, monkeypatch):
-        encoded = count_rng_encodes(monkeypatch)
-        checker = logged_run()
-        states = [cp.rng_state for __, cp in checker.boundaries]
-        assert checker.ok
-        assert len(set(states)) < len(states)
-        assert len(encoded) == len(set(encoded)) == len(set(states))
-
-    def test_new_run_clears_the_memo(self, monkeypatch):
-        checker = logged_run()
-        assert checker._verified
-        checker.new_run()
-        assert not checker._verified
-        # The engine calls new_run when it is built, so a second run
-        # through the same checker verifies every part afresh.
-        encoded = count_rng_encodes(monkeypatch)
-        logged_run(checker)
-        first = len(encoded)
-        logged_run(checker)
-        assert len(encoded) == 2 * first > 0
-        assert checker.ok
 
 
 class TestCheckerSpansAResume:

@@ -8,12 +8,19 @@ cancelled, never a wedged run.  At zero grace (``TestKillPolicy``)
 every unfinished fragment is cancelled at the deadline.
 """
 
+import heapq
+
 import pytest
 
 from repro.config import paper_machine
 from repro.core import make_task
 from repro.errors import AdmissionError, ServiceOverloadError
-from repro.service import QueryService, ServiceSubmission
+from repro.service import (
+    ArrivalConfig,
+    QueryService,
+    ServiceSubmission,
+    poisson_stream,
+)
 from repro.service.queue import AdmissionQueue
 
 
@@ -196,6 +203,33 @@ class TestShedPolicy:
             (c.task.name, c.cancelled_at)
             for c in second.schedule.cancel_records
         ]
+
+
+class TestDeadlineInstants:
+    def test_zero_grace_pushes_one_instant_per_offer(self, machine, monkeypatch):
+        """At zero grace a submission's grace bound is its deadline, so
+        admission pushes no second, identical instant."""
+        stream = poisson_stream(
+            rate=2.0,
+            seed=0,
+            config=ArrivalConfig(n_submissions=200, max_pages=300),
+            machine=machine,
+        )
+        service = _service(machine, policy="shed")
+        pushed = []
+        real = heapq.heappush
+
+        def push(heap, item):
+            if heap is service.gate._deadline_heap:
+                pushed.append(item)
+            real(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        result = service.run(stream)
+        assert result.metrics.overall.deadline_cancelled > 0
+        tagged = [s for s in stream if s.deadline is not None]
+        assert len(tagged) == 200
+        assert len(pushed) == len(set(pushed)) == len(tagged)
 
 
 class TestErrorExitPaths:

@@ -9,7 +9,7 @@ reviewed) with ``PYTHONPATH=src python -m tests.corpus trace``.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 from repro.check import InvariantChecker
@@ -286,6 +286,15 @@ class CheckpointLog(RecoveryManager):
             self.taken.append(self.last)
 
 
+def checkpoint_dict(checkpoint):
+    """A checkpoint as JSON-ready data, the form ``checkpoint_wire``
+    hashes: ``dataclasses.asdict`` plus the RNG state as lists."""
+    raw = asdict(checkpoint)
+    version, internal, gauss = checkpoint.rng_state
+    raw["rng_state"] = [version, list(internal), gauss]
+    return raw
+
+
 def cold_digest(result, tracer, invariants=None, recovery=None):
     """:func:`trace_digest` plus cancel/shed records, the fault log's
     counters, a hash of the tracer's events, the invariant checker's
@@ -360,7 +369,7 @@ def cold_fault_digest(label, seed):
     )
     digest = cold_digest(run.result, tracer, invariants, run)
     if logged:
-        wire = "\n".join(json.dumps(cp.to_dict()) for cp in manager.taken)
+        wire = "\n".join(json.dumps(checkpoint_dict(cp)) for cp in manager.taken)
         digest["checkpoint_wire"] = [len(manager.taken), sha(wire.encode())]
     return digest
 

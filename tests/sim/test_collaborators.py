@@ -22,7 +22,7 @@ from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy
 from repro.errors import FaultError
 from repro.faults import FaultSchedule, SlaveCrash
-from repro.recovery import Checkpoint, RecoveryManager
+from repro.recovery import Checkpoint
 from repro.sim.micro import MicroSimulator
 
 from .corpus_tools import cold_specs
@@ -67,32 +67,23 @@ def test_engine_knows_one_name_of_each_collaborator():
         assert not any("sim" in (module or "") for module in imported), path
 
 
-def test_manager_and_checker_capture_equal_checkpoints(monkeypatch):
-    """Both callers go through the one entry, ``Checkpoint.capture``:
-    offered the same engine at the same instant they hold equal
-    snapshots."""
+def test_checker_without_a_manager_captures_no_checkpoint(monkeypatch):
+    """Only the recovery manager captures: a checked run with no manager
+    takes no snapshot at any of its round boundaries."""
     captured = []
     real = Checkpoint.capture.__func__
     monkeypatch.setattr(
         Checkpoint,
         "capture",
-        classmethod(lambda cls, engine: captured.append(real(cls, engine)) or captured[-1]),
+        classmethod(lambda cls, engine: captured.append(engine) or real(cls, engine)),
     )
-    checker = InvariantChecker()
-
-    class Both(RecoveryManager):
-        def capture(self, engine):
-            super().capture(engine)
-            checker._check_checkpoint_roundtrip("test", engine)
-
     machine = paper_machine()
-    manager = Both()
-    MicroSimulator(machine, consult_interval=0.5, recovery=manager).run(
+    checker = InvariantChecker()
+    result = MicroSimulator(machine, consult_interval=0.5, invariants=checker).run(
         cold_specs(machine), InterWithAdjPolicy(integral=True)
     )
-    assert manager.captures > 5 and len(captured) == 2 * manager.captures
-    assert captured[0::2] == captured[1::2]
-    assert any(cp.running and cp.completed for cp in captured)
+    assert result.adjustments > 0 and checker.checks > 0
+    assert captured == []
 
 
 def test_unknown_fault_type_is_rejected_before_the_run_starts():

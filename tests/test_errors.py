@@ -8,8 +8,6 @@ from repro.errors import (
     ConfigError,
     FaultError,
     MasterCrashError,
-    ProtocolError,
-    ProtocolTimeoutError,
     RecoveryError,
     ReproError,
     SchedulingError,
@@ -62,17 +60,6 @@ class TestBTreeError:
 
         with pytest.raises(AttributeError):
             errors_module.NoSuchError  # noqa: B018
-
-
-class TestProtocolTimeoutError:
-    def test_carries_task_and_timeout(self):
-        error = ProtocolTimeoutError("scan0", 0.5)
-        assert isinstance(error, ProtocolError)
-        assert error.task_name == "scan0"
-        assert error.timeout == 0.5
-        assert "scan0" in str(error)
-        assert "0.5s" in str(error)
-        assert "aborted" in str(error)
 
 
 class TestFaultErrors:

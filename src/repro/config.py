@@ -67,16 +67,6 @@ class DiskProfile:
                 "expected random <= almost-sequential <= sequential bandwidth"
             )
 
-    @property
-    def sequential_service_time(self) -> float:
-        """Seconds to service one strictly sequential read."""
-        return 1.0 / self.seq_ios_per_sec
-
-    @property
-    def random_service_time(self) -> float:
-        """Seconds to service one random read."""
-        return 1.0 / self.random_ios_per_sec
-
 
 @dataclass(frozen=True)
 class MachineConfig:

@@ -12,12 +12,9 @@ from .balance import (
 )
 from .classify import (
     classification_line,
-    int_parallelism,
     is_cpu_bound,
     is_io_bound,
     max_parallelism,
-    most_cpu_bound,
-    most_io_bound,
     pattern_bandwidth,
     split_by_bound,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "balance_point",
     "classification_line",
     "effective_bandwidth",
-    "int_parallelism",
     "intra_time",
     "is_cpu_bound",
     "is_io_bound",
@@ -62,8 +58,6 @@ __all__ = [
     "make_task",
     "max_parallelism",
     "memory_fits",
-    "most_cpu_bound",
-    "most_io_bound",
     "pattern_bandwidth",
     "policy_by_name",
     "split_by_bound",

@@ -13,8 +13,6 @@ IO-bound tasks sit above the diagonal and hit the bandwidth wall first
 
 from __future__ import annotations
 
-import math
-
 from ..config import MachineConfig
 from .task import IOPattern, Task
 
@@ -34,6 +32,22 @@ def pattern_bandwidth(machine: MachineConfig, pattern: IOPattern) -> float:
     return machine.io_bandwidth
 
 
+def io_service_time(machine: MachineConfig, pattern: IOPattern) -> float:
+    """Seconds one io of ``pattern`` takes under the task calibration.
+
+    Sequential io is served at the *almost sequential* rate: "in
+    parallel executions, we at most see the almost sequential read
+    bandwidth" (Section 3), and tasks here always run in parallel, so a
+    task's io rate stays consistent with the working bandwidth ``B``.
+    Random io is served at the random rate.  The workload builders and
+    both engines calibrate against this one function.
+    """
+    disk = machine.disk
+    if pattern is _RANDOM:
+        return 1.0 / disk.random_ios_per_sec
+    return 1.0 / disk.almost_seq_ios_per_sec
+
+
 def is_io_bound(task: Task, machine: MachineConfig) -> bool:
     """``C_i > B/N`` — IO-bound per the paper's definition."""
     return task.io_rate > machine.bound_threshold
@@ -50,7 +64,8 @@ def max_parallelism(task: Task, machine: MachineConfig) -> float:
     IO-bound tasks are limited by bandwidth (``B / C_i``); CPU-bound
     tasks by the processor count (``N``).  The bandwidth wall uses the
     bandwidth matching the task's io pattern.  The value is continuous;
-    use :func:`int_parallelism` when an integral degree is needed.
+    :func:`repro.core.balance.clamp_parallelism` with ``integral=True``
+    floors it to a feasible integral degree.
     """
     return max_parallelism_of(task.io_rate, task.io_pattern, machine)
 
@@ -65,20 +80,6 @@ def max_parallelism_of(
     return min(float(machine.processors), bandwidth / io_rate)
 
 
-def int_parallelism(x: float, machine: MachineConfig) -> int:
-    """Floor a continuous degree of parallelism to a feasible integer.
-
-    Floor, not round: ``x`` is capped by the bandwidth wall
-    ``B / C_i``, and flooring is the only rounding that keeps the
-    integral degree's demand ``C_i * floor(x)`` at or under ``B`` —
-    rounding up past a balance point would oversubscribe the disks,
-    which Section 2.3 never allows.  (For the non-negative degrees
-    seen here ``int(x)`` was already a floor; ``math.floor`` states
-    the intent and pins it for negative inputs too.)
-    """
-    return max(1, min(machine.processors, math.floor(x)))
-
-
 def split_by_bound(
     tasks, machine: MachineConfig
 ) -> tuple[list[Task], list[Task]]:
@@ -91,16 +92,6 @@ def split_by_bound(
         else:
             cpu_bound.append(task)
     return io_bound, cpu_bound
-
-
-def most_io_bound(tasks) -> Task:
-    """The task with the greatest io rate (the paper's pairing pick)."""
-    return max(tasks, key=lambda t: t.io_rate)
-
-
-def most_cpu_bound(tasks) -> Task:
-    """The task with the smallest io rate."""
-    return min(tasks, key=lambda t: t.io_rate)
 
 
 def classification_line(task: Task, machine: MachineConfig, points: int = 20):

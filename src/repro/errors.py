@@ -206,22 +206,6 @@ class ServiceError(ReproError):
     """Base class for query-service (serving mode) errors."""
 
 
-class ServiceOverloadError(ServiceError):
-    """A submission was rejected because its tenant queue was full.
-
-    Attributes:
-        submission_id: id of the rejected submission.
-        tenant: the tenant whose queue overflowed.
-    """
-
-    def __init__(self, submission_id: int, tenant: str) -> None:
-        super().__init__(
-            f"submission {submission_id} rejected: queue full for tenant {tenant!r}"
-        )
-        self.submission_id = submission_id
-        self.tenant = tenant
-
-
 class AdmissionError(ServiceError):
     """The admission controller reached an inconsistent state.
 

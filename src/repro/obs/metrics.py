@@ -47,19 +47,6 @@ def percentile(values: list[float], p: float) -> float:
     return _interpolate(sorted(values), p)
 
 
-def percentiles(values: list[float], ps: tuple[float, ...]) -> tuple[float, ...]:
-    """Several percentiles of one distribution with a single sort.
-
-    Equivalent to ``tuple(percentile(values, p) for p in ps)`` but sorts
-    ``values`` once instead of once per quantile — the serving metrics
-    tables ask for p50/p95/p99 of every tenant's latency distribution.
-    """
-    if not values:
-        return tuple(0.0 for _ in ps)
-    ordered = sorted(values)
-    return tuple(_interpolate(ordered, p) for p in ps)
-
-
 @dataclass
 class Counter:
     """A monotonically increasing count."""

@@ -28,7 +28,7 @@ from .metrics import (
     utilization_timeline,
 )
 from .gate import AdmissionGate, SubmissionOutcome
-from .queue import AdmissionQueue, QueuedSubmission, ServiceSubmission
+from .queue import ServiceSubmission
 from .server import QueryService, ServiceResult
 from .stress import (
     StressPoint,
@@ -42,12 +42,10 @@ from .stress import (
 __all__ = [
     "AdmissionGate",
     "AdmissionPolicy",
-    "AdmissionQueue",
     "ArrivalConfig",
     "BalanceAwareAdmission",
     "FifoAdmission",
     "QueryService",
-    "QueuedSubmission",
     "ServiceMetrics",
     "ServiceResult",
     "ServiceSubmission",

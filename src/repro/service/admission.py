@@ -21,7 +21,7 @@ from ..config import MachineConfig
 from ..core.classify import is_io_bound
 from ..core.task import Task
 from ..errors import ServiceError
-from .queue import QueuedSubmission, ServiceSubmission
+from .queue import ServiceSubmission
 
 
 class AdmissionPolicy:
@@ -37,7 +37,7 @@ class AdmissionPolicy:
 
     def select(
         self,
-        waiting: list[QueuedSubmission],
+        waiting: list[ServiceSubmission],
         inflight: list[Task],
         machine: MachineConfig,
     ) -> ServiceSubmission | None:
@@ -61,14 +61,14 @@ class FifoAdmission(AdmissionPolicy):
 
     def select(
         self,
-        waiting: list[QueuedSubmission],
+        waiting: list[ServiceSubmission],
         inflight: list[Task],
         machine: MachineConfig,
     ) -> ServiceSubmission | None:
         """The head of the global FIFO order."""
         if not waiting:
             return None
-        return waiting[0].submission
+        return waiting[0]
 
 
 class BalanceAwareAdmission(AdmissionPolicy):
@@ -102,19 +102,18 @@ class BalanceAwareAdmission(AdmissionPolicy):
     def __init__(self, *, window: int = 6) -> None:
         if window < 1:
             raise ServiceError("window must be >= 1")
-        self.window = window
         self.head_window = window
 
     def select(
         self,
-        waiting: list[QueuedSubmission],
+        waiting: list[ServiceSubmission],
         inflight: list[Task],
         machine: MachineConfig,
     ) -> ServiceSubmission | None:
         """The windowed complement-seeking pick described on the class."""
         if not waiting:
             return None
-        head = waiting[: self.window]
+        head = waiting[: self.head_window]
         io_load = sum(
             t.seq_time for t in inflight if is_io_bound(t, machine)
         )
@@ -123,20 +122,20 @@ class BalanceAwareAdmission(AdmissionPolicy):
         )
         if io_load == cpu_load:
             # Empty or perfectly split in-flight mix: take the head.
-            return head[0].submission
+            return head[0]
         if io_load < cpu_load:
             # CPU-saturated machine: feed it the most IO-bound query.
             best = max(
                 enumerate(head),
-                key=lambda iw: (iw[1].submission.io_rate, -iw[0]),
+                key=lambda iw: (iw[1].io_rate, -iw[0]),
             )
         else:
             # Disk-saturated machine: feed it the most CPU-bound query.
             best = min(
                 enumerate(head),
-                key=lambda iw: (iw[1].submission.io_rate, iw[0]),
+                key=lambda iw: (iw[1].io_rate, iw[0]),
             )
-        return best[1].submission
+        return best[1]
 
 
 #: The admission policies by CLI name (``name`` lower-cased), in the

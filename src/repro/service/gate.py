@@ -6,9 +6,9 @@ scheduler the engine runs (the paper's INTER-WITH-ADJ by default) and
 mixes the fragments of many users' queries into it.  At each engine
 consult it
 
-1. offers newly arrived submissions to bounded per-tenant queues,
-   shedding load (:class:`~repro.errors.ServiceOverloadError` →
-   :class:`~repro.core.schedulers.Shed` actions) when a queue is full;
+1. queues newly arrived submissions, at most ``queue_capacity`` per
+   tenant, shedding load (:class:`~repro.core.schedulers.Shed`
+   actions) when a tenant's queue is full;
 2. admits waiting submissions while the in-flight fragment budget
    allows, using the configured
    :class:`~repro.service.admission.AdmissionPolicy` to pick which one;
@@ -37,12 +37,12 @@ from ..core.schedulers import (
     Shed,
 )
 from ..core.task import Task
-from ..errors import AdmissionError, ServiceOverloadError
+from ..errors import AdmissionError
 from ..faults.breaker import CircuitBreaker
 from ..faults.retry import RetryPolicy
 from ..sim.ledger import ScheduleResult
 from .admission import AdmissionPolicy
-from .queue import AdmissionQueue, ServiceSubmission
+from .queue import ServiceSubmission
 
 _EPS = 1e-9
 
@@ -260,6 +260,8 @@ class AdmissionGate(SchedulingPolicy):
         deadline_grace: float = 0.0,
         tracer=None,
     ) -> None:
+        if queue_capacity < 1:
+            raise AdmissionError(-1, "queue_capacity must be >= 1")
         if max_inflight_fragments < 1:
             raise AdmissionError(-1, "max_inflight_fragments must be >= 1")
         if deadline_policy not in ("off", "shed"):
@@ -296,8 +298,16 @@ class AdmissionGate(SchedulingPolicy):
     def reset(self) -> None:
         """Clear all gate state before a fresh run."""
         self.inner.reset()
-        self._queue = AdmissionQueue(self.queue_capacity)
         self._cursor = 0
+        #: Waiting submissions by id.  Dict order is global arrival
+        #: (FIFO) order: ids are never re-queued while waiting, and a
+        #: removal keeps the survivors' order.
+        self._waiting: dict[int, ServiceSubmission] = {}
+        #: Waiting submissions per tenant, against ``queue_capacity``.
+        self._depths: dict[str, int] = {}
+        #: ``_waiting``'s values as a list, memoized for :meth:`_admit`
+        #: (read on every consult); an offer appends, a removal clears.
+        self._waiting_view: list[ServiceSubmission] | None = None
         #: One entry per submission, by id, in stream order.
         self._entries = {s.submission_id: _Entry(s) for s in self._stream}
         #: Admitted-but-unfinished fragments: task id -> (task, entry).
@@ -368,12 +378,16 @@ class AdmissionGate(SchedulingPolicy):
         if self.breaker is not None and not self.breaker.allow(now):
             self._note(submission, "breaker:reject", now, "admission")
             return self._handle_shed(entry, now)
-        try:
-            self._queue.offer(submission, now)
-        except ServiceOverloadError:
+        tenant = submission.tenant
+        depth = self._depths.get(tenant, 0)
+        if depth >= self.queue_capacity:
             if self.breaker is not None:
                 self.breaker.record_failure(now)
             return self._handle_shed(entry, now)
+        self._waiting[submission.submission_id] = submission
+        self._depths[tenant] = depth + 1
+        if self._waiting_view is not None:
+            self._waiting_view.append(submission)  # newest is last
         entry.where = "queued"
         if self.breaker is not None:
             self.breaker.record_success(now)
@@ -485,17 +499,16 @@ class AdmissionGate(SchedulingPolicy):
         # the oldest waiting submissions, i.e. the FIFO prefix, so the
         # ordered scan stops after roughly as many entries as there are
         # drops rather than walking the whole queue.
-        queued_due = {sid for sid in due_sids if sid in self._queue}
+        queued_due = {sid for sid in due_sids if sid in self._waiting}
         if queued_due:
-            overdue_waiting = []
-            for queued in self._queue.waiting():
-                if queued.submission.submission_id in queued_due:
-                    overdue_waiting.append(queued)
-                    if len(overdue_waiting) == len(queued_due):
+            overdue_sids = []
+            for sid in self._waiting:
+                if sid in queued_due:
+                    overdue_sids.append(sid)
+                    if len(overdue_sids) == len(queued_due):
                         break
-            for queued in overdue_waiting:
-                sid = queued.submission.submission_id
-                self._queue.take(sid)
+            for sid in overdue_sids:
+                self._unqueue(sid)
                 drop(entries[sid])
         # Backing-off submissions whose deadline passed mid-retry (each
         # sid has at most one pending retry entry).
@@ -596,32 +609,39 @@ class AdmissionGate(SchedulingPolicy):
             if not entry.unfinished:
                 entry.where = None
 
+    def _unqueue(self, sid: int) -> ServiceSubmission:
+        """Remove one waiting submission; its tenant gets a slot back."""
+        submission = self._waiting.pop(sid)
+        self._depths[submission.tenant] -= 1
+        self._waiting_view = None
+        return submission
+
     def _admit(self, state: EngineState) -> None:
         """Release waiting submissions while the fragment budget allows."""
-        queue = self._queue
         inflight = self._inflight
-        while True:
-            if not len(queue):
-                return
+        while self._waiting:
             budget = self.max_inflight_fragments - len(inflight)
+            if inflight and budget < 1:
+                return  # every bundle has >= 1 fragment: no candidates
             # The policy's ``head_window`` bounds how deep into the
             # FIFO prefix it can ever look, so building more than that
             # many qualifying candidates is wasted work; truncating the
             # *filtered* list preserves the exact entries (and indices)
             # the policy would have examined.
             hw = self.admission.head_window
+            waiting = self._waiting_view
+            if waiting is None:
+                waiting = self._waiting_view = list(self._waiting.values())
             if inflight:
-                if budget < 1:
-                    return  # every bundle has >= 1 fragment: no candidates
                 candidates = []
-                for queued in queue.waiting():
-                    if queued.submission.n_fragments <= budget:
-                        candidates.append(queued)
+                for submission in waiting:
+                    if submission.n_fragments <= budget:
+                        candidates.append(submission)
                         if len(candidates) >= hw:
                             break
             else:
                 # Never wedge: an empty machine always takes one query.
-                candidates = queue.waiting()[:hw]
+                candidates = waiting[:hw]
             if not candidates:
                 return
             choice = self.admission.select(
@@ -631,8 +651,12 @@ class AdmissionGate(SchedulingPolicy):
             )
             if choice is None:
                 return
-            submission = queue.take(choice.submission_id)
-            sid = submission.submission_id
+            sid = choice.submission_id
+            if sid not in self._waiting:
+                raise AdmissionError(
+                    sid, "admission policy chose a submission not waiting"
+                )
+            submission = self._unqueue(sid)
             entry = self._entries[sid]
             entry.where = "inflight"
             entry.admitted_at = state.now
@@ -698,7 +722,7 @@ class AdmissionGate(SchedulingPolicy):
             if cancels:
                 actions.extend(cancels)
                 banned = {a.task.task_id for a in cancels}
-        if len(self._queue):
+        if self._waiting:
             self._admit(state)
         actions.extend(self.inner.decide(_GatedView(state, self, banned)))
         return actions

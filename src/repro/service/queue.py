@@ -1,12 +1,12 @@
-"""Bounded per-tenant admission queues with backpressure.
+"""One user query entering the open system.
 
-A :class:`ServiceSubmission` is one user query entering the open
-system: a small bundle of scheduler tasks (the query's plan fragments)
-plus an arrival time, a tenant label and an optional response-time SLO.
-Submissions wait in per-tenant bounded FIFO queues until the admission
-controller (:mod:`repro.service.admission`) releases them to the
-scheduler.  A full queue *sheds load*: the offer raises
-:class:`~repro.errors.ServiceOverloadError` and the submission is never
+A :class:`ServiceSubmission` is a small bundle of scheduler tasks (the
+query's plan fragments) plus an arrival time, a tenant label and an
+optional response-time SLO.  Submissions wait at the admission gate
+(:class:`~repro.service.gate.AdmissionGate`), at most ``queue_capacity``
+per tenant, until its admission policy
+(:mod:`repro.service.admission`) releases them to the scheduler.  An
+offer to a full tenant queue *sheds load*: the submission is never
 executed — the open-system analogue of the closed batch in
 ``optimizer/multiquery.py``, where every query always runs.
 """
@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from ..core.ids import submission_ids as _submission_ids
 from ..core.task import Task
-from ..errors import AdmissionError, ServiceOverloadError
+from ..errors import AdmissionError
 
 _seq_time = attrgetter("seq_time")
 _io_count = attrgetter("io_count")
@@ -30,7 +30,8 @@ class ServiceSubmission:
 
     Attributes:
         name: human-readable label used in traces and metrics.
-        tenant: owning tenant; each tenant has its own bounded queue.
+        tenant: owning tenant; the gate bounds each tenant's waiting
+            submissions separately.
         tasks: the query's plan fragments as scheduler tasks.  Their
             ``depends_on`` edges must stay within the bundle and their
             ``arrival_time`` must equal :attr:`arrival_time` (a plan's
@@ -85,89 +86,3 @@ class ServiceSubmission:
     def total_io_count(self) -> float:
         """Total io requests issued by the bundle."""
         return sum(map(_io_count, self.tasks))
-
-
-@dataclass(frozen=True, slots=True)
-class QueuedSubmission:
-    """Book-keeping wrapper for a submission waiting in a queue."""
-
-    submission: ServiceSubmission
-    enqueued_at: float
-
-
-class AdmissionQueue:
-    """Per-tenant bounded FIFO queues feeding the admission controller.
-
-    Submissions live in one insertion-ordered dict keyed by submission
-    id: dict order *is* global arrival (FIFO) order, because ids are
-    never re-offered and removal preserves the order of the survivors.
-    That makes :meth:`offer`/:meth:`take`/:meth:`__contains__` O(1) and
-    :meth:`waiting` a memoized snapshot rather than a flatten-and-sort
-    of the tenant queues — the admission gate calls ``waiting()`` on
-    every engine consult.
-
-    Args:
-        capacity_per_tenant: maximum submissions waiting per tenant;
-            an offer beyond this sheds load with
-            :class:`~repro.errors.ServiceOverloadError`.
-    """
-
-    def __init__(self, capacity_per_tenant: int) -> None:
-        if capacity_per_tenant < 1:
-            raise AdmissionError(-1, "capacity_per_tenant must be >= 1")
-        self.capacity_per_tenant = capacity_per_tenant
-        self._entries: dict[int, QueuedSubmission] = {}
-        self._depths: dict[str, int] = {}
-        self._waiting_cache: list[QueuedSubmission] | None = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, submission_id: int) -> bool:
-        """Is a submission with this id currently waiting?"""
-        return submission_id in self._entries
-
-    def depth(self, tenant: str) -> int:
-        """Submissions currently waiting for one tenant."""
-        return self._depths.get(tenant, 0)
-
-    def offer(self, submission: ServiceSubmission, now: float) -> None:
-        """Enqueue ``submission``; shed it when the tenant queue is full.
-
-        Raises:
-            ServiceOverloadError: the tenant's queue is at capacity.
-        """
-        tenant = submission.tenant
-        depth = self._depths.get(tenant, 0)
-        if depth >= self.capacity_per_tenant:
-            raise ServiceOverloadError(
-                submission.submission_id, submission.tenant
-            )
-        entry = QueuedSubmission(submission=submission, enqueued_at=now)
-        self._entries[submission.submission_id] = entry
-        self._depths[tenant] = depth + 1
-        if self._waiting_cache is not None:
-            self._waiting_cache.append(entry)  # newest is last in FIFO order
-
-    def waiting(self) -> list[QueuedSubmission]:
-        """All waiting submissions in global arrival (FIFO) order.
-
-        Returns a snapshot the queue may reuse across calls — callers
-        must treat it as read-only (they always have).
-        """
-        if self._waiting_cache is None:
-            self._waiting_cache = list(self._entries.values())
-        return self._waiting_cache
-
-    def take(self, submission_id: int) -> ServiceSubmission:
-        """Remove and return one waiting submission by id.
-
-        Raises:
-            AdmissionError: the id is not waiting in any queue.
-        """
-        entry = self._entries.pop(submission_id, None)
-        if entry is None:
-            raise AdmissionError(submission_id, "not waiting in any queue")
-        self._depths[entry.submission.tenant] -= 1
-        self._waiting_cache = None
-        return entry.submission

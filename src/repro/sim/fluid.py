@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..config import MachineConfig
 from ..core.balance import throttle
+from ..core.classify import io_service_time
 from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import SimulationError
@@ -85,8 +86,8 @@ class _Running:
     #: CPU share of one sequential-second of this task's work — the
     #: complement of the io-wait share ``io_rate * io_service_time``
     #: under the calibration the workload builders use (see
-    #: ``ScanSpec.seq_io_service``).  Cached at start for the
-    #: service-semantics CPU integral.
+    #: :func:`~repro.core.classify.io_service_time`).  Cached at start
+    #: for the service-semantics CPU integral.
     cpu_frac: float = 0.0
 
     @property
@@ -340,7 +341,6 @@ class _SimState(TaskLedger):
     __slots__ = (
         "effective_machine", "running_map", "memory_in_use", "adjustments",
         "tracer", "_adjustment_overhead", "_running_view", "version",
-        "_random_io_service", "_seq_io_service",
     )
 
     def __init__(
@@ -363,10 +363,6 @@ class _SimState(TaskLedger):
         #: Bumped whenever the running set or a parallelism changes —
         #: every input of the rate solve; ``run()`` keys its rates on it.
         self.version = 0
-        #: Seconds one io takes, per pattern, for ``_Running.cpu_frac``.
-        disk = machine.disk
-        self._random_io_service = 1.0 / disk.random_ios_per_sec
-        self._seq_io_service = 1.0 / disk.almost_seq_ios_per_sec
         self.admit_due(_EPS)
 
     @property
@@ -390,11 +386,7 @@ class _SimState(TaskLedger):
         if task.task_id in self.running_map:
             raise SimulationError(f"{task!r} is already running")
         self.claim(task)
-        io_service = (
-            self._random_io_service
-            if task.io_pattern is IOPattern.RANDOM
-            else self._seq_io_service
-        )
+        io_service = io_service_time(self.machine, task.io_pattern)
         clock = self.clock
         # Positional, in field order: half the cost of a keyword call.
         run = _Running(

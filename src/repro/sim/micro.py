@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..config import MachineConfig
+from ..core.classify import io_service_time
 from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import SimulationError
@@ -133,23 +134,11 @@ class ScanSpec:
         if self.partitioning not in ("page", "range"):
             raise SimulationError(f"{self.name}: unknown partitioning")
 
-    def seq_io_service(self, machine: MachineConfig) -> float:
-        """Per-page io service time used for calibration.
-
-        Sequential tasks are calibrated against the *almost sequential*
-        rate: "in parallel executions, we at most see the almost
-        sequential read bandwidth" (Section 3), and tasks in these
-        experiments always run in parallel.  This keeps a task's io
-        rate consistent with the machine's working bandwidth ``B``.
-        """
-        disk = machine.disk
-        if self.pattern == IOPattern.RANDOM:
-            return 1.0 / disk.random_ios_per_sec
-        return 1.0 / disk.almost_seq_ios_per_sec
-
     def seq_time(self, machine: MachineConfig) -> float:
         """``T_i`` — sequential elapsed time (synchronous page cycles)."""
-        return self.n_pages * (self.seq_io_service(machine) + self.cpu_per_page)
+        return self.n_pages * (
+            io_service_time(machine, self.pattern) + self.cpu_per_page
+        )
 
     def io_rate(self, machine: MachineConfig) -> float:
         """``C_i = D_i / T_i`` for this scan."""
@@ -185,13 +174,10 @@ def spec_for_io_rate(
 
     Raises:
         SimulationError: if the rate exceeds what one disk stream can
-            physically deliver (e.g. > 97 ios/s sequential).
+            physically deliver (e.g. > 60 ios/s sequential, the
+            almost-sequential rate).
     """
-    svc = (
-        1.0 / machine.disk.random_ios_per_sec
-        if pattern == IOPattern.RANDOM
-        else 1.0 / machine.disk.almost_seq_ios_per_sec
-    )
+    svc = io_service_time(machine, pattern)
     if io_rate <= 0:
         raise SimulationError(f"{name}: io_rate must be positive")
     cpu = 1.0 / io_rate - svc

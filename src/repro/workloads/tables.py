@@ -22,6 +22,8 @@ import numpy as np
 
 from ..catalog import Catalog, Schema
 from ..config import MachineConfig, paper_machine
+from ..core.classify import io_service_time
+from ..core.task import IOPattern
 from ..errors import ConfigError
 from ..plans.costing import CPU_PAGE_TIME, CPU_TUPLE_TIME, analyze_table
 from ..storage import BTreeIndex, DiskArray, HeapFile
@@ -132,7 +134,7 @@ def payload_for_io_rate(
     machine = machine or paper_machine()
     if io_rate <= 0:
         raise ConfigError("io_rate must be positive")
-    service = 1.0 / machine.disk.almost_seq_ios_per_sec
+    service = io_service_time(machine, IOPattern.SEQUENTIAL)
     page_budget = 1.0 / io_rate - service - CPU_PAGE_TIME
     if page_budget < 0:
         raise ConfigError(f"io rate {io_rate} is not achievable by a scan")

@@ -8,16 +8,14 @@ from repro.config import paper_machine
 from repro.core import (
     IOPattern,
     classification_line,
-    int_parallelism,
     is_cpu_bound,
     is_io_bound,
     make_task,
     max_parallelism,
-    most_cpu_bound,
-    most_io_bound,
     pattern_bandwidth,
     split_by_bound,
 )
+from repro.core.balance import clamp_parallelism
 
 MACHINE = paper_machine()  # B = 240, N = 8, threshold = 30
 
@@ -76,25 +74,27 @@ class TestMaxParallelism:
         # At maxp, the io rate never exceeds the bandwidth.
         assert rate * maxp <= MACHINE.io_bandwidth + 1e-9
 
+    # The integral rounding every policy uses.
     def test_int_parallelism_clamps(self):
-        assert int_parallelism(3.9, MACHINE) == 3
-        assert int_parallelism(0.2, MACHINE) == 1
-        assert int_parallelism(99.0, MACHINE) == 8
+        assert clamp_parallelism(3.9, MACHINE, integral=True) == 3
+        assert clamp_parallelism(0.2, MACHINE, integral=True) == 1
+        assert clamp_parallelism(99.0, MACHINE, integral=True) == 8
 
     def test_int_parallelism_floors_not_rounds(self):
         # Rounding 3.9 up to 4 would oversubscribe the disks at the
         # bandwidth wall; Section 2.3 never allows demand above B.
-        assert int_parallelism(3.5, MACHINE) == 3
-        assert int_parallelism(3.999, MACHINE) == 3
+        assert clamp_parallelism(3.5, MACHINE, integral=True) == 3
+        assert clamp_parallelism(3.999, MACHINE, integral=True) == 3
 
     @given(st.floats(min_value=0.1, max_value=500.0))
     def test_integral_degree_respects_bandwidth_wall(self, rate):
-        # The audited invariant: C * int_parallelism(maxp) <= B for
-        # every io rate, so flooring (not rounding) is the only safe
-        # integralization of the continuous degree.
+        # The audited invariant: C * clamp_parallelism(maxp,
+        # integral=True) <= B for every io rate, so flooring (not
+        # rounding) is the only safe integralization of the continuous
+        # degree.
         t = task(rate)
         maxp = max_parallelism(t, MACHINE)
-        degree = int_parallelism(maxp, MACHINE)
+        degree = clamp_parallelism(maxp, MACHINE, integral=True)
         if degree > 1:  # degree 1 is always admitted, even past the wall
             assert rate * degree <= MACHINE.io_bandwidth + 1e-6
 
@@ -113,11 +113,6 @@ class TestSplitting:
         io_q, cpu_q = split_by_bound(tasks, MACHINE)
         assert {t.io_rate for t in io_q} == {65, 31}
         assert {t.io_rate for t in cpu_q} == {5, 29}
-
-    def test_most_extreme(self):
-        tasks = [task(5), task(65), task(29), task(31)]
-        assert most_io_bound(tasks).io_rate == 65
-        assert most_cpu_bound(tasks).io_rate == 5
 
     def test_split_preserves_everything(self):
         tasks = [task(float(r)) for r in range(1, 100, 7)]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ObsError
 from repro.obs import Counter, Histogram, MetricsRegistry, Series, percentile
-from repro.obs.metrics import percentiles
 
 
 class TestPercentile:
@@ -31,21 +30,6 @@ class TestPercentile:
         values = [3.25] * 9
         for p in (0.0, 50.0, 95.0, 100.0):
             assert percentile(values, p) == 3.25
-
-    def test_percentiles_matches_single_queries(self):
-        values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        ps = (0.0, 12.5, 50.0, 95.0, 100.0)
-        assert percentiles(values, ps) == tuple(
-            percentile(values, p) for p in ps
-        )
-
-    def test_percentiles_of_empty_is_all_zeros(self):
-        assert percentiles([], (50.0, 95.0, 99.0)) == (0.0, 0.0, 0.0)
-        assert percentiles([], ()) == ()
-
-    def test_percentiles_out_of_range_raises(self):
-        with pytest.raises(ObsError):
-            percentiles([1.0, 2.0], (50.0, 101.0))
 
 
 class TestCounter:

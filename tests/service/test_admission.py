@@ -8,7 +8,6 @@ from repro.errors import ServiceError
 from repro.service import (
     BalanceAwareAdmission,
     FifoAdmission,
-    QueuedSubmission,
     ServiceSubmission,
     admission_by_name,
 )
@@ -21,8 +20,7 @@ def machine():
 
 def waiting_entry(name, io_rate):
     task = make_task(f"{name}-frag", io_rate=io_rate, seq_time=10.0)
-    sub = ServiceSubmission(name=name, tenant="t0", tasks=(task,))
-    return QueuedSubmission(submission=sub, enqueued_at=0.0)
+    return ServiceSubmission(name=name, tenant="t0", tasks=(task,))
 
 
 def inflight_task(io_rate, seq_time=10.0):

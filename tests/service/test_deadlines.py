@@ -14,14 +14,14 @@ import pytest
 
 from repro.config import paper_machine
 from repro.core import make_task
-from repro.errors import AdmissionError, ServiceOverloadError
+from repro.errors import AdmissionError
+from repro.obs import Tracer
 from repro.service import (
     ArrivalConfig,
     QueryService,
     ServiceSubmission,
     poisson_stream,
 )
-from repro.service.queue import AdmissionQueue
 
 
 @pytest.fixture
@@ -272,22 +272,26 @@ class TestErrorExitPaths:
         assert rejected, "sustained overload must eventually reject"
         assert result.metrics.overall.retries > 0
 
-    def test_queue_overflow_error_carries_tenant(self):
-        queue = AdmissionQueue(1)
-        first = ServiceSubmission(
-            name="a",
-            tenant="t0",
-            tasks=(make_task("a-f0", io_rate=40.0, seq_time=1.0),),
+    def test_queue_overflow_error_carries_tenant(self, machine):
+        tracer = Tracer()
+        service = QueryService(
+            machine, queue_capacity=1, max_inflight_fragments=1, tracer=tracer
         )
-        second = ServiceSubmission(
-            name="b",
-            tenant="t0",
-            tasks=(make_task("b-f0", io_rate=40.0, seq_time=1.0),),
-        )
-        queue.offer(first, 0.0)
-        with pytest.raises(ServiceOverloadError) as err:
-            queue.offer(second, 0.0)
-        assert "t0" in str(err.value)
+        for name in "ab":
+            service.submit(
+                name,
+                [make_task(f"{name}-f0", io_rate=40.0, seq_time=1.0)],
+                tenant="t0",
+            )
+        result = service.run_submitted()
+        rejected = [o for o in result.outcomes if o.status == "rejected"]
+        assert [o.submission.tenant for o in rejected] == ["t0"]
+        sheds = [
+            e.track
+            for e in tracer.events
+            if e.kind == "instant" and e.name.startswith("shed ")
+        ]
+        assert sheds == ["tenant:t0"]
 
     def test_empty_stream_raises_admission_error(self, machine):
         with pytest.raises(AdmissionError, match="empty submission stream"):

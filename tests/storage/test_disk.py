@@ -88,8 +88,9 @@ class TestTiming:
         disk.service_time(100000)
         t1 = disk.service_time(1)       # resumes stream A
         t2 = disk.service_time(100001)  # resumes stream B
-        assert t1 < disk.profile.random_service_time
-        assert t2 < disk.profile.random_service_time
+        random_service = 1.0 / disk.profile.random_ios_per_sec
+        assert t1 < random_service
+        assert t2 < random_service
 
     def test_stream_memory_evicts_lru(self):
         disk = Disk(0, stream_memory=2)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import PAGE_SIZE, DiskProfile, MachineConfig, paper_machine
+from repro.core.classify import io_service_time
+from repro.core.task import IOPattern
 from repro.errors import ConfigError
 
 
@@ -14,9 +16,11 @@ class TestDiskProfile:
         assert d.random_ios_per_sec == 35.0
 
     def test_service_times_are_reciprocal_rates(self):
-        d = DiskProfile()
-        assert d.sequential_service_time == pytest.approx(1 / 97)
-        assert d.random_service_time == pytest.approx(1 / 35)
+        # Tasks are calibrated at the almost-sequential rate, not the
+        # strict 97 ios/s no engine calibrates against.
+        m = paper_machine()
+        assert io_service_time(m, IOPattern.SEQUENTIAL) == 1.0 / 60.0
+        assert io_service_time(m, IOPattern.RANDOM) == 1.0 / 35.0
 
     def test_rejects_non_positive_bandwidth(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,6 @@ from repro.errors import (
     ReproError,
     SchedulingError,
     ServiceError,
-    ServiceOverloadError,
     StorageError,
 )
 
@@ -20,27 +19,16 @@ from repro.errors import (
 class TestHierarchy:
     def test_service_errors_are_repro_errors(self):
         assert issubclass(ServiceError, ReproError)
-        assert issubclass(ServiceOverloadError, ServiceError)
         assert issubclass(AdmissionError, ServiceError)
 
     def test_one_except_clause_catches_everything(self):
         for error in (
             ConfigError("bad config"),
             SchedulingError("bad task"),
-            ServiceOverloadError(1, "t0"),
             AdmissionError(2, "nope"),
         ):
             with pytest.raises(ReproError):
                 raise error
-
-
-class TestServiceOverloadError:
-    def test_carries_rejected_submission_identity(self):
-        error = ServiceOverloadError(41, "etl")
-        assert error.submission_id == 41
-        assert error.tenant == "etl"
-        assert "41" in str(error)
-        assert "etl" in str(error)
 
 
 class TestAdmissionError:

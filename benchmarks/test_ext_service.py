@@ -102,14 +102,14 @@ def test_ext_service_sweep_is_reproducible(benchmark, machine):
     config = mixed_tenant_config(40)
 
     def knee():
-        points = sweep(
+        rows = sweep(
             rhos=(0.5, 0.8, 1.1),
             seed=0,
             config=config,
             machine=machine,
-            admission=BalanceAwareAdmission(),
+            service=QueryService(machine, admission=BalanceAwareAdmission()),
         )
-        return format_sweep(points, title="knee (balance admission, seed 0)")
+        return format_sweep(rows, title="knee (balance admission, seed 0)")
 
     first = benchmark.pedantic(knee, rounds=1, iterations=1)
     second = knee()

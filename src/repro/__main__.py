@@ -174,7 +174,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return poisson_stream(rate=rate, seed=seed, config=cfg, machine=mach)
 
     if args.sweep:
-        points = sweep(
+        rows = sweep(
             rhos=tuple(args.rho_points),
             seed=args.seed,
             config=config,
@@ -184,7 +184,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(
             format_sweep(
-                points,
+                rows,
                 title=f"latency-vs-throughput knee ({args.admission} admission, "
                 f"{args.arrivals} arrivals, seed {args.seed})",
             )

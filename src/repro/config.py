@@ -116,11 +116,6 @@ class MachineConfig:
     # frozen ``__setattr__``) and does not participate in eq/hash.
 
     @cached_property
-    def total_seq_bandwidth(self) -> float:
-        """Aggregate strictly-sequential bandwidth, ios/second."""
-        return self.disks * self.disk.seq_ios_per_sec
-
-    @cached_property
     def total_almost_seq_bandwidth(self) -> float:
         """Aggregate almost-sequential bandwidth, ios/second.
 

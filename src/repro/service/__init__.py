@@ -30,14 +30,7 @@ from .metrics import (
 from .gate import AdmissionGate, SubmissionOutcome
 from .queue import ServiceSubmission
 from .server import QueryService, ServiceResult
-from .stress import (
-    StressPoint,
-    estimate_capacity,
-    format_sweep,
-    run_point,
-    smoke_lines,
-    sweep,
-)
+from .stress import estimate_capacity, format_sweep, smoke_lines, sweep
 
 __all__ = [
     "AdmissionGate",
@@ -49,7 +42,6 @@ __all__ = [
     "ServiceMetrics",
     "ServiceResult",
     "ServiceSubmission",
-    "StressPoint",
     "SubmissionOutcome",
     "TenantMetrics",
     "admission_by_name",
@@ -59,7 +51,6 @@ __all__ = [
     "mixed_tenant_config",
     "onoff_stream",
     "poisson_stream",
-    "run_point",
     "smoke_lines",
     "sweep",
     "utilization_timeline",

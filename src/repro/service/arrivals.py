@@ -33,7 +33,13 @@ from ..config import MachineConfig, paper_machine
 from ..core.balance import intra_time
 from ..core.ids import id_scope, restore_counters, snapshot_counters
 from ..errors import ConfigError
-from ..workloads import RateBands, WorkloadConfig, WorkloadKind, generate_tasks
+from ..workloads import (
+    RateBands,
+    WorkloadConfig,
+    WorkloadKind,
+    generate_tasks,
+    poisson_times,
+)
 from .queue import ServiceSubmission
 
 
@@ -310,12 +316,7 @@ def poisson_stream(
         raise ConfigError("arrival rate must be positive")
     config = config or ArrivalConfig()
     machine = machine or paper_machine()
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    arrivals: list[float] = []
-    for __ in range(config.n_submissions):
-        clock += float(rng.exponential(1.0 / rate))
-        arrivals.append(clock)
+    arrivals = poisson_times(config.n_submissions, rate=rate, seed=seed)
     return _build_submissions(
         arrivals, config=config, machine=machine, seed=seed
     )

@@ -13,11 +13,13 @@ diffed byte-for-byte across runs.  Percentiles come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..bench.report import format_table
 from ..errors import ServiceError
 from ..obs.metrics import percentile
 from ..sim.fluid import ScheduleResult
+from .gate import SubmissionOutcome
 
 __all__ = [
     "TenantMetrics",
@@ -45,6 +47,36 @@ class TenantMetrics:
     slo_tagged: int = 0
     slo_misses: int = 0
     response_times: list[float] = field(default_factory=list)
+
+    @classmethod
+    def of(
+        cls, tenant: str, outcomes: Iterable[SubmissionOutcome]
+    ) -> TenantMetrics:
+        """Fold outcomes, in order, into one digest labelled ``tenant``.
+
+        The only code that turns a submission's status into counters.
+        """
+        tm = cls(tenant=tenant)
+        for outcome in outcomes:
+            tm.offered += 1
+            tm.retries += outcome.retries
+            if outcome.status == "rejected":
+                tm.rejected += 1
+            elif outcome.status == "deadline":
+                tm.deadline_cancelled += 1
+                if outcome.admitted_at is not None:
+                    tm.admitted += 1
+            else:
+                tm.admitted += 1
+                tm.completed += 1
+                if outcome.status == "degraded":
+                    tm.degraded += 1
+                tm.response_times.append(outcome.response_time)
+            if outcome.submission.deadline is not None:
+                tm.slo_tagged += 1
+                if outcome.slo_missed:
+                    tm.slo_misses += 1
+        return tm
 
     @property
     def p50(self) -> float:
@@ -81,11 +113,16 @@ class TenantMetrics:
 
 @dataclass
 class ServiceMetrics:
-    """Global serving metrics plus the per-tenant breakdown."""
+    """Global serving metrics plus the per-tenant breakdown.
+
+    Built by :meth:`of`, which folds the run's outcomes tenant by
+    tenant; :attr:`overall` folds the same outcomes again on read.
+    """
 
     admission_name: str
     elapsed: float
     tenants: dict[str, TenantMetrics]
+    outcomes: list[SubmissionOutcome]
     cpu_utilization: float
     io_utilization: float
     utilization_timeline: list[tuple[float, float, float]] = field(
@@ -95,31 +132,50 @@ class ServiceMetrics:
     #: (empty when no breaker guards the gate).
     breaker_timeline: list[tuple[float, str]] = field(default_factory=list)
 
-    def _totals(self) -> TenantMetrics:
-        total = TenantMetrics(tenant="all")
-        for tm in self.tenants.values():
-            total.offered += tm.offered
-            total.admitted += tm.admitted
-            total.rejected += tm.rejected
-            total.completed += tm.completed
-            total.retries += tm.retries
-            total.deadline_cancelled += tm.deadline_cancelled
-            total.degraded += tm.degraded
-            total.slo_tagged += tm.slo_tagged
-            total.slo_misses += tm.slo_misses
-            total.response_times.extend(tm.response_times)
-        return total
+    @classmethod
+    def of(
+        cls,
+        outcomes: list[SubmissionOutcome],
+        schedule: ScheduleResult,
+        *,
+        admission_name: str,
+        utilization_timeline: list[tuple[float, float, float]],
+        breaker_timeline: list[tuple[float, str]],
+    ) -> ServiceMetrics:
+        """One run's metrics: a :class:`TenantMetrics` per tenant (in
+        first-seen order) and the schedule's elapsed time and
+        utilizations."""
+        groups: dict[str, list[SubmissionOutcome]] = {}
+        for outcome in outcomes:
+            groups.setdefault(outcome.submission.tenant, []).append(outcome)
+        return cls(
+            admission_name=admission_name,
+            elapsed=schedule.elapsed,
+            tenants={t: TenantMetrics.of(t, g) for t, g in groups.items()},
+            outcomes=outcomes,
+            cpu_utilization=schedule.cpu_utilization,
+            io_utilization=schedule.io_utilization,
+            utilization_timeline=utilization_timeline,
+            breaker_timeline=breaker_timeline,
+        )
 
     @property
     def overall(self) -> TenantMetrics:
-        """All tenants folded into one digest."""
-        return self._totals()
+        """All tenants folded into one digest.
+
+        Folds the outcomes tenant by tenant, in first-seen order, so
+        ``response_times`` is the concatenation of the tenants' lists.
+        """
+        order = {tenant: i for i, tenant in enumerate(self.tenants)}
+        return TenantMetrics.of(
+            "all",
+            sorted(self.outcomes, key=lambda o: order[o.submission.tenant]),
+        )
 
     @property
     def throughput(self) -> float:
         """Completed submissions per second of simulated time."""
-        total = self._totals()
-        return total.completed / self.elapsed if self.elapsed > 0 else 0.0
+        return self.overall.completed / self.elapsed if self.elapsed > 0 else 0.0
 
     def to_table(self) -> str:
         """The per-tenant metrics table (plus an ``all`` summary row)."""
@@ -127,7 +183,7 @@ class ServiceMetrics:
         tenant_rows = sorted(self.tenants)
         for name in tenant_rows:
             rows.append(self._row(self.tenants[name]))
-        rows.append(self._row(self._totals()))
+        rows.append(self._row(self.overall))
         return format_table(
             [
                 "tenant",

@@ -219,42 +219,16 @@ class QueryService:
         outcomes: list[SubmissionOutcome],
         schedule: ScheduleResult,
     ) -> ServiceMetrics:
-        tenants: dict[str, TenantMetrics] = {}
-        for outcome in outcomes:
-            submission = outcome.submission
-            tm = tenants.get(submission.tenant)
-            if tm is None:
-                tm = tenants[submission.tenant] = TenantMetrics(tenant=submission.tenant)
-            tm.offered += 1
-            tm.retries += outcome.retries
-            if outcome.status == "rejected":
-                tm.rejected += 1
-            elif outcome.status == "deadline":
-                tm.deadline_cancelled += 1
-                if outcome.admitted_at is not None:
-                    tm.admitted += 1
-            else:
-                tm.admitted += 1
-                tm.completed += 1
-                if outcome.status == "degraded":
-                    tm.degraded += 1
-                tm.response_times.append(outcome.response_time)
-            if submission.deadline is not None:
-                tm.slo_tagged += 1
-                if outcome.slo_missed:
-                    tm.slo_misses += 1
         timeline = (
             utilization_timeline(schedule, bucket=self.timeline_bucket)
             if self.timeline_bucket is not None
             else []
         )
         breaker = self.gate.breaker
-        metrics = ServiceMetrics(
+        metrics = ServiceMetrics.of(
+            outcomes,
+            schedule,
             admission_name=self.gate.admission.name,
-            elapsed=schedule.elapsed,
-            tenants=tenants,
-            cpu_utilization=schedule.cpu_utilization,
-            io_utilization=schedule.io_utilization,
             utilization_timeline=timeline,
             breaker_timeline=(
                 list(breaker.timeline) if breaker is not None else []
@@ -274,10 +248,10 @@ class QueryService:
         """Fold the run's outcomes into a unified metrics registry.
 
         Populates ``service.*`` counters (offered/admitted/rejected/
-        completed/retries) from the tenant totals the digest step just
-        classified, the response-time and queue-wait histograms (one
-        batch each, in outcome order) and the breaker-state series on
-        the given :class:`~repro.obs.MetricsRegistry`.
+        completed/retries) from the run's overall digest, the
+        response-time and queue-wait histograms (one batch each, in
+        outcome order) and the breaker-state series on the given
+        :class:`~repro.obs.MetricsRegistry`.
         """
         registry.counter("service.offered").inc(totals.offered)
         registry.counter("service.admitted").inc(totals.admitted)

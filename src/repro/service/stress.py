@@ -15,17 +15,17 @@ means the same thing across mixes and machine configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from ..bench.report import format_table
 from ..config import MachineConfig, paper_machine
 from ..errors import ConfigError
-from .admission import AdmissionPolicy, BalanceAwareAdmission
+from .admission import BalanceAwareAdmission
 from .arrivals import ArrivalConfig, mixed_tenant_config, poisson_stream
-from ..obs.metrics import percentile
+from .metrics import ServiceMetrics
 from .queue import ServiceSubmission
-from .server import QueryService, ServiceResult
+from .server import QueryService
 
 #: Stream builder signature: ``(rate, seed, config, machine) -> stream``.
 StreamFactory = Callable[
@@ -41,41 +41,6 @@ def _default_stream(
 ) -> list[ServiceSubmission]:
     """Poisson arrivals — the default open-loop stream."""
     return poisson_stream(rate=rate, seed=seed, config=config, machine=machine)
-
-
-@dataclass(frozen=True)
-class StressPoint:
-    """One row of the latency-vs-throughput knee table."""
-
-    rho: float
-    rate: float
-    offered: int
-    completed: int
-    rejected: int
-    throughput: float
-    p50: float
-    p95: float
-    p99: float
-    slo_miss_rate: float
-    cpu_utilization: float
-    io_utilization: float
-
-    def row(self) -> list[str]:
-        """The point formatted as a knee-table row."""
-        return [
-            f"{self.rho:.2f}",
-            f"{self.rate:.4f}",
-            str(self.offered),
-            str(self.completed),
-            str(self.rejected),
-            f"{self.throughput:.4f}",
-            f"{self.p50:.2f}",
-            f"{self.p95:.2f}",
-            f"{self.p99:.2f}",
-            f"{self.slo_miss_rate:.1%}",
-            f"{self.cpu_utilization:.1%}",
-            f"{self.io_utilization:.1%}",
-        ]
 
 
 def estimate_capacity(
@@ -121,52 +86,20 @@ def estimate_capacity(
     return completed / result.elapsed
 
 
-def run_point(
-    *,
-    rate: float,
-    rho: float,
-    seed: int,
-    config: ArrivalConfig,
-    machine: MachineConfig,
-    service: QueryService,
-    stream_factory: StreamFactory = _default_stream,
-) -> tuple[StressPoint, ServiceResult]:
-    """Serve one offered-load point and digest it into a StressPoint."""
-    stream = stream_factory(rate, seed, config, machine)
-    result = service.run(stream)
-    overall = result.metrics.overall
-    responses = overall.response_times
-    return (
-        StressPoint(
-            rho=rho,
-            rate=rate,
-            offered=overall.offered,
-            completed=overall.completed,
-            rejected=overall.rejected,
-            throughput=result.metrics.throughput,
-            p50=percentile(responses, 50.0),
-            p95=percentile(responses, 95.0),
-            p99=percentile(responses, 99.0),
-            slo_miss_rate=overall.slo_miss_rate,
-            cpu_utilization=result.metrics.cpu_utilization,
-            io_utilization=result.metrics.io_utilization,
-        ),
-        result,
-    )
-
-
 def sweep(
     *,
     rhos: Sequence[float] = (0.4, 0.6, 0.8, 0.9, 1.0, 1.2),
     seed: int = 0,
     config: ArrivalConfig | None = None,
     machine: MachineConfig | None = None,
-    admission: AdmissionPolicy | None = None,
     service: QueryService | None = None,
     stream_factory: StreamFactory = _default_stream,
     capacity: float | None = None,
-) -> list[StressPoint]:
-    """Sweep offered load ρ·μ and return the knee-table points.
+) -> list[tuple[float, float, ServiceMetrics]]:
+    """Sweep offered load ρ·μ and return the knee-table rows.
+
+    Each row is ``(ρ, λ, metrics)``: the offered-load fraction, the
+    arrival rate ``ρ·μ`` and the metrics of the run served at it.
 
     One service instance serves the whole sweep, and the arrival
     builder memoizes its task pools across λ points (only the arrival
@@ -178,8 +111,8 @@ def sweep(
         seed: stream seed (one seed serves the whole sweep).
         config: arrival-stream shape.
         machine: machine configuration.
-        admission: admission policy for a default-configured service.
-        service: fully custom service (overrides ``admission``).
+        service: the service to sweep; ``None`` builds a default
+            balance-aware one.
         stream_factory: arrival process (Poisson by default).
         capacity: known service rate μ in submissions/second; ``None``
             measures it with :func:`estimate_capacity`.  Passing a
@@ -192,30 +125,18 @@ def sweep(
         raise ConfigError("offered-load fractions must be positive")
     config = config or ArrivalConfig()
     machine = machine or paper_machine()
-    if service is None:
-        service = QueryService(
-            machine, admission=admission or BalanceAwareAdmission()
-        )
+    service = service or QueryService(machine)
     if capacity is not None and capacity <= 0:
         raise ConfigError("capacity must be positive when given")
-    mu = capacity
-    if mu is None:
-        mu = estimate_capacity(
-            seed=seed, config=config, machine=machine, service=service
-        )
-    points = []
+    mu = capacity or estimate_capacity(
+        seed=seed, config=config, machine=machine, service=service
+    )
+    rows = []
     for rho in rhos:
-        point, __ = run_point(
-            rate=rho * mu,
-            rho=rho,
-            seed=seed,
-            config=config,
-            machine=machine,
-            service=service,
-            stream_factory=stream_factory,
-        )
-        points.append(point)
-    return points
+        rate = rho * mu
+        result = service.run(stream_factory(rate, seed, config, machine))
+        rows.append((rho, rate, result.metrics))
+    return rows
 
 
 def smoke_lines(*, seed: int = 0) -> list[str]:
@@ -258,10 +179,30 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
     return lines
 
 
+def _sweep_row(rho: float, rate: float, metrics: ServiceMetrics) -> list[str]:
+    overall = metrics.overall
+    return [
+        f"{rho:.2f}",
+        f"{rate:.4f}",
+        str(overall.offered),
+        str(overall.completed),
+        str(overall.rejected),
+        f"{metrics.throughput:.4f}",
+        f"{overall.p50:.2f}",
+        f"{overall.p95:.2f}",
+        f"{overall.p99:.2f}",
+        f"{overall.slo_miss_rate:.1%}",
+        f"{metrics.cpu_utilization:.1%}",
+        f"{metrics.io_utilization:.1%}",
+    ]
+
+
 def format_sweep(
-    points: Sequence[StressPoint], *, title: str | None = None
+    rows: Sequence[tuple[float, float, ServiceMetrics]],
+    *,
+    title: str | None = None,
 ) -> str:
-    """Render sweep points as the latency-vs-throughput knee table."""
+    """Render sweep rows as the latency-vs-throughput knee table."""
     return format_table(
         [
             "rho",
@@ -277,6 +218,6 @@ def format_sweep(
             "cpu",
             "io",
         ],
-        [p.row() for p in points],
+        [_sweep_row(*row) for row in rows],
         title=title or "latency-vs-throughput knee",
     )

@@ -7,6 +7,7 @@ from .mixes import (
     generate_specs,
     generate_tasks,
     poisson_arrivals,
+    poisson_times,
 )
 from .queries import JoinSchema, chain_join, star_join
 from .tables import (
@@ -35,5 +36,6 @@ __all__ = [
     "one_tuple_per_page_payload",
     "payload_for_io_rate",
     "poisson_arrivals",
+    "poisson_times",
     "star_join",
 ]

@@ -179,6 +179,21 @@ def generate_tasks(
     ]
 
 
+def poisson_times(n: int, *, rate: float, seed: int) -> list[float]:
+    """``n`` Poisson arrival instants at ``rate`` per second.
+
+    The running sum of exponential gaps drawn from a fresh
+    ``default_rng(seed)``; callers check ``rate`` themselves.
+    """
+    rng = np.random.default_rng(seed)
+    clock = 0.0
+    times = []
+    for __ in range(n):
+        clock += float(rng.exponential(1.0 / rate))
+        times.append(clock)
+    return times
+
+
 def poisson_arrivals(
     tasks: list[Task],
     *,
@@ -192,10 +207,5 @@ def poisson_arrivals(
     """
     if rate_per_second <= 0:
         raise ConfigError("rate_per_second must be positive")
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    arrived = []
-    for task in tasks:
-        clock += float(rng.exponential(1.0 / rate_per_second))
-        arrived.append(task.with_arrival(clock))
-    return arrived
+    times = poisson_times(len(tasks), rate=rate_per_second, seed=seed)
+    return [task.with_arrival(t) for task, t in zip(tasks, times)]

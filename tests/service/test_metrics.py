@@ -4,8 +4,10 @@ import pytest
 
 from repro.config import paper_machine
 from repro.errors import ObsError, ServiceError
+from repro.faults.retry import RetryPolicy
 from repro.obs import percentile
 from repro.service import (
+    ArrivalConfig,
     QueryService,
     format_timeline,
     poisson_stream,
@@ -45,13 +47,48 @@ class TestServiceMetrics:
         stream = poisson_stream(rate=0.1, seed=2)
         return QueryService(machine, timeline_bucket=50.0).run(stream)
 
-    def test_overall_rolls_up_tenants(self, result):
-        metrics = result.metrics
-        overall = metrics.overall
-        assert overall.offered == sum(
-            t.offered for t in metrics.tenants.values()
+    def test_overall_rolls_up_tenants(self):
+        # A tight queue, one retry and enforced deadlines with grace:
+        # some submissions are shed, some cancelled, one degraded.
+        service = QueryService(
+            paper_machine(),
+            queue_capacity=2,
+            max_inflight_fragments=4,
+            retry=RetryPolicy(max_retries=1, base_delay=0.5, max_delay=4.0),
+            deadline_policy="shed",
+            deadline_grace=3.0,
         )
+        config = ArrivalConfig(n_submissions=40, slo_stretch=4.0)
+        metrics = service.run(
+            poisson_stream(rate=0.3, seed=1, config=config)
+        ).metrics
+        overall = metrics.overall
+        tenants = list(metrics.tenants.values())
+        assert len(tenants) == 2
+        assert overall.rejected and overall.deadline_cancelled
+        assert overall.degraded and overall.retries
+        for name in (
+            "offered",
+            "admitted",
+            "rejected",
+            "completed",
+            "retries",
+            "deadline_cancelled",
+            "degraded",
+            "slo_tagged",
+            "slo_misses",
+        ):
+            assert getattr(overall, name) == sum(
+                getattr(tm, name) for tm in tenants
+            ), name
+        assert overall.response_times == [
+            t for tm in tenants for t in tm.response_times
+        ]
         assert len(overall.response_times) == overall.completed
+        for tm in tenants:
+            assert tm.offered == (
+                tm.completed + tm.rejected + tm.deadline_cancelled
+            )
 
     def test_throughput(self, result):
         overall = result.metrics.overall

@@ -10,7 +10,6 @@ from repro.service import (
     QueryService,
     estimate_capacity,
     format_sweep,
-    run_point,
     sweep,
 )
 
@@ -56,30 +55,32 @@ class TestSweep:
         assert first == second
 
     def test_latency_grows_with_offered_load(self, machine, config):
-        points = sweep(
+        rows = sweep(
             rhos=(0.3, 1.5),
             seed=0,
             config=config,
             machine=machine,
-            admission=FifoAdmission(),
+            service=QueryService(machine, admission=FifoAdmission()),
         )
-        light, heavy = points
-        assert heavy.p95 >= light.p95
-        assert heavy.rate > light.rate
+        (__, light_rate, light), (__, heavy_rate, heavy) = rows
+        assert heavy.overall.p95 >= light.overall.p95
+        assert heavy_rate > light_rate
 
-    def test_run_point_counts_are_consistent(self, machine, config):
+    def test_sweep_row_counts_are_consistent(self, machine, config):
         service = QueryService(machine)
-        point, result = run_point(
-            rate=0.05,
-            rho=0.5,
+        ((rho, rate, metrics),) = sweep(
+            rhos=(0.5,),
             seed=1,
             config=config,
             machine=machine,
             service=service,
+            capacity=0.1,
         )
-        assert point.offered == config.n_submissions
-        assert point.completed + point.rejected == point.offered
-        assert point.completed == result.metrics.overall.completed
+        assert (rho, rate) == (0.5, 0.05)
+        overall = metrics.overall
+        assert overall.offered == config.n_submissions
+        assert overall.completed + overall.rejected == overall.offered
+        assert metrics.throughput == overall.completed / metrics.elapsed
 
     def test_sweep_validation(self, machine, config):
         with pytest.raises(ConfigError):
@@ -90,8 +91,8 @@ class TestSweep:
             sweep(rhos=(0.5,), config=config, machine=machine, capacity=0.0)
 
     def test_known_capacity_skips_the_probe_and_matches(self, machine, config):
-        # A repeated sweep can hand back the measured μ: the points are
-        # identical to a probing sweep's, minus the probe run.
+        # A repeated sweep can hand back the measured μ: the knee table
+        # is identical to a probing sweep's, minus the probe run.
         mu = estimate_capacity(seed=0, config=config, machine=machine)
         probing = sweep(rhos=(0.5, 0.9), seed=0, config=config, machine=machine)
         handed = sweep(
@@ -101,11 +102,11 @@ class TestSweep:
             machine=machine,
             capacity=mu,
         )
-        assert handed == probing
+        assert format_sweep(handed) == format_sweep(probing)
 
     def test_format_sweep_has_header_and_rows(self, machine, config):
-        points = sweep(rhos=(0.5,), seed=0, config=config, machine=machine)
-        table = format_sweep(points, title="knee")
+        rows = sweep(rhos=(0.5,), seed=0, config=config, machine=machine)
+        table = format_sweep(rows, title="knee")
         assert "knee" in table
         assert "p95 (s)" in table
         assert "0.50" in table

@@ -42,7 +42,6 @@ class TestMachineConfig:
 
     def test_aggregate_bandwidths(self):
         m = paper_machine()
-        assert m.total_seq_bandwidth == pytest.approx(4 * 97)
         assert m.total_random_bandwidth == pytest.approx(4 * 35)
 
     def test_with_processors_returns_modified_copy(self):

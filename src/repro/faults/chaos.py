@@ -210,6 +210,58 @@ class ChaosReport:
         return lines
 
 
+def _policy() -> InterWithAdjPolicy:
+    return InterWithAdjPolicy(integral=True, degradation_aware=True)
+
+
+def _healthy(
+    machine: MachineConfig, specs: list[ScanSpec], seed: int
+) -> ScheduleResult:
+    """The fault-free run a chaos replay is judged against."""
+    return MicroSimulator(machine, seed=seed, consult_interval=_TICK).run(
+        specs, _policy()
+    )
+
+
+def _replay(
+    machine: MachineConfig,
+    specs: list[ScanSpec],
+    seed: int,
+    schedule: FaultSchedule,
+    healthy: ScheduleResult,
+) -> ChaosReport:
+    """Replay ``specs`` under ``schedule`` with the invariant checker on."""
+    simulator = MicroSimulator(
+        machine,
+        seed=seed,
+        consult_interval=_TICK,
+        faults=schedule,
+        fault_seed=seed,
+        invariants=InvariantChecker(collect=True),
+    )
+    recovery: RecoveryRun | None = None
+    if schedule.master_crashes:
+        # Master crashes abort the whole run; drive it to completion
+        # through the checkpoint/resume loop.
+        recovery = run_with_recovery(
+            simulator,
+            specs,
+            _policy(),
+            manager=RecoveryManager(min_interval=_TICK),
+        )
+        faulted = recovery.result
+    else:
+        faulted = simulator.run(specs, _policy())
+    return ChaosReport(
+        schedule=schedule,
+        seed=seed,
+        healthy=healthy,
+        faulted=faulted,
+        recovery=recovery,
+        violations=simulator.invariants.violations,
+    )
+
+
 def run_chaos(
     *,
     schedule: FaultSchedule | None = None,
@@ -231,44 +283,10 @@ def run_chaos(
     """
     machine = machine or paper_machine()
     specs = chaos_workload(machine, scale=scale)
-
-    def policy() -> InterWithAdjPolicy:
-        return InterWithAdjPolicy(integral=True, degradation_aware=True)
-
-    healthy = MicroSimulator(machine, seed=seed, consult_interval=_TICK).run(
-        specs, policy()
-    )
+    healthy = _healthy(machine, specs, seed)
     if schedule is None:
         schedule = preset_schedule(preset, horizon=healthy.elapsed)
-    simulator = MicroSimulator(
-        machine,
-        seed=seed,
-        consult_interval=_TICK,
-        faults=schedule,
-        fault_seed=seed,
-        invariants=InvariantChecker(collect=True),
-    )
-    recovery: RecoveryRun | None = None
-    if schedule.master_crashes:
-        # Master crashes abort the whole run; drive it to completion
-        # through the checkpoint/resume loop.
-        recovery = run_with_recovery(
-            simulator,
-            specs,
-            policy(),
-            manager=RecoveryManager(min_interval=_TICK),
-        )
-        faulted = recovery.result
-    else:
-        faulted = simulator.run(specs, policy())
-    return ChaosReport(
-        schedule=schedule,
-        seed=seed,
-        healthy=healthy,
-        faulted=faulted,
-        recovery=recovery,
-        violations=simulator.invariants.violations,
-    )
+    return _replay(machine, specs, seed, schedule, healthy)
 
 
 @dataclass
@@ -314,26 +332,25 @@ def run_soak(
     n_schedules: int = 25,
     seeds: tuple[int, ...] = (0, 1, 2),
     scale: float = 0.2,
-    machine: MachineConfig | None = None,
 ) -> SoakReport:
     """Chaos-soak the engine: random fault schedules layered with
     deadline cancellations, every combination checked for conservation
     and wedge-freedom.
 
-    For each seed, ``n_schedules`` seeded random schedules are drawn
-    against the measured healthy horizon, each layered with one or two
-    :class:`~repro.faults.schedule.QueryDeadline` events, and replayed.
-    Pure function of its arguments — a CI soak and a local one disagree
-    only if the engine does.
+    For each seed, the workload runs healthy once; ``n_schedules``
+    seeded random schedules are drawn against that run's horizon, each
+    layered with one or two
+    :class:`~repro.faults.schedule.QueryDeadline` events, and replayed
+    against the same healthy baseline, on the paper machine.  Pure
+    function of its arguments — a CI soak and a local one disagree only
+    if the engine does.
     """
-    machine = machine or paper_machine()
+    machine = paper_machine()
+    specs = chaos_workload(machine, scale=scale)
     report = SoakReport(n_schedules=n_schedules, seeds=tuple(seeds))
     for seed in seeds:
-        horizon = MicroSimulator(
-            machine, seed=seed, consult_interval=_TICK
-        ).run(chaos_workload(machine, scale=scale),
-              InterWithAdjPolicy(integral=True, degradation_aware=True),
-              ).elapsed
+        healthy = _healthy(machine, specs, seed)
+        horizon = healthy.elapsed
         for index in range(n_schedules):
             schedule = with_deadlines(
                 random_chaos_schedule(index, horizon=horizon, machine=machine),
@@ -348,7 +365,7 @@ def run_soak(
                 schedule = FaultSchedule(
                     schedule.faults + (MasterCrash(at=0.4 * horizon),)
                 )
-            run = run_chaos(schedule=schedule, seed=seed, scale=scale)
+            run = _replay(machine, specs, seed, schedule, healthy)
             report.runs += 1
             report.cancels += len(run.faulted.cancel_records)
             if run.recovery is not None:

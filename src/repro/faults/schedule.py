@@ -242,28 +242,12 @@ class FaultSchedule:
         return iter(self.faults)
 
     @property
-    def degradations(self) -> tuple[DiskDegradation, ...]:
-        return tuple(f for f in self.faults if isinstance(f, DiskDegradation))
-
-    @property
-    def stalls(self) -> tuple[DiskStall, ...]:
-        return tuple(f for f in self.faults if isinstance(f, DiskStall))
-
-    @property
-    def crashes(self) -> tuple[SlaveCrash, ...]:
-        return tuple(f for f in self.faults if isinstance(f, SlaveCrash))
-
-    @property
     def message_faults(self) -> tuple[MessageFault, ...]:
         return tuple(f for f in self.faults if isinstance(f, MessageFault))
 
     @property
     def master_crashes(self) -> tuple[MasterCrash, ...]:
         return tuple(f for f in self.faults if isinstance(f, MasterCrash))
-
-    @property
-    def deadlines(self) -> tuple[QueryDeadline, ...]:
-        return tuple(f for f in self.faults if isinstance(f, QueryDeadline))
 
     def validate_against(self, n_disks: int) -> None:
         """Reject entries that are no fault type at all, and faults

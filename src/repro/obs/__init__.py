@@ -6,11 +6,11 @@
   with **simulator virtual time** — traces are byte-stable per seed.
   ``None`` is the default everywhere, so disabled tracing costs one
   branch at cold emission sites and nothing on the per-page hot path.
-* :class:`MetricsRegistry` holds counters, gauges, streaming-percentile
-  histograms and timestamped series under dotted names, consolidating
-  what used to live on ``OptimizedQuery.stats``, the breaker timeline
-  and the service digests.  :func:`percentile` is the repository's one
-  percentile implementation.
+* :class:`MetricsRegistry` holds counters, gauges, histograms and
+  timestamped series under dotted names, folded in after a run from
+  what it returned (``OptimizedQuery.stats``,
+  :meth:`ServiceMetrics.publish <repro.service.metrics.ServiceMetrics.publish>`).
+  :func:`percentile` is the repository's one percentile implementation.
 * :mod:`repro.obs.export` renders a tracer as Chrome trace-event JSON
   (Perfetto-loadable, one thread lane per track), flat JSON or a text
   summary table.

@@ -3,17 +3,16 @@
 One :func:`run_trace` call drives a representative slice of the whole
 system — phase-1 optimization, a short serving-mode arrival stream and
 a (optionally faulted) micro-engine run — with a single live
-:class:`~repro.obs.Tracer` and :class:`~repro.obs.MetricsRegistry`
-threaded through every layer.  The result is one unified trace whose
-Chrome export opens in Perfetto with a lane per task, tenant, disk and
-subsystem.
+:class:`~repro.obs.Tracer` threaded through every layer.  The result is
+one unified trace whose Chrome export opens in Perfetto with a lane per
+task, tenant, disk and subsystem.  The
+:class:`~repro.obs.MetricsRegistry` is filled once each phase is over,
+from what that phase returned.
 
-Every event is stamped with simulator virtual time, so the trace is a
-pure function of the seed: two runs export byte-identical Chrome JSON,
-which the determinism tests pin down.  The only non-deterministic
-quantity anywhere is the ``optimizer.phase1_seconds`` wall-clock
-histogram in the *metrics* registry — it never reaches the trace or
-the smoke lines.
+Every event and every metric is virtual time or a count, so the trace
+and the registry are pure functions of the seed: two runs export
+byte-identical Chrome and flat JSON, which the determinism tests pin
+down.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
 
     The slice: a four-relation star join, a ten-submission stream and a
     four-task micro-engine mix of at most 200 pages per task.  All three
-    phases share one tracer and one metrics registry; every timestamp is
-    simulator virtual time, so the report's Chrome export is
-    byte-identical across runs of the same arguments.
+    phases share one tracer, and each phase's result is folded into one
+    metrics registry; every timestamp is simulator virtual time, so the
+    report's exports are byte-identical across runs of the same
+    arguments.
 
     Args:
         seed: keys the join workload, the arrival stream and the
@@ -106,16 +106,17 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
     metrics = MetricsRegistry()
 
     # Phase 1: optimize a seeded star join; the tracer gets one
-    # deterministic instant, the registry the counter deltas and the
-    # (wall-clock) phase-1 latency histogram.
+    # deterministic instant, the registry the cache counters (the
+    # optimizer is fresh, so they are this query's alone).
     # Scoped node ids, so in-process reruns build byte-identical
     # schemas; row counts keep the search small but non-trivial.
     with id_scope():
         schema = star_join(3, fact_rows=400, dimension_rows=80, seed=seed)
-    optimizer = TwoPhaseOptimizer(
-        schema.catalog, tracer=tracer, metrics=metrics
-    )
+    optimizer = TwoPhaseOptimizer(schema.catalog, tracer=tracer)
     optimized = optimizer.optimize(schema.query, mode=OptimizerMode.BUSHY_PAR)
+    optimizer_stats = dict(optimized.stats or {})
+    for key, value in optimizer_stats.items():
+        metrics.counter(f"optimizer.{key}").inc(value)
 
     # Phase 2: a short open-system stream through the admission gate,
     # sized to provoke some queueing (small queues, tight in-flight
@@ -130,7 +131,6 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         retry=RetryPolicy(max_retries=2, base_delay=1.0, seed=seed),
         breaker=CircuitBreaker(tracer=tracer),
         tracer=tracer,
-        metrics=metrics,
     )
     stream = poisson_stream(
         rate=0.5,
@@ -139,6 +139,7 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         machine=machine,
     )
     service_result = service.run(stream)
+    service_result.metrics.publish(metrics)
     overall = service_result.metrics.overall
 
     # Phase 3: a seeded RANDOM mix on the page-level engine, under the
@@ -165,7 +166,7 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         seed=seed,
         tracer=tracer,
         metrics=metrics,
-        optimizer_stats=dict(optimized.stats or {}),
+        optimizer_stats=optimizer_stats,
         service_offered=overall.offered,
         service_completed=overall.completed,
         service_rejected=overall.rejected,

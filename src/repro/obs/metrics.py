@@ -14,7 +14,6 @@ compatibility and the stress harness imports it from here.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 
 from ..bench.report import format_table
@@ -75,28 +74,21 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A value distribution with streaming percentile queries.
+    """An exact value distribution, filled in batches.
 
-    Observations are kept in sorted order (inserted via ``bisect``), so
-    a percentile query is an O(1) interpolation at any point mid-stream
-    — no terminal sort pass — while staying exact: the digest is the
+    Observations are kept in sorted order, so a percentile query is an
+    O(1) interpolation between batches, and exact: the digest is the
     full distribution, not an approximation sketch.
     """
 
     name: str
     _sorted: list[float] = field(default_factory=list)
 
-    def observe(self, value: float) -> None:
-        """Fold one observation into the distribution."""
-        insort(self._sorted, value)
-
     def observe_many(self, values: list[float]) -> None:
         """Fold a batch of observations into the distribution.
 
-        Extend-then-sort produces exactly the same sorted list as
-        repeated :meth:`observe` (``insort``) calls, but one batch costs
-        one O(n log n) pass instead of n binary-insert shifts — the
-        service layer folds a whole run's latencies in one call.
+        One extend-then-sort pass per batch; the service layer folds a
+        whole run's latencies in one call.
         """
         if not values:
             return

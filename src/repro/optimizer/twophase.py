@@ -39,7 +39,6 @@ plans (``ARMS_DISAGREE`` in ``tests/optimizer/test_fastpath.py``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -143,12 +142,6 @@ class TwoPhaseOptimizer:
             carrying this query's candidate/pruned/costed and sub-plan
             hit/miss deltas.
             ``None`` records nothing.
-        metrics: a :class:`~repro.obs.MetricsRegistry`; each
-            ``optimize`` call folds this query's cache-counter deltas
-            into ``optimizer.*`` counters and its phase-1 wall time into
-            the ``optimizer.phase1_seconds`` histogram.  The hot
-            enumeration loop keeps incrementing plain ints; the
-            registry only sees per-call deltas.  ``None`` skips both.
     """
 
     def __init__(
@@ -159,7 +152,6 @@ class TwoPhaseOptimizer:
         methods: tuple[str, ...] = JOIN_METHODS,
         fast_path: bool = True,
         tracer=None,
-        metrics=None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
@@ -169,7 +161,6 @@ class TwoPhaseOptimizer:
             OptimizerCaches() if fast_path else None
         )
         self.tracer = tracer
-        self.metrics = metrics
 
     @property
     def cache_stats(self) -> CacheStats | None:
@@ -226,45 +217,37 @@ class TwoPhaseOptimizer:
     ) -> OptimizedQuery:
         """Run both phases and return the full result."""
         stats = self.cache_stats
-        observing = self.tracer is not None or self.metrics is not None
-        before = stats.as_dict() if observing and stats is not None else None
-        t0 = time.perf_counter() if self.metrics is not None else 0.0
+        tracer = self.tracer
+        before = (
+            stats.as_dict() if tracer is not None and stats is not None else None
+        )
         plan = self.choose_plan(query, mode)
-        if self.metrics is not None:
-            self.metrics.histogram("optimizer.phase1_seconds").observe(
-                time.perf_counter() - t0
-            )
         parallel = self.parallelize(plan, policy=policy)
-        if observing and stats is not None:
-            after = stats.as_dict()
-            assert before is not None
+        after = stats.as_dict() if stats is not None else None
+        if tracer is not None and before is not None and after is not None:
             delta = {
                 key: max(0, after[key] - before[key]) for key in after
             }
-            if self.metrics is not None:
-                for key, value in delta.items():
-                    self.metrics.counter(f"optimizer.{key}").inc(value)
-            if self.tracer is not None:
-                # Deterministic: virtual t=0, counter deltas only — no
-                # wall time reaches the trace.
-                self.tracer.instant(
-                    f"optimize {len(query.relations)} relations",
-                    t=0.0,
-                    track="optimizer",
-                    cat="optimizer",
-                    args={
-                        "mode": mode.value,
-                        "candidates": delta["candidates"],
-                        "pruned": delta["pruned"],
-                        "costed": delta["costed"],
-                        "subplan_hits": delta["subplan_hits"],
-                        "subplan_misses": delta["subplan_misses"],
-                    },
-                )
+            # Deterministic: virtual t=0, counter deltas only — no
+            # wall time reaches the trace.
+            tracer.instant(
+                f"optimize {len(query.relations)} relations",
+                t=0.0,
+                track="optimizer",
+                cat="optimizer",
+                args={
+                    "mode": mode.value,
+                    "candidates": delta["candidates"],
+                    "pruned": delta["pruned"],
+                    "costed": delta["costed"],
+                    "subplan_hits": delta["subplan_hits"],
+                    "subplan_misses": delta["subplan_misses"],
+                },
+            )
         return OptimizedQuery(
             query=query,
             mode=mode,
             plan=plan,
             parallel=parallel,
-            stats=stats.as_dict() if stats is not None else None,
+            stats=after,
         )

@@ -40,10 +40,6 @@ class RecoveryManager:
             capture at every round boundary).
         tracer: optional :class:`~repro.obs.Tracer`; checkpoint and
             restore instants land on a ``recovery`` track.
-        metrics: optional :class:`~repro.obs.MetricsRegistry`; counts
-            ``recovery.checkpoints`` / ``recovery.restores`` and
-            observes the ``recovery.time_to_recover`` histogram (virtual
-            time re-executed between checkpoint and crash).
     """
 
     def __init__(
@@ -52,14 +48,12 @@ class RecoveryManager:
         enabled: bool = True,
         min_interval: float = 0.0,
         tracer=None,
-        metrics=None,
     ) -> None:
         if min_interval < 0:
             raise RecoveryError("min_interval must be >= 0")
         self.enabled = enabled
         self.min_interval = min_interval
         self.tracer = tracer
-        self.metrics = metrics
         self.last: Checkpoint | None = None
         self.captures = 0
         self.restores = 0
@@ -81,8 +75,6 @@ class RecoveryManager:
             return
         self.last = Checkpoint.capture(engine)
         self.captures += 1
-        if self.metrics is not None:
-            self.metrics.counter("recovery.checkpoints").inc()
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(
@@ -96,8 +88,6 @@ class RecoveryManager:
     def note_restore(self, engine) -> None:
         """Called by :meth:`Checkpoint.restore` once the engine is rebuilt."""
         self.restores += 1
-        if self.metrics is not None:
-            self.metrics.counter("recovery.restores").inc()
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(
@@ -203,10 +193,6 @@ def run_with_recovery(
             start_over = next_resume if next_resume is not None else 0.0
             lost_work += max(0.0, crash.at - start_over)
             recovery_points.append(start_over)
-            if manager.metrics is not None:
-                manager.metrics.histogram(
-                    "recovery.time_to_recover"
-                ).observe(max(0.0, crash.at - start_over))
             continue
         return RecoveryRun(
             result=result,

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from ..bench.report import format_table
 from ..errors import ServiceError
-from ..obs.metrics import percentile
+from ..obs.metrics import MetricsRegistry, percentile
 from ..sim.fluid import ScheduleResult
 from .gate import SubmissionOutcome
 
@@ -176,6 +176,37 @@ class ServiceMetrics:
     def throughput(self) -> float:
         """Completed submissions per second of simulated time."""
         return self.overall.completed / self.elapsed if self.elapsed > 0 else 0.0
+
+    def publish(self, registry: MetricsRegistry) -> None:
+        """Fold the run into a :class:`~repro.obs.MetricsRegistry`.
+
+        Adds the ``service.*`` counters (offered/admitted/rejected/
+        completed/retries/deadline cancels/degraded) from
+        :attr:`overall`, the response-time and queue-wait histograms
+        (one batch each, in outcome order) and, when a breaker guarded
+        the gate, the breaker-state series.
+        """
+        totals = self.overall
+        registry.counter("service.offered").inc(totals.offered)
+        registry.counter("service.admitted").inc(totals.admitted)
+        registry.counter("service.rejected").inc(totals.rejected)
+        registry.counter("service.completed").inc(totals.completed)
+        registry.counter("service.retries").inc(totals.retries)
+        registry.counter("service.deadline_cancels").inc(
+            totals.deadline_cancelled
+        )
+        registry.counter("service.degraded").inc(totals.degraded)
+        finished = [o for o in self.outcomes if o.finished_at is not None]
+        registry.histogram("service.response_time").observe_many(
+            [o.response_time for o in finished]
+        )
+        registry.histogram("service.queue_wait").observe_many(
+            [o.queueing_delay for o in finished]
+        )
+        if self.breaker_timeline:
+            series = registry.series("service.breaker_state")
+            for t, name in self.breaker_timeline:
+                series.append(t, name)
 
     def to_table(self) -> str:
         """The per-tenant metrics table (plus an ``all`` summary row)."""

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from ..faults.schedule import DiskDegradation
 from .admission import AdmissionPolicy, BalanceAwareAdmission
 from .gate import AdmissionGate, SubmissionOutcome
-from .metrics import ServiceMetrics, TenantMetrics, utilization_timeline
+from .metrics import ServiceMetrics, utilization_timeline
 from .queue import ServiceSubmission
 
 
@@ -114,9 +114,6 @@ class QueryService:
             applied by the fluid engine and observed by the breaker.
         tracer: a :class:`~repro.obs.Tracer` threaded into the gate
             and the fluid engine; ``None`` records nothing.
-        metrics: a :class:`~repro.obs.MetricsRegistry` the digest step
-            populates with ``service.*`` counters, histograms and the
-            breaker-state series; ``None`` skips it.
     """
 
     def __init__(
@@ -134,13 +131,11 @@ class QueryService:
         deadline_grace: float = 0.0,
         degradations: "Sequence[DiskDegradation] | None" = None,
         tracer=None,
-        metrics=None,
     ) -> None:
         self.machine = machine or paper_machine()
         self.timeline_bucket = timeline_bucket
         self.degradations = tuple(degradations or ())
         self.tracer = tracer
-        self.metrics = metrics
         self.gate = AdmissionGate(
             inner=scheduler or InterWithAdjPolicy(),
             admission=admission or BalanceAwareAdmission(),
@@ -225,7 +220,7 @@ class QueryService:
             else []
         )
         breaker = self.gate.breaker
-        metrics = ServiceMetrics.of(
+        return ServiceMetrics.of(
             outcomes,
             schedule,
             admission_name=self.gate.admission.name,
@@ -234,42 +229,3 @@ class QueryService:
                 list(breaker.timeline) if breaker is not None else []
             ),
         )
-        if self.metrics is not None:
-            self._publish(outcomes, metrics.overall, breaker, self.metrics)
-        return metrics
-
-    @staticmethod
-    def _publish(
-        outcomes: list[SubmissionOutcome],
-        totals: TenantMetrics,
-        breaker: CircuitBreaker | None,
-        registry,
-    ) -> None:
-        """Fold the run's outcomes into a unified metrics registry.
-
-        Populates ``service.*`` counters (offered/admitted/rejected/
-        completed/retries) from the run's overall digest, the
-        response-time and queue-wait histograms (one batch each, in
-        outcome order) and the breaker-state series on the given
-        :class:`~repro.obs.MetricsRegistry`.
-        """
-        registry.counter("service.offered").inc(totals.offered)
-        registry.counter("service.admitted").inc(totals.admitted)
-        registry.counter("service.rejected").inc(totals.rejected)
-        registry.counter("service.completed").inc(totals.completed)
-        registry.counter("service.retries").inc(totals.retries)
-        registry.counter("service.deadline_cancels").inc(
-            totals.deadline_cancelled
-        )
-        registry.counter("service.degraded").inc(totals.degraded)
-        finished = [o for o in outcomes if o.finished_at is not None]
-        registry.histogram("service.response_time").observe_many(
-            [o.response_time for o in finished]
-        )
-        registry.histogram("service.queue_wait").observe_many(
-            [o.queueing_delay for o in finished]
-        )
-        if breaker is not None:
-            series = registry.series("service.breaker_state")
-            for t, name in breaker.timeline:
-                series.append(t, name)

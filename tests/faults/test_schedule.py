@@ -19,6 +19,11 @@ from repro.faults import (
 )
 
 
+def _of(schedule, kind):
+    """The faults of one kind, in schedule order."""
+    return [f for f in schedule if isinstance(f, kind)]
+
+
 class TestFaultValidation:
     def test_degradation_rejects_bad_factor(self):
         with pytest.raises(FaultError, match="factor"):
@@ -64,9 +69,9 @@ class TestFaultSchedule:
             )
         )
         assert len(schedule) == 4
-        assert len(schedule.degradations) == 1
-        assert len(schedule.stalls) == 1
-        assert len(schedule.crashes) == 1
+        assert len(_of(schedule, DiskDegradation)) == 1
+        assert len(_of(schedule, DiskStall)) == 1
+        assert len(_of(schedule, SlaveCrash)) == 1
         assert len(schedule.message_faults) == 1
 
     def test_validate_against_rejects_out_of_range_disk(self):
@@ -136,8 +141,8 @@ class TestParsing:
         )
         schedule = load_schedule(str(path))
         assert len(schedule) == 2
-        assert schedule.degradations[0].factor == 0.5
-        assert schedule.crashes[0].task == "io0"
+        assert _of(schedule, DiskDegradation)[0].factor == 0.5
+        assert _of(schedule, SlaveCrash)[0].task == "io0"
 
     def test_load_schedule_errors(self, tmp_path):
         with pytest.raises(FaultError, match="cannot read"):
@@ -169,8 +174,8 @@ class TestPresets:
 
     def test_mixed_has_every_kind(self):
         mixed = preset_schedule("mixed", horizon=10.0)
-        assert mixed.degradations and mixed.stalls
-        assert mixed.crashes and mixed.message_faults
+        assert _of(mixed, DiskDegradation) and _of(mixed, DiskStall)
+        assert _of(mixed, SlaveCrash) and mixed.message_faults
 
     def test_unknown_preset(self):
         with pytest.raises(FaultError, match="unknown preset"):

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import run_trace, smoke_lines, validate_chrome
+from repro.faults.chaos import run_soak
+from repro.obs import MetricsRegistry, run_trace, smoke_lines, validate_chrome
+from repro.optimizer import TwoPhaseOptimizer
+from repro.recovery import RecoveryManager
+from repro.service import QueryService
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,31 @@ class TestRunTrace:
         assert counters["optimizer.candidates"] > 0
         assert digest["histograms"]["service.response_time"]["count"] > 0
         assert "service.breaker_state" in digest["series"]
+
+    def test_registry_is_read_off_the_phase_results(self, report):
+        counters = report.metrics.as_dict()["counters"]
+        optimizer = {
+            name.removeprefix("optimizer."): value
+            for name, value in counters.items()
+            if name.startswith("optimizer.")
+        }
+        assert optimizer == report.optimizer_stats
+        assert counters["service.offered"] == report.service_offered
+        assert counters["service.completed"] == report.service_completed
+        assert counters["service.rejected"] == report.service_rejected
+        assert counters["sim.pages"] == report.micro_pages
+
+    def test_no_registry_is_threaded_into_a_run(self):
+        # Metrics are folded in from results; nothing takes a live one
+        # (the call fails at argument binding, before any work).
+        for build in (
+            lambda: TwoPhaseOptimizer(None, metrics=MetricsRegistry()),
+            lambda: QueryService(metrics=MetricsRegistry()),
+            lambda: RecoveryManager(metrics=MetricsRegistry()),
+            lambda: run_soak(n_schedules=0, machine=None),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_report_counts_are_consistent(self, report):
         assert report.service_offered > 0
@@ -108,9 +137,4 @@ class TestJitteredRepeatability:
     def test_two_jittered_runs_are_byte_identical(self):
         first, second = run_trace(0), run_trace(0)
         assert first.chrome_json() == second.chrome_json()
-        da, db = first.metrics.as_dict(), second.metrics.as_dict()
-        # phase1_seconds measures real wall time; everything else is
-        # simulated and must repeat exactly.
-        da["histograms"].pop("optimizer.phase1_seconds")
-        db["histograms"].pop("optimizer.phase1_seconds")
-        assert da == db
+        assert first.metrics.as_dict() == second.metrics.as_dict()

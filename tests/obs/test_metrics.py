@@ -48,8 +48,8 @@ class TestHistogram:
     def test_streaming_percentiles_match_module_percentile(self):
         hist = Histogram("h")
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        for v in values:
-            hist.observe(v)
+        hist.observe_many(values[:2])
+        hist.observe_many(values[2:])
         assert hist.count == 5
         assert hist.mean == pytest.approx(3.0)
         for p in (50.0, 95.0, 99.0):
@@ -57,9 +57,9 @@ class TestHistogram:
 
     def test_queries_work_mid_stream(self):
         hist = Histogram("h")
-        hist.observe(10.0)
+        hist.observe_many([10.0])
         assert hist.p50 == 10.0
-        hist.observe(20.0)
+        hist.observe_many([20.0])
         assert hist.p50 == pytest.approx(15.0)
 
     def test_empty_histogram(self):
@@ -70,13 +70,13 @@ class TestHistogram:
 
     def test_out_of_range_percentile_raises(self):
         hist = Histogram("h")
-        hist.observe(1.0)
+        hist.observe_many([1.0])
         with pytest.raises(ObsError):
             hist.percentile(200.0)
 
     def test_single_observation_dominates_every_percentile(self):
         hist = Histogram("h")
-        hist.observe(4.5)
+        hist.observe_many([4.5])
         assert hist.p50 == hist.p95 == hist.p99 == 4.5
         assert hist.mean == 4.5
         assert hist.total == 4.5
@@ -86,26 +86,6 @@ class TestHistogram:
         hist.observe_many([2.0] * 7)
         assert hist.percentile(0.0) == hist.percentile(100.0) == 2.0
         assert hist.mean == 2.0
-
-    def test_observe_many_equals_repeated_observe(self):
-        # The fast metrics path folds a whole run's latencies in one
-        # batch; the digest must not depend on which path ran.
-        values = [5.0, 1.0, 3.0, 2.0, 4.0, 2.0, 1.0]
-        batched, single = Histogram("b"), Histogram("s")
-        batched.observe_many(values[:4])
-        batched.observe_many(values[4:])
-        for v in values:
-            single.observe(v)
-        assert batched._sorted == single._sorted
-        assert batched.total == single.total
-        assert batched.p95 == single.p95
-
-    def test_observe_many_interleaved_with_observe(self):
-        hist = Histogram("h")
-        hist.observe(9.0)
-        hist.observe_many([1.0, 5.0])
-        hist.observe(3.0)
-        assert hist._sorted == [1.0, 3.0, 5.0, 9.0]
 
     def test_observe_many_empty_batch_is_a_no_op(self):
         hist = Histogram("h")
@@ -146,7 +126,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(2.0)
+        registry.histogram("h").observe_many([2.0])
         registry.series("s").append(0.5, "open")
         digest = registry.as_dict()
         assert digest["counters"] == {"c": 3}
@@ -158,7 +138,7 @@ class TestMetricsRegistry:
     def test_to_table_mentions_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("service.completed").inc(9)
-        registry.histogram("service.response_time").observe(1.0)
+        registry.histogram("service.response_time").observe_many([1.0])
         table = registry.to_table()
         assert "service.completed" in table
         assert "service.response_time" in table

@@ -71,6 +71,6 @@ class TestWithDeadlines:
         assert len(once) > len(base)
         assert all(
             1.0 <= f.at <= 3.0
-            for f in once.deadlines
-            if f not in base.faults
+            for f in once
+            if isinstance(f, QueryDeadline) and f not in base.faults
         )

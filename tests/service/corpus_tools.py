@@ -20,8 +20,9 @@ drift fails loudly and points at the exact case.
 
 A third block, ``records``, pins what the digest leaves out.  For every
 label of the first two blocks it holds the sha256 of one run with a
-live :class:`~repro.obs.Tracer` (the breaker gets it too) and a
-:class:`~repro.obs.MetricsRegistry`: the digest and ``decide_rounds``,
+live :class:`~repro.obs.Tracer` (the breaker gets it too), with its
+metrics published to a :class:`~repro.obs.MetricsRegistry`: the digest
+and ``decide_rounds``,
 every :class:`~repro.service.metrics.TenantMetrics` field (response
 times as ``float.hex``), the breaker timeline, ``registry.as_dict()``,
 every trace event of the gate's categories (the ``tenant:*`` and
@@ -96,7 +97,6 @@ def _serve(
     retry: bool = True,
     breaker: bool = False,
     tracer=None,
-    metrics=None,
 ):
     """One corpus cell's :class:`ServiceResult`.
 
@@ -127,7 +127,6 @@ def _serve(
             deadline_policy=deadline_policy,
             deadline_grace=grace,
             tracer=tracer,
-            metrics=metrics,
         )
         return service.run(_stream(stream, seed))
 
@@ -146,7 +145,8 @@ def corpus_record(**kwargs) -> dict:
     and shed records.
     """
     tracer, registry = Tracer(), MetricsRegistry()
-    result = _serve(**kwargs, tracer=tracer, metrics=registry)
+    result = _serve(**kwargs, tracer=tracer)
+    result.metrics.publish(registry)
     schedule = result.schedule
     return {
         "digest": result.digest(),

@@ -29,7 +29,7 @@ def test_abl_effective_bandwidth_solver(benchmark, machine, workload_config):
             )
             for key, use in (("corrected", True), ("nominal", False)):
                 policy = InterWithAdjPolicy(use_effective_bandwidth=use)
-                sim = FluidSimulator(machine, use_effective_bandwidth=True)
+                sim = FluidSimulator(machine)
                 out[key].append(sim.run(list(tasks), policy).elapsed)
         return out
 

@@ -130,12 +130,9 @@ def test_ext_faults_degradation_aware_beats_static(benchmark, machine):
     )
 
 
-def test_ext_faults_mixed_preset_tolerated(benchmark, machine):
+def test_ext_faults_mixed_preset_tolerated(benchmark):
     def run():
-        return [
-            run_chaos(preset="mixed", seed=seed, scale=0.5, machine=machine)
-            for seed in SEEDS
-        ]
+        return [run_chaos(preset="mixed", seed=seed, scale=0.5) for seed in SEEDS]
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []

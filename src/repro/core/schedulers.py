@@ -108,7 +108,8 @@ class EngineState(Protocol):
     machine: MachineConfig
 
     #: The machine as currently *measured* (disk degradation folded
-    #: in); equals ``machine`` on a healthy run.
+    #: in, on the micro engine); equals ``machine`` on a healthy run
+    #: and always on the fluid engine.
     effective_machine: MachineConfig
 
     #: Ids of tasks that already completed (both engines expose this;

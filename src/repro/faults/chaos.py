@@ -268,9 +268,9 @@ def run_chaos(
     preset: str = "mixed",
     seed: int = 0,
     scale: float = 1.0,
-    machine: MachineConfig | None = None,
 ) -> ChaosReport:
-    """One chaos run: healthy baseline, then the faulted replay.
+    """One chaos run on the paper machine: healthy baseline, then the
+    faulted replay.
 
     Args:
         schedule: explicit fault schedule; ``None`` derives one from
@@ -279,9 +279,8 @@ def run_chaos(
         seed: seeds both the workload's random block orders and the
             injector's crash-target picks.
         scale: workload size multiplier (smoke runs shrink it).
-        machine: machine configuration (defaults to the paper machine).
     """
-    machine = machine or paper_machine()
+    machine = paper_machine()
     specs = chaos_workload(machine, scale=scale)
     healthy = _healthy(machine, specs, seed)
     if schedule is None:

@@ -40,13 +40,10 @@ class TraceReport:
     Attributes:
         seed: the seed the run was keyed on.
         tracer: the populated tracer (all three phases).
-        metrics: the populated unified registry.
-        optimizer_stats: the optimized query's cache-counter snapshot.
-        service_offered: submissions offered to the admission gate.
-        service_completed: submissions that ran to completion.
-        service_rejected: submissions shed for good.
-        micro_pages: pages the micro engine processed.
-        micro_elapsed: simulated seconds of the micro run.
+        metrics: the populated unified registry: the optimized query's
+            ``optimizer.*`` cache counters, the stream's ``service.*``
+            counters and the micro run's ``sim.pages`` /
+            ``sim.elapsed``.
         faulted: whether the micro phase ran under the mixed fault
             preset.
     """
@@ -54,12 +51,6 @@ class TraceReport:
     seed: int
     tracer: Tracer
     metrics: MetricsRegistry
-    optimizer_stats: dict
-    service_offered: int
-    service_completed: int
-    service_rejected: int
-    micro_pages: int
-    micro_elapsed: float
     faulted: bool
 
     def chrome_json(self) -> str:
@@ -114,8 +105,7 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         schema = star_join(3, fact_rows=400, dimension_rows=80, seed=seed)
     optimizer = TwoPhaseOptimizer(schema.catalog, tracer=tracer)
     optimized = optimizer.optimize(schema.query, mode=OptimizerMode.BUSHY_PAR)
-    optimizer_stats = dict(optimized.stats or {})
-    for key, value in optimizer_stats.items():
+    for key, value in (optimized.stats or {}).items():
         metrics.counter(f"optimizer.{key}").inc(value)
 
     # Phase 2: a short open-system stream through the admission gate,
@@ -138,9 +128,7 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         config=mixed_tenant_config(10),
         machine=machine,
     )
-    service_result = service.run(stream)
-    service_result.metrics.publish(metrics)
-    overall = service_result.metrics.overall
+    service.run(stream).metrics.publish(metrics)
 
     # Phase 3: a seeded RANDOM mix on the page-level engine, under the
     # mixed fault preset when asked, so the trace carries task spans,
@@ -166,12 +154,6 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         seed=seed,
         tracer=tracer,
         metrics=metrics,
-        optimizer_stats=optimizer_stats,
-        service_offered=overall.offered,
-        service_completed=overall.completed,
-        service_rejected=overall.rejected,
-        micro_pages=int(micro_result.io_served),
-        micro_elapsed=micro_result.elapsed,
         faulted=faulted,
     )
 
@@ -206,22 +188,27 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
     lines on any violated invariant.
     """
     report = run_trace(seed)
-    stats = report.optimizer_stats
+    digest = report.metrics.as_dict()
+    counters = digest["counters"]
+    opt = {
+        key: counters.get(f"optimizer.{key}", 0)
+        for key in ("candidates", "pruned", "costed")
+    }
     lines = [
         f"smoke: trace {len(report.tracer)} events across "
         f"{len(report.tracer.tracks())} tracks, seed {seed}",
-        f"smoke: optimizer candidates={stats.get('candidates', 0)} "
-        f"pruned={stats.get('pruned', 0)} costed={stats.get('costed', 0)}",
-        f"smoke: service {report.service_completed}/"
-        f"{report.service_offered} completed, "
-        f"{report.service_rejected} rejected",
-        f"smoke: micro {report.micro_pages} pages, "
-        f"simulated {report.micro_elapsed:.4f}s"
+        f"smoke: optimizer candidates={opt['candidates']} "
+        f"pruned={opt['pruned']} costed={opt['costed']}",
+        f"smoke: service {counters['service.completed']}/"
+        f"{counters['service.offered']} completed, "
+        f"{counters['service.rejected']} rejected",
+        f"smoke: micro {counters['sim.pages']} pages, "
+        f"simulated {digest['gauges']['sim.elapsed']:.4f}s"
         + (" (faulted)" if report.faulted else ""),
     ]
     if len(report.tracer) == 0:
         lines.append("smoke failed: the trace is empty")
-    if report.service_completed == 0:
+    if counters["service.completed"] == 0:
         lines.append("smoke failed: no submissions completed")
     problem = validate_chrome(report.chrome_json())
     if problem is not None:

@@ -16,7 +16,7 @@ metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..config import MachineConfig, paper_machine
 from ..core.schedulers import InterWithAdjPolicy, SchedulingPolicy
@@ -25,9 +25,6 @@ from ..errors import AdmissionError
 from ..faults.breaker import CircuitBreaker
 from ..faults.retry import RetryPolicy
 from ..sim.fluid import FluidSimulator, ScheduleResult
-
-if TYPE_CHECKING:
-    from ..faults.schedule import DiskDegradation
 from .admission import AdmissionPolicy, BalanceAwareAdmission
 from .gate import AdmissionGate, SubmissionOutcome
 from .metrics import ServiceMetrics, utilization_timeline
@@ -110,8 +107,6 @@ class QueryService:
         machine: machine configuration (defaults to the paper machine).
         timeline_bucket: bucket width (seconds) of the utilization
             timeline attached to the metrics; ``None`` skips it.
-        degradations: scheduled disk-bandwidth degradation windows,
-            applied by the fluid engine and observed by the breaker.
         tracer: a :class:`~repro.obs.Tracer` threaded into the gate
             and the fluid engine; ``None`` records nothing.
     """
@@ -129,12 +124,10 @@ class QueryService:
         breaker: CircuitBreaker | None = None,
         deadline_policy: str = "off",
         deadline_grace: float = 0.0,
-        degradations: "Sequence[DiskDegradation] | None" = None,
         tracer=None,
     ) -> None:
         self.machine = machine or paper_machine()
         self.timeline_bucket = timeline_bucket
-        self.degradations = tuple(degradations or ())
         self.tracer = tracer
         self.gate = AdmissionGate(
             inner=scheduler or InterWithAdjPolicy(),
@@ -191,11 +184,7 @@ class QueryService:
         gate = self.gate
         gate.load(submissions)
         pooled = [task for s in submissions for task in s.tasks]
-        simulator = FluidSimulator(
-            self.machine,
-            degradations=self.degradations or None,
-            tracer=self.tracer,
-        )
+        simulator = FluidSimulator(self.machine, tracer=self.tracer)
         schedule = simulator.run(pooled, gate)
         outcomes = gate.outcomes(schedule)
         metrics = self._digest(outcomes, schedule)

@@ -46,7 +46,6 @@ CPython 3.11.  3.12 made float ``sum()`` compensated
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
 
 from ..config import MachineConfig
 from ..core.balance import throttle
@@ -55,9 +54,6 @@ from ..core.schedulers import SchedulingPolicy
 from ..core.task import IOPattern, Task
 from ..errors import SimulationError
 from .ledger import ScheduleResult, TaskLedger
-
-if TYPE_CHECKING:  # imported lazily: repro.faults imports nothing from sim
-    from ..faults.schedule import DiskDegradation
 
 #: Safety valve: a run issuing more events than this is considered hung.
 _MAX_EVENTS = 1_000_000
@@ -100,23 +96,13 @@ class FluidSimulator:
 
     Args:
         machine: machine configuration (processors, disks, bandwidths).
+            The engine runs this machine as configured: faults and
+            measured disk health are the micro engine's
+            (:mod:`repro.sim.micro`).
         adjustment_overhead: sequential-seconds of work added to a task
             each time its parallelism is adjusted (models the signal
             round trip plus finishing the current page).  Defaults to
             two signal latencies plus one page-processing time.
-        use_effective_bandwidth: model the sequential/random bandwidth
-            drop when streams interleave; off = nominal ``B`` always.
-        degradations: scheduled per-disk bandwidth degradation windows
-            (:class:`~repro.faults.schedule.DiskDegradation`).  They
-            change what policies *see*, not how fast work runs: at
-            each event the engine sets ``state.effective_machine`` to
-            the machine with every disk's bandwidth scaled by the
-            factors averaged over the array, and policies (and the
-            serving gate's breaker) read it.  Window edges are not
-            events — a window that opens between two events is first
-            seen at the next one — and the rate solve always uses the
-            nominal ``machine``, so a degraded run progresses exactly
-            like a healthy one under the same decisions.
         tracer: a :class:`~repro.obs.Tracer` recording task spans and
             start/adjust/shed instants at virtual time; ``None``
             records nothing.  Emission sites are per-event, never
@@ -133,8 +119,6 @@ class FluidSimulator:
         machine: MachineConfig,
         *,
         adjustment_overhead: float | None = None,
-        use_effective_bandwidth: bool = True,
-        degradations: "Sequence[DiskDegradation] | None" = None,
         tracer=None,
         invariants=None,
     ) -> None:
@@ -144,42 +128,8 @@ class FluidSimulator:
         if adjustment_overhead < 0:
             raise SimulationError("adjustment_overhead must be >= 0")
         self.adjustment_overhead = adjustment_overhead
-        self.use_effective_bandwidth = use_effective_bandwidth
-        self.degradations = tuple(degradations or ())
-        for window in self.degradations:
-            if window.disk >= machine.disks:
-                raise SimulationError(
-                    f"degradation names disk {window.disk} but the machine "
-                    f"has {machine.disks}"
-                )
-        #: Scale -> scaled machine.  A degradation window holds one
-        #: scale for its whole duration, but _effective_machine runs on
-        #: every event; memoizing avoids rebuilding two dataclasses per
-        #: event while a window is open.
-        self._machine_by_scale: dict[float, MachineConfig] = {}
         self.tracer = tracer
         self.invariants = invariants
-
-    def _multiplier_at(self, t: float) -> float:
-        """Array-wide bandwidth factor at time ``t`` (1.0 = healthy)."""
-        if not self.degradations:
-            return 1.0
-        per_disk = [1.0] * self.machine.disks
-        for window in self.degradations:
-            if window.start <= t < window.end:
-                per_disk[window.disk] *= window.factor
-        return sum(per_disk) / len(per_disk)
-
-    def _effective_machine(self, t: float) -> MachineConfig:
-        scale = self._multiplier_at(t)
-        if scale >= 1.0 - 1e-12:
-            return self.machine
-        cached = self._machine_by_scale.get(scale)
-        if cached is None:
-            cached = self._machine_by_scale[scale] = (
-                self.machine.with_disk_scale(scale)
-            )
-        return cached
 
     # -- public API -------------------------------------------------------------
 
@@ -200,13 +150,10 @@ class FluidSimulator:
         cpu_service = 0.0
         io_served = 0.0
         peak_memory = 0.0
-        healthy = not self.degradations
         invariants = self.invariants
         rates: list[tuple[_Running, float, float, float, float]] = []
         solved = -1  # the state.version ``rates`` was solved at
         for __ in range(_MAX_EVENTS):
-            if not healthy:
-                state.effective_machine = self._effective_machine(state.clock)
             actions = decide(state)
             if actions:
                 state.apply(actions)
@@ -318,7 +265,7 @@ class FluidSimulator:
         cpu_scale, io_scale = throttle(
             self.machine,
             [(r.parallelism, r.io_rate, r.io_pattern is _SEQUENTIAL) for r in running],
-            self.use_effective_bandwidth,
+            True,
         )
         rates = []
         for r in running:
@@ -352,6 +299,8 @@ class _SimState(TaskLedger):
     ) -> None:
         super().__init__(machine, tasks)
         self.tracer = tracer
+        #: The EngineState view policies read; fluid has no disk health,
+        #: so it is always the run's machine.
         self.effective_machine = machine
         self.running_map: dict[int, _Running] = {}
         #: Sum of running tasks' working sets, maintained on membership

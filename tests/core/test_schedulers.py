@@ -25,8 +25,8 @@ from repro.core.ids import id_scope
 from repro.core.schedulers import Adjust, Start, memory_fits
 from repro.core.task import IOPattern, Task
 from repro.errors import SchedulingError
-from repro.faults import DiskDegradation
-from repro.sim import FluidSimulator
+from repro.faults import DiskDegradation, FaultSchedule
+from repro.sim import FluidSimulator, MicroSimulator, spec_for_io_rate
 
 MACHINE = paper_machine()
 
@@ -382,15 +382,18 @@ class TestPairingOnFloats:
             assert make_task("next", io_rate=1.0, seq_time=1.0).task_id == 2
 
     def test_a_run_draws_no_task_id(self):
-        """Pairing, re-pairing and re-balancing a whole degraded run."""
-        windows = [DiskDegradation(disk=0, start=2.0, duration=30.0, factor=0.4)]
+        """Pairing, re-pairing and re-balancing a whole degraded run on
+        the micro engine, which draws one id per spec it is given."""
+        faults = FaultSchedule(
+            (DiskDegradation(disk=0, start=2.0, duration=30.0, factor=0.4),)
+        )
         with id_scope():
-            tasks = [
-                make_task(f"t{i}", io_rate=rate, seq_time=20.0 + i)
-                for i, rate in enumerate((60.0, 8.0, 45.0, 12.0, 70.0, 4.0))
+            specs = [
+                spec_for_io_rate(f"t{i}", MACHINE, io_rate=rate, n_pages=200 + 10 * i)
+                for i, rate in enumerate((60.0, 8.0, 45.0, 12.0, 55.0, 4.0))
             ]
-            result = FluidSimulator(MACHINE, degradations=windows).run(
-                tasks, InterWithAdjPolicy(degradation_aware=True)
+            result = MicroSimulator(MACHINE, faults=faults).run(
+                specs, InterWithAdjPolicy(degradation_aware=True)
             )
             assert result.adjustments > 0
-            assert make_task("next", io_rate=1.0, seq_time=1.0).task_id == len(tasks)
+            assert make_task("next", io_rate=1.0, seq_time=1.0).task_id == len(specs)

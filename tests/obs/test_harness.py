@@ -28,24 +28,22 @@ class TestRunTrace:
     def test_unified_registry_spans_subsystems(self, report):
         digest = report.metrics.as_dict()
         counters = digest["counters"]
-        assert counters["service.completed"] == report.service_completed
-        assert counters["sim.pages"] == report.micro_pages
+        assert counters["service.completed"] > 0
+        assert counters["sim.pages"] > 0
         assert counters["optimizer.candidates"] > 0
         assert digest["histograms"]["service.response_time"]["count"] > 0
         assert "service.breaker_state" in digest["series"]
 
-    def test_registry_is_read_off_the_phase_results(self, report):
-        counters = report.metrics.as_dict()["counters"]
-        optimizer = {
-            name.removeprefix("optimizer."): value
-            for name, value in counters.items()
-            if name.startswith("optimizer.")
-        }
-        assert optimizer == report.optimizer_stats
-        assert counters["service.offered"] == report.service_offered
-        assert counters["service.completed"] == report.service_completed
-        assert counters["service.rejected"] == report.service_rejected
-        assert counters["sim.pages"] == report.micro_pages
+    def test_registry_is_read_off_the_phase_results(self):
+        # The registry is the report's one copy of each phase's counts;
+        # the smoke lines read them off it and match the lines printed
+        # when the report also kept its own copies.
+        assert smoke_lines(seed=0) == [
+            "smoke: trace 57 events across 19 tracks, seed 0",
+            "smoke: optimizer candidates=76 pruned=65 costed=11",
+            "smoke: service 9/10 completed, 1 rejected",
+            "smoke: micro 559 pages, simulated 5.8661s (faulted)",
+        ]
 
     def test_no_registry_is_threaded_into_a_run(self):
         # Metrics are folded in from results; nothing takes a live one
@@ -60,11 +58,13 @@ class TestRunTrace:
                 build()
 
     def test_report_counts_are_consistent(self, report):
-        assert report.service_offered > 0
-        assert 0 < report.service_completed <= report.service_offered
-        assert report.micro_pages > 0
-        assert report.micro_elapsed > 0
-        assert report.optimizer_stats["candidates"] > 0
+        digest = report.metrics.as_dict()
+        counters = digest["counters"]
+        assert counters["service.offered"] > 0
+        assert 0 < counters["service.completed"] <= counters["service.offered"]
+        assert counters["sim.pages"] > 0
+        assert digest["gauges"]["sim.elapsed"] > 0
+        assert counters["optimizer.candidates"] > 0
 
     def test_chrome_export_is_byte_identical_across_runs(self, report):
         # The acceptance bar: same seed, same bytes — in-process repeat.

@@ -3,10 +3,19 @@
 import pytest
 
 from repro.config import paper_machine
-from repro.core import make_task
-from repro.faults import CLOSED, OPEN, CircuitBreaker, RetryPolicy
-from repro.faults.schedule import DiskDegradation
+from repro.core import InterWithAdjPolicy, make_task
+from repro.faults import (
+    CLOSED,
+    OPEN,
+    CircuitBreaker,
+    DiskDegradation,
+    FaultSchedule,
+    RetryPolicy,
+)
 from repro.service import QueryService, ServiceSubmission
+from repro.service.admission import BalanceAwareAdmission
+from repro.service.gate import AdmissionGate
+from repro.sim import MicroSimulator, spec_for_io_rate
 
 
 @pytest.fixture
@@ -117,36 +126,52 @@ class TestGateBreaker:
         result = QueryService(machine).run(_burst(2, seq_time=5.0))
         assert result.metrics.breaker_timeline == []
 
-    def test_sustained_degradation_trips_proactively(self, machine):
-        # Disks at 30% bandwidth for the whole run and a light stream:
-        # no queue ever overflows, yet the breaker opens on the measured
-        # bandwidth alone.
-        degradations = tuple(
-            DiskDegradation(disk=d, start=0.0, duration=10_000.0, factor=0.3)
-            for d in range(machine.disks)
-        )
-        stream = [
-            submission(f"q{i}", arrival=80.0 * i, seq_time=5.0)
-            for i in range(4)
-        ]
+    @staticmethod
+    def _breaker_timeline_on_micro(machine, faults=None):
+        """A light stream through a breaker-guarded gate on the micro
+        engine, whose disks measure what fault injection degrades;
+        ``QueryService`` runs the fluid engine, which has no disk
+        health, so its breaker always sees the nominal bandwidth."""
+        stream = []
+        for i in range(4):
+            task = spec_for_io_rate(
+                f"q{i}-f0", machine, io_rate=30.0, n_pages=400,
+                arrival_time=80.0 * i,
+            ).to_task(machine)
+            stream.append(
+                ServiceSubmission(
+                    name=f"q{i}", tenant="t0", tasks=(task,),
+                    arrival_time=80.0 * i,
+                )
+            )
         breaker = CircuitBreaker(
             failure_threshold=100,  # reactive path effectively off
             cooldown=30.0,
             degraded_fraction=0.6,
             degraded_grace=10.0,
         )
-        result = QueryService(
-            machine, breaker=breaker, degradations=degradations
-        ).run(stream)
-        states = [state for _, state in result.metrics.breaker_timeline]
-        assert OPEN in states
+        gate = AdmissionGate(
+            stream,
+            inner=InterWithAdjPolicy(),
+            admission=BalanceAwareAdmission(),
+            breaker=breaker,
+        )
+        pooled = [task for s in stream for task in s.tasks]
+        MicroSimulator(machine, faults=faults).run(pooled, gate)
+        return breaker.timeline
+
+    def test_sustained_degradation_trips_proactively(self, machine):
+        # Disks at 30% bandwidth for the whole run and a light stream:
+        # no queue ever overflows, yet the breaker opens on the measured
+        # bandwidth alone, at the second arrival.
+        faults = FaultSchedule(
+            tuple(
+                DiskDegradation(disk=d, start=0.0, duration=10_000.0, factor=0.3)
+                for d in range(machine.disks)
+            )
+        )
+        timeline = self._breaker_timeline_on_micro(machine, faults)
+        assert (80.0, OPEN) in timeline
 
     def test_healthy_run_never_trips_proactively(self, machine):
-        stream = [
-            submission(f"q{i}", arrival=80.0 * i, seq_time=5.0)
-            for i in range(4)
-        ]
-        breaker = CircuitBreaker(failure_threshold=100, degraded_grace=10.0)
-        result = QueryService(machine, breaker=breaker).run(stream)
-        states = [state for _, state in result.metrics.breaker_timeline]
-        assert states == [CLOSED]
+        assert self._breaker_timeline_on_micro(machine) == [(0.0, CLOSED)]

@@ -457,21 +457,6 @@ def fluid_chain_digest():
     return trace_digest(result)
 
 
-def fluid_degraded_digest():
-    """A Random mix while two disks degrade, under the policy that
-    re-balances on the measured bandwidth."""
-    machine = paper_machine()
-    tasks = generate_tasks(WorkloadKind.RANDOM, seed=0, machine=machine)
-    windows = (
-        DiskDegradation(disk=0, start=1.0, duration=40.0, factor=0.3),
-        DiskDegradation(disk=2, start=5.0, duration=30.0, factor=0.5),
-    )
-    result = FluidSimulator(machine, degradations=windows).run(
-        tasks, InterWithAdjPolicy(degradation_aware=True)
-    )
-    return trace_digest(result)
-
-
 def fluid_cells():
     """label -> zero-argument digest builder, one per fluid cell."""
     cells = {
@@ -484,5 +469,4 @@ def fluid_cells():
         for mode, integral in FLUID_MODES.items()
     }
     cells["fluid/chains"] = fluid_chain_digest
-    cells["fluid/degraded"] = fluid_degraded_digest
     return cells

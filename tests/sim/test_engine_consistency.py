@@ -46,7 +46,7 @@ class TestSoloTaskAgreement:
         # 8 slaves of a 55 ios/s task: both engines cap at B = 240.
         spec = spec_for_io_rate("wall", MACHINE, io_rate=55.0, n_pages=2400)
         micro = MicroSimulator(MACHINE).run([spec], FixedStart(8))
-        fluid = FluidSimulator(MACHINE, use_effective_bandwidth=True).run(
+        fluid = FluidSimulator(MACHINE).run(
             [spec.to_task(MACHINE)], FixedStart(8.0)
         )
         assert micro.elapsed == pytest.approx(fluid.elapsed, rel=0.08)

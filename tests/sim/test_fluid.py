@@ -15,7 +15,6 @@ from repro.core import (
 from repro.core.balance import _realizable_rates
 from repro.core.task import IOPattern
 from repro.errors import SimulationError
-from repro.faults import DiskDegradation
 from repro.sim import FluidSimulator
 from repro.sim.fluid import _SimState
 
@@ -69,10 +68,9 @@ class TestDiskThrottling:
                 return [Start(state.pending[0], 8.0)]
 
         t = task(60.0, seq_time=24.0)
-        result = FluidSimulator(MACHINE, use_effective_bandwidth=False).run(
-            [t], Greedy()
-        )
-        # Progress capped at B/C = 4 effective => 24/4 = 6s, not 24/8 = 3s.
+        result = FluidSimulator(MACHINE).run([t], Greedy())
+        # Progress capped at B/C = 4 effective => 24/4 = 6s, not 24/8 = 3s
+        # (a lone sequential stream gets the full B).
         assert result.elapsed == pytest.approx(6.0)
 
     def test_cpu_oversubscription_scales(self):
@@ -101,7 +99,6 @@ class TestPricingEqualsExecution:
         c_cpu=st.floats(min_value=0.0, max_value=120.0),
         pattern_io=st.sampled_from(IOPattern),
         pattern_cpu=st.sampled_from(IOPattern),
-        effective=st.booleans(),
     )
     # Two interleaved sequential streams, oversubscribed processors: the
     # case where a two-stream bandwidth formula rounded differently.
@@ -109,17 +106,16 @@ class TestPricingEqualsExecution:
         x_io=3.7563950352941933, x_cpu=7.28823571306279,
         c_io=76.1111640085968, c_cpu=66.12020711904994,
         pattern_io=IOPattern.SEQUENTIAL, pattern_cpu=IOPattern.SEQUENTIAL,
-        effective=True,
     )
     def test_realizable_rates_are_the_engine_rates(
-        self, x_io, x_cpu, c_io, c_cpu, pattern_io, pattern_cpu, effective
+        self, x_io, x_cpu, c_io, c_cpu, pattern_io, pattern_cpu
     ):
         io = make_task("io", io_rate=c_io, seq_time=10.0, io_pattern=pattern_io)
         cpu = make_task("cpu", io_rate=c_cpu, seq_time=10.0, io_pattern=pattern_cpu)
         state = _SimState(MACHINE, [io, cpu], 0.0, None)
         state.start_task(io, x_io)
         state.start_task(cpu, x_cpu)
-        engine = FluidSimulator(MACHINE, use_effective_bandwidth=effective)
+        engine = FluidSimulator(MACHINE)
         executed = {run.task.name: rate for run, rate, *__ in engine._rates(state)}
         priced = _realizable_rates(
             x_io,
@@ -127,7 +123,7 @@ class TestPricingEqualsExecution:
             (io.seq_time, io.io_rate, pattern_io),
             (cpu.seq_time, cpu.io_rate, pattern_cpu),
             MACHINE,
-            effective,
+            True,
             False,
         )
         assert [executed["io"].hex(), executed["cpu"].hex()] == [
@@ -226,70 +222,6 @@ class TestConservation:
         result = sim.run(tasks, InterWithAdjPolicy())
         lower_bound = sum(t.seq_time for t in tasks) / MACHINE.processors
         assert result.elapsed >= lower_bound - 1e-6
-
-
-class TestDegradationWindows:
-    """What a degradation window does on the fluid engine, pinned.
-
-    A window changes ``state.effective_machine`` — what policies see —
-    and nothing else: the rate solve runs on the nominal machine, and a
-    window edge is not an event, so the new bandwidth is first seen at
-    the next completion or arrival.  ``FluidSimulator.run`` re-solves
-    rates only when the running set or a parallelism changes; that is
-    sound *because* the solve never reads ``effective_machine``.  Making
-    degradation throttle the fluid engine (ROADMAP item 5(b)) means
-    turning window edges into events that invalidate the rates too.
-    """
-
-    #: Every disk at 30% of its bandwidth from t=1 on.
-    WINDOWS = tuple(
-        DiskDegradation(disk=d, start=1.0, duration=1000.0, factor=0.3)
-        for d in range(MACHINE.disks)
-    )
-
-    @staticmethod
-    def pair():
-        return [task(60.0, 40.0, "io"), task(8.0, 40.0, "cpu")]
-
-    @staticmethod
-    def trace(result):
-        return (
-            result.elapsed.hex(),
-            result.io_served.hex(),
-            result.cpu_busy.hex(),
-            [
-                (r.task.name, r.started_at.hex(), r.finished_at.hex(),
-                 r.parallelism_history)
-                for r in result.records
-            ],
-        )
-
-    @pytest.mark.parametrize("policy", [IntraOnlyPolicy, InterWithAdjPolicy])
-    def test_a_window_does_not_slow_the_engine(self, policy):
-        healthy = FluidSimulator(MACHINE).run(self.pair(), policy())
-        degraded = FluidSimulator(MACHINE, degradations=self.WINDOWS).run(
-            self.pair(), policy()
-        )
-        assert self.trace(degraded) == self.trace(healthy)
-        expected = 15.0 if policy is IntraOnlyPolicy else 12.090627389800094
-        assert degraded.elapsed == expected
-
-    def test_policies_see_the_window_at_the_next_event(self):
-        class Spy(InterWithAdjPolicy):
-            def __init__(self):
-                super().__init__()
-                self.seen = []
-
-            def decide(self, state):
-                self.seen.append((state.now, state.effective_machine.io_bandwidth))
-                return super().decide(state)
-
-        spy = Spy()
-        FluidSimulator(MACHINE, degradations=self.WINDOWS).run(self.pair(), spy)
-        first_completion = 7.911922610199905
-        assert spy.seen[0] == (0.0, MACHINE.io_bandwidth)
-        assert spy.seen[1][0] == first_completion
-        assert spy.seen[1][1] == pytest.approx(0.3 * MACHINE.io_bandwidth)
 
 
 def test_small_machine():

@@ -13,7 +13,7 @@ and, with a tracer and an invariant checker attached, the same trace
 events and the same number of checks.  The edges the one-walk loop has
 to get right have their own cells: tasks shorter than the engine's
 epsilon, an arrival exactly at a completion instant, three or more
-tasks running at once, and a degradation window.  ``pytest -m fuzz
+tasks running at once, and tracer and checker on.  ``pytest -m fuzz
 tests/sim/test_rate_memo.py`` is the hypothesis campaign; the grid
 below runs in tier-1.
 """
@@ -38,7 +38,6 @@ from repro.core.schedulers import (
 )
 from repro.core.task import IOPattern, make_task
 from repro.errors import SimulationError
-from repro.faults import DiskDegradation
 from repro.faults.retry import RetryPolicy
 from repro.obs import Tracer
 from repro.service.admission import BalanceAwareAdmission, FifoAdmission
@@ -98,11 +97,8 @@ class ReferenceFluid(FluidSimulator):
         cpu_service = 0.0
         io_served = 0.0
         peak_memory = 0.0
-        healthy = not self.degradations
         invariants = self.invariants
         for __ in range(_MAX_EVENTS):
-            if not healthy:
-                state.effective_machine = self._effective_machine(state.clock)
             actions = policy.decide(state)
             if actions:
                 state.apply(actions)
@@ -176,8 +172,6 @@ class ReferenceFluid(FluidSimulator):
         return [(r, r.parallelism * cpu_scale * io_scale) for r in running]
 
     def _bandwidth(self, running, demand):
-        if not self.use_effective_bandwidth:
-            return self.machine.io_bandwidth
         seq_rates = [
             d for r, d in zip(running, demand) if r.io_pattern == IOPattern.SEQUENTIAL
         ]
@@ -276,7 +270,7 @@ def digest(result):
     }
 
 
-def assert_memo_agrees(make_tasks, make_policy, *, hooks=False, **engine):
+def assert_memo_agrees(make_tasks, make_policy, *, hooks=False):
     """Run the engine and the reference loop on fresh copies of one task
     set and policy; demand identical results.  With ``hooks`` each side
     also gets its own tracer and a collecting invariant checker, and
@@ -287,12 +281,9 @@ def assert_memo_agrees(make_tasks, make_policy, *, hooks=False, **engine):
 
     def build(cls):
         if not hooks:
-            return cls(MACHINE, **engine)
+            return cls(MACHINE)
         return cls(
-            MACHINE,
-            tracer=Tracer(),
-            invariants=InvariantChecker(collect=True),
-            **engine,
+            MACHINE, tracer=Tracer(), invariants=InvariantChecker(collect=True)
         )
 
     reference = build(ReferenceFluid)
@@ -356,19 +347,6 @@ def arriving_at_a_completion(seed, n, make_policy, pick=0):
         return random_tasks(seed, n) + [late]
 
     return make_tasks
-
-
-def degradation(seed):
-    """One random disk-bandwidth window that opens inside most runs."""
-    rng = random.Random(seed)
-    return (
-        DiskDegradation(
-            disk=rng.randrange(MACHINE.disks),
-            start=rng.uniform(0.0, 20.0),
-            duration=rng.uniform(1.0, 40.0),
-            factor=rng.uniform(0.1, 0.9),
-        ),
-    )
 
 
 def gate_stream(seed, n):
@@ -462,7 +440,6 @@ class TestRateMemoGrid:
         assert_memo_agrees(
             lambda: random_tasks(7, 10),
             lambda: InterWithAdjPolicy(use_effective_bandwidth=effective),
-            use_effective_bandwidth=effective,
         )
 
     @pytest.mark.parametrize("deadline", DEADLINES, ids=["off", "shed", "kill"])
@@ -517,14 +494,6 @@ class TestReferenceLoopEdges:
         )
         assert max(seen) >= 3
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_a_degradation_window(self, seed):
-        assert_memo_agrees(
-            lambda: random_tasks(seed, 10),
-            lambda: InterWithAdjPolicy(degradation_aware=True),
-            degradations=degradation(seed),
-        )
-
     @pytest.mark.parametrize("churn", [False, True])
     def test_tracer_and_invariants_on(self, churn):
         assert_memo_agrees(
@@ -556,7 +525,6 @@ class TestRateMemoCampaign:
                     )
                 )
             ),
-            use_effective_bandwidth=effective,
         )
 
     @settings(max_examples=60, deadline=None)
@@ -582,7 +550,6 @@ class TestRateMemoCampaign:
         tiny_share=st.sampled_from([0.0, 0.3]),
         width=st.integers(1, 6),
         churn=st.booleans(),
-        degraded=st.booleans(),
         hooks=st.booleans(),
         coincide=st.booleans(),
         pick=st.integers(0, 20),
@@ -591,31 +558,24 @@ class TestRateMemoCampaign:
     # the running set as it was before the batch, so it starts nothing
     # while three tasks wait: both loops raise "deadlock".
     @example(
-        seed=39602, n=7, tiny_share=0.0, width=1, churn=True, degraded=False,
+        seed=39602, n=7, tiny_share=0.0, width=1, churn=True,
         hooks=False, coincide=False, pick=0,
     )
     @example(
-        seed=39602, n=7, tiny_share=0.0, width=1, churn=True, degraded=False,
+        seed=39602, n=7, tiny_share=0.0, width=1, churn=True,
         hooks=True, coincide=True, pick=0,
     )
     def test_reference_loop_edges(
-        self, seed, n, tiny_share, width, churn, degraded, hooks, coincide, pick
+        self, seed, n, tiny_share, width, churn, hooks, coincide, pick
     ):
         """Sub-epsilon tasks, an arrival at a completion instant, up to
-        six running tasks, a degradation window, tracer and checker on."""
+        six running tasks, tracer and checker on."""
         if churn:
             make_policy = lambda: ChurnPolicy(seed, width=width)  # noqa: E731
         else:
-            make_policy = lambda: InterWithAdjPolicy(  # noqa: E731
-                degradation_aware=degraded
-            )
+            make_policy = InterWithAdjPolicy
         if coincide:
             make_tasks = arriving_at_a_completion(seed, n, make_policy, pick)
         else:
             make_tasks = lambda: random_tasks(seed, n, tiny_share=tiny_share)  # noqa: E731
-        assert_memo_agrees(
-            make_tasks,
-            make_policy,
-            hooks=hooks,
-            degradations=degradation(seed) if degraded else None,
-        )
+        assert_memo_agrees(make_tasks, make_policy, hooks=hooks)

@@ -25,6 +25,10 @@ from ..storage import DiskArray
 from ..workloads.tables import build_r_max, build_r_min
 from .report import format_table
 
+#: Rows of the calibration's r_min and r_max.
+N_ROWS_MIN = 4000
+N_ROWS_MAX = 400
+
 
 @dataclass(frozen=True)
 class ScanMeasurement:
@@ -137,19 +141,13 @@ def measure_disk_regimes(machine: MachineConfig) -> tuple[float, float, float]:
     return seq, almost, random_rate
 
 
-def calibrate(
-    *,
-    machine: MachineConfig | None = None,
-    n_rows_min: int = 4000,
-    n_rows_max: int = 400,
-    seed: int = 0,
-) -> CalibrationResult:
+def calibrate(*, machine: MachineConfig | None = None) -> CalibrationResult:
     """Build r_min / r_max, measure everything, return the table data."""
     machine = machine or paper_machine()
     array = DiskArray(machine)
     catalog = Catalog()
-    build_r_min(catalog, array, n_rows=n_rows_min, seed=seed)
-    build_r_max(catalog, array, n_rows=n_rows_max, seed=seed)
+    build_r_min(catalog, array, n_rows=N_ROWS_MIN)
+    build_r_max(catalog, array, n_rows=N_ROWS_MAX, machine=machine)
     r_min = measure_scan(catalog, "r_min", machine=machine)
     r_max = measure_scan(catalog, "r_max", machine=machine)
     seq, almost, random_rate = measure_disk_regimes(machine)

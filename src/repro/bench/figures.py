@@ -17,6 +17,11 @@ from ..core.classify import classification_line, is_io_bound, max_parallelism
 from ..core.task import Task, make_task
 from .report import format_table
 
+#: The io rates Figure 3 draws one classification line for.
+FIGURE3_IO_RATES = (5.0, 15.0, 25.0, 30.0, 35.0, 45.0, 55.0)
+#: Points per Figure-3 line.
+FIGURE3_POINTS = 9
+
 
 @dataclass(frozen=True)
 class Figure3Data:
@@ -50,19 +55,15 @@ class Figure3Data:
         )
 
 
-def figure3(
-    io_rates: list[float] | None = None,
-    *,
-    machine: MachineConfig | None = None,
-    points: int = 9,
-) -> Figure3Data:
+def figure3(*, machine: MachineConfig | None = None) -> Figure3Data:
     """The Figure-3 lines for a representative set of io rates."""
     machine = machine or paper_machine()
-    io_rates = io_rates or [5.0, 15.0, 25.0, 30.0, 35.0, 45.0, 55.0]
     lines = []
-    for rate in io_rates:
+    for rate in FIGURE3_IO_RATES:
         task = make_task(f"C={rate:g}", io_rate=rate, seq_time=10.0)
-        lines.append((task, classification_line(task, machine, points=points)))
+        lines.append(
+            (task, classification_line(task, machine, points=FIGURE3_POINTS))
+        )
     return Figure3Data(machine=machine, lines=lines)
 
 
@@ -99,15 +100,12 @@ def figure4(
     io_rate_cpu: float = 10.0,
     *,
     machine: MachineConfig | None = None,
-    use_effective_bandwidth: bool = True,
 ) -> Figure4Data:
     """Solve the Figure-4 balance point for one representative pair."""
     machine = machine or paper_machine()
     fi = make_task(f"io(C={io_rate_io:g})", io_rate=io_rate_io, seq_time=30.0)
     fj = make_task(f"cpu(C={io_rate_cpu:g})", io_rate=io_rate_cpu, seq_time=30.0)
-    point = balance_point(
-        fi, fj, machine, use_effective_bandwidth=use_effective_bandwidth
-    )
+    point = balance_point(fi, fj, machine)
     if point is None:
         raise ValueError("the chosen pair has no balance point")
     return Figure4Data(machine=machine, point=point)

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from ..sim.ledger import ScheduleResult, TaskRecord
 
+#: Columns of a chart's time axis.
+WIDTH = 72
+
 
 def render_gantt(
     result: ScheduleResult,
     *,
-    width: int = 72,
     title: str | None = None,
 ) -> str:
     """Render a schedule as an ASCII Gantt chart.
 
-    Each row is one task; each column is ``elapsed / width`` seconds.
+    Each row is one task; each of the :data:`WIDTH` columns is ``elapsed / WIDTH``
+    seconds.
     The glyph in a column is the task's degree of parallelism during
     that slot (``9+`` prints as ``#``); ``.`` marks time waiting
     between arrival and start.
@@ -32,11 +35,11 @@ def render_gantt(
     lines = []
     if title:
         lines.append(title)
-    header = " " * label_width + "  0" + "-" * (width - 6) + f"{span:7.2f}s"
+    header = " " * label_width + "  0" + "-" * (WIDTH - 6) + f"{span:7.2f}s"
     lines.append(header)
     for record in records:
         lines.append(
-            f"{record.task.name.ljust(label_width)}  {_bar(record, span, width)}"
+            f"{record.task.name.ljust(label_width)}  {_bar(record, span, WIDTH)}"
         )
     lines.append(
         f"{'':{label_width}}  policy={result.policy_name}, "

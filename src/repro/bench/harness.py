@@ -108,7 +108,6 @@ def run_figure7(
     machine: MachineConfig | None = None,
     config: WorkloadConfig | None = None,
     integral: bool = True,
-    workloads: Sequence[WorkloadKind] = tuple(WorkloadKind),
 ) -> Figure7Result:
     """Run the Figure-7 grid and return the aggregated result.
 
@@ -118,17 +117,16 @@ def run_figure7(
         machine: machine configuration (paper machine by default).
         config: workload generator knobs.
         integral: round degrees of parallelism to integers.
-        workloads: subset of workload kinds to run.
     """
     if engine not in ("micro", "fluid"):
         raise ConfigError(f"unknown engine: {engine!r}")
     machine = machine or paper_machine()
     cells: dict[tuple[WorkloadKind, str], Figure7Cell] = {}
-    for kind in workloads:
+    for kind in WorkloadKind:
         for policy_name in POLICY_NAMES:
             cells[(kind, policy_name)] = Figure7Cell(kind, policy_name)
     for seed in seeds:
-        for kind in workloads:
+        for kind in WorkloadKind:
             specs = generate_specs(kind, seed=seed, machine=machine, config=config)
             for policy in make_policies(integral=integral):
                 result = _run_engine(engine, machine, specs, policy)

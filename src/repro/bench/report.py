@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+#: Characters in the longest bar of :func:`format_bar_chart`.
+BAR_WIDTH = 48
+
 
 def format_table(
     headers: Sequence[str],
@@ -36,10 +39,11 @@ def format_bar_chart(
     groups: Sequence[tuple[str, Sequence[tuple[str, float]]]],
     *,
     title: str | None = None,
-    unit: str = "s",
-    width: int = 48,
 ) -> str:
     """Grouped horizontal bars — a text rendering of Figure 7.
+
+    The longest bar is :data:`BAR_WIDTH` characters; values print in
+    seconds.
 
     Args:
         groups: ``[(group label, [(series label, value), ...]), ...]``.
@@ -56,10 +60,10 @@ def format_bar_chart(
     for group, series in groups:
         out.append(f"{group}:")
         for label, value in series:
-            bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
-            out.append(
-                f"  {label.ljust(label_width)} {bar} {value:.2f}{unit}"
+            bar = (
+                "#" * max(1, round(BAR_WIDTH * value / peak)) if value > 0 else ""
             )
+            out.append(f"  {label.ljust(label_width)} {bar} {value:.2f}s")
     return "\n".join(out)
 
 

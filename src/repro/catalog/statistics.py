@@ -14,6 +14,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+#: Equi-depth buckets ANALYZE keeps per column.
+HISTOGRAM_BUCKETS = 10
+
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -134,11 +137,7 @@ class RelationStats:
         return self.columns.get(name)
 
 
-def build_column_stats(
-    values: Sequence[Any],
-    *,
-    n_histogram_buckets: int = 10,
-) -> ColumnStats:
+def build_column_stats(values: Sequence[Any]) -> ColumnStats:
     """Compute :class:`ColumnStats` by scanning a column's values."""
     non_null = [v for v in values if v is not None]
     null_fraction = 0.0 if not values else 1.0 - len(non_null) / len(values)
@@ -147,7 +146,7 @@ def build_column_stats(
             n_distinct=0, min_value=None, max_value=None, null_fraction=null_fraction
         )
     ordered = sorted(non_null)
-    histogram = equi_depth_histogram(ordered, n_histogram_buckets)
+    histogram = equi_depth_histogram(ordered, HISTOGRAM_BUCKETS)
     return ColumnStats(
         n_distinct=len(set(non_null)),
         min_value=ordered[0],
@@ -179,15 +178,12 @@ def build_relation_stats(
     *,
     page_count: int,
     avg_row_size: float,
-    n_histogram_buckets: int = 10,
 ) -> RelationStats:
     """Compute full relation statistics from a row iterable."""
     materialized = [tuple(r) for r in rows]
     per_column: dict[str, ColumnStats] = {}
     for i, name in enumerate(column_names):
-        per_column[name] = build_column_stats(
-            [r[i] for r in materialized], n_histogram_buckets=n_histogram_buckets
-        )
+        per_column[name] = build_column_stats([r[i] for r in materialized])
     return RelationStats(
         row_count=len(materialized),
         page_count=page_count,

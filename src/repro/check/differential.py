@@ -66,6 +66,9 @@ ABS_IO_UTIL_LOOSE = 0.35
 ABS_CPU_UTIL = 0.10
 ABS_CPU_UTIL_LOOSE = 0.20
 ABS_CPU_UTIL_RANGE = 0.35
+#: The recursion and overhead-free fluid compute one function: they
+#: agree to this relative tolerance.
+REL_RECURSION = 1e-4
 
 
 def check_micro_vs_fluid(
@@ -74,29 +77,24 @@ def check_micro_vs_fluid(
     *,
     policy=None,
     invariants=None,
-    rel_elapsed: float | None = None,
-    abs_cpu_util: float | None = None,
 ) -> list[str]:
-    """Run ``specs`` through both engines; return bounded divergences."""
+    """Run ``specs`` through both engines; return divergences past the
+    tier constants above (the loosest tier any spec falls in)."""
     from ..core.task import IOPattern
 
     machine = machine or paper_machine()
     policy = policy or InterWithAdjPolicy(integral=True)
     any_random = any(s.pattern == IOPattern.RANDOM for s in specs)
     any_range = any(s.partitioning == "range" for s in specs)
-    if rel_elapsed is None:
-        rel_elapsed = REL_ELAPSED_SEQ
-        if any_random:
-            rel_elapsed = REL_ELAPSED_RANDOM
-        if any_range:
-            rel_elapsed = REL_ELAPSED_RANGE
+    rel_elapsed = REL_ELAPSED_SEQ
+    abs_cpu_util = ABS_CPU_UTIL
+    if any_random:
+        rel_elapsed = REL_ELAPSED_RANDOM
+        abs_cpu_util = ABS_CPU_UTIL_LOOSE
+    if any_range:
+        rel_elapsed = REL_ELAPSED_RANGE
+        abs_cpu_util = ABS_CPU_UTIL_RANGE
     abs_io_util = ABS_IO_UTIL_LOOSE if any_random or any_range else ABS_IO_UTIL
-    if abs_cpu_util is None:
-        abs_cpu_util = ABS_CPU_UTIL
-        if any_random:
-            abs_cpu_util = ABS_CPU_UTIL_LOOSE
-        if any_range:
-            abs_cpu_util = ABS_CPU_UTIL_RANGE
     tasks = [spec.to_task(machine) for spec in specs]
     micro = MicroSimulator(machine, invariants=invariants).run(specs, policy)
     if invariants is not None:
@@ -132,9 +130,10 @@ def check_micro_vs_fluid(
 
 
 def check_recursion_vs_fluid(
-    tasks, machine: MachineConfig | None = None, *, rel: float = 1e-4
+    tasks, machine: MachineConfig | None = None
 ) -> list[str]:
-    """The closed-form recursion and the overhead-free fluid engine."""
+    """The closed-form recursion and the overhead-free fluid engine,
+    equal to :data:`REL_RECURSION` relative."""
     machine = machine or paper_machine()
     recursion = elapsed_time_recursion(list(tasks), machine)
     fluid = (
@@ -142,7 +141,7 @@ def check_recursion_vs_fluid(
         .run(list(tasks), InterWithAdjPolicy())
         .elapsed
     )
-    if abs(fluid - recursion) > rel * max(abs(recursion), 1.0):
+    if abs(fluid - recursion) > REL_RECURSION * max(abs(recursion), 1.0):
         return [
             f"recursion-vs-fluid elapsed diverges: recursion={recursion!r} "
             f"fluid={fluid!r}"

@@ -29,6 +29,9 @@ from .differential import (
 )
 from .invariants import InvariantChecker
 
+#: Candidates :func:`shrink` tries before it returns what it has.
+SHRINK_STEPS = 200
+
 POLICIES = ("inter-adj", "intra-only", "inter-no-adj")
 
 
@@ -259,13 +262,13 @@ def shrink(
     scenario: Scenario,
     machine: MachineConfig | None = None,
     *,
-    max_steps: int = 200,
     run=None,
 ) -> Scenario:
     """Greedily minimize a failing scenario while it keeps failing.
 
-    ``run`` defaults to :func:`run_case`; tests inject predicates to
-    exercise the shrinker without needing a real engine bug on hand.
+    Tries at most :data:`SHRINK_STEPS` candidates.  ``run`` defaults to
+    :func:`run_case`; tests inject predicates to exercise the shrinker
+    without needing a real engine bug on hand.
     """
     machine = machine or paper_machine()
     if run is None:
@@ -275,7 +278,7 @@ def shrink(
     current = scenario
     steps = 0
     improved = True
-    while improved and steps < max_steps:
+    while improved and steps < SHRINK_STEPS:
         improved = False
         for candidate in _candidates(current):
             steps += 1
@@ -283,7 +286,7 @@ def shrink(
                 current = candidate
                 improved = True
                 break
-            if steps >= max_steps:
+            if steps >= SHRINK_STEPS:
                 break
     return current
 
@@ -308,13 +311,12 @@ def fuzz(
     n: int,
     *,
     seed: int = 0,
-    machine: MachineConfig | None = None,
     executor: bool = False,
     do_shrink: bool = False,
     progress=None,
 ) -> FuzzReport:
-    """Run ``n`` seeded cases starting at ``seed``."""
-    machine = machine or paper_machine()
+    """Run ``n`` seeded cases starting at ``seed`` on the paper machine."""
+    machine = paper_machine()
     report = FuzzReport()
     for i in range(n):
         scenario = generate_scenario(seed + i)

@@ -436,14 +436,8 @@ class InterWithoutAdjPolicy(SchedulingPolicy):
 
     name = "INTER-WITHOUT-ADJ"
 
-    def __init__(
-        self,
-        *,
-        integral: bool = False,
-        use_effective_bandwidth: bool = True,
-    ) -> None:
+    def __init__(self, *, integral: bool = False) -> None:
         self.integral = integral
-        self.use_effective_bandwidth = use_effective_bandwidth
 
     def decide(self, state: EngineState) -> list[Action]:
         machine = state.machine
@@ -460,12 +454,7 @@ class InterWithoutAdjPolicy(SchedulingPolicy):
                 key=lambda t: t.io_rate,
             )
             if io_q and cpu_q and memory_fits(machine, io_q[0], cpu_q[0]):
-                point = balance_point(
-                    io_q[0],
-                    cpu_q[0],
-                    machine,
-                    use_effective_bandwidth=self.use_effective_bandwidth,
-                )
+                point = balance_point(io_q[0], cpu_q[0], machine)
                 if point is not None and min(point.x_io, point.x_cpu) >= 1.0:
                     return [
                         Start(io_q[0], _clamp(point.x_io, machine, integral=self.integral)),

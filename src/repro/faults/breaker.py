@@ -3,69 +3,40 @@
 Classic three-state machine driven by simulated time:
 
 * **closed** — submissions flow; consecutive shed events are counted,
-  and reaching ``failure_threshold`` opens the breaker.
+  and reaching :data:`FAILURE_THRESHOLD` opens the breaker.
 * **open** — every offer is rejected immediately (no queueing work,
-  no retry churn against a saturated service) until ``cooldown``
+  no retry churn against a saturated service) until :data:`COOLDOWN`
   seconds pass.
 * **half-open** — one probe submission is let through; success closes
   the breaker, failure re-opens it for another cooldown.
 
-Beyond the reactive failure count, the breaker *proactively* opens
-under sustained degradation: :meth:`observe_bandwidth` is fed the
-measured-to-nominal bandwidth ratio each gate round, and a ratio below
-``degraded_fraction`` lasting ``degraded_grace`` seconds trips it —
-shedding load before the queues overflow, which is exactly when a
-degraded machine needs relief.  Every transition is appended to
-:attr:`timeline`, the breaker-state series the robustness metrics
-report.
+Every transition is appended to :attr:`CircuitBreaker.timeline`, the
+breaker-state series the robustness metrics report.
 """
 
 from __future__ import annotations
 
-from ..errors import FaultError
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: Consecutive failures that open the breaker.
+FAILURE_THRESHOLD = 4
+#: Seconds the breaker stays open before half-opening.
+COOLDOWN = 30.0
 
 
 class CircuitBreaker:
     """Admission-gate circuit breaker (see the module docstring).
 
     Args:
-        failure_threshold: consecutive failures that open the breaker.
-        cooldown: seconds the breaker stays open before half-opening.
-        degraded_fraction: measured/nominal bandwidth ratio below which
-            the machine counts as degraded.
-        degraded_grace: seconds of sustained degradation that trip the
-            breaker proactively.
         tracer: a :class:`~repro.obs.Tracer`; every state transition is
             additionally emitted as an instant on the ``breaker`` track.
             ``None`` records nothing.  The :attr:`timeline` attribute is
             kept either way, so existing consumers are unaffected.
     """
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 4,
-        cooldown: float = 30.0,
-        degraded_fraction: float = 0.6,
-        degraded_grace: float = 15.0,
-        tracer=None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise FaultError("failure_threshold must be >= 1")
-        if cooldown <= 0:
-            raise FaultError("cooldown must be positive")
-        if not 0.0 < degraded_fraction <= 1.0:
-            raise FaultError("degraded_fraction must be in (0, 1]")
-        if degraded_grace < 0:
-            raise FaultError("degraded_grace must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self.degraded_fraction = degraded_fraction
-        self.degraded_grace = degraded_grace
+    def __init__(self, *, tracer=None) -> None:
         self.tracer = tracer
         self.reset()
 
@@ -77,7 +48,6 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
-        self._degraded_since: float | None = None
 
     # -- transitions --------------------------------------------------------------
 
@@ -110,7 +80,7 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if now - self._opened_at < self.cooldown:
+            if now - self._opened_at < COOLDOWN:
                 self.open_rejections += 1
                 return False
             self._transition(now, HALF_OPEN)
@@ -134,19 +104,5 @@ class CircuitBreaker:
             self._open(now)
             return
         self._failures += 1
-        if self._failures >= self.failure_threshold:
-            self._open(now)
-
-    def observe_bandwidth(self, now: float, fraction: float) -> None:
-        """Feed the measured/nominal bandwidth ratio; trip if sustained low."""
-        if fraction >= self.degraded_fraction:
-            self._degraded_since = None
-            return
-        if self._degraded_since is None:
-            self._degraded_since = now
-            return
-        if (
-            self.state == CLOSED
-            and now - self._degraded_since >= self.degraded_grace
-        ):
+        if self._failures >= FAILURE_THRESHOLD:
             self._open(now)

@@ -62,6 +62,9 @@ _TICK = 1.0
 #: drawn for it may name.
 CHAOS_TASK_NAMES = tuple(shape[0] for shape in _WORKLOAD_SHAPE)
 
+#: Workload seeds a chaos soak runs every schedule against.
+SOAK_SEEDS = (0, 1, 2)
+
 
 def scan_workload(
     machine: MachineConfig, shape, scale: float
@@ -329,16 +332,15 @@ class SoakReport:
 def run_soak(
     *,
     n_schedules: int = 25,
-    seeds: tuple[int, ...] = (0, 1, 2),
     scale: float = 0.2,
 ) -> SoakReport:
     """Chaos-soak the engine: random fault schedules layered with
     deadline cancellations, every combination checked for conservation
     and wedge-freedom.
 
-    For each seed, the workload runs healthy once; ``n_schedules``
-    seeded random schedules are drawn against that run's horizon, each
-    layered with one or two
+    For each of :data:`SOAK_SEEDS`, the workload runs healthy once;
+    ``n_schedules`` seeded random schedules are drawn against that
+    run's horizon, each layered with one or two
     :class:`~repro.faults.schedule.QueryDeadline` events, and replayed
     against the same healthy baseline, on the paper machine.  Pure
     function of its arguments — a CI soak and a local one disagree only
@@ -346,8 +348,8 @@ def run_soak(
     """
     machine = paper_machine()
     specs = chaos_workload(machine, scale=scale)
-    report = SoakReport(n_schedules=n_schedules, seeds=tuple(seeds))
-    for seed in seeds:
+    report = SoakReport(n_schedules=n_schedules, seeds=SOAK_SEEDS)
+    for seed in SOAK_SEEDS:
         healthy = _healthy(machine, specs, seed)
         horizon = healthy.elapsed
         for index in range(n_schedules):

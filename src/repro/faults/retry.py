@@ -14,6 +14,12 @@ from dataclasses import dataclass
 
 from ..errors import FaultError
 
+#: Exponential growth factor of the backoff per attempt.
+MULTIPLIER = 2.0
+#: Jitter span as a fraction of the backoff: the addition is drawn
+#: deterministically from ``[0, JITTER * delay]``.
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -22,20 +28,15 @@ class RetryPolicy:
     Attributes:
         max_retries: re-offers after the first failed attempt
             (0 disables retrying — the pre-hardening behaviour).
-        base_delay: backoff before the first retry, seconds.
-        multiplier: exponential growth factor per attempt.
+        base_delay: backoff before the first retry, seconds; retry
+            ``k`` waits ``base_delay * MULTIPLIER**k`` plus jitter.
         max_delay: backoff cap, seconds (before jitter).
-        jitter: jitter span as a fraction of the backoff; the actual
-            addition is drawn deterministically from
-            ``[0, jitter * delay]``.
         seed: seeds the jitter stream.
     """
 
     max_retries: int = 3
     base_delay: float = 2.0
-    multiplier: float = 2.0
     max_delay: float = 60.0
-    jitter: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -43,17 +44,13 @@ class RetryPolicy:
             raise FaultError("max_retries must be >= 0")
         if self.base_delay <= 0 or self.max_delay < self.base_delay:
             raise FaultError("need 0 < base_delay <= max_delay")
-        if self.multiplier < 1.0:
-            raise FaultError("multiplier must be >= 1")
-        if self.jitter < 0:
-            raise FaultError("jitter must be >= 0")
 
     def backoff(self, submission_id: int, attempt: int) -> float:
         """Delay before retry number ``attempt`` (0-based) of a submission."""
         if attempt < 0:
             raise FaultError("attempt must be >= 0")
-        delay = min(self.base_delay * self.multiplier**attempt, self.max_delay)
+        delay = min(self.base_delay * MULTIPLIER**attempt, self.max_delay)
         spread = random.Random(
             f"{self.seed}:{submission_id}:{attempt}"
-        ).uniform(0.0, self.jitter * delay)
+        ).uniform(0.0, JITTER * delay)
         return delay + spread

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 
 from ..errors import ObsError
 
+#: Category and track of every :meth:`Tracer.counter` sample.
+COUNTER_CAT = "counter"
+COUNTER_TRACK = "counters"
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -131,16 +135,18 @@ class Tracer:
         *,
         t: float,
         value: float,
-        track: str = "counters",
-        cat: str = "counter",
     ) -> None:
-        """Record one sample of a time-varying quantity."""
+        """Record one sample of a time-varying quantity.
+
+        Every sample goes to category :data:`COUNTER_CAT` on track
+        :data:`COUNTER_TRACK`.
+        """
         self.events.append(
             TraceEvent(
                 kind="counter",
                 name=name,
-                cat=cat,
-                track=track,
+                cat=COUNTER_CAT,
+                track=COUNTER_TRACK,
                 start=t,
                 value=value,
             )

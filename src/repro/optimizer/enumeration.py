@@ -72,6 +72,9 @@ from .query import JoinPredicate, Query
 
 #: Join method names accepted by the enumerator.
 JOIN_METHODS = ("hash", "merge", "nestloop")
+#: Relations :func:`enumerate_all_bushy` enumerates at most: the plan
+#: count is exponential in it.
+EXHAUSTIVE_MAX_RELATIONS = 7
 
 PlanCost = Callable[[pn.PlanNode], float]
 
@@ -547,18 +550,18 @@ def enumerate_all_bushy(
     catalog: Catalog,
     *,
     methods: tuple[str, ...] = ("hash",),
-    max_relations: int = 7,
 ) -> Iterator[pn.PlanNode]:
     """Yield *every* bushy plan (no pruning).
 
     Needed because "the calculation of parcost(p, n) depends on the
     structure of the entire plan tree which makes local pruning ...
-    infeasible" (Section 4).  Exponential: capped at ``max_relations``.
+    infeasible" (Section 4).  Exponential: capped at
+    :data:`EXHAUSTIVE_MAX_RELATIONS`.
     Projections are not applied; callers compare raw join trees.
     """
-    if len(query.relations) > max_relations:
+    if len(query.relations) > EXHAUSTIVE_MAX_RELATIONS:
         raise OptimizerError(
-            f"exhaustive enumeration capped at {max_relations} relations"
+            f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_RELATIONS} relations"
         )
     query.validate(catalog)
     graph = query.join_index()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..catalog.catalog import Catalog
-from ..config import MachineConfig, paper_machine
+from ..config import paper_machine
 from ..core.schedulers import InterWithAdjPolicy, SchedulingPolicy
 from ..core.task import Task
 from ..errors import OptimizerError
@@ -99,7 +99,6 @@ class MultiQueryScheduler:
 
     Args:
         catalog: shared catalog (all queries run against it).
-        machine: the machine configuration.
         mode: phase-1 optimizer mode per query.  The paper's multi-user
             recommendation is LEFT_DEEP_SEQ — inter-operation
             parallelism then comes from *other queries'* tasks.
@@ -109,11 +108,10 @@ class MultiQueryScheduler:
         self,
         catalog: Catalog,
         *,
-        machine: MachineConfig | None = None,
         mode: OptimizerMode = OptimizerMode.LEFT_DEEP_SEQ,
     ) -> None:
         self.catalog = catalog
-        self.machine = machine or paper_machine()
+        self.machine = paper_machine()
         self.mode = mode
         self._optimizer = TwoPhaseOptimizer(catalog, machine=self.machine)
 

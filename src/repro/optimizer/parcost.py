@@ -94,11 +94,7 @@ def _policy_cache_key(policy: SchedulingPolicy | None) -> tuple | None:
             policy.degradation_aware,
         )
     if cls is InterWithoutAdjPolicy:
-        return (
-            "INTER-WITHOUT-ADJ",
-            policy.integral,
-            policy.use_effective_bandwidth,
-        )
+        return ("INTER-WITHOUT-ADJ", policy.integral)
     if cls is IntraOnlyPolicy:
         return ("INTRA-ONLY", policy.integral)
     return None
@@ -160,7 +156,6 @@ def parallel_cost(
     machine: MachineConfig | None = None,
     policy: SchedulingPolicy | None = None,
     caches: OptimizerCaches | None = None,
-    estimate: PlanEstimate | None = None,
 ) -> ParallelCost:
     """Compute ``parcost(p, n)`` with full intermediate artifacts.
 
@@ -173,15 +168,12 @@ def parallel_cost(
         caches: optional fast-path memos; node estimates are reused and
             the signature cache is (re)populated with this run's
             elapsed time.
-        estimate: a precomputed :class:`PlanEstimate` for ``plan``
-            (e.g. the one the enumeration already derived), threaded
-            through instead of recosting the tree.
 
     The full artifacts (fragments, tasks, schedule trace) always come
     from a fresh simulation of *this* plan's tasks, so ``schedule``
     records match ``tasks`` by id even when the scalar cache is warm.
     """
-    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, estimate)
+    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, None)
     fragments = fragment_plan(plan, estimate)
     signature = fragments.signature()
     tasks = signature_tasks(signature, fragments.fragments)
@@ -200,11 +192,11 @@ def parcost(
     catalog: Catalog,
     *,
     machine: MachineConfig | None = None,
-    policy: SchedulingPolicy | None = None,
     caches: OptimizerCaches | None = None,
     estimate: PlanEstimate | None = None,
 ) -> float:
-    """``parcost(p, n)`` as a plain number (the optimizer's cost hook).
+    """``parcost(p, n)`` as a plain number (the optimizer's cost hook),
+    under the paper's INTER-WITH-ADJ algorithm.
 
     No fragment is built: the signature is composed from the plan's
     fragment summary and the tasks come straight from its rows.  With
@@ -213,7 +205,7 @@ def parcost(
     and policy configuration) return the memoized elapsed time without
     running the engine.
     """
-    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, estimate)
+    machine, estimate, key = _prepare(plan, catalog, machine, None, caches, estimate)
     signature = plan_signature(
         plan, estimate, caches.subtrees if caches is not None else None
     )
@@ -224,7 +216,7 @@ def parcost(
             return cached
         caches.stats.parcost_misses += 1
     tasks = signature_tasks(signature)
-    return _simulate(tasks, signature, machine, policy, caches, key).elapsed
+    return _simulate(tasks, signature, machine, None, caches, key).elapsed
 
 
 class ParcostObjective:
@@ -244,24 +236,20 @@ class ParcostObjective:
         catalog: Catalog,
         *,
         machine: MachineConfig | None = None,
-        policy: SchedulingPolicy | None = None,
         caches: OptimizerCaches | None = None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.policy = policy
         self.caches = caches
         #: What the enumeration shares DP cells under; None = never
-        #: (no caches, or a policy that cannot be keyed).
+        #: (no caches).
         self.memo_key: tuple | None = None
         if caches is None:
             # Shadow the method: the unoptimized reference path offers no
             # pruning hook, so the enumeration builds every candidate.
             self.pre_bound = None  # type: ignore[assignment]
         else:
-            policy_key = _policy_cache_key(policy)
-            if policy_key is not None:
-                self.memo_key = ("parcost", self.machine, policy_key)
+            self.memo_key = ("parcost", self.machine, _policy_cache_key(None))
 
     def __call__(self, plan: PlanNode) -> float:
         estimate = None
@@ -271,7 +259,6 @@ class ParcostObjective:
             plan,
             self.catalog,
             machine=self.machine,
-            policy=self.policy,
             caches=self.caches,
             estimate=estimate,
         )

@@ -44,7 +44,6 @@ from enum import Enum
 
 from ..catalog.catalog import Catalog
 from ..config import MachineConfig, paper_machine
-from ..core.schedulers import SchedulingPolicy
 from ..errors import OptimizerError
 from ..plans.costing import estimate_plan
 from ..plans.nodes import PlanNode
@@ -128,7 +127,6 @@ class TwoPhaseOptimizer:
         catalog: resolves schemas, indexes, statistics.
         machine: the run-time machine (known beforehand in the paper's
             single-user setting).
-        methods: join methods the enumerator may use.
         fast_path: enable the memoized/pruned optimizer (default).  The
             caches live on the optimizer instance and are shared across
             queries; they drop themselves when the catalog's
@@ -149,13 +147,11 @@ class TwoPhaseOptimizer:
         catalog: Catalog,
         *,
         machine: MachineConfig | None = None,
-        methods: tuple[str, ...] = JOIN_METHODS,
         fast_path: bool = True,
         tracer=None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.methods = methods
         self.fast_path = fast_path
         self.caches: OptimizerCaches | None = (
             OptimizerCaches() if fast_path else None
@@ -188,21 +184,19 @@ class TwoPhaseOptimizer:
             self.catalog,
             cost,
             space=space,
-            methods=self.methods,
+            methods=JOIN_METHODS,
             caches=self.caches,
         )
 
     # -- phase 2 -------------------------------------------------------------------
 
-    def parallelize(
-        self, plan: PlanNode, *, policy: SchedulingPolicy | None = None
-    ) -> ParallelCost:
-        """Phase 2: fragment the plan and schedule its tasks."""
+    def parallelize(self, plan: PlanNode) -> ParallelCost:
+        """Phase 2: fragment the plan and schedule its tasks under the
+        paper's INTER-WITH-ADJ algorithm."""
         return parallel_cost(
             plan,
             self.catalog,
             machine=self.machine,
-            policy=policy,
             caches=self.caches,
         )
 
@@ -213,7 +207,6 @@ class TwoPhaseOptimizer:
         query: Query,
         *,
         mode: OptimizerMode = OptimizerMode.BUSHY_PAR,
-        policy: SchedulingPolicy | None = None,
     ) -> OptimizedQuery:
         """Run both phases and return the full result."""
         stats = self.cache_stats
@@ -222,7 +215,7 @@ class TwoPhaseOptimizer:
             stats.as_dict() if tracer is not None and stats is not None else None
         )
         plan = self.choose_plan(query, mode)
-        parallel = self.parallelize(plan, policy=policy)
+        parallel = self.parallelize(plan)
         after = stats.as_dict() if stats is not None else None
         if tracer is not None and before is not None and after is not None:
             delta = {

@@ -42,6 +42,8 @@ _WORKLOAD_SHAPE = (
 
 #: Master ticks (and thus checkpoint opportunities) per healthy run.
 _TICKS = 40
+#: Workload size of the smoke run.
+SMOKE_SCALE = 0.2
 
 
 def recover_workload(
@@ -167,14 +169,14 @@ def run_recover(
     )
 
 
-def smoke_lines(*, seed: int = 0, scale: float = 0.2) -> list[str]:
+def smoke_lines(*, seed: int = 0) -> list[str]:
     """A quick deterministic recovery run as printable lines.
 
     Simulated quantities only — byte-stable across runs and machines.
     Appends a ``smoke failed: ...`` line (and the CLI exits non-zero)
     if either arm lost tasks or the checkpoints saved nothing.
     """
-    report = run_recover(seed=seed, scale=scale)
+    report = run_recover(seed=seed, scale=SMOKE_SCALE)
     lines = report.to_lines()
     if not report.complete:
         lines.append("smoke failed: an arm did not finish every task")

@@ -29,6 +29,10 @@ from ..sim.fluid import ScheduleResult
 from ..sim.micro import MicroSimulator, ScanSpec
 from .checkpoint import Checkpoint
 
+#: Attempts :func:`run_with_recovery` makes before it gives up: a safety
+#: valve against schedules that crash faster than the run can progress.
+MAX_ATTEMPTS = 16
+
 
 class RecoveryManager:
     """Keeps the newest :class:`Checkpoint` of one (logical) run.
@@ -139,7 +143,6 @@ def run_with_recovery(
     policy: SchedulingPolicy,
     *,
     manager: RecoveryManager | None = None,
-    max_attempts: int = 16,
 ) -> RecoveryRun:
     """Drive a faulted run to completion across master crashes.
 
@@ -157,11 +160,9 @@ def run_with_recovery(
         policy: the scheduling policy.
         manager: the checkpoint store; defaults to ``simulator.recovery``
             or, failing that, a fresh enabled manager.
-        max_attempts: safety valve against schedules that crash faster
-            than the run can progress.
 
     Raises:
-        RecoveryError: the attempt budget ran out.
+        RecoveryError: :data:`MAX_ATTEMPTS` attempts all crashed.
     """
     if manager is None:
         manager = simulator.recovery or RecoveryManager()
@@ -175,7 +176,7 @@ def run_with_recovery(
     crashes = 0
     lost_work = 0.0
     recovery_points: list[float] = []
-    for __ in range(max_attempts):
+    for __ in range(MAX_ATTEMPTS):
         simulator.faults = FaultSchedule(others + tuple(remaining))
         attempts += 1
         resume_from = manager.last
@@ -204,6 +205,6 @@ def run_with_recovery(
             recovery_points=recovery_points,
         )
     raise RecoveryError(
-        f"workload did not complete within {max_attempts} attempts "
+        f"workload did not complete within {MAX_ATTEMPTS} attempts "
         f"({crashes} master crashes)"
     )

@@ -87,22 +87,16 @@ class BalanceAwareAdmission(AdmissionPolicy):
 
     Unbounded complement-seeking would starve whichever class the
     machine already has plenty of, trading tail latency for
-    utilization, so the pick is limited to the ``window`` oldest
+    utilization, so the pick is limited to the ``head_window`` oldest
     waiting submissions — bounded unfairness: nobody is overtaken by
-    more than ``window - 1`` younger submissions.  Ties (identical io
-    rates) break on arrival order, keeping the policy deterministic.
-
-    Args:
-        window: how many of the oldest waiting submissions compete
-            (``window = 1`` degenerates to FIFO).
+    more than ``head_window - 1`` younger submissions.  Ties (identical
+    io rates) break on arrival order, keeping the policy deterministic.
     """
 
     name = "BALANCE"
-
-    def __init__(self, *, window: int = 6) -> None:
-        if window < 1:
-            raise ServiceError("window must be >= 1")
-        self.head_window = window
+    #: How many of the oldest waiting submissions compete (``1`` would
+    #: degenerate to FIFO).
+    head_window = 6
 
     def select(
         self,

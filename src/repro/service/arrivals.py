@@ -42,13 +42,19 @@ from ..workloads import (
 )
 from .queue import ServiceSubmission
 
+#: Section-3 mix a tenant without its own ``tenant_kinds`` entry draws from.
+DEFAULT_KIND = WorkloadKind.RANDOM
+#: Task-length cap (pages) of a tenant without a ``tenant_max_pages`` entry.
+DEFAULT_MAX_PAGES = 2000
+
 
 @dataclass(frozen=True)
 class ArrivalConfig:
     """Knobs of the submission-stream generators.
 
+    Each bundle is wired as a dependency chain (a fragment pipeline).
+
     Attributes:
-        kind: which Section-3 mix the tasks are drawn from.
         n_submissions: length of the stream.
         tenants: tenant labels, assigned in blocks of ``tenant_block``
             consecutive submissions.
@@ -56,7 +62,7 @@ class ArrivalConfig:
             matching ``tenants``); lets one tenant submit IO-heavy
             scans while another submits CPU-heavy joins — the *mixed*
             multi-tenant traffic balance-aware admission exists for.
-            ``None`` draws every tenant from ``kind``.
+            ``None`` draws every tenant from :data:`DEFAULT_KIND`.
         tenant_bands: optional per-tenant io-rate bands (positionally
             matching ``tenants``), e.g. the Section-3 *extreme* bands
             for an ETL tenant; ``None`` uses the default bands.
@@ -66,22 +72,18 @@ class ArrivalConfig:
             counts a CPU-bound tenant (low rate) submits far *longer*
             tasks than an IO-bound one; per-tenant caps let the two
             classes carry comparable work.  ``None`` uses
-            ``max_pages`` for every tenant.
+            :data:`DEFAULT_MAX_PAGES` for every tenant.
         tenant_block: consecutive submissions per tenant before
             rotating to the next.  1 interleaves tenants perfectly;
             larger values model the bursty reality where one tenant's
             jobs arrive back-to-back.
         max_bundle: largest number of fragments per submission
             (bundle sizes are drawn uniformly from ``[1, max_bundle]``).
-        chain_fragments: wire each bundle as a dependency chain
-            (fragment pipelines) rather than independent fragments.
         slo_stretch: response-time SLO as a multiple of the
             submission's ideal service time (the sum of its fragments'
             ``T_intra`` run alone); ``None`` disables SLO tagging.
-        max_pages: per-task length cap forwarded to the mix generator.
     """
 
-    kind: WorkloadKind = WorkloadKind.RANDOM
     n_submissions: int = 50
     tenants: tuple[str, ...] = ("t0", "t1")
     tenant_kinds: tuple[WorkloadKind, ...] | None = None
@@ -89,9 +91,7 @@ class ArrivalConfig:
     tenant_max_pages: tuple[int, ...] | None = None
     tenant_block: int = 1
     max_bundle: int = 2
-    chain_fragments: bool = True
     slo_stretch: float | None = 6.0
-    max_pages: int = 2000
 
     def __post_init__(self) -> None:
         if self.n_submissions < 1:
@@ -127,7 +127,7 @@ class ArrivalConfig:
     def kind_of(self, tenant_index: int) -> WorkloadKind:
         """Workload kind a tenant draws its tasks from."""
         if self.tenant_kinds is None:
-            return self.kind
+            return DEFAULT_KIND
         return self.tenant_kinds[tenant_index]
 
     def bands_of(self, tenant_index: int) -> RateBands:
@@ -139,7 +139,7 @@ class ArrivalConfig:
     def max_pages_of(self, tenant_index: int) -> int:
         """Task-length cap (pages) for a tenant's drawn tasks."""
         if self.tenant_max_pages is None:
-            return self.max_pages
+            return DEFAULT_MAX_PAGES
         return self.tenant_max_pages[tenant_index]
 
 
@@ -275,11 +275,10 @@ def _build_submissions_scoped(
             for task in pools[tenant_index][cursor : cursor + size]
         ]
         cursors[tenant_index] = cursor + size
-        if config.chain_fragments:
-            stamped = [
-                task if j == 0 else task.with_dependencies({stamped[j - 1].task_id})
-                for j, task in enumerate(stamped)
-            ]
+        stamped = [
+            task if j == 0 else task.with_dependencies({stamped[j - 1].task_id})
+            for j, task in enumerate(stamped)
+        ]
         deadline = None
         if config.slo_stretch is not None:
             ideal = sum(intra_time(t, machine) for t in stamped)

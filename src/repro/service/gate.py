@@ -209,8 +209,9 @@ class AdmissionGate(SchedulingPolicy):
     each decision is made; after a run :meth:`outcomes` turns the
     entries into :class:`SubmissionOutcome` records.
 
+    A gate starts with an empty stream; :meth:`load` hands it one.
+
     Args:
-        submissions: the arrival stream, any order (see :meth:`load`).
         inner: the scheduling policy that places admitted fragments
             (the paper's INTER-WITH-ADJ by default).
         admission: queue-selection policy.
@@ -223,8 +224,7 @@ class AdmissionGate(SchedulingPolicy):
             rejected on the first full queue; ``None`` keeps the
             pre-hardening single-shot behaviour.
         breaker: when set, a circuit breaker guards the gate: it opens
-            after consecutive sheds or under sustained measured
-            bandwidth degradation, rejecting offers outright until a
+            after consecutive sheds, rejecting offers outright until a
             cooldown probe succeeds; ``None`` disables it.
         deadline_policy: what a submission's ``deadline`` means.
             ``"off"`` (default): a soft SLO tag, recorded but never
@@ -248,7 +248,6 @@ class AdmissionGate(SchedulingPolicy):
 
     def __init__(
         self,
-        submissions: Sequence[ServiceSubmission] = (),
         *,
         inner: SchedulingPolicy,
         admission: AdmissionPolicy,
@@ -281,7 +280,7 @@ class AdmissionGate(SchedulingPolicy):
         self.deadline_policy = deadline_policy
         self.deadline_grace = deadline_grace
         self.tracer = tracer
-        self.load(submissions)
+        self.load(())
 
     def load(self, submissions: Sequence[ServiceSubmission]) -> None:
         """Take a new arrival stream (any order) and reset for it."""
@@ -700,13 +699,6 @@ class AdmissionGate(SchedulingPolicy):
         """
         self.decide_rounds += 1
         now = state.now
-        if self.breaker is not None:
-            if state.machine.io_bandwidth > 0:
-                self.breaker.observe_bandwidth(
-                    now,
-                    state.effective_machine.io_bandwidth
-                    / state.machine.io_bandwidth,
-                )
         actions = self._drain_retries(state) if self._retries else []
         cursor = self._cursor
         if cursor < len(self._arrival_times) and (

@@ -27,6 +27,9 @@ from .metrics import ServiceMetrics
 from .queue import ServiceSubmission
 from .server import QueryService
 
+#: Submissions in the closed batch :func:`estimate_capacity` probes with.
+N_PROBE = 30
+
 #: Stream builder signature: ``(rate, seed, config, machine) -> stream``.
 StreamFactory = Callable[
     [float, int, ArrivalConfig, MachineConfig], list[ServiceSubmission]
@@ -49,11 +52,10 @@ def estimate_capacity(
     config: ArrivalConfig | None = None,
     machine: MachineConfig | None = None,
     service: QueryService | None = None,
-    n_probe: int = 30,
 ) -> float:
     """Measure the service rate μ (submissions/second) empirically.
 
-    Runs a closed probe batch — ``n_probe`` submissions all present at
+    Runs a closed probe batch — :data:`N_PROBE` submissions all present at
     time zero — through the same service configuration and derives
     ``μ = completed / makespan``.  Deterministic given the seed, and
     honest about every scheduling effect (pairing, adjustment overhead,
@@ -62,7 +64,7 @@ def estimate_capacity(
     config = config or ArrivalConfig()
     machine = machine or paper_machine()
     service = service or QueryService(machine)
-    probe_config = replace(config, n_submissions=n_probe, slo_stretch=None)
+    probe_config = replace(config, n_submissions=N_PROBE, slo_stretch=None)
     # A high nominal rate packs the whole probe into a negligible
     # window, approximating an all-at-once closed batch while keeping
     # the stream shape (bundles, tenants) identical to the sweep's.
@@ -76,7 +78,7 @@ def estimate_capacity(
         machine,
         admission=gate.admission,
         scheduler=gate.inner,
-        queue_capacity=max(gate.queue_capacity, n_probe),
+        queue_capacity=max(gate.queue_capacity, N_PROBE),
         max_inflight_fragments=gate.max_inflight_fragments,
     )
     result = probe_service.run(stream)
@@ -94,7 +96,6 @@ def sweep(
     machine: MachineConfig | None = None,
     service: QueryService | None = None,
     stream_factory: StreamFactory = _default_stream,
-    capacity: float | None = None,
 ) -> list[tuple[float, float, ServiceMetrics]]:
     """Sweep offered load ρ·μ and return the knee-table rows.
 
@@ -114,10 +115,6 @@ def sweep(
         service: the service to sweep; ``None`` builds a default
             balance-aware one.
         stream_factory: arrival process (Poisson by default).
-        capacity: known service rate μ in submissions/second; ``None``
-            measures it with :func:`estimate_capacity`.  Passing a
-            previously measured μ lets repeated sweeps (e.g. one per
-            admission policy over the same mix) skip the probe run.
     """
     if not rhos:
         raise ConfigError("sweep needs at least one offered-load point")
@@ -126,9 +123,7 @@ def sweep(
     config = config or ArrivalConfig()
     machine = machine or paper_machine()
     service = service or QueryService(machine)
-    if capacity is not None and capacity <= 0:
-        raise ConfigError("capacity must be positive when given")
-    mu = capacity or estimate_capacity(
+    mu = estimate_capacity(
         seed=seed, config=config, machine=machine, service=service
     )
     rows = []

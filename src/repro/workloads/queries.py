@@ -18,6 +18,9 @@ from ..optimizer import JoinPredicate, Query
 from ..plans.costing import analyze_table
 from ..storage import BTreeIndex, DiskArray, HeapFile
 
+#: Join keys of a :func:`star_join` are drawn from ``[0, STAR_KEY_RANGE)``.
+STAR_KEY_RANGE = 100
+
 
 @dataclass(frozen=True)
 class JoinSchema:
@@ -66,7 +69,6 @@ def chain_join(
     key_range: int = 120,
     payload: int = 40,
     seed: int = 0,
-    array: DiskArray | None = None,
 ) -> JoinSchema:
     """A chain query: s1 ⋈ s2 ⋈ ... ⋈ sk on adjacent link columns.
 
@@ -77,7 +79,7 @@ def chain_join(
         raise ConfigError("a chain needs at least 2 relations")
     from ..config import paper_machine
 
-    array = array or DiskArray(paper_machine())
+    array = DiskArray(paper_machine())
     catalog = Catalog()
     rng = np.random.default_rng(seed)
     names = [f"s{i}" for i in range(1, n_relations + 1)]
@@ -109,17 +111,18 @@ def star_join(
     *,
     fact_rows: int = 1200,
     dimension_rows: int = 150,
-    key_range: int = 100,
     payload: int = 40,
     seed: int = 0,
-    array: DiskArray | None = None,
 ) -> JoinSchema:
-    """A star query: one fact table joined to k dimension tables."""
+    """A star query: one fact table joined to k dimension tables.
+
+    Every join key is drawn from ``[0, STAR_KEY_RANGE)``.
+    """
     if n_dimensions < 1:
         raise ConfigError("a star needs at least 1 dimension")
     from ..config import paper_machine
 
-    array = array or DiskArray(paper_machine())
+    array = DiskArray(paper_machine())
     catalog = Catalog()
     rng = np.random.default_rng(seed)
     fact_columns = [f"fact_k{i}" for i in range(1, n_dimensions + 1)]
@@ -129,7 +132,7 @@ def star_join(
         "fact",
         fact_columns,
         n_rows=fact_rows,
-        key_range=key_range,
+        key_range=STAR_KEY_RANGE,
         payload=payload,
         rng=rng,
     )
@@ -143,7 +146,7 @@ def star_join(
             name,
             [f"{name}_k", f"{name}_v"],
             n_rows=dimension_rows,
-            key_range=key_range,
+            key_range=STAR_KEY_RANGE,
             payload=payload,
             rng=rng,
         )

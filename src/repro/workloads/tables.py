@@ -54,31 +54,27 @@ def build_relation(
     n_rows: int,
     payload_size: int | None,
     seed: int = 0,
-    key_range: int | None = None,
-    with_index: bool = True,
 ) -> BuiltRelation:
     """Create, populate, index and ANALYZE one ``r(a, b)`` relation.
 
+    ``a`` is drawn uniformly from ``[0, n_rows)`` (mostly-unique keys)
+    and carries an unclustered B+tree.
+
     Args:
         payload_size: bytes of ``b`` per row; None stores NULL (r_min).
-        key_range: ``a`` is drawn uniformly from [0, key_range); default
-            ``n_rows`` (mostly-unique keys).
-        with_index: build the unclustered B+tree on ``a``.
     """
     if n_rows < 1:
         raise ConfigError("n_rows must be >= 1")
     rng = np.random.default_rng(seed)
-    key_range = key_range or n_rows
     heap = HeapFile(R1_SCHEMA, array, name=name)
     payload = None if payload_size is None else "x" * payload_size
-    keys = rng.integers(0, key_range, size=n_rows).tolist()
+    keys = rng.integers(0, n_rows, size=n_rows).tolist()
     rids = heap.insert_many((key, payload) for key in keys)
     catalog.create_table(name, R1_SCHEMA, heap)
     index = BTreeIndex()
-    if with_index:
-        for key, rid in zip(keys, rids):
-            index.insert(key, rid)
-        catalog.add_index(name, f"{name}_a_idx", "a", index)
+    for key, rid in zip(keys, rids):
+        index.insert(key, rid)
+    catalog.add_index(name, f"{name}_a_idx", "a", index)
     analyze_table(catalog, name)
     return BuiltRelation(
         name=name, heap=heap, index=index, payload_size=payload_size or 0
@@ -102,7 +98,7 @@ def build_r_max(
     seed: int = 0,
     machine: MachineConfig | None = None,
 ) -> BuiltRelation:
-    """The most IO-bound relation: one tuple per 8K page."""
+    """The most IO-bound relation: one tuple per page."""
     machine = machine or paper_machine()
     payload = one_tuple_per_page_payload(machine.page_size)
     return build_relation(
@@ -118,12 +114,9 @@ def one_tuple_per_page_payload(page_size: int) -> int:
     return capacity // 2 + 1 - _ROW_OVERHEAD
 
 
-def payload_for_io_rate(
-    io_rate: float,
-    *,
-    machine: MachineConfig | None = None,
-) -> int | None:
-    """Payload size whose sequential scan has ``io_rate`` ios/second.
+def payload_for_io_rate(io_rate: float) -> int | None:
+    """Payload size whose sequential scan has ``io_rate`` ios/second
+    on the paper machine.
 
     Under the cost model, a page with ``k`` tuples costs
     ``io_service + cpu_page + k * cpu_tuple`` seconds, so the io rate is
@@ -131,7 +124,7 @@ def payload_for_io_rate(
     gives the paper's tuple-size knob.  Returns None (NULL payload)
     when even minimal tuples cannot make the scan that CPU-bound.
     """
-    machine = machine or paper_machine()
+    machine = paper_machine()
     if io_rate <= 0:
         raise ConfigError("io_rate must be positive")
     service = io_service_time(machine, IOPattern.SEQUENTIAL)

@@ -1,6 +1,7 @@
 """Tests for the ASCII Gantt renderer."""
 
 from repro.bench import render_gantt
+from repro.bench.gantt import WIDTH
 from repro.config import paper_machine
 from repro.core import InterWithAdjPolicy, IntraOnlyPolicy, make_task
 from repro.sim import FluidSimulator
@@ -54,7 +55,7 @@ class TestGantt:
         result = FluidSimulator(MACHINE).run(
             list(tasks), InterWithAdjPolicy(integral=True)
         )
-        chart = render_gantt(result, width=80)
+        chart = render_gantt(result)
         io_line = next(l for l in chart.splitlines() if l.startswith("long-io"))
         glyphs = {c for c in io_line if c.isdigit()}
         assert len(glyphs) >= 2  # at least two different degrees
@@ -75,7 +76,7 @@ class TestGantt:
 
     def test_width_respected(self):
         tasks = [make_task("wide", io_rate=10.0, seq_time=8.0)]
-        chart = render_gantt(run(tasks), width=30)
+        chart = render_gantt(run(tasks))
         label = len("wide")
         for line in chart.splitlines()[1:-1]:  # skip header/footer text
-            assert len(line) <= label + 2 + 30
+            assert len(line) <= label + 2 + WIDTH

@@ -31,7 +31,7 @@ class TestReport:
 
     def test_format_bar_chart(self):
         text = format_bar_chart(
-            [("G1", [("x", 1.0), ("y", 2.0)])], title="Chart", unit="s"
+            [("G1", [("x", 1.0), ("y", 2.0)])], title="Chart"
         )
         assert "Chart" in text
         assert "#" in text
@@ -48,7 +48,7 @@ class TestReport:
 
 class TestCalibration:
     def test_full_calibration(self):
-        result = calibrate(machine=MACHINE, n_rows_min=2500, n_rows_max=60)
+        result = calibrate(machine=MACHINE)
         assert result.r_min.io_rate == pytest.approx(5.0, abs=1.5)
         assert result.r_max.io_rate > MACHINE.bound_threshold
         assert result.disk_sequential == pytest.approx(97.0, rel=0.05)
@@ -98,7 +98,6 @@ class TestHarness:
             seeds=(0,),
             machine=MACHINE,
             config=SMALL,
-            workloads=(WorkloadKind.EXTREME,),
         )
         cell = result.cell(WorkloadKind.EXTREME, "INTER-WITH-ADJ")
         assert len(cell.elapsed) == 1

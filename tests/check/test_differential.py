@@ -9,6 +9,7 @@ rates — both facts are pinned here.
 
 import pytest
 
+from repro.check import differential
 from repro.check.differential import (
     check_executor_vs_protocol,
     check_micro_vs_fluid,
@@ -39,9 +40,11 @@ class TestMicroVsFluid:
         specs = generate_specs(WorkloadKind.RANDOM, seed=0, machine=MACHINE)
         assert check_micro_vs_fluid(specs, MACHINE) == []
 
-    def test_tiny_tolerance_forces_divergence_report(self):
+    def test_tiny_tolerance_forces_divergence_report(self, monkeypatch):
+        for tier in ("REL_ELAPSED_SEQ", "REL_ELAPSED_RANDOM", "REL_ELAPSED_RANGE"):
+            monkeypatch.setattr(differential, tier, 1e-9)
         specs = generate_specs(WorkloadKind.EXTREME, seed=0, machine=MACHINE)
-        divergences = check_micro_vs_fluid(specs, MACHINE, rel_elapsed=1e-9)
+        divergences = check_micro_vs_fluid(specs, MACHINE)
         assert divergences
         assert "elapsed diverges" in divergences[0]
 
@@ -127,9 +130,11 @@ class TestCpuUtilizationSemantics:
         )
         assert fluid.cpu_busy_service == pytest.approx(budget, rel=1e-6)
 
-    def test_tiny_cpu_tolerance_forces_divergence_report(self):
+    def test_tiny_cpu_tolerance_forces_divergence_report(self, monkeypatch):
+        for tier in ("ABS_CPU_UTIL", "ABS_CPU_UTIL_LOOSE", "ABS_CPU_UTIL_RANGE"):
+            monkeypatch.setattr(differential, tier, 1e-9)
         specs = generate_specs(WorkloadKind.EXTREME, seed=3, machine=MACHINE)
-        divergences = check_micro_vs_fluid(specs, MACHINE, abs_cpu_util=1e-9)
+        divergences = check_micro_vs_fluid(specs, MACHINE)
         assert any("cpu utilization" in d for d in divergences)
 
 
@@ -150,7 +155,7 @@ class TestDemandScalingParity:
             assert scaled == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_cpu_throttled_seq_scans_agree_tightly(self, seed):
+    def test_cpu_throttled_seq_scans_agree_tightly(self, seed, monkeypatch):
         # CPU-bound tasks are where the demand-scaling choice shows up:
         # their io demand is throttled by cpu_scale, shifting the
         # seq/random split.  Page-partitioned sequential scans must
@@ -167,7 +172,9 @@ class TestDemandScalingParity:
             )
             for i in range(3)
         ]
-        assert check_micro_vs_fluid(specs, MACHINE, rel_elapsed=0.15) == []
+        # Well inside the seq tier.
+        monkeypatch.setattr(differential, "REL_ELAPSED_SEQ", 0.15)
+        assert check_micro_vs_fluid(specs, MACHINE) == []
 
     def test_mixed_demand_split_agrees(self):
         # One CPU-throttled scan sharing disks with a random scan: the

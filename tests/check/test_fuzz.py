@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import fuzz as fuzz_module
 from repro.check.fuzz import (
     POLICIES,
     Scenario,
@@ -82,27 +83,28 @@ class TestShrink:
         assert not small.faults
         assert small.policy == "intra-only"
 
-    def test_respects_step_budget(self):
+    def test_respects_step_budget(self, monkeypatch):
+        monkeypatch.setattr(fuzz_module, "SHRINK_STEPS", 5)
         calls = []
 
         def always_fails(s, machine):
             calls.append(s)
             return ["boom"]
 
-        shrink(generate_scenario(3), MACHINE, max_steps=5, run=always_fails)
-        # 1 initial confirmation + at most max_steps candidate runs.
+        shrink(generate_scenario(3), MACHINE, run=always_fails)
+        # 1 initial confirmation + at most SHRINK_STEPS candidate runs.
         assert len(calls) <= 6
 
 
 class TestCampaign:
     def test_short_campaign_is_clean(self):
-        report = fuzz(10, seed=0, machine=MACHINE)
+        report = fuzz(10, seed=0)
         assert report.cases == 10
         assert report.ok
 
     def test_progress_callback_fires(self):
         ticks = []
-        fuzz(25, seed=0, machine=MACHINE, progress=lambda *a: ticks.append(a))
+        fuzz(25, seed=0, progress=lambda *a: ticks.append(a))
         assert ticks == [(25, 25, 0)]
 
 
@@ -119,5 +121,5 @@ class TestLongCampaign:
     """Excluded from tier-1 via the ``fuzz`` marker; CI runs a shard."""
 
     def test_hundred_seeds(self):
-        report = fuzz(100, seed=0, machine=MACHINE, executor=False)
+        report = fuzz(100, seed=0, executor=False)
         assert report.ok, [f for _, f in report.failures]

@@ -90,7 +90,8 @@ class TestChaosUnderTheChecker:
 
     def test_soak_reports_a_violation_on_a_failed_line(self, monkeypatch):
         monkeypatch.setattr(chaos, "InvariantChecker", _PlantedViolation)
-        soak = run_soak(n_schedules=1, seeds=(0,), scale=0.1)
+        monkeypatch.setattr(chaos, "SOAK_SEEDS", (0,))
+        soak = run_soak(n_schedules=1, scale=0.1)
         assert soak.failures == [
             "seed=0 schedule=0: 3/3 tasks, 0 wedged, 1 invariant violations; "
             "[micro:end] planted"

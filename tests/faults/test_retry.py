@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FaultError
 from repro.faults import RetryPolicy
+from repro.faults import retry as retry_module
 
 
 class TestValidation:
@@ -14,10 +15,6 @@ class TestValidation:
             RetryPolicy(base_delay=0.0)
         with pytest.raises(FaultError):
             RetryPolicy(base_delay=10.0, max_delay=1.0)
-        with pytest.raises(FaultError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(FaultError):
-            RetryPolicy(jitter=-0.1)
         with pytest.raises(FaultError):
             RetryPolicy().backoff(1, -1)
 
@@ -30,23 +27,23 @@ class TestBackoff:
         assert policy.backoff(7, 0) != policy.backoff(7, 1)
 
     def test_grows_exponentially_within_jitter(self):
-        policy = RetryPolicy(
-            base_delay=1.0, multiplier=2.0, max_delay=100.0, jitter=0.5
-        )
+        # The module's growth factor 2 and jitter span 0.5.
+        policy = RetryPolicy(base_delay=1.0, max_delay=100.0)
         for attempt in range(5):
             base = 2.0**attempt
             delay = policy.backoff(0, attempt)
             assert base <= delay <= base * 1.5
 
-    def test_cap_applies_before_jitter(self):
-        policy = RetryPolicy(
-            base_delay=1.0, multiplier=10.0, max_delay=8.0, jitter=0.5
-        )
+    def test_cap_applies_before_jitter(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "MULTIPLIER", 10.0)
+        policy = RetryPolicy(base_delay=1.0, max_delay=8.0)
         delay = policy.backoff(0, 6)
         assert 8.0 <= delay <= 12.0
 
-    def test_zero_jitter_is_exact(self):
-        policy = RetryPolicy(base_delay=2.0, multiplier=3.0, jitter=0.0)
+    def test_zero_jitter_is_exact(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "MULTIPLIER", 3.0)
+        monkeypatch.setattr(retry_module, "JITTER", 0.0)
+        policy = RetryPolicy(base_delay=2.0)
         assert policy.backoff(123, 2) == pytest.approx(18.0)
 
     def test_different_seeds_spread_differently(self):

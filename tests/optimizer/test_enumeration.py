@@ -148,7 +148,7 @@ class TestExhaustiveEnumeration:
     def test_cap_enforced(self, catalog):
         q = Query(relations=[f"r{i}" for i in range(1, 9)])
         with pytest.raises(OptimizerError):
-            list(enumerate_all_bushy(q, catalog, max_relations=7))
+            list(enumerate_all_bushy(q, catalog))
 
     def test_all_plans_agree_on_result(self, catalog, chain_query):
         plans = list(enumerate_all_bushy(chain_query, catalog))

@@ -37,7 +37,7 @@ from repro.optimizer import (
 )
 from repro.optimizer import enumeration
 from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent
-from repro.optimizer.parcost import _policy_cache_key
+from repro.optimizer.parcost import _policy_cache_key, parallel_cost
 from repro.optimizer.twophase import SeqcostObjective
 from repro.plans.costing import estimate_plan
 from repro.plans.fragments import fragment_plan
@@ -128,15 +128,13 @@ class TestParcostCache:
 
         assert _policy_cache_key(TweakedPolicy()) is None
         caches = OptimizerCaches()
-        objective = ParcostObjective(
-            chain.catalog, policy=TweakedPolicy(), caches=caches
-        )
         plan = HashJoinNode(
             SeqScanNode("s1"), SeqScanNode("s2"), "s1_r", "s2_l"
         )
-        objective(plan)
-        objective(plan)
-        assert caches.stats.parcost_misses == 2
+        for __ in range(2):
+            parallel_cost(
+                plan, chain.catalog, policy=TweakedPolicy(), caches=caches
+            )
         assert not caches.parcost_elapsed
 
     def test_stock_policy_keys_distinguish_configs(self):
@@ -604,16 +602,12 @@ class TestSubplanMemo:
             ) == plan_shape_key(reference.choose_plan(star.query, mode))
         assert optimizer.cache_stats.subplan_hits == len(OptimizerMode)
 
-    def test_unkeyable_policy_and_plain_cost_functions_are_never_shared(self, chain):
-        class TweakedPolicy(InterWithAdjPolicy):
-            pass
-
+    def test_uncached_objective_and_plain_cost_functions_are_never_shared(
+        self, chain
+    ):
         caches = OptimizerCaches()
-        objective = ParcostObjective(
-            chain.catalog, policy=TweakedPolicy(), caches=caches
-        )
+        objective = ParcostObjective(chain.catalog)
         assert objective.memo_key is None
-        assert ParcostObjective(chain.catalog).memo_key is None
         plain = lambda plan: estimate_plan(plan, chain.catalog).seqcost()  # noqa: E731
         for cost in (objective, plain):
             enumerate_space(chain.query, chain.catalog, cost, caches=caches)

@@ -78,7 +78,7 @@ class TestTwoPhase:
         opt = TwoPhaseOptimizer(catalog)
         plan = opt.choose_plan(chain_query, OptimizerMode.LEFT_DEEP_SEQ)
         adaptive = opt.parallelize(plan)
-        intra = opt.parallelize(plan, policy=IntraOnlyPolicy())
+        intra = parallel_cost(plan, catalog, policy=IntraOnlyPolicy())
         assert adaptive.elapsed <= intra.elapsed + 1e-9
 
 

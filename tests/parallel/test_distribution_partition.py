@@ -71,7 +71,7 @@ class TestSkewedParallelIndexScan:
         # split gives slave 0 nearly everything; the equi-depth
         # histogram from the catalog (row mass, not distinct keys)
         # balances the split.
-        from repro.catalog import build_column_stats
+        from repro.catalog import equi_depth_histogram
 
         machine = MachineConfig(processors=2, disks=2)
         heap = HeapFile(Schema.of(("a", "int4"), ("b", "text")), DiskArray(machine))
@@ -80,7 +80,7 @@ class TestSkewedParallelIndexScan:
         index = BTreeIndex(order=16)
         for rid, row in heap.scan():
             index.insert(row[0], rid)
-        histogram = build_column_stats(keys, n_histogram_buckets=20).histogram
+        histogram = equi_depth_histogram(sorted(keys), 20)
 
         scan = ParallelIndexScan(
             heap, index, low=0, high=109, parallelism=2, separators=histogram

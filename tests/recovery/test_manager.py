@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MasterCrashError, RecoveryError
 from repro.faults.schedule import FaultSchedule, MasterCrash, preset_schedule
 from repro.recovery import RecoveryManager, run_with_recovery
+from repro.recovery import manager as manager_module
 from repro.sim.micro import MicroSimulator
 
 
@@ -80,18 +81,18 @@ class TestRunWithRecovery:
         assert resumed.total_elapsed < scratch.total_elapsed
 
     def test_attempt_budget_raises_recovery_error(
-        self, machine, specs, policy
+        self, machine, specs, policy, monkeypatch
     ):
+        monkeypatch.setattr(manager_module, "MAX_ATTEMPTS", 2)
         schedule = FaultSchedule(
             tuple(MasterCrash(at=0.1 * (i + 1)) for i in range(5))
         )
-        with pytest.raises(RecoveryError, match="attempts"):
+        with pytest.raises(RecoveryError, match="2 attempts"):
             run_with_recovery(
                 _sim(machine, schedule),
                 specs,
                 policy,
                 manager=RecoveryManager(),
-                max_attempts=2,
             )
 
     def test_crash_heavy_preset_is_deterministic(

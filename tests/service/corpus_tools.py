@@ -44,9 +44,11 @@ from collections import Counter
 from dataclasses import fields
 from functools import partial
 from itertools import product
+from unittest import mock
 
 from repro.core.ids import id_scope
 from repro.core.schedulers import InterWithAdjPolicy
+from repro.faults import breaker as breaker_module
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricsRegistry, Tracer
@@ -110,7 +112,10 @@ def _serve(
     # A "kill" label predates that policy's removal: it was "shed" at zero grace.
     if deadline_policy == "kill":
         deadline_policy = "shed"
-    with id_scope():
+    # The corpus' breaker trips after three sheds and half-opens after 5 s.
+    with id_scope(), mock.patch.multiple(
+        breaker_module, FAILURE_THRESHOLD=3, COOLDOWN=5.0
+    ):
         service = QueryService(
             admission=admission_by_name(admission),
             scheduler=InterWithAdjPolicy(),
@@ -119,11 +124,7 @@ def _serve(
             retry=RetryPolicy(max_retries=2, base_delay=0.5, max_delay=4.0)
             if retry
             else None,
-            breaker=CircuitBreaker(
-                failure_threshold=3, cooldown=5.0, tracer=tracer
-            )
-            if breaker
-            else None,
+            breaker=CircuitBreaker(tracer=tracer) if breaker else None,
             deadline_policy=deadline_policy,
             deadline_grace=grace,
             tracer=tracer,

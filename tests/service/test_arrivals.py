@@ -9,6 +9,7 @@ from repro.service import (
     onoff_stream,
     poisson_stream,
 )
+from repro.service.arrivals import DEFAULT_KIND, DEFAULT_MAX_PAGES
 from repro.workloads import WorkloadKind
 
 
@@ -27,9 +28,9 @@ class TestArrivalConfig:
         assert config.max_pages_of(1) == 150
 
     def test_defaults_fall_back_to_global_knobs(self):
-        config = ArrivalConfig(kind=WorkloadKind.RANDOM, max_pages=500)
-        assert config.kind_of(0) == WorkloadKind.RANDOM
-        assert config.max_pages_of(1) == 500
+        config = ArrivalConfig()
+        assert config.kind_of(0) == DEFAULT_KIND
+        assert config.max_pages_of(1) == DEFAULT_MAX_PAGES
 
     def test_mismatched_tenant_vectors_rejected(self):
         with pytest.raises(ConfigError):

@@ -212,7 +212,7 @@ class TestDeadlineInstants:
         stream = poisson_stream(
             rate=2.0,
             seed=0,
-            config=ArrivalConfig(n_submissions=200, max_pages=300),
+            config=ArrivalConfig(n_submissions=200, tenant_max_pages=(300, 300)),
             machine=machine,
         )
         service = _service(machine, policy="shed")
@@ -253,14 +253,16 @@ class TestErrorExitPaths:
             with pytest.raises(AdmissionError):
                 outcome.response_time
 
-    def test_retry_exhaustion_still_rejects(self, machine):
+    def test_retry_exhaustion_still_rejects(self, machine, monkeypatch):
+        from repro.faults import retry as retry_module
         from repro.faults.retry import RetryPolicy
 
+        monkeypatch.setattr(retry_module, "JITTER", 0.0)
         service = QueryService(
             machine,
             queue_capacity=1,
             max_inflight_fragments=1,
-            retry=RetryPolicy(max_retries=2, base_delay=0.1, jitter=0.0),
+            retry=RetryPolicy(max_retries=2, base_delay=0.1),
         )
         for i in range(4):
             service.submit(

@@ -13,6 +13,7 @@ serving-time scheduling code can be cross-checked at page level.
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy
+from repro.faults import breaker as breaker_module
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.service.admission import BalanceAwareAdmission, FifoAdmission
@@ -79,12 +81,13 @@ def spec_stream(seed, n=40, *, rate=1.2, max_fragments=2):
 
 
 def run_on_both(submissions, *, seed=0, **config):
-    """Run one ``AdmissionGate(submissions, **config)`` on each engine.
+    """Run one ``AdmissionGate(**config)`` over ``submissions`` on each engine.
 
     Returns ``{engine: (ScheduleResult, outcomes)}``, the outcomes read
     from the gate right after that engine's run.
     """
-    gate = AdmissionGate(submissions, **config)
+    gate = AdmissionGate(**config)
+    gate.load(submissions)
     pooled = [task for s in submissions for task in s.tasks]
     engines = {
         "fluid": FluidSimulator(MACHINE),
@@ -196,14 +199,12 @@ def test_gate_conserves_tasks_on_both_engines_fuzz(
             if retry
             else None
         ),
-        breaker=(
-            CircuitBreaker(failure_threshold=2, cooldown=1.0)
-            if breaker
-            else None
-        ),
+        breaker=CircuitBreaker() if breaker else None,
         deadline_policy=deadline_policy,
         deadline_grace=grace,
     )
-    runs = run_on_both(submissions, seed=seed, **config)
-    assert_conserved(submissions, runs)
-    assert_fluid_arm_is_the_service(submissions, runs, **config)
+    # A breaker that trips after two sheds and half-opens after 1 s.
+    with mock.patch.multiple(breaker_module, FAILURE_THRESHOLD=2, COOLDOWN=1.0):
+        runs = run_on_both(submissions, seed=seed, **config)
+        assert_conserved(submissions, runs)
+        assert_fluid_arm_is_the_service(submissions, runs, **config)

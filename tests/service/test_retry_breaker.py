@@ -3,19 +3,10 @@
 import pytest
 
 from repro.config import paper_machine
-from repro.core import InterWithAdjPolicy, make_task
-from repro.faults import (
-    CLOSED,
-    OPEN,
-    CircuitBreaker,
-    DiskDegradation,
-    FaultSchedule,
-    RetryPolicy,
-)
+from repro.core import make_task
+from repro.faults import CLOSED, OPEN, CircuitBreaker, RetryPolicy
+from repro.faults import breaker as breaker_module
 from repro.service import QueryService, ServiceSubmission
-from repro.service.admission import BalanceAwareAdmission
-from repro.service.gate import AdmissionGate
-from repro.sim import MicroSimulator, spec_for_io_rate
 
 
 @pytest.fixture
@@ -96,12 +87,13 @@ class TestGateRetry:
 
 
 class TestGateBreaker:
-    def test_breaker_opens_under_shed_storm(self, machine):
+    def test_breaker_opens_under_shed_storm(self, machine, monkeypatch):
         # A storm of simultaneous arrivals with a tiny queue and no
         # retry: consecutive sheds trip the breaker, which then rejects
         # outright and records the transition in the timeline.
         stream = _burst(12, seq_time=20.0)
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0)
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 3)
+        breaker = CircuitBreaker()
         result = QueryService(
             machine,
             queue_capacity=1,
@@ -116,7 +108,7 @@ class TestGateBreaker:
     def test_breaker_timeline_reaches_metrics(self, machine):
         stream = _burst(3, seq_time=5.0)
         result = QueryService(
-            machine, breaker=CircuitBreaker(failure_threshold=4)
+            machine, breaker=CircuitBreaker()
         ).run(stream)
         assert result.metrics.breaker_timeline[0] == (0.0, CLOSED)
         table = result.metrics.breaker_table()
@@ -125,53 +117,3 @@ class TestGateBreaker:
     def test_no_breaker_means_empty_timeline(self, machine):
         result = QueryService(machine).run(_burst(2, seq_time=5.0))
         assert result.metrics.breaker_timeline == []
-
-    @staticmethod
-    def _breaker_timeline_on_micro(machine, faults=None):
-        """A light stream through a breaker-guarded gate on the micro
-        engine, whose disks measure what fault injection degrades;
-        ``QueryService`` runs the fluid engine, which has no disk
-        health, so its breaker always sees the nominal bandwidth."""
-        stream = []
-        for i in range(4):
-            task = spec_for_io_rate(
-                f"q{i}-f0", machine, io_rate=30.0, n_pages=400,
-                arrival_time=80.0 * i,
-            ).to_task(machine)
-            stream.append(
-                ServiceSubmission(
-                    name=f"q{i}", tenant="t0", tasks=(task,),
-                    arrival_time=80.0 * i,
-                )
-            )
-        breaker = CircuitBreaker(
-            failure_threshold=100,  # reactive path effectively off
-            cooldown=30.0,
-            degraded_fraction=0.6,
-            degraded_grace=10.0,
-        )
-        gate = AdmissionGate(
-            stream,
-            inner=InterWithAdjPolicy(),
-            admission=BalanceAwareAdmission(),
-            breaker=breaker,
-        )
-        pooled = [task for s in stream for task in s.tasks]
-        MicroSimulator(machine, faults=faults).run(pooled, gate)
-        return breaker.timeline
-
-    def test_sustained_degradation_trips_proactively(self, machine):
-        # Disks at 30% bandwidth for the whole run and a light stream:
-        # no queue ever overflows, yet the breaker opens on the measured
-        # bandwidth alone, at the second arrival.
-        faults = FaultSchedule(
-            tuple(
-                DiskDegradation(disk=d, start=0.0, duration=10_000.0, factor=0.3)
-                for d in range(machine.disks)
-            )
-        )
-        timeline = self._breaker_timeline_on_micro(machine, faults)
-        assert (80.0, OPEN) in timeline
-
-    def test_healthy_run_never_trips_proactively(self, machine):
-        assert self._breaker_timeline_on_micro(machine) == [(0.0, CLOSED)]

@@ -178,12 +178,12 @@ class TestAdmissionGate:
         (ta,), (tb,), (tc,) = a.tasks, b.tasks, c.tasks
         spy = _PendingSpy()
         gate = AdmissionGate(
-            [a, b, c],
             inner=spy,
             admission=FifoAdmission(),
             max_inflight_fragments=1,
             deadline_policy="shed",
         )
+        gate.load([a, b, c])
         # The engine contract the memo rests on: ``pending`` is the same
         # list object until its membership changes, then a fresh one.
         state = SimpleNamespace(
@@ -227,7 +227,6 @@ class TestAdmissionGate:
             QueryService(machine, fast_path=False)
         with pytest.raises(TypeError):
             AdmissionGate(
-                [submission("q0")],
                 inner=InterWithAdjPolicy(),
                 admission=FifoAdmission(),
                 fast_path=True,

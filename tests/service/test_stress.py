@@ -26,12 +26,8 @@ def config():
 
 class TestEstimateCapacity:
     def test_positive_and_deterministic(self, machine, config):
-        first = estimate_capacity(
-            seed=0, config=config, machine=machine, n_probe=10
-        )
-        second = estimate_capacity(
-            seed=0, config=config, machine=machine, n_probe=10
-        )
+        first = estimate_capacity(seed=0, config=config, machine=machine)
+        second = estimate_capacity(seed=0, config=config, machine=machine)
         assert first > 0
         assert first == second
 
@@ -40,7 +36,7 @@ class TestEstimateCapacity:
         # whole probe batch.
         service = QueryService(machine, queue_capacity=1)
         mu = estimate_capacity(
-            seed=0, config=config, machine=machine, service=service, n_probe=10
+            seed=0, config=config, machine=machine, service=service
         )
         assert mu > 0
 
@@ -68,15 +64,17 @@ class TestSweep:
 
     def test_sweep_row_counts_are_consistent(self, machine, config):
         service = QueryService(machine)
+        mu = estimate_capacity(
+            seed=1, config=config, machine=machine, service=service
+        )
         ((rho, rate, metrics),) = sweep(
             rhos=(0.5,),
             seed=1,
             config=config,
             machine=machine,
             service=service,
-            capacity=0.1,
         )
-        assert (rho, rate) == (0.5, 0.05)
+        assert (rho, rate) == (0.5, 0.5 * mu)
         overall = metrics.overall
         assert overall.offered == config.n_submissions
         assert overall.completed + overall.rejected == overall.offered
@@ -87,22 +85,6 @@ class TestSweep:
             sweep(rhos=(), config=config, machine=machine)
         with pytest.raises(ConfigError):
             sweep(rhos=(0.5, -1.0), config=config, machine=machine)
-        with pytest.raises(ConfigError):
-            sweep(rhos=(0.5,), config=config, machine=machine, capacity=0.0)
-
-    def test_known_capacity_skips_the_probe_and_matches(self, machine, config):
-        # A repeated sweep can hand back the measured μ: the knee table
-        # is identical to a probing sweep's, minus the probe run.
-        mu = estimate_capacity(seed=0, config=config, machine=machine)
-        probing = sweep(rhos=(0.5, 0.9), seed=0, config=config, machine=machine)
-        handed = sweep(
-            rhos=(0.5, 0.9),
-            seed=0,
-            config=config,
-            machine=machine,
-            capacity=mu,
-        )
-        assert format_sweep(handed) == format_sweep(probing)
 
     def test_format_sweep_has_header_and_rows(self, machine, config):
         rows = sweep(rhos=(0.5,), seed=0, config=config, machine=machine)

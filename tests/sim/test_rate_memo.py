@@ -394,8 +394,7 @@ def assert_gate_agrees(stream, *, balance, deadline, inner_seed=None):
             if inner_seed is None
             else ChurnPolicy(inner_seed, cancels=False)
         )
-        return AdmissionGate(
-            stream,
+        gate = AdmissionGate(
             inner=inner,
             admission=BalanceAwareAdmission() if balance else FifoAdmission(),
             queue_capacity=3,
@@ -404,6 +403,8 @@ def assert_gate_agrees(stream, *, balance, deadline, inner_seed=None):
             deadline_policy=deadline_policy,
             deadline_grace=deadline_grace,
         )
+        gate.load(stream)
+        return gate
 
     pooled = [task for s in stream for task in s.tasks]
     expected_gate, actual_gate = gate(), gate()

@@ -79,7 +79,11 @@ class TestOptimizerThroughScheduler:
         ]
         assert len(independents) >= 3
         # The adaptive schedule is no slower than intra-only.
-        intra = optimizer.parallelize(result.plan, policy=IntraOnlyPolicy())
+        from repro.optimizer.parcost import parallel_cost
+
+        intra = parallel_cost(
+            result.plan, schema.catalog, policy=IntraOnlyPolicy()
+        )
         assert result.parallel.elapsed <= intra.elapsed + 1e-9
 
     def test_memory_constraint_respected_end_to_end(self):

@@ -83,7 +83,7 @@ class TestRateRelations:
 
         catalog, array = env
         target = 20.0
-        payload = payload_for_io_rate(target, machine=MACHINE)
+        payload = payload_for_io_rate(target)
         build_relation(
             catalog, array, "r_mid", n_rows=1500, payload_size=payload
         )

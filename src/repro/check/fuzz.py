@@ -20,6 +20,7 @@ from ..config import MachineConfig, paper_machine
 from ..core import InterWithAdjPolicy, InterWithoutAdjPolicy, IntraOnlyPolicy
 from ..core.task import IOPattern
 from ..errors import ReproError
+from ..sim.fluid import FluidSimulator
 from ..sim.micro import MicroSimulator, spec_for_io_rate
 from .differential import (
     check_executor_vs_protocol,
@@ -347,7 +348,7 @@ def smoke_lines(seed: int = 0) -> list[str]:
     scenario = generate_scenario(seed)
     report("invariants+micro-vs-fluid", run_case(scenario, machine))
 
-    from ..workloads.mixes import WorkloadKind, generate_specs
+    from ..workloads.mixes import WorkloadKind, generate_specs, generate_tasks
 
     for kind in (WorkloadKind.ALL_IO, WorkloadKind.RANDOM):
         specs = generate_specs(kind, seed=seed, machine=machine)
@@ -356,6 +357,12 @@ def smoke_lines(seed: int = 0) -> list[str]:
             check_micro_vs_fluid(specs, machine, invariants=inv),
         )
     report("invariant hooks", [] if inv.ok else inv.violations)
+    # QueryService's policy, the continuous INTER-WITH-ADJ, on fluid:
+    # RANDOM at seed 1 has a balance point with x < 1 to seat.
+    serving = InvariantChecker(collect=True)
+    tasks = generate_tasks(WorkloadKind.RANDOM, seed=1, machine=machine)
+    FluidSimulator(machine, invariants=serving).run(tasks, InterWithAdjPolicy())
+    report("serving policy on fluid (continuous INTER-WITH-ADJ)", serving.violations)
 
     from ..core import make_task
 

@@ -20,8 +20,10 @@ Invariant catalogue (see docs/CHECKING.md for the derivations):
   ``1 <= x <= N`` and ``x <= maxp`` (pattern-aware bandwidth wall,
   with half-a-processor slack for the micro engine's integral
   rounding).
-* **utilization** — CPU and IO utilization of a finished run are
-  ``<= 1 + 1e-6``.
+* **processor allocation** — every fluid interval ran ``sum(x) <= N``,
+  which bounds a fluid run's CPU utilization too.
+* **utilization** — IO (and micro CPU) utilization of a finished run
+  is ``<= 1 + 1e-6``.
 * **protocol-generation monotonicity** — a run's ``adjust_epoch``
   only ever grows.
 
@@ -212,12 +214,18 @@ class InvariantChecker:
 
     # -- fluid engine ---------------------------------------------------------
 
-    def fluid_event(self, state, *, machine, cpu_busy: float) -> None:
-        """Hook after each fluid event's advance+settle."""
+    def fluid_event(self, state, *, machine, rates) -> None:
+        """Hook after each fluid event's advance+settle.  ``rates`` is the
+        solve the interval ran on, ``(run, rate, ...)`` per task: a task
+        that completed at its end is no longer in the settled set."""
         self.checks += 1
         label = "fluid:event"
         self._clock(label, state.clock)
         n = machine.processors
+        allocated = sum(run.parallelism for run, *__ in rates)
+        if allocated > n * (1.0 + _REL_EPS):
+            seats = ", ".join(f"{r.task.name}={r.parallelism!r}" for r, *__ in rates)
+            self._fail(label, f"{allocated!r} processors ran on {n}: {seats}")
         for run in state.running:
             self._check_parallelism(label, run, machine, integral_slack=0.0)
             if run.remaining < -1e-6:
@@ -225,20 +233,10 @@ class InvariantChecker:
                     label,
                     f"{run.task.name}: remaining work {run.remaining!r} < 0",
                 )
-        if cpu_busy > n * state.clock * (1.0 + _REL_EPS) + _ABS_EPS:
-            self._fail(
-                label,
-                f"cpu_busy={cpu_busy!r} exceeds {n} processors x "
-                f"{state.clock!r}s",
-            )
 
     def fluid_end(self, result) -> None:
         """Hook at the end of a fluid run, with its ScheduleResult."""
         self.checks += 1
         label = "fluid:end"
-        if result.cpu_utilization > 1.0 + _REL_EPS:
-            self._fail(
-                label, f"cpu_utilization={result.cpu_utilization!r} > 1"
-            )
         if result.io_utilization > 1.0 + _REL_EPS:
             self._fail(label, f"io_utilization={result.io_utilization!r} > 1")

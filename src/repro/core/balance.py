@@ -33,7 +33,8 @@ balance equation can have several roots; we take the largest root in
 definition, :func:`throttle`: the policy prices a pairing with it
 (:func:`realizable_time`, :func:`worthwhile_pairing`), the Section-4
 recursion steps with it and the fluid engine runs with it, so a
-pairing is priced exactly as the machine then runs it.
+pairing is priced exactly as the machine then runs it.  Both seat a
+pair's degrees with one definition, :func:`clamp_pair`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..config import MachineConfig
-from ..errors import InfeasibleBalanceError
 from .classify import max_parallelism, max_parallelism_of
 from .task import IOPattern, Task
 
@@ -103,14 +103,6 @@ class BalancePoint:
         cpu = self.total_parallelism / machine.processors
         io = self.total_io_rate / self.bandwidth if self.bandwidth else 0.0
         return cpu, io
-
-    def parallelism_of(self, task: Task) -> float:
-        """The degree of parallelism this point assigns to ``task``."""
-        if task.task_id == self.task_io.task_id:
-            return self.x_io
-        if task.task_id == self.task_cpu.task_id:
-            return self.x_cpu
-        raise InfeasibleBalanceError(f"{task!r} is not part of this balance point")
 
 
 def effective_bandwidth(
@@ -368,6 +360,21 @@ def clamp_parallelism(x: float, machine: MachineConfig, *, integral: bool) -> fl
     return x
 
 
+def clamp_pair(
+    x_io: float, x_cpu: float, machine: MachineConfig, *, integral: bool
+) -> tuple[float, float]:
+    """A pair's balance-point degrees as it runs: each clamped by
+    :func:`clamp_parallelism`, then any excess over ``N`` (a degree
+    ``x < 1`` lifted to 1) taken off the larger.  The pricing and every
+    policy seat a pair here, so it runs at the degrees it was priced at."""
+    n = machine.processors
+    x_io = clamp_parallelism(x_io, machine, integral=integral)
+    x_cpu = clamp_parallelism(x_cpu, machine, integral=integral)
+    if x_io + x_cpu > n:
+        x_io, x_cpu = (n - x_cpu, x_cpu) if x_io > x_cpu else (x_io, n - x_io)
+    return x_io, x_cpu
+
+
 def _realizable_rates(
     x_io: float,
     x_cpu: float,
@@ -378,10 +385,9 @@ def _realizable_rates(
     integral: bool,
 ) -> tuple[float, float]:
     """Progress rates ``(rate_io, rate_cpu)`` of a pair, its balance-point
-    degrees clamped to whole slaves and run through :func:`throttle`:
+    degrees seated by :func:`clamp_pair` and run through :func:`throttle`:
     exactly the fluid engine's rate solve."""
-    xi = clamp_parallelism(x_io, machine, integral=integral)
-    xj = clamp_parallelism(x_cpu, machine, integral=integral)
+    xi, xj = clamp_pair(x_io, x_cpu, machine, integral=integral)
     cpu_scale, io_scale = throttle(
         machine,
         ((xi, io[1], io[2] is _SEQUENTIAL), (xj, cpu[1], cpu[2] is _SEQUENTIAL)),

@@ -28,6 +28,7 @@ from ..errors import SchedulingError
 from .balance import (
     balance_point,
     balance_solution,
+    clamp_pair,
     clamp_parallelism as _clamp,
     worthwhile_pairing,
 )
@@ -278,18 +279,20 @@ class InterWithAdjPolicy(SchedulingPolicy):
         rest = (rem, c_rem, pattern_partner)
         if worthwhile_pairing(new, rest, machine, effective, self.integral) is None:
             return None
-        x_io, x_cpu, __ = point
-        if c_new > c_partner:
-            x_new, x_partner = x_io, x_cpu
-        else:
-            x_new, x_partner = x_cpu, x_io
-        x_new = _clamp(x_new, machine, integral=self.integral)
-        x_partner = _clamp(x_partner, machine, integral=self.integral)
+        x_new, x_partner = self._pair_degrees(machine, point, c_new, c_partner)
         actions: list[Action] = []
         if abs(x_partner - partner.parallelism) > 1e-9:
             actions.append(Adjust(partner_task, x_partner))
         actions.append(Start(candidate, x_new))
         return actions
+
+    def _pair_degrees(
+        self, machine: MachineConfig, point: tuple, c_a: float, c_b: float
+    ) -> tuple[float, float]:
+        """``(x_a, x_b)``: the degrees :func:`clamp_pair` seats io streams
+        ``c_a`` and ``c_b`` at, given their balance ``point`` ``(x_io, x_cpu, B)``."""
+        x_io, x_cpu = clamp_pair(point[0], point[1], machine, integral=self.integral)
+        return (x_io, x_cpu) if c_a > c_b else (x_cpu, x_io)
 
     def _fresh_pair(
         self, state: EngineState, io_q: list[Task], cpu_q: list[Task]
@@ -314,11 +317,8 @@ class InterWithAdjPolicy(SchedulingPolicy):
                     self.integral,
                 )
                 if point is not None:
-                    x_io, x_cpu, __ = point
-                    return [
-                        Start(fi, _clamp(x_io, machine, integral=self.integral)),
-                        Start(fj, _clamp(x_cpu, machine, integral=self.integral)),
-                    ]
+                    x_i, x_j = self._pair_degrees(machine, point, fi.io_rate, fj.io_rate)
+                    return [Start(fi, x_i), Start(fj, x_j)]
             break  # most-IO-bound head found no partner: run it solo
         # Step 4 "otherwise": execute f_i alone to completion, then f_j.
         fi = io_q[0]
@@ -359,14 +359,9 @@ class InterWithAdjPolicy(SchedulingPolicy):
         )
         if point is None:
             return []
-        x_io, x_cpu, __ = point
-        if c_first > c_second:
-            seats = ((first, x_io), (second, x_cpu))
-        else:
-            seats = ((first, x_cpu), (second, x_io))
+        x_first, x_second = self._pair_degrees(machine, point, c_first, c_second)
         actions: list[Action] = []
-        for view, x in seats:
-            x = _clamp(x, machine, integral=self.integral)
+        for view, x in ((first, x_first), (second, x_second)):
             if abs(x - view.parallelism) > 1e-9:
                 actions.append(Adjust(view.task, x))
         # Remember the bandwidth we balanced for even when the clamped
@@ -445,21 +440,16 @@ class InterWithoutAdjPolicy(SchedulingPolicy):
             return []
         if not state.running:
             # Initial pairing: identical to the adaptive algorithm.
-            io_q = sorted(
-                (t for t in state.pending if is_io_bound(t, machine)),
-                key=lambda t: -t.io_rate,
-            )
-            cpu_q = sorted(
-                (t for t in state.pending if not is_io_bound(t, machine)),
-                key=lambda t: t.io_rate,
-            )
+            io_q, cpu_q = split_by_bound(state.pending, machine)
+            io_q.sort(key=lambda t: -t.io_rate)
+            cpu_q.sort(key=lambda t: t.io_rate)
             if io_q and cpu_q and memory_fits(machine, io_q[0], cpu_q[0]):
                 point = balance_point(io_q[0], cpu_q[0], machine)
                 if point is not None and min(point.x_io, point.x_cpu) >= 1.0:
-                    return [
-                        Start(io_q[0], _clamp(point.x_io, machine, integral=self.integral)),
-                        Start(cpu_q[0], _clamp(point.x_cpu, machine, integral=self.integral)),
-                    ]
+                    x_io, x_cpu = clamp_pair(
+                        point.x_io, point.x_cpu, machine, integral=self.integral
+                    )
+                    return [Start(io_q[0], x_io), Start(cpu_q[0], x_cpu)]
             queue = io_q or cpu_q
             task = queue[0]
             x = _clamp(max_parallelism(task, machine), machine, integral=self.integral)

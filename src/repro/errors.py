@@ -116,10 +116,6 @@ class SchedulingError(ReproError):
     """Base class for scheduler errors."""
 
 
-class InfeasibleBalanceError(SchedulingError):
-    """No IO-CPU balance point exists for the given pair of tasks."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator reached an inconsistent state."""
 

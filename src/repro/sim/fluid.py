@@ -109,9 +109,9 @@ class FluidSimulator:
             inside the rate solve, and guard with one None check —
             parcost's costing loop is unaffected when tracing is off.
         invariants: an :class:`~repro.check.InvariantChecker` asserting
-            clock monotonicity, parallelism bounds and utilization at
-            every event; ``None`` (the default) checks nothing and
-            adds one ``is not None`` test per event.
+            clock monotonicity, parallelism bounds and each interval's
+            processors at every event; ``None`` (the default) checks
+            nothing and adds one ``is not None`` test per event.
     """
 
     def __init__(
@@ -230,9 +230,7 @@ class FluidSimulator:
             elif arrivals and arrivals[0][0] <= clock + _EPS:
                 state.admit_due(clock + _EPS)
             if invariants is not None:
-                invariants.fluid_event(
-                    state, machine=self.machine, cpu_busy=cpu_busy
-                )
+                invariants.fluid_event(state, machine=self.machine, rates=rates)
         else:
             raise SimulationError("simulation exceeded the event budget")
         result = state.result(

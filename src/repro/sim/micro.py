@@ -1158,8 +1158,9 @@ class _MicroEngine(TaskLedger):
 
         Harvested range intervals are handed back to their owners —
         or restarted on fresh slaves when the owner crashed mid-round —
-        so page conservation survives the abort.  The policy is then
-        consulted again and typically re-issues the adjustment.
+        so page conservation survives the abort.  The policy is consulted
+        again, but with two tasks running INTER-WITH-ADJ decides nothing:
+        an aborted shrink leaves the pair above N until a completion.
         """
         if self._stale(run, epoch) or run.task.task_id not in self.runs:
             return  # the round completed (or the task did) in time

@@ -111,7 +111,7 @@ class TestCampaign:
 class TestSmoke:
     def test_all_pillars_ok(self):
         lines = smoke_lines(seed=0)
-        assert len(lines) == 7
+        assert len(lines) == 8
         for line in lines:
             assert line.startswith("smoke ok:"), line
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.check import InvariantChecker
 from repro.config import paper_machine
-from repro.core import InterWithAdjPolicy, IntraOnlyPolicy
+from repro.core import InterWithAdjPolicy, IntraOnlyPolicy, make_task
+from repro.core.schedulers import SchedulingPolicy, Start
 from repro.core.task import IOPattern
 from repro.errors import InvariantViolation
 from repro.faults import FaultSchedule, MasterCrash, random_schedule
@@ -15,6 +16,7 @@ from repro.parallel.partition import PageAssignment
 from repro.recovery import RecoveryManager, run_with_recovery
 from repro.sim.fluid import FluidSimulator
 from repro.sim.micro import MicroSimulator, spec_for_io_rate
+from repro.workloads.mixes import WorkloadKind, generate_tasks
 
 MACHINE = paper_machine()
 
@@ -70,6 +72,42 @@ class TestEngineHooks:
         assert fluid.invariants is None
 
 
+class TestPerSolveAllocation:
+    """Every fluid interval's allocation holds at most N processors."""
+
+    def test_an_over_allocation_ending_at_a_completion_is_reported(self):
+        # Both tasks arrive after 5 s of idling, so ``cpu_busy <= N x
+        # clock`` still holds when the pair's interval ends, and "short"
+        # completes at its end: the settled running set ("long" at 7.5)
+        # is within N.  Only the allocation that ran shows the 8.5.
+        class Overbook(SchedulingPolicy):
+            name = "overbook"
+
+            def decide(self, state):
+                degrees = {"long": 7.5, "short": 1.0}
+                return [Start(t, degrees[t.name]) for t in state.pending]
+
+        tasks = [
+            make_task("long", io_rate=1.0, seq_time=70.0, arrival_time=5.0),
+            make_task("short", io_rate=1.0, seq_time=1.0, arrival_time=5.0),
+        ]
+        inv = InvariantChecker(collect=True)
+        FluidSimulator(MACHINE, invariants=inv).run(tasks, Overbook())
+        assert len(inv.violations) == 1
+        assert "8.5 processors ran on 8" in inv.violations[0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_continuous_figure7_grid_stays_within_n(self, seed):
+        # The serving path's policy over the Figure-7 grid under a
+        # raising checker: a per-degree clamp of a balance point with
+        # x < 1 ran 1 + (N - x) > N here on RANDOM at seeds 1, 4 and 5.
+        for kind in WorkloadKind:
+            tasks = generate_tasks(kind, seed=seed, machine=MACHINE)
+            FluidSimulator(MACHINE, invariants=InvariantChecker()).run(
+                tasks, InterWithAdjPolicy()
+            )
+
+
 class _FakeTask:
     def __init__(self, name, io_rate=40.0):
         self.name = name
@@ -96,60 +134,61 @@ class _FakeState:
 class TestViolationDetection:
     def test_clock_regression_raises(self):
         inv = InvariantChecker()
-        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, cpu_busy=0.0)
+        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, rates=[])
         with pytest.raises(InvariantViolation, match="clock went backwards"):
-            inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, cpu_busy=0.0)
+            inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, rates=[])
 
     def test_parallelism_above_processors_raises(self):
         inv = InvariantChecker()
         state = _FakeState(1.0, [_FakeRun(parallelism=9.0)])
         with pytest.raises(InvariantViolation, match="outside"):
-            inv.fluid_event(state, machine=MACHINE, cpu_busy=0.0)
+            inv.fluid_event(state, machine=MACHINE, rates=[])
 
     def test_parallelism_above_maxp_raises(self):
         # io_rate 40 -> maxp = 240/40 = 6; degree 7 is infeasible.
         inv = InvariantChecker()
         state = _FakeState(1.0, [_FakeRun(parallelism=7.0)])
         with pytest.raises(InvariantViolation, match="exceeds maxp"):
-            inv.fluid_event(state, machine=MACHINE, cpu_busy=0.0)
+            inv.fluid_event(state, machine=MACHINE, rates=[])
 
     def test_negative_remaining_raises(self):
         inv = InvariantChecker()
         state = _FakeState(1.0, [_FakeRun(parallelism=2.0, remaining=-0.5)])
         with pytest.raises(InvariantViolation, match="remaining"):
-            inv.fluid_event(state, machine=MACHINE, cpu_busy=0.0)
+            inv.fluid_event(state, machine=MACHINE, rates=[])
 
     def test_cpu_oversubscription_raises(self):
+        # The interval ran 4.5 + 4 processors on 8; the settled state
+        # (no task left running) holds none.
         inv = InvariantChecker()
-        with pytest.raises(InvariantViolation, match="cpu_busy"):
-            inv.fluid_event(
-                _FakeState(1.0, []), machine=MACHINE, cpu_busy=100.0
-            )
+        rates = [(_FakeRun(4.5), 1.0), (_FakeRun(4.0), 1.0)]
+        with pytest.raises(InvariantViolation, match="8.5 processors ran on 8"):
+            inv.fluid_event(_FakeState(1.0, []), machine=MACHINE, rates=rates)
 
     def test_utilization_above_one_raises(self):
         class FakeResult:
-            cpu_utilization = 1.5
-            io_utilization = 0.5
+            cpu_utilization = 0.5
+            io_utilization = 1.5
 
         inv = InvariantChecker()
-        with pytest.raises(InvariantViolation, match="cpu_utilization"):
+        with pytest.raises(InvariantViolation, match="io_utilization"):
             inv.fluid_end(FakeResult())
 
     def test_collect_mode_accumulates(self):
         inv = InvariantChecker(collect=True)
-        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, cpu_busy=0.0)
-        inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, cpu_busy=0.0)
+        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, rates=[])
+        inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, rates=[])
         assert not inv.ok
         assert len(inv.violations) == 1
         assert "clock went backwards" in inv.violations[0]
 
     def test_new_run_keeps_violations_reset_clears(self):
         inv = InvariantChecker(collect=True)
-        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, cpu_busy=0.0)
-        inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, cpu_busy=0.0)
+        inv.fluid_event(_FakeState(5.0, []), machine=MACHINE, rates=[])
+        inv.fluid_event(_FakeState(4.0, []), machine=MACHINE, rates=[])
         inv.new_run()
         # A new run may legitimately restart the clock at zero.
-        inv.fluid_event(_FakeState(0.0, []), machine=MACHINE, cpu_busy=0.0)
+        inv.fluid_event(_FakeState(0.0, []), machine=MACHINE, rates=[])
         assert len(inv.violations) == 1
         inv.reset()
         assert inv.ok

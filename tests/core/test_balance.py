@@ -1,7 +1,7 @@
 """Tests for the IO-CPU balance point (Sections 2.3 / 2.5, Figure 4)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import paper_machine
@@ -12,8 +12,13 @@ from repro.core import (
     intra_time,
     make_task,
 )
-from repro.core.balance import balance_solution, realizable_time, worthwhile_pairing
-from repro.errors import InfeasibleBalanceError
+from repro.core.balance import (
+    balance_solution,
+    clamp_pair,
+    clamp_parallelism,
+    realizable_time,
+    worthwhile_pairing,
+)
 
 MACHINE = paper_machine()  # N=8, B=240 (almost-seq), Br=140
 
@@ -69,13 +74,64 @@ class TestNominalBalance:
         assert point.total_parallelism == pytest.approx(8.0)
         assert point.total_io_rate == pytest.approx(240.0)
 
-    def test_parallelism_of(self):
-        fi, fj = task(60.0), task(10.0)
-        point = balance_point(fi, fj, MACHINE, use_effective_bandwidth=False)
-        assert point.parallelism_of(fi) == point.x_io
-        assert point.parallelism_of(fj) == point.x_cpu
-        with pytest.raises(InfeasibleBalanceError):
-            point.parallelism_of(task(50.0))
+
+#: A balance point ``(x, N - x)`` on a machine of ``N >= 2``
+#: processors, as :func:`balance_solution` returns it (``x_cpu = N -
+#: x_io``), IO-bound degree first or second.
+_balance_points = st.integers(min_value=2, max_value=64).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.floats(min_value=0.0, max_value=float(n), exclude_min=True, exclude_max=True),
+        st.booleans(),
+    )
+)
+
+
+def _seat(n, x, swap, integral):
+    machine = MACHINE.with_processors(n)
+    pair = (n - x, x) if swap else (x, n - x)
+    return machine, pair, clamp_pair(*pair, machine, integral=integral)
+
+
+class TestClampPair:
+    """One function seats a pair: within [1, N] each, within N together."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=_balance_points, integral=st.booleans())
+    def test_a_balance_point_is_seated_within_n(self, point, integral):
+        n, x, swap = point
+        __, __, (x_io, x_cpu) = _seat(n, x, swap, integral)
+        assert 1.0 <= x_io <= n and 1.0 <= x_cpu <= n
+        assert x_io + x_cpu <= n
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=_balance_points)
+    def test_integral_degrees_come_back_as_clamped(self, point):
+        # Floors of a pair summing to N sum to at most N, unless the
+        # larger degree rounded up to N itself.
+        n, x, swap = point
+        machine, pair, seated = _seat(n, x, swap, True)
+        assume(max(pair) < n)
+        per_degree = [clamp_parallelism(v, machine, integral=True) for v in pair]
+        assert [v.hex() for v in seated] == [v.hex() for v in per_degree]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=64),
+        share=st.floats(min_value=0.0, max_value=1.0),
+        rest=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_a_legal_pair_comes_back_unchanged(self, n, share, rest):
+        x_io = 1.0 + share * (n - 2)
+        x_cpu = 1.0 + rest * (n - 1 - x_io)
+        assume(x_io + x_cpu <= n)
+        seated = clamp_pair(x_io, x_cpu, MACHINE.with_processors(n), integral=False)
+        assert [v.hex() for v in seated] == [x_io.hex(), x_cpu.hex()]
+
+    def test_the_excess_comes_off_the_larger_degree(self):
+        assert clamp_pair(0.25, 7.75, MACHINE, integral=False) == (1.0, 7.0)
+        assert clamp_pair(7.75, 0.25, MACHINE, integral=False) == (7.0, 1.0)
+        assert clamp_pair(0.25, 7.75, MACHINE, integral=True) == (1.0, 7.0)
 
 
 def two_streams(rate_a, pattern_a, rate_b, pattern_b):

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.balance import (
     balance_point,
-    clamp_parallelism,
+    clamp_pair,
     intra_time,
     realizable_time,
 )
@@ -216,6 +216,14 @@ def _reference_remnant(view):
     )
 
 
+def _reference_seats(policy, machine, point):
+    """task_id -> degree: ``point``'s pair seated by ``clamp_pair``."""
+    x_io, x_cpu = clamp_pair(
+        point.x_io, point.x_cpu, machine, integral=policy.integral
+    )
+    return {point.task_io.task_id: x_io, point.task_cpu.task_id: x_cpu}
+
+
 def _reference_pair_actions(policy, machine, candidate, partner):
     """``InterWithAdjPolicy._pair_actions`` built from tasks and
     balance points: remnant task, two ``balance_point`` objects,
@@ -247,12 +255,8 @@ def _reference_pair_actions(policy, machine, candidate, partner):
     alone = intra_time(candidate, machine) + intra_time(remnant, machine)
     if paired >= alone:
         return None
-    x_new = clamp_parallelism(
-        point.parallelism_of(candidate), machine, integral=policy.integral
-    )
-    x_partner = clamp_parallelism(
-        point.parallelism_of(partner.task), machine, integral=policy.integral
-    )
+    seats = _reference_seats(policy, machine, point)
+    x_new, x_partner = seats[candidate.task_id], seats[partner.task.task_id]
     actions = []
     if abs(x_partner - partner.parallelism) > 1e-9:
         actions.append(Adjust(partner.task, x_partner))
@@ -270,11 +274,10 @@ def _reference_rebalance(policy, machine, views):
     )
     if point is None:
         return []
+    seats = _reference_seats(policy, machine, point)
     actions = []
     for view, remnant in zip(views, remnants):
-        x = clamp_parallelism(
-            point.parallelism_of(remnant), machine, integral=policy.integral
-        )
+        x = seats[remnant.task_id]
         if abs(x - view.parallelism) > 1e-9:
             actions.append(Adjust(view.task, x))
     return actions

@@ -12,7 +12,7 @@ from repro.core import (
     Start,
     make_task,
 )
-from repro.core.balance import _realizable_rates
+from repro.core.balance import _realizable_rates, clamp_pair
 from repro.core.task import IOPattern
 from repro.errors import SimulationError
 from repro.sim import FluidSimulator
@@ -88,33 +88,36 @@ class TestDiskThrottling:
 
 class TestPricingEqualsExecution:
     """The policy prices a pairing at the rates the engine then runs it:
-    for the same two-run allocation, ``balance._realizable_rates`` and
-    ``FluidSimulator._rates`` agree bit for bit."""
+    for a balance point seated by ``balance.clamp_pair`` (the only
+    allocation a paper policy requests for a pair),
+    ``balance._realizable_rates`` and ``FluidSimulator._rates`` agree bit
+    for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        x_io=st.floats(min_value=1.0, max_value=8.0),
-        x_cpu=st.floats(min_value=1.0, max_value=8.0),
+        x_io=st.floats(min_value=0.0, max_value=8.0, exclude_min=True, exclude_max=True),
         c_io=st.floats(min_value=0.0, max_value=120.0),
         c_cpu=st.floats(min_value=0.0, max_value=120.0),
         pattern_io=st.sampled_from(IOPattern),
         pattern_cpu=st.sampled_from(IOPattern),
     )
-    # Two interleaved sequential streams, oversubscribed processors: the
-    # case where a two-stream bandwidth formula rounded differently.
+    # Two interleaved sequential streams at a balance point with
+    # x_io < 1: the pair is seated at (1, 7), not (1, 7.24).
     @example(
-        x_io=3.7563950352941933, x_cpu=7.28823571306279,
+        x_io=0.7563950352941933,
         c_io=76.1111640085968, c_cpu=66.12020711904994,
         pattern_io=IOPattern.SEQUENTIAL, pattern_cpu=IOPattern.SEQUENTIAL,
     )
     def test_realizable_rates_are_the_engine_rates(
-        self, x_io, x_cpu, c_io, c_cpu, pattern_io, pattern_cpu
+        self, x_io, c_io, c_cpu, pattern_io, pattern_cpu
     ):
+        x_cpu = MACHINE.processors - x_io  # as balance_solution returns it
         io = make_task("io", io_rate=c_io, seq_time=10.0, io_pattern=pattern_io)
         cpu = make_task("cpu", io_rate=c_cpu, seq_time=10.0, io_pattern=pattern_cpu)
         state = _SimState(MACHINE, [io, cpu], 0.0, None)
-        state.start_task(io, x_io)
-        state.start_task(cpu, x_cpu)
+        seated = clamp_pair(x_io, x_cpu, MACHINE, integral=False)
+        state.start_task(io, seated[0])
+        state.start_task(cpu, seated[1])
         engine = FluidSimulator(MACHINE)
         executed = {run.task.name: rate for run, rate, *__ in engine._rates(state)}
         priced = _realizable_rates(

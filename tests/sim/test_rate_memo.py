@@ -141,7 +141,7 @@ class ReferenceFluid(FluidSimulator):
             state.clock += dt
             _settle(state)
             if invariants is not None:
-                invariants.fluid_event(state, machine=self.machine, cpu_busy=cpu_busy)
+                invariants.fluid_event(state, machine=self.machine, rates=rates)
         else:
             raise SimulationError("simulation exceeded the event budget")
         result = state.result(

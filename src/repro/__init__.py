@@ -31,7 +31,6 @@ from .core import (
     Task,
     balance_point,
     intra_time,
-    is_cpu_bound,
     is_io_bound,
     make_task,
     max_parallelism,
@@ -85,7 +84,6 @@ __all__ = [
     "generate_specs",
     "generate_tasks",
     "intra_time",
-    "is_cpu_bound",
     "is_io_bound",
     "load_schedule",
     "make_task",

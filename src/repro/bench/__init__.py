@@ -16,7 +16,7 @@ from .harness import (
     make_policies,
     run_figure7,
 )
-from .report import format_bar_chart, format_table, percent
+from .report import format_bar_chart, format_table
 
 __all__ = [
     "CalibrationResult",
@@ -34,7 +34,6 @@ __all__ = [
     "make_policies",
     "measure_disk_regimes",
     "measure_scan",
-    "percent",
     "render_gantt",
     "run_figure7",
 ]

@@ -65,8 +65,3 @@ def format_bar_chart(
             )
             out.append(f"  {label.ljust(label_width)} {bar} {value:.2f}s")
     return "\n".join(out)
-
-
-def percent(delta: float) -> str:
-    """Format a relative difference as a signed percentage."""
-    return f"{delta * +100:+.1f}%"

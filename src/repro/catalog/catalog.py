@@ -44,13 +44,6 @@ class TableEntry:
     stats: RelationStats | None = None
     indexes: dict[str, IndexEntry] = field(default_factory=dict)
 
-    def index_on(self, column: str) -> IndexEntry | None:
-        """The first index on ``column``, or None."""
-        for entry in self.indexes.values():
-            if entry.column == column:
-                return entry
-        return None
-
 
 class Catalog:
     """A simple in-memory system catalog.
@@ -58,11 +51,11 @@ class Catalog:
     Attributes:
         stats_epoch: monotonically increasing counter bumped by every
             mutator that can change what the optimizer would choose
-            (:meth:`create_table`, :meth:`drop_table`, :meth:`set_stats`,
-            :meth:`add_index`).  Anything memoizing plans or estimates
-            against this catalog records the epoch it was filled under
-            and discards itself when the epoch has moved on.  Writing to
-            a :class:`TableEntry` directly bypasses it — go through the
+            (:meth:`create_table`, :meth:`set_stats`, :meth:`add_index`).
+            Anything memoizing plans or estimates against this catalog
+            records the epoch it was filled under and discards itself
+            when the epoch has moved on.  Writing to a
+            :class:`TableEntry` directly bypasses it — go through the
             catalog.
     """
 
@@ -82,17 +75,6 @@ class Catalog:
         self._tables[name] = entry
         self.stats_epoch += 1
         return entry
-
-    def drop_table(self, name: str) -> None:
-        """Remove a relation.
-
-        Raises:
-            UnknownRelationError: if no such relation exists.
-        """
-        if name not in self._tables:
-            raise UnknownRelationError(name)
-        del self._tables[name]
-        self.stats_epoch += 1
 
     def table(self, name: str) -> TableEntry:
         """Look up a relation by name.

@@ -120,10 +120,6 @@ class Schema:
         except KeyError:
             raise UnknownColumnError(name) from None
 
-    def has_column(self, name: str) -> bool:
-        """Whether a column called ``name`` exists."""
-        return name in self._index
-
     def names(self) -> tuple[str, ...]:
         """The column names, in schema order."""
         return tuple(c.name for c in self._columns)
@@ -236,9 +232,3 @@ class Schema:
                 start = offset + size
                 append((*fields[values], data[start : start + length].decode("utf-8")))
         return rows
-
-    def encoded_size(self, row: Sequence[Any]) -> int:
-        """Encoded size in bytes of a validated row."""
-        return sum(
-            col.type.encoded_size(v) for col, v in zip(self._columns, row)
-        )

@@ -125,13 +125,6 @@ class RelationStats:
     avg_row_size: float
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
-    @property
-    def rows_per_page(self) -> float:
-        """Average number of rows on each page."""
-        if self.page_count == 0:
-            return 0.0
-        return self.row_count / self.page_count
-
     def column(self, name: str) -> ColumnStats | None:
         """Stats for one column, or None when unknown."""
         return self.columns.get(name)

@@ -68,12 +68,6 @@ class ColumnType:
         """Decode a value at ``offset``; return (value, bytes consumed)."""
         raise NotImplementedError
 
-    def encoded_size(self, value: Any) -> int:
-        """Encoded size in bytes of a validated value."""
-        if self.fixed_size is not None:
-            return self.fixed_size
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
 
@@ -189,11 +183,6 @@ class TextType(ColumnType):
             return None, 4
         start = offset + 4
         return data[start : start + length].decode("utf-8"), 4 + length
-
-    def encoded_size(self, value: str | None) -> int:
-        if value is None:
-            return 4
-        return 4 + len(value.encode("utf-8"))
 
 
 _INT4_FIELD = struct.Struct("<" + Int4Type.field_code)

@@ -117,14 +117,15 @@ def check_micro_vs_fluid(
             f"micro={micro.io_utilization:.3f} "
             f"fluid={fluid.io_utilization:.3f} (delta {d_io:.3f})"
         )
-    for semantics in ("occupancy", "service"):
-        attr = f"cpu_utilization_{semantics}"
-        d_cpu = abs(getattr(micro, attr) - getattr(fluid, attr))
+    for semantics, micro_cpu, fluid_cpu in (
+        ("occupancy", micro.cpu_utilization_occupancy, fluid.cpu_utilization_occupancy),
+        ("service", micro.cpu_utilization_service, fluid.cpu_utilization_service),
+    ):
+        d_cpu = abs(micro_cpu - fluid_cpu)
         if d_cpu > abs_cpu_util:
             divergences.append(
                 f"micro-vs-fluid cpu utilization ({semantics}) diverges: "
-                f"micro={getattr(micro, attr):.3f} "
-                f"fluid={getattr(fluid, attr):.3f} (delta {d_cpu:.3f})"
+                f"micro={micro_cpu:.3f} fluid={fluid_cpu:.3f} (delta {d_cpu:.3f})"
             )
     return divergences
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from ..config import MachineConfig, paper_machine
-from ..core import InterWithAdjPolicy, InterWithoutAdjPolicy, IntraOnlyPolicy
+from ..core import InterWithAdjPolicy, policy_by_name
 from ..core.task import IOPattern
 from ..errors import ReproError
 from ..sim.fluid import FluidSimulator
@@ -33,7 +33,9 @@ from .invariants import InvariantChecker
 #: Candidates :func:`shrink` tries before it returns what it has.
 SHRINK_STEPS = 200
 
-POLICIES = ("inter-adj", "intra-only", "inter-no-adj")
+#: The policies a scenario draws from, by paper name; the order fixes
+#: which policy each seed gets.
+_POLICY_DRAW = ("INTER-WITH-ADJ", "INTRA-ONLY", "INTER-WITHOUT-ADJ")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class Scenario:
 
     seed: int
     specs: tuple[SpecParams, ...]
-    policy: str = "inter-adj"
+    policy: str = "INTER-WITH-ADJ"
     faults: bool = False
 
     def describe(self) -> str:
@@ -93,7 +95,7 @@ def generate_scenario(seed: int) -> Scenario:
     return Scenario(
         seed=seed,
         specs=tuple(specs),
-        policy=rng.choice(POLICIES),
+        policy=rng.choice(_POLICY_DRAW),
         faults=rng.random() < 0.15,
     )
 
@@ -113,14 +115,6 @@ def _build_specs(scenario: Scenario, machine: MachineConfig):
     ]
 
 
-def _policy(name: str):
-    if name == "intra-only":
-        return IntraOnlyPolicy(integral=True)
-    if name == "inter-no-adj":
-        return InterWithoutAdjPolicy(integral=True)
-    return InterWithAdjPolicy(integral=True)
-
-
 def run_case(
     scenario: Scenario,
     machine: MachineConfig | None = None,
@@ -135,7 +129,7 @@ def run_case(
     except ReproError as exc:
         return [f"scenario build failed: {exc}"]
     tasks = [s.to_task(machine) for s in specs]
-    policy = _policy(scenario.policy)
+    policy = policy_by_name(scenario.policy, integral=True)
     invariants = InvariantChecker(collect=True)
 
     if scenario.faults:
@@ -255,8 +249,8 @@ def _candidates(scenario: Scenario):
                 + (replace(p, partitioning="page"),)
                 + specs[i + 1 :],
             )
-    if scenario.policy != "intra-only":
-        yield replace(scenario, policy="intra-only")
+    if scenario.policy != "INTRA-ONLY":
+        yield replace(scenario, policy="INTRA-ONLY")
 
 
 def shrink(

@@ -36,8 +36,8 @@ class DiskProfile:
 
     The micro simulator charges no separate seek: it classifies each
     request into one of the three regimes below
-    (:meth:`~repro.storage.disk.Disk.classify`) and serves it at that
-    regime's rate.
+    (:meth:`~repro.storage.disk.Disk.service_time`) and serves it at
+    that regime's rate.
 
     Attributes:
         seq_ios_per_sec: bandwidth for strictly sequential reads.
@@ -139,10 +139,6 @@ class MachineConfig:
     def bound_threshold(self) -> float:
         """``B / N`` — tasks with a higher sequential io rate are IO-bound."""
         return self.io_bandwidth / self.processors
-
-    def with_processors(self, processors: int) -> "MachineConfig":
-        """Return a copy of this configuration with a new processor count."""
-        return replace(self, processors=processors)
 
     def with_disk_scale(self, scale: float) -> "MachineConfig":
         """A copy whose three per-disk bandwidths are multiplied by

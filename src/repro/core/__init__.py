@@ -12,7 +12,6 @@ from .balance import (
 )
 from .classify import (
     classification_line,
-    is_cpu_bound,
     is_io_bound,
     max_parallelism,
     pattern_bandwidth,
@@ -52,7 +51,6 @@ __all__ = [
     "classification_line",
     "effective_bandwidth",
     "intra_time",
-    "is_cpu_bound",
     "is_io_bound",
     "elapsed_time_recursion",
     "make_task",

@@ -53,11 +53,6 @@ def is_io_bound(task: Task, machine: MachineConfig) -> bool:
     return task.io_rate > machine.bound_threshold
 
 
-def is_cpu_bound(task: Task, machine: MachineConfig) -> bool:
-    """``C_i <= B/N`` — the complement of :func:`is_io_bound`."""
-    return not is_io_bound(task, machine)
-
-
 def max_parallelism(task: Task, machine: MachineConfig) -> float:
     """``maxp(f_i)`` — the task's maximum useful degree of parallelism.
 

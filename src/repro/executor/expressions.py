@@ -2,8 +2,8 @@
 
 Expressions evaluate against ``(row, schema)`` pairs.  The paper's
 workload only needs one-variable selections (``r1.a <op> const``), but
-joins and the optimizer need comparisons between columns, conjunction/
-disjunction and basic arithmetic, so those are included.
+joins and the optimizer need comparisons between columns and
+conjunction/disjunction, so those are included.
 
 NULL semantics are SQL-ish three-valued logic collapsed to two values:
 any comparison involving NULL is false, ``AND``/``OR`` treat missing as
@@ -26,13 +26,6 @@ _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
-}
-
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
 }
 
 
@@ -120,38 +113,6 @@ class Comparison(Expression):
         except TypeError as exc:
             raise ExpressionError(
                 f"cannot compare {lhs!r} {self.op} {rhs!r}"
-            ) from exc
-
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-@dataclass(frozen=True)
-class Arithmetic(Expression):
-    """``left <op> right`` for + - * /; NULL propagates."""
-
-    op: str
-    left: Expression
-    right: Expression
-
-    def __post_init__(self) -> None:
-        if self.op not in _ARITHMETIC:
-            raise ExpressionError(f"unknown arithmetic operator: {self.op!r}")
-
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        """Apply the operator; NULL propagates."""
-        lhs = self.left.evaluate(row, schema)
-        rhs = self.right.evaluate(row, schema)
-        if lhs is None or rhs is None:
-            return None
-        try:
-            return _ARITHMETIC[self.op](lhs, rhs)
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ExpressionError(
-                f"cannot compute {lhs!r} {self.op} {rhs!r}"
             ) from exc
 
     def columns(self) -> set[str]:
@@ -261,11 +222,6 @@ def _as_expr(value: Any) -> Expression:
 def eq(left: Any, right: Any) -> Comparison:
     """``left = right`` (values are wrapped as literals)."""
     return Comparison("=", _as_expr(left), _as_expr(right))
-
-
-def lt(left: Any, right: Any) -> Comparison:
-    """``left < right``."""
-    return Comparison("<", _as_expr(left), _as_expr(right))
 
 
 def le(left: Any, right: Any) -> Comparison:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ...catalog.schema import Row, Schema
-from ...errors import PlanError
 from ..expressions import BoundExpression, Expression
 from ..iterator import Operator
 
@@ -221,13 +220,6 @@ class HashJoin(Operator):
         self._current_matches = []
         self._match_index = 0
         self._outer_row = None
-
-    @property
-    def build_rows(self) -> int:
-        """Number of rows in the hash table (memory-footprint proxy)."""
-        if self._table is None:
-            raise PlanError("hash join not open")
-        return sum(len(v) for v in self._table.values())
 
     def _next(self) -> Row | None:
         assert self._table is not None

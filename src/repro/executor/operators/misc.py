@@ -156,10 +156,6 @@ class Materialize(Operator):
         self._pos += 1
         return row
 
-    def invalidate(self) -> None:
-        """Forget the buffered rows (re-run the child on next open)."""
-        self._buffer = None
-
     def __repr__(self) -> str:
         return "Materialize"
 

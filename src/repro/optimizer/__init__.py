@@ -21,7 +21,6 @@ from .parcost import (
     ParcostObjective,
     parallel_cost,
     parcost,
-    parcost_lower_bound,
 )
 from .query import JoinGraph, JoinPredicate, Query
 from .twophase import OptimizedQuery, OptimizerMode, TwoPhaseOptimizer
@@ -48,7 +47,6 @@ __all__ = [
     "join_candidates",
     "parallel_cost",
     "parcost",
-    "parcost_lower_bound",
     "plan_shape_key",
     "rewire_dependencies",
 ]

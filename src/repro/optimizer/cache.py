@@ -89,16 +89,6 @@ class CacheStats:
     subplan_hits: int = 0
     subplan_misses: int = 0
 
-    @property
-    def parcost_hit_rate(self) -> float:
-        total = self.parcost_hits + self.parcost_misses
-        return self.parcost_hits / total if total else 0.0
-
-    @property
-    def subplan_hit_rate(self) -> float:
-        total = self.subplan_hits + self.subplan_misses
-        return self.subplan_hits / total if total else 0.0
-
     def as_dict(self) -> dict:
         """JSON-ready counter dump (``benchmarks/e2e`` reads these)."""
         return asdict(self)

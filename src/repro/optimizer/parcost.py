@@ -105,28 +105,6 @@ def _policy_cache_key(policy: SchedulingPolicy | None) -> tuple | None:
 _DEFAULT_POLICY = InterWithAdjPolicy()
 
 
-def parcost_lower_bound(estimate: PlanEstimate, machine: MachineConfig) -> float:
-    """A provable lower bound on ``parcost(p, n)`` from cheap estimates.
-
-    The fluid engine caps the aggregate progress rate at ``N``
-    sequential-seconds per second (the processors) and the aggregate io
-    service rate at the nominal bandwidth ``B`` (effective bandwidth
-    never exceeds it), and adjustment overhead only adds work, so::
-
-        parcost(p, n) >= max(seqcost(p) / N, D(p) / B)
-
-    Candidates whose bound already exceeds the incumbent's true cost
-    cannot win and are skipped without simulating (branch-and-bound;
-    the skip is strict-inequality-only, so tie-breaking — and therefore
-    the chosen plan — is unchanged).
-    """
-    return _lower_bound(estimate.seqcost(), estimate.total_ios(), machine)
-
-
-def _lower_bound(seqcost: float, total_ios: float, machine: MachineConfig) -> float:
-    return max(seqcost / machine.processors, total_ios / machine.io_bandwidth)
-
-
 def _prepare(plan, catalog, machine, policy, caches, estimate):
     """What both cost functions start from: machine, estimate, memo key."""
     machine = machine or paper_machine()
@@ -264,10 +242,23 @@ class ParcostObjective:
         )
 
     def pre_bound(self, seqcost: float, total_ios: float) -> float:
-        """:func:`parcost_lower_bound` of a plan with these two sums.
+        """A provable lower bound on the ``parcost`` of a plan with these
+        two sums: its ``seqcost()`` and its ``total_ios()``.
+
+        The fluid engine caps the aggregate progress rate at ``N``
+        sequential-seconds per second (the processors) and the aggregate
+        io service rate at the nominal bandwidth ``B`` (effective
+        bandwidth never exceeds it), and adjustment overhead only adds
+        work, so::
+
+            parcost(p, n) >= max(seqcost(p) / N, D(p) / B)
 
         The search passes its inputs' sums plus the join's own cost, so
         a candidate is bounded — and mostly rejected — before any node
-        of it exists.
+        of it exists.  Candidates whose bound already exceeds the
+        incumbent's true cost cannot win and are skipped without
+        simulating (branch-and-bound; the skip is strict-inequality-only,
+        so tie-breaking — and therefore the chosen plan — is unchanged).
         """
-        return _lower_bound(seqcost, total_ios, self.machine)
+        machine = self.machine
+        return max(seqcost / machine.processors, total_ios / machine.io_bandwidth)

@@ -84,14 +84,6 @@ class PlanEstimate:
     machine: MachineConfig
     memo: "ref[EstimateMemo] | None" = field(default=None, compare=False, repr=False)
 
-    def node(self, node: pn.PlanNode) -> NodeEstimate:
-        """The estimate of one plan node."""
-        return self.by_node[node.node_id]
-
-    @property
-    def output_rows(self) -> float:
-        return self.by_node[self.plan.node_id].rows
-
     # -- aggregate costs ---------------------------------------------------------
 
     def io_time(self, estimate: NodeEstimate) -> float:
@@ -107,23 +99,14 @@ class PlanEstimate:
         """Total io requests across the plan."""
         return sum(e.ios for e in self.by_node.values())
 
-    def total_cpu_time(self) -> float:
-        """Total CPU seconds across the plan."""
-        return sum(e.cpu_time for e in self.by_node.values())
-
-    def total_io_time(self) -> float:
-        """Total sequential-execution io seconds across the plan."""
-        return sum(self.io_time(e) for e in self.by_node.values())
-
     def seqcost(self) -> float:
         """Estimated sequential elapsed time of the whole plan (seconds).
 
         Sequential execution interleaves io and cpu in one process, so
-        the two components add.  One pass over the nodes, but the same
-        two left-to-right sums as ``total_cpu_time() + total_io_time()``
-        bit for bit (a node without io adds 0.0 there, nothing here):
-        the search compares these floats exactly, so the order of the
-        additions is part of the contract.
+        the two components add: the CPU seconds of every node, summed left
+        to right, plus their io seconds (:meth:`io_time`), summed left to
+        right.  The search compares these floats exactly, so the order
+        of the additions is part of the contract.
         """
         disk = self.machine.disk
         cpu = io = 0.0

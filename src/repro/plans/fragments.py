@@ -99,42 +99,6 @@ class FragmentGraph:
     def __len__(self) -> int:
         return len(self.fragments)
 
-    @property
-    def root_fragment(self) -> Fragment:
-        """The fragment containing the plan root (always fragment 0)."""
-        return self.fragments[0]
-
-    def fragment_of(self, node: PlanNode) -> Fragment:
-        """The fragment containing ``node``."""
-        for fragment in self.fragments:
-            if any(n.node_id == node.node_id for n in fragment.nodes):
-                return fragment
-        raise PlanError(f"node {node!r} not in any fragment")
-
-    def ready(self, completed: set[int]) -> list[Fragment]:
-        """Fragments whose dependencies are all in ``completed``."""
-        return [
-            f
-            for f in self.fragments
-            if f.fragment_id not in completed and f.depends_on <= completed
-        ]
-
-    def topological_order(self) -> list[Fragment]:
-        """Dependencies-first ordering (raises on cycles, which cannot
-        occur for tree plans but is checked anyway)."""
-        order: list[Fragment] = []
-        completed: set[int] = set()
-        remaining = {f.fragment_id for f in self.fragments}
-        while remaining:
-            batch = [f for f in self.ready(completed) if f.fragment_id in remaining]
-            if not batch:
-                raise PlanError("fragment dependency cycle")
-            for fragment in batch:
-                order.append(fragment)
-                completed.add(fragment.fragment_id)
-                remaining.discard(fragment.fragment_id)
-        return order
-
     def signature(self) -> tuple:
         """Canonical scheduling signature of this fragment set.
 

@@ -63,20 +63,6 @@ class PlanNode:
         for child in self.children:
             yield from child.walk()
 
-    def leaves(self) -> Iterator["PlanNode"]:
-        """The plan's leaf (scan) nodes."""
-        for node in self.walk():
-            if not node.children:
-                yield node
-
-    def base_relations(self) -> set[str]:
-        """Names of all base relations under this node."""
-        return {
-            node.table
-            for node in self.walk()
-            if isinstance(node, (SeqScanNode, IndexScanNode))
-        }
-
     def pretty(self, indent: int = 0) -> str:
         """A readable multi-line rendering of the subtree."""
         parts = ["  " * indent + self.label()]

@@ -237,13 +237,6 @@ class ServiceMetrics:
             ),
         )
 
-    def breaker_table(self) -> str:
-        """The breaker-state timeline as a printable table."""
-        rows = [[f"{t:.3f}", state] for t, state in self.breaker_timeline]
-        return format_table(
-            ["t (s)", "breaker"], rows, title="admission breaker timeline"
-        )
-
     @staticmethod
     def _row(tm: TenantMetrics) -> list[str]:
         return [

@@ -58,20 +58,9 @@ class BTreeIndex:
             raise BTreeError("B+tree order must be >= 3")
         self.order = order
         self._root: _Node = _Leaf()
-        self._height = 1
-        self._n_keys = 0
         self._n_entries = 0
 
     # -- public stats -------------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
-    def key_count(self) -> int:
-        """Number of distinct keys."""
-        return self._n_keys
 
     def __len__(self) -> int:
         """Number of (key, record-id) entries."""
@@ -98,7 +87,6 @@ class BTreeIndex:
             new_root.keys = [sep]
             new_root.children = [self._root, right]
             self._root = new_root
-            self._height += 1
 
     def _insert(self, node: _Node, key: Any, rid: RecordId):
         if isinstance(node, _Leaf):
@@ -109,7 +97,6 @@ class BTreeIndex:
                 return None
             node.keys.insert(i, key)
             node.values.insert(i, [rid])
-            self._n_keys += 1
             self._n_entries += 1
             if len(node.keys) > self.order:
                 return self._split_leaf(node)
@@ -156,14 +143,6 @@ class BTreeIndex:
             node = node.children[i]
         assert isinstance(node, _Leaf)
         return node
-
-    def search(self, key: Any) -> list[RecordId]:
-        """Record ids for an exact key (empty list when absent)."""
-        leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            return list(leaf.values[i])
-        return []
 
     def range_scan(
         self,

@@ -94,8 +94,8 @@ class Disk:
     def _match(self, block: int) -> tuple[str, int | None]:
         """(regime, matching stream index) for a request.
 
-        The one classifier: :meth:`classify` reads it without serving,
-        :meth:`service_time` reads it and then moves the streams.
+        The one classifier: :meth:`service_time` reads it and then
+        moves the streams.
         """
         best: tuple[str, int | None] = ("random", None)
         streams = self._streams
@@ -110,10 +110,6 @@ class Disk:
             elif 0 <= delta <= self.almost_seq_window and best[0] == "random":
                 best = ("almost_sequential", i)
         return best
-
-    def classify(self, block: int) -> str:
-        """Regime of a request for ``block`` given the stream memory."""
-        return self._match(block)[0]
 
     def service_time(self, block: int, *, multiplier: float = 1.0) -> float:
         """Service one request; returns its service time in seconds.
@@ -154,8 +150,3 @@ class Disk:
         self._streams = []
         self.counters.reset()
         self.busy_time = 0.0
-
-    @property
-    def last_block(self) -> int | None:
-        """Block number of the most recently served request."""
-        return self._streams[-1] if self._streams else None

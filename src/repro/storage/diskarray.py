@@ -92,15 +92,6 @@ class DiskArray:
         addr = extent.address(page_no)
         return self.disks[addr.disk_id].service_time(addr.block)
 
-    def disk_of(self, extent: FileExtent, page_no: int) -> Disk:
-        """The disk holding a logical page."""
-        return self.disks[extent.address(page_no).disk_id]
-
-    def reset_counters(self) -> None:
-        """Reset head positions and io counters on every disk."""
-        for disk in self.disks:
-            disk.reset()
-
     @property
     def total_ios(self) -> int:
         return sum(d.counters.total for d in self.disks)

@@ -50,7 +50,7 @@ class HeapFile:
 
     @property
     def row_count(self) -> int:
-        """Number of live rows."""
+        """Number of rows inserted; the heap deletes none."""
         return self._row_count
 
     @property
@@ -118,11 +118,6 @@ class HeapFile:
             self._row_count += end - start
             start = end
 
-    def delete(self, rid: RecordId) -> None:
-        """Delete the record at ``rid``."""
-        self.page(rid.page_no).delete(rid.slot)
-        self._row_count -= 1
-
     # -- access -----------------------------------------------------------------
 
     def fetch(self, rid: RecordId) -> Row:
@@ -167,12 +162,6 @@ class HeapFile:
                 f"bad page partition {partition}/{n_partitions}"
             )
         return range(partition, len(self._pages), n_partitions)
-
-    def scan_partition(
-        self, n_partitions: int, partition: int
-    ) -> Iterator[tuple[RecordId, Row]]:
-        """Scan one page partition (the paper's parallel seq-scan unit)."""
-        yield from self.scan_pages(self.partition_pages(n_partitions, partition))
 
     # -- io accounting -----------------------------------------------------------
 

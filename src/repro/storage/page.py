@@ -175,11 +175,6 @@ class SlottedPage:
             raise InvalidSlotError(f"slot {slot} is already deleted")
         self._write_slot(slot, offset, 0)
 
-    def is_live(self, slot: int) -> bool:
-        """Whether ``slot`` holds a live (non-deleted) record."""
-        __, length = self._read_slot(slot)
-        return length > 0
-
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield ``(slot, record)`` for every live record in slot order."""
         for slot in range(self._slot_count):
@@ -195,16 +190,8 @@ class SlottedPage:
         # The directory grows down from the page end: highest slot first.
         return raw[-2::-2], raw[::-2]
 
-    def live_count(self) -> int:
-        """Number of live records."""
-        return self._slot_count - self.directory()[1].count(0)
-
     @property
     def buffer(self) -> bytearray:
         """The page image itself, not a copy, for decoders that read
         records in place.  Do not write to it."""
         return self._buf
-
-    def to_bytes(self) -> bytes:
-        """The raw page image."""
-        return bytes(self._buf)

@@ -17,7 +17,6 @@ from .tables import (
     build_r_min,
     build_relation,
     one_tuple_per_page_payload,
-    payload_for_io_rate,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "generate_specs",
     "generate_tasks",
     "one_tuple_per_page_payload",
-    "payload_for_io_rate",
     "poisson_arrivals",
     "poisson_times",
     "star_join",

@@ -8,10 +8,6 @@ variable-size string and is used to adjust the tuple sizes."
   page holds many of them: the most CPU-bound task (~5 ios/s).
 * ``r_max`` — b is sized so each 8K page holds exactly one tuple: the
   most IO-bound task (~70 ios/s in the paper's measurement).
-
-:func:`build_rate_relation` interpolates: it chooses a payload size so
-a sequential scan of the relation has a target io rate under a given
-cost model.
 """
 
 from __future__ import annotations
@@ -22,10 +18,8 @@ import numpy as np
 
 from ..catalog import Catalog, Schema
 from ..config import MachineConfig, paper_machine
-from ..core.classify import io_service_time
-from ..core.task import IOPattern
 from ..errors import ConfigError
-from ..plans.costing import CPU_PAGE_TIME, CPU_TUPLE_TIME, analyze_table
+from ..plans.costing import analyze_table
 from ..storage import BTreeIndex, DiskArray, HeapFile
 from ..storage.page import SlottedPage
 
@@ -112,31 +106,3 @@ def one_tuple_per_page_payload(page_size: int) -> int:
     # Two rows fit iff each row <= capacity - (row + slot); make one
     # row larger than half the capacity (minus slot overhead margin).
     return capacity // 2 + 1 - _ROW_OVERHEAD
-
-
-def payload_for_io_rate(io_rate: float) -> int | None:
-    """Payload size whose sequential scan has ``io_rate`` ios/second
-    on the paper machine.
-
-    Under the cost model, a page with ``k`` tuples costs
-    ``io_service + cpu_page + k * cpu_tuple`` seconds, so the io rate is
-    ``1 / that``.  Solving for ``k`` and converting to a payload size
-    gives the paper's tuple-size knob.  Returns None (NULL payload)
-    when even minimal tuples cannot make the scan that CPU-bound.
-    """
-    machine = paper_machine()
-    if io_rate <= 0:
-        raise ConfigError("io_rate must be positive")
-    service = io_service_time(machine, IOPattern.SEQUENTIAL)
-    page_budget = 1.0 / io_rate - service - CPU_PAGE_TIME
-    if page_budget < 0:
-        raise ConfigError(f"io rate {io_rate} is not achievable by a scan")
-    tuples_per_page = page_budget / CPU_TUPLE_TIME
-    if tuples_per_page < 1:
-        tuples_per_page = 1.0
-    usable = SlottedPage.max_record_size(machine.page_size)
-    row_bytes = usable / tuples_per_page
-    payload = int(row_bytes) - _ROW_OVERHEAD - 4  # 4: slot entry
-    if payload <= 0:
-        return None
-    return min(payload, one_tuple_per_page_payload(machine.page_size))

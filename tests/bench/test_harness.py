@@ -10,7 +10,6 @@ from repro.bench import (
     format_bar_chart,
     format_table,
     make_policies,
-    percent,
     run_figure7,
 )
 from repro.config import paper_machine
@@ -40,10 +39,6 @@ class TestReport:
     def test_bar_chart_zero_values(self):
         text = format_bar_chart([("G", [("x", 0.0)])])
         assert "0.00" in text
-
-    def test_percent(self):
-        assert percent(0.25) == "+25.0%"
-        assert percent(-0.031) == "-3.1%"
 
 
 class TestCalibration:

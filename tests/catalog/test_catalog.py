@@ -35,13 +35,6 @@ class TestTables:
         with pytest.raises(UnknownRelationError):
             catalog.table("nope")
 
-    def test_drop(self, catalog):
-        catalog.create_table("r1", SCHEMA, heap=None)
-        catalog.drop_table("r1")
-        assert not catalog.has_table("r1")
-        with pytest.raises(UnknownRelationError):
-            catalog.drop_table("r1")
-
     def test_tables_iterates_all(self, catalog):
         catalog.create_table("r1", SCHEMA, heap=None)
         catalog.create_table("r2", SCHEMA, heap=None)
@@ -62,8 +55,7 @@ class TestIndexes:
         entry = catalog.add_index("r1", "r1_a", "a", index="idx-sentinel")
         assert entry.column == "a"
         assert not entry.clustered
-        assert catalog.table("r1").index_on("a") is entry
-        assert catalog.table("r1").index_on("b") is None
+        assert catalog.table("r1").indexes == {"r1_a": entry}
 
     def test_add_index_unknown_column(self, catalog):
         catalog.create_table("r1", SCHEMA, heap=None)
@@ -89,7 +81,6 @@ class TestStatsEpoch:
             lambda: catalog.create_table("r1", SCHEMA, heap=None),
             lambda: catalog.set_stats("r1", stats),
             lambda: catalog.add_index("r1", "r1_a", "a", index=None),
-            lambda: catalog.drop_table("r1"),
         ]
         for mutate in mutators:
             before = catalog.stats_epoch
@@ -102,7 +93,7 @@ class TestStatsEpoch:
         with pytest.raises(DuplicateRelationError):
             catalog.create_table("r1", SCHEMA, heap=None)
         with pytest.raises(UnknownRelationError):
-            catalog.drop_table("nope")
+            catalog.set_stats("nope", RelationStats(1, 1, 8.0))
         with pytest.raises(UnknownColumnError):
             catalog.add_index("r1", "bad", "zz", index=None)
         catalog.table("r1")

@@ -116,11 +116,9 @@ class TestBuildRelationStats:
             rows, ["a", "b"], page_count=5, avg_row_size=12.0
         )
         assert stats.row_count == 50
-        assert stats.rows_per_page == 10.0
         assert stats.column("a").n_distinct == 50
         assert stats.column("missing") is None
 
     def test_empty_relation(self):
         stats = build_relation_stats([], ["a"], page_count=0, avg_row_size=0.0)
         assert stats.row_count == 0
-        assert stats.rows_per_page == 0.0

@@ -38,7 +38,7 @@ class TestInt4:
     @given(st.integers(min_value=INT4_MIN, max_value=INT4_MAX))
     def test_roundtrip_property(self, value):
         encoded = INT4.encode(value)
-        assert len(encoded) == INT4.encoded_size(value) == 5
+        assert len(encoded) == 5
         assert INT4.decode(encoded, 0) == (value, 5)
 
 
@@ -78,9 +78,9 @@ class TestText:
         assert TEXT.decode(empty_data, 0) == ("", 4)
 
     def test_encoded_size(self):
-        assert TEXT.encoded_size(None) == 4
-        assert TEXT.encoded_size("abc") == 7
-        assert TEXT.encoded_size("é") == 4 + len("é".encode())
+        assert len(TEXT.encode(None)) == 4
+        assert len(TEXT.encode("abc")) == 7
+        assert len(TEXT.encode("é")) == 4 + len("é".encode())
 
     def test_rejects_non_string(self):
         with pytest.raises(SchemaError):
@@ -91,7 +91,7 @@ class TestText:
         encoded = TEXT.encode(value)
         decoded, consumed = TEXT.decode(encoded, 0)
         assert decoded == value
-        assert consumed == len(encoded) == TEXT.encoded_size(value)
+        assert consumed == len(encoded)
 
     def test_decode_at_offset(self):
         blob = b"\xff\xff" + TEXT.encode("xyz")

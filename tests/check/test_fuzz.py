@@ -4,7 +4,6 @@ import pytest
 
 from repro.check import fuzz as fuzz_module
 from repro.check.fuzz import (
-    POLICIES,
     Scenario,
     SpecParams,
     fuzz,
@@ -14,6 +13,7 @@ from repro.check.fuzz import (
     smoke_lines,
 )
 from repro.config import paper_machine
+from repro.core.schedulers import POLICIES
 
 MACHINE = paper_machine()
 
@@ -72,7 +72,7 @@ class TestShrink:
                 SpecParams(io_rate=40.0, n_pages=300),
                 SpecParams(io_rate=10.0, n_pages=200, partitioning="range"),
             ),
-            policy="inter-adj",
+            policy="INTER-WITH-ADJ",
             faults=True,
         )
         small = shrink(big, MACHINE, run=failing)
@@ -81,7 +81,7 @@ class TestShrink:
         assert small.specs[0].pattern == "random"
         assert small.specs[0].n_pages <= 20
         assert not small.faults
-        assert small.policy == "intra-only"
+        assert small.policy == "INTRA-ONLY"
 
     def test_respects_step_budget(self, monkeypatch):
         monkeypatch.setattr(fuzz_module, "SHRINK_STEPS", 5)

@@ -1,5 +1,7 @@
 """Tests for the IO-CPU balance point (Sections 2.3 / 2.5, Figure 4)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -88,7 +90,7 @@ _balance_points = st.integers(min_value=2, max_value=64).flatmap(
 
 
 def _seat(n, x, swap, integral):
-    machine = MACHINE.with_processors(n)
+    machine = replace(MACHINE, processors=n)
     pair = (n - x, x) if swap else (x, n - x)
     return machine, pair, clamp_pair(*pair, machine, integral=integral)
 
@@ -125,7 +127,7 @@ class TestClampPair:
         x_io = 1.0 + share * (n - 2)
         x_cpu = 1.0 + rest * (n - 1 - x_io)
         assume(x_io + x_cpu <= n)
-        seated = clamp_pair(x_io, x_cpu, MACHINE.with_processors(n), integral=False)
+        seated = clamp_pair(x_io, x_cpu, replace(MACHINE, processors=n), integral=False)
         assert [v.hex() for v in seated] == [x_io.hex(), x_cpu.hex()]
 
     def test_the_excess_comes_off_the_larger_degree(self):

@@ -8,7 +8,6 @@ from repro.config import paper_machine
 from repro.core import (
     IOPattern,
     classification_line,
-    is_cpu_bound,
     is_io_bound,
     make_task,
     max_parallelism,
@@ -33,18 +32,20 @@ class TestClassification:
         assert is_io_bound(task(70.0), MACHINE)
 
     def test_cpu_bound_at_or_below_threshold(self):
-        assert is_cpu_bound(task(30.0), MACHINE)  # boundary: "otherwise"
-        assert is_cpu_bound(task(5.0), MACHINE)
+        assert not is_io_bound(task(30.0), MACHINE)  # boundary: "otherwise"
+        assert not is_io_bound(task(5.0), MACHINE)
 
     def test_paper_rates(self):
         # r_min scans at 5 ios/s (CPU-bound); r_max at 70 (IO-bound).
-        assert is_cpu_bound(task(5.0), MACHINE)
+        assert not is_io_bound(task(5.0), MACHINE)
         assert is_io_bound(task(70.0), MACHINE)
 
     @given(st.floats(min_value=0.0, max_value=200.0))
     def test_dichotomy(self, rate):
         t = task(rate) if rate > 0 else make_task("z", io_rate=0.0, seq_time=1.0)
-        assert is_io_bound(t, MACHINE) != is_cpu_bound(t, MACHINE)
+        io_bound, cpu_bound = split_by_bound([t], MACHINE)
+        expected = ([t], []) if is_io_bound(t, MACHINE) else ([], [t])
+        assert (io_bound, cpu_bound) == expected
 
 
 class TestMaxParallelism:

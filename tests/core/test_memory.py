@@ -161,7 +161,7 @@ class TestFragmentMemory:
         plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")
         estimate = estimate_plan(plan, catalog)
         graph = fragment_plan(plan, estimate)
-        probe = graph.root_fragment
+        probe = graph.fragments[0]
         build = graph.fragments[1]
         # The probe fragment (with the hash join) pins the table.
         assert probe.memory_bytes > 0

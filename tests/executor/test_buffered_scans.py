@@ -10,6 +10,12 @@ from repro.storage import BTreeIndex, BufferPool, DiskArray, HeapFile
 SCHEMA = Schema.of(("a", "int4"), ("b", "text"))
 
 
+def reset_disks(heap):
+    """Forget every disk's head positions and zero its io counters."""
+    for disk in heap.array.disks:
+        disk.reset()
+
+
 @pytest.fixture
 def heap():
     h = HeapFile(SCHEMA, DiskArray(paper_machine()), name="r1")
@@ -28,14 +34,14 @@ def index(heap):
 class TestBufferedSeqScan:
     def test_cold_scan_charges_all_pages(self, heap):
         pool = BufferPool(capacity=heap.page_count + 4)
-        heap.array.reset_counters()
+        reset_disks(heap)
         SeqScan(heap, buffer_pool=pool).run()
         assert heap.array.total_ios == heap.page_count
 
     def test_warm_rescan_is_free(self, heap):
         pool = BufferPool(capacity=heap.page_count + 4)
         SeqScan(heap, buffer_pool=pool).run()
-        heap.array.reset_counters()
+        reset_disks(heap)
         SeqScan(heap, buffer_pool=pool).run()
         assert heap.array.total_ios == 0
         assert pool.stats.hit_rate > 0.4
@@ -49,7 +55,7 @@ class TestBufferedSeqScan:
     def test_pool_shared_between_scan_types(self, heap, index):
         pool = BufferPool(capacity=heap.page_count + 4)
         SeqScan(heap, buffer_pool=pool).run()
-        heap.array.reset_counters()
+        reset_disks(heap)
         IndexScan(heap, index, low=0, high=99, buffer_pool=pool).run()
         assert heap.array.total_ios == 0  # heap pages already resident
 
@@ -57,7 +63,7 @@ class TestBufferedSeqScan:
 class TestBufferedIndexScan:
     def test_repeated_probes_hit(self, heap, index):
         pool = BufferPool(capacity=heap.page_count + 4)
-        heap.array.reset_counters()
+        reset_disks(heap)
         scan = IndexScan(heap, index, low=10, high=10, buffer_pool=pool)
         scan.run()
         first = heap.array.total_ios

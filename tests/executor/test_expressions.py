@@ -8,7 +8,6 @@ from repro.catalog import Schema
 from repro.errors import ExpressionError
 from repro.executor import (
     And,
-    Arithmetic,
     Comparison,
     Not,
     Or,
@@ -22,7 +21,6 @@ from repro.executor import (
     gt,
     le,
     lit,
-    lt,
 )
 
 SCHEMA = Schema.of(("a", "int4"), ("b", "text"), ("c", "float8"))
@@ -56,7 +54,7 @@ class TestBasics:
 
     def test_type_mismatch_raises(self):
         with pytest.raises(ExpressionError):
-            lt(col("a"), col("b")).evaluate(ROW, SCHEMA)
+            Comparison("<", col("a"), col("b")).evaluate(ROW, SCHEMA)
 
 
 class TestNulls:
@@ -66,14 +64,10 @@ class TestNulls:
         assert eq(col("a"), 5).evaluate(self.NULL_ROW, SCHEMA) is False
         assert eq(col("a"), col("b")).evaluate(self.NULL_ROW, SCHEMA) is False
 
-    def test_null_arithmetic_propagates(self):
-        expr = Arithmetic("+", col("a"), lit(1))
-        assert expr.evaluate(self.NULL_ROW, SCHEMA) is None
-
 
 class TestLogic:
     def test_and(self):
-        assert And(gt(col("a"), 1), lt(col("a"), 10)).evaluate(ROW, SCHEMA)
+        assert And(gt(col("a"), 1), le(col("a"), 10)).evaluate(ROW, SCHEMA)
         assert not And(gt(col("a"), 1), gt(col("a"), 10)).evaluate(ROW, SCHEMA)
 
     def test_or(self):
@@ -94,20 +88,6 @@ class TestLogic:
         assert not between("a", 6, 10).evaluate(ROW, SCHEMA)
 
 
-class TestArithmetic:
-    def test_operations(self):
-        assert Arithmetic("+", col("a"), lit(2)).evaluate(ROW, SCHEMA) == 7
-        assert Arithmetic("*", col("c"), lit(2)).evaluate(ROW, SCHEMA) == 5.0
-
-    def test_division_by_zero(self):
-        with pytest.raises(ExpressionError):
-            Arithmetic("/", col("a"), lit(0)).evaluate(ROW, SCHEMA)
-
-    def test_unknown_op(self):
-        with pytest.raises(ExpressionError):
-            Arithmetic("%", col("a"), lit(2))
-
-
 class TestBinding:
     def test_bound_expression_callable(self):
         bound = gt(col("a"), 3).bind(SCHEMA)
@@ -117,7 +97,7 @@ class TestBinding:
 
 class TestAnalysis:
     def test_conjuncts_flattens_nested_and(self):
-        expr = And(eq(col("a"), 1), And(gt(col("c"), 0), lt(col("c"), 9)))
+        expr = And(eq(col("a"), 1), And(gt(col("c"), 0), le(col("c"), 9)))
         assert len(conjuncts(expr)) == 3
 
     def test_conjuncts_none(self):
@@ -130,7 +110,7 @@ class TestAnalysis:
     def test_equality_columns(self):
         assert equality_columns(eq(col("a"), col("c"))) == ("a", "c")
         assert equality_columns(eq(col("a"), lit(1))) is None
-        assert equality_columns(lt(col("a"), col("c"))) is None
+        assert equality_columns(Comparison("<", col("a"), col("c"))) is None
 
     def test_column_bounds_range(self):
         expr = And(ge(col("a"), 10), le(col("a"), 20))

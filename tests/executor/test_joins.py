@@ -54,12 +54,12 @@ class TestNestLoop:
         assert len(join.run()) == 4
 
     def test_inequality_predicate(self):
-        from repro.executor import lt
+        from repro.executor import Comparison
 
         join = NestLoopJoin(
             RowSource(LEFT, [(1, "x"), (5, "y")]),
             Materialize(RowSource(RIGHT, [(3, "p")])),
-            lt(col("a"), col("c")),
+            Comparison("<", col("a"), col("c")),
         )
         assert join.run() == [(1, "x", 3, "p")]
 
@@ -128,8 +128,11 @@ class TestHashJoin:
         assert sorted(join.run()) == EXPECTED
 
     def test_build_side_is_inner(self):
-        join = HashJoin(left_source(), right_source(), "a", "c").open()
-        assert join.build_rows == 4  # NULL key excluded
+        left, right = left_source(), right_source()
+        join = HashJoin(left, right, "a", "c").open()
+        # Opening drains the inner (build) input and reads no outer row.
+        assert right.rows_produced == len(R_ROWS)
+        assert left.rows_produced == 0
         join.close()
 
     def test_empty_build(self):

@@ -108,14 +108,6 @@ class TestMaterialize:
         assert mat.run() == [(1, "x"), (2, "y")]
         assert child.rows_produced == rows_before  # buffer replayed
 
-    def test_invalidate_reruns_child(self):
-        child = source([(1, "x")])
-        mat = Materialize(child)
-        mat.run()
-        mat.invalidate()
-        mat.run()
-        assert child.rows_produced == 1  # counter reset by reopen, then 1 row
-
 
 class TestSort:
     def test_sorts_ascending(self):

@@ -11,6 +11,12 @@ from repro.storage import BTreeIndex, DiskArray, HeapFile
 SCHEMA = Schema.of(("a", "int4"), ("b", "text"))
 
 
+def reset_disks(heap):
+    """Forget every disk's head positions and zero its io counters."""
+    for disk in heap.array.disks:
+        disk.reset()
+
+
 @pytest.fixture
 def heap():
     h = HeapFile(SCHEMA, DiskArray(paper_machine()), name="r1")
@@ -37,13 +43,13 @@ class TestSeqScan:
         assert [r[0] for r in rows] == list(range(490, 500))
 
     def test_charges_one_io_per_page(self, heap):
-        heap.array.reset_counters()
+        reset_disks(heap)
         scan = SeqScan(heap)
         scan.run()
         assert heap.array.total_ios == heap.page_count == scan.pages_read
 
     def test_charge_io_disabled(self, heap):
-        heap.array.reset_counters()
+        reset_disks(heap)
         SeqScan(heap, charge_io=False).run()
         assert heap.array.total_ios == 0
 
@@ -55,7 +61,7 @@ class TestSeqScan:
         assert sorted(values) == list(range(500))
 
     def test_partition_io_split(self, heap):
-        heap.array.reset_counters()
+        reset_disks(heap)
         scan = SeqScan(heap, n_partitions=2, partition=0)
         scan.run()
         expected_pages = len(range(0, heap.page_count, 2))
@@ -90,7 +96,7 @@ class TestIndexScan:
 
     def test_charges_one_heap_read_per_match(self, indexed):
         heap, index = indexed
-        heap.array.reset_counters()
+        reset_disks(heap)
         scan = IndexScan(heap, index, low=0, high=49)
         scan.run()
         assert scan.heap_reads == 50
@@ -110,7 +116,7 @@ class TestIndexScan:
         index = BTreeIndex()
         for rid, row in heap.scan():
             index.insert(row[0], rid)
-        heap.array.reset_counters()
+        reset_disks(heap)
         IndexScan(heap, index).run()
         seq = sum(d.counters.sequential for d in heap.array.disks)
         total = heap.array.total_ios

@@ -12,9 +12,10 @@ walk-and-cut fragmenter this file keeps as reference, tasks wired one
 ``Fragment.to_task`` at a time — and compares exactly.
 
 The same oracle holds the branch-and-bound to its promises: the
-pre-bound, taken from floats before anything exists, is the built
-plan's ``parcost_lower_bound`` (``seqcost`` for a seqcost search) to
-rounding; it never exceeds the simulated ``parcost`` beyond
+pre-bound, taken from floats before anything exists, is the
+objective's ``pre_bound`` of the built plan's own ``seqcost()`` and
+``total_ios()`` (its ``seqcost`` for a seqcost search) to rounding; it
+never exceeds the simulated ``parcost`` beyond
 :data:`PRUNE_MARGIN`; and a cell settles on the same
 ``(cost, plan_shape_key)`` whatever order its recipes are offered in.
 """
@@ -39,7 +40,6 @@ from repro.optimizer import (
     TwoPhaseOptimizer,
     enumerate_space,
     parcost,
-    parcost_lower_bound,
     plan_shape_key,
 )
 from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent
@@ -95,7 +95,7 @@ def _reference_fragments(plan, estimate):
     for nodes, deps in fragments:
         cpu = io_time = ios = seq_ios = random_ios = memory = 0.0
         for node in nodes:
-            e = estimate.node(node)
+            e = estimate.by_node[node.node_id]
             cpu += e.cpu_time
             io_time += estimate.io_time(e)
             ios += e.ios
@@ -188,7 +188,7 @@ def _check_recipe(objective, bound, recipe, seen) -> None:
         assert abs(bound - fresh.seqcost()) <= ROUNDING * fresh.seqcost()
         seen["bounded/seqcost"] += 1
     else:
-        exact = parcost_lower_bound(fresh, machine)
+        exact = objective.pre_bound(fresh.seqcost(), fresh.total_ios())
         assert abs(bound - exact) <= ROUNDING * exact
         # ... and against a simulation of its own.
         with id_scope():

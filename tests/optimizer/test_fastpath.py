@@ -32,7 +32,6 @@ from repro.optimizer import (
     enumerate_all_bushy,
     enumerate_space,
     parcost,
-    parcost_lower_bound,
     plan_shape_key,
 )
 from repro.optimizer import enumeration
@@ -177,12 +176,15 @@ class TestParcostCache:
 class TestLowerBound:
     def test_bound_never_exceeds_parcost_beyond_the_margin(self, chain):
         machine = paper_machine()
+        objective = ParcostObjective(
+            chain.catalog, machine=machine, caches=OptimizerCaches()
+        )
         checked = 0
         for plan in enumerate_all_bushy(
             chain.query, chain.catalog, methods=("hash", "merge", "nestloop")
         ):
             estimate = estimate_plan(chain.query and plan, chain.catalog)
-            bound = parcost_lower_bound(estimate, machine)
+            bound = objective.pre_bound(estimate.seqcost(), estimate.total_ios())
             cost = parcost(plan, chain.catalog, estimate=estimate)
             assert bound <= cost * (1.0 + PRUNE_MARGIN)
             checked += 1
@@ -256,7 +258,7 @@ class TestLowerBound:
         assert stats.pruned > 0  # the bound skip actually fires
         assert stats.parcost_hits + stats.parcost_misses == stats.costed
         assert stats.parcost_hits > 0  # signature sharing actually fires
-        assert 0.0 < stats.parcost_hit_rate < 1.0
+        assert stats.parcost_misses > 0
         as_dict = stats.as_dict()
         assert as_dict["candidates"] == stats.candidates
         stats.reset()
@@ -507,7 +509,6 @@ class TestSubplanMemo:
         assert stats.subplan_hits == 1
         assert stats.subplan_misses == cold["subplan_misses"]
         assert stats.candidates == cold["candidates"]
-        assert 0.0 < stats.subplan_hit_rate < 1.0
 
     def test_sub_query_cells_are_shared_with_later_queries(self, chain):
         full = chain.query
@@ -772,7 +773,8 @@ class TestNodeEstimateMemoIsBounded:
         plan = optimizer.choose_plan(star.query, OptimizerMode.BUSHY_PAR)
         fresh = estimate_plan(plan, star.catalog)
         for node in plan.walk():
-            assert optimizer.caches.node_estimates[node.node_id] == fresh.node(node)
+            node_id = node.node_id
+            assert optimizer.caches.node_estimates[node_id] == fresh.by_node[node_id]
 
     def test_seqcost_counts_nodes_reused_and_computed(self, chain):
         optimizer = TwoPhaseOptimizer(chain.catalog)

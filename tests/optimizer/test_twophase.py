@@ -1,5 +1,7 @@
 """Tests for parcost and the two-phase optimizer (Section 4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import paper_machine
@@ -36,8 +38,8 @@ class TestParcost:
 
     def test_more_processors_not_slower(self, catalog):
         plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")
-        small = parcost(plan, catalog, machine=paper_machine().with_processors(2))
-        big = parcost(plan, catalog, machine=paper_machine().with_processors(8))
+        small = parcost(plan, catalog, machine=replace(paper_machine(), processors=2))
+        big = parcost(plan, catalog, machine=replace(paper_machine(), processors=8))
         assert big <= small + 1e-9
 
     def test_custom_policy(self, catalog):

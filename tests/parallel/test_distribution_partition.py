@@ -91,11 +91,7 @@ class TestSkewedParallelIndexScan:
         ).initial_shares()
 
         def rows_in(share):
-            return sum(
-                len(index.search(k))
-                for lo, hi in share
-                for k in range(lo, hi + 1)
-            )
+            return sum(len(list(index.range_scan(lo, hi))) for lo, hi in share)
 
         aware_counts = [rows_in(s) for s in aware]
         even_counts = [rows_in(s) for s in even]

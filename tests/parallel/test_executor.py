@@ -11,7 +11,7 @@ import pytest
 from repro.catalog import Schema
 from repro.config import MachineConfig
 from repro.errors import ProtocolError
-from repro.executor import col, gt, lt
+from repro.executor import Comparison, col, gt, lit
 from repro.parallel import AdjustmentPlan, ParallelIndexScan, ParallelSeqScan
 from repro.storage import BTreeIndex, DiskArray, HeapFile
 
@@ -119,7 +119,12 @@ class TestParallelIndexScan:
 
     def test_with_residual_predicate(self, heap, index):
         report = ParallelIndexScan(
-            heap, index, low=0, high=599, predicate=lt(col("a"), 50), parallelism=2
+            heap,
+            index,
+            low=0,
+            high=599,
+            predicate=Comparison("<", col("a"), lit(50)),
+            parallelism=2,
         ).run()
         assert sorted(r[0] for r in report.rows) == list(range(50))
 

@@ -28,20 +28,20 @@ class TestDecomposition:
     def test_scan_is_single_fragment(self):
         graph = fragment_plan(scan())
         assert len(graph) == 1
-        assert graph.root_fragment.depends_on == set()
+        assert graph.fragments[0].depends_on == set()
 
     def test_pipeline_stays_one_fragment(self):
         plan = FilterNode(scan(), eq(col("a"), 1))
         graph = fragment_plan(plan)
         assert len(graph) == 1
-        assert len(graph.root_fragment.nodes) == 2
+        assert len(graph.fragments[0].nodes) == 2
 
     def test_hash_join_splits_at_build(self):
         plan = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")
         graph = fragment_plan(plan)
         assert len(graph) == 2
         # Probe fragment (join + outer scan) depends on build fragment.
-        probe = graph.root_fragment
+        probe = graph.fragments[0]
         assert len(probe.nodes) == 2
         (build_id,) = probe.depends_on
         build = graph.fragments[build_id]
@@ -54,7 +54,7 @@ class TestDecomposition:
         graph = fragment_plan(plan)
         # Fragment 0: join + both sorts; fragments 1, 2: the scans.
         assert len(graph) == 3
-        assert graph.root_fragment.depends_on == {1, 2}
+        assert graph.fragments[0].depends_on == {1, 2}
 
     def test_bushy_plan_fragments(self):
         left = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")
@@ -64,15 +64,20 @@ class TestDecomposition:
         # top probe (join+left-probe chain) | right subtree build | two
         # inner builds.
         assert len(graph) == 4
-        order = graph.topological_order()
-        assert order[-1] is graph.root_fragment
+        # The root fragment waits, directly or not, on every other one.
+        waits, todo = set(), [0]
+        while todo:
+            new = graph.fragments[todo.pop()].depends_on - waits
+            waits |= new
+            todo.extend(new)
+        assert waits == {1, 2, 3}
 
     def test_aggregation_on_join(self):
         join = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")
         plan = AggregateNode(join, (AggregateSpec("count"),))
         graph = fragment_plan(plan)
         assert len(graph) == 3
-        assert graph.root_fragment.root is plan
+        assert graph.fragments[0].root is plan
 
     def test_nestloop_with_index_inner_is_one_fragment(self):
         inner = IndexScanNode("r1", "r1_a_idx", low=0, high=10)
@@ -83,25 +88,24 @@ class TestDecomposition:
     def test_ready_progression(self):
         plan = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")
         graph = fragment_plan(plan)
-        first = graph.ready(set())
+        first = [f for f in graph.fragments if not f.depends_on]
         assert [f.fragment_id for f in first] == [1]
-        second = graph.ready({1})
-        assert [f.fragment_id for f in second] == [0]
+        assert graph.fragments[0].depends_on == {1}
 
     def test_fragment_of(self):
+        # The join and its probe input run in the root fragment; the
+        # build input is cut into fragment 1.
         plan = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")
         graph = fragment_plan(plan)
-        assert graph.fragment_of(plan) is graph.root_fragment
-        assert graph.fragment_of(plan.children[1]).fragment_id == 1
-        with pytest.raises(PlanError):
-            graph.fragment_of(scan("r9"))
+        assert graph.fragments[0].nodes == [plan, plan.children[0]]
+        assert graph.fragments[1].nodes == [plan.children[1]]
 
 
 class TestProfiles:
     def test_unprofiled_fragment_cannot_become_task(self):
         graph = fragment_plan(scan())
         with pytest.raises(PlanError):
-            graph.root_fragment.to_task()
+            graph.fragments[0].to_task()
 
     def test_profiles_sum_to_plan_totals(self, catalog):
         plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")
@@ -117,13 +121,13 @@ class TestProfiles:
     def test_seq_scan_fragment_is_sequential_pattern(self, catalog):
         estimate = estimate_plan(SeqScanNode("r1"), catalog)
         graph = fragment_plan(estimate.plan, estimate)
-        assert graph.root_fragment.io_pattern == IOPattern.SEQUENTIAL
+        assert graph.fragments[0].io_pattern == IOPattern.SEQUENTIAL
 
     def test_index_fragment_is_random_pattern(self, catalog):
         plan = IndexScanNode("r1", "r1_a_idx", low=0, high=300)
         estimate = estimate_plan(plan, catalog)
         graph = fragment_plan(plan, estimate)
-        assert graph.root_fragment.io_pattern == IOPattern.RANDOM
+        assert graph.fragments[0].io_pattern == IOPattern.RANDOM
 
     def test_to_tasks_wires_dependencies(self, catalog):
         plan = HashJoinNode(SeqScanNode("r1"), SeqScanNode("r2"), "b1", "b2")

@@ -35,8 +35,8 @@ class TestStructure:
         plan = HashJoinNode(
             HashJoinNode(scan("r1"), scan("r2"), "b1", "b2"), scan("r3"), "c2", "c3"
         )
-        assert len(list(plan.leaves())) == 3
-        assert plan.base_relations() == {"r1", "r2", "r3"}
+        leaves = [node for node in plan.walk() if not node.children]
+        assert [node.table for node in leaves] == ["r1", "r2", "r3"]
 
     def test_node_ids_unique(self):
         plan = HashJoinNode(scan("r1"), scan("r2"), "b1", "b2")

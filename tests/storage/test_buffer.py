@@ -28,7 +28,8 @@ class TestCaching:
 
     def test_miss_charges_disk_io(self, heap):
         pool = BufferPool(4)
-        heap.array.reset_counters()
+        for disk in heap.array.disks:
+            disk.reset()
         pool.get(heap, 0)
         pool.get(heap, 0)
         assert heap.array.total_ios == 1  # only the miss touched disk

@@ -9,6 +9,11 @@ from repro.errors import ConfigError
 from repro.storage import Disk
 
 
+def classify(disk, block):
+    """The regime a request for ``block`` would be served in, unserved."""
+    return disk._match(block)[0]
+
+
 @pytest.fixture
 def disk():
     return Disk(0)
@@ -16,33 +21,33 @@ def disk():
 
 class TestClassification:
     def test_first_access_is_random(self, disk):
-        assert disk.classify(10) == "random"
+        assert classify(disk, 10) == "random"
 
     def test_next_block_is_sequential(self, disk):
         disk.service_time(10)
-        assert disk.classify(11) == "sequential"
+        assert classify(disk, 11) == "sequential"
 
     def test_nearby_block_is_almost_sequential(self, disk):
         disk.service_time(10)
-        assert disk.classify(14) == "almost_sequential"
-        assert disk.classify(10 + disk.almost_seq_window) == "almost_sequential"
+        assert classify(disk, 14) == "almost_sequential"
+        assert classify(disk, 10 + disk.almost_seq_window) == "almost_sequential"
 
     def test_same_block_is_almost_sequential(self, disk):
         disk.service_time(10)
-        assert disk.classify(10) == "almost_sequential"
+        assert classify(disk, 10) == "almost_sequential"
 
     def test_far_block_is_random(self, disk):
         disk.service_time(10)
-        assert disk.classify(10 + disk.almost_seq_window + 1) == "random"
+        assert classify(disk, 10 + disk.almost_seq_window + 1) == "random"
 
     def test_backward_block_is_random(self, disk):
         disk.service_time(10)
-        assert disk.classify(9) == "random"
+        assert classify(disk, 9) == "random"
 
 
 class TestClassifyNamesTheServedRegime:
-    """``_match`` is the one classifier: what ``classify`` reports just
-    before a request is the counter ``service_time`` then moves."""
+    """``_match`` is the one classifier: what it reports just before a
+    request is the counter ``service_time`` then moves."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -59,7 +64,7 @@ class TestClassifyNamesTheServedRegime:
     def test_classify_then_serve_agree(self, stream_memory, blocks):
         disk = Disk(0, stream_memory=stream_memory)
         for block in blocks:
-            regime = disk.classify(block)
+            regime = classify(disk, block)
             before = getattr(disk.counters, regime)
             total = disk.counters.total
             service = disk.service_time(block)
@@ -97,10 +102,10 @@ class TestTiming:
         disk.service_time(0)       # stream A
         disk.service_time(1000)    # stream B
         disk.service_time(5000)    # stream C evicts A
-        assert disk.classify(1) == "random"  # A forgotten
+        assert classify(disk, 1) == "random"  # A forgotten
         # B is remembered but not the most recent stream, so continuing
         # it is a (cheap) track switch, not a head-sequential read.
-        assert disk.classify(1001) == "almost_sequential"
+        assert classify(disk, 1001) == "almost_sequential"
 
     def test_interleaved_streams_slower_than_sequential(self, disk):
         # Two interleaved sequential streams far apart force seeks.
@@ -132,9 +137,8 @@ class TestCounters:
         disk.service_time(0)
         disk.reset()
         assert disk.counters.total == 0
-        assert disk.last_block is None
         assert disk.busy_time == 0.0
-        assert disk.classify(1) == "random"
+        assert classify(disk, 1) == "random"
 
 
 class TestConfig:

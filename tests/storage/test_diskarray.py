@@ -82,7 +82,8 @@ class TestTiming:
             array.allocate_page(e1)
         for __ in range(200):
             array.allocate_page(e2)
-        array.reset_counters()
+        for disk in array.disks:
+            disk.reset()
         for p in range(20):
             array.read_time(e1, p)
             array.read_time(e2, 100 + p)
@@ -94,7 +95,8 @@ class TestTiming:
         array.allocate_page(extent)
         array.read_time(extent, 0)
         assert array.busy_time > 0
-        array.reset_counters()
+        for disk in array.disks:
+            disk.reset()
         assert array.busy_time == 0.0
         assert array.total_ios == 0
 
@@ -102,6 +104,6 @@ class TestTiming:
         extent = array.create_file()
         for __ in range(5):
             array.allocate_page(extent)
-        assert array.disk_of(extent, 0).disk_id == 0
-        assert array.disk_of(extent, 4).disk_id == 0
-        assert array.disk_of(extent, 3).disk_id == 3
+        assert extent.address(0).disk_id == 0
+        assert extent.address(4).disk_id == 0
+        assert extent.address(3).disk_id == 3

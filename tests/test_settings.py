@@ -21,18 +21,17 @@ finding but never reports a parameter that a resolved call sets.
 
 A parameter kept on purpose is named in :data:`ALLOWED` with its reason;
 an entry that is no longer a finding fails, so an exemption goes once a
-caller sets the parameter or the parameter is deleted.
+caller sets the parameter or the parameter is deleted.  The parse and
+the name resolution are :mod:`tests.ast_index`'s, shared with
+``tests/test_reach.py``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import Path
+import functools
 
-import repro
-
-ROOT = Path(repro.__file__).parent.parent.parent
+from tests.ast_index import ANY, Index, is_caller, module_name, repository_index
 
 #: ``(module, qualname, parameter) -> reason`` for the defaults no
 #: non-test call sets that stay parameters all the same.
@@ -167,381 +166,90 @@ ALLOWED: dict[tuple[str, str, str], str] = {
     ),
 }
 
-#: A keyword set that names every parameter (an opaque ``**mapping``).
-_ANY = "**"
 
-
-@dataclass(eq=False)
-class _Def:
-    """One function, method or constructor: what a call can bind."""
-
-    module: str
-    qualname: str
-    path: str
-    positional: list[str]
-    keywords: set[str]
-    defaulted: dict[str, int]
-    kwarg: str | None = None
-    public: bool = False
-    #: Parameters some counted call sets.
-    set_by_callers: set[str] = field(default_factory=set)
-    #: Keyword names calls send into ``**kwarg``.
-    extra: set[str] = field(default_factory=set)
-    #: Defs this one passes its ``**kwarg`` on to.
-    forwards_to: list[_Def] = field(default_factory=list)
-
-    def bind(self, call: ast.Call, shift: int, forwarder: _Def | None) -> None:
-        """Record the parameters ``call`` sets; its first ``shift`` args are ``self``."""
-        for index, arg in enumerate(call.args[shift:]):
-            if isinstance(arg, ast.Starred):
-                self.set_by_callers.update(self.positional[index:])
-                break
-            if index < len(self.positional):
-                self.set_by_callers.add(self.positional[index])
-        for keyword in call.keywords:
-            value = keyword.value
-            if keyword.arg is not None:
-                self.receive({keyword.arg})
-            elif (
-                forwarder is not None
-                and forwarder.kwarg is not None
-                and isinstance(value, ast.Name)
-                and value.id == forwarder.kwarg
-            ):
-                forwarder.forwards_to.append(self)
-            elif isinstance(value, ast.Dict) and all(
-                isinstance(k, ast.Constant) for k in value.keys
-            ):
-                self.receive({k.value for k in value.keys})
-            else:
-                self.receive({_ANY})
-
-    def receive(self, names: set[str]) -> bool:
-        """Keyword names a call passes; did anything new arrive?"""
-        before = len(self.set_by_callers), len(self.extra)
-        if _ANY in names:
-            self.set_by_callers |= self.keywords
-        else:
-            self.set_by_callers |= names & self.keywords
-        if self.kwarg is not None:
-            self.extra |= names - self.keywords
-        return before != (len(self.set_by_callers), len(self.extra))
-
-
-@dataclass
-class _Class:
-    module: str
-    bases: list[ast.expr]
-    #: Method name -> (def, its kind from :func:`_function`).
-    methods: dict[str, tuple[_Def, str]]
-    #: The ``__init__`` a ``@dataclass`` or ``NamedTuple`` generates.
-    fields: _Def | None
-
-
-def _module_name(path: str) -> str:
-    """``src/repro/a/b.py`` -> ``repro.a.b``; elsewhere the file's stem."""
-    parts = Path(path).with_suffix("").parts
-    if parts[0] != "src":
-        return parts[-1]
-    parts = parts[1:-1] if parts[-1] == "__init__" else parts[1:]
-    return ".".join(parts)
-
-
-def _is_caller(path: str) -> bool:
-    """Does a call in ``path`` (relative to the repository) count?"""
-    return path.startswith(("src/", "examples/", "benchmarks/")) and (
-        not path.startswith("benchmarks/e2e/tests/")
-    )
-
-
-def _public(name: str) -> bool:
-    return not name.startswith("_")
-
-
-def _decorators(node: ast.FunctionDef | ast.ClassDef) -> dict[str, ast.expr]:
-    """Each decorator's last name -> the decorator expression."""
-    found = {}
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = getattr(target, "attr", getattr(target, "id", None))
-        found[name] = decorator
-    return found
-
-
-def _function(module: str, qualname: str, path: str, node, method: bool):
-    """A def, and ``"instance"``, ``"class"``, ``"static"`` or ``"function"``."""
-    decorators = _decorators(node)
-    kind = (
-        "function" if not method
-        else "static" if "staticmethod" in decorators
-        else "class" if "classmethod" in decorators
-        else "instance"
-    )
-    args = node.args
-    ordered = [*args.posonlyargs, *args.args]
-    bound = int(kind in ("instance", "class") and bool(ordered))
-    defaulted = {
-        a.arg: a.lineno for a in ordered[len(ordered) - len(args.defaults):]
-    }
-    defaulted.update(
-        (a.arg, a.lineno)
-        for a, default in zip(args.kwonlyargs, args.kw_defaults)
-        if default is not None
-    )
-    definition = _Def(
-        module,
-        qualname,
-        path,
-        [a.arg for a in ordered[bound:]],
-        {a.arg for a in (*args.args, *args.kwonlyargs)}
-        - {a.arg for a in ordered[:bound]},
-        defaulted,
-        kwarg=args.kwarg.arg if args.kwarg else None,
-    )
-    return definition, kind
-
-
-def _fields(module: str, path: str, node: ast.ClassDef) -> _Def:
-    """The ``__init__`` generated from a class's annotated fields."""
-    positional, defaulted = [], {}
-    for stmt in node.body:
-        if not (
-            isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        ) or "ClassVar" in ast.unparse(stmt.annotation):
-            continue
-        value = stmt.value
-        if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
-            options = {k.arg: k.value for k in value.keywords}
-            if getattr(options.get("init"), "value", True) is False:
-                continue
-            has_default = bool({"default", "default_factory"} & set(options))
-        else:
-            has_default = value is not None
-        positional.append(stmt.target.id)
-        if has_default:
-            defaulted[stmt.target.id] = stmt.lineno
-    return _Def(module, node.name, path, positional, set(positional), defaulted)
-
-
-class _Index:
-    """Every def and class of the parsed files, and each module's names."""
-
-    def __init__(self, files: dict[str, str]) -> None:
-        self.trees = {path: ast.parse(text, path) for path, text in files.items()}
-        self.paths = {_module_name(path): path for path in self.trees}
-        self.functions: dict[str, _Def] = {}
-        self.classes: dict[str, _Class] = {}
-        self.by_method: dict[str, list[tuple[_Def, str]]] = {}
-        self.by_node: dict[ast.AST, _Def] = {}
-        for path, tree in self.trees.items():
-            module = _module_name(path)
-            checked = path.startswith("src/")
-            for node in tree.body:
-                if isinstance(node, ast.ClassDef):
-                    self._class(module, path, node, checked and _public(node.name))
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    definition, _ = _function(module, node.name, path, node, False)
-                    definition.public = checked and _public(node.name)
-                    self.functions[f"{module}.{node.name}"] = definition
-                    self.by_node[node] = definition
-
-    def _class(self, module: str, path: str, node: ast.ClassDef, public: bool):
-        methods = {}
-        for stmt in node.body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and "property" not in _decorators(stmt):
-                definition, kind = _function(
-                    module, f"{node.name}.{stmt.name}", path, stmt, True
-                )
-                definition.public = public and (
-                    _public(stmt.name) or stmt.name == "__init__"
-                )
-                methods[stmt.name] = (definition, kind)
-                self.by_node[stmt] = definition
-                self.by_method.setdefault(stmt.name, []).append((definition, kind))
-        fields = None
-        decorator = _decorators(node).get("dataclass")
-        if decorator is not None and "__init__" not in methods:
-            options = {
-                k.arg: k.value.value
-                for k in getattr(decorator, "keywords", [])
-                if isinstance(k.value, ast.Constant)
-            }
-            if options.get("init", True):
-                fields = _fields(module, path, node)
-                fields.public = public and options.get("frozen", False)
-        elif any(ast.unparse(base).endswith("NamedTuple") for base in node.bases):
-            fields = _fields(module, path, node)
-            fields.public = public
-        self.classes[f"{module}.{node.name}"] = _Class(
-            module, node.bases, methods, fields
-        )
-
-    # -- names --------------------------------------------------------------------
-
-    def resolve(self, module: str, name: str, scope=None, seen=frozenset()):
-        """The qualified name ``name`` means in ``module``, re-exports followed.
-
-        An import inside ``scope`` (the calling function) wins over the
-        module's own; a name no import binds resolves to ``None``.
-        """
-        qualified = f"{module}.{name}" if module else name
-        path = self.paths.get(module)
-        if (
-            path is None
-            or qualified in self.functions
-            or qualified in self.classes
-            or qualified in self.paths
-        ):
-            return qualified
-        if (module, name) in seen:
-            return None
-        seen = seen | {(module, name)}
-        package = module if path.endswith("__init__.py") else module.rpartition(".")[0]
-        nodes = [*(ast.walk(scope) if scope else ()), *ast.walk(self.trees[path])]
-        for node in nodes:
-            if isinstance(node, ast.ImportFrom):
-                source = node.module or ""
-                if node.level:
-                    parts = package.split(".")[: len(package.split(".")) - node.level + 1]
-                    source = ".".join([*parts, source] if source else parts)
-                for alias in node.names:
-                    if (alias.asname or alias.name) == name:
-                        return self.resolve(source, alias.name, seen=seen)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname == name:
-                        return alias.name
-                    if alias.asname is None and alias.name.split(".")[0] == name:
-                        return name
-        return None
-
-    def dotted(self, module: str, node: ast.expr, scope=None) -> str | None:
-        """Resolve ``a`` or ``a.b.c`` to a qualified name, if it names one."""
-        if isinstance(node, ast.Name):
-            return self.resolve(module, node.id, scope)
-        if isinstance(node, ast.Attribute):
-            base = self.dotted(module, node.value, scope)
-            if base in self.paths:
-                return self.resolve(base, node.attr)
-            if base is not None:
-                return f"{base}.{node.attr}"
-        return None
-
-    # -- classes ------------------------------------------------------------------
-
-    def mro(self, qualified: str) -> list[_Class]:
-        order, queue = [], [qualified]
-        while queue:
-            cls = self.classes.get(queue.pop(0))
-            if cls is not None and cls not in order:
-                order.append(cls)
-                queue.extend(self.dotted(cls.module, base) for base in cls.bases)
-        return order
-
-    def method(self, classes: list[_Class], name: str) -> list[tuple[_Def, str]]:
-        for cls in classes:
-            if name in cls.methods:
-                return [cls.methods[name]]
-            if name == "__init__" and cls.fields is not None:
-                return [(cls.fields, "instance")]
+def _targets(index: Index, module: str, call: ast.Call, cls: str | None, scope):
+    """Each def ``call`` may reach, and how many leading args bind ``self``."""
+    func = call.func
+    if cls is not None and (
+        (isinstance(func, ast.Name) and func.id == "cls")
+        or (isinstance(func, ast.Call) and getattr(func.func, "id", "") == "type")
+    ):
+        return [(d, 0) for d, _ in index.method(index.mro(cls), "__init__")]
+    if (
+        cls is not None
+        and isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Call)
+        and getattr(func.value.func, "id", "") == "super"
+    ):
+        return [(d, 0) for d, _ in index.method(index.mro(cls)[1:], func.attr)]
+    qualified = index.dotted(module, func, scope)
+    if qualified in index.functions:
+        return [(index.functions[qualified], 0)]
+    if qualified in index.classes:
+        return [(d, 0) for d, _ in index.method(index.mro(qualified), "__init__")]
+    if not isinstance(func, ast.Attribute):
         return []
-
-    # -- calls --------------------------------------------------------------------
-
-    def targets(self, module: str, call: ast.Call, cls: str | None, scope=None):
-        """Each def ``call`` may reach, and how many leading args bind ``self``."""
-        func = call.func
-        if cls is not None and (
-            (isinstance(func, ast.Name) and func.id == "cls")
-            or (isinstance(func, ast.Call) and getattr(func.func, "id", "") == "type")
-        ):
-            return [(d, 0) for d, _ in self.method(self.mro(cls), "__init__")]
-        if (
-            cls is not None
-            and isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Call)
-            and getattr(func.value.func, "id", "") == "super"
-        ):
-            return [(d, 0) for d, _ in self.method(self.mro(cls)[1:], func.attr)]
-        qualified = self.dotted(module, func, scope)
-        if qualified in self.functions:
-            return [(self.functions[qualified], 0)]
-        if qualified in self.classes:
-            return [(d, 0) for d, _ in self.method(self.mro(qualified), "__init__")]
-        if not isinstance(func, ast.Attribute):
-            return []
-        owner = self.dotted(module, func.value, scope)
-        if owner in self.classes:
-            # ``Class.m(obj, ...)`` binds ``self`` from its first argument.
-            return [
-                (d, int(kind == "instance"))
-                for d, kind in self.method(self.mro(owner), func.attr)
-            ]
-        return [(d, 0) for d, _ in self.by_method.get(func.attr, [])]
-
-    def scan(self, path: str) -> None:
-        """Bind every call in ``path`` to the defs it may reach."""
-        module = _module_name(path)
-        index = self
-
-        class Calls(ast.NodeVisitor):
-            cls: str | None = None
-            forwarder: _Def | None = None
-            scope: ast.AST | None = None
-
-            def visit_ClassDef(self, node):
-                outer, self.cls = self.cls, f"{module}.{node.name}"
-                self.generic_visit(node)
-                self.cls = outer
-
-            def visit_FunctionDef(self, node):
-                outer = self.forwarder, self.scope
-                self.forwarder, self.scope = index.by_node.get(node), node
-                self.generic_visit(node)
-                self.forwarder, self.scope = outer
-
-            visit_AsyncFunctionDef = visit_FunctionDef
-
-            def visit_Call(self, node):
-                name = index.dotted(module, node.func, self.scope)
-                calls = [node]
-                if name == "dataclasses.replace":
-                    names = {k.arg or _ANY for k in node.keywords}
-                    for cls in index.classes.values():
-                        if cls.fields is not None:
-                            cls.fields.receive(names)
-                elif name == "functools.partial" and node.args:
-                    calls.append(ast.Call(node.args[0], node.args[1:], node.keywords))
-                for call in calls:
-                    targets = index.targets(module, call, self.cls, self.scope)
-                    for definition, shift in targets:
-                        definition.bind(call, shift, self.forwarder)
-                self.generic_visit(node)
-
-        Calls().visit(self.trees[path])
-
-    def defs(self) -> list[_Def]:
-        found = list(self.functions.values())
-        for cls in self.classes.values():
-            found.extend(d for d, _ in cls.methods.values())
-            if cls.fields is not None:
-                found.append(cls.fields)
-        return found
+    owner = index.dotted(module, func.value, scope)
+    if owner in index.classes:
+        # ``Class.m(obj, ...)`` binds ``self`` from its first argument.
+        return [
+            (d, int(kind == "instance"))
+            for d, kind in index.method(index.mro(owner), func.attr)
+        ]
+    return [(d, 0) for d, _ in index.by_method.get(func.attr, [])]
 
 
-def _findings(files: dict[str, str]) -> dict[tuple[str, str, str], str]:
+def _scan(index: Index, path: str) -> None:
+    """Bind every call in ``path`` to the defs it may reach."""
+    module = module_name(path)
+
+    class Calls(ast.NodeVisitor):
+        cls: str | None = None
+        forwarder = None
+        scope: ast.AST | None = None
+
+        def visit_ClassDef(self, node):
+            outer, self.cls = self.cls, f"{module}.{node.name}"
+            self.generic_visit(node)
+            self.cls = outer
+
+        def visit_FunctionDef(self, node):
+            outer = self.forwarder, self.scope
+            self.forwarder, self.scope = index.by_node.get(node), node
+            self.generic_visit(node)
+            self.forwarder, self.scope = outer
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            name = index.dotted(module, node.func, self.scope)
+            calls = [node]
+            if name == "dataclasses.replace":
+                names = {k.arg or ANY for k in node.keywords}
+                for cls in index.classes.values():
+                    if cls.fields is not None:
+                        cls.fields.receive(names)
+            elif name == "functools.partial" and node.args:
+                calls.append(ast.Call(node.args[0], node.args[1:], node.keywords))
+            for call in calls:
+                for definition, shift in _targets(
+                    index, module, call, self.cls, self.scope
+                ):
+                    definition.bind(call, shift, self.forwarder)
+            self.generic_visit(node)
+
+    Calls().visit(index.trees[path])
+
+
+def _unset_parameters(index: Index) -> dict[tuple[str, str, str], str]:
     """Each defaulted public parameter no counted call sets -> where it is.
 
-    ``files`` maps repository-relative paths to source text.  The modules
-    under ``src/`` are checked; the calls in every file
-    :func:`_is_caller` accepts are counted.
+    The modules under ``src/`` are checked; the calls in every file
+    :func:`~tests.ast_index.is_caller` accepts are counted.
     """
-    index = _Index(files)
-    for path in files:
-        if _is_caller(path):
-            index.scan(path)
+    for path in index.trees:
+        if is_caller(path):
+            _scan(index, path)
     defs = index.defs()
     changed = True
     while changed:
@@ -558,15 +266,15 @@ def _findings(files: dict[str, str]) -> dict[tuple[str, str, str], str]:
     }
 
 
-def _repository(root: Path = ROOT) -> dict[str, str]:
-    """Every file under ``root`` the check parses, by relative path."""
-    files = {}
-    for top in ("src/repro", "examples", "benchmarks"):
-        for path in sorted((root / top).rglob("*.py")):
-            relative = path.relative_to(root).as_posix()
-            if _is_caller(relative):
-                files[relative] = path.read_text()
-    return files
+def _findings(files: dict[str, str]) -> dict[tuple[str, str, str], str]:
+    """:func:`_unset_parameters` of ``files`` (relative path -> source)."""
+    return _unset_parameters(Index(files))
+
+
+@functools.cache
+def _repository_findings() -> dict[tuple[str, str, str], str]:
+    """The repository's findings, computed once for both tests."""
+    return _unset_parameters(repository_index())
 
 
 def _unset(findings, allowed) -> str:
@@ -596,12 +304,12 @@ def _stale(findings, allowed) -> str:
 
 
 def test_every_default_is_set_by_a_caller_or_allowed():
-    message = _unset(_findings(_repository()), ALLOWED)
+    message = _unset(_repository_findings(), ALLOWED)
     assert not message, message
 
 
 def test_every_allowed_entry_is_still_a_finding():
-    message = _stale(_findings(_repository()), ALLOWED)
+    message = _stale(_repository_findings(), ALLOWED)
     assert not message, message
 
 

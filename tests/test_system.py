@@ -117,7 +117,7 @@ class TestExplain:
         rows = system.execute(sql)
         # estimate in the right ballpark of the actual count
         assert rows[0][0] == pytest.approx(
-            report.estimate.node(report.plan.children[0]).rows, rel=1.0
+            report.estimate.by_node[report.plan.children[0].node_id].rows, rel=1.0
         )
 
     def test_left_deep_space_option(self):

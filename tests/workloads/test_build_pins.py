@@ -1,7 +1,7 @@
 """What a relation build produces, pinned byte for byte.
 
 Every relation the workload builders make is hashed three ways: its
-page images (``SlottedPage.to_bytes()`` of every page, in page order),
+page images (each page's ``SlottedPage.buffer``, in page order),
 the ``repr`` of the ``RelationStats`` ANALYZE stored for it, and the
 ``(key, rid)`` order of its load-time index.  The pins cover the
 optimizer schemas ``optimize_bushy`` builds, the two ``serve_queries``
@@ -74,7 +74,7 @@ def relation_pins(catalog: Catalog) -> dict:
     pins = {}
     for entry in catalog.tables():
         heap = entry.heap
-        pages = b"".join(heap.page(p).to_bytes() for p in range(heap.page_count))
+        pages = b"".join(heap.page(p).buffer for p in range(heap.page_count))
         indexes = {
             label: sha(repr(list(ix.index.range_scan())).encode())
             for label, ix in sorted(entry.indexes.items())

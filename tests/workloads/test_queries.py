@@ -31,7 +31,8 @@ class TestChainJoin:
 
     def test_first_relation_has_index(self):
         schema = chain_join(3, rows_per_relation=100)
-        assert schema.catalog.table("s1").index_on("s1_l") is not None
+        indexes = schema.catalog.table("s1").indexes.values()
+        assert any(entry.column == "s1_l" for entry in indexes)
 
 
 class TestStarJoin:

@@ -22,13 +22,12 @@ from .parcost import (
     parallel_cost,
     parcost,
 )
-from .query import JoinGraph, JoinPredicate, Query
+from .query import JoinPredicate, Query
 from .twophase import OptimizedQuery, OptimizerMode, TwoPhaseOptimizer
 
 __all__ = [
     "JOIN_METHODS",
     "CacheStats",
-    "JoinGraph",
     "JoinPredicate",
     "MultiQueryResult",
     "MultiQueryScheduler",

@@ -12,7 +12,12 @@ The conventional (System-R style) layer under the two-phase strategy:
   subsumes both).
 
 Dynamic programming over connected subsets, cross products avoided
-whenever the join graph is connected.  Ties on cost are broken by a
+whenever the join graph is connected.  The search runs over int
+bitmasks (:class:`_JoinIndex`): a cell is a mask, its bushy splits are
+the submasks of the cell whose two sides are both settled cells,
+connectivity comes from per-relation adjacency masks, and frozensets
+of relation names appear only where a name is read — a cell's memo
+key and a join's outer side.  Ties on cost are broken by a
 deterministic canonical plan key (:func:`plan_shape_key`), so the
 chosen plan never depends on the order candidates are generated or
 costed in — which is what lets the fast path (memoized parcost plus
@@ -24,8 +29,9 @@ comparison nor the tie-break (the order it would deliver is beside the
 point: no parent rule reads a child's order, :func:`join_candidates`
 sorts both merge inputs itself).  The bound is taken before the
 candidate exists: a cell gathers one *recipe* per ``(split, method)``,
-each bounded from floats — its two inputs' settled cost sums plus
-:func:`join_costs` — and builds them cheapest bound first, so nine in
+each bounded from floats — its two inputs' settled cost sums plus the
+join's own cost (:func:`_join_costs`, one pricing per 2-partition for
+both orientations) — and builds them cheapest bound first, so nine in
 ten never become a plan tree.  A bound is only compared, never kept as
 a cost, because exact cost ties are common, not rare — merge join is
 symmetric in its inputs and equal-cardinality relations are
@@ -42,7 +48,9 @@ configuration and the cost function — not of the query the subset was
 met in.  Handed an :class:`~repro.optimizer.cache.OptimizerCaches`,
 :func:`enumerate_space` keeps its cells there under exactly that key,
 so a later query's sub-join-graphs are lookups; a repeated query is one
-lookup of its finished plan in ``caches.queries``.
+lookup of its finished plan in ``caches.queries``.  The key names the
+subset's relations, never its mask: a bit stands for a relation only
+within one query.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from ..catalog.catalog import Catalog
 from ..errors import OptimizerError
@@ -154,36 +162,48 @@ def join_candidates(
         )
 
 
-def join_costs(
+def _join_costs(
     outer: NodeEstimate,
     inner: NodeEstimate,
     predicates: list[JoinPredicate],
     outer_rels: frozenset[str],
-    *,
-    methods: tuple[str, ...] = JOIN_METHODS,
-) -> Iterator[tuple[str, float]]:
-    """``(method, own cost)`` of each operator :func:`join_candidates` yields.
+    methods: tuple[str, ...],
+    mirrored: bool,
+) -> list[tuple[str, float, float]]:
+    """``(method, own cost, mirror's own cost)`` of each operator
+    :func:`join_candidates` yields over one split.
 
     The sequential seconds the join's own nodes — the join, a merge
     join's two sorts, the residual filter; none does io — add to its
     inputs', from the inputs' root estimates alone: nothing is built.
-    Only ever compared, never kept as a cost: the built plan's
-    ``seqcost`` sums the same terms in another order.
+    The mirror is the same split with ``inner`` as the outer; only a
+    hash join's cost depends on which side is which (and is priced for
+    the mirror only when ``mirrored``), so the cardinality and every
+    other rule run once per split — ``+`` and ``*`` commute exactly, so
+    the mirror's floats are the ones its own pricing would give.  Only
+    ever compared, never kept as a cost: the built plan's ``seqcost``
+    sums the same terms in another order.
     """
     if not predicates:
-        if "nestloop" in methods:
-            rows = outer.rows * inner.rows
-            yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows)
-        return
+        if "nestloop" not in methods:
+            return []
+        own = nest_loop_cpu(outer.rows, inner.rows, outer.rows * inner.rows)
+        return [("nestloop", own, own)]
     rows = equijoin_rows(outer, inner, *predicates[0].oriented(outer_rels))
     residual = filter_cpu(rows) if len(predicates) > 1 else 0.0
+    priced = []
     if "hash" in methods:
-        yield "hash", hash_join_cpu(outer.rows, inner.rows, rows) + residual
+        own = hash_join_cpu(outer.rows, inner.rows, rows) + residual
+        mirror = hash_join_cpu(inner.rows, outer.rows, rows) + residual if mirrored else own
+        priced.append(("hash", own, mirror))
     if "merge" in methods:
         sorts = sort_cpu(outer.rows) + sort_cpu(inner.rows)
-        yield "merge", sorts + merge_join_cpu(outer.rows, inner.rows, rows) + residual
+        own = sorts + merge_join_cpu(outer.rows, inner.rows, rows) + residual
+        priced.append(("merge", own, own))
     if "nestloop" in methods:
-        yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows) + residual
+        own = nest_loop_cpu(outer.rows, inner.rows, rows) + residual
+        priced.append(("nestloop", own, own))
+    return priced
 
 
 def plan_shape_key(plan: pn.PlanNode) -> str:
@@ -214,37 +234,92 @@ def plan_shape_key(plan: pn.PlanNode) -> str:
 PRUNE_MARGIN = 1e-9
 
 
-def _proper_subsets(subset: frozenset[str]) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-    """Unordered 2-partitions of ``subset`` (each yielded once)."""
-    items = sorted(subset)
-    anchor = items[0]
-    rest = items[1:]
-    for size in range(0, len(rest) + 1):
-        for combo in combinations(rest, size):
-            left = frozenset((anchor, *combo))
-            right = subset - left
-            if right:
-                yield left, right
+class _JoinIndex:
+    """One query's join graph over int bitmasks.
 
-
-def _splits(
-    subset: frozenset[str], space: str
-) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-    """The ``(outer, inner)`` 2-partitions of ``subset`` that ``space`` allows.
-
-    Bushy: every 2-partition, once — it is joined both ways round, and
-    the caller mirrors it (what connects the two sides does not depend
-    on which is the outer).  Left-deep (right-deep): the inner (outer)
-    is a single relation, so there are only ``len(subset)`` splits and
-    they are generated directly.
+    Relation ``i`` of ``sorted(query.relations)`` is bit ``1 << (n-1-i)``,
+    so the highest bit of a mask is its first relation by name and, among
+    masks of one size, descending value is :func:`itertools.combinations`
+    order over the sorted names.  A snapshot: mutating the query after
+    building the index is not reflected.
     """
-    if space == "bushy":
-        yield from _proper_subsets(subset)
-        return
-    for name in sorted(subset):
-        single = frozenset((name,))
-        rest = subset - single
-        yield (rest, single) if space == "left-deep" else (single, rest)
+
+    __slots__ = ("names", "bits", "adjacent", "edges")
+
+    def __init__(self, query: Query) -> None:
+        self.names = sorted(query.relations)
+        n = len(self.names)
+        #: relation name -> its bit.
+        self.bits = {name: 1 << (n - 1 - i) for i, name in enumerate(self.names)}
+        #: bit -> mask of the relations it joins directly.
+        self.adjacent = dict.fromkeys(self.bits.values(), 0)
+        #: ``(predicate, left bit, right bit)`` in ``query.joins`` order.
+        self.edges: list[tuple[JoinPredicate, int, int]] = []
+        for join in query.joins:
+            left, right = self.bits[join.left_rel], self.bits[join.right_rel]
+            self.adjacent[left] |= right
+            self.adjacent[right] |= left
+            self.edges.append((join, left, right))
+
+    def rels(self, mask: int) -> frozenset[str]:
+        """The relation names in ``mask``."""
+        return frozenset(name for name in self.names if self.bits[name] & mask)
+
+    def connected(self, mask: int) -> bool:
+        """Is the join graph restricted to ``mask`` connected?"""
+        reached = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                grown |= self.adjacent[bit]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask
+
+    def between(self, a: int, b: int) -> list[JoinPredicate]:
+        """Predicates joining disjoint masks ``a`` and ``b``, in
+        ``query.joins`` order (the first is a join's primary predicate)."""
+        return [
+            join
+            for join, left, right in self.edges
+            if (left & a and right & b) or (left & b and right & a)
+        ]
+
+    def splits(
+        self, mask: int, space: str, settled: Container[int]
+    ) -> list[tuple[int, int]]:
+        """The ``(outer, inner)`` splits of ``mask`` that ``space`` allows
+        and whose two sides are both in ``settled``.
+
+        Bushy: every 2-partition, once — it is joined both ways round, and
+        the caller mirrors it (what connects the two sides does not depend
+        on which is the outer).  The side holding the anchor (the highest
+        bit) comes first; ordered by its size, then by descending mask —
+        ``combinations`` order over the sorted names.  Left-deep
+        (right-deep): the inner (outer) is a single relation, visited in
+        sorted order.  ``mask`` has at least two bits.
+        """
+        found = []
+        if space == "bushy":
+            anchor = 1 << (mask.bit_length() - 1)
+            rest = sub = mask ^ anchor
+            while sub:  # every submask of rest but rest itself, descending
+                sub = (sub - 1) & rest
+                left = anchor | sub
+                if left in settled and rest ^ sub in settled:
+                    found.append((left, rest ^ sub))
+            found.sort(key=lambda split: split[0].bit_count())  # stable
+            return found
+        rest = mask
+        while rest:
+            bit = 1 << (rest.bit_length() - 1)
+            rest ^= bit
+            other = mask ^ bit
+            if bit in settled and other in settled:
+                found.append((other, bit) if space == "left-deep" else (bit, other))
+        return found
 
 
 def _drop_losers(estimates: EstimateMemo, mark: int, winner: pn.PlanNode) -> None:
@@ -362,7 +437,11 @@ def enumerate_space(
     """Dynamic-programming search for the cheapest plan.
 
     Cross products are considered only when the query's join graph is
-    disconnected; otherwise every split joins on a predicate.
+    disconnected; otherwise every split joins on a predicate.  Cells are
+    keyed by bitmask and settled in ``combinations`` order over the
+    sorted relation names, size by size; a cell's rows are generated in
+    the order :meth:`_JoinIndex.splits` gives, each 2-partition priced
+    once for both orientations.
 
     Args:
         query: the query block.
@@ -371,7 +450,7 @@ def enumerate_space(
             When it exposes ``pre_bound`` (see
             :class:`~repro.optimizer.parcost.ParcostObjective`), every
             ``(split, method)`` into a cell is bounded from its inputs'
-            cost sums and :func:`join_costs`, the cell is settled
+            cost sums and :func:`_join_costs`, the cell is settled
             cheapest bound first, and only recipes the incumbent does
             not provably beat are built.  Without it, all are.  Such an
             objective also says what it estimates under: ``machine`` and
@@ -431,24 +510,26 @@ def enumerate_space(
                 stats.subplan_hits += 1
                 return plan
     query.validate(catalog)
-    graph = query.join_index()
-    full = frozenset(query.relations)
-    allow_cross = not graph.is_connected(full)
+    index = _JoinIndex(query)
+    full = (1 << len(index.names)) - 1
+    allow_cross = not index.connected(full)
     estimates = caches.node_estimates if caches is not None else None
     memo = caches.subplans if query_key is not None else None
     config = (memo_key, space, methods, allow_cross)
     selected = {entry[0]: entry for entry in selections} if memo is not None else {}
+    #: Per cell met, its relations: the memo key's and a join's ``outer_rels``.
+    rels: dict[int, frozenset[str]] = {}
 
-    def cell_key(subset: frozenset[str]) -> tuple:
+    def cell_key(mask: int) -> tuple:
         return (
             config,
-            subset,
+            rels[mask],
+            tuple(j for j, left, right in index.edges if left & mask and right & mask),
             tuple(
-                j
-                for j in query.joins
-                if j.left_rel in subset and j.right_rel in subset
+                selected[name]
+                for name in index.names
+                if index.bits[name] & mask and name in selected
             ),
-            tuple(selected[rel] for rel in sorted(subset) if rel in selected),
         )
 
     def finish(plan: pn.PlanNode) -> pn.PlanNode:
@@ -458,6 +539,7 @@ def enumerate_space(
             caches.queries[query_key] = plan
         return plan
 
+    rels[full] = index.rels(full)
     if memo is not None:
         # Settled inside a larger query: one lookup, nothing enumerated.
         hit = memo.get(cell_key(full))
@@ -465,10 +547,10 @@ def enumerate_space(
             stats.subplan_hits += 1
             return finish(hit[1])
 
-    best: dict[frozenset[str], tuple[float, pn.PlanNode]] = {}
+    best: dict[int, tuple[float, pn.PlanNode]] = {}
     #: Per settled cell, what bounds a join over it: its plan's root
     #: estimate, seqcost and total ios.
-    sums: dict[frozenset[str], tuple[NodeEstimate, float, float]] = {}
+    sums: dict[int, tuple[NodeEstimate, float, float]] = {}
     pre_bound = getattr(cost, "pre_bound", None)
     if pre_bound is not None:  # such an objective says what it estimates under
         summarize = partial(
@@ -477,40 +559,46 @@ def enumerate_space(
             machine=cost.machine,
             cache=cost.caches.node_estimates,
         )
+    mirrored = space == "bushy"  # splits yields a bushy partition once
 
-    def recipes_into(subset: frozenset[str]) -> list[tuple[float, Recipe]]:
-        """One ``(pre-bound, recipe)`` row per way to build ``subset``, as generated."""
-        if len(subset) == 1:
-            (name,) = subset
+    def recipes_into(mask: int) -> list[tuple[float, Recipe]]:
+        """One ``(pre-bound, recipe)`` row per way to build ``mask``, as generated."""
+        if not mask & (mask - 1):
+            (name,) = rels[mask]
             return [(0.0, path) for path in access_paths(query, name, catalog)]
         rows: list[tuple[float, Recipe]] = []
-        mirrored = space == "bushy"  # _splits yields a bushy partition once
-        for left, right in _splits(subset, space):
-            if left not in best or right not in best:
+        # Without cross products every settled cell is connected, so a
+        # predicate joins any two of them that partition a cell.
+        for left, right in index.splits(mask, space, best):
+            predicates = index.between(left, right)
+            outer_plan, inner_plan = best[left][1], best[right][1]
+            join = (outer_plan, inner_plan, predicates, rels[left])
+            flip = (inner_plan, outer_plan, predicates, rels[right])
+            if pre_bound is None:  # nothing to bound with: build them all
+                rows += [(0.0, c) for c in join_candidates(*join, methods=methods)]
+                if mirrored:
+                    rows += [(0.0, c) for c in join_candidates(*flip, methods=methods)]
                 continue
-            predicates = graph.joins_between(left, right)
-            if not predicates and not allow_cross:
-                continue
-            sides = ((left, right), (right, left)) if mirrored else ((left, right),)
-            for outer_set, inner_set in sides:
-                join = (best[outer_set][1], best[inner_set][1], predicates, outer_set)
-                if pre_bound is None:  # nothing to bound with: build them all
-                    rows += [(0.0, c) for c in join_candidates(*join, methods=methods)]
-                    continue
-                outer, outer_seq, outer_ios = sums[outer_set]
-                inner, inner_seq, inner_ios = sums[inner_set]
-                seq, ios = outer_seq + inner_seq, outer_ios + inner_ios
-                for method, own in join_costs(
-                    outer, inner, predicates, outer_set, methods=methods
-                ):
-                    rows.append((pre_bound(seq + own, ios), (*join, method)))
+            outer, outer_seq, outer_ios = sums[left]
+            inner, inner_seq, inner_ios = sums[right]
+            # Both orientations: the sums commute, so the mirror's are these.
+            seq, ios = outer_seq + inner_seq, outer_ios + inner_ios
+            priced = _join_costs(outer, inner, predicates, rels[left], methods, mirrored)
+            bounds = [pre_bound(seq + own, ios) for __, own, __ in priced]
+            rows += [(bound, (*join, m)) for bound, (m, __, __) in zip(bounds, priced)]
+            if mirrored:  # pre_bound is a function of its two floats
+                for bound, (method, own, mirror) in zip(bounds, priced):
+                    if mirror != own:
+                        bound = pre_bound(seq + mirror, ios)
+                    rows.append((bound, (*flip, method)))
         return rows
 
-    def settle(subset: frozenset[str]) -> None:
-        """Fill ``best[subset]`` from the memo or by searching its recipes."""
+    def settle(mask: int) -> None:
+        """Fill ``best[mask]`` from the memo or by searching its recipes."""
         key = cell = None
+        rels[mask] = index.rels(mask)
         if memo is not None:
-            key = cell_key(subset)
+            key = cell_key(mask)
             cell = memo.get(key)
             if cell is not None:
                 stats.subplan_hits += 1
@@ -518,7 +606,7 @@ def enumerate_space(
                 stats.subplan_misses += 1
         if cell is None:
             mark = len(estimates) if estimates is not None else 0
-            rows = recipes_into(subset)
+            rows = recipes_into(mask)
             rows.sort(key=itemgetter(0))  # stable: ties stay in generation order
             incumbent = _Incumbent(cost, stats)
             incumbent.offer_bounded(rows)
@@ -530,16 +618,18 @@ def enumerate_space(
             cell = (incumbent.cost, incumbent.plan)
             if memo is not None:
                 memo[key] = cell
-        best[subset] = cell
+        best[mask] = cell
         if pre_bound is not None:
-            sums[subset] = summarize(cell[1])
+            sums[mask] = summarize(cell[1])
 
     for name in query.relations:
-        settle(frozenset((name,)))
-    for size in range(2, len(query.relations) + 1):
-        for subset in map(frozenset, combinations(sorted(full), size)):
-            if allow_cross or graph.is_connected(subset):
-                settle(subset)
+        settle(index.bits[name])
+    bits = list(index.bits.values())  # sorted names: combinations order
+    for size in range(2, len(bits) + 1):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            if allow_cross or index.connected(mask):
+                settle(mask)
     if full not in best:
         raise OptimizerError("no plan found (disconnected join graph?)")
     return finish(best[full][1])
@@ -564,40 +654,40 @@ def enumerate_all_bushy(
             f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_RELATIONS} relations"
         )
     query.validate(catalog)
-    graph = query.join_index()
-    full = frozenset(query.relations)
-    avoid_cross = graph.is_connected(full)
-    memo: dict[frozenset[str], list[pn.PlanNode]] = {}
+    index = _JoinIndex(query)
+    full = (1 << len(index.names)) - 1
+    avoid_cross = index.connected(full)
+    #: The sides a split may have: any, or connected ones only (two
+    #: connected sides of a connected set are joined by a predicate).
+    sides = range(full + 1)
+    if avoid_cross:
+        sides = {mask for mask in sides if mask and index.connected(mask)}
+    memo: dict[int, list[pn.PlanNode]] = {}
 
-    def plans_for(subset: frozenset[str]) -> list[pn.PlanNode]:
-        if subset in memo:
-            return memo[subset]
-        if len(subset) == 1:
-            (name,) = subset
+    def plans_for(mask: int) -> list[pn.PlanNode]:
+        if mask in memo:
+            return memo[mask]
+        if not mask & (mask - 1):
+            (name,) = index.rels(mask)
             result = access_paths(query, name, catalog)
         else:
             result = []
-            for left, right in _proper_subsets(subset):
-                if avoid_cross and not (
-                    graph.is_connected(left) and graph.is_connected(right)
-                ):
-                    continue
-                predicates = graph.joins_between(left, right)
-                if avoid_cross and not predicates:
-                    continue
-                for outer_set, inner_set in ((left, right), (right, left)):
-                    for outer_plan in plans_for(outer_set):
-                        for inner_plan in plans_for(inner_set):
+            for left, right in index.splits(mask, "bushy", sides):
+                predicates = index.between(left, right)
+                for outer, inner in ((left, right), (right, left)):
+                    outer_rels = index.rels(outer)
+                    for outer_plan in plans_for(outer):
+                        for inner_plan in plans_for(inner):
                             result.extend(
                                 join_candidates(
                                     outer_plan,
                                     inner_plan,
                                     predicates,
-                                    outer_set,
+                                    outer_rels,
                                     methods=methods,
                                 )
                             )
-        memo[subset] = result
+        memo[mask] = result
         return result
 
     yield from plans_for(full)

@@ -176,7 +176,7 @@ class EstimateMemo(dict):
 #
 # What a join, sort or filter costs, from its inputs' estimates alone.
 # The estimator's ``_visit_*`` methods and the search's pre-bound
-# (:func:`repro.optimizer.enumeration.join_costs`) both call these, so a
+# (:func:`repro.optimizer.enumeration._join_costs`) both call these, so a
 # candidate join is priced before any node of it exists.
 
 
@@ -549,7 +549,7 @@ class _Estimator:
 def analyze_table(catalog: Catalog, name: str) -> RelationStats:
     """Scan a relation and (re)compute its statistics — ANALYZE.
 
-    One walk over the pages decodes every live row and sums the
+    One walk over the pages decodes every row and sums the
     encoded lengths for ``avg_row_size`` (``HeapFile.decode_page``).
     Returns the stats after storing them in the catalog.
     """

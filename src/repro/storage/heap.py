@@ -125,20 +125,16 @@ class HeapFile:
         record = self.page(rid.page_no).read(rid.slot)
         return self.schema.decode_row(record)
 
-    def decode_page(self, page_no: int) -> tuple[Sequence[int], list[Row], int]:
-        """Decode the live records of ``page_no``, in slot order.
+    def decode_page(self, page_no: int) -> tuple[range, list[Row], int]:
+        """Decode the records of ``page_no``, in slot order.
 
-        Returns ``(slots, rows, size)``: the live slots, their rows and
-        their total encoded length.  The one page decoder, shared by
-        scans and ANALYZE (``fetch`` reads one record, with
-        ``decode_row``).
+        Returns ``(slots, rows, size)``: the slots, their rows and their
+        total encoded length.  The one page decoder, shared by scans and
+        ANALYZE (``fetch`` reads one record, with ``decode_row``).
         """
         page = self.page(page_no)
         offsets, lengths = page.directory()
-        slots: Sequence[int] = range(len(lengths))
-        if 0 in lengths:  # tombstones
-            slots = [slot for slot in slots if lengths[slot]]
-            offsets = [offsets[slot] for slot in slots]
+        slots = range(len(lengths))
         return slots, self.schema.decode_records(page.buffer, offsets), sum(lengths)
 
     def scan(self) -> Iterator[tuple[RecordId, Row]]:

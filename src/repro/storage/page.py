@@ -2,8 +2,8 @@
 
 The classic slotted-page layout: a small header, record data growing
 from the front, and a slot directory growing from the back.  Each slot
-holds ``(offset, length)`` for one record; a deleted record leaves a
-tombstone slot (length 0) so record ids stay stable.
+holds ``(offset, length)`` for one record.  Records are only appended
+and never deleted, so every slot holds a record (no record is empty).
 
 Layout (little-endian)::
 
@@ -54,7 +54,7 @@ class SlottedPage:
 
     @property
     def slot_count(self) -> int:
-        """Number of slots, including tombstones."""
+        """Number of slots, one per record."""
         return self._slot_count
 
     @property
@@ -161,30 +161,20 @@ class SlottedPage:
         """Return the record in ``slot``.
 
         Raises:
-            InvalidSlotError: for out-of-range or deleted slots.
+            InvalidSlotError: for out-of-range slots.
         """
         offset, length = self._read_slot(slot)
-        if length == 0:
-            raise InvalidSlotError(f"slot {slot} is deleted")
         return bytes(self._buf[offset : offset + length])
 
-    def delete(self, slot: int) -> None:
-        """Tombstone the record in ``slot`` (space is not reclaimed)."""
-        offset, length = self._read_slot(slot)
-        if length == 0:
-            raise InvalidSlotError(f"slot {slot} is already deleted")
-        self._write_slot(slot, offset, 0)
-
     def records(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot, record)`` for every live record in slot order."""
+        """Yield ``(slot, record)`` for every record in slot order."""
         for slot in range(self._slot_count):
             offset, length = self._read_slot(slot)
-            if length:
-                yield slot, bytes(self._buf[offset : offset + length])
+            yield slot, bytes(self._buf[offset : offset + length])
 
     def directory(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(offsets, lengths)`` of every slot in slot order, read with one
-        unpack; a tombstone has length 0."""
+        unpack."""
         n = self._slot_count
         raw = struct.unpack_from(f"<{2 * n}H", self._buf, self.page_size - n * SLOT_SIZE)
         # The directory grows down from the page end: highest slot first.

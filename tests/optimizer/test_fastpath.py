@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import inspect
 from functools import partial
+from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
+from repro.check.fuzz import random_join_schema
 from repro.config import paper_machine
 from repro.core.schedulers import POLICIES, InterWithAdjPolicy
 from repro.executor import between
@@ -29,16 +32,27 @@ from repro.optimizer import (
     ParcostObjective,
     Query,
     TwoPhaseOptimizer,
+    access_paths,
     enumerate_all_bushy,
     enumerate_space,
+    join_candidates,
     parcost,
     plan_shape_key,
 )
 from repro.optimizer import enumeration
-from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent
+from repro.optimizer.enumeration import PRUNE_MARGIN, _build, _Incumbent, _JoinIndex
 from repro.optimizer.parcost import _policy_cache_key, parallel_cost
 from repro.optimizer.twophase import SeqcostObjective
-from repro.plans.costing import estimate_plan
+from repro.plans.costing import (
+    equijoin_rows,
+    estimate_plan,
+    filter_cpu,
+    hash_join_cpu,
+    merge_join_cpu,
+    nest_loop_cpu,
+    sort_cpu,
+    subtree_sums,
+)
 from repro.plans.fragments import fragment_plan
 from repro.plans.nodes import (
     FilterNode,
@@ -51,6 +65,8 @@ from repro.plans.nodes import (
     SortNode,
 )
 from repro.workloads.queries import chain_join, star_join
+
+from .corpus_tools import SPACES, WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -402,38 +418,105 @@ class TestEstimateThreading:
         )
 
 
+# -- the frozenset search, as a reference -----------------------------------------
+#
+# How the DP enumerated before it ran over bitmasks: relation sets as
+# frozensets, 2-partitions in ``combinations`` order, predicates by a
+# scan of ``query.joins``, each orientation priced on its own.
+
+
+def _ref_connected(query, subset) -> bool:
+    """Is the join graph restricted to ``subset`` connected?"""
+    reached = {min(subset)}
+    grown = True
+    while grown:
+        grown = False
+        for join in query.joins:
+            for a, b in ((join.left_rel, join.right_rel), (join.right_rel, join.left_rel)):
+                if a in reached and b in subset and b not in reached:
+                    reached.add(b)
+                    grown = True
+    return reached == set(subset)
+
+
+def _ref_between(query, a, b) -> list:
+    return [
+        j
+        for j in query.joins
+        if (j.left_rel in a and j.right_rel in b) or (j.left_rel in b and j.right_rel in a)
+    ]
+
+
+def _ref_partitions(subset):
+    """Unordered 2-partitions, the first relation's side first."""
+    anchor, *rest = sorted(subset)
+    for size in range(len(rest) + 1):
+        for combo in combinations(rest, size):
+            left = frozenset((anchor, *combo))
+            if subset - left:
+                yield left, subset - left
+
+
+def _ref_splits(subset, space):
+    if space == "bushy":
+        for left, right in _ref_partitions(subset):
+            yield left, right
+            yield right, left
+        return
+    for name in sorted(subset):
+        single, rest = frozenset((name,)), subset - {name}
+        yield (rest, single) if space == "left-deep" else (single, rest)
+
+
+def _ref_own_costs(outer, inner, predicates, outer_rels, methods):
+    """``(method, own cost)`` of one orientation, priced on its own."""
+    if not predicates:
+        if "nestloop" in methods:
+            yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, outer.rows * inner.rows)
+        return
+    rows = equijoin_rows(outer, inner, *predicates[0].oriented(outer_rels))
+    residual = filter_cpu(rows) if len(predicates) > 1 else 0.0
+    if "hash" in methods:
+        yield "hash", hash_join_cpu(outer.rows, inner.rows, rows) + residual
+    if "merge" in methods:
+        sorts = sort_cpu(outer.rows) + sort_cpu(inner.rows)
+        yield "merge", sorts + merge_join_cpu(outer.rows, inner.rows, rows) + residual
+    if "nestloop" in methods:
+        yield "nestloop", nest_loop_cpu(outer.rows, inner.rows, rows) + residual
+
+
 class TestJoinGraph:
     @pytest.mark.parametrize(
-        "schema_factory",
+        "query_factory",
         [
-            lambda: chain_join(5, rows_per_relation=100, seed=0),
-            lambda: star_join(4, fact_rows=200, dimension_rows=50, seed=0),
+            lambda: chain_join(5, rows_per_relation=100, seed=0).query,
+            lambda: star_join(4, fact_rows=200, dimension_rows=50, seed=0).query,
+            _triangle,
         ],
-        ids=["chain5", "star4"],
+        ids=["chain5", "star4", "triangle"],
     )
-    def test_index_matches_query_methods(self, schema_factory):
-        from itertools import combinations
-
-        schema = schema_factory()
-        query = schema.query
-        graph = query.join_index()
+    def test_index_matches_query_methods(self, query_factory):
+        """The bitmask index against the frozenset reference: connectivity
+        of every subset, and the predicates between every disjoint pair."""
+        query = query_factory()
+        index = _JoinIndex(query)
         rels = sorted(query.relations)
         subsets = [
             frozenset(c)
             for size in range(1, len(rels) + 1)
             for c in combinations(rels, size)
         ]
+        mask = {subset: sum(index.bits[r] for r in subset) for subset in subsets}
         for subset in subsets:
-            assert graph.is_connected(subset) == query.is_connected(subset)
-            # memoized second call agrees
-            assert graph.is_connected(subset) == query.is_connected(subset)
+            assert index.rels(mask[subset]) == subset
+            assert index.connected(mask[subset]) == _ref_connected(query, subset)
         for a in subsets:
             for b in subsets:
                 if a & b:
                     continue
                 # Same predicates in the same (query.joins) order — the
                 # enumerator's primary-predicate choice depends on it.
-                assert graph.joins_between(a, b) == query.joins_between(a, b)
+                assert index.between(mask[a], mask[b]) == _ref_between(query, a, b)
 
 
 class TestTwoPhaseFastPath:
@@ -725,19 +808,27 @@ class TestNodeEstimateMemoIsBounded:
         candidates only (one hash join or scan each: every merge join
         and its two sorts is pruned unbuilt), and ``estimate_hits``
         21,504 -> 1,218, the reused nodes under those 177.
+
+        The optimize_bushy benchmark's other shapes are pinned beside it:
+        star7 at seed 1 and chain8 at both seeds, unchanged when the
+        search moved from frozensets to bitmasks.
         """
-        schema = star_join(7, fact_rows=400, dimension_rows=80, seed=0)
-        optimizer = TwoPhaseOptimizer(schema.catalog)
-        optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
-        assert _search_counters(optimizer) == {
-            "candidates": 2696,
-            "pruned": 2519,
-            "costed": 177,
-            "parcost_hits": 128,
-            "parcost_misses": 49,
-            "estimate_hits": 1218,
-            "estimate_misses": 177,
+        star = partial(star_join, 7, fact_rows=400, dimension_rows=80)
+        chain = partial(chain_join, 8, rows_per_relation=300)
+        pinned = {
+            "star7/seed0": (star(seed=0), (2696, 2519, 177, 128, 49, 1218, 177)),
+            "star7/seed1": (star(seed=1), (2696, 2508, 188, 151, 37, 1324, 188)),
+            "chain8/seed0": (chain(seed=0), (512, 473, 39, 15, 24, 196, 39)),
+            "chain8/seed1": (chain(seed=1), (512, 473, 39, 15, 24, 196, 39)),
         }
+        names = (
+            "candidates", "pruned", "costed", "parcost_hits", "parcost_misses",
+            "estimate_hits", "estimate_misses",
+        )
+        for label, (schema, expected) in pinned.items():
+            optimizer = TwoPhaseOptimizer(schema.catalog)
+            optimizer.choose_plan(schema.query, OptimizerMode.BUSHY_PAR)
+            assert _search_counters(optimizer) == dict(zip(names, expected)), label
 
     def test_cold_seqcost_search_counters_are_pinned(self):
         """The ``LEFT_DEEP_SEQ`` twin: ``seqcost`` is its own bound.
@@ -806,14 +897,161 @@ class TestTieBreaking:
 
     @pytest.mark.parametrize("space", ["left-deep", "right-deep"])
     def test_deep_splits_are_the_legal_subset_of_all_splits(self, space):
-        from repro.optimizer.enumeration import _proper_subsets, _splits
-
-        subset = frozenset("abcde")
+        index = _JoinIndex(Query(relations=list("abcde")))
+        full = (1 << 5) - 1
+        everything = range(full + 1)
         legal = set()
-        for left, right in _proper_subsets(subset):
+        for left, right in index.splits(full, "bushy", everything):
             for outer, inner in ((left, right), (right, left)):
-                if len(inner if space == "left-deep" else outer) == 1:
+                if (inner if space == "left-deep" else outer).bit_count() == 1:
                     legal.add((outer, inner))
-        generated = list(_splits(subset, space))
-        assert len(generated) == len(subset) == len(legal)
+        generated = index.splits(full, space, everything)
+        assert len(generated) == 5 == len(legal)
         assert set(generated) == legal
+        # Sorted order: the single relation's name ascends.
+        singles = [inner if space == "left-deep" else outer for outer, inner in generated]
+        assert [index.rels(bit) for bit in singles] == [{name} for name in "abcde"]
+
+    @pytest.mark.parametrize("space", ["bushy", "left-deep", "right-deep"])
+    def test_splits_come_in_the_frozenset_order(self, space):
+        """Every split of every cell, with every cell settled and with
+        half of them, in the order of the frozenset reference (a bushy
+        partition once, the side holding the first relation first)."""
+        index = _JoinIndex(Query(relations=list("fbdeac")))
+        full = (1 << 6) - 1
+        half = set(range(0, full + 1, 2)) | set(index.bits.values())
+        for settled in (range(full + 1), half):
+            for mask in range(1, full + 1):
+                if mask.bit_count() < 2:
+                    continue
+                subset = index.rels(mask)
+                walk = _ref_partitions(subset) if space == "bushy" else _ref_splits(subset, space)
+                expected = [
+                    (outer, inner)
+                    for outer, inner in walk
+                    if sum(map(index.bits.get, outer)) in settled
+                    and sum(map(index.bits.get, inner)) in settled
+                ]
+                generated = [
+                    (index.rels(outer), index.rels(inner))
+                    for outer, inner in index.splits(mask, space, settled)
+                ]
+                assert generated == expected
+
+
+# -- the rows a cell offers ----------------------------------------------------------
+
+
+def _relations(plan) -> frozenset:
+    return frozenset(n.table for n in plan.walk() if hasattr(n, "table"))
+
+
+def _describe(bound, recipe) -> tuple:
+    """A row as the seam sees it: the bound to the last bit, then the
+    plan's shape, or the recipe's method, sides and predicates."""
+    if isinstance(recipe, PlanNode):
+        return bound.hex(), plan_shape_key(recipe)
+    outer, inner, predicates, outer_rels, method = recipe
+    return (
+        bound.hex(), method, _relations(outer), _relations(inner),
+        tuple(predicates), outer_rels,
+    )
+
+
+def _reference_rows(query, catalog, cost, space, methods, settled):
+    """Each cell's rows as the frozenset search offered them, in its cell
+    order, joining the sub-plans the search under test ``settled``."""
+    allow_cross = not _ref_connected(query, frozenset(query.relations))
+    pre_bound = getattr(cost, "pre_bound", None)
+    names = sorted(query.relations)
+    cells = [frozenset((name,)) for name in query.relations] + [
+        frozenset(combo)
+        for size in range(2, len(names) + 1)
+        for combo in combinations(names, size)
+        if allow_cross or _ref_connected(query, frozenset(combo))
+    ]
+    for subset in cells:
+        rows = []
+        if len(subset) == 1:
+            (name,) = subset
+            rows = [(0.0, path) for path in access_paths(query, name, catalog)]
+        for outer_set, inner_set in _ref_splits(subset, space) if len(subset) > 1 else ():
+            if outer_set not in settled or inner_set not in settled:
+                continue
+            predicates = _ref_between(query, outer_set, inner_set)
+            if not predicates and not allow_cross:
+                continue
+            join = (settled[outer_set], settled[inner_set], predicates, outer_set)
+            if pre_bound is None:
+                rows += [(0.0, c) for c in join_candidates(*join, methods=methods)]
+                continue
+            sums = partial(
+                subtree_sums, catalog=catalog, machine=cost.machine,
+                cache=cost.caches.node_estimates,
+            )
+            outer, outer_seq, outer_ios = sums(join[0])
+            inner, inner_seq, inner_ios = sums(join[1])
+            seq, ios = outer_seq + inner_seq, outer_ios + inner_ios
+            for method, own in _ref_own_costs(outer, inner, predicates, outer_set, methods):
+                rows.append((pre_bound(seq + own, ios), (*join, method)))
+        rows.sort(key=itemgetter(0))
+        yield [_describe(bound, recipe) for bound, recipe in rows]
+
+
+def _check_row_order(query, catalog, space, methods, monkeypatch) -> int:
+    """Bounded parcost, bounded seqcost and unbounded: every cell offers
+    the reference's rows in the reference's order.  Returns the rows."""
+    checked = 0
+    for objective, bounded in (
+        (ParcostObjective, True), (SeqcostObjective, True), (ParcostObjective, False)
+    ):
+        caches = OptimizerCaches()
+        cost = objective(catalog, machine=paper_machine(), caches=caches)
+        if not bounded:
+            cost.pre_bound = None
+        offered, settled = [], {}
+        real = _Incumbent.offer_bounded
+
+        def offer_bounded(self, rows):
+            rows = list(rows)
+            real(self, rows)
+            offered.append([_describe(bound, recipe) for bound, recipe in rows])
+            if self.plan is not None:
+                settled[_relations(self.plan)] = self.plan
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Incumbent, "offer_bounded", offer_bounded)
+            enumerate_space(query, catalog, cost, space=space, methods=methods, caches=caches)
+        expected = list(_reference_rows(query, catalog, cost, space, methods, settled))
+        assert offered == expected
+        checked += sum(map(len, offered))
+    return checked
+
+
+class TestRowOrder:
+    """What the bitmask search offers ``_Incumbent.offer_bounded``, cell
+    by cell, is what the frozenset search offered: the same rows, the
+    same bounds to the last bit, in the same order — so node ids,
+    counters and every tie settle as they did."""
+
+    @pytest.mark.parametrize("label", [label for label, __ in WORKLOADS])
+    @pytest.mark.parametrize("space", SPACES)
+    def test_corpus_workloads(self, label, space, monkeypatch):
+        schema = dict(WORKLOADS)[label]()
+        assert _check_row_order(
+            schema.query, schema.catalog, space, JOIN_METHODS, monkeypatch
+        )
+
+    @pytest.mark.parametrize("label", OFF_BENCHMARK)
+    def test_off_benchmark_shapes(self, catalog, label, monkeypatch):
+        query, space, methods, __ = OFF_BENCHMARK[label]
+        assert _check_row_order(query, catalog, space, methods, monkeypatch)
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_schemas(self, seed, monkeypatch):
+        schema = random_join_schema(seed)
+        for space in SPACES:
+            assert _check_row_order(
+                schema.query, schema.catalog, space, JOIN_METHODS, monkeypatch
+            )

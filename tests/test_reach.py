@@ -50,11 +50,6 @@ ALLOWED: dict[tuple[str, str], str] = {
         "safety: the B+-tree tests assert the tree's invariants after "
         "every split"
     ),
-    # Test seams: a test makes a state no non-test caller makes yet.
-    ("repro.storage.page", "SlottedPage.delete"): (
-        "test seam: the page format's tombstone; the storage and ANALYZE "
-        "tests make them to drive every decoder's deleted-slot branch"
-    ),
 }
 
 #: Builtins whose constant second argument names an attribute.

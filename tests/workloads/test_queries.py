@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.optimizer import OptimizerMode, TwoPhaseOptimizer
+from repro.optimizer.enumeration import _JoinIndex
 from repro.workloads import chain_join, star_join
 
 
@@ -16,7 +17,8 @@ class TestChainJoin:
 
     def test_chain_is_connected(self):
         schema = chain_join(4, rows_per_relation=80)
-        assert schema.query.is_connected(frozenset(schema.relation_names))
+        index = _JoinIndex(schema.query)
+        assert index.connected(sum(index.bits[name] for name in schema.relation_names))
 
     def test_optimizable_and_runnable(self):
         schema = chain_join(3, rows_per_relation=100)

@@ -146,6 +146,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         poisson_stream,
         smoke_lines,
         sweep,
+        utilization_timeline,
     )
 
     if args.smoke:
@@ -158,7 +159,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=admission_by_name(args.admission),
         queue_capacity=args.queue_cap,
         max_inflight_fragments=args.inflight,
-        timeline_bucket=args.bucket,
     )
 
     def stream_factory(rate, seed, cfg, mach):
@@ -199,10 +199,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate = args.rho * mu
     stream = stream_factory(rate, args.seed, config, machine)
     result = service.run(stream)
-    print(result.metrics.to_table())
+    lines = [result.metrics.to_table()]
     if args.bucket is not None:
-        print()
-        print(format_timeline(result.metrics.utilization_timeline))
+        timeline = utilization_timeline(result.schedule, bucket=args.bucket)
+        lines += ["", format_timeline(timeline)]
+    print("\n".join(lines))
     return 0
 
 
@@ -278,7 +279,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .obs import flat_json, run_trace, smoke_lines, validate_chrome
+    from .obs import (
+        flat_json,
+        metrics_table,
+        run_trace,
+        smoke_lines,
+        validate_chrome,
+    )
 
     if args.smoke:
         # Byte-stable: virtual-time event counts and simulated
@@ -287,7 +294,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     report = run_trace(args.seed, faulted=not args.healthy)
     print(report.summary())
     print()
-    print(report.metrics.to_table())
+    print(metrics_table(report.metrics))
     if args.chrome is not None:
         text = report.chrome_json()
         problem = validate_chrome(text)

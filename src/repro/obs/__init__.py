@@ -6,11 +6,12 @@
   with **simulator virtual time** — traces are byte-stable per seed.
   ``None`` is the default everywhere, so disabled tracing costs one
   branch at cold emission sites and nothing on the per-page hot path.
-* :class:`MetricsRegistry` holds counters, gauges, histograms and
-  timestamped series under dotted names, folded in after a run from
-  what it returned (``OptimizedQuery.stats``,
-  :meth:`ServiceMetrics.publish <repro.service.metrics.ServiceMetrics.publish>`).
-  :func:`percentile` is the repository's one percentile implementation.
+* A metrics digest is a plain dict of counters, gauges, latency
+  summaries and timestamped series under dotted names, read off each
+  phase's result after it returned (``OptimizedQuery.stats``,
+  :meth:`ServiceMetrics.sections <repro.service.metrics.ServiceMetrics.sections>`);
+  :func:`metrics_table` prints one.  :func:`percentile` is the
+  repository's one percentile implementation.
 * :mod:`repro.obs.export` renders a tracer as Chrome trace-event JSON
   (Perfetto-loadable, one thread lane per track), flat JSON or a text
   summary table.
@@ -28,22 +29,10 @@ from .export import (
     summary_table,
 )
 from .harness import TraceReport, run_trace, smoke_lines, validate_chrome
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    percentile,
-)
+from .metrics import metrics_table, percentile, summarize
 from .tracer import TraceEvent, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Series",
     "TraceEvent",
     "TraceReport",
     "Tracer",
@@ -51,9 +40,11 @@ __all__ = [
     "chrome_json",
     "flat_events",
     "flat_json",
+    "metrics_table",
     "percentile",
     "run_trace",
     "smoke_lines",
+    "summarize",
     "summary_table",
     "validate_chrome",
 ]

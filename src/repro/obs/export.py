@@ -9,7 +9,7 @@ as simulated seconds — and because the engines are deterministic per
 seed, the exported bytes are too.
 
 Exports are pure functions of the tracer (plus an optional metrics
-registry for the flat/summary forms); nothing here touches wall clock.
+digest for the flat form); nothing here touches wall clock.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 
 from ..bench.report import format_table
-from .metrics import MetricsRegistry
 from .tracer import TraceEvent, Tracer
 
 #: Process id used for every lane; one simulated machine = one process.
@@ -125,13 +124,11 @@ def flat_events(tracer: Tracer) -> list[dict]:
     return out
 
 
-def flat_json(
-    tracer: Tracer, metrics: MetricsRegistry | None = None
-) -> str:
+def flat_json(tracer: Tracer, metrics: dict | None = None) -> str:
     """Events plus the metrics digest as one deterministic JSON string."""
     payload: dict = {"events": flat_events(tracer)}
     if metrics is not None:
-        payload["metrics"] = metrics.as_dict()
+        payload["metrics"] = metrics
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 

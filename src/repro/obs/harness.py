@@ -6,11 +6,11 @@ a (optionally faulted) micro-engine run — with a single live
 :class:`~repro.obs.Tracer` threaded through every layer.  The result is
 one unified trace whose Chrome export opens in Perfetto with a lane per
 task, tenant, disk and subsystem.  The
-:class:`~repro.obs.MetricsRegistry` is filled once each phase is over,
-from what that phase returned.
+metrics digest is read off what each phase returned, once all three
+are over.
 
 Every event and every metric is virtual time or a count, so the trace
-and the registry are pure functions of the seed: two runs export
+and the digest are pure functions of the seed: two runs export
 byte-identical Chrome and flat JSON, which the determinism tests pin
 down.
 """
@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 from .export import chrome_events, chrome_json, summary_table
-from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 # The engine/service/optimizer imports happen inside run_trace():
@@ -40,17 +39,17 @@ class TraceReport:
     Attributes:
         seed: the seed the run was keyed on.
         tracer: the populated tracer (all three phases).
-        metrics: the populated unified registry: the optimized query's
+        metrics: the metrics digest: the optimized query's
             ``optimizer.*`` cache counters, the stream's ``service.*``
-            counters and the micro run's ``sim.pages`` /
-            ``sim.elapsed``.
+            sections and the micro run's ``sim.*`` (plus
+            ``faults.crashes`` when faulted).
         faulted: whether the micro phase ran under the mixed fault
             preset.
     """
 
     seed: int
     tracer: Tracer
-    metrics: MetricsRegistry
+    metrics: dict
     faulted: bool
 
     def chrome_json(self) -> str:
@@ -67,10 +66,9 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
 
     The slice: a four-relation star join, a ten-submission stream and a
     four-task micro-engine mix of at most 200 pages per task.  All three
-    phases share one tracer, and each phase's result is folded into one
-    metrics registry; every timestamp is simulator virtual time, so the
-    report's exports are byte-identical across runs of the same
-    arguments.
+    phases share one tracer, and the metrics digest is read off their
+    results; every timestamp is simulator virtual time, so the report's
+    exports are byte-identical across runs of the same arguments.
 
     Args:
         seed: keys the join workload, the arrival stream and the
@@ -94,10 +92,9 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
     from ..workloads.queries import star_join
 
     tracer = Tracer()
-    metrics = MetricsRegistry()
 
     # Phase 1: optimize a seeded star join; the tracer gets one
-    # deterministic instant, the registry the cache counters (the
+    # deterministic instant, the result the cache counters (the
     # optimizer is fresh, so they are this query's alone).
     # Scoped node ids, so in-process reruns build byte-identical
     # schemas; row counts keep the search small but non-trivial.
@@ -105,8 +102,6 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         schema = star_join(3, fact_rows=400, dimension_rows=80, seed=seed)
     optimizer = TwoPhaseOptimizer(schema.catalog, tracer=tracer)
     optimized = optimizer.optimize(schema.query, mode=OptimizerMode.BUSHY_PAR)
-    for key, value in (optimized.stats or {}).items():
-        metrics.counter(f"optimizer.{key}").inc(value)
 
     # Phase 2: a short open-system stream through the admission gate,
     # sized to provoke some queueing (small queues, tight in-flight
@@ -128,7 +123,7 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         config=mixed_tenant_config(10),
         machine=machine,
     )
-    service.run(stream).metrics.publish(metrics)
+    served = service.run(stream)
 
     # Phase 3: a seeded RANDOM mix on the page-level engine, under the
     # mixed fault preset when asked, so the trace carries task spans,
@@ -144,11 +139,17 @@ def run_trace(seed: int = 0, *, faulted: bool = True) -> TraceReport:
         machine, seed=seed, faults=faults, fault_seed=seed, tracer=tracer
     )
     micro_result = micro.run(specs, InterWithAdjPolicy(integral=True))
-    metrics.counter("sim.pages").inc(int(micro_result.io_served))
-    metrics.counter("sim.adjustments").inc(micro_result.adjustments)
-    metrics.gauge("sim.elapsed").set(micro_result.elapsed)
+
+    # The metrics digest: each value read off one phase's result.
+    metrics = served.metrics.sections()
+    counters = metrics["counters"]
+    for key, value in (optimized.stats or {}).items():
+        counters[f"optimizer.{key}"] = value
+    counters["sim.pages"] = int(micro_result.io_served)
+    counters["sim.adjustments"] = micro_result.adjustments
     if micro_result.fault_log is not None:
-        metrics.counter("faults.crashes").inc(micro_result.fault_log.crashes)
+        counters["faults.crashes"] = micro_result.fault_log.crashes
+    metrics["gauges"]["sim.elapsed"] = micro_result.elapsed
 
     return TraceReport(
         seed=seed,
@@ -188,8 +189,7 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
     lines on any violated invariant.
     """
     report = run_trace(seed)
-    digest = report.metrics.as_dict()
-    counters = digest["counters"]
+    counters = report.metrics["counters"]
     opt = {
         key: counters.get(f"optimizer.{key}", 0)
         for key in ("candidates", "pruned", "costed")
@@ -203,7 +203,7 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
         f"{counters['service.offered']} completed, "
         f"{counters['service.rejected']} rejected",
         f"smoke: micro {counters['sim.pages']} pages, "
-        f"simulated {digest['gauges']['sim.elapsed']:.4f}s"
+        f"simulated {report.metrics['gauges']['sim.elapsed']:.4f}s"
         + (" (faulted)" if report.faulted else ""),
     ]
     if len(report.tracer) == 0:

@@ -116,8 +116,8 @@ class OptimizerCaches:
         subtrees: the subtree memo riding on ``node_estimates`` (so
             ``estimate_plan(cache=node_estimates)`` finds it), see
             :class:`~repro.plans.costing.EstimateMemo`.
-        parcost_elapsed: ``(signature, machine, policy key)`` ->
-            ``parcost`` (simulated elapsed seconds).
+        parcost_elapsed: ``(signature, machine)`` -> ``parcost``
+            (simulated elapsed seconds under the default policy).
         subplans: DP cell key -> ``(cost, plan)``, the cross-query
             sub-plan memo.  Bounded by the number of distinct connected
             sub-join-graphs (times selections and search

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
 from ..config import MachineConfig, paper_machine
-from ..core.schedulers import (
-    InterWithAdjPolicy,
-    InterWithoutAdjPolicy,
-    IntraOnlyPolicy,
-    SchedulingPolicy,
-)
+from ..core.schedulers import InterWithAdjPolicy, SchedulingPolicy
 from ..core.task import Task
 from ..plans.costing import PlanEstimate, estimate_plan
 from ..plans.fragments import (
@@ -74,56 +69,37 @@ class ParallelCost:
         return self.seqcost / self.elapsed if self.elapsed > 0 else 0.0
 
 
-def _policy_cache_key(policy: SchedulingPolicy | None) -> tuple | None:
-    """A hashable configuration key for ``policy``, or None if unknown.
-
-    Only exact instances of the three stock policies are keyable: a
-    subclass (or a policy carrying external state, like the serving
-    gate) could decide differently for the same configuration, so it
-    must not share cache entries.  ``None`` means "do not cache".
-    """
-    if policy is None:
-        policy = _DEFAULT_POLICY
-    cls = type(policy)
-    if cls is InterWithAdjPolicy:
-        return (
-            "INTER-WITH-ADJ",
-            policy.integral,
-            policy.use_effective_bandwidth,
-            policy.pairing,
-            policy.degradation_aware,
-        )
-    if cls is InterWithoutAdjPolicy:
-        return ("INTER-WITHOUT-ADJ", policy.integral)
-    if cls is IntraOnlyPolicy:
-        return ("INTRA-ONLY", policy.integral)
-    return None
-
-
 #: Shared default policy instance; ``FluidSimulator.run`` resets it, so
 #: reuse is safe and saves one construction per parcost call.
 _DEFAULT_POLICY = InterWithAdjPolicy()
 
 
 def _prepare(plan, catalog, machine, policy, caches, estimate):
-    """What both cost functions start from: machine, estimate, memo key."""
+    """What both cost functions start from: machine, estimate, and the
+    caches that memoize the elapsed time.
+
+    Only the default policy's elapsed times are memoized: a policy
+    passed in (a subclass, or a serving gate carrying external state)
+    could decide differently for the same signature, so it is simulated
+    afresh every time.
+    """
     machine = machine or paper_machine()
-    memo = key = None
+    memo = None
     if caches is not None:
         caches.sync(catalog)
         memo = caches.node_estimates
-        key = _policy_cache_key(policy)
     if estimate is None:
         estimate = estimate_plan(plan, catalog, machine=machine, cache=memo)
-    return machine, estimate, key
+    return machine, estimate, caches if policy is None else None
 
 
-def _simulate(tasks, signature, machine, policy, caches, key) -> ScheduleResult:
-    """Run the scheduling algorithm over ``tasks``; memoize the elapsed time."""
+def _simulate(tasks, signature, machine, policy, store) -> ScheduleResult:
+    """Run the scheduling algorithm over ``tasks``; memoize the elapsed
+    time in ``store`` (an :class:`OptimizerCaches`, or None)."""
     simulator = FluidSimulator(machine, adjustment_overhead=0.0)
     schedule = simulator.run(tasks, policy or _DEFAULT_POLICY)
-    if key is not None:
-        caches.parcost_elapsed[(signature, machine, key)] = schedule.elapsed
+    if store is not None:
+        store.parcost_elapsed[(signature, machine)] = schedule.elapsed
     return schedule
 
 
@@ -151,11 +127,11 @@ def parallel_cost(
     from a fresh simulation of *this* plan's tasks, so ``schedule``
     records match ``tasks`` by id even when the scalar cache is warm.
     """
-    machine, estimate, key = _prepare(plan, catalog, machine, policy, caches, None)
+    machine, estimate, store = _prepare(plan, catalog, machine, policy, caches, None)
     fragments = fragment_plan(plan, estimate)
     signature = fragments.signature()
     tasks = signature_tasks(signature, fragments.fragments)
-    schedule = _simulate(list(tasks), signature, machine, policy, caches, key)
+    schedule = _simulate(list(tasks), signature, machine, policy, store)
     return ParallelCost(
         plan=plan,
         estimate=estimate,
@@ -179,22 +155,21 @@ def parcost(
     No fragment is built: the signature is composed from the plan's
     fragment summary and the tasks come straight from its rows.  With
     ``caches`` attached, subplans already summarized are not revisited,
-    and plans whose signature was already simulated (for this machine
-    and policy configuration) return the memoized elapsed time without
-    running the engine.
+    and plans whose signature was already simulated (for this machine)
+    return the memoized elapsed time without running the engine.
     """
-    machine, estimate, key = _prepare(plan, catalog, machine, None, caches, estimate)
+    machine, estimate, store = _prepare(plan, catalog, machine, None, caches, estimate)
     signature = plan_signature(
         plan, estimate, caches.subtrees if caches is not None else None
     )
     if caches is not None:
-        cached = caches.parcost_elapsed.get((signature, machine, key))
+        cached = caches.parcost_elapsed.get((signature, machine))
         if cached is not None:
             caches.stats.parcost_hits += 1
             return cached
         caches.stats.parcost_misses += 1
     tasks = signature_tasks(signature)
-    return _simulate(tasks, signature, machine, None, caches, key).elapsed
+    return _simulate(tasks, signature, machine, None, store).elapsed
 
 
 class ParcostObjective:
@@ -227,7 +202,7 @@ class ParcostObjective:
             # pruning hook, so the enumeration builds every candidate.
             self.pre_bound = None  # type: ignore[assignment]
         else:
-            self.memo_key = ("parcost", self.machine, _policy_cache_key(None))
+            self.memo_key = ("parcost", self.machine)
 
     def __call__(self, plan: PlanNode) -> float:
         estimate = None

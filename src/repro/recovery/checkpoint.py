@@ -287,7 +287,7 @@ class Checkpoint:
         for run in sorted(engine.runs.values(), key=lambda r: r.task.task_id):
             engine._kick_idle(run)
         if engine.recovery is not None:
-            engine.recovery.note_restore(engine)
+            engine.recovery.restores += 1
 
     @property
     def pages_done(self) -> int:

@@ -42,8 +42,6 @@ class RecoveryManager:
             becomes the "restart from scratch" arm of the benchmark.
         min_interval: minimum virtual seconds between captures (0 =
             capture at every round boundary).
-        tracer: optional :class:`~repro.obs.Tracer`; checkpoint and
-            restore instants land on a ``recovery`` track.
     """
 
     def __init__(
@@ -51,13 +49,11 @@ class RecoveryManager:
         *,
         enabled: bool = True,
         min_interval: float = 0.0,
-        tracer=None,
     ) -> None:
         if min_interval < 0:
             raise RecoveryError("min_interval must be >= 0")
         self.enabled = enabled
         self.min_interval = min_interval
-        self.tracer = tracer
         self.last: Checkpoint | None = None
         self.captures = 0
         self.restores = 0
@@ -67,39 +63,20 @@ class RecoveryManager:
         """Virtual time of the newest checkpoint, or ``None``."""
         return self.last.taken_at if self.last is not None else None
 
-    def capture(self, engine) -> None:
-        """Snapshot ``engine`` if enabled and past the rate limit."""
+    def capture(self, engine) -> Checkpoint | None:
+        """Snapshot ``engine`` if enabled and past the rate limit; the
+        new checkpoint, or ``None`` when none was taken."""
         if not self.enabled:
-            return
+            return None
         last = self.last
         if (
             last is not None
             and engine.clock - last.taken_at < self.min_interval
         ):
-            return
+            return None
         self.last = Checkpoint.capture(engine)
         self.captures += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                "checkpoint",
-                t=engine.clock,
-                track="recovery",
-                cat="recovery",
-                args={"pages_done": self.last.pages_done},
-            )
-
-    def note_restore(self, engine) -> None:
-        """Called by :meth:`Checkpoint.restore` once the engine is rebuilt."""
-        self.restores += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                "restore",
-                t=engine.clock,
-                track="recovery",
-                cat="recovery",
-            )
+        return self.last
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from ..bench.report import format_table
 from ..errors import ServiceError
-from ..obs.metrics import MetricsRegistry, percentile
+from ..obs.metrics import percentile, summarize
 from ..sim.fluid import ScheduleResult
 from .gate import SubmissionOutcome
 
@@ -125,9 +125,6 @@ class ServiceMetrics:
     outcomes: list[SubmissionOutcome]
     cpu_utilization: float
     io_utilization: float
-    utilization_timeline: list[tuple[float, float, float]] = field(
-        default_factory=list
-    )
     #: ``(t, state)`` transitions of the admission circuit breaker
     #: (empty when no breaker guards the gate).
     breaker_timeline: list[tuple[float, str]] = field(default_factory=list)
@@ -139,7 +136,6 @@ class ServiceMetrics:
         schedule: ScheduleResult,
         *,
         admission_name: str,
-        utilization_timeline: list[tuple[float, float, float]],
         breaker_timeline: list[tuple[float, str]],
     ) -> ServiceMetrics:
         """One run's metrics: a :class:`TenantMetrics` per tenant (in
@@ -155,7 +151,6 @@ class ServiceMetrics:
             outcomes=outcomes,
             cpu_utilization=schedule.cpu_utilization,
             io_utilization=schedule.io_utilization,
-            utilization_timeline=utilization_timeline,
             breaker_timeline=breaker_timeline,
         )
 
@@ -177,36 +172,43 @@ class ServiceMetrics:
         """Completed submissions per second of simulated time."""
         return self.overall.completed / self.elapsed if self.elapsed > 0 else 0.0
 
-    def publish(self, registry: MetricsRegistry) -> None:
-        """Fold the run into a :class:`~repro.obs.MetricsRegistry`.
+    def sections(self) -> dict:
+        """The run's metrics digest (see :mod:`repro.obs.metrics`).
 
-        Adds the ``service.*`` counters (offered/admitted/rejected/
-        completed/retries/deadline cancels/degraded) from
-        :attr:`overall`, the response-time and queue-wait histograms
-        (one batch each, in outcome order) and, when a breaker guarded
-        the gate, the breaker-state series.
+        The ``service.*`` counters (offered/admitted/rejected/completed/
+        retries/deadline cancels/degraded) from :attr:`overall`, the
+        response-time and queue-wait summaries of the finished
+        submissions (zeros when none finished), no gauges and, only when
+        a breaker guarded the gate, the breaker-state series.
         """
         totals = self.overall
-        registry.counter("service.offered").inc(totals.offered)
-        registry.counter("service.admitted").inc(totals.admitted)
-        registry.counter("service.rejected").inc(totals.rejected)
-        registry.counter("service.completed").inc(totals.completed)
-        registry.counter("service.retries").inc(totals.retries)
-        registry.counter("service.deadline_cancels").inc(
-            totals.deadline_cancelled
-        )
-        registry.counter("service.degraded").inc(totals.degraded)
         finished = [o for o in self.outcomes if o.finished_at is not None]
-        registry.histogram("service.response_time").observe_many(
-            [o.response_time for o in finished]
-        )
-        registry.histogram("service.queue_wait").observe_many(
-            [o.queueing_delay for o in finished]
-        )
-        if self.breaker_timeline:
-            series = registry.series("service.breaker_state")
-            for t, name in self.breaker_timeline:
-                series.append(t, name)
+        breaker = self.breaker_timeline
+        return {
+            "counters": {
+                "service.offered": totals.offered,
+                "service.admitted": totals.admitted,
+                "service.rejected": totals.rejected,
+                "service.completed": totals.completed,
+                "service.retries": totals.retries,
+                "service.deadline_cancels": totals.deadline_cancelled,
+                "service.degraded": totals.degraded,
+            },
+            "gauges": {},
+            "histograms": {
+                "service.response_time": summarize(
+                    [o.response_time for o in finished]
+                ),
+                "service.queue_wait": summarize(
+                    [o.queueing_delay for o in finished]
+                ),
+            },
+            "series": (
+                {"service.breaker_state": [[t, state] for t, state in breaker]}
+                if breaker
+                else {}
+            ),
+        }
 
     def to_table(self) -> str:
         """The per-tenant metrics table (plus an ``all`` summary row)."""

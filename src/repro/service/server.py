@@ -27,7 +27,7 @@ from ..faults.retry import RetryPolicy
 from ..sim.fluid import FluidSimulator, ScheduleResult
 from .admission import AdmissionPolicy, BalanceAwareAdmission
 from .gate import AdmissionGate, SubmissionOutcome
-from .metrics import ServiceMetrics, utilization_timeline
+from .metrics import ServiceMetrics
 from .queue import ServiceSubmission
 
 
@@ -105,8 +105,6 @@ class QueryService:
 
     Args:
         machine: machine configuration (defaults to the paper machine).
-        timeline_bucket: bucket width (seconds) of the utilization
-            timeline attached to the metrics; ``None`` skips it.
         tracer: a :class:`~repro.obs.Tracer` threaded into the gate
             and the fluid engine; ``None`` records nothing.
     """
@@ -119,7 +117,6 @@ class QueryService:
         scheduler: SchedulingPolicy | None = None,
         queue_capacity: int = 8,
         max_inflight_fragments: int = 6,
-        timeline_bucket: float | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         deadline_policy: str = "off",
@@ -127,7 +124,6 @@ class QueryService:
         tracer=None,
     ) -> None:
         self.machine = machine or paper_machine()
-        self.timeline_bucket = timeline_bucket
         self.tracer = tracer
         self.gate = AdmissionGate(
             inner=scheduler or InterWithAdjPolicy(),
@@ -187,34 +183,19 @@ class QueryService:
         simulator = FluidSimulator(self.machine, tracer=self.tracer)
         schedule = simulator.run(pooled, gate)
         outcomes = gate.outcomes(schedule)
-        metrics = self._digest(outcomes, schedule)
+        breaker = gate.breaker
+        metrics = ServiceMetrics.of(
+            outcomes,
+            schedule,
+            admission_name=gate.admission.name,
+            breaker_timeline=(
+                list(breaker.timeline) if breaker is not None else []
+            ),
+        )
         return ServiceResult(
             admission_name=gate.admission.name,
             outcomes=outcomes,
             schedule=schedule,
             metrics=metrics,
             decide_rounds=gate.decide_rounds,
-        )
-
-    # -- digestion ----------------------------------------------------------------
-
-    def _digest(
-        self,
-        outcomes: list[SubmissionOutcome],
-        schedule: ScheduleResult,
-    ) -> ServiceMetrics:
-        timeline = (
-            utilization_timeline(schedule, bucket=self.timeline_bucket)
-            if self.timeline_bucket is not None
-            else []
-        )
-        breaker = self.gate.breaker
-        return ServiceMetrics.of(
-            outcomes,
-            schedule,
-            admission_name=self.gate.admission.name,
-            utilization_timeline=timeline,
-            breaker_timeline=(
-                list(breaker.timeline) if breaker is not None else []
-            ),
         )

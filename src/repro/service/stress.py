@@ -82,7 +82,7 @@ def estimate_capacity(
         max_inflight_fragments=gate.max_inflight_fragments,
     )
     result = probe_service.run(stream)
-    completed = sum(1 for o in result.outcomes if o.status == "completed")
+    completed = result.metrics.overall.completed
     if completed == 0 or result.elapsed <= 0:
         raise ConfigError("capacity probe completed no submissions")
     return completed / result.elapsed

@@ -312,9 +312,10 @@ class MicroSimulator:
             checkpoints at adjustment-round boundaries; ``None`` (the
             default) captures nothing and adds zero per-event work.
         tracer: a :class:`~repro.obs.Tracer` recording task spans,
-            adjustment rounds and fault instants at virtual time;
-            ``None`` records nothing.  The tracer only appends to its
-            own event list, so enabling it cannot perturb the schedule.
+            adjustment rounds and fault, checkpoint and restore instants
+            at virtual time; ``None`` records nothing.  The tracer only
+            appends to its own event list, so enabling it cannot perturb
+            the schedule.
         invariants: an :class:`~repro.check.InvariantChecker` asserting
             page conservation, clock monotonicity and resource bounds
             at the engine's cold sites; ``None`` (the default) checks
@@ -481,6 +482,10 @@ class _MicroEngine(TaskLedger):
         # to arming first — nothing above pushes a heap event.
         if resume_from is not None:
             resume_from.restore(self)
+            if tracer is not None:
+                tracer.instant(
+                    "restore", t=self.clock, track="recovery", cat="recovery"
+                )
         if injector is not None:
             injector.attach(self, resumed=resume_from is not None)
 
@@ -1342,4 +1347,12 @@ class _MicroEngine(TaskLedger):
             return
         if any(r.adjusting for r in self.runs.values()):
             return
-        recovery.capture(self)
+        checkpoint = recovery.capture(self)
+        if checkpoint is not None and self.tracer is not None:
+            self.tracer.instant(
+                "checkpoint",
+                t=self.clock,
+                track="recovery",
+                cat="recovery",
+                args={"pages_done": checkpoint.pages_done},
+            )

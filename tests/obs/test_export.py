@@ -3,7 +3,6 @@
 import json
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     chrome_events,
     chrome_json,
@@ -70,9 +69,8 @@ class TestFlatExport:
         assert events[2]["value"] == 3.0
 
     def test_flat_json_includes_metrics_digest(self):
-        registry = MetricsRegistry()
-        registry.counter("sim.pages").inc(559)
-        payload = json.loads(flat_json(sample_tracer(), registry))
+        digest = {"counters": {"sim.pages": 559}, "series": {}}
+        payload = json.loads(flat_json(sample_tracer(), digest))
         assert len(payload["events"]) == 3
         assert payload["metrics"]["counters"]["sim.pages"] == 559
 

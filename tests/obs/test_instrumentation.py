@@ -18,7 +18,6 @@ from repro.core.schedulers import InterWithAdjPolicy, policy_by_name
 from repro.faults import CircuitBreaker, preset_schedule
 from repro.obs import Tracer
 from repro.optimizer import TwoPhaseOptimizer
-from repro.recovery import RecoveryManager
 from repro.service import AdmissionGate, FifoAdmission, QueryService
 from repro.sim.fluid import FluidSimulator
 from repro.sim.micro import MicroSimulator
@@ -158,7 +157,6 @@ def test_every_constructor_keeps_the_tracer_it_is_given():
         service,
         service.gate,
         TwoPhaseOptimizer(Catalog(), machine=machine, tracer=tracer),
-        RecoveryManager(tracer=tracer),
         CircuitBreaker(tracer=tracer),
     ]
     for holder in holders:

@@ -1,9 +1,10 @@
-"""Tests for the unified metrics registry."""
+"""Tests for metrics digests: the percentile, latency summaries and the
+metrics table."""
 
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import Counter, Histogram, MetricsRegistry, Series, percentile
+from repro.obs import metrics_table, percentile, summarize
 
 
 class TestPercentile:
@@ -32,114 +33,73 @@ class TestPercentile:
             assert percentile(values, p) == 3.25
 
 
-class TestCounter:
-    def test_inc_accumulates(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_negative_increment_raises(self):
-        with pytest.raises(ObsError):
-            Counter("c").inc(-1)
-
-
 class TestHistogram:
-    def test_streaming_percentiles_match_module_percentile(self):
-        hist = Histogram("h")
-        values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        hist.observe_many(values[:2])
-        hist.observe_many(values[2:])
-        assert hist.count == 5
-        assert hist.mean == pytest.approx(3.0)
-        for p in (50.0, 95.0, 99.0):
-            assert hist.percentile(p) == pytest.approx(percentile(values, p))
-
-    def test_queries_work_mid_stream(self):
-        hist = Histogram("h")
-        hist.observe_many([10.0])
-        assert hist.p50 == 10.0
-        hist.observe_many([20.0])
-        assert hist.p50 == pytest.approx(15.0)
+    """A digest's histogram entry: :func:`summarize` of a latency list."""
 
     def test_empty_histogram(self):
-        hist = Histogram("h")
-        assert hist.count == 0
-        assert hist.mean == 0.0
-        assert hist.p99 == 0.0
+        assert summarize([]) == {
+            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0
+        }
 
-    def test_out_of_range_percentile_raises(self):
-        hist = Histogram("h")
-        hist.observe_many([1.0])
-        with pytest.raises(ObsError):
-            hist.percentile(200.0)
+    def test_percentiles_match_the_one_percentile(self):
+        values = [5.0, 1.0, 3.0, 2.0, 4.0]
+        summary = summarize(values)
+        assert summary["count"] == 5
+        assert summary["mean"] == pytest.approx(3.0)
+        for p in (50, 95, 99):
+            assert summary[f"p{p}"] == percentile(values, float(p))
+
+    def test_mean_sums_the_sorted_values(self):
+        # Float addition is not associative: the mean is taken over the
+        # sorted list, whatever order the latencies came in.
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert summarize(values)["mean"] == sum(sorted(values)) / 4
 
     def test_single_observation_dominates_every_percentile(self):
-        hist = Histogram("h")
-        hist.observe_many([4.5])
-        assert hist.p50 == hist.p95 == hist.p99 == 4.5
-        assert hist.mean == 4.5
-        assert hist.total == 4.5
+        assert summarize([4.5]) == {
+            "count": 1, "mean": 4.5, "p50": 4.5, "p95": 4.5, "p99": 4.5
+        }
 
     def test_identical_observations_have_zero_spread(self):
-        hist = Histogram("h")
-        hist.observe_many([2.0] * 7)
-        assert hist.percentile(0.0) == hist.percentile(100.0) == 2.0
-        assert hist.mean == 2.0
-
-    def test_observe_many_empty_batch_is_a_no_op(self):
-        hist = Histogram("h")
-        hist.observe_many([])
-        assert hist.count == 0 and hist.p50 == 0.0
+        summary = summarize([2.0] * 7)
+        assert summary["p50"] == summary["p99"] == summary["mean"] == 2.0
 
 
-class TestSeries:
-    def test_append_preserves_order_and_last(self):
-        series = Series("s")
-        assert series.last is None
-        series.append(0.0, "closed")
-        series.append(1.5, "open")
-        assert series.points == [(0.0, "closed"), (1.5, "open")]
-        assert series.last == "open"
+def _digest():
+    return {
+        "counters": {"service.completed": 9, "a.pages": 559},
+        "gauges": {"sim.elapsed": 5.866144142593499},
+        "histograms": {"service.response_time": summarize([1.0, 2.0])},
+        "series": {"service.breaker_state": [[0.0, "closed"], [1.5, "open"]]},
+    }
 
 
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert "a" in registry
-        assert len(registry) == 1
+class TestMetricsTable:
+    def test_one_row_format_per_kind(self):
+        rows = metrics_table(_digest()).splitlines()[3:]
+        assert [row.split()[:2] for row in rows] == [
+            ["a.pages", "counter"],
+            ["service.breaker_state", "series"],
+            ["service.completed", "counter"],
+            ["service.response_time", "histogram"],
+            ["sim.elapsed", "gauge"],
+        ]
+        values = [row.split(None, 2)[2].rstrip() for row in rows]
+        assert values == [
+            "559",
+            "2 points",
+            "9",
+            "n=2 mean=1.5000 p50=1.5000 p95=1.9500 p99=1.9900",
+            "5.86614",
+        ]
 
-    def test_kind_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ObsError):
-            registry.gauge("x")
+    def test_rows_are_sorted_by_name_across_kinds(self):
+        rows = metrics_table(_digest()).splitlines()[3:]
+        names = [row.split()[0] for row in rows]
+        assert names == sorted(names)
 
-    def test_names_in_registration_order(self):
-        registry = MetricsRegistry()
-        registry.gauge("z")
-        registry.counter("a")
-        assert registry.names() == ["z", "a"]
-
-    def test_as_dict_digests_every_kind(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").observe_many([2.0])
-        registry.series("s").append(0.5, "open")
-        digest = registry.as_dict()
-        assert digest["counters"] == {"c": 3}
-        assert digest["gauges"] == {"g": 1.5}
-        assert digest["histograms"]["h"]["count"] == 1
-        assert digest["histograms"]["h"]["p50"] == 2.0
-        assert digest["series"]["s"] == [[0.5, "open"]]
-
-    def test_to_table_mentions_every_metric(self):
-        registry = MetricsRegistry()
-        registry.counter("service.completed").inc(9)
-        registry.histogram("service.response_time").observe_many([1.0])
-        table = registry.to_table()
-        assert "service.completed" in table
-        assert "service.response_time" in table
-        assert "histogram" in table
+    def test_empty_sections_give_a_titled_table(self):
+        empty = {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
+        lines = metrics_table(empty).splitlines()
+        assert lines[0] == "metrics"
+        assert lines[1].split() == ["metric", "kind", "value"]

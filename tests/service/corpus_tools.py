@@ -20,14 +20,14 @@ drift fails loudly and points at the exact case.
 
 A third block, ``records``, pins what the digest leaves out.  For every
 label of the first two blocks it holds the sha256 of one run with a
-live :class:`~repro.obs.Tracer` (the breaker gets it too), with its
-metrics published to a :class:`~repro.obs.MetricsRegistry`: the digest
-and ``decide_rounds``,
-every :class:`~repro.service.metrics.TenantMetrics` field (response
-times as ``float.hex``), the breaker timeline, ``registry.as_dict()``,
-every trace event of the gate's categories (the ``tenant:*`` and
-``breaker`` tracks and the engine's shed instants), and the sorted
-cancel and shed records.  It was generated from the gate that
+live :class:`~repro.obs.Tracer` (the breaker gets it too): the digest
+and ``decide_rounds``, every
+:class:`~repro.service.metrics.TenantMetrics` field (response times as
+``float.hex``), the breaker timeline, the metrics digest of
+:meth:`~repro.service.metrics.ServiceMetrics.sections` (under the key
+``registry``, which the frozen hashes include), every trace event of
+the gate's categories (the ``tenant:*`` and ``breaker`` tracks and the
+engine's shed instants), and the sorted cancel and shed records.  It was generated from the gate that
 kept one outcome map per status, before the gate moved to one record
 per submission.
 
@@ -51,7 +51,7 @@ from repro.core.schedulers import InterWithAdjPolicy
 from repro.faults import breaker as breaker_module
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.service.admission import admission_by_name
 from repro.service.arrivals import (
     ArrivalConfig,
@@ -141,13 +141,12 @@ def corpus_record(**kwargs) -> dict:
     """Everything one traced, metered cell run produced.
 
     Covers what :meth:`ServiceResult.digest` does not: ``decide_rounds``,
-    every tenant counter, the breaker timeline, the metrics registry,
+    every tenant counter, the breaker timeline, the metrics digest,
     the gate's and the breaker's trace events, and the engine's cancel
     and shed records.
     """
-    tracer, registry = Tracer(), MetricsRegistry()
+    tracer = Tracer()
     result = _serve(**kwargs, tracer=tracer)
-    result.metrics.publish(registry)
     schedule = result.schedule
     return {
         "digest": result.digest(),
@@ -157,7 +156,7 @@ def corpus_record(**kwargs) -> dict:
             for __, tm in sorted(result.metrics.tenants.items())
         ],
         "breaker": result.metrics.breaker_timeline,
-        "registry": registry.as_dict(),
+        "registry": result.metrics.sections(),
         "events": [
             [e.kind, e.name, e.cat, e.track, e.start, e.dur, e.value, e.args]
             for e in tracer.events

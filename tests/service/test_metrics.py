@@ -45,7 +45,7 @@ class TestServiceMetrics:
     def result(self):
         machine = paper_machine()
         stream = poisson_stream(rate=0.1, seed=2)
-        return QueryService(machine, timeline_bucket=50.0).run(stream)
+        return QueryService(machine).run(stream)
 
     def test_overall_rolls_up_tenants(self):
         # A tight queue, one retry and enforced deadlines with grace:
@@ -103,7 +103,7 @@ class TestServiceMetrics:
         assert "p95" in table
 
     def test_timeline_buckets_cover_the_run(self, result):
-        timeline = result.metrics.utilization_timeline
+        timeline = utilization_timeline(result.schedule, bucket=50.0)
         assert timeline
         assert timeline[0][0] == 0.0
         assert timeline[-1][0] <= result.elapsed
@@ -112,7 +112,9 @@ class TestServiceMetrics:
             assert 0.0 <= io <= 1.0
 
     def test_format_timeline(self, result):
-        rendered = format_timeline(result.metrics.utilization_timeline)
+        rendered = format_timeline(
+            utilization_timeline(result.schedule, bucket=50.0)
+        )
         assert "utilization timeline" in rendered
         assert "#" in rendered
 

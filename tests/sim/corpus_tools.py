@@ -280,10 +280,10 @@ class CheckpointLog(RecoveryManager):
         self.taken = []
 
     def capture(self, engine):
-        before = self.captures
-        super().capture(engine)
-        if self.captures != before:
-            self.taken.append(self.last)
+        checkpoint = super().capture(engine)
+        if checkpoint is not None:
+            self.taken.append(checkpoint)
+        return checkpoint
 
 
 def checkpoint_dict(checkpoint):
@@ -358,9 +358,7 @@ def cold_fault_digest(label, seed):
         invariants=invariants,
     )
     logged = label in FAULT_STATE_SCHEDULES
-    manager = (CheckpointLog if logged else RecoveryManager)(
-        min_interval=0.1, tracer=tracer
-    )
+    manager = (CheckpointLog if logged else RecoveryManager)(min_interval=0.1)
     run = run_with_recovery(
         sim,
         cold_specs(machine),

@@ -82,10 +82,6 @@ ALLOWED: dict[tuple[str, str, str], str] = {
     ("repro.workloads.tables", "build_r_max", "seed"): (
         "oracle: the build corpus pins r_max at seeds 0 and 1"
     ),
-    ("repro.recovery.manager", "RecoveryManager.__init__", "tracer"): (
-        "oracle: the trace corpus' cold/ cells hash the checkpoint and "
-        "restore instants"
-    ),
     ("repro.optimizer.multiquery", "MultiQueryScheduler.__init__", "mode"): (
         "oracle: the plan corpus pins batch/ cells under LEFT_DEEP_SEQ "
         "and BUSHY_SEQ"

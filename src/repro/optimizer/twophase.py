@@ -152,7 +152,6 @@ class TwoPhaseOptimizer:
     ) -> None:
         self.catalog = catalog
         self.machine = machine or paper_machine()
-        self.fast_path = fast_path
         self.caches: OptimizerCaches | None = (
             OptimizerCaches() if fast_path else None
         )

@@ -224,7 +224,6 @@ class Checkpoint:
         engine.adjustments = self.adjustments
         engine.peak_memory = self.peak_memory
         engine._measured_mult = list(self.measured_mult)
-        engine._effective_cache = None
         for disk, snap in zip(disks, self.disks):
             disk._streams = list(snap.streams)
             disk.busy_time = snap.busy_time

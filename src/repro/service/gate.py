@@ -120,18 +120,6 @@ class _GatedView:
     still waiting at the admission gate.  ``banned`` hides running
     tasks the gate is cancelling this round, so the inner policy cannot
     adjust a task that will be gone before its action applies.
-
-    The pending filter is memoized on the gate.  The engine's
-    ``state.pending`` is itself memoized and rebuilt as a *fresh list
-    object* whenever membership changes, so ``(source list identity,
-    in-flight version)`` keys the filtered view exactly: a hit means
-    neither the engine's ready set nor the in-flight set moved since the
-    last consult, and the previous filtered list (same tasks, same
-    order) is still the answer.  Admissions and cancels bump the
-    version; completions do not, because a completed task is never
-    pending, so dropping it from the in-flight set cannot change the
-    filter.  The gate holds a reference to the source list, so its
-    identity cannot be recycled while the key lives.
     """
 
     def __init__(
@@ -162,19 +150,8 @@ class _GatedView:
 
     @property
     def pending(self) -> list[Task]:
-        gate = self._gate
-        source = self._state.pending
-        if (
-            gate._gated_pending_src is source
-            and gate._gated_pending_version == gate._inflight_version
-        ):
-            return gate._gated_pending
-        inflight = gate._inflight
-        filtered = [t for t in source if t.task_id in inflight]
-        gate._gated_pending_src = source
-        gate._gated_pending_version = gate._inflight_version
-        gate._gated_pending = filtered
-        return filtered
+        inflight = self._gate._inflight
+        return [t for t in self._state.pending if t.task_id in inflight]
 
 
 @dataclass(slots=True, eq=False)
@@ -304,9 +281,6 @@ class AdmissionGate(SchedulingPolicy):
         self._waiting: dict[int, ServiceSubmission] = {}
         #: Waiting submissions per tenant, against ``queue_capacity``.
         self._depths: dict[str, int] = {}
-        #: ``_waiting``'s values as a list, memoized for :meth:`_admit`
-        #: (read on every consult); an offer appends, a removal clears.
-        self._waiting_view: list[ServiceSubmission] | None = None
         #: One entry per submission, by id, in stream order.
         self._entries = {s.submission_id: _Entry(s) for s in self._stream}
         #: Admitted-but-unfinished fragments: task id -> (task, entry).
@@ -318,14 +292,6 @@ class AdmissionGate(SchedulingPolicy):
         #: One-shot deadline instants ``(time, sid)``; entries whose
         #: submission left the gate are dead and popped lazily.
         self._deadline_heap: list[tuple[float, int]] = []
-        #: Bumped when admits or cancels change ``_inflight``; keys the
-        #: gated-view memo.
-        self._inflight_version = 0
-        self._gated_pending_src: list[Task] | None = None
-        self._gated_pending_version = -1
-        self._gated_pending: list[Task] = []
-        #: Watermark of ``len(state.completed_ids)`` at the last refresh.
-        self._completed_seen = 0
         if self.breaker is not None:
             self.breaker.reset()
 
@@ -385,8 +351,6 @@ class AdmissionGate(SchedulingPolicy):
             return self._handle_shed(entry, now)
         self._waiting[submission.submission_id] = submission
         self._depths[tenant] = depth + 1
-        if self._waiting_view is not None:
-            self._waiting_view.append(submission)  # newest is last
         entry.where = "queued"
         if self.breaker is not None:
             self.breaker.record_success(now)
@@ -563,7 +527,6 @@ class AdmissionGate(SchedulingPolicy):
             for task in to_cancel:
                 del self._inflight[task.task_id]
                 actions.append(Cancel(task, "deadline"))
-            self._inflight_version += 1
             entry.unfinished = [
                 t for t in entry.unfinished if t.task_id not in entry.cancelled
             ]
@@ -592,13 +555,8 @@ class AdmissionGate(SchedulingPolicy):
         return wakeup
 
     def _refresh_inflight(self, state: EngineState) -> None:
-        """Drop completed fragments from the in-flight set.
-
-        Watermarked on ``len(state.completed_ids)``: :meth:`decide`
-        calls it only when something completed since the last consult.
-        """
+        """Drop completed fragments from the in-flight set."""
         completed = state.completed_ids
-        self._completed_seen = len(completed)
         done = [tid for tid in self._inflight if tid in completed]
         for tid in done:
             __, entry = self._inflight.pop(tid)
@@ -612,7 +570,6 @@ class AdmissionGate(SchedulingPolicy):
         """Remove one waiting submission; its tenant gets a slot back."""
         submission = self._waiting.pop(sid)
         self._depths[submission.tenant] -= 1
-        self._waiting_view = None
         return submission
 
     def _admit(self, state: EngineState) -> None:
@@ -628,9 +585,7 @@ class AdmissionGate(SchedulingPolicy):
             # *filtered* list preserves the exact entries (and indices)
             # the policy would have examined.
             hw = self.admission.head_window
-            waiting = self._waiting_view
-            if waiting is None:
-                waiting = self._waiting_view = list(self._waiting.values())
+            waiting = list(self._waiting.values())
             if inflight:
                 candidates = []
                 for submission in waiting:
@@ -671,7 +626,6 @@ class AdmissionGate(SchedulingPolicy):
             for task in submission.tasks:
                 inflight[task.task_id] = (task, entry)
             entry.unfinished = submission.tasks
-            self._inflight_version += 1
             # At zero grace the grace bound is the deadline instant
             # ``_offer`` already pushed.
             if (
@@ -693,7 +647,7 @@ class AdmissionGate(SchedulingPolicy):
         admission policy is consulted once.
 
         Each step runs only when the test it opens with can pass: a
-        retry is queued, an arrival is due, something completed, the
+        retry is queued, an arrival is due, a fragment is in flight, the
         deadline heap's head is due, a submission waits.  About half
         of all consults emit no action at all.
         """
@@ -705,7 +659,7 @@ class AdmissionGate(SchedulingPolicy):
             self._arrival_times[cursor] <= now + _EPS
         ):
             actions.extend(self._offer_arrivals(state))
-        if len(state.completed_ids) != self._completed_seen:
+        if self._inflight:
             self._refresh_inflight(state)
         banned = None
         heap = self._deadline_heap

@@ -94,13 +94,6 @@ class TenantMetrics:
         return percentile(self.response_times, 99.0)
 
     @property
-    def mean_response_time(self) -> float:
-        """Mean response time of completed submissions."""
-        if not self.response_times:
-            return 0.0
-        return sum(self.response_times) / len(self.response_times)
-
-    @property
     def slo_miss_rate(self) -> float:
         """Fraction of SLO-tagged submissions that missed their deadline.
 
@@ -115,13 +108,17 @@ class TenantMetrics:
 class ServiceMetrics:
     """Global serving metrics plus the per-tenant breakdown.
 
-    Built by :meth:`of`, which folds the run's outcomes tenant by
-    tenant; :attr:`overall` folds the same outcomes again on read.
+    Built by :meth:`of`, which folds the run's outcomes once per tenant
+    and once more into :attr:`overall`.
     """
 
     admission_name: str
     elapsed: float
     tenants: dict[str, TenantMetrics]
+    #: All tenants folded into one digest, tenant by tenant in
+    #: first-seen order, so ``response_times`` is the concatenation of
+    #: the tenants' lists.
+    overall: TenantMetrics
     outcomes: list[SubmissionOutcome]
     cpu_utilization: float
     io_utilization: float
@@ -139,8 +136,8 @@ class ServiceMetrics:
         breaker_timeline: list[tuple[float, str]],
     ) -> ServiceMetrics:
         """One run's metrics: a :class:`TenantMetrics` per tenant (in
-        first-seen order) and the schedule's elapsed time and
-        utilizations."""
+        first-seen order), their fold into :attr:`overall`, and the
+        schedule's elapsed time and utilizations."""
         groups: dict[str, list[SubmissionOutcome]] = {}
         for outcome in outcomes:
             groups.setdefault(outcome.submission.tenant, []).append(outcome)
@@ -148,23 +145,13 @@ class ServiceMetrics:
             admission_name=admission_name,
             elapsed=schedule.elapsed,
             tenants={t: TenantMetrics.of(t, g) for t, g in groups.items()},
+            overall=TenantMetrics.of(
+                "all", [o for g in groups.values() for o in g]
+            ),
             outcomes=outcomes,
             cpu_utilization=schedule.cpu_utilization,
             io_utilization=schedule.io_utilization,
             breaker_timeline=breaker_timeline,
-        )
-
-    @property
-    def overall(self) -> TenantMetrics:
-        """All tenants folded into one digest.
-
-        Folds the outcomes tenant by tenant, in first-seen order, so
-        ``response_times`` is the concatenation of the tenants' lists.
-        """
-        order = {tenant: i for i, tenant in enumerate(self.tenants)}
-        return TenantMetrics.of(
-            "all",
-            sorted(self.outcomes, key=lambda o: order[o.submission.tenant]),
         )
 
     @property

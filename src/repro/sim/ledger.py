@@ -13,11 +13,9 @@ Each engine's per-run state (``fluid._SimState``,
 this encodes — legal actions, the dependency cone of a cancel, consult
 timing — are DESIGN.md's "Engine contract".
 
-Two identity rules callers lean on: ``waiting`` and ``arrivals`` are
+One identity rule callers lean on: ``waiting`` and ``arrivals`` are
 mutated in place and never rebound (the micro event loop holds them as
-locals for its finished test), and ``pending`` is the same list object
-until membership changes and a *fresh* one after (the serving gate keys
-its filtered view on that identity).
+locals for its finished test).
 """
 
 from __future__ import annotations

@@ -66,7 +66,8 @@ _MAX_EVENTS = 5_000_000
 
 #: Simulated seconds the master waits for an adjustment round before
 #: aborting it (recorded as a ``timeout`` event in the fault log; the run
-#: continues).  Armed only under a fault injector.
+#: continues).  Armed at every round; a round that finished in time
+#: makes the timer a no-op.
 ADJUST_TIMEOUT = 0.5
 
 # Event tags for the engine's heap entries.  The hot per-page events
@@ -469,9 +470,6 @@ class _MicroEngine(TaskLedger):
         #: Measured per-disk health: EWMA of (nominal service time /
         #: observed service time) per served request.  1.0 = healthy.
         self._measured_mult = [1.0] * machine.disks
-        #: Memoized effective_machine(); dropped when a health
-        #: observation moves _measured_mult.
-        self._effective_cache: MachineConfig | None = None
         self._stall_armed = [False] * machine.disks
         #: RecoveryManager (or None): one attribute check on the cold
         #: checkpoint sites, nothing anywhere near the per-page loop.
@@ -508,21 +506,11 @@ class _MicroEngine(TaskLedger):
         ``io_bandwidth`` tracks what the degraded array actually
         delivers; degradation-aware policies recompute balance points
         against this instead of the static ``MachineConfig.B``.
-
-        The result is memoized until the next health observation, so a
-        policy consult does not rebuild two dataclasses per call on a
-        healthy (or merely stable) machine.
         """
-        cached = self._effective_cache
-        if cached is not None:
-            return cached
         scale = sum(self._measured_mult) / len(self._measured_mult)
         if abs(scale - 1.0) < 1e-9:
-            machine = self.machine
-        else:
-            machine = self.machine.with_disk_scale(max(scale, 0.05))
-        self._effective_cache = machine
-        return machine
+            return self.machine
+        return self.machine.with_disk_scale(max(scale, 0.05))
 
     # -- the master: event plumbing and policy interaction ------------------------------
 
@@ -1004,7 +992,6 @@ class _MicroEngine(TaskLedger):
         """The one health fold: a served request's ratio into its disk's EWMA."""
         old = self._measured_mult[disk_id]
         self._measured_mult[disk_id] = 0.7 * old + 0.3 * multiplier
-        self._effective_cache = None
 
     # -- dynamic adjustment (Figures 5 and 6) -------------------------------------------------------
 
@@ -1026,10 +1013,7 @@ class _MicroEngine(TaskLedger):
             self._send(2 * delta, lambda: self._collect_maxpage(run, n_new, epoch))
         else:
             self._send(2 * delta, lambda: self._collect_intervals(run, n_new, epoch))
-        if self.injector is not None:
-            # Only a faulted run can hang a round, and arming the timer
-            # on healthy runs would perturb their event traces.
-            self._schedule(ADJUST_TIMEOUT, lambda: self._adjust_deadline(run, epoch))
+        self._schedule(ADJUST_TIMEOUT, lambda: self._adjust_deadline(run, epoch))
 
     def _send(self, delay: float, callback) -> None:
         """One protocol leg; the injector may drop or delay it."""
@@ -1169,19 +1153,18 @@ class _MicroEngine(TaskLedger):
         """
         if self._stale(run, epoch) or run.task.task_id not in self.runs:
             return  # the round completed (or the task did) in time
-        injector = self.injector
-        assert injector is not None
         run.adjust_epoch += 1
         run.adjusting = False
-        log = injector.log
-        log.adjust_timeouts += 1
-        log.adjust_aborts += 1
-        log.record(
-            self.clock,
-            "timeout",
-            f"adjustment of {run.task.name!r} timed out after "
-            f"{ADJUST_TIMEOUT:g}s; aborted",
-        )
+        if self.injector is not None:
+            log = self.injector.log
+            log.adjust_timeouts += 1
+            log.adjust_aborts += 1
+            log.record(
+                self.clock,
+                "timeout",
+                f"adjustment of {run.task.name!r} timed out after "
+                f"{ADJUST_TIMEOUT:g}s; aborted",
+            )
         if self.tracer is not None:
             self._instant("adjust:abort", run.task, "adjust", {"timeout": ADJUST_TIMEOUT})
         harvest, run.harvest = run.harvest, None
@@ -1272,9 +1255,8 @@ class _MicroEngine(TaskLedger):
 
         Slaves are marked crashed+retired, which the event loop treats
         as "drop on sight": in-flight io and cpu completions free their
-        disk and processor.  Under an injector their queued requests are
-        purged here, unserved; a run without one still serves them (its
-        traces are frozen that way).  Bumping the adjustment epoch stales
+        disk and processor; their queued requests are purged here,
+        unserved.  Bumping the adjustment epoch stales
         any in-flight protocol leg or timeout timer, so a mid-round cancel
         can never wedge (or double-abort) an adjustment round.
         """
@@ -1289,8 +1271,7 @@ class _MicroEngine(TaskLedger):
             slave.paused = False
             slave.segments = []
             slave.intervals = []
-        if self.injector is not None:
-            self._purge_crashed()
+        self._purge_crashed()
         del self.runs[task.task_id]
         self.cancel(task, reason, started_at=run.started_at, pages_done=run.pages_done)
 

@@ -6,6 +6,8 @@ the master's deadline fires: the round aborts exactly
 log counts one timeout resolved by one abort.
 """
 
+from dataclasses import replace
+
 from repro.config import paper_machine
 from repro.core import Adjust, SchedulingPolicy, Start
 from repro.faults import FaultSchedule, MessageFault
@@ -56,3 +58,22 @@ def test_a_hung_page_round_aborts_after_the_timeout():
     assert log.messages_dropped == 1
     assert log.adjust_timeouts == log.adjust_aborts == 1
     assert result.io_served == 600  # the aborted round lost no page
+
+
+def test_a_healthy_round_slower_than_the_timeout_aborts_the_same_way():
+    """The timer is armed on every run: with legs slower than a third
+    of the timeout a round cannot finish in time, injector or not."""
+    machine = replace(MACHINE, signal_latency=0.2)
+    spec = spec_for_io_rate("t", machine, io_rate=10.0, n_pages=600)
+    policy = _GrowOnce()
+    tracer = Tracer()
+    result = MicroSimulator(
+        machine, consult_interval=0.25, tracer=tracer
+    ).run([spec], policy)
+
+    aborts = [e for e in tracer.events if e.name == "adjust:abort"]
+    assert len(aborts) == 1
+    assert aborts[0].start == policy.round_started_at + ADJUST_TIMEOUT
+    assert result.fault_log is None
+    assert result.adjustments == 1
+    assert result.io_served == 600

@@ -9,6 +9,7 @@ from repro.obs import percentile
 from repro.service import (
     ArrivalConfig,
     QueryService,
+    TenantMetrics,
     format_timeline,
     poisson_stream,
     utilization_timeline,
@@ -95,6 +96,21 @@ class TestServiceMetrics:
         assert result.metrics.throughput == pytest.approx(
             overall.completed / result.elapsed
         )
+
+    def test_reads_fold_no_outcome(self, result, monkeypatch):
+        # ``overall`` is folded once, when the metrics are built.
+        folds = []
+        fold = TenantMetrics.of.__func__
+        monkeypatch.setattr(
+            TenantMetrics,
+            "of",
+            classmethod(lambda cls, *a: folds.append(a) or fold(cls, *a)),
+        )
+        metrics = result.metrics
+        metrics.to_table()
+        metrics.sections()
+        assert metrics.throughput > 0
+        assert folds == []
 
     def test_table_mentions_every_tenant(self, result):
         table = result.metrics.to_table()

@@ -4,9 +4,11 @@ A run with an *empty* fault schedule has an injector that injects
 nothing.  The engine then does more than on a healthy run: per served
 request it reads the disk's bandwidth factor (1.0) and skips the
 health fold (a healthy estimate of 1.0 is the fold's fixed point); it
-checks the stall list (never set); a cancel purges crashed requests from the disk
-queues (none here).  The two runs must agree to the last bit, per-disk
-counters and busy time included.
+checks the stall list (never set).  Everything else is one rule with or
+without an injector: every adjustment round arms its timeout, and a
+cancel purges the cancelled run's queued disk requests.  The two runs
+must agree to the last bit, per-disk counters, busy time, cancel
+records and tracer events included.
 
 Both arms serve a singleton queue on an unstalled disk inline in
 ``_MicroEngine.run`` and deeper queues through ``_dispatch_disk``;
@@ -28,8 +30,10 @@ from repro.core import (
     InterWithoutAdjPolicy,
     IntraOnlyPolicy,
 )
+from repro.core.schedulers import Cancel, SchedulingPolicy, Start
 from repro.core.task import IOPattern
 from repro.faults import FaultSchedule
+from repro.obs import Tracer
 from repro.sim import MicroSimulator, spec_for_io_rate
 from repro.sim.micro import _MicroEngine
 from repro.workloads import WorkloadConfig, WorkloadKind
@@ -66,18 +70,25 @@ class _EngineProbe:
 
 
 def run_digest(specs, policy, *, seed, faults, consult_interval=None):
-    """The corpus digest of one run plus its per-disk accounting."""
+    """The corpus digest of one run plus its cancels, per-disk
+    accounting and tracer events."""
     probe = _EngineProbe()
+    tracer = Tracer()
     result = MicroSimulator(
         MACHINE,
         seed=seed,
         consult_interval=consult_interval,
         faults=faults,
+        tracer=tracer,
         invariants=probe,
     ).run(list(specs), policy)
     digest = trace_digest(result)
     # Only the arm with an injector keeps a fault log (its one "done" line).
     digest.pop("fault_events", None)
+    digest["cancels"] = [
+        (c.task.name, c.cancelled_at.hex(), c.pages_done, c.reason)
+        for c in result.cancel_records
+    ]
     digest["disks"] = [
         (
             d.counters.sequential,
@@ -86,6 +97,10 @@ def run_digest(specs, policy, *, seed, faults, consult_interval=None):
             d.busy_time.hex(),
         )
         for d in probe.engine.disks
+    ]
+    digest["trace"] = [
+        (e.kind, e.name, e.cat, e.track, e.start.hex(), e.dur.hex(), e.args)
+        for e in tracer.events
     ]
     return digest
 
@@ -147,6 +162,90 @@ def test_idle_injector_takes_the_general_serve_only_where_healthy_does(
         )
         counts.append(len(calls))
     assert counts[0] == counts[1] < sum(s.n_pages for s in specs) / 4
+
+
+def cancel_specs():
+    """Two scattered scans wide enough to queue requests on every disk."""
+    return [
+        spec_for_io_rate(
+            name,
+            MACHINE,
+            io_rate=25.0,
+            n_pages=400,
+            pattern=IOPattern.RANDOM,
+            partitioning="range",
+        )
+        for name in ("keep", "victim")
+    ]
+
+
+class CancelWhileQueued(SchedulingPolicy):
+    """Starts both scans four wide, then cancels ``victim`` at the first
+    master tick that finds its requests queued behind a busy disk.
+
+    With ``strip`` the policy takes those requests out of the disk
+    queues itself before the cancel: the same run without the victim's
+    queued pages.
+    """
+
+    name = "CANCEL-WHILE-QUEUED"
+
+    def __init__(self, strip=False):
+        self.strip = strip
+
+    def reset(self):
+        self.started = False
+        self.queued = None
+
+    def decide(self, state):
+        if not self.started:
+            self.started = True
+            return [Start(task, 4.0) for task in state.pending]
+        if self.queued is not None:
+            return []
+        victim = next(r.task for r in state.running if r.task.name == "victim")
+        queues = state._disk_queues
+        mine = [e for q in queues for e in q if e[0].task is victim]
+        if not mine:
+            return []
+        self.queued = len(mine)
+        if self.strip:
+            for queue in queues:
+                live = [e for e in queue if e[0].task is not victim]
+                queue.clear()
+                queue.extend(live)
+        return [Cancel(victim, "deadline")]
+
+
+def test_a_healthy_cancel_serves_none_of_its_queued_requests():
+    cancelled = CancelWhileQueued()
+    got = run_digest(
+        cancel_specs(), cancelled, seed=0, faults=None, consult_interval=0.05
+    )
+    stripped = CancelWhileQueued(strip=True)
+    want = run_digest(
+        cancel_specs(), stripped, seed=0, faults=None, consult_interval=0.05
+    )
+    # The cancel found requests queued, at the same instant in both runs.
+    assert cancelled.queued == stripped.queued > 0
+    assert [c[0] for c in got["cancels"]] == ["victim"]
+    assert got["io_served"] == want["io_served"]
+    assert got["disks"] == want["disks"]
+    assert got == want
+
+
+def test_an_idle_injector_cancels_as_a_healthy_run_does():
+    healthy, idle_injector = (
+        run_digest(
+            cancel_specs(),
+            CancelWhileQueued(),
+            seed=0,
+            faults=faults,
+            consult_interval=0.05,
+        )
+        for faults in (None, FaultSchedule())
+    )
+    assert healthy == idle_injector
 
 
 def test_a_healthy_disk_is_the_health_folds_fixed_point(monkeypatch):

@@ -73,6 +73,92 @@ class TestClassifyNamesTheServedRegime:
             assert service == disk._service_times[regime]
 
 
+def reference_serve(disk, streams, block):
+    """``Disk`` before the newest stream was tested first, verbatim:
+    one loop over every remembered stream, then pop and append.
+
+    Returns (regime, index, service time, streams after)."""
+    best = ("random", None)
+    last = len(streams) - 1
+    for i, pos in enumerate(streams):
+        delta = block - pos
+        if delta == 1:
+            if i == last:
+                best = ("sequential", i)
+                break
+            best = ("almost_sequential", i)
+        elif 0 <= delta <= disk.almost_seq_window and best[0] == "random":
+            best = ("almost_sequential", i)
+    regime, index = best
+    rates = {
+        "sequential": disk.profile.seq_ios_per_sec,
+        "almost_sequential": disk.profile.almost_seq_ios_per_sec,
+        "random": disk.profile.random_ios_per_sec,
+    }
+    streams = list(streams)
+    if index is not None:
+        streams.pop(index)
+    streams.append(block)
+    if len(streams) > disk.stream_memory:
+        streams.pop(0)
+    return regime, index, 1.0 / rates[regime], streams
+
+
+def assert_serves_like_reference(disk, block):
+    regime, index, service, streams = reference_serve(disk, disk._streams, block)
+    assert disk._match(block) == (regime, index)
+    assert disk.service_time(block) == service
+    assert disk._streams == streams
+    return regime, index
+
+
+#: A request either names a block or steps from the newest stream, so
+#: histories keep continuing, re-reading and overtaking their streams.
+REQUESTS = st.one_of(
+    st.tuples(st.just("block"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("block"), st.integers(min_value=0, max_value=5_000)),
+    st.tuples(st.just("step"), st.integers(min_value=-2, max_value=3)),
+)
+
+
+class TestNewestStreamFirst:
+    """The newest stream is tested first; every answer, index and
+    stream list must equal the full loop's (``reference_serve``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream_memory=st.sampled_from([1, 2, 4]),
+        window=st.sampled_from([1, 16]),
+        requests=st.lists(REQUESTS, min_size=1, max_size=80),
+    )
+    def test_agrees_with_the_full_loop(self, stream_memory, window, requests):
+        disk = Disk(0, almost_seq_window=window, stream_memory=stream_memory)
+        for kind, value in requests:
+            newest = disk._streams[-1] if disk._streams else 0
+            block = value if kind == "block" else max(0, newest + value)
+            assert_serves_like_reference(disk, block)
+
+    @pytest.mark.parametrize("stream_memory", [2, 4])
+    def test_older_stream_also_matches(self, stream_memory):
+        # A stream from 5 catches up with the one left at 7: from then
+        # on every request continues the newest and also lies within
+        # the window of (or right after) the older one.
+        disk = Disk(0, stream_memory=stream_memory)
+        for block in (7, 5, 6):
+            assert_serves_like_reference(disk, block)
+        assert disk._streams == [7, 6]
+        for block, streams in ((7, [7, 7]), (8, [7, 8]), (9, [7, 9])):
+            assert assert_serves_like_reference(disk, block) == ("sequential", 1)
+            assert disk._streams == streams
+
+    def test_older_continuation_is_almost_sequential(self):
+        disk = Disk(0, stream_memory=4)
+        for block in (10, 100):
+            assert_serves_like_reference(disk, block)
+        assert assert_serves_like_reference(disk, 11) == ("almost_sequential", 0)
+        assert disk._streams == [100, 11]
+
+
 class TestTiming:
     def test_sequential_stream_hits_seq_bandwidth(self, disk):
         disk.service_time(0)

@@ -26,6 +26,7 @@ on the fluid engine.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -585,7 +586,7 @@ class AdmissionGate(SchedulingPolicy):
             # *filtered* list preserves the exact entries (and indices)
             # the policy would have examined.
             hw = self.admission.head_window
-            waiting = list(self._waiting.values())
+            waiting = self._waiting.values()
             if inflight:
                 candidates = []
                 for submission in waiting:
@@ -595,7 +596,7 @@ class AdmissionGate(SchedulingPolicy):
                             break
             else:
                 # Never wedge: an empty machine always takes one query.
-                candidates = waiting[:hw]
+                candidates = list(itertools.islice(waiting, hw))
             if not candidates:
                 return
             choice = self.admission.select(

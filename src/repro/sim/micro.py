@@ -707,30 +707,33 @@ class _MicroEngine(TaskLedger):
                 block = serve[3]
                 disk = disks[disk_id]
                 streams = disk._streams
-                regime = "random"
-                index = None
-                last = len(streams) - 1
-                window = disk.almost_seq_window
-                for i, pos in enumerate(streams):
-                    delta = block - pos
-                    if delta == 1:
-                        if i == last:
-                            regime = "sequential"
-                            index = i
-                            break
-                        regime = "almost_sequential"
-                        index = i
-                    elif 0 <= delta <= window and regime == "random":
-                        regime = "almost_sequential"
-                        index = i
                 counters = disk.counters
-                if regime == "sequential":
+                if streams and streams[-1] == block - 1:
+                    # Continues the newest stream: sequential, in place.
+                    streams[-1] = block
                     counters.sequential += 1
-                elif regime == "almost_sequential":
-                    counters.almost_sequential += 1
+                    service = disk._service_times["sequential"]
                 else:
-                    counters.random += 1
-                service = disk._service_times[regime]
+                    regime = "random"
+                    index = None
+                    window = disk.almost_seq_window
+                    for i, pos in enumerate(streams):
+                        delta = block - pos
+                        if delta == 1:
+                            regime = "almost_sequential"
+                            index = i
+                        elif 0 <= delta <= window and regime == "random":
+                            regime = "almost_sequential"
+                            index = i
+                    if index is None:
+                        counters.random += 1
+                    else:
+                        counters.almost_sequential += 1
+                        streams.pop(index)
+                    streams.append(block)
+                    if len(streams) > disk.stream_memory:
+                        streams.pop(0)
+                    service = disk._service_times[regime]
                 if injector is not None:
                     multiplier = mult[disk_id]
                     if multiplier != 1.0:
@@ -739,11 +742,6 @@ class _MicroEngine(TaskLedger):
                     elif measured[disk_id] != 1.0:
                         # A healthy disk at 1.0 is the fold's fixed point.
                         self._observe_disk(disk_id, multiplier)
-                if index is not None:
-                    streams.pop(index)
-                streams.append(block)
-                if len(streams) > disk.stream_memory:
-                    streams.pop(0)
                 disk.busy_time += service
                 disk_busy[disk_id] = True
                 seq = self._seq

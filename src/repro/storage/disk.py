@@ -12,10 +12,10 @@ paper's measurements (Section 3):
   order (60 ios/s);
 * random — anything else (35 ios/s).
 
-:meth:`Disk.service_time` classifies a request against the last-served
-block and returns the service time; :class:`DiskCounters` accumulates
-per-regime counts so calibration benches can re-derive the bandwidth
-constants.
+:meth:`Disk.service_time` classifies a request against the remembered
+stream positions, the newest first, and returns the service time;
+:class:`DiskCounters` accumulates per-regime counts so calibration
+benches can re-derive the bandwidth constants.
 """
 
 from __future__ import annotations
@@ -95,17 +95,19 @@ class Disk:
         """(regime, matching stream index) for a request.
 
         The one classifier: :meth:`service_time` reads it and then
-        moves the streams.
+        moves the streams.  The newest stream is tested first: only a
+        continuation of it is sequential, and that hit (most requests
+        of a scan) looks at no other stream.  Any other request walks
+        them all: the newest stream it continues wins, else the oldest
+        one within the window.
         """
-        best: tuple[str, int | None] = ("random", None)
         streams = self._streams
-        last = len(streams) - 1
+        if streams and streams[-1] == block - 1:
+            return ("sequential", len(streams) - 1)
+        best: tuple[str, int | None] = ("random", None)
         for i, pos in enumerate(streams):
             delta = block - pos
             if delta == 1:
-                if i == last:
-                    best = ("sequential", i)
-                    break
                 best = ("almost_sequential", i)
             elif 0 <= delta <= self.almost_seq_window and best[0] == "random":
                 best = ("almost_sequential", i)
@@ -127,21 +129,22 @@ class Disk:
             raise ConfigError("multiplier must be positive")
         regime, index = self._match(block)
         counters = self.counters
+        streams = self._streams
         if regime == "sequential":
             counters.sequential += 1
-        elif regime == "almost_sequential":
-            counters.almost_sequential += 1
+            streams[-1] = block  # the newest stream moves on in place
         else:
-            counters.random += 1
+            if index is None:
+                counters.random += 1
+            else:
+                counters.almost_sequential += 1
+                streams.pop(index)
+            streams.append(block)
+            if len(streams) > self.stream_memory:
+                streams.pop(0)
         t = self._service_times[regime]
         if multiplier != 1.0:
             t = t / multiplier
-        streams = self._streams
-        if index is not None:
-            streams.pop(index)
-        streams.append(block)
-        if len(streams) > self.stream_memory:
-            streams.pop(0)
         self.busy_time += t
         return t
 

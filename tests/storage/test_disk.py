@@ -113,9 +113,11 @@ def assert_serves_like_reference(disk, block):
 
 
 #: A request either names a block or steps from the newest stream, so
-#: histories keep continuing, re-reading and overtaking their streams.
+#: histories keep continuing, re-reading and catching up with their
+#: streams (the narrow block range makes streams meet: two at one
+#: position, or an older one within the window of the newest).
 REQUESTS = st.one_of(
-    st.tuples(st.just("block"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("block"), st.integers(min_value=0, max_value=12)),
     st.tuples(st.just("block"), st.integers(min_value=0, max_value=5_000)),
     st.tuples(st.just("step"), st.integers(min_value=-2, max_value=3)),
 )
@@ -150,13 +152,6 @@ class TestNewestStreamFirst:
         for block, streams in ((7, [7, 7]), (8, [7, 8]), (9, [7, 9])):
             assert assert_serves_like_reference(disk, block) == ("sequential", 1)
             assert disk._streams == streams
-
-    def test_older_continuation_is_almost_sequential(self):
-        disk = Disk(0, stream_memory=4)
-        for block in (10, 100):
-            assert_serves_like_reference(disk, block)
-        assert assert_serves_like_reference(disk, 11) == ("almost_sequential", 0)
-        assert disk._streams == [100, 11]
 
 
 class TestTiming:
